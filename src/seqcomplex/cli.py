@@ -87,7 +87,7 @@ def _output_options(formats=("text", "json")):
 
 def _jobs_option(f):
     return click.option(
-        "--jobs", type=int, default=1, show_default=True,
+        "--jobs", type=click.IntRange(min=1), default=1, show_default=True,
         help="worker processes for corpus inputs",
     )(f)
 

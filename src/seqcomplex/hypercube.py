@@ -32,16 +32,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Sequence as Seq
 
-from .errors import (
-    EvenP,
-    IsVertex,
-    NoEligibleExponent,
-    NotACube,
-    NotAHypercube,
-    OddP,
-    ZeroSequence,
-)
-from .lincomp import _xwli_value
+from .errors import EvenP, IsVertex, NoEligibleExponent, NotACube, NotAHypercube, OddP
+from .lincomp import _lc_value, _levels
 from .sequences import Modulus, PeriodicSequence, require_nonzero
 
 __all__ = [
@@ -156,20 +148,22 @@ class Decomposition:
 
 # -- descent machinery -------------------------------------------------------
 #
-# Level vectors are kept as mutable 0/1 lists; records[k] explains how
-# vecs[k+1] was derived from vecs[k]:
-#   ("split", plen)       all p parts equal, kept part 0
-#   ("sum", plen, src)    XOR of parts; src maps each surviving one to its
-#                         unique source part (rows hold at most one 1)
-# Clearing a 1 at some level propagates down to the period: through a split
-# record all p copies are cleared, through a sum record the unique source is.
+# Level vectors are int bitmasks: vecs[k] holds p^(n-k) bits, and records[k]
+# = (plen, split) says how vecs[k+1] was derived from the p parts of plen
+# bits of vecs[k].  A split kept part 0 of p equal parts, so each row of
+# vecs[k+1] comes from all p copies.  A sum XORed p parts that share no row
+# (a rewrite clears the rows that would cancel), so each 1 of vecs[k+1] comes
+# from the one part holding it in vecs[k].  Pulling a mask of level-k+1 rows
+# back to level k follows those sources, and sends each zero row of a sum
+# through part 0.
 
 
 @dataclass
 class _Descent:
-    ok: bool
-    vecs: list[list[int]] = field(default_factory=list)
-    records: list[tuple] = field(default_factory=list)
+    p: int
+    vecs: list[int]
+    records: list[tuple[int, bool]] = field(default_factory=list)
+    ok: bool = True
     edges: tuple[int, ...] = ()
     vertex: VertexDescriptor | None = None
     fail_depth: int | None = None
@@ -179,109 +173,87 @@ class _Descent:
         assert self.ok and self.vertex is not None
         return HypercubeStructure(len(self.edges), self.edges, self.vertex)
 
-    def value(self) -> int:
-        out = 0
-        for i, b in enumerate(self.vecs[0]):
-            out |= b << i
-        return out
+    def pull_back(self, k: int, rows: int) -> int:
+        """The level-(k-1) positions behind the level-k mask rows."""
+        plen, split = self.records[k - 1]
+        spread = rows
+        for i in range(1, self.p):
+            spread |= rows << (i * plen)
+        if split:
+            return spread
+        return (spread & self.vecs[k - 1]) | (rows & ~self.vecs[k])
 
 
-def _clear(vecs: list[list[int]], records: list[tuple], level: int, pos: int) -> None:
-    stack = [(level, pos)]
-    while stack:
-        k, t = stack.pop()
-        assert vecs[k][t] == 1
-        vecs[k][t] = 0
-        if k == 0:
-            continue
-        rec = records[k - 1]
-        plen = rec[1]
-        if rec[0] == "split":
-            for i in range(len(vecs[k - 1]) // plen):
-                stack.append((k - 1, t + i * plen))
-        else:
-            stack.append((k - 1, rec[2][t] * plen + t))
+def _kept(parts: Seq[int]) -> list[int]:
+    """Per part, the rows of odd parity whose first 1 lies in that part.
+
+    These are the ones a rewrite keeps; their union is the XOR of the parts.
+    """
+    x = 0
+    for part in parts:
+        x ^= part
+    seen = 0
+    kept = []
+    for part in parts:
+        kept.append(part & x & ~seen)
+        seen |= part
+    return kept
+
+
+def _bits(mask: int, length: int) -> tuple[int, ...]:
+    return tuple(map(int, format(mask, f"0{length}b")[::-1]))
 
 
 def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
     """Run the descent; with rewrite=True cancellations are repaired in place."""
-    N = p**n
-    vecs = [[(value >> i) & 1 for i in range(N)]]
-    records: list[tuple] = []
+    desc = _Descent(p, [value])
+    vecs, records = desc.vecs, desc.records
     edges: list[int] = []
-    depth = 0
-    while True:
-        cur = vecs[-1]
-        ln = len(cur)
-        if ln == 1:
-            assert cur[0] == 1
-            vertex = VertexDescriptor(VertexKind.ELEMENT)
-            return _Descent(True, vecs, records, tuple(sorted(edges)), vertex)
-        depth += 1
-        plen = ln // p
-        blocks = [cur[i * plen : (i + 1) * plen] for i in range(p)]
-        if all(b == blocks[0] for b in blocks[1:]):
+    a = value
+    for depth, (plen, mask, low_mask, _) in enumerate(_levels(p, n), 1):
+        split = a >> plen == a & low_mask
+        if split:
             edges.append(n - depth)
-            records.append(("split", plen))
-            vecs.append(list(blocks[0]))
-            continue
-        xor = [0] * plen
-        src: dict[int, int] = {}
-        pending: list[int] = []  # level positions to clear if we must rewrite
-        lossy = False
-        for t in range(plen):
-            ones = [i for i in range(p) if blocks[i][t]]
-            if not ones:
-                continue
-            if len(ones) % 2:
-                xor[t] = 1
-                src[t] = ones[0]
-                extra = ones[1:]
-            else:
-                extra = ones
-            if extra:
-                lossy = True
-                pending.extend(i * plen + t for i in extra)
-        if not any(xor):
-            # terminating zero-sum: the parts are the vertex
-            vertex = VertexDescriptor(
-                VertexKind.TUPLE, n - depth, tuple(tuple(b) for b in blocks)
-            )
-            return _Descent(True, vecs, records, tuple(sorted(edges)), vertex)
-        if lossy:
-            if not rewrite:
-                return _Descent(False, vecs, records, fail_depth=depth)
-            level = len(vecs) - 1
-            for pos in pending:
-                _clear(vecs, records, level, pos)
-        records.append(("sum", plen, src))
-        vecs.append(xor)
+            a &= mask
+        else:
+            parts = [(a >> (i * plen)) & mask for i in range(p)]
+            kept = _kept(parts)
+            x = sum(kept)
+            if x == 0:
+                # terminating zero-sum: the parts are the vertex
+                blocks = tuple(_bits(part, plen) for part in parts)
+                desc.vertex = VertexDescriptor(VertexKind.TUPLE, n - depth, blocks)
+                break
+            if x.bit_count() != a.bit_count():
+                if not rewrite:
+                    desc.ok, desc.fail_depth = False, depth
+                    return desc
+                # clear every one that is not kept, down to the period
+                clear = a ^ sum(k << (i * plen) for i, k in enumerate(kept))
+                for k in range(len(vecs) - 1, -1, -1):
+                    lower = desc.pull_back(k, clear) if k else 0
+                    vecs[k] ^= clear
+                    clear = lower
+            a = x
+        records.append((plen, split))
+        vecs.append(a)
+    else:
+        assert a == 1
+        desc.vertex = VertexDescriptor(VertexKind.ELEMENT)
+    desc.edges = tuple(sorted(edges))
+    return desc
 
 
-def _expand_flip(desc: _Descent, pos: int) -> list[int]:
-    """Period positions that must toggle so the terminal-level bit at pos does.
+def _expand_flip(desc: _Descent, flips: int) -> int:
+    """Period positions that must toggle so the terminal-level bits in flips do.
 
     Nonzero bits trace back through their unique source; zero bits are routed
     through part 0 at sum records (one new 1 per sum level, p copies per
     split level).
     """
-    out: list[int] = []
-    stack = [(len(desc.vecs) - 1, pos)]
-    while stack:
-        k, t = stack.pop()
-        if k == 0:
-            out.append(t)
-            continue
-        rec = desc.records[k - 1]
-        plen = rec[1]
-        if rec[0] == "split":
-            for i in range(len(desc.vecs[k - 1]) // plen):
-                stack.append((k - 1, t + i * plen))
-        elif desc.vecs[k][t]:
-            stack.append((k - 1, rec[2][t] * plen + t))
-        else:
-            stack.append((k - 1, t))
-    return out
+    for k in range(len(desc.vecs) - 1, 0, -1):
+        flips = desc.pull_back(k, flips)
+    return flips
 
 
 def _require_odd_nonzero(s: PeriodicSequence) -> None:
@@ -353,20 +325,12 @@ def rebalance_blocks(
         raise ValueError("blocks must have equal length")
     if all(tuple(b) == tuple(blocks[0]) for b in blocks[1:]):
         raise ValueError("blocks are all equal; rewrite applies to the XOR branch")
-    out = [[0] * rows for _ in blocks]
-    sources: dict[int, int] = {}
-    survivors = 0
-    for t in range(rows):
-        ones = [i for i in range(len(blocks)) if blocks[i][t]]
-        if len(ones) % 2:
-            out[ones[0]][t] = 1
-            sources[t] = ones[0]
-            survivors += 1
+    kept = _kept([sum(1 << t for t, bit in enumerate(b) if bit) for b in blocks])
+    survivors = sum(k.bit_count() for k in kept)
     if survivors == 0:
         raise IsVertex("blocks already sum to the zero vector")
-    result = tuple(tuple(b) for b in out)
-    assert sum(sum(b) for b in result) == survivors
-    return result, sources
+    sources = {t: i for t in range(rows) for i, k in enumerate(kept) if (k >> t) & 1}
+    return tuple(_bits(k, rows) for k in kept), sources
 
 
 def standard_decompose(s: PeriodicSequence) -> Decomposition:
@@ -385,7 +349,7 @@ def standard_decompose(s: PeriodicSequence) -> Decomposition:
             break
         desc = _descend(residue, p, n, rewrite=True)
         assert desc.ok
-        h_value = desc.value()
+        h_value = desc.vecs[0]
         structure = desc.structure
         parts.append(PeriodicSequence(s.modulus, h_value))
         structures.append(structure)
@@ -398,7 +362,7 @@ def standard_decompose(s: PeriodicSequence) -> Decomposition:
     for part in parts:
         acc ^= part.value
     assert acc == s.value
-    assert complexities[0] == _xwli_value(s.value, p, n)
+    assert complexities[0] == _lc_value(s.value, p, n)
     return Decomposition(tuple(parts), tuple(structures), tuple(complexities))
 
 
@@ -416,23 +380,7 @@ def cube_lc(s: PeriodicSequence) -> tuple[int, tuple[int, ...], int]:
     if s.value == 0:
         raise NotACube("zero sequence has no cube support")
     n = s.modulus.n
-    a = s.value
-    length = 1 << n
-    edges = []
-    depth = 0
-    while length > 1:
-        depth += 1
-        half = length >> 1
-        mask = (1 << half) - 1
-        lo, hi = a & mask, a >> half
-        if lo == hi:
-            edges.append(n - depth)
-            a = lo
-        else:
-            if (lo ^ hi).bit_count() != lo.bit_count() + hi.bit_count():
-                raise NotACube(f"cancellation at halving depth {depth}")
-            a = lo ^ hi
-        length = half
-    assert a == 1
-    edges_t = tuple(sorted(edges))
-    return len(edges_t), edges_t, (1 << n) - sum(1 << i for i in edges_t)
+    desc = _descend(s.value, 2, n, rewrite=False)
+    if not desc.ok:
+        raise NotACube(f"cancellation at halving depth {desc.fail_depth}")
+    return len(desc.edges), desc.edges, (1 << n) - sum(1 << i for i in desc.edges)

@@ -45,7 +45,7 @@ from .hypercube import (
     is_hypercube,
     standard_decompose,
 )
-from .lincomp import _games_chan_value, _lc_value, _xwli_value, lc_form_decompose
+from .lincomp import _lc_value, lc_form_decompose
 from .sequences import Modulus, PeriodicSequence, require_nonzero
 
 __all__ = [
@@ -111,10 +111,7 @@ def _weight_class_min(value: int, p: int, n: int, N: int, k: int) -> int:
     best = None
     bits = [1 << i for i in range(N)]
     for combo in combinations(bits, k):
-        e = 0
-        for b in combo:
-            e |= b
-        L = _lc_value(value ^ e, p, n)
+        L = _lc_value(value ^ sum(combo), p, n)
         if best is None or L < best:
             best = L
             if best == 0:
@@ -148,10 +145,7 @@ def _first_drop(value: int, p: int, n: int, below: int, start_k: int, cap: int) 
         if spent > cap:
             raise BudgetExceeded(f"{spent} error patterns exceed cap {cap}")
         for combo in combinations(bits, k):
-            e = 0
-            for b in combo:
-                e |= b
-            if _lc_value(value ^ e, p, n) < below:
+            if _lc_value(value ^ sum(combo), p, n) < below:
                 return k
     return None
 
@@ -212,14 +206,6 @@ def _witness_mask(s_value: int, h_value: int, p: int, n: int) -> tuple[int, int,
     st = desc.structure
     vertex = st.vertex
     pm = p**st.m
-
-    def expand_mask(flips: list[int]) -> int:
-        mask = 0
-        for pos in flips:
-            for u in _expand_flip(desc, pos):
-                mask |= 1 << u
-        return mask
-
     if vertex.kind is VertexKind.ELEMENT:
         return pm, h_value, None
 
@@ -230,16 +216,17 @@ def _witness_mask(s_value: int, h_value: int, p: int, n: int) -> tuple[int, int,
     if vertex.q == 0:
         if 2 * l < p:
             return l * pm, h_value, None
-        fill = [i for i in range(p) if blocks[i][0] == 0]
-        mask = expand_mask(fill)
+        mask = _expand_flip(desc, sum(1 << i for i in range(p) if blocks[i][0] == 0))
         assert mask.bit_count() == (p - l) * pm
         return (p - l) * pm, mask, None
 
     j, target = _min_change_target(vertex)
     if l < j:
         return l * pm, h_value, j
-    flips = [i * size + u for i in range(p) for u in range(size) if blocks[i][u] != target[u]]
-    mask = expand_mask(flips)
+    flips = sum(
+        1 << (i * size + u) for i in range(p) for u in range(size) if blocks[i][u] != target[u]
+    )
+    mask = _expand_flip(desc, flips)
     assert mask.bit_count() == j * pm
     if j < l:
         return j * pm, mask, j
@@ -288,13 +275,14 @@ def second_critical_m1(s: PeriodicSequence, cap: int = DEFAULT_CAP) -> int | Non
     """
     require_nonzero(s)
     p, n = s.modulus.p, s.modulus.n
-    if p != 2 and is_hypercube(s):
+    if p != 2:
         desc = _descend(s.value, p, n, rewrite=False)
-        st = desc.structure
-        j = None
-        if st.vertex.kind is VertexKind.TUPLE and st.vertex.q and st.vertex.q > 0:
-            j = vertex_min_change(st.vertex)
-        return _formula_m1(st.vertex, p, st.m, j)
+        if desc.ok:
+            st = desc.structure
+            j = None
+            if st.vertex.kind is VertexKind.TUPLE and st.vertex.q and st.vertex.q > 0:
+                j = vertex_min_change(st.vertex)
+            return _formula_m1(st.vertex, p, st.m, j)
     return first_critical_bruteforce(s, cap=cap).m1_s
 
 
@@ -348,7 +336,7 @@ def kurosawa_m(s: PeriodicSequence) -> int:
     if s.modulus.p != 2:
         raise OddP("kurosawa_m requires p = 2")
     require_nonzero(s)
-    L = _games_chan_value(s.value, s.modulus.n)
+    L = _lc_value(s.value, 2, s.modulus.n)
     return 1 << ((s.modulus.period - L).bit_count())
 
 
@@ -363,7 +351,7 @@ def meidl_upper_bound(s: PeriodicSequence) -> int:
         raise EvenP("meidl_upper_bound is an odd-p bound; kurosawa_m is exact for p = 2")
     require_nonzero(s)
     p, n = s.modulus.p, s.modulus.n
-    L = _xwli_value(s.value, p, n)
+    L = _lc_value(s.value, p, n)
     form = lc_form_decompose(L, s.modulus)
     delta = (form.epsilon + 1) % 2
     return ((p - 1) // 2) ** delta * p ** (n - len(form.exponents))

@@ -1,12 +1,13 @@
 """Exact linear complexity of p^n-periodic binary sequences.
 
-Three independent engines:
-
-* ``xwli_lc`` - the Xiao-Wei-Lam-Imamura p-way divide-and-sum descent for odd
-  p where 2 is a primitive root mod p^2.  O(p N) bit operations.
-* ``games_chan_lc`` - the Games-Chan halving descent for p = 2.
-* ``berlekamp_massey_lc`` - classic LFSR synthesis over GF(2), fed two
-  periods.  Slowest, used as the oracle for the other two.
+One descent computes it for every supported p: the p-way divide-and-sum of
+Xiao, Wei, Lam and Imamura, which at p = 2 is the Games-Chan halving.  At
+each depth the current vector splits into p equal-length parts; equal parts
+are kept once, otherwise their XOR is kept and (p-1) * p^(n-depth) is added.
+A nonzero final scalar adds 1.  ``lc`` and ``games_chan_lc`` return the
+value, ``xwli_lc`` (odd p) adds the branch taken at each depth.
+``berlekamp_massey_lc`` - classic LFSR synthesis over GF(2), fed two periods
+- is the independent oracle they are checked against.
 
 Every attainable complexity has a unique canonical form
 ``L = eps + (p-1) * sum(p^(v-1) for v in V)`` with ``eps`` in {0, 1} and
@@ -17,6 +18,7 @@ unique; the greedy largest-exponent-first choice is used.)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import EvenP, NotRepresentable, OddP
 from .sequences import Modulus, PeriodicSequence
@@ -91,31 +93,36 @@ class XwliTrace:
         return sum(st.increment for st in self.steps) + int(self.final_one)
 
 
-def _xwli_value(value: int, p: int, n: int) -> int:
-    """Descent without bookkeeping; the hot path for sweeps."""
-    L = 0
-    length = p**n
-    a = value
+@cache
+def _levels(p: int, n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(plen, mask, low_mask, increment) for each depth 1..n of the descent.
+
+    At depth l the vector has p parts of plen = p^(n-l) bits; mask selects
+    part 0, low_mask parts 0..p-2, and a sum step adds increment.
+    """
+    out = []
     for l in range(1, n + 1):
-        plen = length // p
-        mask = (1 << plen) - 1
-        first = a & mask
-        rest = a >> plen
-        equal = True
-        x = first
-        for _ in range(p - 1):
-            part = rest & mask
-            rest >>= plen
-            if part != first:
-                equal = False
-            x ^= part
-        if equal:
-            a = first
-        else:
-            a = x
-            L += (p - 1) * p ** (n - l)
-        length = plen
-    return L + (1 if a else 0)
+        plen = p ** (n - l)
+        out.append((plen, (1 << plen) - 1, (1 << (p - 1) * plen) - 1, (p - 1) * plen))
+    return tuple(out)
+
+
+def _lc_value(a: int, p: int, n: int) -> int:
+    """Descent without bookkeeping; the hot path for sweeps and brute force.
+
+    The parts are all equal exactly when the vector shifted down by one part
+    equals its low p-1 parts.
+    """
+    L = 0
+    for plen, mask, low_mask, increment in _levels(p, n):
+        hi = a >> plen
+        if hi != a & low_mask:
+            while hi:
+                a ^= hi
+                hi >>= plen
+            L += increment
+        a &= mask
+    return L + a
 
 
 def xwli_lc(s: PeriodicSequence) -> tuple[LCForm, XwliTrace]:
@@ -129,58 +136,30 @@ def xwli_lc(s: PeriodicSequence) -> tuple[LCForm, XwliTrace]:
         raise EvenP("xwli_lc requires odd p; use games_chan_lc for p = 2")
     steps: list[XwliStep] = []
     exps = set()
-    L = 0
-    length = s.modulus.period
     a = s.value
-    for l in range(1, n + 1):
-        plen = length // p
-        mask = (1 << plen) - 1
-        parts = [(a >> (i * plen)) & mask for i in range(p)]
+    for l, (plen, mask, low_mask, increment) in enumerate(_levels(p, n), 1):
         pre_w = a.bit_count()
-        if all(part == parts[0] for part in parts[1:]):
-            a = parts[0]
-            steps.append(XwliStep("split", pre_w, a.bit_count(), 0))
-        else:
-            x = 0
-            for part in parts:
-                x ^= part
-            inc = (p - 1) * p ** (n - l)
-            L += inc
+        hi = a >> plen
+        branch = "split" if hi == a & low_mask else "sum"
+        if branch == "sum":
+            while hi:
+                a ^= hi
+                hi >>= plen
             exps.add(n - l + 1)
-            a = x
-            steps.append(XwliStep("sum", pre_w, a.bit_count(), inc))
-        length = plen
+        a &= mask
+        steps.append(XwliStep(branch, pre_w, a.bit_count(), increment if branch == "sum" else 0))
     final_one = a == 1
-    L += int(final_one)
     trace = XwliTrace(tuple(steps), final_one)
     form = LCForm(p, int(final_one), frozenset(exps))
-    assert trace.total == L and form.value == L
+    assert trace.total == form.value
     return form, trace
-
-
-def _games_chan_value(value: int, n: int) -> int:
-    L = 0
-    length = 1 << n
-    a = value
-    while length > 1:
-        half = length >> 1
-        mask = (1 << half) - 1
-        lo = a & mask
-        hi = a >> half
-        if lo == hi:
-            a = lo
-        else:
-            L += half
-            a = lo ^ hi
-        length = half
-    return L + (a & 1)
 
 
 def games_chan_lc(s: PeriodicSequence) -> int:
     """Games-Chan linear complexity for 2^n-periodic sequences."""
     if s.modulus.p != 2:
         raise OddP("games_chan_lc requires p = 2")
-    return _games_chan_value(s.value, s.modulus.n)
+    return _lc_value(s.value, 2, s.modulus.n)
 
 
 def _bm_value(stream: int, length: int) -> int:
@@ -208,10 +187,6 @@ def berlekamp_massey_lc(s: PeriodicSequence) -> int:
     return _bm_value(s.value | (s.value << N), 2 * N)
 
 
-def _lc_value(value: int, p: int, n: int) -> int:
-    return _games_chan_value(value, n) if p == 2 else _xwli_value(value, p, n)
-
-
 def lc(s: PeriodicSequence) -> int:
-    """Linear complexity via the engine matching the modulus parity."""
+    """Linear complexity via the divide-and-sum descent."""
     return _lc_value(s.value, s.modulus.p, s.modulus.n)

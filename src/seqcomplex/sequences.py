@@ -108,19 +108,15 @@ class PeriodicSequence:
     @classmethod
     def from_text(cls, text: str, modulus: Modulus) -> "PeriodicSequence":
         """Parse a 0/1 literal; whitespace is ignored."""
-        value = 0
-        idx = 0
-        for pos, ch in enumerate(text):
-            if ch.isspace():
-                continue
-            if ch == "1":
-                value |= 1 << idx
-            elif ch != "0":
-                raise InvalidCharacter(f"invalid character {ch!r} at offset {pos}")
-            idx += 1
-        if idx != modulus.period:
-            raise LengthMismatch(f"expected {modulus.period} digits, got {idx}")
-        return cls(modulus, value)
+        digits = "".join(text.split())
+        # int(..., 2) alone would also accept "_" separators and non-ASCII digits
+        if digits.count("0") + digits.count("1") != len(digits):
+            for pos, ch in enumerate(text):
+                if not ch.isspace() and ch not in "01":
+                    raise InvalidCharacter(f"invalid character {ch!r} at offset {pos}")
+        if len(digits) != modulus.period:
+            raise LengthMismatch(f"expected {modulus.period} digits, got {len(digits)}")
+        return cls(modulus, int(digits[::-1], 2))
 
     @classmethod
     def from_bits(cls, bits: Iterable[int], modulus: Modulus) -> "PeriodicSequence":
@@ -146,10 +142,10 @@ class PeriodicSequence:
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return tuple((self.value >> i) & 1 for i in range(self.modulus.period))
+        return tuple(map(int, self.to01()))
 
     def to01(self) -> str:
-        return "".join("1" if (self.value >> i) & 1 else "0" for i in range(self.modulus.period))
+        return format(self.value, f"0{self.modulus.period}b")[::-1]
 
     @property
     def weight(self) -> int:

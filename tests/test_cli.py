@@ -210,3 +210,10 @@ def test_jobs_preserve_input_order(capsys, tmp_path):
     )
     assert code == 0
     assert parallel == serial
+
+
+def test_jobs_below_one_is_a_usage_error(capsys):
+    for jobs in ("0", "-1"):
+        code, out, err = run(capsys, "lc", *MOD9_ARGS, "--seq", "110000000", "--jobs", jobs)
+        assert (code, out) == (1, "")
+        assert "Invalid value for '--jobs'" in err

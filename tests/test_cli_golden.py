@@ -1,0 +1,77 @@
+"""CLI output pinned byte for byte over a small seeded corpus.
+
+The corpora in golden/ mix random dense and sparse sequences with planted
+hypercubes (p = 2 cubes at periods 16 and 64).  golden/cli.out holds the
+exit code, stdout and stderr of every case below.  After a deliberate
+output change, regenerate it from the repository root with
+
+    PYTHONPATH=src python tests/test_cli_golden.py > tests/golden/cli.out
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+from seqcomplex.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+ODD = ("p5n2", "p3n3", "p3n5")
+
+
+def _cases() -> list[list[str]]:
+    cases = []
+    for name in ODD:
+        mod = ["--p", name[1], "--n", name[3]]
+        mixed = f"{name}-mixed.txt"
+        cubes = f"{name}-cubes.txt"
+        dense = (GOLDEN / mixed).read_text().splitlines()[1]
+        cases += [
+            ["lc", *mod, "--file", mixed],
+            ["structure", *mod, "--file", mixed],
+            ["decompose", *mod, "--file", mixed],
+            ["decompose", *mod, "--seq", dense],
+            ["mcrit", *mod, "--mode", "formula", "--file", mixed],
+            ["celcs", *mod, "--mode", "formula", "--file", cubes],
+            ["celcs", *mod, "--mode", "brute", "--file", cubes],
+            ["celcs", *mod, "--mode", "formula", "--file", mixed],
+        ]
+    json = ["--format", "json"]
+    cases += [
+        ["lc", "--p", "5", "--n", "2", "--file", "p5n2-mixed.txt", *json],
+        ["structure", "--p", "3", "--n", "3", "--file", "p3n3-mixed.txt", *json],
+        ["mcrit", "--p", "3", "--n", "3", "--mode", "formula", "--file", "p3n3-mixed.txt", *json],
+        ["celcs", "--p", "3", "--n", "3", "--mode", "formula", "--file", "p3n3-cubes.txt", *json],
+        ["celcs", "--p", "3", "--n", "3", "--mode", "brute", "--file", "p3n3-cubes.txt", *json],
+    ]
+    for name in ("p2n4", "p2n6"):
+        mod = ["--p", "2", "--n", name[3]]
+        cases += [["structure", *mod, "--file", f"{name}.txt"], ["lc", *mod, "--file", f"{name}.txt"]]
+    cases.append(["structure", "--p", "2", "--n", "4", "--file", "p2n4.txt", *json])
+    return cases
+
+
+def _run(argv: list[str]) -> str:
+    args = [str(GOLDEN / a) if a.endswith(".txt") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return f"$ seqcomplex {' '.join(argv)}\n[exit {code}]\n{out.getvalue()}[stderr]\n{err.getvalue()}"
+
+
+def render() -> str:
+    return "".join(_run(argv) for argv in _cases())
+
+
+def test_cli_output_matches_golden():
+    expected = (GOLDEN / "cli.out").read_text()
+    actual = render()
+    for want, got in zip(expected.split("$ seqcomplex "), actual.split("$ seqcomplex ")):
+        assert got == want
+    assert actual == expected
+
+
+if __name__ == "__main__":
+    sys.stdout.write(render())

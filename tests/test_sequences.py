@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from seqcomplex import (
@@ -66,6 +68,38 @@ def test_parse_sequence_errors():
     with pytest.raises(InvalidCharacter) as e:
         parse_sequence("1102 0000 0", MOD9)
     assert "offset 3" in str(e.value)
+
+
+def test_parse_rejects_what_int_base_2_would_accept():
+    # "_" separators, signs and non-ASCII digits; the first bad offset is
+    # reported even when the digit count is also wrong
+    cases = [
+        ("110_000000", 3),
+        ("+110000000", 0),
+        ("-11000000", 0),
+        ("1_0", 1),
+        ("11000000\u0661", 8),
+        ("110 \u06f1\u06f0000000", 4),
+    ]
+    for text, offset in cases:
+        with pytest.raises(InvalidCharacter) as e:
+            parse_sequence(text, MOD9)
+        assert str(e.value) == f"invalid character {text[offset]!r} at offset {offset}"
+
+
+def test_parse_accepts_any_whitespace():
+    for text in ("\t110\n000 000\r\n", "110\u2003000\u00a0000", " 1 1 0 0 0 0 0 0 0 "):
+        assert parse_sequence(text, MOD9).value == 0b011
+
+
+def test_text_round_trip_at_the_period_cap():
+    mod = Modulus(2, 20)
+    rng = random.Random(20)
+    text = format(rng.getrandbits(mod.period), f"0{mod.period}b")
+    s = parse_sequence(text, mod)
+    assert s.to01() == text
+    assert s.weight == text.count("1")
+    assert all(s.bit(i) == int(text[i]) for i in rng.sample(range(mod.period), 500))
 
 
 def test_packed_value_must_fit_the_period():
