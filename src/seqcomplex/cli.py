@@ -3,14 +3,16 @@
 One subcommand per analysis: lc, klc, celcs, decompose, structure, mcrit,
 count, construct-stable, verify.  Sequence commands take --seq or --file
 (one record per corpus line, errors tagged with the line number) and emit
-text, JSON (schema "seqcomplex/1"), or CSV where it fits.  Exit codes:
-0 success, 1 input error, 2 verification mismatch, 3 budget exceeded.
+text, JSON (schema "seqcomplex/1"), or CSV where it fits.  --jobs N spreads
+a corpus over at most min(N, CPUs, rows) worker processes, in input-ordered
+chunks.  Exit codes: 0 success, 1 input error, 2 verification mismatch,
+3 budget exceeded, 4 internal error (a bug, not a problem with the input).
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
+import os
 from functools import partial
 from pathlib import Path
 
@@ -97,7 +99,10 @@ def _load(modulus: Modulus, literal: str | None, path: str | None):
         raise click.UsageError("exactly one of --seq or --file is required")
     if literal is not None:
         return [(None, parse_sequence(literal, modulus))]
-    lines = Path(path).read_text().splitlines()
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise click.FileError(path, hint=str(e))
     return list(parse_corpus(lines, modulus))
 
 
@@ -105,31 +110,60 @@ def _with_line(e: SeqComplexError, no: int | None) -> SeqComplexError:
     return e if no is None else type(e)(f"line {no}: {e}")
 
 
-def _map_rows(worker, rows, jobs: int):
-    """Apply worker to each sequence, in input order, optionally in parallel."""
+def _attempt(worker, s: PeriodicSequence):
+    """(worker(s), None), or (None, e) when it raised the domain error e.
+
+    Returning the error keeps the results of the rows before it in the same
+    pool chunk, so the first failing row in input order is the one reported.
+    """
+    try:
+        return worker(s), None
+    except SeqComplexError as e:
+        return None, e
+
+
+def _collect(rows, attempts):
     out = []
-    if jobs > 1 and len(rows) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [(no, s, pool.submit(worker, s)) for no, s in rows]
-            for no, s, fut in futures:
-                try:
-                    out.append((no, s, fut.result()))
-                except SeqComplexError as e:
-                    raise _with_line(e, no)
-    else:
-        for no, s in rows:
-            try:
-                out.append((no, s, worker(s)))
-            except SeqComplexError as e:
-                raise _with_line(e, no)
+    for (no, s), (rec, err) in zip(rows, attempts):
+        if err is not None:
+            raise _with_line(err, no)
+        out.append((no, s, rec))
     return out
+
+
+def _workers(jobs: int, nrows: int) -> int:
+    """Worker processes for nrows rows: at most jobs, one per CPU, one per row."""
+    return min(jobs, os.cpu_count() or 1, nrows)
+
+
+def _map_rows(worker, rows, jobs: int):
+    """Apply worker to each sequence, in input order, in at most jobs processes.
+
+    A domain error is re-raised tagged with its row's line number.
+    """
+    seqs = [s for _, s in rows]
+    attempt = partial(_attempt, worker)
+    workers = _workers(jobs, len(rows))
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            chunksize = -(-len(rows) // (4 * workers))
+            return _collect(rows, pool.map(attempt, seqs, chunksize=chunksize))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return _collect(rows, map(attempt, seqs))
 
 
 def _emit(payload: str, out: str | None) -> None:
     if out is None:
         click.echo(payload)
-    else:
+        return
+    try:
         Path(out).write_text(payload + "\n")
+    except OSError as e:
+        raise click.FileError(out, hint=e.strerror or str(e))
 
 
 def _envelope(command: str, modulus: Modulus | None, results) -> str:
@@ -235,17 +269,7 @@ def _mcrit_record(s: PeriodicSequence, mode: str, cap: int) -> dict:
 
 # -- commands ---------------------------------------------------------------------
 
-class _Cli(click.Group):
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (SeqComplexError, click.ClickException, click.Abort, SystemExit):
-            raise
-        except Exception as e:
-            raise click.ClickException(f"internal error: {e!r}")
-
-
-@click.group(cls=_Cli)
+@click.group()
 @click.version_option(package_name="seqcomplex")
 def cli() -> None:
     """Analyze p^n-periodic binary sequences."""
@@ -544,3 +568,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         code = e.code
         return code if isinstance(code, int) else 0 if code is None else 1
+    except Exception as e:
+        click.echo(f"internal error: {e!r}", err=True)
+        return 4

@@ -84,8 +84,8 @@ class VertexDescriptor:
             raise ValueError(f"blocks must all have length p^q = {size}")
         if all(all(x == 0 for x in b) for b in self.blocks):
             raise ValueError("tuple vertex must be nonzero")
-        for u in range(size):
-            if sum(b[u] for b in self.blocks) % 2:
+        for u, row in enumerate(zip(*self.blocks)):
+            if sum(row) % 2:
                 raise ValueError(f"row {u} has odd parity; blocks do not sum to zero")
 
     @property

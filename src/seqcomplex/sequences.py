@@ -120,16 +120,13 @@ class PeriodicSequence:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int], modulus: Modulus) -> "PeriodicSequence":
-        value = 0
-        idx = 0
-        for b in bits:
+        bits = list(bits)
+        for idx, b in enumerate(bits):
             if b not in (0, 1):
                 raise InvalidCharacter(f"bit at index {idx} is {b!r}, not 0/1")
-            value |= b << idx
-            idx += 1
-        if idx != modulus.period:
-            raise LengthMismatch(f"expected {modulus.period} bits, got {idx}")
-        return cls(modulus, value)
+        if len(bits) != modulus.period:
+            raise LengthMismatch(f"expected {modulus.period} bits, got {len(bits)}")
+        return cls(modulus, int("".join("1" if b else "0" for b in reversed(bits)), 2))
 
     @classmethod
     def zeros(cls, modulus: Modulus) -> "PeriodicSequence":

@@ -1,5 +1,12 @@
+import concurrent.futures
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import seqcomplex
+import seqcomplex.cli as cli_module
 from seqcomplex.cli import main
 
 MOD9_ARGS = ["--p", "3", "--n", "2"]
@@ -217,3 +224,71 @@ def test_jobs_below_one_is_a_usage_error(capsys):
         code, out, err = run(capsys, "lc", *MOD9_ARGS, "--seq", "110000000", "--jobs", jobs)
         assert (code, out) == (1, "")
         assert "Invalid value for '--jobs'" in err
+
+
+def test_workers_are_clamped_to_cpus_and_rows(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert cli_module._workers(10**6, 100) == 4
+    assert cli_module._workers(3, 100) == 3
+    assert cli_module._workers(10**6, 1) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert cli_module._workers(10**6, 100) == 1
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
+def test_one_row_or_one_job_starts_no_pool(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    code, out, err = run(capsys, "lc", *MOD9_ARGS, "--seq", "110000000", "--jobs", "2")
+    assert (code, out, err) == (0, "8\n", "")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("110000000\n111000000\n")
+    code, out, err = run(capsys, "lc", *MOD9_ARGS, "--file", str(corpus), "--jobs", "1")
+    assert (code, out, err) == (0, "line 1: 8\nline 2: 7\n", "")
+
+
+def test_worker_errors_name_the_same_line_at_every_jobs(monkeypatch, capsys, tmp_path):
+    # 111111111 needs 130 error patterns, past the cap; the others need fewer.
+    # The 10-row corpus has pool chunks of 2 rows, so its failing row 4 shares
+    # a chunk with the good row 3.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    good, bad = "110000000", "111111111"
+    for rows, line in (([good, bad, "100000000"], 2), ([good] * 3 + [bad] + [good] * 6, 4)):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(rows) + "\n")
+        for jobs in ("1", "2"):
+            code, out, err = run(
+                capsys, "mcrit", *MOD9_ARGS, "--mode", "brute", "--cap", "100",
+                "--file", str(corpus), "--jobs", jobs,
+            )
+            assert (code, out) == (3, "")
+            assert err == f"error: line {line}: 130 error patterns exceed cap 100\n"
+
+
+def test_internal_errors_exit_four(monkeypatch, capsys):
+    def broken(s):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_module, "_lc_record", broken)
+    code, out, err = run(capsys, "lc", *MOD9_ARGS, "--seq", "110000000", "--jobs", "1")
+    assert (code, out) == (4, "")
+    assert err == "internal error: RuntimeError('boom')\n"
+
+
+def test_unwritable_out_is_an_input_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, "lc", *MOD9_ARGS, "--seq", "110000000", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert "Could not open file" in err
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    src = str(Path(seqcomplex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, seqcomplex.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")

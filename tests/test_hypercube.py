@@ -165,6 +165,13 @@ def test_vertex_descriptor_validation():
     assert str(v) == "tuple(q=1, [000,100,100])"
 
 
+def test_vertex_descriptor_names_the_first_odd_row():
+    with pytest.raises(ValueError, match=r"^row 2 has odd parity; blocks do not sum to zero$"):
+        VertexDescriptor(VertexKind.TUPLE, 1, ((1, 0, 0), (0, 1, 0), (1, 1, 1)))
+    with pytest.raises(ValueError, match="blocks must all have length"):
+        VertexDescriptor(VertexKind.TUPLE, 1, ((1, 0, 0), (1, 0), (0, 0, 0)))
+
+
 def test_structure_validation():
     el = VertexDescriptor(VertexKind.ELEMENT)
     with pytest.raises(ValueError):

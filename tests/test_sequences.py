@@ -102,6 +102,19 @@ def test_text_round_trip_at_the_period_cap():
     assert all(s.bit(i) == int(text[i]) for i in rng.sample(range(mod.period), 500))
 
 
+def test_bits_round_trip_at_the_period_cap():
+    mod = Modulus(2, 20)
+    text = format(random.Random(21).getrandbits(mod.period), f"0{mod.period}b")
+    s = PeriodicSequence.from_bits([int(c) for c in text], mod)
+    assert s.to01() == text
+
+
+def test_from_bits_checks_each_bit_before_the_length():
+    assert PeriodicSequence.from_bits([True, False] + [False] * 7, MOD9).to01() == "100000000"
+    with pytest.raises(InvalidCharacter, match=r"^bit at index 2 is 3, not 0/1$"):
+        PeriodicSequence.from_bits([1, 0, 3, 7], MOD9)
+
+
 def test_packed_value_must_fit_the_period():
     with pytest.raises(LengthMismatch):
         PeriodicSequence(MOD9, 1 << 9)
