@@ -437,6 +437,17 @@ def count_lc_cmd(p, n, L, fmt, out):
         _emit(str(res), out)
 
 
+def _render_count(command, modulus, res, rec, members, fmt, out) -> None:
+    """One counted class: a JSON record, or its count line; then any members."""
+    listed = [] if members is None else [s.to01() for s in members]
+    if fmt == "json":
+        if members is not None:
+            rec["members"] = listed
+        _emit(_envelope(command, modulus, [rec]), out)
+    else:
+        _emit("\n".join([f"{res} (L = {rec['L']})", *listed]), out)
+
+
 @count_group.command("hypercubes")
 @_mod_options
 @click.option("--edges", default="", help="comma-separated edge exponents, e.g. 0,1")
@@ -452,17 +463,8 @@ def count_hypercubes_cmd(p, n, edges, l, do_enum, cap, fmt, out):
     res = count_hypercubes(modulus, es, l)
     L = class_lc(modulus, es, l)
     members = enumerate_hypercubes(modulus, es, l, cap=cap) if do_enum else None
-    if fmt == "json":
-        rec = {"edges": list(es), "l": l, "count": res.value,
-               "expression": res.expression, "L": L}
-        if members is not None:
-            rec["members"] = [s.to01() for s in members]
-        _emit(_envelope("count hypercubes", modulus, [rec]), out)
-        return
-    lines = [f"{res} (L = {L})"]
-    if members is not None:
-        lines += [s.to01() for s in members]
-    _emit("\n".join(lines), out)
+    rec = {"edges": list(es), "l": l, "count": res.value, "expression": res.expression, "L": L}
+    _render_count("count hypercubes", modulus, res, rec, members, fmt, out)
 
 
 @count_group.command("cubes")
@@ -478,16 +480,8 @@ def count_cubes_cmd(p, n, edges, do_enum, cap, fmt, out):
     res = count_cubes(modulus, es)
     L = class_lc(modulus, es, None)
     members = enumerate_cubes(modulus, es, cap=cap) if do_enum else None
-    if fmt == "json":
-        rec = {"edges": list(es), "count": res.value, "expression": res.expression, "L": L}
-        if members is not None:
-            rec["members"] = [s.to01() for s in members]
-        _emit(_envelope("count cubes", modulus, [rec]), out)
-        return
-    lines = [f"{res} (L = {L})"]
-    if members is not None:
-        lines += [s.to01() for s in members]
-    _emit("\n".join(lines), out)
+    rec = {"edges": list(es), "count": res.value, "expression": res.expression, "L": L}
+    _render_count("count cubes", modulus, res, rec, members, fmt, out)
 
 
 @cli.command("construct-stable")
@@ -498,14 +492,11 @@ def construct_stable_cmd(p, n, k, fmt, out):
     """Build the maximal-complexity sequence whose L_k equals its L."""
     modulus = Modulus(p, n)
     s = construct_stable(modulus, k)
-    l = 0
-    while p**l <= k:
-        l += 1
     rec = {
         "seq": s.to01(),
         "L": lc(s),
-        "stable_through": p**l - 1,
-        "first_drop": p**l,
+        "stable_through": s.weight - 1,
+        "first_drop": s.weight,
     }
     if fmt == "json":
         _emit(_envelope("construct-stable", modulus, [{"k": k, **rec}]), out)

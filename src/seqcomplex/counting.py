@@ -26,6 +26,7 @@ from itertools import combinations, product
 from math import comb
 
 from .errors import BudgetExceeded, EvenP, InvalidEdges, InvalidL, OddP
+from .hypercube import _hypercube_lc
 from .lincomp import lc_form_decompose
 from .sequences import Modulus, PeriodicSequence
 
@@ -137,7 +138,7 @@ def class_lc(modulus: Modulus, edges, l: int | None = None) -> int:
         _check_tuple_weight(p, l)
         es = _check_edges(modulus, edges, lo=1)
         eps = 0
-    return eps - 1 + p**n - (p - 1) * sum(p**i for i in es)
+    return _hypercube_lc(p, n, eps, es)
 
 
 def _grow(values: list[int], p: int, start: int, n: int, edges: tuple[int, ...]) -> list[int]:

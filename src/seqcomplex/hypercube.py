@@ -156,6 +156,10 @@ class Decomposition:
 # from the one part holding it in vecs[k].  Pulling a mask of level-k+1 rows
 # back to level k follows those sources, and sends each zero row of a sum
 # through part 0.
+#
+# After a rewrite descent of s, vecs[0] is the leading hypercube h_1 of s and
+# the descent equals the plain descent of h_1 (vecs, records, edges, vertex);
+# s is a hypercube iff vecs[0] == s.  kerror's closed forms rely on this.
 
 
 @dataclass
@@ -280,10 +284,14 @@ def extract_structure(s: PeriodicSequence) -> HypercubeStructure:
     return desc.structure
 
 
+def _hypercube_lc(p: int, n: int, eps: int, edges: Seq[int]) -> int:
+    """L = eps - 1 + p^n - (p-1) * sum(p^i for i in edges)."""
+    return eps - 1 + p**n - (p - 1) * sum(p**i for i in edges)
+
+
 def lc_from_structure(h: HypercubeStructure, modulus: Modulus) -> int:
     """Closed-form linear complexity of a hypercube with structure h."""
-    p, n = modulus.p, modulus.n
-    return h.epsilon - 1 + p**n - (p - 1) * sum(p**i for i in h.edges)
+    return _hypercube_lc(modulus.p, modulus.n, h.epsilon, h.edges)
 
 
 def _eligible_exponents(h: HypercubeStructure, n: int) -> list[int]:
@@ -304,9 +312,7 @@ def next_lower_hypercube_lc(h: HypercubeStructure, modulus: Modulus) -> int:
     candidates = _eligible_exponents(h, modulus.n)
     if not candidates:
         raise NoEligibleExponent(f"no exponent available beyond edges {h.edges}")
-    p = modulus.p
-    i0 = candidates[0]
-    return h.epsilon - 1 + p**modulus.n - (p - 1) * (p**i0 + sum(p**i for i in h.edges))
+    return _hypercube_lc(modulus.p, modulus.n, h.epsilon, (candidates[0], *h.edges))
 
 
 def rebalance_blocks(
@@ -383,4 +389,4 @@ def cube_lc(s: PeriodicSequence) -> tuple[int, tuple[int, ...], int]:
     desc = _descend(s.value, 2, n, rewrite=False)
     if not desc.ok:
         raise NotACube(f"cancellation at halving depth {desc.fail_depth}")
-    return len(desc.edges), desc.edges, (1 << n) - sum(1 << i for i in desc.edges)
+    return len(desc.edges), desc.edges, _hypercube_lc(2, n, 1, desc.edges)

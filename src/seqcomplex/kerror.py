@@ -20,6 +20,11 @@ across parts may align the top-level sums of all parts at once, which is
 sometimes cheaper than any change confined to h_1 (first case at period 9).
 ``verify.run_suites`` compares the closed form with brute force over whole
 universes and reports every such counterexample.
+
+Every closed-form answer is read from one rewrite descent of s: its first
+level is h_1 and its levels, records and vertex are h_1's own, and s is a
+hypercube exactly when h_1 = s.  The rest of the decomposition is never
+computed.  Brute force scans one weight class at a time, in ``_class_min``.
 """
 
 from __future__ import annotations
@@ -41,9 +46,8 @@ from .hypercube import (
     VertexDescriptor,
     VertexKind,
     _descend,
+    _Descent,
     _expand_flip,
-    is_hypercube,
-    standard_decompose,
 )
 from .lincomp import _lc_value, lc_form_decompose
 from .sequences import Modulus, PeriodicSequence, require_nonzero
@@ -96,27 +100,22 @@ class CriticalReport:
 
 # -- brute force ---------------------------------------------------------------
 
-def _budget(N: int, lo: int, hi: int) -> int:
-    return sum(comb(N, i) for i in range(lo, hi + 1))
-
-
-def _check_budget(N: int, lo: int, hi: int, cap: int) -> None:
-    b = _budget(N, lo, hi)
+def _check_budget(N: int, k: int, cap: int) -> None:
+    b = sum(comb(N, i) for i in range(k + 1))
     if b > cap:
         raise BudgetExceeded(f"{b} error patterns exceed cap {cap}")
 
 
-def _weight_class_min(value: int, p: int, n: int, N: int, k: int) -> int:
-    """Minimum complexity over all error patterns of weight exactly k."""
-    best = None
-    bits = [1 << i for i in range(N)]
+def _class_min(value: int, p: int, n: int, bits: list[int], k: int, below: int = 1) -> int:
+    """Least complexity over the error patterns of weight exactly k, or the
+    first one found below ``below`` (by default only 0 ends the scan early)."""
+    best = len(bits)  # no sequence of period N exceeds complexity N
     for combo in combinations(bits, k):
         L = _lc_value(value ^ sum(combo), p, n)
-        if best is None or L < best:
+        if L < best:
             best = L
-            if best == 0:
+            if L < below:
                 break
-    assert best is not None
     return best
 
 
@@ -126,42 +125,40 @@ def k_error_lc_bruteforce(s: PeriodicSequence, k: int, cap: int = DEFAULT_CAP) -
         raise KOutOfRange(f"k={k} is negative")
     p, n, N = s.modulus.p, s.modulus.n, s.modulus.period
     k = min(k, N)
-    _check_budget(N, 0, k, cap)
+    _check_budget(N, k, cap)
+    bits = [1 << i for i in range(N)]
     best = _lc_value(s.value, p, n)
     for i in range(1, k + 1):
         if best == 0:
             break
-        best = min(best, _weight_class_min(s.value, p, n, N, i))
+        best = min(best, _class_min(s.value, p, n, bits, i))
     return best
 
 
-def _first_drop(value: int, p: int, n: int, below: int, start_k: int, cap: int) -> int | None:
-    """Smallest k >= start_k with L_k < below; early exit inside each weight class."""
-    N = p**n
+def first_critical_bruteforce(s: PeriodicSequence, cap: int = DEFAULT_CAP) -> CriticalReport:
+    """m(s), exact L_{m(s)}, and the second critical point, all by enumeration.
+
+    Each weight class is counted against the cap before it is scanned.
+    """
+    require_nonzero(s)
+    p, n, N = s.modulus.p, s.modulus.n, s.modulus.period
     bits = [1 << i for i in range(N)]
-    spent = _budget(N, 0, start_k - 1)
-    for k in range(start_k, N + 1):
+    L0 = _lc_value(s.value, p, n)
+    m_s = L_after = None
+    spent = 1  # the empty pattern
+    for k in range(1, N + 1):
         spent += comb(N, k)
         if spent > cap:
             raise BudgetExceeded(f"{spent} error patterns exceed cap {cap}")
-        for combo in combinations(bits, k):
-            if _lc_value(value ^ sum(combo), p, n) < below:
-                return k
-    return None
-
-
-def first_critical_bruteforce(s: PeriodicSequence, cap: int = DEFAULT_CAP) -> CriticalReport:
-    """m(s), exact L_{m(s)}, and the second critical point, all by enumeration."""
-    require_nonzero(s)
-    p, n, N = s.modulus.p, s.modulus.n, s.modulus.period
-    L0 = _lc_value(s.value, p, n)
-    m_s = _first_drop(s.value, p, n, below=L0, start_k=1, cap=cap)
-    assert m_s is not None  # k = weight(s) always reaches 0 < L0
-    L_after = min(L0, _weight_class_min(s.value, p, n, N, m_s))
-    m1 = None
-    if L_after > 0:
-        m1 = _first_drop(s.value, p, n, below=L_after, start_k=m_s + 1, cap=cap)
-    return CriticalReport(m_s, L_after, m1, "brute")
+        if L_after is None:
+            L = _class_min(s.value, p, n, bits, k)
+            if L < L0:
+                m_s, L_after = k, L
+                if L == 0:
+                    return CriticalReport(m_s, 0, None, "brute")
+        elif _class_min(s.value, p, n, bits, k, below=L_after) < L_after:
+            return CriticalReport(m_s, L_after, k, "brute")
+    raise AssertionError("k = weight(s) always reaches L = 0")
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -199,10 +196,9 @@ def _min_change_target(vertex: VertexDescriptor) -> tuple[int, tuple[int, ...]]:
     return j, tuple(target)
 
 
-def _witness_mask(s_value: int, h_value: int, p: int, n: int) -> tuple[int, int, int | None]:
-    """(m_s, witness mask, vertex_j) for the leading hypercube h of s."""
-    desc = _descend(h_value, p, n, rewrite=False)
-    assert desc.ok
+def _witness_mask(s_value: int, desc: _Descent, p: int, n: int) -> tuple[int, int, int | None]:
+    """(m_s, witness mask, vertex_j) for h_1 = desc.vecs[0], desc the rewrite descent of s."""
+    h_value = desc.vecs[0]
     st = desc.structure
     vertex = st.vertex
     pm = p**st.m
@@ -236,6 +232,17 @@ def _witness_mask(s_value: int, h_value: int, p: int, n: int) -> tuple[int, int,
     return l * pm, mask, j
 
 
+def _closed_form(s: PeriodicSequence) -> tuple[CriticalReport, bool]:
+    """The formula report for nonzero s with odd p, and whether s is a hypercube."""
+    p, n = s.modulus.p, s.modulus.n
+    desc = _descend(s.value, p, n, rewrite=True)
+    m_s, mask, j = _witness_mask(s.value, desc, p, n)
+    L_after = _lc_value(s.value ^ mask, p, n)
+    single = desc.vecs[0] == s.value
+    m1 = _formula_m1(desc.vertex, p, len(desc.edges), j) if single else None
+    return CriticalReport(m_s, L_after, m1, "formula", vertex_j=j), single
+
+
 def first_critical_m(s: PeriodicSequence) -> CriticalReport:
     """Closed-form first critical point from the leading hypercube of s.
 
@@ -247,15 +254,7 @@ def first_critical_m(s: PeriodicSequence) -> CriticalReport:
     if s.modulus.p == 2:
         raise EvenP("use kurosawa_m for p = 2")
     require_nonzero(s)
-    p, n = s.modulus.p, s.modulus.n
-    dec = standard_decompose(s)
-    h1 = dec.parts[0]
-    m_s, mask, j = _witness_mask(s.value, h1.value, p, n)
-    L_after = _lc_value(s.value ^ mask, p, n)
-    m1 = None
-    if len(dec.parts) == 1:
-        m1 = _formula_m1(dec.structures[0].vertex, p, dec.structures[0].m, j)
-    return CriticalReport(m_s, L_after, m1, "formula", vertex_j=j)
+    return _closed_form(s)[0]
 
 
 def _formula_m1(vertex: VertexDescriptor, p: int, m: int, j: int | None) -> int | None:
@@ -274,15 +273,10 @@ def second_critical_m1(s: PeriodicSequence, cap: int = DEFAULT_CAP) -> int | Non
     Closed form for hypercubes with odd p; brute force otherwise.
     """
     require_nonzero(s)
-    p, n = s.modulus.p, s.modulus.n
-    if p != 2:
-        desc = _descend(s.value, p, n, rewrite=False)
-        if desc.ok:
-            st = desc.structure
-            j = None
-            if st.vertex.kind is VertexKind.TUPLE and st.vertex.q and st.vertex.q > 0:
-                j = vertex_min_change(st.vertex)
-            return _formula_m1(st.vertex, p, st.m, j)
+    if s.modulus.p != 2:
+        rep, single = _closed_form(s)
+        if single:
+            return rep.m1_s
     return first_critical_bruteforce(s, cap=cap).m1_s
 
 
@@ -302,20 +296,23 @@ def celcs(
     p, n, N = s.modulus.p, s.modulus.n, s.modulus.period
     L0 = _lc_value(s.value, p, n)
     if mode == "formula":
-        if p == 2 or not is_hypercube(s):
+        if p == 2:
             raise FormulaInapplicable("formula mode needs an odd-p hypercube")
-        rep = first_critical_m(s)
+        rep, single = _closed_form(s)
+        if not single:
+            raise FormulaInapplicable("formula mode needs an odd-p hypercube")
         points = [CelcsPoint(0, L0), CelcsPoint(rep.m_s, rep.L_after)]
         if rep.L_after != 0:
             assert rep.m1_s is not None
             points.append(CelcsPoint(rep.m1_s, 0))
     elif mode == "brute":
         W = s.weight
-        _check_budget(N, 0, W, cap)
+        _check_budget(N, W, cap)
+        bits = [1 << i for i in range(N)]
         points = [CelcsPoint(0, L0)]
         prev = L0
         for k in range(1, W + 1):
-            Lk = min(prev, _weight_class_min(s.value, p, n, N, k))
+            Lk = min(prev, _class_min(s.value, p, n, bits, k))
             if Lk < prev:
                 points.append(CelcsPoint(k, Lk))
                 prev = Lk

@@ -301,24 +301,17 @@ def _suite_stability(modulus: Modulus | None, rng: random.Random, cap: int) -> S
     rep = SuiteReport("stability")
     defaults = [Modulus(3, 2), Modulus(2, 3), Modulus(5, 1), Modulus(2, 4)]
     for mod in _moduli(modulus, defaults):
-        p = mod.p
         for k in range(min(mod.period, 8)):
             s = construct_stable(mod, k)
-            l = 0
-            while p**l <= k:
-                l += 1
+            first_drop = s.weight
             L = lc(s)
             problems = []
-            if L != mod.period - (p**l - 1):
+            if L != mod.period - (first_drop - 1):
                 problems.append(f"constructed complexity {L}")
-            stable_through = min(k, p**l - 1)
-            if any(
-                k_error_lc_bruteforce(s, e, cap=cap) != L
-                for e in range(stable_through + 1)
-            ):
-                problems.append(f"complexity moves within {stable_through} errors")
-            if p**l <= mod.period and k_error_lc_bruteforce(s, p**l, cap=cap) >= L:
-                problems.append(f"no drop at {p ** l} errors")
+            if any(k_error_lc_bruteforce(s, e, cap=cap) != L for e in range(k + 1)):
+                problems.append(f"complexity moves within {k} errors")
+            if first_drop <= mod.period and k_error_lc_bruteforce(s, first_drop, cap=cap) >= L:
+                problems.append(f"no drop at {first_drop} errors")
             rep.record(not problems, f"{mod} k={k}: {'; '.join(problems)}")
     return rep
 

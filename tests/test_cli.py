@@ -157,6 +157,42 @@ def test_count_cubes_text(capsys):
     assert out == "4 = 2^2 (L = 4)\n"
 
 
+def _count_doc(command, p, n, rec):
+    doc = {"schema": "seqcomplex/1", "command": command, "p": p, "n": n, "results": [rec]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_count_hypercubes_json(capsys):
+    code, out, _ = run(
+        capsys, "count", "hypercubes", *MOD9_ARGS, "--edges", "0", "--format", "json"
+    )
+    assert code == 0
+    rec = {"edges": [0], "l": None, "count": 27, "expression": "3^3", "L": 7}
+    assert out == _count_doc("count hypercubes", 3, 2, rec)
+
+
+def test_count_hypercubes_enumerate_json(capsys):
+    code, out, _ = run(
+        capsys, "count", "hypercubes", *MOD9_ARGS, "--edges", "1", "--l", "2",
+        "--enumerate", "--format", "json",
+    )
+    assert code == 0
+    rec = {"edges": [1], "l": 2, "count": 3, "expression": "C(3,2) * 3^0", "L": 2,
+           "members": ["110110110", "101101101", "011011011"]}
+    assert out == _count_doc("count hypercubes", 3, 2, rec)
+
+
+def test_count_cubes_enumerate_json(capsys):
+    code, out, _ = run(
+        capsys, "count", "cubes", "--p", "2", "--n", "2", "--edges", "0",
+        "--enumerate", "--format", "json",
+    )
+    assert code == 0
+    rec = {"edges": [0], "count": 4, "expression": "2^2", "L": 3,
+           "members": ["1100", "1001", "0110", "0011"]}
+    assert out == _count_doc("count cubes", 2, 2, rec)
+
+
 def test_construct_stable_text(capsys):
     code, out, _ = run(capsys, "construct-stable", *MOD9_ARGS, "--k", "2")
     assert code == 0

@@ -28,6 +28,7 @@ from seqcomplex.errors import (
     OddP,
     ZeroSequence,
 )
+from seqcomplex.hypercube import _descend
 
 MOD9 = Modulus(3, 2)
 MOD27 = Modulus(3, 3)
@@ -225,6 +226,38 @@ def test_decompose_invariants_random_n27():
         assert all(a > b for a, b in zip(dec.complexities, dec.complexities[1:]))
         assert dec.complexities[0] == lc(s)
 
+
+
+def _check_rewrite_descent_leads_with_h1(s):
+    p, n = s.modulus.p, s.modulus.n
+    desc = _descend(s.value, p, n, rewrite=True)
+    plain = _descend(desc.vecs[0], p, n, rewrite=False)
+    assert plain.ok
+    assert desc.vecs == plain.vecs and desc.records == plain.records
+    assert desc.vertex == plain.vertex and desc.edges == plain.edges
+    assert (desc.vecs[0] == s.value) == is_hypercube(s)
+
+
+def test_rewrite_descent_is_the_plain_descent_of_h1_exhaustive():
+    for mod in (MOD9, Modulus(11, 1), Modulus(13, 1)):
+        for v in range(1, 1 << mod.period):
+            _check_rewrite_descent_leads_with_h1(PeriodicSequence(mod, v))
+
+
+def test_rewrite_descent_is_the_plain_descent_of_h1_sampled():
+    rng = random.Random(23)
+    samples = ((MOD27, 150), (Modulus(5, 2), 150), (Modulus(3, 5), 60), (Modulus(3, 7), 12))
+    for mod, count in samples:
+        for i in range(count):
+            if i % 2:
+                v = rng.randrange(1, 1 << mod.period)
+            else:  # sparse: often a hypercube itself
+                v = sum({1 << rng.randrange(mod.period) for _ in range(3)})
+            s = PeriodicSequence(mod, v)
+            _check_rewrite_descent_leads_with_h1(s)
+            for part in standard_decompose(s).parts:  # planted hypercubes
+                assert is_hypercube(part)
+                _check_rewrite_descent_leads_with_h1(part)
 
 def test_cube_lc_pinned():
     mod4 = Modulus(2, 2)

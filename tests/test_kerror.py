@@ -72,6 +72,12 @@ def test_first_critical_bruteforce_pinned():
         first_critical_bruteforce(PeriodicSequence.zeros(MOD9))
 
 
+
+def test_first_critical_bruteforce_budget_carries_into_m1_search():
+    # classes 0 and 1 (1 + 9 patterns) give m(s) = 1; class 2 brings the count to 46
+    with pytest.raises(BudgetExceeded, match=r"^46 error patterns exceed cap 20$"):
+        first_critical_bruteforce(seq(MOD9, "110000000"), cap=20)
+
 def test_first_critical_formula_pinned_reference_cases():
     # weight-2 vertex, repeated: fill the third row
     rep = first_critical_m(seq(MOD27, "110000000" * 3))
@@ -203,6 +209,38 @@ def test_second_critical_matches_brute_exhaustive_n9():
         s = PeriodicSequence(MOD9, v)
         assert second_critical_m1(s) == first_critical_bruteforce(s).m1_s, v
 
+
+
+def celcs_formula(s):
+    return celcs(s, mode="formula")
+
+
+@pytest.mark.parametrize(
+    "closed_form, text",
+    [
+        (first_critical_m, "110100100"),  # two hypercubes
+        (first_critical_m, "110000000"),
+        (celcs_formula, "110000000"),
+        (celcs_formula, "000100100"),
+        (second_critical_m1, "110000000"),
+        (second_critical_m1, "000100100"),
+    ],
+)
+def test_closed_forms_descend_once(monkeypatch, closed_form, text):
+    import seqcomplex.hypercube as hypercube
+    import seqcomplex.kerror as kerror
+
+    calls = []
+    descend = hypercube._descend
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return descend(*args, **kwargs)
+
+    monkeypatch.setattr(hypercube, "_descend", counted)
+    monkeypatch.setattr(kerror, "_descend", counted)
+    closed_form(seq(MOD9, text))
+    assert len(calls) == 1
 
 def test_kurosawa_pinned():
     mod4 = Modulus(2, 2)
