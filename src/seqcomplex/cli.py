@@ -176,6 +176,8 @@ def _envelope(command: str, modulus: Modulus | None, results) -> str:
 
 
 def _render(command, modulus, mapped, fmt, out, text_line) -> None:
+    """Rows (line, subject, record) as one JSON envelope, or one text block
+    per row from text_line(subject, record)."""
     if fmt == "json":
         results = [rec if no is None else {"line": no, **rec} for no, _, rec in mapped]
         _emit(_envelope(command, modulus, results), out)
@@ -430,22 +432,13 @@ def count_lc_cmd(p, n, L, fmt, out):
     """How many sequences have complexity exactly L (odd p)."""
     modulus = Modulus(p, n)
     res = count_sequences_with_lc(modulus, L)
-    if fmt == "json":
-        _emit(_envelope("count lc", modulus,
-                        [{"L": L, "count": res.value, "expression": res.expression}]), out)
-    else:
-        _emit(str(res), out)
+    rec = {"L": L, "count": res.value, "expression": res.expression}
+    _render("count lc", modulus, [(None, res, rec)], fmt, out, lambda res, _: str(res))
 
 
-def _render_count(command, modulus, res, rec, members, fmt, out) -> None:
-    """One counted class: a JSON record, or its count line; then any members."""
-    listed = [] if members is None else [s.to01() for s in members]
-    if fmt == "json":
-        if members is not None:
-            rec["members"] = listed
-        _emit(_envelope(command, modulus, [rec]), out)
-    else:
-        _emit("\n".join([f"{res} (L = {rec['L']})", *listed]), out)
+def _class_text(res, rec: dict) -> str:
+    """A counted class's count line, then any enumerated members."""
+    return "\n".join([f"{res} (L = {rec['L']})", *rec.get("members", ())])
 
 
 @count_group.command("hypercubes")
@@ -462,9 +455,10 @@ def count_hypercubes_cmd(p, n, edges, l, do_enum, cap, fmt, out):
     es = _parse_edges(edges)
     res = count_hypercubes(modulus, es, l)
     L = class_lc(modulus, es, l)
-    members = enumerate_hypercubes(modulus, es, l, cap=cap) if do_enum else None
     rec = {"edges": list(es), "l": l, "count": res.value, "expression": res.expression, "L": L}
-    _render_count("count hypercubes", modulus, res, rec, members, fmt, out)
+    if do_enum:
+        rec["members"] = [s.to01() for s in enumerate_hypercubes(modulus, es, l, cap=cap)]
+    _render("count hypercubes", modulus, [(None, res, rec)], fmt, out, _class_text)
 
 
 @count_group.command("cubes")
@@ -479,9 +473,10 @@ def count_cubes_cmd(p, n, edges, do_enum, cap, fmt, out):
     es = _parse_edges(edges)
     res = count_cubes(modulus, es)
     L = class_lc(modulus, es, None)
-    members = enumerate_cubes(modulus, es, cap=cap) if do_enum else None
     rec = {"edges": list(es), "count": res.value, "expression": res.expression, "L": L}
-    _render_count("count cubes", modulus, res, rec, members, fmt, out)
+    if do_enum:
+        rec["members"] = [s.to01() for s in enumerate_cubes(modulus, es, cap=cap)]
+    _render("count cubes", modulus, [(None, res, rec)], fmt, out, _class_text)
 
 
 @cli.command("construct-stable")
@@ -492,20 +487,14 @@ def construct_stable_cmd(p, n, k, fmt, out):
     """Build the maximal-complexity sequence whose L_k equals its L."""
     modulus = Modulus(p, n)
     s = construct_stable(modulus, k)
-    rec = {
-        "seq": s.to01(),
-        "L": lc(s),
-        "stable_through": s.weight - 1,
-        "first_drop": s.weight,
-    }
-    if fmt == "json":
-        _emit(_envelope("construct-stable", modulus, [{"k": k, **rec}]), out)
-    else:
-        _emit(
-            f"{rec['seq']} L={rec['L']} stable_through={rec['stable_through']} "
-            f"first_drop={rec['first_drop']}",
-            out,
-        )
+    rec = {"k": k, "seq": s.to01(), "L": lc(s), "stable_through": s.weight - 1,
+           "first_drop": s.weight}
+
+    def text(s, rec):
+        return (f"{rec['seq']} L={rec['L']} stable_through={rec['stable_through']} "
+                f"first_drop={rec['first_drop']}")
+
+    _render("construct-stable", modulus, [(None, s, rec)], fmt, out, text)
 
 
 @cli.command("verify")
@@ -522,19 +511,16 @@ def verify_cmd(p, n, suites, seed, cap, fmt, out):
         raise click.UsageError("--p and --n must be given together")
     modulus = Modulus(p, n) if p is not None else None
     reports = run_suites(list(suites) or None, modulus=modulus, seed=seed, cap=cap)
-    if fmt == "json":
-        results = [
-            {"suite": r.name, "checks": r.checks, "agreements": r.agreements,
-             "failures": r.failures, "counterexamples": r.details}
-            for r in reports
-        ]
-        _emit(_envelope("verify", modulus, results), out)
-    else:
-        lines = []
-        for r in reports:
-            lines.append(str(r))
-            lines.extend(f"  counterexample: {d}" for d in r.details)
-        _emit("\n".join(lines), out)
+    rows = [
+        (None, r, {"suite": r.name, "checks": r.checks, "agreements": r.agreements,
+                   "failures": r.failures, "counterexamples": r.details})
+        for r in reports
+    ]
+
+    def text(r, rec):
+        return "\n".join([str(r), *(f"  counterexample: {d}" for d in r.details)])
+
+    _render("verify", modulus, rows, fmt, out, text)
     if any(not r.ok for r in reports):
         raise SystemExit(2)
 

@@ -11,10 +11,12 @@ With edges i_1 < ... < i_m the *capacity*
     E = p^m * n - sum((p^t - p^(t-1)) * i_t) - (p + p^2 + ... + p^m)
 
 gives p^E hypercubes with an element vertex, and C(p, l) * p^((E-1)*l) with
-a length-0 tuple vertex of weight l (l even, edges all >= 1).  For p = 2 the
-same capacity at p = 2 counts the cubes: 2^E.
+a length-0 tuple vertex of weight l (l even, edges all >= 1).  The 2^n cubes
+are the p = 2 case, whose only class is the element one: 2^E cubes.  So
+``_class_count`` and ``_class_members`` serve every p, and the public cube
+and hypercube functions add only their p guard.
 
-The enumerators build every member of a class constructively, bottom-up from
+The enumerator builds every member of a class constructively, bottom-up from
 the vertex: an edge level repeats the current vector p times, any other level
 splits each 1 into one of the p blocks.
 """
@@ -73,9 +75,13 @@ def _capacity(p: int, n: int, edges: tuple[int, ...]) -> int:
     return E
 
 
-def _check_tuple_weight(p: int, l: int) -> None:
-    if not (1 < l < p and l % 2 == 0):
-        raise InvalidL(f"length-0 vertex weight must be even in (1, {p}); got {l}")
+def _class_edges(modulus: Modulus, edges, l: int | None) -> tuple[int, ...]:
+    """The sorted edges of the class (edges, l), once l and edges are valid."""
+    if l is None:
+        return _check_edges(modulus, edges, lo=0)
+    if not (1 < l < modulus.p and l % 2 == 0):
+        raise InvalidL(f"length-0 vertex weight must be even in (1, {modulus.p}); got {l}")
+    return _check_edges(modulus, edges, lo=1)
 
 
 def count_sequences_with_lc(modulus: Modulus, L: int) -> CountResult:
@@ -97,6 +103,16 @@ def count_sequences_with_lc(modulus: Modulus, L: int) -> CountResult:
     return CountResult(value, " * ".join(factors) if factors else "1")
 
 
+def _class_count(modulus: Modulus, edges, l: int | None) -> CountResult:
+    """Members of the class (edges, l), for any p; p = 2 has only l=None."""
+    p = modulus.p
+    E = _capacity(p, modulus.n, _class_edges(modulus, edges, l))
+    if l is None:
+        return CountResult(p**E, f"{p}^{E}")
+    assert E >= 1
+    return CountResult(comb(p, l) * p ** ((E - 1) * l), f"C({p},{l}) * {p}^{(E - 1) * l}")
+
+
 def count_hypercubes(modulus: Modulus, edges, l: int | None = None) -> CountResult:
     """Number of hypercubes with the given edge exponents and vertex class.
 
@@ -105,40 +121,22 @@ def count_hypercubes(modulus: Modulus, edges, l: int | None = None) -> CountResu
     """
     if modulus.p == 2:
         raise EvenP("use count_cubes for p = 2")
-    p, n = modulus.p, modulus.n
-    if l is None:
-        es = _check_edges(modulus, edges, lo=0)
-        E = _capacity(p, n, es)
-        return CountResult(p**E, f"{p}^{E}")
-    _check_tuple_weight(p, l)
-    es = _check_edges(modulus, edges, lo=1)
-    E = _capacity(p, n, es)
-    assert E >= 1
-    return CountResult(comb(p, l) * p ** ((E - 1) * l), f"C({p},{l}) * {p}^{(E - 1) * l}")
+    return _class_count(modulus, edges, l)
 
 
 def count_cubes(modulus: Modulus, edges) -> CountResult:
     """Number of 2^n-periodic cubes with the given edge exponents."""
     if modulus.p != 2:
         raise OddP("count_cubes requires p = 2")
-    es = _check_edges(modulus, edges, lo=0)
-    E = _capacity(2, modulus.n, es)
-    return CountResult(1 << E, f"2^{E}")
+    return _class_count(modulus, edges, None)
 
 
 def class_lc(modulus: Modulus, edges, l: int | None = None) -> int:
     """Linear complexity shared by every member of a counted class."""
-    p, n = modulus.p, modulus.n
-    if l is None:
-        es = _check_edges(modulus, edges, lo=0)
-        eps = 1
-    else:
-        if p == 2:
-            raise EvenP("tuple-vertex classes exist only for odd p")
-        _check_tuple_weight(p, l)
-        es = _check_edges(modulus, edges, lo=1)
-        eps = 0
-    return _hypercube_lc(p, n, eps, es)
+    if l is not None and modulus.p == 2:
+        raise EvenP("tuple-vertex classes exist only for odd p")
+    es = _class_edges(modulus, edges, l)
+    return _hypercube_lc(modulus.p, modulus.n, 1 if l is None else 0, es)
 
 
 def _grow(values: list[int], p: int, start: int, n: int, edges: tuple[int, ...]) -> list[int]:
@@ -162,35 +160,38 @@ def _grow(values: list[int], p: int, start: int, n: int, edges: tuple[int, ...])
     return values
 
 
+def _class_members(
+    modulus: Modulus, edges, l: int | None, cap: int = ENUM_CAP
+) -> tuple[PeriodicSequence, ...]:
+    """Every member of the class (edges, l), built from the vertex up."""
+    expected = _class_count(modulus, edges, l).value
+    if expected > cap:
+        noun = "cubes" if modulus.p == 2 else "hypercubes"
+        raise BudgetExceeded(f"class holds {expected} {noun}, cap is {cap}")
+    p = modulus.p
+    if l is None:
+        base, start = [1], 0
+    else:
+        base = [sum(1 << i for i in combo) for combo in combinations(range(p), l)]
+        start = 1
+    values = _grow(base, p, start, modulus.n, _class_edges(modulus, edges, l))
+    assert len(values) == expected
+    return tuple(PeriodicSequence(modulus, v) for v in values)
+
+
 def enumerate_hypercubes(
     modulus: Modulus, edges, l: int | None = None, cap: int = ENUM_CAP
 ) -> tuple[PeriodicSequence, ...]:
     """Every hypercube of a counted class, built from the vertex up."""
-    expected = count_hypercubes(modulus, edges, l).value
-    if expected > cap:
-        raise BudgetExceeded(f"class holds {expected} hypercubes, cap is {cap}")
-    p, n = modulus.p, modulus.n
-    if l is None:
-        es = _check_edges(modulus, edges, lo=0)
-        base = [1]
-        start = 0
-    else:
-        es = _check_edges(modulus, edges, lo=1)
-        base = [sum(1 << i for i in combo) for combo in combinations(range(p), l)]
-        start = 1
-    values = _grow(base, p, start, n, es)
-    assert len(values) == expected
-    return tuple(PeriodicSequence(modulus, v) for v in values)
+    if modulus.p == 2:
+        raise EvenP("use count_cubes for p = 2")
+    return _class_members(modulus, edges, l, cap)
 
 
 def enumerate_cubes(
     modulus: Modulus, edges, cap: int = ENUM_CAP
 ) -> tuple[PeriodicSequence, ...]:
     """Every cube with the given edge exponents (p = 2)."""
-    expected = count_cubes(modulus, edges).value
-    if expected > cap:
-        raise BudgetExceeded(f"class holds {expected} cubes, cap is {cap}")
-    es = _check_edges(modulus, edges, lo=0)
-    values = _grow([1], 2, 0, modulus.n, es)
-    assert len(values) == expected
-    return tuple(PeriodicSequence(modulus, v) for v in values)
+    if modulus.p != 2:
+        raise OddP("count_cubes requires p = 2")
+    return _class_members(modulus, edges, None, cap)

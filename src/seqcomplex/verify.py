@@ -5,6 +5,10 @@ period is small enough and by seeded sampling otherwise, and counts one check
 per swept object so a report reads "511/511 agree".  Counterexamples are
 collected verbatim (sequence literal plus both values) instead of raising, so
 one mismatch does not hide the rest.
+
+The counting suite runs one class check at every p, the p = 2 cubes being
+the element class of the hypercube theory: it tallies classes (edges, l)
+from one plain descent per sequence and re-checks every enumerated member.
 """
 
 from __future__ import annotations
@@ -14,28 +18,14 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Callable, Iterable
 
-from .counting import (
-    count_cubes,
-    count_hypercubes,
-    count_sequences_with_lc,
-    enumerate_cubes,
-    enumerate_hypercubes,
-)
-from .errors import NotACube
-from .hypercube import (
-    VertexKind,
-    cube_lc,
-    extract_structure,
-    is_hypercube,
-    standard_decompose,
-)
+from .counting import _class_count, _class_members, count_sequences_with_lc
+from .hypercube import VertexKind, _descend, is_hypercube, standard_decompose
 from .kerror import (
     DEFAULT_CAP,
     celcs,
     construct_stable,
     first_critical_bruteforce,
     first_critical_m,
-    k_error_lc_bruteforce,
     kurosawa_m,
     meidl_upper_bound,
 )
@@ -121,29 +111,28 @@ def _suite_mcrit(modulus: Modulus | None, rng: random.Random, cap: int) -> Suite
     counterexample to the leading-part reduction and is reported, not hidden.
     The witness complexity and the whole critical-point list are additionally
     required to match on hypercubes, the only class where the closed form
-    claims them exactly.
+    claims them exactly.  There one celcs call per mode gives all three: the
+    first critical point (m, L_after) is the list's second entry.
     """
     rep = SuiteReport("mcrit-exhaustive")
     defaults = [Modulus(3, 2), Modulus(5, 1), Modulus(3, 1)]
     for mod in _moduli(modulus, defaults):
         for s in _universe(mod, rng):
-            brute = first_critical_bruteforce(s, cap=cap)
             problems = []
-            if mod.p == 2:
-                got = kurosawa_m(s)
-                if got != brute.m_s:
-                    problems.append(f"m {got} != {brute.m_s}")
+            if mod.p != 2 and is_hypercube(s):
+                a = celcs(s, mode="formula")
+                b = celcs(s, mode="brute", cap=cap)
+                if a[1].k != b[1].k:
+                    problems.append(f"m {a[1].k} != {b[1].k}")
+                if a[1].L != b[1].L:
+                    problems.append(f"L_after {a[1].L} != {b[1].L}")
+                if a != b:
+                    problems.append(f"celcs {a} != {b}")
             else:
-                form = first_critical_m(s)
-                if form.m_s != brute.m_s:
-                    problems.append(f"m {form.m_s} != {brute.m_s}")
-                if is_hypercube(s):
-                    if form.L_after != brute.L_after:
-                        problems.append(f"L_after {form.L_after} != {brute.L_after}")
-                    a = celcs(s, mode="formula")
-                    b = celcs(s, mode="brute", cap=cap)
-                    if a != b:
-                        problems.append(f"celcs {a} != {b}")
+                got = kurosawa_m(s) if mod.p == 2 else first_critical_m(s).m_s
+                want = first_critical_bruteforce(s, cap=cap).m_s
+                if got != want:
+                    problems.append(f"m {got} != {want}")
             rep.record(not problems, f"{mod} s={s.to01()}: {'; '.join(problems)}")
     return rep
 
@@ -153,21 +142,22 @@ def _tuple_weights(p: int) -> list[int]:
 
 
 def _suite_counting(modulus: Modulus | None, rng: random.Random, cap: int) -> SuiteReport:
-    """Counting formulas against exhaustive tallies and constructive enumeration."""
+    """Counting formulas against exhaustive tallies and constructive enumeration.
+
+    The per-complexity counts are checked for odd p only.
+    """
     rep = SuiteReport("counting")
     defaults = [Modulus(3, 1), Modulus(3, 2), Modulus(5, 1), Modulus(2, 2), Modulus(2, 3)]
     for mod in _moduli(modulus, defaults):
-        if mod.p == 2:
-            _count_cubes_checks(rep, mod)
-        else:
-            _count_odd_checks(rep, mod)
+        if mod.p != 2:
+            _count_lc_checks(rep, mod)
+        _count_class_checks(rep, mod)
     return rep
 
 
-def _count_odd_checks(rep: SuiteReport, mod: Modulus) -> None:
+def _count_lc_checks(rep: SuiteReport, mod: Modulus) -> None:
     p, n, N = mod.p, mod.n, mod.period
     exhaustive = (1 << N) <= EXHAUSTIVE_LIMIT
-
     tally: dict[int, int] = {0: 1}
     if exhaustive:
         for v in range(1, 1 << N):
@@ -186,69 +176,52 @@ def _count_odd_checks(rep: SuiteReport, mod: Modulus) -> None:
             )
     rep.record(total == 1 << N, f"{mod}: complexity counts sum to {total} != 2^{N}")
 
-    structure_tally: dict[tuple, int] = {}
+
+def _class_key(value: int, mod: Modulus) -> tuple | None:
+    """(edges, l) of a counted class holding value, from one plain descent.
+
+    l is None for an element vertex and the vertex weight for a length-0
+    tuple vertex; other sequences belong to no counted class.
+    """
+    desc = _descend(value, mod.p, mod.n, rewrite=False)
+    if not desc.ok:
+        return None
+    vertex = desc.vertex
+    if vertex.kind is VertexKind.ELEMENT:
+        return desc.edges, None
+    if vertex.q == 0:
+        return desc.edges, vertex.l
+    return None  # longer vertices have no closed-form count here
+
+
+def _count_class_checks(rep: SuiteReport, mod: Modulus) -> None:
+    p, n, N = mod.p, mod.n, mod.period
+    exhaustive = (1 << N) <= EXHAUSTIVE_LIMIT
+    tally: dict[tuple, int] = {}
     if exhaustive:
         for v in range(1, 1 << N):
-            s = PeriodicSequence(mod, v)
-            if not is_hypercube(s):
-                continue
-            st = extract_structure(s)
-            if st.vertex.kind is VertexKind.ELEMENT:
-                key = (st.edges, None)
-            elif st.vertex.q == 0:
-                key = (st.edges, st.vertex.l)
-            else:
-                continue  # longer vertices have no closed-form count here
-            structure_tally[key] = structure_tally.get(key, 0) + 1
+            key = _class_key(v, mod)
+            if key is not None:
+                tally[key] = tally.get(key, 0) + 1
     for r in range(n + 1):
         for edges in combinations(range(n), r):
             classes: list[int | None] = [None]
             if all(i >= 1 for i in edges):
                 classes += _tuple_weights(p)
             for l in classes:
-                count = count_hypercubes(mod, edges, l).value
+                count = _class_count(mod, edges, l).value
                 if count > 10**5:
                     continue
-                members = enumerate_hypercubes(mod, edges, l)
+                members = _class_members(mod, edges, l)
                 good = len(members) == count
                 if exhaustive:
-                    good = good and structure_tally.get((edges, l), 0) == count
-                want_kind = VertexKind.ELEMENT if l is None else VertexKind.TUPLE
-                for s in members:
-                    st = extract_structure(s)
-                    good = good and st.edges == edges and st.vertex.kind is want_kind
+                    good = good and tally.get((edges, l), 0) == count
+                good = good and all(_class_key(s.value, mod) == (edges, l) for s in members)
                 rep.record(
                     good,
                     f"{mod} edges={edges} l={l}: formula {count}, enumerated "
-                    f"{len(members)}, scanned {structure_tally.get((edges, l), 'n/a')}",
+                    f"{len(members)}, scanned {tally.get((edges, l), 'n/a')}",
                 )
-
-
-def _count_cubes_checks(rep: SuiteReport, mod: Modulus) -> None:
-    n, N = mod.n, mod.period
-    exhaustive = (1 << N) <= EXHAUSTIVE_LIMIT
-    cube_tally: dict[tuple[int, ...], int] = {}
-    if exhaustive:
-        for v in range(1, 1 << N):
-            try:
-                _, edges, _ = cube_lc(PeriodicSequence(mod, v))
-            except NotACube:
-                continue
-            cube_tally[edges] = cube_tally.get(edges, 0) + 1
-    for r in range(n + 1):
-        for edges in combinations(range(n), r):
-            count = count_cubes(mod, edges).value
-            if count > 10**5:
-                continue
-            members = enumerate_cubes(mod, edges)
-            good = len(members) == count
-            if exhaustive:
-                good = good and cube_tally.get(edges, 0) == count
-            rep.record(
-                good,
-                f"{mod} edges={edges}: formula {count}, enumerated {len(members)}, "
-                f"scanned {cube_tally.get(edges, 'n/a')}",
-            )
 
 
 def _suite_decomposition(modulus: Modulus | None, rng: random.Random, cap: int) -> SuiteReport:
@@ -297,7 +270,12 @@ def _suite_bounds(modulus: Modulus | None, rng: random.Random, cap: int) -> Suit
 
 
 def _suite_stability(modulus: Modulus | None, rng: random.Random, cap: int) -> SuiteReport:
-    """Constructed stable sequences keep their complexity through k errors."""
+    """Constructed stable sequences keep their complexity through k errors.
+
+    One brute-force first critical point per sequence checks what
+    ``construct-stable`` prints: the complexity first drops at exactly
+    weight(s) errors, so it holds through weight(s) - 1 >= k.
+    """
     rep = SuiteReport("stability")
     defaults = [Modulus(3, 2), Modulus(2, 3), Modulus(5, 1), Modulus(2, 4)]
     for mod in _moduli(modulus, defaults):
@@ -308,10 +286,11 @@ def _suite_stability(modulus: Modulus | None, rng: random.Random, cap: int) -> S
             problems = []
             if L != mod.period - (first_drop - 1):
                 problems.append(f"constructed complexity {L}")
-            if any(k_error_lc_bruteforce(s, e, cap=cap) != L for e in range(k + 1)):
+            m = first_critical_bruteforce(s, cap=cap).m_s
+            if m <= k:
                 problems.append(f"complexity moves within {k} errors")
-            if first_drop <= mod.period and k_error_lc_bruteforce(s, first_drop, cap=cap) >= L:
-                problems.append(f"no drop at {first_drop} errors")
+            if m != first_drop:
+                problems.append(f"first drop at {m} errors, not {first_drop}")
             rep.record(not problems, f"{mod} k={k}: {'; '.join(problems)}")
     return rep
 

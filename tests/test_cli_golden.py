@@ -1,7 +1,9 @@
 """CLI output pinned byte for byte over a small seeded corpus.
 
 The corpora in golden/ mix random dense and sparse sequences with planted
-hypercubes (p = 2 cubes at periods 16 and 64).  golden/cli.out holds the
+hypercubes (p = 2 cubes at periods 16 and 64).  The commands that read no
+sequence (count, construct-stable, verify) are pinned in text and JSON,
+with their error exits.  golden/cli.out holds the
 exit code, stdout and stderr of every case below.  After a deliberate
 output change, regenerate it from the repository root with
 
@@ -50,6 +52,39 @@ def _cases() -> list[list[str]]:
         mod = ["--p", "2", "--n", name[3]]
         cases += [["structure", *mod, "--file", f"{name}.txt"], ["lc", *mod, "--file", f"{name}.txt"]]
     cases.append(["structure", "--p", "2", "--n", "4", "--file", "p2n4.txt", *json])
+
+    mod9 = ["--p", "3", "--n", "2"]
+    mod8 = ["--p", "2", "--n", "3"]
+    both_formats = [
+        ["count", "lc", *mod9, "--L", "8"],
+        ["count", "lc", *mod9, "--L", "4"],
+        ["count", "hypercubes", *mod9, "--edges", "0"],
+        ["count", "hypercubes", *mod9, "--edges", "1", "--l", "2", "--enumerate"],
+        ["count", "hypercubes", *mod9, "--edges", "0", "--enumerate", "--cap", "5"],
+        ["count", "cubes", *mod8, "--edges", "1"],
+        ["count", "cubes", *mod8, "--edges", "0,2", "--enumerate"],
+        ["count", "cubes", *mod8, "--enumerate", "--cap", "5"],
+        ["count", "hypercubes", *mod8],
+        ["count", "cubes", *mod9, "--enumerate"],
+        ["construct-stable", *mod9, "--k", "2"],
+        ["construct-stable", *mod8, "--k", "3"],
+        ["verify", *mod9, "--suite", "mcrit-exhaustive"],
+        ["verify", "--suite", "stability", "--suite", "counting"],
+        ["klc", "--p", "5", "--n", "2", "--k", "2", "--file", "p5n2-mixed.txt"],
+        ["mcrit", "--p", "3", "--n", "3", "--mode", "both", "--file", "p3n3-cubes.txt"],
+        ["mcrit", "--p", "5", "--n", "2", "--mode", "brute", "--file", "p5n2-cubes.txt"],
+        ["mcrit", "--p", "2", "--n", "4", "--mode", "both", "--seq", "0000110000001100"],
+        ["mcrit", "--p", "2", "--n", "4", "--mode", "brute", "--seq", "0000101000000001"],
+        ["celcs", "--p", "3", "--n", "3", "--mode", "both", "--file", "p3n3-cubes.txt"],
+    ]
+    for argv in both_formats:
+        cases += [argv, [*argv, *json]]
+    cases += [
+        ["celcs", "--p", "5", "--n", "2", "--mode", "both", "--file", "p5n2-cubes.txt"],
+        ["celcs", "--p", "3", "--n", "3", "--file", "p3n3-cubes.txt", "--format", "csv"],
+        ["celcs", "--p", "5", "--n", "2", "--mode", "both", "--seq", "0001000000000000000000000",
+         "--format", "csv"],
+    ]
     return cases
 
 

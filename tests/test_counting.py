@@ -187,3 +187,10 @@ def test_count_cubes_guards():
 def test_attainable_complexities_have_canonical_forms():
     for L in [0, 1, 2, 3, 6, 7, 8, 9]:
         assert lc_form_decompose(L, MOD9).value == L
+
+
+def test_budget_texts_name_cubes_or_hypercubes():
+    with pytest.raises(BudgetExceeded, match=r"^class holds 8 cubes, cap is 5$"):
+        enumerate_cubes(Modulus(2, 3), (), cap=5)
+    with pytest.raises(BudgetExceeded, match=r"^class holds 27 hypercubes, cap is 5$"):
+        enumerate_hypercubes(MOD9, (0,), cap=5)

@@ -1,6 +1,6 @@
 import pytest
 
-from seqcomplex import SUITES, Modulus, SuiteReport, run_suites
+from seqcomplex import SUITES, Modulus, SuiteReport, counting, parse_sequence, run_suites
 
 
 def test_suite_names_are_stable():
@@ -59,3 +59,18 @@ def test_unknown_suite_rejected():
 def test_report_formatting():
     rep = SuiteReport("demo", checks=10, failures=3, details=("a", "b"))
     assert str(rep) == "demo: 7/10 agree"
+
+
+def test_counting_rechecks_every_cube_member(monkeypatch):
+    """A non-cube planted first in each p = 2 class fails every class check."""
+    grow = counting._grow
+    non_cube = parse_sequence("0111", Modulus(2, 2)).value
+
+    def planted(values, p, start, n, edges):
+        grown = grow(values, p, start, n, edges)
+        return [non_cube, *grown[1:]] if p == 2 else grown
+
+    monkeypatch.setattr(counting, "_grow", planted)
+    (rep,) = run_suites(["counting"], Modulus(2, 2))
+    assert (rep.checks, rep.failures) == (4, 4)
+    assert rep.details[0] == "2^2 edges=() l=None: formula 4, enumerated 4, scanned 4"
