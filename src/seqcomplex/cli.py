@@ -3,10 +3,12 @@
 One subcommand per analysis: lc, klc, celcs, decompose, structure, mcrit,
 count, construct-stable, verify.  Sequence commands take --seq or --file
 (one record per corpus line, errors tagged with the line number) and emit
-text, JSON (schema "seqcomplex/1"), or CSV where it fits.  --jobs N spreads
-a corpus over at most min(N, CPUs, rows) worker processes, in input-ordered
-chunks.  Exit codes: 0 success, 1 input error, 2 verification mismatch,
-3 budget exceeded, 4 internal error (a bug, not a problem with the input).
+text, JSON (schema "seqcomplex/1"), or CSV where it fits.  A corpus runs in
+input order in this process; once its measured row work passes
+_POOL_AFTER_S, --jobs N hands the rows left to at most min(N, CPUs, rows
+left) worker processes, in input-ordered chunks.  Exit codes: 0 success,
+1 input error, 2 verification mismatch, 3 budget exceeded, 4 internal error
+(a bug, not a problem with the input).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import os
 from functools import partial
 from pathlib import Path
+from time import perf_counter
 
 import click
 
@@ -90,7 +93,8 @@ def _output_options(formats=("text", "json")):
 def _jobs_option(f):
     return click.option(
         "--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-        help="worker processes for corpus inputs",
+        help="most worker processes for a corpus, started only once its measured "
+             "row work could repay them",
     )(f)
 
 
@@ -131,29 +135,60 @@ def _collect(rows, attempts):
     return out
 
 
+# Row work, in seconds, that must be both measured and projected to remain
+# before a pool starts.  Starting and feeding a two-worker pool costs 30-60 ms
+# on a 2-vCPU VM (2000 period-243 lc rows: 26 ms in-process, 58 ms pooled), so
+# this much left, split over two workers, about repays it; brute-force
+# k-error rows take tenths of a second each.  The measured part keeps one cold
+# first row from starting a pool on a cheap corpus.
+_POOL_AFTER_S = 0.1
+
+
 def _workers(jobs: int, nrows: int) -> int:
     """Worker processes for nrows rows: at most jobs, one per CPU, one per row."""
     return min(jobs, os.cpu_count() or 1, nrows)
 
 
 def _map_rows(worker, rows, jobs: int):
-    """Apply worker to each sequence, in input order, in at most jobs processes.
+    """Apply worker to each sequence, in input order.
 
-    A domain error is re-raised tagged with its row's line number.
+    Rows run in this process until _head stops; the rows left go to at most
+    jobs worker processes in input-ordered chunks.  A domain error is
+    re-raised tagged with its row's line number.
     """
-    seqs = [s for _, s in rows]
     attempt = partial(_attempt, worker)
-    workers = _workers(jobs, len(rows))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    done = _collect(rows, _head(attempt, rows, jobs))
+    rest = rows[len(done):]
+    if not rest:
+        return done
+    from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            chunksize = -(-len(rows) // (4 * workers))
-            return _collect(rows, pool.map(attempt, seqs, chunksize=chunksize))
-        finally:
-            pool.shutdown(cancel_futures=True)
-    return _collect(rows, map(attempt, seqs))
+    workers = _workers(jobs, len(rest))
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        chunksize = -(-len(rest) // (4 * workers))
+        return done + _collect(rest, pool.map(attempt, [s for _, s in rest], chunksize=chunksize))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _head(attempt, rows, jobs: int):
+    """Attempts of the leading rows, run and timed in this process.
+
+    Stops before row i once more than one worker is available for the rows
+    left, and both the time spent so far and the time projected for the
+    rest reach _POOL_AFTER_S.
+    """
+    spent = 0.0
+    for i, (_, s) in enumerate(rows):
+        left = len(rows) - i
+        if (i and spent >= _POOL_AFTER_S and spent / i * left >= _POOL_AFTER_S
+                and _workers(jobs, left) > 1):
+            return
+        t0 = perf_counter()
+        result = attempt(s)
+        spent += perf_counter() - t0
+        yield result
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -293,7 +328,7 @@ def lc_cmd(p, n, literal, path, fmt, out, jobs):
 @_mod_options
 @_input_options
 @click.option("--k", type=int, required=True, help="error budget")
-@click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True,
+@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True,
               help="largest tolerated error-pattern enumeration")
 @_output_options()
 @_jobs_option
@@ -326,7 +361,7 @@ def _celcs_csv(mapped) -> str:
 @_input_options
 @click.option("--mode", type=click.Choice(["brute", "formula", "both"]), default="brute",
               show_default=True, help="formula modes need a hypercube input")
-@click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True)
+@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True)
 @_output_options(("text", "json", "csv"))
 @_jobs_option
 def celcs_cmd(p, n, literal, path, mode, cap, fmt, out, jobs):
@@ -388,7 +423,7 @@ def decompose_cmd(p, n, literal, path, fmt, out, jobs):
 @_input_options
 @click.option("--mode", type=click.Choice(["formula", "brute", "both"]), default="formula",
               show_default=True)
-@click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True)
+@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True)
 @_output_options()
 @_jobs_option
 def mcrit_cmd(p, n, literal, path, mode, cap, fmt, out, jobs):
@@ -447,7 +482,7 @@ def _class_text(res, rec: dict) -> str:
 @click.option("--l", "l", type=int, default=None,
               help="vertex weight for the length-0 tuple class; omit for element vertices")
 @click.option("--enumerate", "do_enum", is_flag=True, help="list every member")
-@click.option("--cap", type=int, default=ENUM_CAP, show_default=True)
+@click.option("--cap", type=click.IntRange(min=1), default=ENUM_CAP, show_default=True)
 @_output_options()
 def count_hypercubes_cmd(p, n, edges, l, do_enum, cap, fmt, out):
     """How many hypercubes share the given edge exponents and vertex class."""
@@ -465,7 +500,7 @@ def count_hypercubes_cmd(p, n, edges, l, do_enum, cap, fmt, out):
 @_mod_options
 @click.option("--edges", default="", help="comma-separated edge exponents")
 @click.option("--enumerate", "do_enum", is_flag=True, help="list every member")
-@click.option("--cap", type=int, default=ENUM_CAP, show_default=True)
+@click.option("--cap", type=click.IntRange(min=1), default=ENUM_CAP, show_default=True)
 @_output_options()
 def count_cubes_cmd(p, n, edges, do_enum, cap, fmt, out):
     """How many p=2 cubes share the given edge exponents."""
@@ -503,7 +538,7 @@ def construct_stable_cmd(p, n, k, fmt, out):
 @click.option("--suite", "suites", multiple=True, type=click.Choice(sorted(SUITES)),
               help="suite to run; repeatable; default all")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--cap", type=int, default=DEFAULT_CAP, show_default=True)
+@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True)
 @_output_options()
 def verify_cmd(p, n, suites, seed, cap, fmt, out):
     """Cross-check the closed forms against brute force; exit 2 on mismatch."""

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import seqcomplex
@@ -262,6 +263,23 @@ def test_jobs_below_one_is_a_usage_error(capsys):
         assert "Invalid value for '--jobs'" in err
 
 
+def test_cap_below_one_is_a_usage_error(capsys):
+    seq = ("--seq", "110000000")
+    commands = [
+        ("klc", *MOD9_ARGS, *seq, "--k", "1"),
+        ("celcs", *MOD9_ARGS, *seq),
+        ("mcrit", *MOD9_ARGS, *seq, "--mode", "brute"),
+        ("count", "hypercubes", *MOD9_ARGS, "--edges", "0", "--enumerate"),
+        ("count", "cubes", "--p", "2", "--n", "3", "--enumerate"),
+        ("verify", *MOD9_ARGS, "--suite", "counting"),
+    ]
+    for command in commands:
+        for cap in ("0", "-5"):
+            code, out, err = run(capsys, *command, "--cap", cap)
+            assert (code, out) == (1, ""), command
+            assert "Invalid value for '--cap'" in err
+
+
 def test_workers_are_clamped_to_cpus_and_rows(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert cli_module._workers(10**6, 100) == 4
@@ -302,6 +320,68 @@ def test_worker_errors_name_the_same_line_at_every_jobs(monkeypatch, capsys, tmp
             )
             assert (code, out) == (3, "")
             assert err == f"error: line {line}: 130 error patterns exceed cap 100\n"
+
+
+def test_a_cheap_corpus_starts_no_pool(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n".join(format(v, "09b") for v in range(1, 257)) + "\n")
+    _, serial, _ = run(capsys, "lc", *MOD9_ARGS, "--file", str(corpus), "--jobs", "1")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    code, out, err = run(capsys, "lc", *MOD9_ARGS, "--file", str(corpus), "--jobs", "2")
+    assert (code, out, err) == (0, serial, "")
+    # A slow first row projects seconds of work, but has not itself done enough.
+    record, calls = cli_module._lc_record, []
+
+    def cold_first(s):
+        if not calls:
+            time.sleep(0.02)
+        calls.append(s)
+        return record(s)
+
+    monkeypatch.setattr(cli_module, "_lc_record", cold_first)
+    code, out, err = run(capsys, "lc", *MOD9_ARGS, "--file", str(corpus), "--jobs", "2")
+    assert (code, out, err) == (0, serial, "")
+
+
+def test_forced_fan_out_matches_one_job(monkeypatch, capsys, tmp_path):
+    # With no work threshold, every row after line 1 goes to a two-worker
+    # pool.  Ten rows leave nine for it, in chunks of 2: lines (2, 3), (4, 5),
+    # (6, 7), (8, 9), (10).
+    monkeypatch.setattr(cli_module, "_POOL_AFTER_S", 0.0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = []
+    real_pool = concurrent.futures.ProcessPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        started.append(kwargs)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
+    corpus = tmp_path / "corpus.txt"
+    brute = ("mcrit", *MOD9_ARGS, "--mode", "brute")
+    corpus.write_text("\n".join(["110000000", "010110110", "100100100", "111111111",
+                                 "111000000"] * 2) + "\n")
+    for command in (("lc", *MOD9_ARGS), brute):
+        _, serial, _ = run(capsys, *command, "--file", str(corpus), "--jobs", "1")
+        before = len(started)
+        code, out, err = run(capsys, *command, "--file", str(corpus), "--jobs", "2")
+        assert (code, out, err) == (0, serial, "")
+        assert len(started) == before + 1
+    # 111111111 needs 130 error patterns, past the cap; 110000000 needs fewer.
+    # Line 1 fails in this process; line 5 is the second row of a pool chunk
+    # whose first row is good, and line 9 fails later.
+    good, bad = "110000000", "111111111"
+    cases = (([bad] + [good] * 9, 1), ([good] * 4 + [bad] + [good] * 3 + [bad, good], 5))
+    for rows, line in cases:
+        corpus.write_text("\n".join(rows) + "\n")
+        before = len(started)
+        for jobs in ("1", "2"):
+            code, out, err = run(capsys, *brute, "--cap", "100", "--file", str(corpus),
+                                 "--jobs", jobs)
+            assert (code, out) == (3, "")
+            assert err == f"error: line {line}: 130 error patterns exceed cap 100\n"
+        assert len(started) == before + (line != 1)
 
 
 def test_internal_errors_exit_four(monkeypatch, capsys):
