@@ -14,8 +14,8 @@ vertex.  The linear complexity follows from the structure alone:
 
     L = eps - 1 + p^n - (p-1) * sum(p^i for i in edges)
 
-with eps = 1 for element vertices, 0 for tuple vertices of length 0 and
-(1-p)*(p^0+...+p^(q-1)) for length q > 0.
+with eps = 1 for element vertices and (1-p)*(p^0+...+p^(q-1)) for tuple
+vertices of length q, which is 0 at q = 0 (the empty sum).
 
 ``standard_decompose`` peels a maximal hypercube off an arbitrary nonzero
 sequence: whenever an XOR step would cancel ones, the parts are rewritten
@@ -101,8 +101,6 @@ class VertexDescriptor:
         if self.kind is VertexKind.ELEMENT:
             return 1
         assert self.q is not None and self.blocks is not None
-        if self.q == 0:
-            return 0
         p = len(self.blocks)
         return (1 - p) * sum(p**i for i in range(self.q))
 
@@ -298,8 +296,6 @@ def _eligible_exponents(h: HypercubeStructure, n: int) -> list[int]:
     v = h.vertex
     if v.kind is VertexKind.ELEMENT:
         lo = 0
-    elif v.q == 0:
-        lo = 1
     else:
         assert v.q is not None
         lo = v.q + 1

@@ -5,15 +5,16 @@ period positions.  The spectrum k -> L_k is non-increasing, starts at L(s)
 and hits 0 exactly at k = weight(s).  A *critical point* is a k whose L_k is
 strictly below every earlier value; ``celcs`` lists them all.
 
-The closed form targets the leading hypercube h_1 of the decomposition of s:
+The closed form targets the leading hypercube h_1 of the decomposition of s
+and takes the cheaper of two changes to it, with m the dimension of h_1:
 
-* element vertex:              p^m                 (erase the hypercube)
-* tuple vertex, length 0:      min(l, p-l) * p^m
-                               (erase it, or fill its vertex rows to all-ones)
-* tuple vertex, length q > 0:  min(l, j) * p^m, j = vertex_min_change
-                               (erase it, or equalize the vertex blocks)
+* element vertex:              p^m                  (erase the hypercube)
+* tuple vertex of length q:    min(l, j) * p^m      (erase it, or equalize
+                               its vertex blocks), j = vertex_min_change for
+                               q > 0 and j = p - l for q = 0, where the one
+                               row of the vertex is filled to all-ones
 
-Each branch has a concrete witness, so the value is always an upper bound on
+Each rule has a concrete witness, so the value is always an upper bound on
 m(s), and exhaustive sweeps confirm it is exact whenever s is a single
 hypercube.  For sums of two or more hypercubes it can overshoot: flips spread
 across parts may align the top-level sums of all parts at once, which is
@@ -46,7 +47,6 @@ from .hypercube import (
     VertexDescriptor,
     VertexKind,
     _descend,
-    _Descent,
     _expand_flip,
 )
 from .lincomp import _lc_value, lc_form_decompose
@@ -167,80 +167,62 @@ def vertex_min_change(vertex: VertexDescriptor) -> int:
     """Minimal flips turning a tuple vertex (q > 0) into p equal nonzero blocks.
 
     The row with the most ones is forced to all-ones; every other row goes to
-    its majority side.
+    its majority side.  Length-0 vertices are refused here: the closed form
+    equalizes them by the same rule, its one row going to all-ones at p - l.
     """
-    j, _ = _min_change_target(vertex)
-    return j
-
-
-def _min_change_target(vertex: VertexDescriptor) -> tuple[int, tuple[int, ...]]:
     if vertex.kind is not VertexKind.TUPLE:
         raise NotTupleVertex("element vertices have no block tuple to equalize")
     if vertex.q == 0:
         raise ZeroLengthVertex("length-0 vertices are handled by the fill/erase rule")
+    return _equalizing_flips(vertex).bit_count()
+
+
+def _equalizing_flips(vertex: VertexDescriptor) -> int:
+    """Terminal-level flips equalizing a tuple vertex of any length q >= 0.
+
+    Bit i * p^q + u toggles row u of block i.  The row with the most ones goes
+    to all-ones and every other row to its majority side.
+    """
     blocks = vertex.blocks
     assert blocks is not None
-    p = len(blocks)
-    rows = len(blocks[0])
+    p, rows = len(blocks), len(blocks[0])
     counts = [sum(b[u] for b in blocks) for u in range(rows)]
-    u0 = max(range(rows), key=lambda u: counts[u])
-    j = 0
-    target = [0] * rows
-    for u in range(rows):
-        c = counts[u]
-        if u == u0 or c > p - c:
-            target[u] = 1
-            j += p - c
-        else:
-            j += c
-    return j, tuple(target)
-
-
-def _witness_mask(s_value: int, desc: _Descent, p: int, n: int) -> tuple[int, int, int | None]:
-    """(m_s, witness mask, vertex_j) for h_1 = desc.vecs[0], desc the rewrite descent of s."""
-    h_value = desc.vecs[0]
-    st = desc.structure
-    vertex = st.vertex
-    pm = p**st.m
-    if vertex.kind is VertexKind.ELEMENT:
-        return pm, h_value, None
-
-    blocks = vertex.blocks
-    assert blocks is not None and vertex.q is not None
-    l = vertex.l
-    size = p**vertex.q
-    if vertex.q == 0:
-        if 2 * l < p:
-            return l * pm, h_value, None
-        mask = _expand_flip(desc, sum(1 << i for i in range(p) if blocks[i][0] == 0))
-        assert mask.bit_count() == (p - l) * pm
-        return (p - l) * pm, mask, None
-
-    j, target = _min_change_target(vertex)
-    if l < j:
-        return l * pm, h_value, j
-    flips = sum(
-        1 << (i * size + u) for i in range(p) for u in range(size) if blocks[i][u] != target[u]
-    )
-    mask = _expand_flip(desc, flips)
-    assert mask.bit_count() == j * pm
-    if j < l:
-        return j * pm, mask, j
-    # tie: both erasing and equalizing cost l * p^m; report the better witness
-    if _lc_value(s_value ^ h_value, p, n) <= _lc_value(s_value ^ mask, p, n):
-        return l * pm, h_value, j
-    return l * pm, mask, j
+    u0 = max(range(rows), key=counts.__getitem__)
+    flips = 0
+    for u, c in enumerate(counts):
+        bit = int(u == u0 or 2 * c > p)
+        for i, b in enumerate(blocks):
+            if b[u] != bit:
+                flips |= 1 << (i * rows + u)
+    return flips
 
 
 def _closed_form(s: PeriodicSequence) -> tuple[CriticalReport, bool]:
-    """The formula report for nonzero s with odd p, and whether s is a hypercube."""
+    """The formula report for nonzero s with odd p, and whether s is a hypercube.
+
+    The witness is the cheaper change to h_1 = desc.vecs[0]: erase it (l * p^m),
+    or equalize its tuple vertex (j * p^m).  The two never cost the same: j - l
+    sums p - 2c over the rows set to all-ones, terms that are odd and share one
+    sign (all positive when the fullest row has c < p/2, else all negative).
+    """
     p, n = s.modulus.p, s.modulus.n
     desc = _descend(s.value, p, n, rewrite=True)
-    m_s, mask, j = _witness_mask(s.value, desc, p, n)
-    L_after = _lc_value(s.value ^ mask, p, n)
+    vertex = desc.vertex
+    pm = p ** len(desc.edges)
+    erase = vertex.l * pm
+    m_s, mask, j = erase, desc.vecs[0], None
+    if vertex.kind is VertexKind.TUPLE:
+        flips = _equalizing_flips(vertex)
+        j = flips.bit_count()
+        assert j != vertex.l
+        if j < vertex.l:
+            m_s, mask = j * pm, _expand_flip(desc, flips)
+            assert mask.bit_count() == m_s
     single = desc.vecs[0] == s.value
-    m1 = _formula_m1(desc.vertex, p, len(desc.edges), j) if single else None
-    return CriticalReport(m_s, L_after, m1, "formula", vertex_j=j), single
+    m1 = erase if single and m_s < erase else None
+    vertex_j = j if vertex.q else None
+    L_after = _lc_value(s.value ^ mask, p, n)
+    return CriticalReport(m_s, L_after, m1, "formula", vertex_j=vertex_j), single
 
 
 def first_critical_m(s: PeriodicSequence) -> CriticalReport:
@@ -255,16 +237,6 @@ def first_critical_m(s: PeriodicSequence) -> CriticalReport:
         raise EvenP("use kurosawa_m for p = 2")
     require_nonzero(s)
     return _closed_form(s)[0]
-
-
-def _formula_m1(vertex: VertexDescriptor, p: int, m: int, j: int | None) -> int | None:
-    if vertex.kind is VertexKind.ELEMENT:
-        return None
-    l = vertex.l
-    if vertex.q == 0:
-        return l * p**m if 2 * l > p else None
-    assert j is not None
-    return l * p**m if j < l else None
 
 
 def second_critical_m1(s: PeriodicSequence, cap: int = DEFAULT_CAP) -> int | None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Callable, Iterable
 
 from .counting import _class_count, _class_members, count_sequences_with_lc
@@ -29,7 +29,7 @@ from .kerror import (
     kurosawa_m,
     meidl_upper_bound,
 )
-from .lincomp import berlekamp_massey_lc, games_chan_lc, lc, xwli_lc
+from .lincomp import berlekamp_massey_lc, lc, xwli_lc
 from .sequences import Modulus, PeriodicSequence
 
 __all__ = ["SuiteReport", "SUITES", "run_suites"]
@@ -82,7 +82,8 @@ def _moduli(override: Modulus | None, default: list[Modulus]) -> list[Modulus]:
 
 
 def _suite_lc_oracle(modulus: Modulus | None, rng: random.Random, cap: int) -> SuiteReport:
-    """Divide-and-sum (or Games-Chan) complexity against Berlekamp-Massey."""
+    """``lc`` at every p, and ``xwli_lc``'s value and trace total at odd p,
+    against Berlekamp-Massey (at p = 2, ``lc`` is the Games-Chan halving)."""
     rep = SuiteReport("lc-oracle")
     defaults = [
         Modulus(3, 1), Modulus(3, 2), Modulus(5, 1), Modulus(3, 3), Modulus(5, 2),
@@ -92,14 +93,13 @@ def _suite_lc_oracle(modulus: Modulus | None, rng: random.Random, cap: int) -> S
         zero = PeriodicSequence.zeros(mod)
         rep.record(berlekamp_massey_lc(zero) == 0, f"{mod} zero sequence: bm != 0")
         for s in _universe(mod, rng, limit=1 << 16):
-            if mod.p == 2:
-                a = games_chan_lc(s)
-            else:
+            a, b = lc(s), berlekamp_massey_lc(s)
+            ok, got = a == b, f"lc {a}"
+            if mod.p != 2:
                 form, trace = xwli_lc(s)
-                a = form.value
-                assert trace.total == a
-            b = berlekamp_massey_lc(s)
-            rep.record(a == b, f"{mod} s={s.to01()}: closed form {a} != bm {b}")
+                ok = ok and form.value == trace.total == b
+                got += f", xwli_lc {form.value}, trace {trace.total}"
+            rep.record(ok, f"{mod} s={s.to01()}: {got} != bm {b}")
     return rep
 
 
@@ -257,7 +257,7 @@ def _suite_bounds(modulus: Modulus | None, rng: random.Random, cap: int) -> Suit
     for mod in _moduli(modulus, defaults):
         universe = _universe(mod, rng)
         if mod.p == 2 and mod.period > 8:
-            universe = list(_universe(mod, rng))[:60]  # worst cases sweep 2^N patterns
+            universe = islice(universe, 60)  # worst cases sweep 2^N patterns
         for s in universe:
             m = first_critical_bruteforce(s, cap=cap).m_s
             if mod.p == 2:

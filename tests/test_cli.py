@@ -306,8 +306,8 @@ def test_one_row_or_one_job_starts_no_pool(monkeypatch, capsys, tmp_path):
 
 def test_worker_errors_name_the_same_line_at_every_jobs(monkeypatch, capsys, tmp_path):
     # 111111111 needs 130 error patterns, past the cap; the others need fewer.
-    # The 10-row corpus has pool chunks of 2 rows, so its failing row 4 shares
-    # a chunk with the good row 3.
+    # These rows are too cheap to start a pool, so they run serially at every
+    # --jobs; test_forced_fan_out_matches_one_job covers the pooled path.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     good, bad = "110000000", "111111111"
     for rows, line in (([good, bad, "100000000"], 2), ([good] * 3 + [bad] + [good] * 6, 4)):

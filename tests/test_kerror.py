@@ -1,4 +1,5 @@
 import random
+from itertools import combinations, islice
 
 import pytest
 
@@ -111,6 +112,24 @@ def test_formula_is_exact_on_hypercubes_exhaustive_n9():
         assert form.m_s == brute.m_s, v
         assert form.L_after == brute.L_after, v
         assert form.m1_s == brute.m1_s, v
+
+
+def test_formula_is_exact_on_period11_hypercubes():
+    """At p = 11 a length-0 vertex of weight l is erased (l <= 4) or filled
+    (l >= 6); every element vertex and every 9th tuple vertex of each even
+    weight l is checked against brute force."""
+    mod = Modulus(11, 1)
+    cubes = [(1, 1 << i) for i in range(11)]
+    for l in range(2, 11, 2):
+        for ones in islice(combinations(range(11), l), 0, None, 9):
+            cubes.append((min(l, 11 - l), sum(1 << i for i in ones)))
+    for m, v in cubes:
+        s = PeriodicSequence(mod, v)
+        assert is_hypercube(s), v
+        form = first_critical_m(s)
+        brute = first_critical_bruteforce(s)
+        assert form.m_s == m, v
+        assert (form.m_s, form.L_after, form.m1_s) == (brute.m_s, brute.L_after, brute.m1_s), v
 
 
 def test_formula_never_undershoots_exhaustive_n9():

@@ -1,6 +1,8 @@
 import pytest
 
-from seqcomplex import SUITES, Modulus, SuiteReport, counting, parse_sequence, run_suites
+from seqcomplex import (
+    SUITES, Modulus, SuiteReport, counting, lc, parse_sequence, run_suites, verify,
+)
 
 
 def test_suite_names_are_stable():
@@ -74,3 +76,12 @@ def test_counting_rechecks_every_cube_member(monkeypatch):
     (rep,) = run_suites(["counting"], Modulus(2, 2))
     assert (rep.checks, rep.failures) == (4, 4)
     assert rep.details[0] == "2^2 edges=() l=None: formula 4, enumerated 4, scanned 4"
+
+
+def test_lc_oracle_checks_lc_at_odd_p(monkeypatch):
+    """lc is what `seqcomplex lc` prints, so the oracle checks it at odd p
+    too, beside xwli_lc."""
+    monkeypatch.setattr(verify, "lc", lambda s: lc(s) + 1)
+    (rep,) = run_suites(["lc-oracle"], Modulus(3, 1))
+    assert (rep.checks, rep.failures) == (8, 7)
+    assert rep.details[0] == "3^1 s=100: lc 4, xwli_lc 3, trace 3 != bm 3"
