@@ -7,7 +7,9 @@ are kept once, otherwise their XOR is kept and (p-1) * p^(n-depth) is added.
 A nonzero final scalar adds 1.  ``lc`` and ``games_chan_lc`` return the
 value, ``xwli_lc`` (odd p) adds the branch taken at each depth.
 ``berlekamp_massey_lc`` - classic LFSR synthesis over GF(2), fed two periods
-- is the independent oracle they are checked against.
+- is the independent oracle they are checked against; it skips each run of
+zero-discrepancy steps in one shift, as those steps change nothing but the
+index.
 
 Every attainable complexity has a unique canonical form
 ``L = eps + (p-1) * sum(p^(v-1) for v in V)`` with ``eps`` in {0, 1} and
@@ -164,20 +166,23 @@ def games_chan_lc(s: PeriodicSequence) -> int:
 
 def _bm_value(stream: int, length: int) -> int:
     # Bit-packed Berlekamp-Massey: sb/sc hold S(x)*B(x) and S(x)*C(x)
-    # implicitly; only the connection polynomial degree is tracked.
+    # implicitly, aligned so that bit 0 of sc is the discrepancy of step i;
+    # only the connection polynomial degree is tracked.  A step with zero
+    # discrepancy only advances i, so each turn jumps to the next set bit.
     sb = sc = stream
     deg = 0
-    m = 0
-    for i in range(length):
-        disc = (sc >> m) & 1
-        m += 1
-        if disc:
-            sc >>= m
-            m = 0
-            if 2 * deg <= i:
-                sb, sc = sc, sb
-                deg = i + 1 - deg
-            sc ^= sb
+    i = 0
+    while sc:
+        z = (sc & -sc).bit_length() - 1
+        i += z
+        if i >= length:
+            break
+        sc >>= z + 1
+        if 2 * deg <= i:
+            sb, sc = sc, sb
+            deg = i + 1 - deg
+        sc ^= sb
+        i += 1
     return deg
 
 

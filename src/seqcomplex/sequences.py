@@ -10,6 +10,7 @@ GF(2) in the shape the structure theory relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -77,7 +78,7 @@ class Modulus:
         if p**n > PERIOD_CAP:
             raise PeriodTooLarge(f"p^n = {p}^{n} exceeds {PERIOD_CAP}")
 
-    @property
+    @cached_property
     def period(self) -> int:
         return self.p**self.n
 
@@ -98,7 +99,7 @@ class PeriodicSequence:
     value: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.value < (1 << self.modulus.period):
+        if self.value < 0 or self.value.bit_length() > self.modulus.period:
             raise LengthMismatch(
                 f"packed value needs {self.modulus.period} bits, got {self.value.bit_length()}"
             )

@@ -4,7 +4,8 @@ Each suite sweeps one or more universes of sequences, exhaustively when the
 period is small enough and by seeded sampling otherwise, and counts one check
 per swept object so a report reads "511/511 agree".  Counterexamples are
 collected verbatim (sequence literal plus both values) instead of raising, so
-one mismatch does not hide the rest.
+one mismatch does not hide the rest; only the first MAX_DETAILS of a suite are
+kept, and only those are formatted.
 
 The counting suite runs one class check at every p, the p = 2 cubes being
 the element class of the hypercube theory: it tallies classes (edges, l)
@@ -54,12 +55,15 @@ class SuiteReport:
     def agreements(self) -> int:
         return self.checks - self.failures
 
-    def record(self, passed: bool, detail: str) -> None:
+    def record(self, passed: bool, detail: Callable[[], str]) -> None:
+        """Count one check.  ``detail`` builds the failure's text; it is called
+        only for a failure that is kept, the first MAX_DETAILS of a suite, so a
+        passing check formats nothing."""
         self.checks += 1
         if not passed:
             self.failures += 1
             if len(self.details) < MAX_DETAILS:
-                self.details.append(detail)
+                self.details.append(detail())
 
     def __str__(self) -> str:
         return f"{self.name}: {self.agreements}/{self.checks} agree"
@@ -91,15 +95,18 @@ def _suite_lc_oracle(modulus: Modulus | None, rng: random.Random, cap: int) -> S
     ]
     for mod in _moduli(modulus, defaults):
         zero = PeriodicSequence.zeros(mod)
-        rep.record(berlekamp_massey_lc(zero) == 0, f"{mod} zero sequence: bm != 0")
+        rep.record(berlekamp_massey_lc(zero) == 0, lambda: f"{mod} zero sequence: bm != 0")
         for s in _universe(mod, rng, limit=1 << 16):
             a, b = lc(s), berlekamp_massey_lc(s)
-            ok, got = a == b, f"lc {a}"
-            if mod.p != 2:
+            if mod.p == 2:
+                rep.record(a == b, lambda: f"{mod} s={s.to01()}: lc {a} != bm {b}")
+            else:
                 form, trace = xwli_lc(s)
-                ok = ok and form.value == trace.total == b
-                got += f", xwli_lc {form.value}, trace {trace.total}"
-            rep.record(ok, f"{mod} s={s.to01()}: {got} != bm {b}")
+                rep.record(
+                    a == form.value == trace.total == b,
+                    lambda: f"{mod} s={s.to01()}: lc {a}, xwli_lc {form.value}, "
+                    f"trace {trace.total} != bm {b}",
+                )
     return rep
 
 
@@ -133,7 +140,7 @@ def _suite_mcrit(modulus: Modulus | None, rng: random.Random, cap: int) -> Suite
                 want = first_critical_bruteforce(s, cap=cap).m_s
                 if got != want:
                     problems.append(f"m {got} != {want}")
-            rep.record(not problems, f"{mod} s={s.to01()}: {'; '.join(problems)}")
+            rep.record(not problems, lambda: f"{mod} s={s.to01()}: {'; '.join(problems)}")
     return rep
 
 
@@ -172,9 +179,9 @@ def _count_lc_checks(rep: SuiteReport, mod: Modulus) -> None:
         if exhaustive:
             rep.record(
                 tally.get(L, 0) == c,
-                f"{mod} L={L}: tally {tally.get(L, 0)} formula {c}",
+                lambda: f"{mod} L={L}: tally {tally.get(L, 0)} formula {c}",
             )
-    rep.record(total == 1 << N, f"{mod}: complexity counts sum to {total} != 2^{N}")
+    rep.record(total == 1 << N, lambda: f"{mod}: complexity counts sum to {total} != 2^{N}")
 
 
 def _class_key(value: int, mod: Modulus) -> tuple | None:
@@ -219,16 +226,22 @@ def _count_class_checks(rep: SuiteReport, mod: Modulus) -> None:
                 good = good and all(_class_key(s.value, mod) == (edges, l) for s in members)
                 rep.record(
                     good,
-                    f"{mod} edges={edges} l={l}: formula {count}, enumerated "
+                    lambda: f"{mod} edges={edges} l={l}: formula {count}, enumerated "
                     f"{len(members)}, scanned {tally.get((edges, l), 'n/a')}",
                 )
 
 
 def _suite_decomposition(modulus: Modulus | None, rng: random.Random, cap: int) -> SuiteReport:
-    """Decomposition invariants: hypercube parts, XOR reconstruction, descent."""
+    """Decomposition invariants: hypercube parts, XOR reconstruction, descent.
+
+    The hypercube structure is defined for odd p only, so the suite sweeps
+    odd-p moduli; pinned to a p = 2 modulus it makes no checks.
+    """
     rep = SuiteReport("decomposition")
     defaults = [Modulus(3, 2), Modulus(3, 3), Modulus(5, 2), Modulus(11, 1)]
     for mod in _moduli(modulus, defaults):
+        if mod.p == 2:
+            continue
         for s in _universe(mod, rng):
             dec = standard_decompose(s)
             problems = []
@@ -243,7 +256,7 @@ def _suite_decomposition(modulus: Modulus | None, rng: random.Random, cap: int) 
                 problems.append(f"complexities not strictly decreasing: {dec.complexities}")
             if dec.complexities[0] != lc(s):
                 problems.append(f"leading part L {dec.complexities[0]} != L(s) {lc(s)}")
-            rep.record(not problems, f"{mod} s={s.to01()}: {'; '.join(problems)}")
+            rep.record(not problems, lambda: f"{mod} s={s.to01()}: {'; '.join(problems)}")
     return rep
 
 
@@ -262,10 +275,10 @@ def _suite_bounds(modulus: Modulus | None, rng: random.Random, cap: int) -> Suit
             m = first_critical_bruteforce(s, cap=cap).m_s
             if mod.p == 2:
                 got = kurosawa_m(s)
-                rep.record(got == m, f"{mod} s={s.to01()}: formula {got} brute {m}")
+                rep.record(got == m, lambda: f"{mod} s={s.to01()}: formula {got} brute {m}")
             else:
                 bound = meidl_upper_bound(s)
-                rep.record(m <= bound, f"{mod} s={s.to01()}: m={m} exceeds bound {bound}")
+                rep.record(m <= bound, lambda: f"{mod} s={s.to01()}: m={m} exceeds bound {bound}")
     return rep
 
 
@@ -291,7 +304,7 @@ def _suite_stability(modulus: Modulus | None, rng: random.Random, cap: int) -> S
                 problems.append(f"complexity moves within {k} errors")
             if m != first_drop:
                 problems.append(f"first drop at {m} errors, not {first_drop}")
-            rep.record(not problems, f"{mod} k={k}: {'; '.join(problems)}")
+            rep.record(not problems, lambda: f"{mod} k={k}: {'; '.join(problems)}")
     return rep
 
 

@@ -51,6 +51,25 @@ def gcd_k_error_lc(s: PeriodicSequence, k: int) -> int:
     return best
 
 
+def stepwise_bm(stream: int, length: int) -> int:
+    """Bit-packed Berlekamp-Massey that visits every step, zero discrepancy
+    or not: the reference for the package's run-skipping loop."""
+    sb = sc = stream
+    deg = 0
+    m = 0
+    for i in range(length):
+        disc = (sc >> m) & 1
+        m += 1
+        if disc:
+            sc >>= m
+            m = 0
+            if 2 * deg <= i:
+                sb, sc = sc, sb
+                deg = i + 1 - deg
+            sc ^= sb
+    return deg
+
+
 def seq(mod, text: str) -> PeriodicSequence:
     return PeriodicSequence.from_text(text, mod)
 

@@ -213,6 +213,17 @@ def test_verify_mcrit_exits_two_with_census(capsys):
     assert "counterexample: 3^2 s=111100100" in out
 
 
+def test_verify_pinned_p2_runs_every_suite(capsys):
+    """The decomposition suite sweeps odd p only, so a p = 2 pin reports it
+    empty and the other five suites run."""
+    code, out, err = run(capsys, "verify", "--p", "2", "--n", "3")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 6
+    assert "decomposition: 0/0 agree" in lines
+    assert all(line.endswith(" agree") for line in lines)
+
+
 def test_verify_modulus_options_must_pair(capsys):
     code, _, err = run(capsys, "verify", "--p", "3")
     assert code == 1

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import gcd_lc, seq
+from helpers import gcd_lc, seq, stepwise_bm
 from seqcomplex import (
     Modulus,
     PeriodicSequence,
@@ -13,6 +13,7 @@ from seqcomplex import (
     xwli_lc,
 )
 from seqcomplex.errors import EvenP, NotRepresentable, OddP
+from seqcomplex.lincomp import _bm_value
 
 MOD9 = Modulus(3, 2)
 MOD27 = Modulus(3, 3)
@@ -162,3 +163,17 @@ def test_canonical_form_matches_engine_exhaustive_n9():
         s = PeriodicSequence(MOD9, v)
         form, _ = xwli_lc(s)
         assert lc_form_decompose(lc(s), MOD9) == form
+
+
+def test_run_skipping_bm_matches_the_stepwise_loop():
+    """Skipping zero-discrepancy runs changes no result: every raw stream of
+    length 1..14, and seeded two-period streams at periods 243 and 2187."""
+    for length in range(1, 15):
+        for stream in range(1 << length):
+            assert _bm_value(stream, length) == stepwise_bm(stream, length), (stream, length)
+    rng = random.Random(9)
+    for N, samples in ((243, 40), (2187, 6)):
+        for _ in range(samples):
+            v = rng.getrandbits(N)
+            stream = v | (v << N)
+            assert _bm_value(stream, 2 * N) == stepwise_bm(stream, 2 * N), (N, v)

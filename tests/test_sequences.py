@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -116,8 +117,29 @@ def test_from_bits_checks_each_bit_before_the_length():
 
 
 def test_packed_value_must_fit_the_period():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(LengthMismatch) as e:
         PeriodicSequence(MOD9, 1 << 9)
+    assert str(e.value) == "packed value needs 9 bits, got 10"
+    with pytest.raises(LengthMismatch) as e:
+        PeriodicSequence(MOD9, -1)
+    assert str(e.value) == "packed value needs 9 bits, got 1"
+    assert PeriodicSequence(MOD9, (1 << 9) - 1).weight == 9
+    top = Modulus(2, 20)
+    assert PeriodicSequence(top, (1 << top.period) - 1).weight == top.period
+    with pytest.raises(LengthMismatch):
+        PeriodicSequence(top, 1 << top.period)
+
+
+def test_modulus_with_cached_period_pickles_equal():
+    """The --jobs pool pickles rows; a Modulus whose period was read must
+    still round-trip equal, with an equal hash."""
+    mod = Modulus(3, 5)
+    assert mod.period == 243
+    back = pickle.loads(pickle.dumps(mod))
+    assert back == mod and hash(back) == hash(mod) == hash(Modulus(3, 5))
+    assert back.period == 243 and repr(back) == "Modulus(p=3, n=5)"
+    s = PeriodicSequence(mod, 5)
+    assert pickle.loads(pickle.dumps(s)) == s
 
 
 def test_from_bits():

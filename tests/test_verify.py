@@ -1,7 +1,8 @@
 import pytest
 
 from seqcomplex import (
-    SUITES, Modulus, SuiteReport, counting, lc, parse_sequence, run_suites, verify,
+    SUITES, Modulus, PeriodicSequence, SuiteReport, counting, lc, parse_sequence,
+    run_suites, verify,
 )
 
 
@@ -47,6 +48,12 @@ def test_remaining_suites_clean_9():
     assert all(r.checks > 0 for r in reports)
 
 
+def test_decomposition_skips_p2():
+    (rep,) = run_suites(["decomposition"], Modulus(2, 3))
+    assert (rep.checks, rep.failures, rep.details) == (0, 0, [])
+    assert str(rep) == "decomposition: 0/0 agree"
+
+
 def test_sampled_runs_are_seed_deterministic():
     a = run_suites(["decomposition"], Modulus(3, 3), seed=7)
     b = run_suites(["decomposition"], Modulus(3, 3), seed=7)
@@ -85,3 +92,22 @@ def test_lc_oracle_checks_lc_at_odd_p(monkeypatch):
     (rep,) = run_suites(["lc-oracle"], Modulus(3, 1))
     assert (rep.checks, rep.failures) == (8, 7)
     assert rep.details[0] == "3^1 s=100: lc 4, xwli_lc 3, trace 3 != bm 3"
+
+
+def test_failure_details_are_exact_capped_and_lazy(monkeypatch):
+    """Only a kept failure formats its detail: a sweep of 2^16 failing checks
+    builds at most MAX_DETAILS sequence literals."""
+    monkeypatch.setattr(verify, "lc", lambda s: lc(s) + 1)
+    to01 = PeriodicSequence.to01
+    calls = []
+
+    def counted(self):
+        calls.append(self.value)
+        return to01(self)
+
+    monkeypatch.setattr(PeriodicSequence, "to01", counted)
+    (rep,) = run_suites(["lc-oracle"], Modulus(2, 4))
+    assert (rep.checks, rep.failures) == (1 << 16, (1 << 16) - 1)
+    assert rep.details[0] == "2^4 s=1000000000000000: lc 17 != bm 16"
+    assert len(rep.details) == verify.MAX_DETAILS == 20
+    assert len(calls) <= 20
