@@ -583,3 +583,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as e:
         click.echo(f"internal error: {e!r}", err=True)
         return 4
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

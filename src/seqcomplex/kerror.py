@@ -25,14 +25,17 @@ universes and reports every such counterexample.
 Every closed-form answer is read from one rewrite descent of s: its first
 level is h_1 and its levels, records and vertex are h_1's own, and s is a
 hypercube exactly when h_1 = s.  The rest of the decomposition is never
-computed.  Brute force scans one weight class at a time, in ``_class_min``.
+computed.  Brute force has one exact scan, ``_drops``, which yields the critical
+points lazily, one weight class at a time, and one budget rule: class k is
+scanned only once the sum_{i<=k} C(N, i) patterns fit the cap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import combinations
 from math import comb
+from typing import Iterator
 
 from .errors import (
     BudgetExceeded,
@@ -119,44 +122,48 @@ def _class_min(value: int, p: int, n: int, bits: list[int], k: int, below: int =
     return best
 
 
+def _drops(s: PeriodicSequence, cap: int, upto: int) -> Iterator[CelcsPoint]:
+    """The critical points (k, L_k) with 1 <= k <= upto, in order and lazily.
+    Class k is counted against the cap, then scanned; the scan ends at L = 0."""
+    p, n, N = s.modulus.p, s.modulus.n, s.modulus.period
+    bits = [1 << i for i in range(N)]
+    prev = _lc_value(s.value, p, n)
+    for k in range(1, upto + 1):
+        if prev == 0:
+            return
+        _check_budget(N, k, cap)
+        L = _class_min(s.value, p, n, bits, k)
+        if L < prev:
+            prev = L
+            yield CelcsPoint(k, L)
+
+
 def k_error_lc_bruteforce(s: PeriodicSequence, k: int, cap: int = DEFAULT_CAP) -> int:
-    """L_k(s) by complete enumeration of error patterns of weight <= k."""
+    """L_k(s) by complete enumeration of error patterns of weight <= k.  As
+    L_k = 0 for every k >= weight(s), only the classes below it are budgeted."""
     if k < 0:
         raise KOutOfRange(f"k={k} is negative")
-    p, n, N = s.modulus.p, s.modulus.n, s.modulus.period
-    k = min(k, N)
-    _check_budget(N, k, cap)
-    bits = [1 << i for i in range(N)]
-    best = _lc_value(s.value, p, n)
-    for i in range(1, k + 1):
-        if best == 0:
-            break
-        best = min(best, _class_min(s.value, p, n, bits, i))
-    return best
+    k = min(k, s.weight)
+    _check_budget(s.modulus.period, k, cap)
+    L = _lc_value(s.value, s.modulus.p, s.modulus.n)
+    return min((pt.L for pt in _drops(s, cap, k)), default=L)
 
 
 def first_critical_bruteforce(s: PeriodicSequence, cap: int = DEFAULT_CAP) -> CriticalReport:
     """m(s), exact L_{m(s)}, and the second critical point, all by enumeration.
 
-    Each weight class is counted against the cap before it is scanned.
+    Each weight class is counted against the cap before it is scanned; past
+    m(s), a class is scanned only until a pattern drops below L_{m(s)}.
     """
     require_nonzero(s)
     p, n, N = s.modulus.p, s.modulus.n, s.modulus.period
+    m_s, L_after = astuple(next(_drops(s, cap, N)))
+    if L_after == 0:
+        return CriticalReport(m_s, 0, None, "brute")
     bits = [1 << i for i in range(N)]
-    L0 = _lc_value(s.value, p, n)
-    m_s = L_after = None
-    spent = 1  # the empty pattern
-    for k in range(1, N + 1):
-        spent += comb(N, k)
-        if spent > cap:
-            raise BudgetExceeded(f"{spent} error patterns exceed cap {cap}")
-        if L_after is None:
-            L = _class_min(s.value, p, n, bits, k)
-            if L < L0:
-                m_s, L_after = k, L
-                if L == 0:
-                    return CriticalReport(m_s, 0, None, "brute")
-        elif _class_min(s.value, p, n, bits, k, below=L_after) < L_after:
+    for k in range(m_s + 1, N + 1):
+        _check_budget(N, k, cap)
+        if _class_min(s.value, p, n, bits, k, below=L_after) < L_after:
             return CriticalReport(m_s, L_after, k, "brute")
     raise AssertionError("k = weight(s) always reaches L = 0")
 
@@ -265,7 +272,7 @@ def celcs(
     """
     if s.is_zero:
         return (CelcsPoint(0, 0),)
-    p, n, N = s.modulus.p, s.modulus.n, s.modulus.period
+    p, n = s.modulus.p, s.modulus.n
     L0 = _lc_value(s.value, p, n)
     if mode == "formula":
         if p == 2:
@@ -278,18 +285,8 @@ def celcs(
             assert rep.m1_s is not None
             points.append(CelcsPoint(rep.m1_s, 0))
     elif mode == "brute":
-        W = s.weight
-        _check_budget(N, W, cap)
-        bits = [1 << i for i in range(N)]
-        points = [CelcsPoint(0, L0)]
-        prev = L0
-        for k in range(1, W + 1):
-            Lk = min(prev, _class_min(s.value, p, n, bits, k))
-            if Lk < prev:
-                points.append(CelcsPoint(k, Lk))
-                prev = Lk
-            if prev == 0:
-                break
+        _check_budget(s.modulus.period, s.weight, cap)
+        points = [CelcsPoint(0, L0), *_drops(s, cap, s.weight)]
     else:
         raise ValueError(f"unknown mode {mode!r}")
     assert points[0] == CelcsPoint(0, L0)

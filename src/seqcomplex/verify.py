@@ -23,9 +23,9 @@ from .counting import _class_count, _class_members, count_sequences_with_lc
 from .hypercube import VertexKind, _descend, is_hypercube, standard_decompose
 from .kerror import (
     DEFAULT_CAP,
+    _drops,
     celcs,
     construct_stable,
-    first_critical_bruteforce,
     first_critical_m,
     kurosawa_m,
     meidl_upper_bound,
@@ -137,7 +137,7 @@ def _suite_mcrit(modulus: Modulus | None, rng: random.Random, cap: int) -> Suite
                     problems.append(f"celcs {a} != {b}")
             else:
                 got = kurosawa_m(s) if mod.p == 2 else first_critical_m(s).m_s
-                want = first_critical_bruteforce(s, cap=cap).m_s
+                want = next(_drops(s, cap, mod.period)).k
                 if got != want:
                     problems.append(f"m {got} != {want}")
             rep.record(not problems, lambda: f"{mod} s={s.to01()}: {'; '.join(problems)}")
@@ -272,7 +272,7 @@ def _suite_bounds(modulus: Modulus | None, rng: random.Random, cap: int) -> Suit
         if mod.p == 2 and mod.period > 8:
             universe = islice(universe, 60)  # worst cases sweep 2^N patterns
         for s in universe:
-            m = first_critical_bruteforce(s, cap=cap).m_s
+            m = next(_drops(s, cap, mod.period)).k
             if mod.p == 2:
                 got = kurosawa_m(s)
                 rep.record(got == m, lambda: f"{mod} s={s.to01()}: formula {got} brute {m}")
@@ -299,7 +299,7 @@ def _suite_stability(modulus: Modulus | None, rng: random.Random, cap: int) -> S
             problems = []
             if L != mod.period - (first_drop - 1):
                 problems.append(f"constructed complexity {L}")
-            m = first_critical_bruteforce(s, cap=cap).m_s
+            m = next(_drops(s, cap, mod.period)).k
             if m <= k:
                 problems.append(f"complexity moves within {k} errors")
             if m != first_drop:

@@ -76,6 +76,13 @@ def test_klc_and_budget_exit(capsys):
     assert "error:" in err
 
 
+def test_klc_budgets_only_classes_below_the_weight(capsys):
+    code, out, err = run(
+        capsys, "klc", *MOD9_ARGS, "--seq", "110000000", "--k", "12", "--cap", "46"
+    )
+    assert (code, out, err) == (0, "0\n", "")
+
+
 def test_celcs_csv_literal_header(capsys):
     code, out, _ = run(capsys, "celcs", *MOD9_ARGS, "--seq", "110000000", "--format", "csv")
     assert code == 0
@@ -419,3 +426,14 @@ def test_importing_the_cli_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "False\n")
+
+
+def test_python_m_runs_the_cli():
+    src = str(Path(seqcomplex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for module in ("seqcomplex", "seqcomplex.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "lc", *MOD9_ARGS, "--seq", "110000000"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "8\n", ""), module

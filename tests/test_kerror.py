@@ -53,7 +53,18 @@ def test_k_error_lc_guards():
         k_error_lc_bruteforce(s, -1)
     with pytest.raises(BudgetExceeded):
         k_error_lc_bruteforce(s, 4, cap=10)
-    assert k_error_lc_bruteforce(s, 100) == 0  # k clamps to the period
+    with pytest.raises(BudgetExceeded, match=r"^256 error patterns exceed cap 10$"):
+        k_error_lc_bruteforce(seq(MOD9, "111111111"), 4, cap=10)
+    assert k_error_lc_bruteforce(s, 100) == 0  # k clamps to weight(s)
+
+
+def test_k_error_lc_budgets_only_classes_below_the_weight():
+    # L_k = 0 for k >= weight(s): the scan of 110000000 stops at class 2 (46 patterns)
+    s = seq(MOD9, "110000000")
+    assert k_error_lc_bruteforce(s, 12, cap=46) == 0
+    with pytest.raises(BudgetExceeded, match=r"^46 error patterns exceed cap 45$"):
+        k_error_lc_bruteforce(s, 12, cap=45)
+    assert k_error_lc_bruteforce(PeriodicSequence.zeros(MOD9), 3, cap=1) == 0
 
 
 def test_k_error_lc_against_definitional_minimum():
@@ -212,7 +223,7 @@ def test_celcs_modes_and_guards():
         celcs(seq(MOD9, "110100100"), mode="formula")
     with pytest.raises(ValueError):
         celcs(seq(MOD9, "110000000"), mode="nope")
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match=r"^512 error patterns exceed cap 3$"):
         celcs(seq(MOD9, "111111111"), cap=3)
 
 

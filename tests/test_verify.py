@@ -1,8 +1,8 @@
 import pytest
 
 from seqcomplex import (
-    SUITES, Modulus, PeriodicSequence, SuiteReport, counting, lc, parse_sequence,
-    run_suites, verify,
+    SUITES, Modulus, PeriodicSequence, SuiteReport, counting, kerror, lc,
+    parse_sequence, run_suites, verify,
 )
 
 
@@ -111,3 +111,19 @@ def test_failure_details_are_exact_capped_and_lazy(monkeypatch):
     assert rep.details[0] == "2^4 s=1000000000000000: lc 17 != bm 16"
     assert len(rep.details) == verify.MAX_DETAILS == 20
     assert len(calls) <= 20
+
+
+def test_m_only_checks_run_no_second_critical_scan(monkeypatch):
+    """bounds, stability and mcrit-exhaustive off hypercubes read only m(s):
+    every class they scan is an exact minimum (below = 1), never an m1 scan."""
+    class_min = kerror._class_min
+    belows = []
+
+    def recording(*args, below=1):
+        belows.append(below)
+        return class_min(*args, below=below)
+
+    monkeypatch.setattr(kerror, "_class_min", recording)
+    reports = run_suites(["bounds", "stability", "mcrit-exhaustive"], Modulus(3, 2))
+    assert [rep.checks for rep in reports] == [511, 8, 511]
+    assert belows and set(belows) == {1}
