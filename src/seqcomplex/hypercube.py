@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence as Seq
 
 from .errors import EvenP, IsVertex, NoEligibleExponent, NotACube, NotAHypercube, OddP
@@ -61,8 +62,8 @@ class VertexDescriptor:
     """Terminal state of the descent.
 
     Element vertices carry no payload.  Tuple vertices carry the p parts of
-    the zero-sum step (each of length p^q); every row across the parts has
-    even parity and at least one row is nonzero.
+    the zero-sum step (each p^q entries of 0 or 1); every row across the
+    parts has even parity and at least one row is nonzero.
     """
 
     kind: VertexKind
@@ -82,11 +83,18 @@ class VertexDescriptor:
         size = p**self.q
         if any(len(b) != size for b in self.blocks):
             raise ValueError(f"blocks must all have length p^q = {size}")
-        if all(all(x == 0 for x in b) for b in self.blocks):
+        # one byte per row: byte u of the XOR of the blocks is row u's parity
+        rows = [bytes(b) for b in self.blocks]
+        if any(r.translate(None, b"\x00\x01") for r in rows):
+            raise ValueError("block entries must be 0 or 1")
+        if not any(1 in r for r in rows):
             raise ValueError("tuple vertex must be nonzero")
-        for u, row in enumerate(zip(*self.blocks)):
-            if sum(row) % 2:
-                raise ValueError(f"row {u} has odd parity; blocks do not sum to zero")
+        odd = 0
+        for r in rows:
+            odd ^= int.from_bytes(r, "little")
+        if odd:
+            u = ((odd & -odd).bit_length() - 1) // 8
+            raise ValueError(f"row {u} has odd parity; blocks do not sum to zero")
 
     @property
     def l(self) -> int:
@@ -101,14 +109,13 @@ class VertexDescriptor:
         if self.kind is VertexKind.ELEMENT:
             return 1
         assert self.q is not None and self.blocks is not None
-        p = len(self.blocks)
-        return (1 - p) * sum(p**i for i in range(self.q))
+        return _epsilon(len(self.blocks), self.q)
 
     def __str__(self) -> str:
         if self.kind is VertexKind.ELEMENT:
             return "element"
         assert self.blocks is not None
-        parts = ",".join("".join(map(str, b)) for b in self.blocks)
+        parts = b",".join(map(bytes, self.blocks)).translate(_TO_DIGIT).decode()
         return f"tuple(q={self.q}, [{parts}])"
 
 
@@ -137,11 +144,18 @@ class HypercubeStructure:
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Hypercube parts of a sequence: XOR of parts reconstructs the input."""
+    """Hypercube parts of a sequence: XOR of parts reconstructs the input.
+
+    ``structures`` is built from the parts' descents on first read.
+    """
 
     parts: tuple[PeriodicSequence, ...]
-    structures: tuple[HypercubeStructure, ...]
     complexities: tuple[int, ...]
+    _descents: tuple[_Descent, ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def structures(self) -> tuple[HypercubeStructure, ...]:
+        return tuple(d.structure for d in self._descents)
 
 
 # -- descent machinery -------------------------------------------------------
@@ -155,6 +169,13 @@ class Decomposition:
 # back to level k follows those sources, and sends each zero row of a sum
 # through part 0.
 #
+# The vertex stays an int mask too: the descent ends at vecs[-1], which is
+# the scalar 1 when q is None (an element vertex) and the p parts of p^q bits
+# of a tuple vertex of length q otherwise; l is its weight either way.  The
+# VertexDescriptor and HypercubeStructure are built on first read of .vertex
+# or .structure, at most once, so callers that read only ok, edges, q, l or
+# epsilon (is_hypercube, standard_decompose's complexities) never build them.
+#
 # After a rewrite descent of s, vecs[0] is the leading hypercube h_1 of s and
 # the descent equals the plain descent of h_1 (vecs, records, edges, vertex);
 # s is a hypercube iff vecs[0] == s.  kerror's closed forms rely on this.
@@ -167,12 +188,29 @@ class _Descent:
     records: list[tuple[int, bool]] = field(default_factory=list)
     ok: bool = True
     edges: tuple[int, ...] = ()
-    vertex: VertexDescriptor | None = None
+    q: int | None = None
     fail_depth: int | None = None
 
     @property
+    def l(self) -> int:
+        return self.vecs[-1].bit_count()
+
+    @property
+    def epsilon(self) -> int:
+        return _epsilon(self.p, self.q)
+
+    @cached_property
+    def vertex(self) -> VertexDescriptor:
+        assert self.ok
+        if self.q is None:
+            return VertexDescriptor(VertexKind.ELEMENT)
+        size = self.p**self.q
+        a, mask = self.vecs[-1], (1 << size) - 1
+        blocks = tuple(_bits((a >> (i * size)) & mask, size) for i in range(self.p))
+        return VertexDescriptor(VertexKind.TUPLE, self.q, blocks)
+
+    @cached_property
     def structure(self) -> HypercubeStructure:
-        assert self.ok and self.vertex is not None
         return HypercubeStructure(len(self.edges), self.edges, self.vertex)
 
     def pull_back(self, k: int, rows: int) -> int:
@@ -202,8 +240,18 @@ def _kept(parts: Seq[int]) -> list[int]:
     return kept
 
 
+_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _bits(mask: int, length: int) -> tuple[int, ...]:
-    return tuple(map(int, format(mask, f"0{length}b")[::-1]))
+    return tuple(format(mask, f"0{length}b")[::-1].encode().translate(_TO_BIT))
+
+
+def _epsilon(p: int, q: int | None) -> int:
+    """1 for an element vertex (q None); (1-p)(p^0+...+p^(q-1)) = 1 - p^q for
+    a tuple vertex of length q."""
+    return 1 if q is None else 1 - p**q
 
 
 def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
@@ -213,24 +261,27 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
     edges: list[int] = []
     a = value
     for depth, (plen, mask, low_mask, _) in enumerate(_levels(p, n), 1):
-        split = a >> plen == a & low_mask
+        hi = a >> plen
+        split = hi == a & low_mask
         if split:
             edges.append(n - depth)
             a &= mask
         else:
-            parts = [(a >> (i * plen)) & mask for i in range(p)]
-            kept = _kept(parts)
-            x = sum(kept)
+            x = a
+            while hi:
+                x ^= hi
+                hi >>= plen
+            x &= mask  # the XOR of the p parts
             if x == 0:
-                # terminating zero-sum: the parts are the vertex
-                blocks = tuple(_bits(part, plen) for part in parts)
-                desc.vertex = VertexDescriptor(VertexKind.TUPLE, n - depth, blocks)
+                # terminating zero-sum: the parts of a are the vertex
+                desc.q = n - depth
                 break
             if x.bit_count() != a.bit_count():
                 if not rewrite:
                     desc.ok, desc.fail_depth = False, depth
                     return desc
                 # clear every one that is not kept, down to the period
+                kept = _kept([(a >> (i * plen)) & mask for i in range(p)])
                 clear = a ^ sum(k << (i * plen) for i, k in enumerate(kept))
                 for k in range(len(vecs) - 1, -1, -1):
                     lower = desc.pull_back(k, clear) if k else 0
@@ -241,7 +292,6 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
         vecs.append(a)
     else:
         assert a == 1
-        desc.vertex = VertexDescriptor(VertexKind.ELEMENT)
     desc.edges = tuple(sorted(edges))
     return desc
 
@@ -342,8 +392,7 @@ def standard_decompose(s: PeriodicSequence) -> Decomposition:
     """
     _require_odd_nonzero(s)
     p, n = s.modulus.p, s.modulus.n
-    parts: list[PeriodicSequence] = []
-    structures: list[HypercubeStructure] = []
+    descents: list[_Descent] = []
     complexities: list[int] = []
     residue = s.value
     for _ in range(s.modulus.period + 1):
@@ -351,21 +400,19 @@ def standard_decompose(s: PeriodicSequence) -> Decomposition:
             break
         desc = _descend(residue, p, n, rewrite=True)
         assert desc.ok
-        h_value = desc.vecs[0]
-        structure = desc.structure
-        parts.append(PeriodicSequence(s.modulus, h_value))
-        structures.append(structure)
-        complexities.append(lc_from_structure(structure, s.modulus))
-        residue ^= h_value
+        descents.append(desc)
+        complexities.append(_hypercube_lc(p, n, desc.epsilon, desc.edges))
+        residue ^= desc.vecs[0]
     else:  # pragma: no cover - descent always strictly reduces the residue
         raise AssertionError("decomposition failed to terminate")
     assert all(a > b for a, b in zip(complexities, complexities[1:]))
     acc = 0
-    for part in parts:
-        acc ^= part.value
+    for desc in descents:
+        acc ^= desc.vecs[0]
     assert acc == s.value
     assert complexities[0] == _lc_value(s.value, p, n)
-    return Decomposition(tuple(parts), tuple(structures), tuple(complexities))
+    parts = tuple(PeriodicSequence(s.modulus, d.vecs[0]) for d in descents)
+    return Decomposition(parts, tuple(complexities), tuple(descents))
 
 
 # -- p = 2 cubes --------------------------------------------------------------

@@ -20,7 +20,7 @@ from itertools import combinations, islice, product
 from typing import Callable, Iterable
 
 from .counting import _class_count, _class_members, count_sequences_with_lc
-from .hypercube import VertexKind, _descend, is_hypercube, standard_decompose
+from .hypercube import _descend, is_hypercube, standard_decompose
 from .kerror import (
     DEFAULT_CAP,
     _drops,
@@ -193,11 +193,10 @@ def _class_key(value: int, mod: Modulus) -> tuple | None:
     desc = _descend(value, mod.p, mod.n, rewrite=False)
     if not desc.ok:
         return None
-    vertex = desc.vertex
-    if vertex.kind is VertexKind.ELEMENT:
+    if desc.q is None:
         return desc.edges, None
-    if vertex.q == 0:
-        return desc.edges, vertex.l
+    if desc.q == 0:
+        return desc.edges, desc.l
     return None  # longer vertices have no closed-form count here
 
 

@@ -173,6 +173,24 @@ def test_vertex_descriptor_names_the_first_odd_row():
         VertexDescriptor(VertexKind.TUPLE, 1, ((1, 0, 0), (1, 0), (0, 0, 0)))
 
 
+def test_vertex_descriptor_entries_are_bits():
+    with pytest.raises(ValueError, match=r"^block entries must be 0 or 1$"):
+        VertexDescriptor(VertexKind.TUPLE, 0, ((2,), (0,), (0,)))
+    v = VertexDescriptor(VertexKind.TUPLE, 1, ((1, 1, 0), (0, 1, 1), (1, 0, 1)))
+    assert str(v) == "tuple(q=1, [110,011,101])"
+
+
+def test_vertex_and_structures_are_built_once():
+    desc = _descend(seq(MOD9, "110000000").value, 3, 2, rewrite=False)
+    assert desc.vertex is desc.vertex and desc.structure is desc.structure
+    dec = standard_decompose(seq(MOD27, "110100100" * 3))
+    assert dec.structures is dec.structures
+    assert [str(st) for st in dec.structures] == [
+        "m=1 edges=2 vertex=tuple(q=0, [1,1,0])",
+        "m=1 edges=2 vertex=tuple(q=1, [000,100,100])",
+    ]
+
+
 def test_structure_validation():
     el = VertexDescriptor(VertexKind.ELEMENT)
     with pytest.raises(ValueError):
@@ -287,3 +305,30 @@ def test_cube_lc_agrees_with_games_chan_exhaustive_n8():
         assert s.weight == 1 << m
         assert L == 8 - sum(1 << i for i in edges)
     assert cubes == 8 + (16 + 8 + 4) + (16 + 4 + 2) + 1  # by (m, edges) class
+
+
+def _check_decomposition_matches_extraction(s):
+    dec = standard_decompose(s)
+    mod = s.modulus
+    assert len(dec.structures) == len(dec.parts) == len(dec.complexities)
+    for part, st, L in zip(dec.parts, dec.structures, dec.complexities):
+        assert st == extract_structure(part)
+        assert L == lc_from_structure(st, mod)
+
+
+def test_decompose_structures_match_extraction_exhaustive():
+    for mod in (MOD9, Modulus(11, 1), Modulus(13, 1)):
+        for v in range(1, 1 << mod.period):
+            _check_decomposition_matches_extraction(PeriodicSequence(mod, v))
+
+
+def test_decompose_structures_match_extraction_sampled():
+    rng = random.Random(29)
+    samples = ((MOD27, 150), (Modulus(5, 2), 150), (Modulus(3, 5), 60), (Modulus(3, 7), 12))
+    for mod, count in samples:
+        for i in range(count):
+            if i % 2:
+                v = rng.randrange(1, 1 << mod.period)
+            else:  # sparse: few parts, often with long tuple vertices
+                v = sum({1 << rng.randrange(mod.period) for _ in range(4)})
+            _check_decomposition_matches_extraction(PeriodicSequence(mod, v))

@@ -127,3 +127,23 @@ def test_m_only_checks_run_no_second_critical_scan(monkeypatch):
     reports = run_suites(["bounds", "stability", "mcrit-exhaustive"], Modulus(3, 2))
     assert [rep.checks for rep in reports] == [511, 8, 511]
     assert belows and set(belows) == {1}
+
+
+def test_decomposition_suite_and_is_hypercube_build_no_vertex(monkeypatch):
+    """Checks that read only .ok or the complexities never build a vertex."""
+    from seqcomplex import hypercube
+
+    built = []
+    post_init = hypercube.VertexDescriptor.__post_init__
+
+    def counted(self):
+        built.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(hypercube.VertexDescriptor, "__post_init__", counted)
+    (rep,) = run_suites(["decomposition"], Modulus(3, 2))
+    assert rep.checks == 511 and rep.failures == 0
+    mod = Modulus(3, 2)
+    hypercubes = sum(hypercube.is_hypercube(PeriodicSequence(mod, v)) for v in range(1, 512))
+    assert hypercubes > 0
+    assert built == []
