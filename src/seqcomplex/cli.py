@@ -270,8 +270,11 @@ def _structure_record(s: PeriodicSequence) -> dict:
     return rec
 
 
-def _decompose_record(s: PeriodicSequence) -> dict:
+def _decompose_record(s: PeriodicSequence, detail: bool) -> dict:
+    """Each part's L; with detail, its literal and structure too."""
     dec = standard_decompose(s)
+    if not detail:
+        return {"parts": [{"L": L} for L in dec.complexities]}
     return {
         "parts": [
             {"seq": part.to01(), "L": L, "structure": str(st)}
@@ -402,12 +405,15 @@ def structure_cmd(p, n, literal, path, fmt, out, jobs):
 def decompose_cmd(p, n, literal, path, fmt, out, jobs):
     """Decompose into hypercubes with strictly decreasing complexities."""
     modulus = Modulus(p, n)
-    mapped = _map_rows(_decompose_record, _load(modulus, literal, path), jobs)
+    # a --file text report prints one head line a row; JSON and --seq print every part
+    detail = fmt == "json" or literal is not None
+    worker = partial(_decompose_record, detail=detail)
+    mapped = _map_rows(worker, _load(modulus, literal, path), jobs)
 
     def text(s, rec):
         ls = ", ".join(str(part["L"]) for part in rec["parts"])
         head = f"{len(rec['parts'])} parts, L = {ls}"
-        if len(mapped) == 1 and mapped[0][0] is None:
+        if detail:
             details = "\n".join(
                 f"  L={part['L']} [{part['structure']}] {part['seq']}"
                 for part in rec["parts"]

@@ -34,7 +34,7 @@ from functools import cached_property
 from typing import Sequence as Seq
 
 from .errors import EvenP, IsVertex, NoEligibleExponent, NotACube, NotAHypercube, OddP
-from .lincomp import _lc_value, _levels
+from .lincomp import _TO_BIT, _lc_value, _levels
 from .sequences import Modulus, PeriodicSequence, require_nonzero
 
 __all__ = [
@@ -240,7 +240,6 @@ def _kept(parts: Seq[int]) -> list[int]:
     return kept
 
 
-_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
 _TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 
 

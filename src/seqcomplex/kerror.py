@@ -49,10 +49,11 @@ from .errors import (
 from .hypercube import (
     VertexDescriptor,
     VertexKind,
+    _TO_DIGIT,
     _descend,
     _expand_flip,
 )
-from .lincomp import _lc_value, lc_form_decompose
+from .lincomp import _lanes_above, _lc_value, lc_form_decompose
 from .sequences import Modulus, PeriodicSequence, require_nonzero
 
 __all__ = [
@@ -181,26 +182,33 @@ def vertex_min_change(vertex: VertexDescriptor) -> int:
         raise NotTupleVertex("element vertices have no block tuple to equalize")
     if vertex.q == 0:
         raise ZeroLengthVertex("length-0 vertices are handled by the fill/erase rule")
-    return _equalizing_flips(vertex).bit_count()
+    a = int(b"".join(map(bytes, vertex.blocks))[::-1].translate(_TO_DIGIT), 2)
+    return _equalizing_flips(len(vertex.blocks), vertex.q, a).bit_count()
 
 
-def _equalizing_flips(vertex: VertexDescriptor) -> int:
-    """Terminal-level flips equalizing a tuple vertex of any length q >= 0.
+def _equalizing_flips(p: int, q: int, a: int) -> int:
+    """Terminal-level flips equalizing the tuple vertex a of any length q >= 0.
 
-    Bit i * p^q + u toggles row u of block i.  The row with the most ones goes
-    to all-ones and every other row to its majority side.
+    Bit i * p^q + u of a is row u of block i, and so is the flip toggling
+    it.  The row with the most ones goes to all-ones and every other row to
+    its majority side.  Row counts are bit-sliced: plane b holds bit b of
+    every row's count.
     """
-    blocks = vertex.blocks
-    assert blocks is not None
-    p, rows = len(blocks), len(blocks[0])
-    counts = [sum(b[u] for b in blocks) for u in range(rows)]
-    u0 = max(range(rows), key=counts.__getitem__)
+    rows = p**q
+    mask = (1 << rows) - 1
+    blocks = [(a >> (i * rows)) & mask for i in range(p)]
+    planes = [0] * p.bit_length()
+    for carry in blocks:
+        for b in range(len(planes)):
+            planes[b], carry = planes[b] ^ carry, planes[b] & carry
+    top = mask  # the rows of the largest count
+    for plane in reversed(planes):
+        if top & plane:
+            top &= plane
+    target = _lanes_above(planes, p >> 1, mask) | (top & -top)
     flips = 0
-    for u, c in enumerate(counts):
-        bit = int(u == u0 or 2 * c > p)
-        for i, b in enumerate(blocks):
-            if b[u] != bit:
-                flips |= 1 << (i * rows + u)
+    for i, block in enumerate(blocks):
+        flips |= (block ^ target) << (i * rows)
     return flips
 
 
@@ -214,20 +222,20 @@ def _closed_form(s: PeriodicSequence) -> tuple[CriticalReport, bool]:
     """
     p, n = s.modulus.p, s.modulus.n
     desc = _descend(s.value, p, n, rewrite=True)
-    vertex = desc.vertex
     pm = p ** len(desc.edges)
-    erase = vertex.l * pm
+    l = desc.l
+    erase = l * pm
     m_s, mask, j = erase, desc.vecs[0], None
-    if vertex.kind is VertexKind.TUPLE:
-        flips = _equalizing_flips(vertex)
+    if desc.q is not None:
+        flips = _equalizing_flips(p, desc.q, desc.vecs[-1])
         j = flips.bit_count()
-        assert j != vertex.l
-        if j < vertex.l:
+        assert j != l
+        if j < l:
             m_s, mask = j * pm, _expand_flip(desc, flips)
             assert mask.bit_count() == m_s
     single = desc.vecs[0] == s.value
     m1 = erase if single and m_s < erase else None
-    vertex_j = j if vertex.q else None
+    vertex_j = j if desc.q else None
     L_after = _lc_value(s.value ^ mask, p, n)
     return CriticalReport(m_s, L_after, m1, "formula", vertex_j=vertex_j), single
 

@@ -9,7 +9,9 @@ value, ``xwli_lc`` (odd p) adds the branch taken at each depth.
 ``berlekamp_massey_lc`` - classic LFSR synthesis over GF(2), fed two periods
 - is the independent oracle they are checked against; it skips each run of
 zero-discrepancy steps in one shift, as those steps change nothing but the
-index.
+index.  The verify sweep runs the same Massey steps bit-sliced across a
+block of sequences (``_bm_values``): each sequence is one bit lane of a few
+Python ints, so one big-int operation does a step's work for the whole block.
 
 Every attainable complexity has a unique canonical form
 ``L = eps + (p-1) * sum(p^(v-1) for v in V)`` with ``eps`` in {0, 1} and
@@ -19,8 +21,10 @@ unique; the greedy largest-exponent-first choice is used.)
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
+from operator import and_, xor
 
 from .errors import EvenP, NotRepresentable, OddP
 from .sequences import Modulus, PeriodicSequence
@@ -35,6 +39,9 @@ __all__ = [
     "lc_form_decompose",
     "xwli_lc",
 ]
+
+
+_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -184,6 +191,80 @@ def _bm_value(stream: int, length: int) -> int:
         sc ^= sb
         i += 1
     return deg
+
+
+def _lanes_above(planes: list[int], c: int, lanes: int) -> int:
+    """The lanes whose bit-sliced value exceeds c, for c < 2^len(planes).
+
+    Plane b holds bit b of every lane's value; the compare runs MSB first,
+    eq keeping the lanes that match c so far.
+    """
+    gt, eq = 0, lanes
+    for b in range(len(planes) - 1, -1, -1):
+        if c >> b & 1:
+            eq &= planes[b]
+        else:
+            gt |= eq & planes[b]
+            eq &= ~planes[b]
+    return gt
+
+
+def _bm_values(values: list[int], N: int) -> list[int]:
+    """``_bm_value`` on two periods of each N-bit value, bit-sliced.
+
+    Lane j of every plane belongs to values[j]: plane S[t] holds its bit
+    t mod N, C[k] bit k of its connection polynomial, B[k] bit k of x^m * B
+    (B pre-shifted by the steps m since it was set), and L[b] bit b of its
+    complexity, so one big-int operation does a step's work for every lane.
+    dc and db bound the degrees of C and x^m * B over all lanes; no lane's
+    C or x^m * B has degree above N where it is read, so N + 1 planes hold
+    them.  Below max(256, 4N) lanes the scalar loop is faster.
+    """
+    W = len(values)
+    if W < max(256, 4 * N):
+        return [_bm_value(v | v << N, 2 * N) for v in values]
+    full = (1 << W) - 1
+    # N digits per value, MSB first; S repeats the period so S[i - j] is direct
+    rows = (f"{{:0{N}b}}" * W).format(*values)
+    S = [int(rows[N - 1 - t :: N], 2) for t in range(N)] * 2
+    C = [full] + [0] * N
+    B = [0, full] + [0] * (N - 1)
+    K = N.bit_length()
+    L = [0] * K
+    dc, db = 0, 1
+    for i in range(2 * N):
+        d = reduce(xor, map(and_, C[1 : dc + 1], S[i - 1 :: -1]), S[i])
+        swap = 0
+        if d:
+            swap = d & ~_lanes_above(L, i >> 1, full)  # d = 1 and 2L <= i
+            dc = max(dc, db)
+            old = C[: min(dc, N - 1) + 1]
+            C[1 : db + 1] = [c ^ (d & b) for c, b in zip(C[1 : db + 1], B[1 : db + 1])]
+        if swap:
+            # x^m * B becomes x * C_old and L becomes i + 1 - L on swap lanes
+            B = [0, *[b ^ (swap & (b ^ c)) for b, c in zip(B, old)]]
+            B += [0] * (N + 1 - len(B))
+            db = min(dc + 1, N)
+            borrow = 0
+            for b in range(K):
+                x = L[b]
+                if (i + 1) >> b & 1:
+                    L[b] = x ^ (swap & ~borrow)
+                    borrow &= x
+                else:
+                    L[b] = x ^ (swap & borrow)
+                    borrow |= x
+        else:
+            B = [0, *B[:N]]
+            db = min(db + 1, N)
+    # one field of g bytes per lane, wide enough for any L <= N
+    g, code = (1, "B") if K <= 8 else (2, "H") if K <= 16 else (4, "I")
+    buf = bytearray(W * g)
+    total = 0
+    for b, plane in enumerate(L):
+        buf[g - 1 :: g] = format(plane, f"0{W}b").encode().translate(_TO_BIT)
+        total += int.from_bytes(buf, "big") << b
+    return list(struct.unpack(f">{W}{code}", total.to_bytes(W * g, "big")))
 
 
 def berlekamp_massey_lc(s: PeriodicSequence) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, islice, product
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .counting import _class_count, _class_members, count_sequences_with_lc
 from .hypercube import _descend, is_hypercube, standard_decompose
@@ -30,7 +30,7 @@ from .kerror import (
     kurosawa_m,
     meidl_upper_bound,
 )
-from .lincomp import berlekamp_massey_lc, lc, xwli_lc
+from .lincomp import _bm_values, berlekamp_massey_lc, lc, xwli_lc
 from .sequences import Modulus, PeriodicSequence
 
 __all__ = ["SuiteReport", "SUITES", "run_suites"]
@@ -38,6 +38,10 @@ __all__ = ["SuiteReport", "SUITES", "run_suites"]
 MAX_DETAILS = 20
 EXHAUSTIVE_LIMIT = 1 << 13
 SAMPLE_SIZE = 1000
+# Most sequences the lc oracle runs through one bit-sliced Berlekamp-Massey
+# call: enough lanes to repay the planes' per-step cost, few enough that the
+# block's values and planes stay a few hundred KB.
+_BM_BLOCK = 4096
 
 
 @dataclass
@@ -69,16 +73,18 @@ class SuiteReport:
         return f"{self.name}: {self.agreements}/{self.checks} agree"
 
 
+def _values(modulus: Modulus, rng: random.Random, limit: int = EXHAUSTIVE_LIMIT) -> Iterator[int]:
+    """All nonzero sequence values when that fits, a seeded sample otherwise."""
+    top = 1 << modulus.period
+    if top <= limit:
+        return iter(range(1, top))
+    return (rng.randrange(1, top) for _ in range(SAMPLE_SIZE))
+
+
 def _universe(
     modulus: Modulus, rng: random.Random, limit: int = EXHAUSTIVE_LIMIT
 ) -> Iterable[PeriodicSequence]:
-    """All nonzero sequences when that fits, a seeded sample otherwise."""
-    top = 1 << modulus.period
-    if top <= limit:
-        values: Iterable[int] = range(1, top)
-    else:
-        values = (rng.randrange(1, top) for _ in range(SAMPLE_SIZE))
-    return (PeriodicSequence(modulus, v) for v in values)
+    return (PeriodicSequence(modulus, v) for v in _values(modulus, rng, limit))
 
 
 def _moduli(override: Modulus | None, default: list[Modulus]) -> list[Modulus]:
@@ -87,7 +93,10 @@ def _moduli(override: Modulus | None, default: list[Modulus]) -> list[Modulus]:
 
 def _suite_lc_oracle(modulus: Modulus | None, rng: random.Random, cap: int) -> SuiteReport:
     """``lc`` at every p, and ``xwli_lc``'s value and trace total at odd p,
-    against Berlekamp-Massey (at p = 2, ``lc`` is the Games-Chan halving)."""
+    against Berlekamp-Massey (at p = 2, ``lc`` is the Games-Chan halving).
+
+    The oracle runs bit-sliced on each block of the universe; the checks are
+    recorded one per sequence, in universe order."""
     rep = SuiteReport("lc-oracle")
     defaults = [
         Modulus(3, 1), Modulus(3, 2), Modulus(5, 1), Modulus(3, 3), Modulus(5, 2),
@@ -96,17 +105,20 @@ def _suite_lc_oracle(modulus: Modulus | None, rng: random.Random, cap: int) -> S
     for mod in _moduli(modulus, defaults):
         zero = PeriodicSequence.zeros(mod)
         rep.record(berlekamp_massey_lc(zero) == 0, lambda: f"{mod} zero sequence: bm != 0")
-        for s in _universe(mod, rng, limit=1 << 16):
-            a, b = lc(s), berlekamp_massey_lc(s)
-            if mod.p == 2:
-                rep.record(a == b, lambda: f"{mod} s={s.to01()}: lc {a} != bm {b}")
-            else:
-                form, trace = xwli_lc(s)
-                rep.record(
-                    a == form.value == trace.total == b,
-                    lambda: f"{mod} s={s.to01()}: lc {a}, xwli_lc {form.value}, "
-                    f"trace {trace.total} != bm {b}",
-                )
+        values = _values(mod, rng, limit=1 << 16)
+        while block := list(islice(values, _BM_BLOCK)):
+            for v, b in zip(block, _bm_values(block, mod.period)):
+                s = PeriodicSequence(mod, v)
+                a = lc(s)
+                if mod.p == 2:
+                    rep.record(a == b, lambda: f"{mod} s={s.to01()}: lc {a} != bm {b}")
+                else:
+                    form, trace = xwli_lc(s)
+                    rep.record(
+                        a == form.value == trace.total == b,
+                        lambda: f"{mod} s={s.to01()}: lc {a}, xwli_lc {form.value}, "
+                        f"trace {trace.total} != bm {b}",
+                    )
     return rep
 
 

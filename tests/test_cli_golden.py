@@ -70,6 +70,8 @@ def _cases() -> list[list[str]]:
         ["construct-stable", *mod8, "--k", "3"],
         ["verify", *mod9, "--suite", "mcrit-exhaustive"],
         ["verify", "--suite", "stability", "--suite", "counting"],
+        ["verify", "--suite", "lc-oracle", "--p", "2", "--n", "4"],
+        ["verify", "--suite", "lc-oracle", "--p", "3", "--n", "3", "--seed", "7"],
         ["klc", "--p", "5", "--n", "2", "--k", "2", "--file", "p5n2-mixed.txt"],
         ["mcrit", "--p", "3", "--n", "3", "--mode", "both", "--file", "p3n3-cubes.txt"],
         ["mcrit", "--p", "5", "--n", "2", "--mode", "brute", "--file", "p5n2-cubes.txt"],

@@ -13,7 +13,7 @@ from seqcomplex import (
     xwli_lc,
 )
 from seqcomplex.errors import EvenP, NotRepresentable, OddP
-from seqcomplex.lincomp import _bm_value
+from seqcomplex.lincomp import _bm_value, _bm_values
 
 MOD9 = Modulus(3, 2)
 MOD27 = Modulus(3, 3)
@@ -177,3 +177,39 @@ def test_run_skipping_bm_matches_the_stepwise_loop():
             v = rng.getrandbits(N)
             stream = v | (v << N)
             assert _bm_value(stream, 2 * N) == stepwise_bm(stream, 2 * N), (N, v)
+
+
+def _assert_lanes_match(values, N):
+    got = _bm_values(values, N)
+    assert len(got) == len(values)
+    for v, L in zip(values, got):
+        stream = v | (v << N)
+        assert L == _bm_value(stream, 2 * N) == stepwise_bm(stream, 2 * N), (N, v, L)
+    return got
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 9, 11])
+def test_bit_sliced_bm_matches_scalar_on_every_value(N):
+    """Every value, zero included, alone and repeated past the width where
+    the lanes replace the scalar loop."""
+    values = list(range(1 << N))
+    _assert_lanes_match(values, N)
+    _assert_lanes_match(values * -(-max(256, 4 * N) >> N), N)
+
+
+@pytest.mark.parametrize("N", [16, 25, 27, 32, 81, 243])
+def test_bit_sliced_bm_matches_scalar_on_random_blocks(N):
+    """Seeded blocks on both sides of the scalar fallback; lane 0 holds a
+    single one, whose complexity is the full period N."""
+    rng = random.Random(N)
+    for width in (1, 255, 256, 1000, 4096):
+        values = [1] + [rng.getrandbits(N) for _ in range(width - 1)]
+        assert _assert_lanes_match(values, N)[0] == N
+
+
+@pytest.mark.parametrize("N", [255, 256])
+def test_bit_sliced_bm_field_holds_the_full_period(N):
+    """L = N needs one byte per lane at 255 and two at 256."""
+    rng = random.Random(N)
+    values = [1, 0] + [rng.getrandbits(N) for _ in range(4 * N - 2)]
+    assert _assert_lanes_match(values, N)[:2] == [N, 0]

@@ -94,6 +94,28 @@ def test_lc_oracle_checks_lc_at_odd_p(monkeypatch):
     assert rep.details[0] == "3^1 s=100: lc 4, xwli_lc 3, trace 3 != bm 3"
 
 
+def test_lc_oracle_fails_exactly_a_faulty_lane(monkeypatch):
+    """A bit-sliced oracle off by one on one lane of the second block fails
+    that sequence alone: lanes line up with the universe across blocks."""
+    bm_values = verify._bm_values
+    calls = []
+
+    def faulty(values, N):
+        out = bm_values(values, N)
+        calls.append(len(values))
+        if len(calls) == 2:
+            out[7] += 1
+        return out
+
+    monkeypatch.setattr(verify, "_bm_values", faulty)
+    mod = Modulus(2, 4)
+    (rep,) = run_suites(["lc-oracle"], mod)
+    assert calls == [verify._BM_BLOCK] * 15 + [verify._BM_BLOCK - 1]
+    s = PeriodicSequence(mod, verify._BM_BLOCK + 8)
+    assert (rep.checks, rep.failures) == (1 << 16, 1)
+    assert rep.details == [f"2^4 s={s.to01()}: lc {lc(s)} != bm {lc(s) + 1}"]
+
+
 def test_failure_details_are_exact_capped_and_lazy(monkeypatch):
     """Only a kept failure formats its detail: a sweep of 2^16 failing checks
     builds at most MAX_DETAILS sequence literals."""
