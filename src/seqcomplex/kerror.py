@@ -27,14 +27,21 @@ level is h_1 and its levels, records and vertex are h_1's own, and s is a
 hypercube exactly when h_1 = s.  The rest of the decomposition is never
 computed.  Brute force has one exact scan, ``_drops``, which yields the critical
 points lazily, one weight class at a time, and one budget rule: class k is
-scanned only once the sum_{i<=k} C(N, i) patterns fit the cap.
+scanned only once the sum_{i<=k} C(N, i) patterns fit the cap.  A class runs
+bit-sliced (``_class_min``): each error pattern is one bit lane of a few
+Python ints, plane t holding bit t of every pattern in a block of up to 4096,
+so one big-int operation does a descent step's work for the whole block, and
+the least complexity is read from the per-level sum masks.  Classes of fewer
+than 8 patterns, and periods above 256, run one pattern at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from functools import lru_cache, reduce
 from itertools import combinations
 from math import comb
+from operator import or_, xor
 from typing import Iterator
 
 from .errors import (
@@ -53,7 +60,7 @@ from .hypercube import (
     _descend,
     _expand_flip,
 )
-from .lincomp import _lanes_above, _lc_value, lc_form_decompose
+from .lincomp import _lanes_above, _lc_value, _levels, lc_form_decompose
 from .sequences import Modulus, PeriodicSequence, require_nonzero
 
 __all__ = [
@@ -110,12 +117,96 @@ def _check_budget(N: int, k: int, cap: int) -> None:
         raise BudgetExceeded(f"{b} error patterns exceed cap {cap}")
 
 
-def _class_min(value: int, p: int, n: int, bits: list[int], k: int, below: int = 1) -> int:
+# A weight class of fewer patterns than this runs one pattern at a time:
+# below it a block's fixed cost exceeds the patterns' scalar descents.
+_SLICED_FROM = 8
+# Most patterns one bit-sliced block holds; its N planes take N * 512 bytes.
+_LANES = 4096
+# Above this period every class runs one pattern at a time: building a
+# block's planes recurses once per position, and they would pass 128 KB.
+_SLICED_UP_TO = 256
+_BIT = (1).__lshift__
+
+
+@lru_cache(maxsize=2048)
+def _planes(m: int, j: int) -> tuple[int, ...]:
+    """Plane t holds bit t of every m-bit pattern of weight j, one pattern per
+    lane: by Pascal's rule, those with bit m-1 clear, then those with it set."""
+    if j == 0 or j == m:
+        return (int(j > 0),) * m
+    low, high = _planes(m - 1, j), _planes(m - 1, j - 1)
+    w = comb(m - 1, j)
+    return (*(a | b << w for a, b in zip(low, high)), ((1 << comb(m - 1, j - 1)) - 1) << w)
+
+
+def _blocks(m: int, j: int, fixed: int = 0) -> Iterator[tuple[int, int, int]]:
+    """The class of m-bit patterns of weight j as blocks (m', j', fixed') of at
+    most _LANES patterns: the m'-bit patterns of weight j' joined with the bits
+    of fixed', split off the top of the class by Pascal's rule."""
+    if comb(m, j) <= _LANES:
+        yield m, j, fixed
+    else:
+        yield from _blocks(m - 1, j, fixed)
+        yield from _blocks(m - 1, j - 1, fixed | 1 << (m - 1))
+
+
+def _lanes_min(planes: list[int], levels: tuple, lanes: int) -> int:
+    """Least complexity over the lanes of a bit-sliced vector.
+
+    Plane t holds bit t of every lane's vector.  Each level runs the
+    divide-and-sum step on every lane at once: the sum lanes are those where
+    some part differs from part 0, and only they take the XOR of the parts.
+    The least lane is followed MSB first: a level's increment is at least
+    what all lower levels and the final scalar can add, so the lanes that
+    keep their parts (when any do) hold the minimum.
+    """
+    L = 0
+    for plen, _, _, increment in levels:
+        head, rest = planes[:plen], planes[plen : 2 * plen]
+        diff = reduce(or_, map(xor, head, rest))
+        for i in range(2 * plen, len(planes), plen):
+            part = planes[i : i + plen]
+            diff = reduce(or_, map(xor, head, part), diff)
+            rest = list(map(xor, rest, part))
+        planes = [h ^ (diff & r) for h, r in zip(head, rest)]
+        if lanes & ~diff:
+            lanes &= ~diff
+        else:
+            L += increment
+    return L + (not lanes & ~planes[0])
+
+
+def _block_mins(value: int, p: int, n: int, k: int) -> Iterator[int]:
+    """The least complexity of each block of the weight-k class, bit-sliced:
+    a block's planes are its patterns' planes, complemented where s has a 1."""
+    N = p**n
+    levels = _levels(p, n)
+    for m, j, fixed in _blocks(N, k):
+        full = (1 << comb(m, j)) - 1
+        a = value ^ fixed
+        planes = [q ^ full if a >> t & 1 else q for t, q in enumerate(_planes(m, j))]
+        planes += [full if a >> t & 1 else 0 for t in range(m, N)]
+        yield _lanes_min(planes, levels, full)
+
+
+def _class_min(value: int, p: int, n: int, k: int, below: int = 1) -> int:
     """Least complexity over the error patterns of weight exactly k, or the
-    first one found below ``below`` (by default only 0 ends the scan early)."""
-    best = len(bits)  # no sequence of period N exceeds complexity N
-    for combo in combinations(bits, k):
-        L = _lc_value(value ^ sum(combo), p, n)
+    first block's (or pattern's) least found below ``below`` (by default only
+    0 ends the scan early).
+
+    The class runs bit-sliced, _LANES patterns a block.  Classes of fewer than
+    _SLICED_FROM patterns, and periods above _SLICED_UP_TO, run one pattern
+    at a time.
+    """
+    N = p**n
+    if N <= _SLICED_UP_TO and comb(N, k) >= _SLICED_FROM:
+        values = _block_mins(value, p, n, k)
+    else:
+        # each pattern is built alone: a list of every 1 << i takes N^2 / 16 bytes
+        combos = combinations(range(N), k)
+        values = (_lc_value(value ^ sum(map(_BIT, c)), p, n) for c in combos)
+    best = N  # no sequence of period N exceeds complexity N
+    for L in values:
         if L < best:
             best = L
             if L < below:
@@ -127,13 +218,12 @@ def _drops(s: PeriodicSequence, cap: int, upto: int) -> Iterator[CelcsPoint]:
     """The critical points (k, L_k) with 1 <= k <= upto, in order and lazily.
     Class k is counted against the cap, then scanned; the scan ends at L = 0."""
     p, n, N = s.modulus.p, s.modulus.n, s.modulus.period
-    bits = [1 << i for i in range(N)]
     prev = _lc_value(s.value, p, n)
     for k in range(1, upto + 1):
         if prev == 0:
             return
         _check_budget(N, k, cap)
-        L = _class_min(s.value, p, n, bits, k)
+        L = _class_min(s.value, p, n, k)
         if L < prev:
             prev = L
             yield CelcsPoint(k, L)
@@ -161,10 +251,9 @@ def first_critical_bruteforce(s: PeriodicSequence, cap: int = DEFAULT_CAP) -> Cr
     m_s, L_after = astuple(next(_drops(s, cap, N)))
     if L_after == 0:
         return CriticalReport(m_s, 0, None, "brute")
-    bits = [1 << i for i in range(N)]
     for k in range(m_s + 1, N + 1):
         _check_budget(N, k, cap)
-        if _class_min(s.value, p, n, bits, k, below=L_after) < L_after:
+        if _class_min(s.value, p, n, k, below=L_after) < L_after:
             return CriticalReport(m_s, L_after, k, "brute")
     raise AssertionError("k = weight(s) always reaches L = 0")
 

@@ -2,7 +2,9 @@
 
 Deliberately naive and independent of the package internals: linear
 complexity via GF(2) polynomial gcd, and exhaustive searches phrased
-directly from the definitions.
+directly from the definitions.  The one exception is the scalar class scan,
+which runs the package's own descent on each pattern: it is the reference
+for the bit-sliced enumeration around that descent, not for the descent.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import random
 from itertools import combinations, product
 
 from seqcomplex import PeriodicSequence, VertexDescriptor, VertexKind
+from seqcomplex.lincomp import _lc_value
 
 
 def poly_deg(a: int) -> int:
@@ -68,6 +71,21 @@ def stepwise_bm(stream: int, length: int) -> int:
                 deg = i + 1 - deg
             sc ^= sb
     return deg
+
+
+def scalar_class_min(value: int, p: int, n: int, k: int, below: int = 1) -> int:
+    """Least complexity over the error patterns of weight exactly k, one
+    pattern at a time, or the first found below ``below``: the reference for
+    the package's bit-sliced class scan."""
+    N = p**n
+    best = N
+    for combo in combinations([1 << i for i in range(N)], k):
+        L = _lc_value(value ^ sum(combo), p, n)
+        if L < best:
+            best = L
+            if L < below:
+                break
+    return best
 
 
 def seq(mod, text: str) -> PeriodicSequence:

@@ -1,7 +1,7 @@
 """CLI output pinned byte for byte over a small seeded corpus.
 
 The corpora in golden/ mix random dense and sparse sequences with planted
-hypercubes (p = 2 cubes at periods 16 and 64).  The commands that read no
+hypercubes (p = 2 cubes at periods 16, 32 and 64).  The commands that read no
 sequence (count, construct-stable, verify) are pinned in text and JSON,
 with their error exits.  golden/cli.out holds the
 exit code, stdout and stderr of every case below.  After a deliberate
@@ -86,6 +86,8 @@ def _cases() -> list[list[str]]:
         ["celcs", "--p", "3", "--n", "3", "--file", "p3n3-cubes.txt", "--format", "csv"],
         ["celcs", "--p", "5", "--n", "2", "--mode", "both", "--seq", "0001000000000000000000000",
          "--format", "csv"],
+        ["celcs", "--p", "2", "--n", "5", "--mode", "brute", "--file", "p2n5.txt"],
+        ["mcrit", "--p", "5", "--n", "2", "--mode", "brute", "--file", "p5n2-mixed.txt"],
     ]
     return cases
 

@@ -1,9 +1,17 @@
 import random
+import tracemalloc
 from itertools import combinations, islice
+from math import comb
 
 import pytest
 
-from helpers import exhaustive_min_change, gcd_k_error_lc, random_tuple_vertex, seq
+from helpers import (
+    exhaustive_min_change,
+    gcd_k_error_lc,
+    random_tuple_vertex,
+    scalar_class_min,
+    seq,
+)
 from seqcomplex import (
     CelcsPoint,
     Modulus,
@@ -16,6 +24,7 @@ from seqcomplex import (
     first_critical_m,
     is_hypercube,
     k_error_lc_bruteforce,
+    kerror,
     kurosawa_m,
     lc,
     meidl_upper_bound,
@@ -89,6 +98,92 @@ def test_first_critical_bruteforce_budget_carries_into_m1_search():
     # classes 0 and 1 (1 + 9 patterns) give m(s) = 1; class 2 brings the count to 46
     with pytest.raises(BudgetExceeded, match=r"^46 error patterns exceed cap 20$"):
         first_critical_bruteforce(seq(MOD9, "110000000"), cap=20)
+
+
+def _agrees_with_scalar_scan(value, p, n, k):
+    want = kerror._class_min(value, p, n, k)
+    assert want == scalar_class_min(value, p, n, k), (p, n, value, k)
+    # with a bound, both scans agree on whether some pattern falls below it
+    for below in (want, want + 1):
+        got = kerror._class_min(value, p, n, k, below=below) < below
+        assert got == (scalar_class_min(value, p, n, k, below=below) < below)
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 1), (7, 1)])
+def test_class_min_matches_scalar_scan_on_every_class(p, n):
+    N = p**n
+    for value in range(1 << N):
+        for k in range(N + 1):
+            _agrees_with_scalar_scan(value, p, n, k)
+
+
+@pytest.mark.parametrize("p, n, ks, count", [
+    (2, 4, range(17), 6),  # every class, C(16, 8) = 12870 patterns split in blocks
+    (3, 3, range(4), 12),
+    (5, 2, range(4), 12),
+    (2, 5, range(4), 8),
+])
+def test_class_min_matches_scalar_scan_on_sampled_sequences(p, n, ks, count):
+    rng = random.Random(1300 + p**n)
+    for _ in range(count):
+        value = rng.randrange(1 << p**n)
+        for k in ks:
+            _agrees_with_scalar_scan(value, p, n, k)
+
+
+def test_class_min_splits_large_classes_and_reads_every_block(monkeypatch):
+    """C(16, 8) runs as several blocks of at most _LANES patterns; the least
+    complexity is read from all of them, and a bound ends the scan after the
+    first block below it."""
+    blocks = list(kerror._blocks(16, 8))
+    assert len(blocks) > 1
+    assert sum(comb(m, j) for m, j, _ in blocks) == comb(16, 8)
+    assert all(comb(m, j) <= kerror._LANES for m, j, _ in blocks)
+    lanes_min = kerror._lanes_min
+    scanned = []
+
+    def counted(*args):
+        scanned.append(lanes_min(*args))
+        return scanned[-1]
+
+    monkeypatch.setattr(kerror, "_lanes_min", counted)
+    value = 0b1011_0000_0110_0001
+    assert kerror._class_min(value, 2, 4, 8) == scalar_class_min(value, 2, 4, 8)
+    assert len(scanned) == len(blocks)
+    scanned.clear()
+    assert kerror._class_min(value, 2, 4, 8, below=17) < 17
+    assert len(scanned) == 1
+
+
+def test_first_critical_bruteforce_matches_scalar_scans():
+    """m(s), L_m and m1 read from scalar class scans; the m1 search is the
+    scan that stops early, at the first class reaching below L_m."""
+    rng = random.Random(1316)
+    for p, n, values in [(2, 3, range(1, 256)), (3, 2, range(1, 512)),
+                         (2, 4, [rng.randrange(1, 1 << 16) for _ in range(12)])]:
+        N = p**n
+        for value in values:
+            L0 = scalar_class_min(value, p, n, 0)
+            m = next(k for k in range(1, N + 1) if scalar_class_min(value, p, n, k) < L0)
+            L_m = scalar_class_min(value, p, n, m)
+            m1 = next((k for k in range(m + 1, N + 1)
+                       if scalar_class_min(value, p, n, k, below=L_m) < L_m), None)
+            rep = first_critical_bruteforce(PeriodicSequence(Modulus(p, n), value))
+            assert (rep.m_s, rep.L_after, rep.m1_s) == (m, L_m, m1)
+
+
+def test_class_scan_above_the_sliced_periods_builds_each_pattern_alone():
+    """At period 4096 a list of every 1 << i would take over 1 MB; the scan
+    holds one pattern at a time."""
+    s = PeriodicSequence(Modulus(2, 12), (1 << 4095) | 1)
+    tracemalloc.start()
+    try:
+        assert k_error_lc_bruteforce(s, 1) == 4095
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
 
 def test_first_critical_formula_pinned_reference_cases():
     # weight-2 vertex, repeated: fill the third row

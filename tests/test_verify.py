@@ -48,6 +48,18 @@ def test_remaining_suites_clean_9():
     assert all(r.checks > 0 for r in reports)
 
 
+def test_stability_pinned_to_period_25_scans_every_class():
+    """construct_stable(5^2, k) fills the whole period for k >= 5, so its first
+    drop is read after scanning all 2^25 error patterns."""
+    (rep,) = run_suites(["stability"], Modulus(5, 2))
+    assert (rep.checks, rep.failures) == (8, 0)
+
+
+def test_mcrit_pinned_to_period_32_agrees_on_its_sample():
+    (rep,) = run_suites(["mcrit-exhaustive"], Modulus(2, 5))
+    assert (rep.checks, rep.failures) == (1000, 0)
+
+
 def test_decomposition_skips_p2():
     (rep,) = run_suites(["decomposition"], Modulus(2, 3))
     assert (rep.checks, rep.failures, rep.details) == (0, 0, [])
