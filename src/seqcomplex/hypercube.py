@@ -165,9 +165,11 @@ class Decomposition:
 # bits of vecs[k].  A split kept part 0 of p equal parts, so each row of
 # vecs[k+1] comes from all p copies.  A sum XORed p parts that share no row
 # (a rewrite clears the rows that would cancel), so each 1 of vecs[k+1] comes
-# from the one part holding it in vecs[k].  Pulling a mask of level-k+1 rows
-# back to level k follows those sources, and sends each zero row of a sum
-# through part 0.
+# from the one part holding it in vecs[k].  The rewrite works on the packed
+# vector: ``_kept`` shifts a's ones, and the XOR of its parts, into every
+# later part, so one pass of p - 1 shifts marks each odd row's first 1 in all
+# parts at once.  Pulling a mask of level-k+1 rows back to level k follows
+# those sources, and sends each zero row of a sum through part 0.
 #
 # The vertex stays an int mask too: the descent ends at vecs[-1], which is
 # the scalar 1 when q is None (an element vertex) and the p parts of p^q bits
@@ -224,20 +226,17 @@ class _Descent:
         return (spread & self.vecs[k - 1]) | (rows & ~self.vecs[k])
 
 
-def _kept(parts: Seq[int]) -> list[int]:
-    """Per part, the rows of odd parity whose first 1 lies in that part.
+def _kept(a: int, x: int, p: int, plen: int) -> int:
+    """The ones of a's p parts of plen bits that a rewrite keeps, packed as in a.
 
-    These are the ones a rewrite keeps; their union is the XOR of the parts.
+    x is the XOR of the parts.  A row of odd parity keeps its first 1, the
+    one in the lowest part holding the row, so the kept ones XOR to x.
     """
-    x = 0
-    for part in parts:
-        x ^= part
-    seen = 0
-    kept = []
-    for part in parts:
-        kept.append(part & x & ~seen)
-        seen |= part
-    return kept
+    seen, rows = 0, x
+    for i in range(plen, p * plen, plen):
+        seen |= a << i  # each part's ones, shifted into every later part
+        rows |= x << i
+    return a & rows & ~seen
 
 
 _TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
@@ -263,7 +262,7 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
         hi = a >> plen
         split = hi == a & low_mask
         if split:
-            edges.append(n - depth)
+            edges.insert(0, n - depth)
             a &= mask
         else:
             x = a
@@ -280,8 +279,7 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
                     desc.ok, desc.fail_depth = False, depth
                     return desc
                 # clear every one that is not kept, down to the period
-                kept = _kept([(a >> (i * plen)) & mask for i in range(p)])
-                clear = a ^ sum(k << (i * plen) for i, k in enumerate(kept))
+                clear = a ^ _kept(a, x, p, plen)
                 for k in range(len(vecs) - 1, -1, -1):
                     lower = desc.pull_back(k, clear) if k else 0
                     vecs[k] ^= clear
@@ -291,7 +289,7 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
         vecs.append(a)
     else:
         assert a == 1
-    desc.edges = tuple(sorted(edges))
+    desc.edges = tuple(edges)
     return desc
 
 
@@ -376,12 +374,17 @@ def rebalance_blocks(
         raise ValueError("blocks must have equal length")
     if all(tuple(b) == tuple(blocks[0]) for b in blocks[1:]):
         raise ValueError("blocks are all equal; rewrite applies to the XOR branch")
-    kept = _kept([sum(1 << t for t, bit in enumerate(b) if bit) for b in blocks])
-    survivors = sum(k.bit_count() for k in kept)
-    if survivors == 0:
+    parts = [sum(1 << t for t, bit in enumerate(b) if bit) for b in blocks]
+    x = 0
+    for part in parts:
+        x ^= part
+    kept = _kept(sum(v << (i * rows) for i, v in enumerate(parts)), x, len(parts), rows)
+    if kept == 0:
         raise IsVertex("blocks already sum to the zero vector")
-    sources = {t: i for t in range(rows) for i, k in enumerate(kept) if (k >> t) & 1}
-    return tuple(_bits(k, rows) for k in kept), sources
+    mask = (1 << rows) - 1
+    out = tuple(_bits(kept >> (i * rows) & mask, rows) for i in range(len(parts)))
+    sources = {t: i for t in range(rows) for i, b in enumerate(out) if b[t]}
+    return out, sources
 
 
 def standard_decompose(s: PeriodicSequence) -> Decomposition:

@@ -94,7 +94,9 @@ class CriticalReport:
     Brute reports are exact by construction.  Formula reports describe the
     minimal change of the leading hypercube: m_s and L_after are the weight
     and resulting complexity of its witness, exact when s is a hypercube and
-    an upper bound otherwise.  vertex_j is the minimal equalizing change of
+    an upper bound otherwise.  m1_s, filled only when s is a hypercube, is
+    its erase cost, an upper bound on the second critical point (see
+    ``second_critical_m1``).  vertex_j is the minimal equalizing change of
     the vertex (tuple vertices of length > 0).
     """
 
@@ -346,7 +348,12 @@ def first_critical_m(s: PeriodicSequence) -> CriticalReport:
 def second_critical_m1(s: PeriodicSequence, cap: int = DEFAULT_CAP) -> int | None:
     """Second critical error count, or None when L_{m(s)} is already 0.
 
-    Closed form for hypercubes with odd p; brute force otherwise.
+    Closed form for hypercubes with odd p; brute force otherwise.  The closed
+    form is the hypercube's erase cost, its weight, where L falls to 0: an
+    upper bound, which a cheaper change can beat.  The 5^2 hypercube
+    1010001100011111010000011 has closed-form m1 = 12 but brute-force m1 = 10
+    (L = 4); the 3^3 hypercube 110101001110101001000000000 has 10 against 6
+    (L = 6).
     """
     require_nonzero(s)
     if s.modulus.p != 2:
@@ -364,8 +371,12 @@ def celcs(
     """All critical points (k, L_k) of the k-error spectrum, ascending in k.
 
     mode="brute" enumerates every error pattern up to weight(s).  mode=
-    "formula" covers exactly the points the closed forms determine and is
-    only defined when s is a single hypercube.
+    "formula" is only defined when s is a single hypercube.  It lists (0, L),
+    the closed-form first critical point and, unless that reaches 0, the
+    closed-form m1 as (weight(s), 0).  That m1 is the erase cost, an upper
+    bound, so the list can skip a critical point in between: (10, 4) at the
+    5^2 hypercube 1010001100011111010000011 and (6, 6) at the 3^3 hypercube
+    110101001110101001000000000 (see ``second_critical_m1``).
     """
     if s.is_zero:
         return (CelcsPoint(0, 0),)

@@ -88,6 +88,62 @@ def scalar_class_min(value: int, p: int, n: int, k: int, below: int = 1) -> int:
     return best
 
 
+def _list_kept(parts: list[int]) -> list[int]:
+    """Per part, the rows of odd parity whose first 1 lies in that part."""
+    x = 0
+    for part in parts:
+        x ^= part
+    seen = 0
+    kept = []
+    for part in parts:
+        kept.append(part & x & ~seen)
+        seen |= part
+    return kept
+
+
+def list_rewrite_descent(value: int, p: int, n: int) -> tuple:
+    """The rewrite descent with the parts split out as a list of ints, one
+    per part: (vecs, records, edges, q, ok).  The reference for the
+    package's rewrite on the packed vector."""
+    vecs, records, edges, q = [value], [], [], None
+
+    def pull_back(k: int, rows: int) -> int:
+        plen, split = records[k - 1]
+        spread = rows
+        for i in range(1, p):
+            spread |= rows << (i * plen)
+        if split:
+            return spread
+        return (spread & vecs[k - 1]) | (rows & ~vecs[k])
+
+    a = value
+    for depth in range(1, n + 1):
+        plen = p ** (n - depth)
+        parts = [(a >> (i * plen)) & ((1 << plen) - 1) for i in range(p)]
+        split = all(part == parts[0] for part in parts)
+        if split:
+            edges.append(n - depth)
+            a = parts[0]
+        else:
+            x = 0
+            for part in parts:
+                x ^= part
+            if x == 0:
+                q = n - depth
+                break
+            if x.bit_count() != a.bit_count():
+                kept = _list_kept(parts)
+                clear = a ^ sum(k << (i * plen) for i, k in enumerate(kept))
+                for k in range(len(vecs) - 1, -1, -1):
+                    lower = pull_back(k, clear) if k else 0
+                    vecs[k] ^= clear
+                    clear = lower
+            a = x
+        records.append((plen, split))
+        vecs.append(a)
+    return vecs, records, tuple(sorted(edges)), q, True
+
+
 def seq(mod, text: str) -> PeriodicSequence:
     return PeriodicSequence.from_text(text, mod)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import seq
+from helpers import list_rewrite_descent, seq
 from seqcomplex import (
     HypercubeStructure,
     Modulus,
@@ -332,3 +332,28 @@ def test_decompose_structures_match_extraction_sampled():
             else:  # sparse: few parts, often with long tuple vertices
                 v = sum({1 << rng.randrange(mod.period) for _ in range(4)})
             _check_decomposition_matches_extraction(PeriodicSequence(mod, v))
+
+
+def _check_against_list_rewrite(s):
+    p, n = s.modulus.p, s.modulus.n
+    desc = _descend(s.value, p, n, rewrite=True)
+    got = (desc.vecs, desc.records, desc.edges, desc.q, desc.ok)
+    assert got == list_rewrite_descent(s.value, p, n), s.to01()
+
+
+def test_packed_rewrite_matches_list_rewrite_exhaustive():
+    for mod in (MOD9, Modulus(5, 1), Modulus(11, 1)):
+        for v in range(1, 1 << mod.period):
+            _check_against_list_rewrite(PeriodicSequence(mod, v))
+
+
+def test_packed_rewrite_matches_list_rewrite_sampled():
+    rng = random.Random(41)
+    samples = ((MOD27, 300), (Modulus(5, 2), 300), (Modulus(3, 5), 100), (Modulus(11, 2), 100))
+    for mod, count in samples:
+        for i in range(count):
+            if i % 2:
+                v = rng.randrange(1, 1 << mod.period)
+            else:  # sparse: few cancellations, often a hypercube
+                v = sum({1 << rng.randrange(mod.period) for _ in range(4)})
+            _check_against_list_rewrite(PeriodicSequence(mod, v))

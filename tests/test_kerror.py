@@ -271,6 +271,28 @@ def test_overshoot_witness_111100100():
     assert flipped.to01() == "100100100" and lc(flipped) == 3
 
 
+@pytest.mark.parametrize(
+    "mod, text, m, L_m, m1, L_m1",
+    [
+        (MOD25, "1010001100011111010000011", 9, 5, 10, 4),
+        (MOD27, "110101001110101001000000000", 5, 9, 6, 6),
+    ],
+)
+def test_closed_form_m1_overshoots_on_single_hypercubes(mod, text, m, L_m, m1, L_m1):
+    """The closed-form m1 is the hypercube's erase cost, its weight: an upper
+    bound that brute force beats on these single hypercubes, so the formula
+    spectrum skips the point (m1, L_m1)."""
+    s = seq(mod, text)
+    assert is_hypercube(s)
+    assert (first_critical_m(s).m_s, first_critical_m(s).L_after) == (m, L_m)
+    assert second_critical_m1(s) == first_critical_m(s).m1_s == s.weight
+    assert first_critical_bruteforce(s).m1_s == m1 < s.weight
+    formula, brute = celcs(s, mode="formula"), celcs(s, mode="brute")
+    assert CelcsPoint(m1, L_m1) in brute
+    assert CelcsPoint(m1, L_m1) not in formula
+    assert formula == tuple(pt for pt in brute if pt != CelcsPoint(m1, L_m1))
+
+
 def test_vertex_min_change_pinned():
     v = VertexDescriptor(VertexKind.TUPLE, 1, ((0, 0, 0), (1, 0, 0), (1, 0, 0)))
     assert vertex_min_change(v) == 1

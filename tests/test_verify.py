@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from seqcomplex import (
@@ -181,3 +183,36 @@ def test_decomposition_suite_and_is_hypercube_build_no_vertex(monkeypatch):
     hypercubes = sum(hypercube.is_hypercube(PeriodicSequence(mod, v)) for v in range(1, 512))
     assert hypercubes > 0
     assert built == []
+
+
+def test_lc_oracle_block_path_fails_the_odd_p_sequence_at_fault(monkeypatch):
+    """At 3^2 the 511 sequences are one bit-sliced block; an xwli_lc wrong
+    on one sequence mid-block fails that sequence alone, with the four-way
+    detail text."""
+    xwli_lc = verify.xwli_lc
+    mod = Modulus(3, 2)
+    bad = PeriodicSequence(mod, 300)
+
+    def faulty(s):
+        form, trace = xwli_lc(s)
+        if s == bad:
+            return SimpleNamespace(value=form.value + 1), trace
+        return form, trace
+
+    monkeypatch.setattr(verify, "xwli_lc", faulty)
+    (rep,) = run_suites(["lc-oracle"], mod)
+    L = lc(bad)
+    assert (rep.checks, rep.failures) == (512, 1)
+    assert rep.details == [f"3^2 s={bad.to01()}: lc {L}, xwli_lc {L + 1}, trace {L} != bm {L}"]
+
+
+def test_lc_oracle_block_path_fails_the_p2_sequence_at_fault(monkeypatch):
+    """An lc wrong on one sequence of the third block at 2^4 fails exactly
+    that sequence: the walk of a disagreeing block keeps universe order."""
+    mod = Modulus(2, 4)
+    bad = PeriodicSequence(mod, 2 * verify._BM_BLOCK + 100)
+    monkeypatch.setattr(verify, "lc", lambda s: lc(s) + (s == bad))
+    (rep,) = run_suites(["lc-oracle"], mod)
+    L = lc(bad)
+    assert (rep.checks, rep.failures) == (1 << 16, 1)
+    assert rep.details == [f"2^4 s={bad.to01()}: lc {L + 1} != bm {L}"]
