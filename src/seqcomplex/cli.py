@@ -9,54 +9,33 @@ _POOL_AFTER_S, --jobs N hands the rows left to at most min(N, CPUs, rows
 left) worker processes, in input-ordered chunks.  Exit codes: 0 success,
 1 input error, 2 verification mismatch, 3 budget exceeded, 4 internal error
 (a bug, not a problem with the input).
+
+A command loads only the modules it runs: counting, hypercube, kerror and
+verify are imported inside the commands and row workers that call them,
+and json only where a JSON report is built, so `lc` runs on lincomp and
+sequences alone, and builds each distinct canonical form once.
 """
 
 from __future__ import annotations
 
-import json
 import os
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from time import perf_counter
 
 import click
 
-from .counting import (
-    ENUM_CAP,
-    class_lc,
-    count_cubes,
-    count_hypercubes,
-    count_sequences_with_lc,
-    enumerate_cubes,
-    enumerate_hypercubes,
-)
 from .errors import (
+    DEFAULT_CAP,
+    ENUM_CAP,
     BudgetExceeded,
     NoEligibleExponent,
     NotACube,
     NotAHypercube,
     SeqComplexError,
 )
-from .hypercube import (
-    cube_lc,
-    extract_structure,
-    lc_from_structure,
-    next_lower_hypercube_lc,
-    standard_decompose,
-)
-from .kerror import (
-    DEFAULT_CAP,
-    celcs,
-    construct_stable,
-    first_critical_bruteforce,
-    first_critical_m,
-    k_error_lc_bruteforce,
-    kurosawa_m,
-    meidl_upper_bound,
-)
 from .lincomp import lc, lc_form_decompose
 from .sequences import Modulus, PeriodicSequence, parse_corpus, parse_sequence
-from .verify import SUITES, run_suites
 
 SCHEMA = "seqcomplex/1"
 
@@ -202,6 +181,8 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def _envelope(command: str, modulus: Modulus | None, results) -> str:
+    import json
+
     doc: dict = {"schema": SCHEMA, "command": command}
     if modulus is not None:
         doc["p"] = modulus.p
@@ -226,16 +207,30 @@ def _render(command, modulus, mapped, fmt, out, text_line) -> None:
 
 # -- per-sequence workers (top level so process pools can pickle them) -----------
 
+@cache
+def _form_text(L: int, modulus: Modulus) -> str:
+    """The canonical form of L, built once per distinct L in a corpus.
+
+    A random corpus holds few distinct L (4 in 2000 random rows at 3^5), and
+    the cache holds at most one text per attainable L of each modulus.
+    """
+    return str(lc_form_decompose(L, modulus))
+
+
 def _lc_record(s: PeriodicSequence) -> dict:
-    form = lc_form_decompose(lc(s), s.modulus)
-    return {"L": form.value, "canonical_form": str(form), "weight": s.weight}
+    L = lc(s)
+    return {"L": L, "canonical_form": _form_text(L, s.modulus), "weight": s.weight}
 
 
 def _klc_record(s: PeriodicSequence, k: int, cap: int) -> dict:
+    from .kerror import k_error_lc_bruteforce
+
     return {"k": k, "L_k": k_error_lc_bruteforce(s, k, cap=cap)}
 
 
 def _celcs_record(s: PeriodicSequence, mode: str, cap: int) -> dict:
+    from .kerror import celcs
+
     if mode == "both":
         f = [[pt.k, pt.L] for pt in celcs(s, mode="formula", cap=cap)]
         b = [[pt.k, pt.L] for pt in celcs(s, mode="brute", cap=cap)]
@@ -245,6 +240,8 @@ def _celcs_record(s: PeriodicSequence, mode: str, cap: int) -> dict:
 
 
 def _structure_record(s: PeriodicSequence) -> dict:
+    from .hypercube import cube_lc, extract_structure, lc_from_structure, next_lower_hypercube_lc
+
     if s.modulus.p == 2:
         try:
             m, edges, L = cube_lc(s)
@@ -272,6 +269,8 @@ def _structure_record(s: PeriodicSequence) -> dict:
 
 def _decompose_record(s: PeriodicSequence, detail: bool) -> dict:
     """Each part's L; with detail, its literal and structure too."""
+    from .hypercube import standard_decompose
+
     dec = standard_decompose(s)
     if not detail:
         return {"parts": [{"L": L} for L in dec.complexities]}
@@ -284,6 +283,8 @@ def _decompose_record(s: PeriodicSequence, detail: bool) -> dict:
 
 
 def _mcrit_record(s: PeriodicSequence, mode: str, cap: int) -> dict:
+    from .kerror import first_critical_bruteforce, first_critical_m, kurosawa_m, meidl_upper_bound
+
     rec: dict = {"mode": mode}
     if mode in ("formula", "both"):
         if s.modulus.p == 2:
@@ -471,6 +472,8 @@ def count_group() -> None:
 @_output_options()
 def count_lc_cmd(p, n, L, fmt, out):
     """How many sequences have complexity exactly L (odd p)."""
+    from .counting import count_sequences_with_lc
+
     modulus = Modulus(p, n)
     res = count_sequences_with_lc(modulus, L)
     rec = {"L": L, "count": res.value, "expression": res.expression}
@@ -492,6 +495,8 @@ def _class_text(res, rec: dict) -> str:
 @_output_options()
 def count_hypercubes_cmd(p, n, edges, l, do_enum, cap, fmt, out):
     """How many hypercubes share the given edge exponents and vertex class."""
+    from .counting import class_lc, count_hypercubes, enumerate_hypercubes
+
     modulus = Modulus(p, n)
     es = _parse_edges(edges)
     res = count_hypercubes(modulus, es, l)
@@ -510,6 +515,8 @@ def count_hypercubes_cmd(p, n, edges, l, do_enum, cap, fmt, out):
 @_output_options()
 def count_cubes_cmd(p, n, edges, do_enum, cap, fmt, out):
     """How many p=2 cubes share the given edge exponents."""
+    from .counting import class_lc, count_cubes, enumerate_cubes
+
     modulus = Modulus(p, n)
     es = _parse_edges(edges)
     res = count_cubes(modulus, es)
@@ -526,6 +533,8 @@ def count_cubes_cmd(p, n, edges, do_enum, cap, fmt, out):
 @_output_options()
 def construct_stable_cmd(p, n, k, fmt, out):
     """Build the maximal-complexity sequence whose L_k equals its L."""
+    from .kerror import construct_stable
+
     modulus = Modulus(p, n)
     s = construct_stable(modulus, k)
     rec = {"k": k, "seq": s.to01(), "L": lc(s), "stable_through": s.weight - 1,
@@ -538,16 +547,24 @@ def construct_stable_cmd(p, n, k, fmt, out):
     _render("construct-stable", modulus, [(None, s, rec)], fmt, out, text)
 
 
+# verify.SUITES's names, sorted; kept here so --help needs no verify import
+_SUITE_NAMES = (
+    "bounds", "counting", "decomposition", "lc-oracle", "mcrit-exhaustive", "stability",
+)
+
+
 @cli.command("verify")
 @click.option("--p", type=int, default=None, help="restrict sweeps to this prime base")
 @click.option("--n", type=int, default=None, help="restrict sweeps to this period exponent")
-@click.option("--suite", "suites", multiple=True, type=click.Choice(sorted(SUITES)),
+@click.option("--suite", "suites", multiple=True, type=click.Choice(_SUITE_NAMES),
               help="suite to run; repeatable; default all")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True)
 @_output_options()
 def verify_cmd(p, n, suites, seed, cap, fmt, out):
     """Cross-check the closed forms against brute force; exit 2 on mismatch."""
+    from .verify import run_suites
+
     if (p is None) != (n is None):
         raise click.UsageError("--p and --n must be given together")
     modulus = Modulus(p, n) if p is not None else None

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from .errors import BudgetExceeded, EvenP, InvalidEdges, InvalidL, OddP
+from .errors import ENUM_CAP, BudgetExceeded, EvenP, InvalidEdges, InvalidL, OddP
 from .hypercube import _hypercube_lc
 from .lincomp import lc_form_decompose
 from .sequences import Modulus, PeriodicSequence
@@ -41,8 +41,6 @@ __all__ = [
     "enumerate_cubes",
     "enumerate_hypercubes",
 ]
-
-ENUM_CAP = 10**6
 
 
 @dataclass(frozen=True)

@@ -84,6 +84,14 @@ class BudgetExceeded(SeqComplexError):
     """Requested enumeration exceeds the configured budget cap."""
 
 
+# Default budget caps: error patterns scanned by a brute-force k-error
+# operation, and members listed by a counting enumeration.  They live here,
+# beside the error they bound, so the command line can show them without
+# importing the modules that enforce them.
+DEFAULT_CAP = 10**8
+ENUM_CAP = 10**6
+
+
 class FormulaInapplicable(SeqComplexError):
     """Formula mode was requested for an input it does not cover."""
 

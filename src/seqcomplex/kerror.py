@@ -45,6 +45,7 @@ from operator import or_, xor
 from typing import Iterator
 
 from .errors import (
+    DEFAULT_CAP,
     BudgetExceeded,
     EvenP,
     FormulaInapplicable,
@@ -77,8 +78,6 @@ __all__ = [
     "second_critical_m1",
     "vertex_min_change",
 ]
-
-DEFAULT_CAP = 10**8
 
 
 @dataclass(frozen=True)

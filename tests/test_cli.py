@@ -419,13 +419,83 @@ def test_unwritable_out_is_an_input_error(capsys, tmp_path):
     assert "Could not open file" in err
 
 
-def test_importing_the_cli_loads_no_process_pool():
+def _fresh(code: str) -> tuple[list[str], set[str]]:
+    """Run code in a fresh interpreter: the lines it printed, and the
+    seqcomplex submodules and process pool module loaded after it."""
     src = str(Path(seqcomplex.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, seqcomplex.cli; print('concurrent.futures.process' in sys.modules)"
+    probe = (f"import sys\n{code}\nprint(*sorted(m for m in sys.modules if m.startswith("
+             "('seqcomplex.', 'concurrent.futures.process'))))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+    assert (proc.returncode, proc.stderr) == (0, ""), code
+    *printed, loaded = proc.stdout.split("\n")[:-1]
+    return printed, set(loaded.split())
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    pool = "concurrent.futures.process"
+    unused = {f"seqcomplex.{m}" for m in ("counting", "hypercube", "kerror", "verify")}
+    _, loaded = _fresh("import seqcomplex.cli")
+    assert not loaded & {pool, *unused}
+    # a command loads only the modules it runs
+    run_cli = ("from seqcomplex.cli import main\n"
+               "main([{!r}, '--p', '3', '--n', '2', '--seq', {!r}])")
+    printed, loaded = _fresh(run_cli.format("lc", "110000000"))
+    assert printed == ["8"]
+    assert not loaded & {pool, *unused}
+    printed, loaded = _fresh(run_cli.format("decompose", "111000000"))
+    assert printed[0] == "1 parts, L = 7"
+    assert "seqcomplex.hypercube" in loaded
+    assert not loaded & {pool, "seqcomplex.kerror", "seqcomplex.verify"}
+    # the package resolves its public names on first use, and only those
+    printed, _ = _fresh(
+        "import seqcomplex\n"
+        "names = {}\n"
+        "exec('from seqcomplex import *', names)\n"
+        "print(sorted(names.keys() - {'__builtins__'}) == sorted(seqcomplex.__all__))\n"
+        "print(set(seqcomplex.__all__) <= set(dir(seqcomplex)))\n"
+        "print(all(getattr(seqcomplex, n) is names[n] for n in seqcomplex.__all__))\n"
+        "try:\n"
+        "    seqcomplex.no_such_name\n"
+        "except AttributeError as e:\n"
+        "    print(e)\n"
+        "from seqcomplex import verify\n"
+        "print(verify.__name__)"
+    )
+    assert printed == [
+        "True", "True", "True",
+        "module 'seqcomplex' has no attribute 'no_such_name'",
+        "seqcomplex.verify",
+    ]
+
+
+def test_suite_choices_are_the_verify_suites():
+    from seqcomplex import verify
+
+    assert cli_module._SUITE_NAMES == tuple(sorted(verify.SUITES))
+
+
+def test_lc_records_match_the_canonical_form_of_every_attainable_l(capsys, tmp_path):
+    # one row per attainable L, so every row misses the per-L form cache
+    from seqcomplex import Modulus, lc, lc_form_decompose, parse_sequence
+
+    mod = Modulus(3, 2)
+    by_L = {}
+    for v in range(512):
+        s = parse_sequence(format(v, "09b"), mod)
+        by_L.setdefault(lc(s), s.to01())
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n".join(by_L[L] for L in sorted(by_L)) + "\n")
+    code, out, _ = run(capsys, "lc", *MOD9_ARGS, "--file", str(corpus), "--format", "json")
+    assert code == 0
+    got = [(r["L"], r["canonical_form"]) for r in json.loads(out)["results"]]
+    assert got == [(L, str(lc_form_decompose(L, mod))) for L in sorted(by_L)]
+    assert len(got) == 8  # epsilon in {0, 1} and any subset of the exponents {1, 2}
+    # the cached text is keyed by the modulus too: L = 1 reads in its own base
+    for p, seq, form in (("3", "111", "1 = 1 + (3-1)*[]"), ("5", "11111", "1 = 1 + (5-1)*[]")):
+        code, out, _ = run(capsys, "lc", "--p", p, "--n", "1", "--seq", seq, "--format", "json")
+        assert (code, json.loads(out)["results"][0]["canonical_form"]) == (0, form)
 
 
 def test_python_m_runs_the_cli():

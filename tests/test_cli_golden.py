@@ -4,10 +4,13 @@ The corpora in golden/ mix random dense and sparse sequences with planted
 hypercubes (p = 2 cubes at periods 16, 32 and 64).  The commands that read no
 sequence (count, construct-stable, verify) are pinned in text and JSON,
 with their error exits.  golden/cli.out holds the
-exit code, stdout and stderr of every case below.  After a deliberate
-output change, regenerate it from the repository root with
+exit code, stdout and stderr of every case below, and golden/help.out the
+--help text of the commands whose help shows a default or a choice list
+(the caps and the suite names).  After a deliberate output change,
+regenerate them from the repository root with
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/golden/cli.out
+    PYTHONPATH=src python tests/test_cli_golden.py help > tests/golden/help.out
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ import io
 import sys
 from pathlib import Path
 
-from seqcomplex.cli import main
+from click.testing import CliRunner
+
+from seqcomplex.cli import cli, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ODD = ("p5n2", "p3n3", "p3n5")
@@ -104,6 +109,22 @@ def render() -> str:
     return "".join(_run(argv) for argv in _cases())
 
 
+HELP_CASES = ([], ["klc"], ["celcs"], ["mcrit"], ["verify"], ["count", "hypercubes"],
+              ["count", "cubes"])
+
+
+def render_help() -> str:
+    """Each case's --help under a fixed program name and width: an in-process
+    help would print sys.argv[0] and wrap to the terminal."""
+    runner = CliRunner()
+    out = []
+    for argv in HELP_CASES:
+        argv = [*argv, "--help"]
+        res = runner.invoke(cli, argv, prog_name="seqcomplex", terminal_width=80)
+        out.append(f"$ seqcomplex {' '.join(argv)}\n[exit {res.exit_code}]\n{res.output}")
+    return "".join(out)
+
+
 def test_cli_output_matches_golden():
     expected = (GOLDEN / "cli.out").read_text()
     actual = render()
@@ -112,5 +133,9 @@ def test_cli_output_matches_golden():
     assert actual == expected
 
 
+def test_help_matches_golden():
+    assert render_help() == (GOLDEN / "help.out").read_text()
+
+
 if __name__ == "__main__":
-    sys.stdout.write(render())
+    sys.stdout.write(render_help() if sys.argv[1:] == ["help"] else render())
