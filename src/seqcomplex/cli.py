@@ -93,25 +93,14 @@ def _with_line(e: SeqComplexError, no: int | None) -> SeqComplexError:
     return e if no is None else type(e)(f"line {no}: {e}")
 
 
-def _attempt(worker, s: PeriodicSequence):
-    """(worker(s), None), or (None, e) when it raised the domain error e.
-
-    Returning the error keeps the results of the rows before it in the same
-    pool chunk, so the first failing row in input order is the one reported.
-    """
+def _row(worker, row):
+    """worker(s) for the row (no, s); a domain error is re-raised tagged with
+    the row's line number."""
+    no, s = row
     try:
-        return worker(s), None
+        return worker(s)
     except SeqComplexError as e:
-        return None, e
-
-
-def _collect(rows, attempts):
-    out = []
-    for (no, s), (rec, err) in zip(rows, attempts):
-        if err is not None:
-            raise _with_line(err, no)
-        out.append((no, s, rec))
-    return out
+        raise _with_line(e, no)
 
 
 # Row work, in seconds, that must be both measured and projected to remain
@@ -133,10 +122,12 @@ def _map_rows(worker, rows, jobs: int):
 
     Rows run in this process until _head stops; the rows left go to at most
     jobs worker processes in input-ordered chunks.  A domain error is
-    re-raised tagged with its row's line number.
+    re-raised tagged with its row's line number; pool.map reads the chunks in
+    input order and a chunk stops at its first failing row, so the first
+    failing row in input order is the one reported.
     """
-    attempt = partial(_attempt, worker)
-    done = _collect(rows, _head(attempt, rows, jobs))
+    row = partial(_row, worker)
+    done = [(no, s, rec) for (no, s), rec in zip(rows, _head(row, rows, jobs))]
     rest = rows[len(done):]
     if not rest:
         return done
@@ -146,28 +137,29 @@ def _map_rows(worker, rows, jobs: int):
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         chunksize = -(-len(rest) // (4 * workers))
-        return done + _collect(rest, pool.map(attempt, [s for _, s in rest], chunksize=chunksize))
+        recs = pool.map(row, rest, chunksize=chunksize)
+        return done + [(no, s, rec) for (no, s), rec in zip(rest, recs)]
     finally:
         pool.shutdown(cancel_futures=True)
 
 
-def _head(attempt, rows, jobs: int):
-    """Attempts of the leading rows, run and timed in this process.
+def _head(row, rows, jobs: int):
+    """Records of the leading rows, run and timed in this process.
 
     Stops before row i once more than one worker is available for the rows
     left, and both the time spent so far and the time projected for the
     rest reach _POOL_AFTER_S.
     """
     spent = 0.0
-    for i, (_, s) in enumerate(rows):
+    for i, r in enumerate(rows):
         left = len(rows) - i
         if (i and spent >= _POOL_AFTER_S and spent / i * left >= _POOL_AFTER_S
                 and _workers(jobs, left) > 1):
             return
         t0 = perf_counter()
-        result = attempt(s)
+        rec = row(r)
         spent += perf_counter() - t0
-        yield result
+        yield rec
 
 
 def _emit(payload: str, out: str | None) -> None:

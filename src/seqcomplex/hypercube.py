@@ -18,12 +18,13 @@ with eps = 1 for element vertices and (1-p)*(p^0+...+p^(q-1)) for tuple
 vertices of length q, which is 0 at q = 0 (the empty sum).
 
 ``standard_decompose`` peels a maximal hypercube off an arbitrary nonzero
-sequence: whenever an XOR step would cancel ones, the parts are rewritten
-in place (``rebalance_blocks``) so that every surviving one has a unique
-source, and the cleared ones are pushed back through the descent history to
-the period.  The peeled part keeps the full linear complexity of the input;
-the residue is strictly simpler, so recursion yields parts with strictly
-decreasing complexities.
+sequence in one pass down and one pass up.  Down, an XOR step that would
+cancel ones keeps the first 1 of each row; up, each level from the deepest
+such step to the period keeps the sources of the ones that survive below it,
+so every surviving one has a unique source (``rebalance_blocks`` does the
+same to p blocks).  The peeled part keeps the full linear complexity of the
+input; the residue is strictly simpler, so recursion yields parts with
+strictly decreasing complexities.
 """
 
 from __future__ import annotations
@@ -163,13 +164,16 @@ class Decomposition:
 # Level vectors are int bitmasks: vecs[k] holds p^(n-k) bits, and records[k]
 # = (plen, split) says how vecs[k+1] was derived from the p parts of plen
 # bits of vecs[k].  A split kept part 0 of p equal parts, so each row of
-# vecs[k+1] comes from all p copies.  A sum XORed p parts that share no row
-# (a rewrite clears the rows that would cancel), so each 1 of vecs[k+1] comes
-# from the one part holding it in vecs[k].  The rewrite works on the packed
-# vector: ``_kept`` shifts a's ones, and the XOR of its parts, into every
-# later part, so one pass of p - 1 shifts marks each odd row's first 1 in all
-# parts at once.  Pulling a mask of level-k+1 rows back to level k follows
-# those sources, and sends each zero row of a sum through part 0.
+# vecs[k+1] comes from all p copies.  A sum XORed p parts that share no row,
+# so each 1 of vecs[k+1] comes from the one part holding it in vecs[k].
+#
+# A rewrite descent makes every sum's parts share no row in two passes.
+# Down: a sum that would cancel ones keeps the first 1 of each row (``_kept``:
+# p - 1 shifts of a into its later parts), in its own level only.  Up, from the
+# deepest such level: vecs[k] &= vecs[k+1] spread over p parts.  Ones are only
+# ever removed and each 1 below a sum has one source, so a level keeps exactly
+# the sources of the ones that survive below it; even rows drop out because
+# the XOR below a rewritten level holds only odd rows.
 #
 # The vertex stays an int mask too: the descent ends at vecs[-1], which is
 # the scalar 1 when q is None (an element vertex) and the p parts of p^q bits
@@ -215,28 +219,22 @@ class _Descent:
     def structure(self) -> HypercubeStructure:
         return HypercubeStructure(len(self.edges), self.edges, self.vertex)
 
-    def pull_back(self, k: int, rows: int) -> int:
-        """The level-(k-1) positions behind the level-k mask rows."""
-        plen, split = self.records[k - 1]
-        spread = rows
-        for i in range(1, self.p):
-            spread |= rows << (i * plen)
-        if split:
-            return spread
-        return (spread & self.vecs[k - 1]) | (rows & ~self.vecs[k])
+
+def _spread(rows: int, p: int, plen: int) -> int:
+    """The plen-bit mask rows repeated in each of p parts."""
+    out = rows
+    for i in range(plen, p * plen, plen):
+        out |= rows << i
+    return out
 
 
-def _kept(a: int, x: int, p: int, plen: int) -> int:
-    """The ones of a's p parts of plen bits that a rewrite keeps, packed as in a.
-
-    x is the XOR of the parts.  A row of odd parity keeps its first 1, the
-    one in the lowest part holding the row, so the kept ones XOR to x.
-    """
-    seen, rows = 0, x
+def _kept(a: int, p: int, plen: int) -> int:
+    """The first 1 of each row of a's p parts of plen bits, packed as in a:
+    the one in the lowest part holding the row."""
+    seen = 0
     for i in range(plen, p * plen, plen):
         seen |= a << i  # each part's ones, shifted into every later part
-        rows |= x << i
-    return a & rows & ~seen
+    return a & ~seen
 
 
 _TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
@@ -257,7 +255,7 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
     desc = _Descent(p, [value])
     vecs, records = desc.vecs, desc.records
     edges: list[int] = []
-    a = value
+    a, deepest = value, -1
     for depth, (plen, mask, low_mask, _) in enumerate(_levels(p, n), 1):
         hi = a >> plen
         split = hi == a & low_mask
@@ -278,17 +276,16 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
                 if not rewrite:
                     desc.ok, desc.fail_depth = False, depth
                     return desc
-                # clear every one that is not kept, down to the period
-                clear = a ^ _kept(a, x, p, plen)
-                for k in range(len(vecs) - 1, -1, -1):
-                    lower = desc.pull_back(k, clear) if k else 0
-                    vecs[k] ^= clear
-                    clear = lower
+                vecs[-1] = _kept(a, p, plen)
+                deepest = len(vecs) - 1
             a = x
         records.append((plen, split))
         vecs.append(a)
     else:
         assert a == 1
+    # the pass up: each level keeps the sources of the ones below it
+    for k in range(deepest, -1, -1):
+        vecs[k] &= _spread(vecs[k + 1], p, records[k][0])
     desc.edges = tuple(edges)
     return desc
 
@@ -296,12 +293,14 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
 def _expand_flip(desc: _Descent, flips: int) -> int:
     """Period positions that must toggle so the terminal-level bits in flips do.
 
-    Nonzero bits trace back through their unique source; zero bits are routed
-    through part 0 at sum records (one new 1 per sum level, p copies per
-    split level).
+    A split record repeats each bit in all p parts; at a sum record a 1 traces
+    back to its unique source and a zero row is routed through part 0.
     """
-    for k in range(len(desc.vecs) - 1, 0, -1):
-        flips = desc.pull_back(k, flips)
+    vecs = desc.vecs
+    for k in range(len(vecs) - 2, -1, -1):
+        plen, split = desc.records[k]
+        spread = _spread(flips, desc.p, plen)
+        flips = spread if split else (spread & vecs[k]) | (flips & ~vecs[k + 1])
     return flips
 
 
@@ -378,11 +377,13 @@ def rebalance_blocks(
     x = 0
     for part in parts:
         x ^= part
-    kept = _kept(sum(v << (i * rows) for i, v in enumerate(parts)), x, len(parts), rows)
+    p = len(parts)
+    packed = sum(v << (i * rows) for i, v in enumerate(parts))
+    kept = _kept(packed, p, rows) & _spread(x, p, rows)
     if kept == 0:
         raise IsVertex("blocks already sum to the zero vector")
     mask = (1 << rows) - 1
-    out = tuple(_bits(kept >> (i * rows) & mask, rows) for i in range(len(parts)))
+    out = tuple(_bits(kept >> (i * rows) & mask, rows) for i in range(p))
     sources = {t: i for t in range(rows) for i, b in enumerate(out) if b[t]}
     return out, sources
 

@@ -91,6 +91,14 @@ def _moduli(override: Modulus | None, default: list[Modulus]) -> list[Modulus]:
     return [override] if override is not None else default
 
 
+def _odd_p_answers(mod: Modulus, v: int) -> tuple[int, int, int]:
+    """``lc``, and ``xwli_lc``'s value and trace total, of one sequence built
+    once and kept alive only for the two calls."""
+    s = PeriodicSequence(mod, v)
+    form, trace = xwli_lc(s)
+    return lc(s), form.value, trace.total
+
+
 def _suite_lc_oracle(modulus: Modulus | None, rng: random.Random, cap: int) -> SuiteReport:
     """``lc`` at every p, and ``xwli_lc``'s value and trace total at odd p,
     against Berlekamp-Massey (at p = 2, ``lc`` is the Games-Chan halving).
@@ -110,23 +118,21 @@ def _suite_lc_oracle(modulus: Modulus | None, rng: random.Random, cap: int) -> S
         rep.record(berlekamp_massey_lc(zero) == 0, lambda: f"{mod} zero sequence: bm != 0")
         values = _values(mod, rng, limit=1 << 16)
         while block := list(islice(values, _BM_BLOCK)):
-            got = lcs = list(map(lc, map(PeriodicSequence, repeat(mod), block)))
-            if mod.p != 2:
-                xwli = [
-                    (form.value, trace.total)
-                    for form, trace in map(xwli_lc, map(PeriodicSequence, repeat(mod), block))
-                ]
-                got = [a if (a, a) == x else None for a, x in zip(lcs, xwli)]
+            if mod.p == 2:
+                got = answers = list(map(lc, map(PeriodicSequence, repeat(mod), block)))
+            else:
+                answers = list(map(_odd_p_answers, repeat(mod), block))
+                got = [a if a == value == total else None for a, value, total in answers]
             bms = _bm_values(block, mod.period)
             if got == bms:
                 rep.checks += len(block)
                 continue
-            for i, (v, a, b) in enumerate(zip(block, lcs, bms)):
+            for v, ans, b in zip(block, answers, bms):
                 s = PeriodicSequence(mod, v)
                 if mod.p == 2:
-                    rep.record(a == b, lambda: f"{mod} s={s.to01()}: lc {a} != bm {b}")
+                    rep.record(ans == b, lambda: f"{mod} s={s.to01()}: lc {ans} != bm {b}")
                 else:
-                    value, total = xwli[i]
+                    a, value, total = ans
                     rep.record(
                         a == value == total == b,
                         lambda: f"{mod} s={s.to01()}: lc {a}, xwli_lc {value}, "

@@ -349,7 +349,10 @@ def test_packed_rewrite_matches_list_rewrite_exhaustive():
 
 def test_packed_rewrite_matches_list_rewrite_sampled():
     rng = random.Random(41)
-    samples = ((MOD27, 300), (Modulus(5, 2), 300), (Modulus(3, 5), 100), (Modulus(11, 2), 100))
+    samples = (
+        (MOD27, 300), (Modulus(5, 2), 300), (Modulus(3, 5), 100), (Modulus(11, 2), 100),
+        (Modulus(3, 7), 20), (Modulus(3, 9), 6),  # deep: long, many-rewrite histories
+    )
     for mod, count in samples:
         for i in range(count):
             if i % 2:
