@@ -144,6 +144,27 @@ def list_rewrite_descent(value: int, p: int, n: int) -> tuple:
     return vecs, records, tuple(sorted(edges)), q, True
 
 
+def list_plain_trace(value: int, p: int, n: int) -> tuple:
+    """The plain descent with the parts split out as a list of ints, one per
+    part, through all n depths: ([(branch, pre, post, increment)], final_one)
+    with pre and post the weights before and after each depth.  The
+    reference for ``xwli_lc``'s trace."""
+    steps = []
+    a = value
+    for depth in range(1, n + 1):
+        plen = p ** (n - depth)
+        parts = [(a >> (i * plen)) & ((1 << plen) - 1) for i in range(p)]
+        pre = a.bit_count()
+        if all(part == parts[0] for part in parts):
+            branch, increment, a = "split", 0, parts[0]
+        else:
+            branch, increment, a = "sum", (p - 1) * plen, 0
+            for part in parts:
+                a ^= part
+        steps.append((branch, pre, a.bit_count(), increment))
+    return steps, a == 1
+
+
 def seq(mod, text: str) -> PeriodicSequence:
     return PeriodicSequence.from_text(text, mod)
 

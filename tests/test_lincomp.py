@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import gcd_lc, seq, stepwise_bm
+from helpers import gcd_lc, list_plain_trace, seq, stepwise_bm
 from seqcomplex import (
     Modulus,
     PeriodicSequence,
@@ -105,6 +105,26 @@ def test_three_way_agreement_sampled_odd():
             s = PeriodicSequence(mod, rng.randrange(1, 1 << mod.period))
             form, trace = xwli_lc(s)
             assert form.value == trace.total == berlekamp_massey_lc(s) == gcd_lc(s)
+
+
+def test_trace_matches_list_descent():
+    """Every step's branch, weights before and after, and increment, and the
+    final scalar, against the descent on a list of parts."""
+
+    def check(mod, v):
+        _, trace = xwli_lc(PeriodicSequence(mod, v))
+        steps = [(st.branch, st.pre_weight, st.post_weight, st.increment) for st in trace.steps]
+        assert (steps, trace.final_one) == list_plain_trace(v, mod.p, mod.n), (mod, v)
+
+    for mod in (MOD9, Modulus(5, 1), Modulus(11, 1)):
+        for v in range(1 << mod.period):
+            check(mod, v)
+    rng = random.Random(17)
+    for mod in (MOD27, Modulus(5, 2), Modulus(3, 5), Modulus(3, 7)):
+        N = mod.period
+        for _ in range(100):
+            check(mod, rng.randrange(1 << N))
+            check(mod, sum(1 << i for i in rng.sample(range(N), 3)))
 
 
 def test_trace_structure_sum_sum():
