@@ -28,7 +28,7 @@ from itertools import combinations, product
 from math import comb
 
 from .errors import ENUM_CAP, BudgetExceeded, EvenP, InvalidEdges, InvalidL, OddP
-from .hypercube import _hypercube_lc
+from .hypercube import _hypercube_lc, _spread
 from .lincomp import lc_form_decompose
 from .sequences import Modulus, PeriodicSequence
 
@@ -142,9 +142,7 @@ def _grow(values: list[int], p: int, start: int, n: int, edges: tuple[int, ...])
     for e in range(start, n):
         size = p**e
         if e in edges:
-            values = [
-                sum(v << (i * size) for i in range(p)) for v in values
-            ]
+            values = [_spread(v, p, size) for v in values]
             continue
         grown: list[int] = []
         for v in values:

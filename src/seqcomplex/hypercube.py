@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Sequence as Seq
 
 from .errors import EvenP, IsVertex, NoEligibleExponent, NotACube, NotAHypercube, OddP
-from .lincomp import _TO_BIT, _lc_value, _levels
+from .lincomp import _TO_BIT, _lc_value, _steps
 from .sequences import Modulus, PeriodicSequence, require_nonzero
 
 __all__ = [
@@ -163,9 +163,10 @@ class Decomposition:
 #
 # Level vectors are int bitmasks: vecs[k] holds p^(n-k) bits, and records[k]
 # = (plen, split) says how vecs[k+1] was derived from the p parts of plen
-# bits of vecs[k].  A split kept part 0 of p equal parts, so each row of
-# vecs[k+1] comes from all p copies.  A sum XORed p parts that share no row,
-# so each 1 of vecs[k+1] comes from the one part holding it in vecs[k].
+# bits of vecs[k]; the levels come from lincomp._steps.  A split kept part 0
+# of p equal parts, so each row of vecs[k+1] comes from all p copies.  A sum
+# XORed p parts that share no row, so each 1 of vecs[k+1] comes from the one
+# part holding it in vecs[k].
 #
 # A rewrite descent makes every sum's parts share no row in two passes.
 # Down: a sum that would cancel ones keeps the first 1 of each row (``_kept``:
@@ -255,34 +256,24 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
     desc = _Descent(p, [value])
     vecs, records = desc.vecs, desc.records
     edges: list[int] = []
-    a, deepest = value, -1
-    for depth, (plen, mask, low_mask, _) in enumerate(_levels(p, n), 1):
-        hi = a >> plen
-        split = hi == a & low_mask
+    deepest = -1
+    for depth, (plen, split, a) in enumerate(_steps(value, p, n), 1):
         if split:
             edges.insert(0, n - depth)
-            a &= mask
-        else:
-            x = a
-            while hi:
-                x ^= hi
-                hi >>= plen
-            x &= mask  # the XOR of the p parts
-            if x == 0:
-                # terminating zero-sum: the parts of a are the vertex
-                desc.q = n - depth
-                break
-            if x.bit_count() != a.bit_count():
-                if not rewrite:
-                    desc.ok, desc.fail_depth = False, depth
-                    return desc
-                vecs[-1] = _kept(a, p, plen)
-                deepest = len(vecs) - 1
-            a = x
+        elif a == 0:
+            # terminating zero-sum: the parts of vecs[-1] are the vertex
+            desc.q = n - depth
+            break
+        elif a.bit_count() != vecs[-1].bit_count():
+            if not rewrite:
+                desc.ok, desc.fail_depth = False, depth
+                return desc
+            vecs[-1] = _kept(vecs[-1], p, plen)
+            deepest = len(vecs) - 1
         records.append((plen, split))
         vecs.append(a)
     else:
-        assert a == 1
+        assert vecs[-1] == 1
     # the pass up: each level keeps the sources of the ones below it
     for k in range(deepest, -1, -1):
         vecs[k] &= _spread(vecs[k + 1], p, records[k][0])

@@ -81,10 +81,8 @@ def _values(modulus: Modulus, rng: random.Random, limit: int = EXHAUSTIVE_LIMIT)
     return (rng.randrange(1, top) for _ in range(SAMPLE_SIZE))
 
 
-def _universe(
-    modulus: Modulus, rng: random.Random, limit: int = EXHAUSTIVE_LIMIT
-) -> Iterable[PeriodicSequence]:
-    return (PeriodicSequence(modulus, v) for v in _values(modulus, rng, limit))
+def _universe(modulus: Modulus, rng: random.Random) -> Iterable[PeriodicSequence]:
+    return (PeriodicSequence(modulus, v) for v in _values(modulus, rng))
 
 
 def _moduli(override: Modulus | None, default: list[Modulus]) -> list[Modulus]:
