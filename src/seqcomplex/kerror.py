@@ -31,8 +31,8 @@ scanned only once the sum_{i<=k} C(N, i) patterns fit the cap.  A class runs
 bit-sliced (``_class_min``): each error pattern is one bit lane of a few
 Python ints, plane t holding bit t of every pattern in a block of up to 4096,
 so one big-int operation does a descent step's work for the whole block, and
-the least complexity is read from the per-level sum masks.  Classes of fewer
-than 8 patterns, and periods above 256, run one pattern at a time.
+the least complexity is read from the per-level sum masks.  Periods above
+256 run one pattern at a time.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ from .hypercube import (
     _TO_DIGIT,
     _descend,
     _expand_flip,
+    _spread,
 )
 from .lincomp import _lanes_above, _lc_value, _levels, lc_form_decompose
 from .sequences import Modulus, PeriodicSequence, require_nonzero
@@ -118,9 +119,6 @@ def _check_budget(N: int, k: int, cap: int) -> None:
         raise BudgetExceeded(f"{b} error patterns exceed cap {cap}")
 
 
-# A weight class of fewer patterns than this runs one pattern at a time:
-# below it a block's fixed cost exceeds the patterns' scalar descents.
-_SLICED_FROM = 8
 # Most patterns one bit-sliced block holds; its N planes take N * 512 bytes.
 _LANES = 4096
 # Above this period every class runs one pattern at a time: building a
@@ -195,12 +193,11 @@ def _class_min(value: int, p: int, n: int, k: int, below: int = 1) -> int:
     first block's (or pattern's) least found below ``below`` (by default only
     0 ends the scan early).
 
-    The class runs bit-sliced, _LANES patterns a block.  Classes of fewer than
-    _SLICED_FROM patterns, and periods above _SLICED_UP_TO, run one pattern
-    at a time.
+    Up to period _SLICED_UP_TO the class runs bit-sliced, _LANES patterns a
+    block; above it, one pattern at a time.
     """
     N = p**n
-    if N <= _SLICED_UP_TO and comb(N, k) >= _SLICED_FROM:
+    if N <= _SLICED_UP_TO:
         values = _block_mins(value, p, n, k)
     else:
         # each pattern is built alone: a list of every 1 << i takes N^2 / 16 bytes
@@ -296,10 +293,7 @@ def _equalizing_flips(p: int, q: int, a: int) -> int:
         if top & plane:
             top &= plane
     target = _lanes_above(planes, p >> 1, mask) | (top & -top)
-    flips = 0
-    for i, block in enumerate(blocks):
-        flips |= (block ^ target) << (i * rows)
-    return flips
+    return a ^ _spread(target, p, rows)
 
 
 def _closed_form(s: PeriodicSequence) -> tuple[CriticalReport, bool]:

@@ -27,19 +27,6 @@ from .errors import (
 PERIOD_CAP = 1 << 20
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _prime_factors(x: int) -> set[int]:
     out = set()
     d = 2
@@ -54,10 +41,11 @@ def _prime_factors(x: int) -> set[int]:
 
 
 def _two_is_primitive_root_mod_p2(p: int) -> bool:
-    # ord(2 mod p^2) = p(p-1) iff 2^(p(p-1)/r) != 1 mod p^2 for every prime r | p(p-1)
+    # ord(2 mod p^2) = p(p-1) iff 2^(p(p-1)/r) != 1 mod p^2 for every prime r | p(p-1);
+    # p is prime here, so only p - 1 is factored
     order = p * (p - 1)
     mod = p * p
-    return all(pow(2, order // r, mod) != 1 for r in _prime_factors(order))
+    return all(pow(2, order // r, mod) != 1 for r in {p} | _prime_factors(p - 1))
 
 
 @dataclass(frozen=True)
@@ -71,12 +59,17 @@ class Modulus:
         p, n = self.p, self.n
         if not isinstance(p, int) or not isinstance(n, int) or n < 1:
             raise NotPrime(f"need integer p >= 2 and n >= 1, got p={p!r} n={n!r}")
-        if not _is_prime(p):
+        too_large = PeriodTooLarge(f"p^n = {p}^{n} exceeds {PERIOD_CAP}")
+        # no valid modulus has p above the cap, so such a p is never factored
+        if p > PERIOD_CAP:
+            raise too_large
+        if _prime_factors(p) != {p}:
             raise NotPrime(f"p={p} is not prime")
         if p != 2 and not _two_is_primitive_root_mod_p2(p):
             raise NotPrimitiveRoot(f"2 is not a primitive root mod {p}^2")
-        if p**n > PERIOD_CAP:
-            raise PeriodTooLarge(f"p^n = {p}^{n} exceeds {PERIOD_CAP}")
+        # every p >= 2 passes the cap at n >= 21, so a huge n's power is never built
+        if n >= PERIOD_CAP.bit_length() or p**n > PERIOD_CAP:
+            raise too_large
 
     @cached_property
     def period(self) -> int:

@@ -507,3 +507,16 @@ def test_python_m_runs_the_cli():
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "8\n", ""), module
+
+
+def test_out_of_range_modulus_fails_at_once():
+    # neither a p above the period cap nor a huge n is factored or raised to a power
+    src = str(Path(seqcomplex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for p, n in (("1000000007", "1"), ("3", "100000000")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqcomplex", "lc", "--p", p, "--n", n, "--seq", "1"],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (1, ""), (p, n)
+        assert proc.stderr == f"error: p^n = {p}^{n} exceeds 1048576\n"

@@ -109,7 +109,7 @@ def _agrees_with_scalar_scan(value, p, n, k):
         assert got == (scalar_class_min(value, p, n, k, below=below) < below)
 
 
-@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 1), (7, 1)])
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (5, 1), (7, 1)])
 def test_class_min_matches_scalar_scan_on_every_class(p, n):
     N = p**n
     for value in range(1 << N):

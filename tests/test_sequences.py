@@ -22,6 +22,7 @@ from seqcomplex.errors import (
     NotPrimitiveRoot,
     PeriodTooLarge,
 )
+from seqcomplex.sequences import PERIOD_CAP
 
 MOD9 = Modulus(3, 2)
 
@@ -53,6 +54,16 @@ def test_modulus_rejects_huge_periods():
         Modulus(2, 21)
     with pytest.raises(PeriodTooLarge):
         Modulus(3, 13)
+
+
+def test_modulus_checks_primality_and_order_before_the_period():
+    # a p below the cap is still refused for what it is; one above it is not factored
+    with pytest.raises(NotPrime):
+        Modulus(4, 21)
+    with pytest.raises(NotPrimitiveRoot):
+        Modulus(7, 21)
+    with pytest.raises(PeriodTooLarge):
+        Modulus(PERIOD_CAP + 1, 1)
 
 
 def test_parse_sequence_roundtrip_and_whitespace():
