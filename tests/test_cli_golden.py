@@ -5,8 +5,7 @@ hypercubes (p = 2 cubes at periods 16, 32 and 64).  The commands that read no
 sequence (count, construct-stable, verify) are pinned in text and JSON,
 with their error exits.  golden/cli.out holds the
 exit code, stdout and stderr of every case below, and golden/help.out the
---help text of the commands whose help shows a default or a choice list
-(the caps and the suite names).  After a deliberate output change,
+--help text of every command and group.  After a deliberate output change,
 regenerate them from the repository root with
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/golden/cli.out
@@ -109,8 +108,9 @@ def render() -> str:
     return "".join(_run(argv) for argv in _cases())
 
 
-HELP_CASES = ([], ["klc"], ["celcs"], ["mcrit"], ["verify"], ["count", "hypercubes"],
-              ["count", "cubes"])
+HELP_CASES = ([], ["lc"], ["klc"], ["celcs"], ["structure"], ["decompose"], ["mcrit"],
+              ["count"], ["count", "lc"], ["count", "hypercubes"], ["count", "cubes"],
+              ["construct-stable"], ["verify"])
 
 
 def render_help() -> str:
