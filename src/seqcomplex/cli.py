@@ -1,14 +1,19 @@
 """Command line interface.
 
 One subcommand per analysis: lc, klc, celcs, decompose, structure, mcrit,
-count, construct-stable, verify.  Sequence commands take --seq or --file
-(one record per corpus line, errors tagged with the line number) and emit
-text, JSON (schema "seqcomplex/1"), or CSV where it fits.  A corpus runs in
-input order in this process; once its measured row work passes
-_POOL_AFTER_S, --jobs N hands the rows left to at most min(N, CPUs, rows
-left) worker processes, in input-ordered chunks.  Exit codes: 0 success,
-1 input error, 2 verification mismatch, 3 budget exceeded, 4 internal error
-(a bug, not a problem with the input).
+count, construct-stable, verify.  One decorator, _command, gives each command
+its options in one order: --p/--n, --seq/--file on the sequence commands, the
+command's own options, --format/--out, and --jobs on the sequence commands.
+
+The sequence commands share one row path, _rows: build the modulus, load
+--seq or --file (one record per corpus line, errors tagged with the line
+number), map the command's worker over the rows, and render text, JSON
+(schema "seqcomplex/1"), or CSV where it fits.  A corpus runs in input order
+in this process; once its measured row work passes _POOL_AFTER_S, --jobs N
+hands the rows left to at most min(N, CPUs, rows left) worker processes, in
+input-ordered chunks.  Exit codes: 0 success, 1 input error, 2 verification
+mismatch, 3 budget exceeded, 4 internal error (a bug, not a problem with the
+input).
 
 A command loads only the modules it runs: counting, hypercube, kerror and
 verify are imported inside the commands and row workers that call them,
@@ -25,6 +30,7 @@ from time import perf_counter
 
 import click
 
+from . import __version__
 from .errors import (
     DEFAULT_CAP,
     ENUM_CAP,
@@ -44,37 +50,43 @@ __all__ = ["cli", "main"]
 
 # -- plumbing -------------------------------------------------------------------
 
-def _mod_options(f):
-    f = click.option("--n", type=int, required=True, help="period exponent: the period is p^n")(f)
-    f = click.option("--p", type=int, required=True, help="prime base of the period")(f)
-    return f
-
-
-def _input_options(f):
-    f = click.option(
+_MODULUS = (
+    click.option("--p", type=int, required=True, help="prime base of the period"),
+    click.option("--n", type=int, required=True, help="period exponent: the period is p^n"),
+)
+_INPUT = (
+    click.option("--seq", "literal", help="sequence literal of 0/1 characters"),
+    click.option(
         "--file", "path", type=click.Path(exists=True, dir_okay=False),
         help="corpus file: one sequence per line, # comments and blanks skipped",
-    )(f)
-    f = click.option("--seq", "literal", help="sequence literal of 0/1 characters")(f)
-    return f
+    ),
+)
+_JOBS = click.option(
+    "--jobs", type=click.IntRange(min=1), default=1, show_default=True,
+    help="most worker processes for a corpus, started only once its measured "
+         "row work could repay them",
+)
+_CAP = click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True)
 
 
-def _output_options(formats=("text", "json")):
+def _command(group, name, *own, rows=False, formats=("text", "json"), modulus=_MODULUS):
+    """Register the decorated function as group's subcommand name.
+
+    Its options, in help order: modulus, --seq/--file if it reads rows, own,
+    --format/--out, then --jobs if it reads rows.
+    """
+    output = (
+        click.option("--format", "fmt", type=click.Choice(formats), default="text",
+                     show_default=True),
+        click.option("--out", type=click.Path(dir_okay=False), help="write the report to this file"),
+    )
+    options = (*modulus, *(_INPUT if rows else ()), *own, *output, *((_JOBS,) if rows else ()))
+
     def deco(f):
-        f = click.option("--out", type=click.Path(dir_okay=False), help="write the report to this file")(f)
-        f = click.option(
-            "--format", "fmt", type=click.Choice(formats), default="text", show_default=True
-        )(f)
-        return f
+        for option in reversed(options):
+            f = option(f)
+        return group.command(name)(f)
     return deco
-
-
-def _jobs_option(f):
-    return click.option(
-        "--jobs", type=click.IntRange(min=1), default=1, show_default=True,
-        help="most worker processes for a corpus, started only once its measured "
-             "row work could repay them",
-    )(f)
 
 
 def _load(modulus: Modulus, literal: str | None, path: str | None):
@@ -89,10 +101,6 @@ def _load(modulus: Modulus, literal: str | None, path: str | None):
     return list(parse_corpus(lines, modulus))
 
 
-def _with_line(e: SeqComplexError, no: int | None) -> SeqComplexError:
-    return e if no is None else type(e)(f"line {no}: {e}")
-
-
 def _row(worker, row):
     """worker(s) for the row (no, s); a domain error is re-raised tagged with
     the row's line number."""
@@ -100,7 +108,9 @@ def _row(worker, row):
     try:
         return worker(s)
     except SeqComplexError as e:
-        raise _with_line(e, no)
+        if no is None:
+            raise
+        raise type(e)(f"line {no}: {e}")
 
 
 # Row work, in seconds, that must be both measured and projected to remain
@@ -120,14 +130,25 @@ def _workers(jobs: int, nrows: int) -> int:
 def _map_rows(worker, rows, jobs: int):
     """Apply worker to each sequence, in input order.
 
-    Rows run in this process until _head stops; the rows left go to at most
-    jobs worker processes in input-ordered chunks.  A domain error is
-    re-raised tagged with its row's line number; pool.map reads the chunks in
-    input order and a chunk stops at its first failing row, so the first
+    Rows run and are timed in this process until, before some row, more than
+    one worker is available for the rows left and both the time spent so far
+    and the time projected for the rest reach _POOL_AFTER_S.  The rows left go
+    to at most jobs worker processes in input-ordered chunks.  A domain error
+    is re-raised tagged with its row's line number; pool.map reads the chunks
+    in input order and a chunk stops at its first failing row, so the first
     failing row in input order is the one reported.
     """
     row = partial(_row, worker)
-    done = [(no, s, rec) for (no, s), rec in zip(rows, _head(row, rows, jobs))]
+    done, spent = [], 0.0
+    for i, (no, s) in enumerate(rows):
+        left = len(rows) - i
+        if (i and spent >= _POOL_AFTER_S and spent / i * left >= _POOL_AFTER_S
+                and _workers(jobs, left) > 1):
+            break
+        t0 = perf_counter()
+        rec = row((no, s))
+        spent += perf_counter() - t0
+        done.append((no, s, rec))
     rest = rows[len(done):]
     if not rest:
         return done
@@ -141,25 +162,6 @@ def _map_rows(worker, rows, jobs: int):
         return done + [(no, s, rec) for (no, s), rec in zip(rest, recs)]
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def _head(row, rows, jobs: int):
-    """Records of the leading rows, run and timed in this process.
-
-    Stops before row i once more than one worker is available for the rows
-    left, and both the time spent so far and the time projected for the
-    rest reach _POOL_AFTER_S.
-    """
-    spent = 0.0
-    for i, r in enumerate(rows):
-        left = len(rows) - i
-        if (i and spent >= _POOL_AFTER_S and spent / i * left >= _POOL_AFTER_S
-                and _workers(jobs, left) > 1):
-            return
-        t0 = perf_counter()
-        rec = row(r)
-        spent += perf_counter() - t0
-        yield rec
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -195,6 +197,17 @@ def _render(command, modulus, mapped, fmt, out, text_line) -> None:
         prefix = f"line {no}: " if no is not None else ""
         lines.append(prefix + text_line(s, rec))
     _emit("\n".join(lines), out)
+
+
+def _rows(command, worker, text_line, p, n, literal, path, fmt, out, jobs) -> None:
+    """A sequence command: its worker mapped over the rows of --seq or --file,
+    rendered in fmt (CSV is celcs's alone)."""
+    modulus = Modulus(p, n)
+    mapped = _map_rows(worker, _load(modulus, literal, path), jobs)
+    if fmt == "csv":
+        _emit(_celcs_csv(mapped, corpus=path is not None), out)
+        return
+    _render(command, modulus, mapped, fmt, out, text_line)
 
 
 # -- per-sequence workers (top level so process pools can pickle them) -----------
@@ -303,37 +316,27 @@ def _mcrit_record(s: PeriodicSequence, mode: str, cap: int) -> dict:
 # -- commands ---------------------------------------------------------------------
 
 @click.group()
-@click.version_option(package_name="seqcomplex")
+@click.version_option(version=__version__)
 def cli() -> None:
     """Analyze p^n-periodic binary sequences."""
 
 
-@cli.command("lc")
-@_mod_options
-@_input_options
-@_output_options()
-@_jobs_option
-def lc_cmd(p, n, literal, path, fmt, out, jobs):
+@_command(cli, "lc", rows=True)
+def lc_cmd(**shared):
     """Exact linear complexity of each input sequence."""
-    modulus = Modulus(p, n)
-    mapped = _map_rows(_lc_record, _load(modulus, literal, path), jobs)
-    _render("lc", modulus, mapped, fmt, out, lambda s, rec: str(rec["L"]))
+    _rows("lc", _lc_record, lambda s, rec: str(rec["L"]), **shared)
 
 
-@cli.command("klc")
-@_mod_options
-@_input_options
-@click.option("--k", type=int, required=True, help="error budget")
-@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True,
-              help="largest tolerated error-pattern enumeration")
-@_output_options()
-@_jobs_option
-def klc_cmd(p, n, literal, path, k, cap, fmt, out, jobs):
+@_command(
+    cli, "klc",
+    click.option("--k", type=int, required=True, help="error budget"),
+    click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True,
+                 help="largest tolerated error-pattern enumeration"),
+    rows=True,
+)
+def klc_cmd(k, cap, **shared):
     """k-error linear complexity L_k by exhaustive error enumeration."""
-    modulus = Modulus(p, n)
-    worker = partial(_klc_record, k=k, cap=cap)
-    mapped = _map_rows(worker, _load(modulus, literal, path), jobs)
-    _render("klc", modulus, mapped, fmt, out, lambda s, rec: str(rec["L_k"]))
+    _rows("klc", partial(_klc_record, k=k, cap=cap), lambda s, rec: str(rec["L_k"]), **shared)
 
 
 def _celcs_text(s: PeriodicSequence, rec: dict) -> str:
@@ -343,8 +346,7 @@ def _celcs_text(s: PeriodicSequence, rec: dict) -> str:
     return body
 
 
-def _celcs_csv(mapped) -> str:
-    corpus = any(no is not None for no, _, _ in mapped)
+def _celcs_csv(mapped, corpus: bool) -> str:
     lines = ["seq,k,L_k" if corpus else "k,L_k"]
     for no, _, rec in mapped:
         for k, L in rec["points"]:
@@ -352,98 +354,74 @@ def _celcs_csv(mapped) -> str:
     return "\n".join(lines)
 
 
-@cli.command("celcs")
-@_mod_options
-@_input_options
-@click.option("--mode", type=click.Choice(["brute", "formula", "both"]), default="brute",
-              show_default=True, help="formula modes need a hypercube input")
-@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True)
-@_output_options(("text", "json", "csv"))
-@_jobs_option
-def celcs_cmd(p, n, literal, path, mode, cap, fmt, out, jobs):
+@_command(
+    cli, "celcs",
+    click.option("--mode", type=click.Choice(["brute", "formula", "both"]), default="brute",
+                 show_default=True, help="formula modes need a hypercube input"),
+    _CAP,
+    rows=True, formats=("text", "json", "csv"),
+)
+def celcs_cmd(mode, cap, **shared):
     """Critical points (k, L_k) of the k-error complexity spectrum."""
-    modulus = Modulus(p, n)
-    worker = partial(_celcs_record, mode=mode, cap=cap)
-    mapped = _map_rows(worker, _load(modulus, literal, path), jobs)
-    if fmt == "csv":
-        _emit(_celcs_csv(mapped), out)
-        return
-    _render("celcs", modulus, mapped, fmt, out, _celcs_text)
+    _rows("celcs", partial(_celcs_record, mode=mode, cap=cap), _celcs_text, **shared)
 
 
-@cli.command("structure")
-@_mod_options
-@_input_options
-@_output_options()
-@_jobs_option
-def structure_cmd(p, n, literal, path, fmt, out, jobs):
+def _structure_text(s: PeriodicSequence, rec: dict) -> str:
+    if not rec["is_hypercube"]:
+        return f"not a hypercube: {rec['reason']}"
+    edges = ",".join(map(str, rec["edges"])) or "-"
+    return f"m={rec['m']} edges={edges} vertex={rec['vertex']} L={rec['L']}"
+
+
+@_command(cli, "structure", rows=True)
+def structure_cmd(**shared):
     """Hypercube (or p=2 cube) structure: dimension, edges, vertex."""
-    modulus = Modulus(p, n)
-    mapped = _map_rows(_structure_record, _load(modulus, literal, path), jobs)
-
-    def text(s, rec):
-        if not rec["is_hypercube"]:
-            return f"not a hypercube: {rec['reason']}"
-        edges = ",".join(map(str, rec["edges"])) or "-"
-        return f"m={rec['m']} edges={edges} vertex={rec['vertex']} L={rec['L']}"
-
-    _render("structure", modulus, mapped, fmt, out, text)
+    _rows("structure", _structure_record, _structure_text, **shared)
 
 
-@cli.command("decompose")
-@_mod_options
-@_input_options
-@_output_options()
-@_jobs_option
-def decompose_cmd(p, n, literal, path, fmt, out, jobs):
+def _decompose_text(detail: bool, s: PeriodicSequence, rec: dict) -> str:
+    ls = ", ".join(str(part["L"]) for part in rec["parts"])
+    head = f"{len(rec['parts'])} parts, L = {ls}"
+    if detail:
+        details = "\n".join(
+            f"  L={part['L']} [{part['structure']}] {part['seq']}" for part in rec["parts"]
+        )
+        return head + "\n" + details
+    return head
+
+
+@_command(cli, "decompose", rows=True)
+def decompose_cmd(literal, fmt, **shared):
     """Decompose into hypercubes with strictly decreasing complexities."""
-    modulus = Modulus(p, n)
     # a --file text report prints one head line a row; JSON and --seq print every part
     detail = fmt == "json" or literal is not None
-    worker = partial(_decompose_record, detail=detail)
-    mapped = _map_rows(worker, _load(modulus, literal, path), jobs)
-
-    def text(s, rec):
-        ls = ", ".join(str(part["L"]) for part in rec["parts"])
-        head = f"{len(rec['parts'])} parts, L = {ls}"
-        if detail:
-            details = "\n".join(
-                f"  L={part['L']} [{part['structure']}] {part['seq']}"
-                for part in rec["parts"]
-            )
-            return head + "\n" + details
-        return head
-
-    _render("decompose", modulus, mapped, fmt, out, text)
+    _rows("decompose", partial(_decompose_record, detail=detail),
+          partial(_decompose_text, detail), literal=literal, fmt=fmt, **shared)
 
 
-@cli.command("mcrit")
-@_mod_options
-@_input_options
-@click.option("--mode", type=click.Choice(["formula", "brute", "both"]), default="formula",
-              show_default=True)
-@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True)
-@_output_options()
-@_jobs_option
-def mcrit_cmd(p, n, literal, path, mode, cap, fmt, out, jobs):
+def _mcrit_text(s: PeriodicSequence, rec: dict) -> str:
+    body = f"m={rec['m']}"
+    if rec.get("L_after") is not None:
+        body += f" L_m={rec['L_after']}"
+    if rec.get("m1") is not None:
+        body += f" m1={rec['m1']}"
+    if rec.get("bound") is not None:
+        body += f" bound={rec['bound']}"
+    if "agree" in rec:
+        body += " agree" if rec["agree"] else " MISMATCH"
+    return body
+
+
+@_command(
+    cli, "mcrit",
+    click.option("--mode", type=click.Choice(["formula", "brute", "both"]), default="formula",
+                 show_default=True),
+    _CAP,
+    rows=True,
+)
+def mcrit_cmd(mode, cap, **shared):
     """First critical error count m(s), witness complexity, second point."""
-    modulus = Modulus(p, n)
-    worker = partial(_mcrit_record, mode=mode, cap=cap)
-    mapped = _map_rows(worker, _load(modulus, literal, path), jobs)
-
-    def text(s, rec):
-        body = f"m={rec['m']}"
-        if rec.get("L_after") is not None:
-            body += f" L_m={rec['L_after']}"
-        if rec.get("m1") is not None:
-            body += f" m1={rec['m1']}"
-        if rec.get("bound") is not None:
-            body += f" bound={rec['bound']}"
-        if "agree" in rec:
-            body += " agree" if rec["agree"] else " MISMATCH"
-        return body
-
-    _render("mcrit", modulus, mapped, fmt, out, text)
+    _rows("mcrit", partial(_mcrit_record, mode=mode, cap=cap), _mcrit_text, **shared)
 
 
 def _parse_edges(text: str) -> tuple[int, ...]:
@@ -458,10 +436,10 @@ def count_group() -> None:
     """Counting formulas, optionally cross-checked by enumeration."""
 
 
-@count_group.command("lc")
-@_mod_options
-@click.option("--L", "L", type=int, required=True, help="target linear complexity")
-@_output_options()
+@_command(
+    count_group, "lc",
+    click.option("--L", "L", type=int, required=True, help="target linear complexity"),
+)
 def count_lc_cmd(p, n, L, fmt, out):
     """How many sequences have complexity exactly L (odd p)."""
     from .counting import count_sequences_with_lc
@@ -477,52 +455,60 @@ def _class_text(res, rec: dict) -> str:
     return "\n".join([f"{res} (L = {rec['L']})", *rec.get("members", ())])
 
 
-@count_group.command("hypercubes")
-@_mod_options
-@click.option("--edges", default="", help="comma-separated edge exponents, e.g. 0,1")
-@click.option("--l", "l", type=int, default=None,
-              help="vertex weight for the length-0 tuple class; omit for element vertices")
-@click.option("--enumerate", "do_enum", is_flag=True, help="list every member")
-@click.option("--cap", type=click.IntRange(min=1), default=ENUM_CAP, show_default=True)
-@_output_options()
-def count_hypercubes_cmd(p, n, edges, l, do_enum, cap, fmt, out):
+def _count_class(command, count, members, p, n, edges, do_enum, cap, fmt, out, **vertex):
+    """One counted class: its count and L and, with do_enum, its members.
+
+    vertex is {"l": l} for a hypercube class; a cube class passes none, and
+    its record has no l.
+    """
+    from .counting import class_lc
+
+    modulus = Modulus(p, n)
+    es = _parse_edges(edges)
+    res = count(modulus, es, **vertex)
+    rec = {"edges": list(es), **vertex, "count": res.value, "expression": res.expression,
+           "L": class_lc(modulus, es, **vertex)}
+    if do_enum:
+        rec["members"] = [s.to01() for s in members(modulus, es, cap=cap, **vertex)]
+    _render(command, modulus, [(None, res, rec)], fmt, out, _class_text)
+
+
+_ENUMERATE = (
+    click.option("--enumerate", "do_enum", is_flag=True, help="list every member"),
+    click.option("--cap", type=click.IntRange(min=1), default=ENUM_CAP, show_default=True),
+)
+
+
+@_command(
+    count_group, "hypercubes",
+    click.option("--edges", default="", help="comma-separated edge exponents, e.g. 0,1"),
+    click.option("--l", "l", type=int, default=None,
+                 help="vertex weight for the length-0 tuple class; omit for element vertices"),
+    *_ENUMERATE,
+)
+def count_hypercubes_cmd(**opts):
     """How many hypercubes share the given edge exponents and vertex class."""
-    from .counting import class_lc, count_hypercubes, enumerate_hypercubes
+    from .counting import count_hypercubes, enumerate_hypercubes
 
-    modulus = Modulus(p, n)
-    es = _parse_edges(edges)
-    res = count_hypercubes(modulus, es, l)
-    L = class_lc(modulus, es, l)
-    rec = {"edges": list(es), "l": l, "count": res.value, "expression": res.expression, "L": L}
-    if do_enum:
-        rec["members"] = [s.to01() for s in enumerate_hypercubes(modulus, es, l, cap=cap)]
-    _render("count hypercubes", modulus, [(None, res, rec)], fmt, out, _class_text)
+    _count_class("count hypercubes", count_hypercubes, enumerate_hypercubes, **opts)
 
 
-@count_group.command("cubes")
-@_mod_options
-@click.option("--edges", default="", help="comma-separated edge exponents")
-@click.option("--enumerate", "do_enum", is_flag=True, help="list every member")
-@click.option("--cap", type=click.IntRange(min=1), default=ENUM_CAP, show_default=True)
-@_output_options()
-def count_cubes_cmd(p, n, edges, do_enum, cap, fmt, out):
+@_command(
+    count_group, "cubes",
+    click.option("--edges", default="", help="comma-separated edge exponents"),
+    *_ENUMERATE,
+)
+def count_cubes_cmd(**opts):
     """How many p=2 cubes share the given edge exponents."""
-    from .counting import class_lc, count_cubes, enumerate_cubes
+    from .counting import count_cubes, enumerate_cubes
 
-    modulus = Modulus(p, n)
-    es = _parse_edges(edges)
-    res = count_cubes(modulus, es)
-    L = class_lc(modulus, es, None)
-    rec = {"edges": list(es), "count": res.value, "expression": res.expression, "L": L}
-    if do_enum:
-        rec["members"] = [s.to01() for s in enumerate_cubes(modulus, es, cap=cap)]
-    _render("count cubes", modulus, [(None, res, rec)], fmt, out, _class_text)
+    _count_class("count cubes", count_cubes, enumerate_cubes, **opts)
 
 
-@cli.command("construct-stable")
-@_mod_options
-@click.option("--k", type=int, required=True, help="error budget the complexity must survive")
-@_output_options()
+@_command(
+    cli, "construct-stable",
+    click.option("--k", type=int, required=True, help="error budget the complexity must survive"),
+)
 def construct_stable_cmd(p, n, k, fmt, out):
     """Build the maximal-complexity sequence whose L_k equals its L."""
     from .kerror import construct_stable
@@ -545,14 +531,18 @@ _SUITE_NAMES = (
 )
 
 
-@cli.command("verify")
-@click.option("--p", type=int, default=None, help="restrict sweeps to this prime base")
-@click.option("--n", type=int, default=None, help="restrict sweeps to this period exponent")
-@click.option("--suite", "suites", multiple=True, type=click.Choice(_SUITE_NAMES),
-              help="suite to run; repeatable; default all")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--cap", type=click.IntRange(min=1), default=DEFAULT_CAP, show_default=True)
-@_output_options()
+@_command(
+    cli, "verify",
+    click.option("--suite", "suites", multiple=True, type=click.Choice(_SUITE_NAMES),
+                 help="suite to run; repeatable; default all"),
+    click.option("--seed", type=int, default=0, show_default=True),
+    _CAP,
+    modulus=(
+        click.option("--p", type=int, default=None, help="restrict sweeps to this prime base"),
+        click.option("--n", type=int, default=None,
+                     help="restrict sweeps to this period exponent"),
+    ),
+)
 def verify_cmd(p, n, suites, seed, cap, fmt, out):
     """Cross-check the closed forms against brute force; exit 2 on mismatch."""
     from .verify import run_suites
@@ -571,15 +561,13 @@ def verify_cmd(p, n, suites, seed, cap, fmt, out):
         return "\n".join([str(r), *(f"  counterexample: {d}" for d in r.details)])
 
     _render("verify", modulus, rows, fmt, out, text)
-    if any(not r.ok for r in reports):
-        raise SystemExit(2)
+    return 2 if any(not r.ok for r in reports) else 0
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point mapping domain errors to the documented exit codes."""
     try:
-        cli.main(args=argv, standalone_mode=False)
-        return 0
+        return cli.main(args=argv, standalone_mode=False) or 0
     except click.Abort:
         click.echo("aborted", err=True)
         return 130
@@ -592,9 +580,6 @@ def main(argv: list[str] | None = None) -> int:
     except SeqComplexError as e:
         click.echo(f"error: {e}", err=True)
         return 1
-    except SystemExit as e:
-        code = e.code
-        return code if isinstance(code, int) else 0 if code is None else 1
     except Exception as e:
         click.echo(f"internal error: {e!r}", err=True)
         return 4

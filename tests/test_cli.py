@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -98,6 +99,14 @@ def test_celcs_csv_corpus_header(capsys, tmp_path):
     assert lines[0] == "seq,k,L_k"
     assert lines[1] == "1,0,8"
     assert "2,0,9" in lines and "2,1,0" in lines
+
+
+def test_celcs_csv_empty_corpus_header(capsys, tmp_path):
+    # the header follows the input source, not the rows it happened to hold
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("# no sequences\n\n")
+    code, out, err = run(capsys, "celcs", *MOD9_ARGS, "--file", str(corpus), "--format", "csv")
+    assert (code, out, err) == (0, "seq,k,L_k\n", "")
 
 
 def test_celcs_formula_needs_a_hypercube(capsys):
@@ -380,7 +389,13 @@ def test_forced_fan_out_matches_one_job(monkeypatch, capsys, tmp_path):
     brute = ("mcrit", *MOD9_ARGS, "--mode", "brute")
     corpus.write_text("\n".join(["110000000", "010110110", "100100100", "111111111",
                                  "111000000"] * 2) + "\n")
-    for command in (("lc", *MOD9_ARGS), brute):
+    commands = (
+        ("lc", *MOD9_ARGS), brute, ("klc", *MOD9_ARGS, "--k", "2"), ("celcs", *MOD9_ARGS),
+        ("celcs", *MOD9_ARGS, "--format", "csv"), ("structure", *MOD9_ARGS),
+        ("decompose", *MOD9_ARGS), ("decompose", *MOD9_ARGS, "--format", "json"),
+        ("mcrit", *MOD9_ARGS, "--mode", "both"),
+    )
+    for command in commands:
         _, serial, _ = run(capsys, *command, "--file", str(corpus), "--jobs", "1")
         before = len(started)
         code, out, err = run(capsys, *command, "--file", str(corpus), "--jobs", "2")
@@ -507,6 +522,22 @@ def test_python_m_runs_the_cli():
             env=env, capture_output=True, text=True, timeout=60,
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "8\n", ""), module
+
+
+def test_version_runs_from_a_checkout():
+    # the version comes from the package, so no installed distribution is needed
+    src = str(Path(seqcomplex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "seqcomplex", "--version"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith(", version 0.1.0\n")
+
+
+def test_package_version_matches_pyproject():
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    match = re.search(r'^version = "([^"]+)"$', pyproject.read_text(), re.MULTILINE)
+    assert match and seqcomplex.__version__ == match.group(1)
 
 
 def test_out_of_range_modulus_fails_at_once():
