@@ -165,11 +165,14 @@ def _map_rows(worker, rows, jobs: int):
 
 
 def _emit(payload: str, out: str | None) -> None:
+    """Write payload and a newline to stdout or out; an empty payload, a text
+    report of no rows, writes no bytes."""
+    text = payload + "\n" if payload else ""
     if out is None:
-        click.echo(payload)
+        click.echo(text, nl=False)
         return
     try:
-        Path(out).write_text(payload + "\n")
+        Path(out).write_text(text)
     except OSError as e:
         raise click.FileError(out, hint=e.strerror or str(e))
 
@@ -571,6 +574,10 @@ def main(argv: list[str] | None = None) -> int:
     except click.Abort:
         click.echo("aborted", err=True)
         return 130
+    except click.exceptions.NoArgsIsHelpError as e:
+        # a bare group, like --help: its help on stdout
+        click.echo(e.ctx.get_help())
+        return 0
     except click.ClickException as e:
         e.show()
         return 1

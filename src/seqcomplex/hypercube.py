@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Sequence as Seq
 
 from .errors import EvenP, IsVertex, NoEligibleExponent, NotACube, NotAHypercube, OddP
-from .lincomp import _TO_BIT, _lc_value, _steps
+from .lincomp import _lc_value, _steps
 from .sequences import Modulus, PeriodicSequence, require_nonzero
 
 __all__ = [
@@ -238,6 +238,7 @@ def _kept(a: int, p: int, plen: int) -> int:
     return a & ~seen
 
 
+_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
 _TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 
 

@@ -32,7 +32,8 @@ bit-sliced (``_class_min``): each error pattern is one bit lane of a few
 Python ints, plane t holding bit t of every pattern in a block of up to 4096,
 so one big-int operation does a descent step's work for the whole block, and
 the least complexity is read from the per-level sum masks.  Periods above
-256 run one pattern at a time.
+256 run one pattern at a time.  The closed form's vertex row counts
+(``_equalizing_flips``) are ``bitslice`` numbers, one row per lane.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ from .hypercube import (
     _expand_flip,
     _spread,
 )
-from .lincomp import _lanes_above, _lc_value, _levels, lc_form_decompose
+from .bitslice import above, add, largest
+from .lincomp import _lc_value, _levels, lc_form_decompose
 from .sequences import Modulus, PeriodicSequence, require_nonzero
 
 __all__ = [
@@ -278,21 +280,16 @@ def _equalizing_flips(p: int, q: int, a: int) -> int:
 
     Bit i * p^q + u of a is row u of block i, and so is the flip toggling
     it.  The row with the most ones goes to all-ones and every other row to
-    its majority side.  Row counts are bit-sliced: plane b holds bit b of
-    every row's count.
+    its majority side.  Row counts are ``bitslice`` numbers, one row per
+    lane.
     """
     rows = p**q
     mask = (1 << rows) - 1
-    blocks = [(a >> (i * rows)) & mask for i in range(p)]
-    planes = [0] * p.bit_length()
-    for carry in blocks:
-        for b in range(len(planes)):
-            planes[b], carry = planes[b] ^ carry, planes[b] & carry
-    top = mask  # the rows of the largest count
-    for plane in reversed(planes):
-        if top & plane:
-            top &= plane
-    target = _lanes_above(planes, p >> 1, mask) | (top & -top)
+    counts = [0] * p.bit_length()
+    for i in range(p):
+        add(counts, (a >> (i * rows)) & mask)
+    top = largest(counts, mask)
+    target = above(counts, p >> 1, mask) | (top & -top)
     return a ^ _spread(target, p, rows)
 
 

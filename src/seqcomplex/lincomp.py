@@ -9,9 +9,10 @@ A nonzero final scalar adds 1.  ``_lc_value`` is the value-only loop (``lc``,
 ``berlekamp_massey_lc`` - classic LFSR synthesis over GF(2), fed two periods
 - is the independent oracle they are checked against; it skips each run of
 zero-discrepancy steps in one shift, as those steps change nothing but the
-index.  The verify sweep runs the same Massey steps bit-sliced across a
-block of sequences (``_bm_values``): each sequence is one bit lane of a few
-Python ints, so one big-int operation does a step's work for the whole block.
+index.  The verify sweep runs the same Massey steps bit-sliced across every
+block of sequences, whatever its width (``_bm_values``): each sequence is
+one bit lane of a few Python ints, so one big-int operation does a step's
+work for the whole block, and the complexities are ``bitslice`` numbers.
 
 Every attainable complexity has a unique canonical form
 ``L = eps + (p-1) * sum(p^(v-1) for v in V)`` with ``eps`` in {0, 1} and
@@ -21,7 +22,6 @@ unique; the greedy largest-exponent-first choice is used.)
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import cache, reduce
 from operator import and_, xor
@@ -40,9 +40,6 @@ __all__ = [
     "lc_form_decompose",
     "xwli_lc",
 ]
-
-
-_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @dataclass(frozen=True)
@@ -205,50 +202,34 @@ def _bm_value(stream: int, length: int) -> int:
     return deg
 
 
-def _lanes_above(planes: list[int], c: int, lanes: int) -> int:
-    """The lanes whose bit-sliced value exceeds c, for c < 2^len(planes).
-
-    Plane b holds bit b of every lane's value; the compare runs MSB first,
-    eq keeping the lanes that match c so far.
-    """
-    gt, eq = 0, lanes
-    for b in range(len(planes) - 1, -1, -1):
-        if c >> b & 1:
-            eq &= planes[b]
-        else:
-            gt |= eq & planes[b]
-            eq &= ~planes[b]
-    return gt
-
-
 def _bm_values(values: list[int], N: int) -> list[int]:
     """``_bm_value`` on two periods of each N-bit value, bit-sliced.
 
     Lane j of every plane belongs to values[j]: plane S[t] holds its bit
     t mod N, C[k] bit k of its connection polynomial, B[k] bit k of x^m * B
-    (B pre-shifted by the steps m since it was set), and L[b] bit b of its
-    complexity, so one big-int operation does a step's work for every lane.
-    dc and db bound the degrees of C and x^m * B over all lanes; no lane's
-    C or x^m * B has degree above N where it is read, so N + 1 planes hold
-    them.  Below max(256, 4N) lanes the scalar loop is faster.
+    (B pre-shifted by the steps m since it was set), and L, a ``bitslice``
+    number, its complexity, so one big-int operation does a step's work for
+    every lane.  dc and db bound the degrees of C and x^m * B over all lanes;
+    no lane's C or x^m * B has degree above N where it is read, so N + 1
+    planes hold them.
     """
+    from .bitslice import above, read, subtract
+
     W = len(values)
-    if W < max(256, 4 * N):
-        return [_bm_value(v | v << N, 2 * N) for v in values]
     full = (1 << W) - 1
-    # N digits per value, MSB first; S repeats the period so S[i - j] is direct
-    rows = (f"{{:0{N}b}}" * W).format(*values)
+    # N digits per value, MSB first and values[0] last, so that lane j is
+    # values[j]; S repeats the period so S[i - j] is direct
+    rows = (f"{{:0{N}b}}" * W).format(*reversed(values))
     S = [int(rows[N - 1 - t :: N], 2) for t in range(N)] * 2
     C = [full] + [0] * N
     B = [0, full] + [0] * (N - 1)
-    K = N.bit_length()
-    L = [0] * K
+    L = [0] * N.bit_length()
     dc, db = 0, 1
     for i in range(2 * N):
         d = reduce(xor, map(and_, C[1 : dc + 1], S[i - 1 :: -1]), S[i])
         swap = 0
         if d:
-            swap = d & ~_lanes_above(L, i >> 1, full)  # d = 1 and 2L <= i
+            swap = d & ~above(L, i >> 1, full)  # d = 1 and 2L <= i
             dc = max(dc, db)
             old = C[: min(dc, N - 1) + 1]
             C[1 : db + 1] = [c ^ (d & b) for c, b in zip(C[1 : db + 1], B[1 : db + 1])]
@@ -257,26 +238,11 @@ def _bm_values(values: list[int], N: int) -> list[int]:
             B = [0, *[b ^ (swap & (b ^ c)) for b, c in zip(B, old)]]
             B += [0] * (N + 1 - len(B))
             db = min(dc + 1, N)
-            borrow = 0
-            for b in range(K):
-                x = L[b]
-                if (i + 1) >> b & 1:
-                    L[b] = x ^ (swap & ~borrow)
-                    borrow &= x
-                else:
-                    L[b] = x ^ (swap & borrow)
-                    borrow |= x
+            subtract(L, i + 1, swap)
         else:
             B = [0, *B[:N]]
             db = min(db + 1, N)
-    # one field of g bytes per lane, wide enough for any L <= N
-    g, code = (1, "B") if K <= 8 else (2, "H") if K <= 16 else (4, "I")
-    buf = bytearray(W * g)
-    total = 0
-    for b, plane in enumerate(L):
-        buf[g - 1 :: g] = format(plane, f"0{W}b").encode().translate(_TO_BIT)
-        total += int.from_bytes(buf, "big") << b
-    return list(struct.unpack(f">{W}{code}", total.to_bytes(W * g, "big")))
+    return read(L, W)
 
 
 def berlekamp_massey_lc(s: PeriodicSequence) -> int:

@@ -5,6 +5,8 @@ complexity via GF(2) polynomial gcd, and exhaustive searches phrased
 directly from the definitions.  The one exception is the scalar class scan,
 which runs the package's own descent on each pattern: it is the reference
 for the bit-sliced enumeration around that descent, not for the descent.
+The bit-sliced number layout is built and read one lane and one bit at a
+time.
 """
 
 from __future__ import annotations
@@ -194,3 +196,18 @@ def exhaustive_min_change(v: VertexDescriptor) -> int:
         if best is None or cost < best:
             best = cost
     return best
+
+
+def to_planes(values: list[int], planes: int) -> list[int]:
+    """The bit-sliced layout, built one lane and one bit at a time: plane b
+    holds bit b of values[j] at lane j."""
+    out = [0] * planes
+    for j, v in enumerate(values):
+        for b in range(planes):
+            out[b] |= (v >> b & 1) << j
+    return out
+
+
+def lane_values(planes: list[int], width: int) -> list[int]:
+    """Each lane's value, read back one lane and one bit at a time."""
+    return [sum((plane >> j & 1) << b for b, plane in enumerate(planes)) for j in range(width)]

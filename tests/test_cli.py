@@ -109,6 +109,30 @@ def test_celcs_csv_empty_corpus_header(capsys, tmp_path):
     assert (code, out, err) == (0, "seq,k,L_k\n", "")
 
 
+def test_empty_corpus_text_report_writes_no_bytes(capsys, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("# no sequences\n\n")
+    report = tmp_path / "report.txt"
+    for command in ("lc", "decompose"):
+        code, out, err = run(capsys, command, *MOD9_ARGS, "--file", str(corpus))
+        assert (code, out, err) == (0, "", ""), command
+        report.write_text("stale")
+        code, out, err = run(capsys, command, *MOD9_ARGS, "--file", str(corpus),
+                             "--out", str(report))
+        assert (code, out, err, report.read_bytes()) == (0, "", "", b""), command
+    # the other formats still frame their empty results
+    code, out, _ = run(capsys, "lc", *MOD9_ARGS, "--file", str(corpus), "--format", "json")
+    assert (code, json.loads(out)["results"]) == (0, [])
+
+
+def test_a_bare_group_prints_its_help(capsys):
+    for group in ([], ["count"]):
+        code, out, err = run(capsys, *group)
+        assert (code, err) == (0, ""), group
+        assert run(capsys, *group, "--help") == (0, out, ""), group
+        assert out.startswith("Usage: ") and "Commands:" in out, group
+
+
 def test_celcs_formula_needs_a_hypercube(capsys):
     code, _, err = run(
         capsys, "celcs", *MOD9_ARGS, "--seq", "110100100", "--mode", "formula"
@@ -483,6 +507,25 @@ def test_importing_the_cli_loads_no_process_pool():
         "module 'seqcomplex' has no attribute 'no_such_name'",
         "seqcomplex.verify",
     ]
+
+
+def test_lc_loads_no_bit_sliced_numbers():
+    bitslice = "seqcomplex.bitslice"
+    printed, loaded = _fresh("from seqcomplex.cli import main\n"
+                             "main(['lc', '--p', '3', '--n', '2', '--seq', '110000000'])")
+    assert printed == ["8"]
+    assert bitslice not in loaded
+    # lincomp loads it only once the bit-sliced oracle runs
+    printed, loaded = _fresh("from seqcomplex.lincomp import _bm_values\n"
+                             "import sys\n"
+                             "print('seqcomplex.bitslice' in sys.modules)\n"
+                             "print(_bm_values([1, 3], 3))")
+    assert printed == ["False", "[3, 2]"]
+    assert bitslice in loaded
+    printed, loaded = _fresh("from seqcomplex.cli import main\n"
+                             "print(main(['verify', '--suite', 'lc-oracle', *{!r}]))".format(MOD9_ARGS))
+    assert printed[-1] == "0"
+    assert bitslice in loaded
 
 
 def test_suite_choices_are_the_verify_suites():

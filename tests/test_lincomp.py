@@ -210,8 +210,8 @@ def _assert_lanes_match(values, N):
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5, 8, 9, 11])
 def test_bit_sliced_bm_matches_scalar_on_every_value(N):
-    """Every value, zero included, alone and repeated past the width where
-    the lanes replace the scalar loop."""
+    """Every value, zero included, alone and repeated to at least
+    max(256, 4N) lanes."""
     values = list(range(1 << N))
     _assert_lanes_match(values, N)
     _assert_lanes_match(values * -(-max(256, 4 * N) >> N), N)
@@ -219,8 +219,8 @@ def test_bit_sliced_bm_matches_scalar_on_every_value(N):
 
 @pytest.mark.parametrize("N", [16, 25, 27, 32, 81, 243])
 def test_bit_sliced_bm_matches_scalar_on_random_blocks(N):
-    """Seeded blocks on both sides of the scalar fallback; lane 0 holds a
-    single one, whose complexity is the full period N."""
+    """Seeded blocks of 1 to 4096 lanes; lane 0 holds a single one, whose
+    complexity is the full period N."""
     rng = random.Random(N)
     for width in (1, 255, 256, 1000, 4096):
         values = [1] + [rng.getrandbits(N) for _ in range(width - 1)]
