@@ -5,7 +5,9 @@ Xiao, Wei, Lam and Imamura, which at p = 2 is the Games-Chan halving.  At
 each depth the current vector splits into p equal-length parts; equal parts
 are kept once, otherwise their XOR is kept and (p-1) * p^(n-depth) is added.
 A nonzero final scalar adds 1.  ``_lc_value`` is the value-only loop (``lc``,
-``games_chan_lc``); ``xwli_lc`` and ``hypercube._descend`` read ``_steps``.
+``games_chan_lc``); at p = 2 it halves, keeping the low half or the two
+halves' XOR, without the p-way fold.  ``xwli_lc`` and ``hypercube._descend``
+read ``_steps``.
 ``berlekamp_massey_lc`` - classic LFSR synthesis over GF(2), fed two periods
 - is the independent oracle they are checked against; it skips each run of
 zero-discrepancy steps in one shift, as those steps change nothing but the
@@ -13,6 +15,8 @@ index.  The verify sweep runs the same Massey steps bit-sliced across every
 block of sequences, whatever its width (``_bm_values``): each sequence is
 one bit lane of a few Python ints, so one big-int operation does a step's
 work for the whole block, and the complexities are ``bitslice`` numbers.
+The block's sequence planes are cut from one binary string, formatted once
+from every value packed as a field of whole bytes.
 
 Every attainable complexity has a unique canonical form
 ``L = eps + (p-1) * sum(p^(v-1) for v in V)`` with ``eps`` in {0, 1} and
@@ -24,8 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
+from itertools import repeat
 from operator import and_, xor
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import EvenP, NotRepresentable, OddP
 from .sequences import Modulus, PeriodicSequence
@@ -80,8 +85,7 @@ def lc_form_decompose(L: int, modulus: Modulus) -> LCForm:
     return LCForm(p, rem, frozenset(exps))
 
 
-@dataclass(frozen=True)
-class XwliStep:
+class XwliStep(NamedTuple):
     """One descent step: 'split' kept A_0 (all parts equal), 'sum' XORed them."""
 
     branch: str
@@ -90,8 +94,7 @@ class XwliStep:
     increment: int
 
 
-@dataclass(frozen=True)
-class XwliTrace:
+class XwliTrace(NamedTuple):
     steps: tuple[XwliStep, ...]
     final_one: bool
 
@@ -118,9 +121,20 @@ def _lc_value(a: int, p: int, n: int) -> int:
     """Descent without bookkeeping; the hot path for sweeps and brute force.
 
     The parts are all equal exactly when the vector shifted down by one part
-    equals its low p-1 parts.
+    equals its low p-1 parts.  At p = 2 that is the two halves, and the
+    level keeps the low half or their XOR directly.
     """
     L = 0
+    if p == 2:
+        for plen, mask, _, _ in _levels(2, n):
+            hi = a >> plen
+            lo = a & mask
+            if hi != lo:
+                a = hi ^ lo
+                L += plen
+            else:
+                a = lo
+        return L + a
     for plen, mask, low_mask, increment in _levels(p, n):
         hi = a >> plen
         if hi != a & low_mask:
@@ -136,8 +150,9 @@ def _steps(a: int, p: int, n: int) -> Iterator[tuple[int, bool, int]]:
     """The descent of a: (plen, split, a) at each depth 1..n, a being the
     vector the depth leaves (part 0 at a split, the parts' XOR at a sum),
     past a zero sum too.  ``_lc_value`` keeps its own loop: one on this
-    generator took 1.3-2x as long per call (periods 2^4 to 3^5), and a mask
-    of sum levels would not give ``xwli_lc`` its weights at each depth."""
+    generator took 1.5-1.7x as long per call at periods 3^2 to 3^5 and
+    about 2.4x at 2^4 and 2^5, and a mask of sum levels would not give
+    ``xwli_lc`` its weights at each depth."""
     for plen, mask, low_mask, _ in _levels(p, n):
         hi = a >> plen
         split = hi == a & low_mask
@@ -212,15 +227,28 @@ def _bm_values(values: list[int], N: int) -> list[int]:
     every lane.  dc and db bound the degrees of C and x^m * B over all lanes;
     no lane's C or x^m * B has degree above N where it is read, so N + 1
     planes hold them.
+
+    The S planes come from one conversion at every N: each value becomes a
+    field of whole bytes, the fields join into one int, that int is
+    formatted in binary once, and plane t is one strided slice of the text.
     """
     from .bitslice import above, read, subtract
 
     W = len(values)
     full = (1 << W) - 1
-    # N digits per value, MSB first and values[0] last, so that lane j is
-    # values[j]; S repeats the period so S[i - j] is direct
-    rows = (f"{{:0{N}b}}" * W).format(*reversed(values))
-    S = [int(rows[N - 1 - t :: N], 2) for t in range(N)] * 2
+    # fields MSB first and values[0] last, so that lane j is values[j]; 512
+    # values are packed at a time, as one join over all W would hold a bytes
+    # object per value at once and raise the sweep's peak RSS; S repeats the
+    # period so S[i - j] is direct
+    size = N + 7 >> 3
+    F = 8 * size
+    lanes = values[::-1]
+    packed = b"".join(
+        b"".join(map(int.to_bytes, lanes[k : k + 512], repeat(size), repeat("big")))
+        for k in range(0, W, 512)
+    )
+    rows = format(int.from_bytes(packed, "big"), f"0{W * F}b")
+    S = [int(rows[F - 1 - t :: F], 2) for t in range(N)] * 2
     C = [full] + [0] * N
     B = [0, full] + [0] * (N - 1)
     L = [0] * N.bit_length()

@@ -25,6 +25,8 @@ from .errors import (
 )
 
 PERIOD_CAP = 1 << 20
+# frozen dataclasses set their fields past their own __setattr__
+_set_field = object.__setattr__
 
 
 def _prime_factors(x: int) -> set[int]:
@@ -84,18 +86,25 @@ def validate_modulus(p: int, n: int) -> Modulus:
     return Modulus(p, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PeriodicSequence:
-    """One period of a binary sequence, packed LSB-first into ``value``."""
+    """One period of a binary sequence, packed LSB-first into ``value``.
+
+    The sweeps build one per checked value, so ``__init__`` validates and
+    sets both fields itself, without the generated ``__init__``'s
+    ``__post_init__`` frame.  Assignment still raises FrozenInstanceError.
+    """
 
     modulus: Modulus
     value: int
 
-    def __post_init__(self) -> None:
-        if self.value < 0 or self.value.bit_length() > self.modulus.period:
+    def __init__(self, modulus: Modulus, value: int) -> None:
+        if value < 0 or value.bit_length() > modulus.period:
             raise LengthMismatch(
-                f"packed value needs {self.modulus.period} bits, got {self.value.bit_length()}"
+                f"packed value needs {modulus.period} bits, got {value.bit_length()}"
             )
+        _set_field(self, "modulus", modulus)
+        _set_field(self, "value", value)
 
     # -- constructors --------------------------------------------------------
 

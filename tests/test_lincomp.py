@@ -6,6 +6,8 @@ from helpers import gcd_lc, list_plain_trace, seq, stepwise_bm
 from seqcomplex import (
     Modulus,
     PeriodicSequence,
+    XwliStep,
+    XwliTrace,
     berlekamp_massey_lc,
     games_chan_lc,
     lc,
@@ -144,6 +146,29 @@ def test_trace_structure_split_then_sum():
     assert form.value == 2
 
 
+def test_trace_records_keep_their_fields_repr_and_immutability():
+    form, trace = xwli_lc(seq(MOD9, "110000000"))
+    assert repr(trace) == (
+        "XwliTrace(steps=(XwliStep(branch='sum', pre_weight=2, post_weight=2, increment=6), "
+        "XwliStep(branch='sum', pre_weight=2, post_weight=0, increment=2)), final_one=False)"
+    )
+    assert trace == XwliTrace((XwliStep("sum", 2, 2, 6), XwliStep("sum", 2, 0, 2)), False)
+    assert hash(trace) == hash(xwli_lc(seq(MOD9, "110000000"))[1])
+    step = trace.steps[0]
+    for obj, name in ((step, "branch"), (step, "increment"), (trace, "steps"), (trace, "final_one")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+    assert step.increment == 6 and trace.total == form.value == 8
+
+
+def test_xwli_lc_repeats_its_result_on_one_sequence():
+    rng = random.Random(21)
+    for mod in (MOD9, MOD27, Modulus(5, 2)):
+        for v in [0, 1, (1 << mod.period) - 1] + [rng.getrandbits(mod.period) for _ in range(20)]:
+            s = PeriodicSequence(mod, v)
+            assert xwli_lc(s) == xwli_lc(s), (mod, v)
+
+
 def test_trace_delta_keeps_final_one():
     form, trace = xwli_lc(seq(MOD9, "010000000"))
     assert trace.final_one
@@ -217,7 +242,7 @@ def test_bit_sliced_bm_matches_scalar_on_every_value(N):
     _assert_lanes_match(values * -(-max(256, 4 * N) >> N), N)
 
 
-@pytest.mark.parametrize("N", [16, 25, 27, 32, 81, 243])
+@pytest.mark.parametrize("N", [7, 15, 16, 17, 25, 27, 31, 32, 33, 63, 64, 65, 81, 243])
 def test_bit_sliced_bm_matches_scalar_on_random_blocks(N):
     """Seeded blocks of 1 to 4096 lanes; lane 0 holds a single one, whose
     complexity is the full period N."""

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import random
 
@@ -151,6 +152,25 @@ def test_modulus_with_cached_period_pickles_equal():
     assert back.period == 243 and repr(back) == "Modulus(p=3, n=5)"
     s = PeriodicSequence(mod, 5)
     assert pickle.loads(pickle.dumps(s)) == s
+
+
+def test_sequence_is_a_frozen_value_with_a_fixed_repr():
+    """Fields reject assignment and deletion, equal sequences hash equal, and
+    the repr names the modulus and the literal, cut after 29 digits."""
+    s = PeriodicSequence(MOD9, 0b11)
+    for name, value in (("value", 5), ("modulus", Modulus(5, 1))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, value)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(s, name)
+    assert (s.modulus, s.value) == (MOD9, 0b11)
+    twin = parse_sequence("110000000", Modulus(3, 2))
+    assert twin == s and hash(twin) == hash(s) and twin is not s
+    assert len({s, twin, PeriodicSequence(MOD9, 0b101)}) == 2
+    assert s != PeriodicSequence(Modulus(5, 1), 0b11)
+    assert repr(s) == "PeriodicSequence(3^2, 110000000)"
+    assert repr(PeriodicSequence(Modulus(3, 4), 1)) == f"PeriodicSequence(3^4, 1{'0' * 28}...)"
+    assert dataclasses.replace(s, value=1) == PeriodicSequence(MOD9, 1)
 
 
 def test_from_bits():
