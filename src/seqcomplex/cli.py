@@ -8,12 +8,13 @@ command's own options, --format/--out, and --jobs on the sequence commands.
 The sequence commands share one row path, _rows: build the modulus, load
 --seq or --file (one record per corpus line, errors tagged with the line
 number), map the command's worker over the rows, and render text, JSON
-(schema "seqcomplex/1"), or CSV where it fits.  A corpus runs in input order
-in this process; once its measured row work passes _POOL_AFTER_S, --jobs N
-hands the rows left to at most min(N, CPUs, rows left) worker processes, in
-input-ordered chunks.  Exit codes: 0 success, 1 input error, 2 verification
-mismatch, 3 budget exceeded, 4 internal error (a bug, not a problem with the
-input).
+(schema "seqcomplex/1"), or CSV where it fits.  The JSON report has the
+bytes of json.dumps(doc, indent=2), but Python's C encoder writes it
+(_envelope).  A corpus runs in input order in this process; once its
+measured row work passes _POOL_AFTER_S, --jobs N hands the rows left to at
+most min(N, CPUs, rows left) worker processes, in input-ordered chunks.
+Exit codes: 0 success, 1 input error, 2 verification mismatch, 3 budget
+exceeded, 4 internal error (a bug, not a problem with the input).
 
 A command loads only the modules it runs: counting, hypercube, kerror and
 verify are imported inside the commands and row workers that call them,
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import os
 from functools import cache, partial
+from itertools import chain
 from pathlib import Path
 from time import perf_counter
 
@@ -178,14 +180,34 @@ def _emit(payload: str, out: str | None) -> None:
 
 
 def _envelope(command: str, modulus: Modulus | None, results) -> str:
+    """The bytes of json.dumps(doc, indent=2), written by the C encoder.
+
+    The C encoder has no indent, but its item separator may hold a newline:
+    with ",\\n  " a flat dict comes out as its indented body without the
+    newlines after "{" and before "}", and an encoded string never holds a
+    raw newline.  So the head, and a results list of non-empty records with
+    scalar values, are one encode each; the records' boundaries get their
+    braces' newlines, and one replace indents the body to its depth.  Any
+    other record is dumped alone with indent=2 and indented the same way.
+    """
     import json
 
+    encode = json.JSONEncoder(separators=(",\n  ", ": ")).encode
     doc: dict = {"schema": SCHEMA, "command": command}
     if modulus is not None:
         doc["p"] = modulus.p
         doc["n"] = modulus.n
-    doc["results"] = results
-    return json.dumps(doc, indent=2)
+    head = "{\n  " + encode(doc)[1:-1] + ',\n  "results": '
+    if not results:
+        return head + "[]\n}"
+    if set(map(type, results)) == {dict} and all(results) and not any(
+        issubclass(t, (dict, list, tuple))
+        for t in set(map(type, chain.from_iterable(map(dict.values, results))))
+    ):
+        body = "{\n  " + encode(results)[2:-2].replace("},\n  {", "\n},\n{\n  ") + "\n}"
+    else:
+        body = ",\n".join(json.dumps(rec, indent=2) for rec in results)
+    return head + "[\n    " + body.replace("\n", "\n    ") + "\n  ]\n}"
 
 
 def _render(command, modulus, mapped, fmt, out, text_line) -> None:

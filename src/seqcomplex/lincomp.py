@@ -6,8 +6,9 @@ each depth the current vector splits into p equal-length parts; equal parts
 are kept once, otherwise their XOR is kept and (p-1) * p^(n-depth) is added.
 A nonzero final scalar adds 1.  ``_lc_value`` is the value-only loop (``lc``,
 ``games_chan_lc``); at p = 2 it halves, keeping the low half or the two
-halves' XOR, without the p-way fold.  ``xwli_lc`` and ``hypercube._descend``
-read ``_steps``.
+halves' XOR, without the p-way fold, and up to period 2^12 returns 2^n at
+once for an odd-weight vector, as x + 1 then does not divide s(x).
+``xwli_lc`` and ``hypercube._descend`` read ``_steps``.
 ``berlekamp_massey_lc`` - classic LFSR synthesis over GF(2), fed two periods
 - is the independent oracle they are checked against; it skips each run of
 zero-discrepancy steps in one shift, as those steps change nothing but the
@@ -117,15 +118,30 @@ def _levels(p: int, n: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(out)
 
 
+# Largest n at which _lc_value reads the weight's parity before halving at
+# p = 2.  int.bit_count takes one software popcount per 30-bit digit: at
+# 2^10 it cost 5-8 % of a halving descent, at 2^12 ~14 %, at 2^14 22-38 %,
+# at 2^16 about as much as the descent, and at 2^20 59 against 41 us
+# (timeit, 64 random values, 2-vCPU VM).  Up to this n an even weight pays
+# at most ~14 % more and an odd one skips its whole descent; at 2^20 the
+# parity alone costs more than the descent it would skip.
+_PARITY_UP_TO_N = 12
+
+
 def _lc_value(a: int, p: int, n: int) -> int:
     """Descent without bookkeeping; the hot path for sweeps and brute force.
 
     The parts are all equal exactly when the vector shifted down by one part
     equals its low p-1 parts.  At p = 2 that is the two halves, and the
-    level keeps the low half or their XOR directly.
+    level keeps the low half or their XOR directly.  At p = 2, x^(2^n) - 1
+    is (x + 1)^(2^n), so L = 2^n exactly when x + 1 does not divide s(x),
+    that is when the weight of s is odd; up to n = _PARITY_UP_TO_N such an
+    s returns before halving.
     """
     L = 0
     if p == 2:
+        if n <= _PARITY_UP_TO_N and a.bit_count() & 1:
+            return 1 << n
         for plen, mask, _, _ in _levels(2, n):
             hi = a >> plen
             lo = a & mask

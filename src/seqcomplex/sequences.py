@@ -25,6 +25,9 @@ from .errors import (
 )
 
 PERIOD_CAP = 1 << 20
+# a str.translate table that deletes "0" and "1"; translating never encodes,
+# so a lone surrogate from a non-UTF-8 argv byte is checked like any character
+_DELETE_01 = str.maketrans("", "", "01")
 # frozen dataclasses set their fields past their own __setattr__
 _set_field = object.__setattr__
 
@@ -111,12 +114,16 @@ class PeriodicSequence:
     @classmethod
     def from_text(cls, text: str, modulus: Modulus) -> "PeriodicSequence":
         """Parse a 0/1 literal; whitespace is ignored."""
-        digits = "".join(text.split())
-        # int(..., 2) alone would also accept "_" separators and non-ASCII digits
-        if digits.count("0") + digits.count("1") != len(digits):
-            for pos, ch in enumerate(text):
-                if not ch.isspace() and ch not in "01":
-                    raise InvalidCharacter(f"invalid character {ch!r} at offset {pos}")
+        digits = text
+        # what is left once 0 and 1 are deleted must be whitespace: int(..., 2)
+        # alone would also accept "_" separators and non-ASCII digits
+        rest = text.translate(_DELETE_01)
+        if rest:
+            if not rest.isspace():
+                for pos, ch in enumerate(text):
+                    if not ch.isspace() and ch not in "01":
+                        raise InvalidCharacter(f"invalid character {ch!r} at offset {pos}")
+            digits = "".join(text.split())
         if len(digits) != modulus.period:
             raise LengthMismatch(f"expected {modulus.period} digits, got {len(digits)}")
         return cls(modulus, int(digits[::-1], 2))

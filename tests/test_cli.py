@@ -7,11 +7,16 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+from hypothesis import given, strategies as st
+
 import seqcomplex
 import seqcomplex.cli as cli_module
+from seqcomplex import Modulus, parse_sequence
 from seqcomplex.cli import main
 
 MOD9_ARGS = ["--p", "3", "--n", "2"]
+MOD9 = Modulus(3, 2)
 
 
 def run(capsys, *argv):
@@ -460,11 +465,11 @@ def test_unwritable_out_is_an_input_error(capsys, tmp_path):
 
 def _fresh(code: str) -> tuple[list[str], set[str]]:
     """Run code in a fresh interpreter: the lines it printed, and the
-    seqcomplex submodules and process pool module loaded after it."""
+    seqcomplex submodules, process pool module and json loaded after it."""
     src = str(Path(seqcomplex.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = (f"import sys\n{code}\nprint(*sorted(m for m in sys.modules if m.startswith("
-             "('seqcomplex.', 'concurrent.futures.process'))))")
+    probe = (f"import sys\n{code}\nprint(*sorted(m for m in sys.modules if m == 'json' or "
+             "m.startswith(('seqcomplex.', 'concurrent.futures.process'))))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, ""), code
@@ -482,7 +487,13 @@ def test_importing_the_cli_loads_no_process_pool():
                "main([{!r}, '--p', '3', '--n', '2', '--seq', {!r}])")
     printed, loaded = _fresh(run_cli.format("lc", "110000000"))
     assert printed == ["8"]
-    assert not loaded & {pool, *unused}
+    assert not loaded & {pool, *unused, "json"}
+    # json is loaded only where a JSON report is built
+    printed, loaded = _fresh("from seqcomplex.cli import main\n"
+                             "main(['lc', '--p', '3', '--n', '2', '--seq', '110000000', "
+                             "'--format', 'json'])")
+    assert printed[1] == '  "schema": "seqcomplex/1",'
+    assert "json" in loaded
     printed, loaded = _fresh(run_cli.format("decompose", "111000000"))
     assert printed[0] == "1 parts, L = 7"
     assert "seqcomplex.hypercube" in loaded
@@ -594,3 +605,78 @@ def test_out_of_range_modulus_fails_at_once():
         )
         assert (proc.returncode, proc.stdout) == (1, ""), (p, n)
         assert proc.stderr == f"error: p^n = {p}^{n} exceeds 1048576\n"
+
+
+# -- the JSON envelope ----------------------------------------------------------
+
+def _indent_2(command, modulus, results) -> str:
+    doc = {"schema": "seqcomplex/1", "command": command}
+    if modulus is not None:
+        doc["p"], doc["n"] = modulus.p, modulus.n
+    doc["results"] = results
+    return json.dumps(doc, indent=2)
+
+
+TRICKY = ["", "caf\u00e9 \u0661\U0001d7d9", "\x00\x1f\t\n\r", '"quoted"', "},", "{",
+          "},\n  {", "\\", "\udc80"]
+
+
+def _worker_records():
+    """A record of every sequence command's JSON shape, on a few inputs."""
+    cube = parse_sequence("11001100", Modulus(2, 3))
+    hyper = parse_sequence("110110110", MOD9)
+    other = parse_sequence("110100100", MOD9)
+    recs = [cli_module._lc_record(hyper), cli_module._klc_record(other, 1, 10**6)]
+    recs += [cli_module._structure_record(s) for s in (cube, hyper, other)]
+    recs += [cli_module._decompose_record(s, detail) for s in (hyper, other)
+             for detail in (True, False)]
+    recs += [cli_module._celcs_record(cube, "brute", 10**6)]
+    recs += [cli_module._celcs_record(hyper, mode, 10**6) for mode in ("brute", "formula", "both")]
+    recs += [cli_module._mcrit_record(s, mode, 10**6) for s in (cube, hyper)
+             for mode in ("brute", "formula", "both")]
+    recs.append({"suite": "lc-oracle", "checks": 3, "agreements": 2, "failures": 1,
+                 "counterexamples": ["3^2 s=110000000: 8 != 7"]})
+    return recs
+
+
+@pytest.mark.parametrize("results", [
+    [],
+    [{}],
+    [{}, {"L": 1}],
+    [{"L": 8, "canonical_form": "8 = 0 + (3-1)*[1,2]", "weight": 2}] * 3,
+    [{"a": None, "b": True, "c": False, "d": 1.5, "e": -0.0, "f": 1e300, "g": float("inf"),
+      "h": float("nan"), "i": 10**30}],
+    [{t: t for t in TRICKY}],
+    [{"s": t} for t in TRICKY],
+    [{"edges": (0, 1), "m": 2}],
+    [{"t": ()}],
+    [{"l": []}],
+    [{"l": [1, 2]}],
+    [{"d": {}}],
+    [{"d": {"a": 1}}],
+    [{"d": {"L": 1}, "m": 2}, {"L": 1}],
+    _worker_records(),
+    [{"line": no, **rec} for no, rec in enumerate(_worker_records(), start=3)],
+    [{"L": 8}, *_worker_records(), {"L": 9, "weight": 1}],
+], ids=lambda r: f"{len(r)}-records")
+@pytest.mark.parametrize("modulus", [MOD9, None])
+def test_envelope_is_indent_2_json(results, modulus):
+    assert cli_module._envelope("lc", modulus, results) == _indent_2("lc", modulus, results)
+
+
+TEXT = st.text(max_size=6) | st.sampled_from(TRICKY)
+SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | TEXT
+FLAT = st.dictionaries(TEXT, SCALARS, max_size=4)
+NESTED = st.dictionaries(TEXT, st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner)
+    | st.dictionaries(TEXT, inner, max_size=3),
+    max_leaves=6,
+), max_size=3)
+
+
+@given(TEXT,
+       st.none() | st.sampled_from([MOD9, Modulus(2, 20)]),
+       st.lists(FLAT, max_size=6) | st.lists(FLAT | NESTED, max_size=6))
+def test_envelope_is_indent_2_json_on_any_records(command, modulus, results):
+    assert cli_module._envelope(command, modulus, results) == _indent_2(command, modulus, results)

@@ -89,7 +89,7 @@ def test_three_way_agreement_p2_exhaustive():
         mod = Modulus(2, n)
         for v in range(1 << mod.period):
             s = PeriodicSequence(mod, v)
-            assert games_chan_lc(s) == berlekamp_massey_lc(s) == gcd_lc(s), (n, v)
+            assert lc(s) == games_chan_lc(s) == berlekamp_massey_lc(s) == gcd_lc(s), (n, v)
 
 
 def test_three_way_agreement_p2_sampled_n32():
@@ -98,6 +98,27 @@ def test_three_way_agreement_p2_sampled_n32():
     for _ in range(200):
         s = PeriodicSequence(mod, rng.randrange(1, 1 << 32))
         assert games_chan_lc(s) == berlekamp_massey_lc(s) == gcd_lc(s)
+
+
+def test_p2_engines_match_bm_at_both_weight_parities():
+    # up to 2^12 an odd weight returns 2^n before the halving; above it,
+    # and at every even weight, the value halves (every value up to 2^4 is
+    # checked above)
+    rng = random.Random(22)
+    for n in range(5, 15):
+        N = 1 << n
+        dense = [rng.getrandbits(N) for _ in range(4)]
+        sparse = [sum(1 << i for i in rng.sample(range(N), 3)) for _ in range(4)]
+        # a block repeated 2^j times has complexity at most N / 2^j
+        repeated = [int(f"{rng.getrandbits(N >> j):0{N >> j}b}" * (1 << j), 2)
+                    for j in (1, 2, 3, 4)]
+        for i, v in enumerate(dense + sparse + repeated):
+            if v.bit_count() % 2 != i % 2:
+                v ^= 1 << rng.randrange(N)
+            s = PeriodicSequence(Modulus(2, n), v)
+            L = berlekamp_massey_lc(s)
+            assert lc(s) == games_chan_lc(s) == L, (n, v)
+            assert (L == N) == (v.bit_count() % 2 == 1), (n, v)
 
 
 def test_three_way_agreement_sampled_odd():

@@ -3,6 +3,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from seqcomplex import (
     Modulus,
@@ -227,3 +228,56 @@ def test_parse_corpus_reports_the_offending_line():
     with pytest.raises(LengthMismatch) as e:
         parse_corpus(["# ok", "1100"], MOD9)
     assert str(e.value).startswith("line 2:")
+
+
+# (text, value) or (text, exception type, message); the messages are the ones
+# the count-based check gave before the one-scan check replaced it
+FROM_TEXT_CASES = [
+    ("110 000 000", 0b011),
+    ("110\t000\t000", 0b011),
+    ("110\n000\n000", 0b011),
+    (" \t110000000\r\n", 0b011),
+    ("1101 0000 0", 0b1011),
+    ("110_000000", InvalidCharacter, "invalid character '_' at offset 3"),
+    ("1100+0000", InvalidCharacter, "invalid character '+' at offset 4"),
+    ("110000002", InvalidCharacter, "invalid character '2' at offset 8"),
+    ("11 0\t2", InvalidCharacter, "invalid character '2' at offset 5"),
+    ("11000000\u0661", InvalidCharacter, "invalid character '\u0661' at offset 8"),
+    ("1100000\uff111", InvalidCharacter, "invalid character '\uff11' at offset 7"),
+    ("\uff1110000000", InvalidCharacter, "invalid character '\uff11' at offset 0"),
+    ("1\udc80", InvalidCharacter, "invalid character '\\udc80' at offset 1"),
+    ("\udc80110000000", InvalidCharacter, "invalid character '\\udc80' at offset 0"),
+    ("", LengthMismatch, "expected 9 digits, got 0"),
+    ("  ", LengthMismatch, "expected 9 digits, got 0"),
+    ("1100", LengthMismatch, "expected 9 digits, got 4"),
+    ("1100000000", LengthMismatch, "expected 9 digits, got 10"),
+]
+
+
+@pytest.mark.parametrize("case", FROM_TEXT_CASES, ids=lambda case: ascii(case[0]))
+def test_from_text_accepts_and_fails_as_before(case):
+    text, *want = case
+    if len(want) == 1:
+        assert PeriodicSequence.from_text(text, MOD9).value == want[0]
+        return
+    kind, message = want
+    # a lone surrogate (a non-UTF-8 argv byte) must not raise UnicodeEncodeError
+    with pytest.raises(Exception) as e:
+        PeriodicSequence.from_text(text, MOD9)
+    assert (type(e.value), str(e.value)) == (kind, message)
+
+
+WHITESPACE = " \t\n\r\x0b\x0c\u00a0\u2003\u3000"
+PARSE_MODULI = [Modulus(2, n) for n in range(1, 7)] + [MOD9, Modulus(3, 3), Modulus(5, 2)]
+
+
+@given(st.sampled_from(PARSE_MODULI).flatmap(lambda mod: st.tuples(
+    st.just(mod),
+    st.text("01", min_size=mod.period, max_size=mod.period),
+    st.lists(st.text(WHITESPACE, max_size=2), min_size=mod.period + 1,
+             max_size=mod.period + 1),
+)))
+def test_from_text_reads_the_digits_between_any_whitespace(case):
+    mod, digits, gaps = case
+    text = gaps[0] + "".join(d + g for d, g in zip(digits, gaps[1:]))
+    assert PeriodicSequence.from_text(text, mod).value == int(digits[::-1], 2)
