@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 
-_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+from .sequences import _TO_BIT
 
 
 def above(planes: list[int], c: int, lanes: int) -> int:

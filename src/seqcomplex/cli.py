@@ -43,7 +43,7 @@ from .errors import (
     SeqComplexError,
 )
 from .lincomp import lc, lc_form_decompose
-from .sequences import Modulus, PeriodicSequence, parse_corpus, parse_sequence
+from .sequences import Modulus, PeriodicSequence, parse_corpus, parse_sequence, require_nonzero
 
 SCHEMA = "seqcomplex/1"
 
@@ -132,25 +132,27 @@ def _workers(jobs: int, nrows: int) -> int:
 def _map_rows(worker, rows, jobs: int):
     """Apply worker to each sequence, in input order.
 
-    Rows run and are timed in this process until, before some row, more than
-    one worker is available for the rows left and both the time spent so far
-    and the time projected for the rest reach _POOL_AFTER_S.  The rows left go
-    to at most jobs worker processes in input-ordered chunks.  A domain error
-    is re-raised tagged with its row's line number; pool.map reads the chunks
-    in input order and a chunk stops at its first failing row, so the first
-    failing row in input order is the one reported.
+    Rows run in this process.  Where no pool could start (one worker for the
+    whole corpus, as at --jobs 1) no row is timed.  Otherwise the clock is
+    read once before each row after the first, and the rows run here until,
+    before some row, more than one worker is available for the rows left and
+    both the time since the loop started and the time projected for the rest
+    reach _POOL_AFTER_S.  The rows left go to at most jobs worker processes
+    in input-ordered chunks.  A domain error is re-raised tagged with its
+    row's line number; pool.map reads the chunks in input order and a chunk
+    stops at its first failing row, so the first failing row in input order
+    is the one reported.
     """
-    row = partial(_row, worker)
-    done, spent = [], 0.0
-    for i, (no, s) in enumerate(rows):
-        left = len(rows) - i
-        if (i and spent >= _POOL_AFTER_S and spent / i * left >= _POOL_AFTER_S
-                and _workers(jobs, left) > 1):
-            break
-        t0 = perf_counter()
-        rec = row((no, s))
-        spent += perf_counter() - t0
-        done.append((no, s, rec))
+    if _workers(jobs, len(rows)) < 2:
+        return [r + (_row(worker, r),) for r in rows]
+    done = []
+    start = perf_counter()
+    for i, r in enumerate(rows):
+        if i and (spent := perf_counter() - start) >= _POOL_AFTER_S:
+            left = len(rows) - i
+            if spent / i * left >= _POOL_AFTER_S and _workers(jobs, left) > 1:
+                break
+        done.append(r + (_row(worker, r),))
     rest = rows[len(done):]
     if not rest:
         return done
@@ -160,7 +162,7 @@ def _map_rows(worker, rows, jobs: int):
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         chunksize = -(-len(rest) // (4 * workers))
-        recs = pool.map(row, rest, chunksize=chunksize)
+        recs = pool.map(partial(_row, worker), rest, chunksize=chunksize)
         return done + [(no, s, rec) for (no, s), rec in zip(rest, recs)]
     finally:
         pool.shutdown(cancel_futures=True)
@@ -272,6 +274,7 @@ def _celcs_record(s: PeriodicSequence, mode: str, cap: int) -> dict:
 def _structure_record(s: PeriodicSequence) -> dict:
     from .hypercube import cube_lc, extract_structure, lc_from_structure, next_lower_hypercube_lc
 
+    require_nonzero(s)
     if s.modulus.p == 2:
         try:
             m, edges, L = cube_lc(s)

@@ -36,7 +36,7 @@ from typing import Sequence as Seq
 
 from .errors import EvenP, IsVertex, NoEligibleExponent, NotACube, NotAHypercube, OddP
 from .lincomp import _lc_value, _steps
-from .sequences import Modulus, PeriodicSequence, require_nonzero
+from .sequences import _TO_BIT, Modulus, PeriodicSequence, require_nonzero
 
 __all__ = [
     "Decomposition",
@@ -238,7 +238,6 @@ def _kept(a: int, p: int, plen: int) -> int:
     return a & ~seen
 
 
-_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
 _TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 
 
@@ -357,9 +356,12 @@ def rebalance_blocks(
     Rows with odd parity keep their first 1 and lose the rest; even rows are
     cleared entirely.  Returns the rewritten blocks and the map from each
     surviving row to the block that kept its 1.  Raises IsVertex when the
-    XOR is already zero (nothing survives a rewrite) and ValueError when the
-    blocks are all equal (the descent would not XOR them).
+    XOR is already zero (nothing survives a rewrite) and ValueError when there
+    are fewer than 2 blocks or they are all equal (the descent would not XOR
+    them).
     """
+    if len(blocks) < 2:
+        raise ValueError("rewrite needs at least 2 blocks")
     rows = len(blocks[0])
     if any(len(b) != rows for b in blocks):
         raise ValueError("blocks must have equal length")

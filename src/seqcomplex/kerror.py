@@ -368,6 +368,8 @@ def celcs(
     5^2 hypercube 1010001100011111010000011 and (6, 6) at the 3^3 hypercube
     110101001110101001000000000 (see ``second_critical_m1``).
     """
+    if mode not in ("formula", "brute"):
+        raise ValueError(f"unknown mode {mode!r}")
     if s.is_zero:
         return (CelcsPoint(0, 0),)
     p, n = s.modulus.p, s.modulus.n
@@ -382,11 +384,9 @@ def celcs(
         if rep.L_after != 0:
             assert rep.m1_s is not None
             points.append(CelcsPoint(rep.m1_s, 0))
-    elif mode == "brute":
+    else:
         _check_budget(s.modulus.period, s.weight, cap)
         points = [CelcsPoint(0, L0), *_drops(s, cap, s.weight)]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     assert points[0] == CelcsPoint(0, L0)
     assert all(a.k < b.k and a.L > b.L for a, b in zip(points, points[1:]))
     assert points[-1] == CelcsPoint(s.weight, 0)

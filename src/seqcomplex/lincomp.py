@@ -4,11 +4,12 @@ One descent computes it for every supported p: the p-way divide-and-sum of
 Xiao, Wei, Lam and Imamura, which at p = 2 is the Games-Chan halving.  At
 each depth the current vector splits into p equal-length parts; equal parts
 are kept once, otherwise their XOR is kept and (p-1) * p^(n-depth) is added.
-A nonzero final scalar adds 1.  ``_lc_value`` is the value-only loop (``lc``,
-``games_chan_lc``); at p = 2 it halves, keeping the low half or the two
-halves' XOR, without the p-way fold, and up to period 2^12 returns 2^n at
-once for an odd-weight vector, as x + 1 then does not divide s(x).
-``xwli_lc`` and ``hypercube._descend`` read ``_steps``.
+A nonzero final scalar adds 1.  That step is written once, in ``_steps``,
+and every odd-p complexity walks it: ``_lc_value`` (behind ``lc``),
+``xwli_lc`` and ``hypercube._descend``.  At p = 2 ``_lc_value`` halves
+instead, the value-only special case of the step: it keeps the low half or
+the two halves' XOR, with no p-way fold, and up to period 2^12 returns 2^n
+at once for an odd-weight vector, as x + 1 then does not divide s(x).
 ``berlekamp_massey_lc`` - classic LFSR synthesis over GF(2), fed two periods
 - is the independent oracle they are checked against; it skips each run of
 zero-discrepancy steps in one shift, as those steps change nothing but the
@@ -129,14 +130,14 @@ _PARITY_UP_TO_N = 12
 
 
 def _lc_value(a: int, p: int, n: int) -> int:
-    """Descent without bookkeeping; the hot path for sweeps and brute force.
+    """The complexity alone; the hot path for sweeps and brute force.
 
-    The parts are all equal exactly when the vector shifted down by one part
-    equals its low p-1 parts.  At p = 2 that is the two halves, and the
-    level keeps the low half or their XOR directly.  At p = 2, x^(2^n) - 1
-    is (x + 1)^(2^n), so L = 2^n exactly when x + 1 does not divide s(x),
-    that is when the weight of s is odd; up to n = _PARITY_UP_TO_N such an
-    s returns before halving.
+    At odd p it adds (p-1) * plen for each sum level of ``_steps``, then the
+    final scalar.  At p = 2 the parts are the two halves, and each level
+    keeps the low half or their XOR directly.  There x^(2^n) - 1 is
+    (x + 1)^(2^n), so L = 2^n exactly when x + 1 does not divide s(x), that
+    is when the weight of s is odd; up to n = _PARITY_UP_TO_N such an s
+    returns before halving.
     """
     L = 0
     if p == 2:
@@ -151,24 +152,20 @@ def _lc_value(a: int, p: int, n: int) -> int:
             else:
                 a = lo
         return L + a
-    for plen, mask, low_mask, increment in _levels(p, n):
-        hi = a >> plen
-        if hi != a & low_mask:
-            while hi:
-                a ^= hi
-                hi >>= plen
-            L += increment
-        a &= mask
+    for plen, split, a in _steps(a, p, n):
+        if not split:
+            L += (p - 1) * plen
     return L + a
 
 
 def _steps(a: int, p: int, n: int) -> Iterator[tuple[int, bool, int]]:
     """The descent of a: (plen, split, a) at each depth 1..n, a being the
     vector the depth leaves (part 0 at a split, the parts' XOR at a sum),
-    past a zero sum too.  ``_lc_value`` keeps its own loop: one on this
-    generator took 1.5-1.7x as long per call at periods 3^2 to 3^5 and
-    about 2.4x at 2^4 and 2^5, and a mask of sum levels would not give
-    ``xwli_lc`` its weights at each depth."""
+    past a zero sum too.  The parts are all equal exactly when the vector
+    shifted down by one part equals its low p-1 parts.  This is the one
+    split test and XOR fold of the descent; at p = 2 ``_lc_value`` halves in
+    its own loop, as one on this generator took about 2.4x as long per call
+    at 2^4 and 2^5."""
     for plen, mask, low_mask, _ in _levels(p, n):
         hi = a >> plen
         split = hi == a & low_mask

@@ -28,6 +28,8 @@ PERIOD_CAP = 1 << 20
 # a str.translate table that deletes "0" and "1"; translating never encodes,
 # so a lone surrogate from a non-UTF-8 argv byte is checked like any character
 _DELETE_01 = str.maketrans("", "", "01")
+# a bytes.translate table from the digits of format(x, "b") to bit bytes
+_TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
 # frozen dataclasses set their fields past their own __setattr__
 _set_field = object.__setattr__
 

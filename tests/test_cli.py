@@ -157,6 +157,19 @@ def test_structure_text(capsys):
     assert out.startswith("not a hypercube:")
 
 
+def test_structure_refuses_a_zero_row_at_every_p(capsys, tmp_path):
+    # as decompose and mcrit do: a zero row is an input error, not a report
+    corpus = tmp_path / "corpus.txt"
+    for args, zero in ((["--p", "2", "--n", "3"], "00000000"), (MOD9_ARGS, "000000000")):
+        code, out, err = run(capsys, "structure", *args, "--seq", zero)
+        assert (code, out, err) == (1, "", "error: sequence is identically zero\n")
+        corpus.write_text(f"1{zero[1:]}\n{zero}\n")
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "structure", *args, "--file", str(corpus),
+                                 "--format", fmt)
+            assert (code, out, err) == (1, "", "error: line 2: sequence is identically zero\n")
+
+
 def test_decompose_reference(capsys):
     code, out, _ = run(
         capsys, "decompose", "--p", "3", "--n", "3", "--seq", "110100100" * 3
@@ -358,6 +371,20 @@ def test_one_row_or_one_job_starts_no_pool(monkeypatch, capsys, tmp_path):
     corpus.write_text("110000000\n111000000\n")
     code, out, err = run(capsys, "lc", *MOD9_ARGS, "--file", str(corpus), "--jobs", "1")
     assert (code, out, err) == (0, "line 1: 8\nline 2: 7\n", "")
+
+
+def test_rows_are_timed_only_where_a_pool_could_start(monkeypatch, capsys, tmp_path):
+    # one clock read as the loop starts and one before each later row
+    reads = []
+    monkeypatch.setattr(cli_module, "perf_counter", lambda: reads.append(0) or 0.0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("\n".join(format(v, "09b") for v in range(1, 11)) + "\n")
+    _, serial, _ = run(capsys, "lc", *MOD9_ARGS, "--file", str(corpus), "--jobs", "1")
+    assert reads == []
+    code, out, err = run(capsys, "lc", *MOD9_ARGS, "--file", str(corpus), "--jobs", "2")
+    assert (code, out, err) == (0, serial, "")
+    assert len(reads) == 10
 
 
 def test_worker_errors_name_the_same_line_at_every_jobs(monkeypatch, capsys, tmp_path):

@@ -208,6 +208,9 @@ def test_rebalance_blocks():
         rebalance_blocks([[1, 0], [1, 0], [0, 0]])
     with pytest.raises(ValueError):
         rebalance_blocks([[1, 0], [1, 0], [1, 0]])
+    for blocks in ([], [[1, 0]]):
+        with pytest.raises(ValueError, match=r"^rewrite needs at least 2 blocks$"):
+            rebalance_blocks(blocks)
 
 
 def test_decompose_reference_case():

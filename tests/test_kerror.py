@@ -344,6 +344,13 @@ def test_celcs_modes_and_guards():
         celcs(seq(MOD9, "111111111"), cap=3)
 
 
+def test_celcs_checks_its_mode_before_the_zero_shortcut():
+    zero = PeriodicSequence.zeros(MOD9)
+    assert celcs(zero, mode="formula") == celcs(zero, mode="brute") == (CelcsPoint(0, 0),)
+    with pytest.raises(ValueError, match=r"^unknown mode 'bogus'$"):
+        celcs(zero, mode="bogus")
+
+
 def test_second_critical_formula_cases():
     assert second_critical_m1(seq(MOD27, "110000000" * 3)) == 6
     assert second_critical_m1(seq(MOD9, "010000000")) is None  # erased to zero

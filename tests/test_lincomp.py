@@ -127,7 +127,19 @@ def test_three_way_agreement_sampled_odd():
         for _ in range(300):
             s = PeriodicSequence(mod, rng.randrange(1, 1 << mod.period))
             form, trace = xwli_lc(s)
-            assert form.value == trace.total == berlekamp_massey_lc(s) == gcd_lc(s)
+            assert lc(s) == form.value == trace.total == berlekamp_massey_lc(s) == gcd_lc(s)
+    # dense, sparse and block-repeated values at larger periods
+    for mod in (Modulus(3, 5), Modulus(3, 7), Modulus(5, 3), Modulus(11, 2), Modulus(13, 2)):
+        N = mod.period
+        for _ in range(40):
+            w = mod.p ** rng.randrange(mod.n)
+            for v in (
+                rng.getrandbits(N),
+                sum(1 << i for i in rng.sample(range(N), rng.randint(1, 6))),
+                rng.getrandbits(w) * ((1 << N) - 1) // ((1 << w) - 1),
+            ):
+                s = PeriodicSequence(mod, v)
+                assert lc(s) == xwli_lc(s)[0].value == berlekamp_massey_lc(s), (mod, v)
 
 
 def test_trace_matches_list_descent():
