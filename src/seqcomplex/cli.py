@@ -25,6 +25,7 @@ sequences alone, and builds each distinct canonical form once.
 from __future__ import annotations
 
 import os
+import sys
 from functools import cache, partial
 from itertools import chain
 from pathlib import Path
@@ -593,7 +594,14 @@ def verify_cmd(p, n, suites, seed, cap, fmt, out):
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point mapping domain errors to the documented exit codes."""
+    """Entry point mapping domain errors to the documented exit codes.
+
+    Counts print exactly at any size: Python's int-to-str digit limit, where
+    the interpreter has one, is lifted while the command runs.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return cli.main(args=argv, standalone_mode=False) or 0
     except click.Abort:
@@ -615,6 +623,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as e:
         click.echo(f"internal error: {e!r}", err=True)
         return 4
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

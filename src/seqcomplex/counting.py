@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from .errors import ENUM_CAP, BudgetExceeded, EvenP, InvalidEdges, InvalidL, OddP
+from .errors import _EXACT_UP_TO, ENUM_CAP, BudgetExceeded, EvenP, InvalidEdges, InvalidL, OddP
 from .hypercube import _hypercube_lc, _spread
 from .lincomp import lc_form_decompose
 from .sequences import Modulus, PeriodicSequence
@@ -159,11 +159,13 @@ def _grow(values: list[int], p: int, start: int, n: int, edges: tuple[int, ...])
 def _class_members(
     modulus: Modulus, edges, l: int | None, cap: int = ENUM_CAP
 ) -> tuple[PeriodicSequence, ...]:
-    """Every member of the class (edges, l), built from the vertex up."""
-    expected = _class_count(modulus, edges, l).value
-    if expected > cap:
+    """Every member of the class (edges, l), built from the vertex up.  A
+    class over the cap is refused by its size, or past 10^18 its expression."""
+    count = _class_count(modulus, edges, l)
+    if count.value > cap:
         noun = "cubes" if modulus.p == 2 else "hypercubes"
-        raise BudgetExceeded(f"class holds {expected} {noun}, cap is {cap}")
+        size = count.value if count.value <= _EXACT_UP_TO else count.expression
+        raise BudgetExceeded(f"class holds {size} {noun}, cap is {cap}")
     p = modulus.p
     if l is None:
         base, start = [1], 0
@@ -171,7 +173,7 @@ def _class_members(
         base = [sum(1 << i for i in combo) for combo in combinations(range(p), l)]
         start = 1
     values = _grow(base, p, start, modulus.n, _class_edges(modulus, edges, l))
-    assert len(values) == expected
+    assert len(values) == count.value
     return tuple(PeriodicSequence(modulus, v) for v in values)
 
 

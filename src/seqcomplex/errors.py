@@ -90,6 +90,10 @@ class BudgetExceeded(SeqComplexError):
 # importing the modules that enforce them.
 DEFAULT_CAP = 10**8
 ENUM_CAP = 10**6
+# Largest count a refusal writes out in digits.  Past it, the refused error
+# patterns are counted only up to a bound, and a class is named by its
+# factored size, so a refusal costs a few terms and prints a short number.
+_EXACT_UP_TO = 10**18
 
 
 class FormulaInapplicable(SeqComplexError):

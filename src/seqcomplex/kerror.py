@@ -27,7 +27,8 @@ level is h_1 and its levels, records and vertex are h_1's own, and s is a
 hypercube exactly when h_1 = s.  The rest of the decomposition is never
 computed.  Brute force has one exact scan, ``_drops``, which yields the critical
 points lazily, one weight class at a time, and one budget rule: class k is
-scanned only once the sum_{i<=k} C(N, i) patterns fit the cap.  A class runs
+scanned only once the sum_{i<=k} C(N, i) patterns fit the cap (that sum is
+taken only until it passes max(cap, 10^18)).  A class runs
 bit-sliced (``_class_min``): each error pattern is one bit lane of a few
 Python ints, plane t holding bit t of every pattern in a block of up to 4096,
 so one big-int operation does a descent step's work for the whole block, and
@@ -46,6 +47,7 @@ from operator import or_, xor
 from typing import Iterator
 
 from .errors import (
+    _EXACT_UP_TO,
     DEFAULT_CAP,
     BudgetExceeded,
     EvenP,
@@ -116,7 +118,15 @@ class CriticalReport:
 # -- brute force ---------------------------------------------------------------
 
 def _check_budget(N: int, k: int, cap: int) -> None:
-    b = sum(comb(N, i) for i in range(k + 1))
+    """Refuse more than cap error patterns of weight <= k.  The running sum
+    stops once it passes max(cap, 10^18); the refusal then states that bound."""
+    bound = max(cap, _EXACT_UP_TO)
+    b = term = 1
+    for i in range(1, k + 1):
+        if b > bound:
+            raise BudgetExceeded(f"more than {bound} error patterns exceed cap {cap}")
+        term = term * (N - i + 1) // i
+        b += term
     if b > cap:
         raise BudgetExceeded(f"{b} error patterns exceed cap {cap}")
 

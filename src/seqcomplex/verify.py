@@ -173,39 +173,46 @@ def _suite_mcrit(modulus: Modulus | None, rng: random.Random, cap: int) -> Suite
     return rep
 
 
-def _tuple_weights(p: int) -> list[int]:
-    return [l for l in range(2, p) if l % 2 == 0]
-
-
 def _suite_counting(modulus: Modulus | None, rng: random.Random, cap: int) -> SuiteReport:
     """Counting formulas against exhaustive tallies and constructive enumeration.
 
-    The per-complexity counts are checked for odd p only.
+    The per-complexity counts are checked for odd p only.  Each exhaustive
+    universe is swept once, for both tallies.
     """
     rep = SuiteReport("counting")
     defaults = [Modulus(3, 1), Modulus(3, 2), Modulus(5, 1), Modulus(2, 2), Modulus(2, 3)]
     for mod in _moduli(modulus, defaults):
+        lcs, classes = _tallies(mod) if (1 << mod.period) <= EXHAUSTIVE_LIMIT else (None, None)
         if mod.p != 2:
-            _count_lc_checks(rep, mod)
-        _count_class_checks(rep, mod)
+            _count_lc_checks(rep, mod, lcs)
+        _count_class_checks(rep, mod, classes)
     return rep
 
 
-def _count_lc_checks(rep: SuiteReport, mod: Modulus) -> None:
-    p, n, N = mod.p, mod.n, mod.period
-    exhaustive = (1 << N) <= EXHAUSTIVE_LIMIT
-    tally: dict[int, int] = {0: 1}
-    if exhaustive:
-        for v in range(1, 1 << N):
+def _tallies(mod: Modulus) -> tuple[dict[int, int] | None, dict[tuple, int]]:
+    """One sweep of a universe: how many sequences have each complexity (odd
+    p only, else None) and how many nonzero ones lie in each counted class."""
+    lcs: dict[int, int] | None = {0: 1} if mod.p != 2 else None
+    classes: dict[tuple, int] = {}
+    for v in range(1, 1 << mod.period):
+        if lcs is not None:
             L = lc(PeriodicSequence(mod, v))
-            tally[L] = tally.get(L, 0) + 1
+            lcs[L] = lcs.get(L, 0) + 1
+        key = _class_key(v, mod)
+        if key is not None:
+            classes[key] = classes.get(key, 0) + 1
+    return lcs, classes
+
+
+def _count_lc_checks(rep: SuiteReport, mod: Modulus, tally: dict[int, int] | None) -> None:
+    p, n, N = mod.p, mod.n, mod.period
     total = 0
     for eps, bits in product((0, 1), product((0, 1), repeat=n)):
         V = [v for v in range(1, n + 1) if bits[v - 1]]
         L = eps + (p - 1) * sum(p ** (v - 1) for v in V)
         c = count_sequences_with_lc(mod, L).value
         total += c
-        if exhaustive:
+        if tally is not None:
             rep.record(
                 tally.get(L, 0) == c,
                 lambda: f"{mod} L={L}: tally {tally.get(L, 0)} formula {c}",
@@ -229,33 +236,25 @@ def _class_key(value: int, mod: Modulus) -> tuple | None:
     return None  # longer vertices have no closed-form count here
 
 
-def _count_class_checks(rep: SuiteReport, mod: Modulus) -> None:
-    p, n, N = mod.p, mod.n, mod.period
-    exhaustive = (1 << N) <= EXHAUSTIVE_LIMIT
-    tally: dict[tuple, int] = {}
-    if exhaustive:
-        for v in range(1, 1 << N):
-            key = _class_key(v, mod)
-            if key is not None:
-                tally[key] = tally.get(key, 0) + 1
+def _count_class_checks(rep: SuiteReport, mod: Modulus, tally: dict[tuple, int] | None) -> None:
+    p, n = mod.p, mod.n
     for r in range(n + 1):
         for edges in combinations(range(n), r):
             classes: list[int | None] = [None]
             if all(i >= 1 for i in edges):
-                classes += _tuple_weights(p)
+                classes += range(2, p, 2)
             for l in classes:
                 count = _class_count(mod, edges, l).value
                 if count > 10**5:
                     continue
                 members = _class_members(mod, edges, l)
-                good = len(members) == count
-                if exhaustive:
-                    good = good and tally.get((edges, l), 0) == count
+                scanned = "n/a" if tally is None else tally.get((edges, l), 0)
+                good = len(members) == count and (tally is None or scanned == count)
                 good = good and all(_class_key(s.value, mod) == (edges, l) for s in members)
                 rep.record(
                     good,
                     lambda: f"{mod} edges={edges} l={l}: formula {count}, enumerated "
-                    f"{len(members)}, scanned {tally.get((edges, l), 'n/a')}",
+                    f"{len(members)}, scanned {scanned}",
                 )
 
 

@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import given, strategies as st
 
 import seqcomplex
 import seqcomplex.cli as cli_module
-from seqcomplex import Modulus, parse_sequence
+from seqcomplex import Modulus, count_sequences_with_lc, parse_sequence
 from seqcomplex.cli import main
 
 MOD9_ARGS = ["--p", "3", "--n", "2"]
@@ -80,6 +81,21 @@ def test_klc_and_budget_exit(capsys):
     )
     assert code == 3
     assert "error:" in err
+
+
+def test_a_dense_row_is_refused_its_budget_at_once(capsys, tmp_path):
+    """The pattern count of a dense period-2^14 row stops past 10^18 patterns,
+    so klc refuses it (exit 3) at once, with that bound as its text."""
+    corpus = tmp_path / "dense.txt"
+    row = random.Random(0).getrandbits(1 << 14)
+    corpus.write_text(format(row, "016384b") + "\n")
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "klc", "--p", "2", "--n", "14", "--file", str(corpus), "--k", "5000"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err == f"error: line 1: more than {10**18} error patterns exceed cap {10**8}\n"
 
 
 def test_klc_budgets_only_classes_below_the_weight(capsys):
@@ -250,6 +266,27 @@ def test_count_cubes_enumerate_json(capsys):
     rec = {"edges": [0], "count": 4, "expression": "2^2", "L": 3,
            "members": ["1100", "1001", "0110", "0011"]}
     assert out == _count_doc("count cubes", 2, 2, rec)
+
+
+def test_count_prints_exact_counts_of_any_size(capsys):
+    """Counts past Python's int-to-str digit limit print whole, in text and
+    JSON, and the limit is back in place once main returns."""
+    res = count_sequences_with_lc(Modulus(3, 9), 19683)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = str(res.value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) == 5925
+    args = ("count", "lc", "--p", "3", "--n", "9", "--L", "19683")
+    code, out, err = run(capsys, *args)
+    assert (code, out, err) == (0, f"{want} = {res.expression}\n", "")
+    code, out, err = run(capsys, *args, "--format", "json")
+    assert (code, err) == (0, "")
+    (rec,) = json.loads(out, parse_int=str)["results"]
+    assert (rec["count"], rec["expression"]) == (want, res.expression)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_construct_stable_text(capsys):

@@ -194,3 +194,14 @@ def test_budget_texts_name_cubes_or_hypercubes():
         enumerate_cubes(Modulus(2, 3), (), cap=5)
     with pytest.raises(BudgetExceeded, match=r"^class holds 27 hypercubes, cap is 5$"):
         enumerate_hypercubes(MOD9, (0,), cap=5)
+
+
+def test_an_oversized_class_is_refused_by_its_expression():
+    """Past 10^18 members a refusal names the class size by its factored
+    expression, not its digits (2^32768 has 9865)."""
+    with pytest.raises(BudgetExceeded, match=r"^class holds 2\^32768 cubes, cap is 1000000$"):
+        enumerate_cubes(Modulus(2, 20), range(12))
+    with pytest.raises(BudgetExceeded, match=r"^class holds 3\^2187 hypercubes, cap is 1000000$"):
+        enumerate_hypercubes(Modulus(3, 9), range(6))
+    with pytest.raises(BudgetExceeded, match=r"^class holds C\(3,2\) \* 3\^2916 hypercubes, "):
+        enumerate_hypercubes(Modulus(3, 9), range(1, 7), l=2)

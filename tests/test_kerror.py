@@ -76,6 +76,24 @@ def test_k_error_lc_budgets_only_classes_below_the_weight():
     assert k_error_lc_bruteforce(PeriodicSequence.zeros(MOD9), 3, cap=1) == 0
 
 
+def test_budget_count_stops_past_its_bound():
+    """The pattern count stops once it passes max(cap, 10^18), so a dense
+    period-2^14 row is refused after a few terms, with that bound as its text;
+    a count that ends on its last term is still written out exactly."""
+    big = f"more than {10**18} error patterns exceed cap {10**8}"
+    with pytest.raises(BudgetExceeded, match=rf"^{big}$"):
+        kerror._check_budget(1 << 14, 5000, 10**8)
+    with pytest.raises(BudgetExceeded, match=rf"^more than {2**64 - 2} error patterns"):
+        kerror._check_budget(64, 64, 2**64 - 2)
+    with pytest.raises(BudgetExceeded, match=rf"^{2**64} error patterns exceed cap {2**64 - 1}$"):
+        kerror._check_budget(64, 64, 2**64 - 1)
+    kerror._check_budget(64, 64, 2**64)
+    dense = PeriodicSequence(Modulus(2, 14), random.Random(0).getrandbits(1 << 14))
+    for refused in (lambda: celcs(dense), lambda: k_error_lc_bruteforce(dense, 5000)):
+        with pytest.raises(BudgetExceeded, match=rf"^{big}$"):
+            refused()
+
+
 def test_k_error_lc_against_definitional_minimum():
     rng = random.Random(13)
     for _ in range(40):

@@ -99,6 +99,18 @@ def test_counting_rechecks_every_cube_member(monkeypatch):
     assert rep.details[0] == "2^2 edges=() l=None: formula 4, enumerated 4, scanned 4"
 
 
+def test_counting_tally_comes_from_the_one_sweep(monkeypatch):
+    """A class key that finds no class empties the swept tally: an exhaustive
+    universe then scans 0 members per class, and a sampled one scans none."""
+    monkeypatch.setattr(verify, "_class_key", lambda value, mod: None)
+    (rep,) = run_suites(["counting"], Modulus(2, 2))
+    assert (rep.checks, rep.failures) == (4, 4)
+    assert rep.details[0] == "2^2 edges=() l=None: formula 4, enumerated 4, scanned 0"
+    (rep,) = run_suites(["counting"], Modulus(2, 4))
+    assert rep.checks == rep.failures
+    assert rep.details[0] == "2^4 edges=() l=None: formula 16, enumerated 16, scanned n/a"
+
+
 def test_lc_oracle_checks_lc_at_odd_p(monkeypatch):
     """lc is what `seqcomplex lc` prints, so the oracle checks it at odd p
     too, beside xwli_lc."""
