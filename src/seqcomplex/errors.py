@@ -91,8 +91,8 @@ class BudgetExceeded(SeqComplexError):
 DEFAULT_CAP = 10**8
 ENUM_CAP = 10**6
 # Largest count a refusal writes out in digits.  Past it, the refused error
-# patterns are counted only up to a bound, and a class is named by its
-# factored size, so a refusal costs a few terms and prints a short number.
+# patterns are counted only up to a bound and a class is named by its
+# factored size, so a refusal is quick to make and short to print.
 _EXACT_UP_TO = 10**18
 
 
