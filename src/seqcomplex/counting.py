@@ -14,7 +14,8 @@ gives p^E hypercubes with an element vertex, and C(p, l) * p^((E-1)*l) with
 a length-0 tuple vertex of weight l (l even, edges all >= 1).  The 2^n cubes
 are the p = 2 case, whose only class is the element one: 2^E cubes.  So
 ``_class_count`` and ``_class_members`` serve every p, and the public cube
-and hypercube functions add only their p guard.
+and hypercube functions add only their p guard.  The counted classes are
+defined here alone: ``_classes`` lists them and ``_class_key`` names one.
 
 The enumerator builds every member of a class constructively, bottom-up from
 the vertex: an edge level repeats the current vector p times, any other level
@@ -24,11 +25,12 @@ splits each 1 into one of the p blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
+from typing import Iterator
 
 from .errors import _EXACT_UP_TO, ENUM_CAP, BudgetExceeded, EvenP, InvalidEdges, InvalidL, OddP
-from .hypercube import _hypercube_lc, _spread
+from .hypercube import _descend, _hypercube_lc, _spread
 from .lincomp import lc_form_decompose
 from .sequences import Modulus, PeriodicSequence
 
@@ -54,17 +56,6 @@ class CountResult:
         return f"{self.value} = {self.expression}"
 
 
-def _check_edges(modulus: Modulus, edges, lo: int = 0) -> tuple[int, ...]:
-    out = tuple(sorted(edges))
-    if any(a == b for a, b in zip(out, out[1:])):
-        raise InvalidEdges(f"duplicate edge exponents in {tuple(edges)}")
-    if out and not (lo <= out[0] and out[-1] < modulus.n):
-        raise InvalidEdges(
-            f"edge exponents {out} outside [{lo}, {modulus.n - 1}]"
-        )
-    return out
-
-
 def _capacity(p: int, n: int, edges: tuple[int, ...]) -> int:
     m = len(edges)
     E = p**m * n - sum(p**t for t in range(1, m + 1))
@@ -73,13 +64,32 @@ def _capacity(p: int, n: int, edges: tuple[int, ...]) -> int:
     return E
 
 
+def _classes(modulus: Modulus) -> Iterator[tuple[tuple[int, ...], int | None]]:
+    """Every counted class (edges, l): edge sets by size, and for each the
+    element class (l None), then each even l in (1, p) if every edge is >= 1."""
+    for r in range(modulus.n + 1):
+        for edges in combinations(range(modulus.n), r):
+            yield edges, None
+            yield from ((edges, l) for l in range(2, modulus.p, 2) if 0 not in edges)
+
+
 def _class_edges(modulus: Modulus, edges, l: int | None) -> tuple[int, ...]:
     """The sorted edges of the class (edges, l), once l and edges are valid."""
-    if l is None:
-        return _check_edges(modulus, edges, lo=0)
-    if not (1 < l < modulus.p and l % 2 == 0):
+    if l is not None and not (type(l) is int and 1 < l < modulus.p and l % 2 == 0):
         raise InvalidL(f"length-0 vertex weight must be even in (1, {modulus.p}); got {l}")
-    return _check_edges(modulus, edges, lo=1)
+    try:
+        given = tuple(edges)
+    except TypeError:  # not iterable
+        raise InvalidEdges(f"edge exponents must be ints; got {edges!r}") from None
+    if any(type(i) is not int for i in given):
+        raise InvalidEdges(f"edge exponents must be ints; got {given!r}")
+    out = tuple(sorted(given))
+    if any(a == b for a, b in zip(out, out[1:])):
+        raise InvalidEdges(f"duplicate edge exponents in {given}")
+    lo = 0 if l is None else 1
+    if out and not (lo <= out[0] and out[-1] < modulus.n):
+        raise InvalidEdges(f"edge exponents {out} outside [{lo}, {modulus.n - 1}]")
+    return out
 
 
 def count_sequences_with_lc(modulus: Modulus, L: int) -> CountResult:
@@ -109,6 +119,22 @@ def _class_count(modulus: Modulus, edges, l: int | None) -> CountResult:
         return CountResult(p**E, f"{p}^{E}")
     assert E >= 1
     return CountResult(comb(p, l) * p ** ((E - 1) * l), f"C({p},{l}) * {p}^{(E - 1) * l}")
+
+
+def _class_key(value: int, mod: Modulus) -> tuple | None:
+    """(edges, l) of a counted class holding value, from one plain descent.
+
+    l is None for an element vertex and the vertex weight for a length-0
+    tuple vertex; other sequences belong to no counted class.
+    """
+    desc = _descend(value, mod.p, mod.n, rewrite=False)
+    if not desc.ok:
+        return None
+    if desc.q is None:
+        return desc.edges, None
+    if desc.q == 0:
+        return desc.edges, desc.l
+    return None  # longer vertices have no closed-form count here
 
 
 def count_hypercubes(modulus: Modulus, edges, l: int | None = None) -> CountResult:
@@ -146,12 +172,13 @@ def _grow(values: list[int], p: int, start: int, n: int, edges: tuple[int, ...])
             continue
         grown: list[int] = []
         for v in values:
-            positions = [u for u in range(size) if (v >> u) & 1]
-            for choice in product(range(p), repeat=len(positions)):
-                nv = 0
-                for u, i in zip(positions, choice):
-                    nv |= 1 << (i * size + u)
-                grown.append(nv)
+            # each 1, lowest first, goes to one of p blocks; the last varies fastest
+            options = [0]
+            while v:
+                low = v & -v
+                options = [o | low << (i * size) for o in options for i in range(p)]
+                v ^= low
+            grown += options
         values = grown
     return values
 

@@ -85,9 +85,7 @@ class VertexDescriptor:
         if any(len(b) != size for b in self.blocks):
             raise ValueError(f"blocks must all have length p^q = {size}")
         # one byte per row: byte u of the XOR of the blocks is row u's parity
-        rows = [bytes(b) for b in self.blocks]
-        if any(r.translate(None, b"\x00\x01") for r in rows):
-            raise ValueError("block entries must be 0 or 1")
+        rows = _bit_rows(self.blocks)
         if not any(1 in r for r in rows):
             raise ValueError("tuple vertex must be nonzero")
         odd = 0
@@ -245,6 +243,18 @@ def _bits(mask: int, length: int) -> tuple[int, ...]:
     return tuple(format(mask, f"0{length}b")[::-1].encode().translate(_TO_BIT))
 
 
+def _bit_rows(blocks: Seq[Seq[int]]) -> list[bytes]:
+    """Each block as bytes, one per entry; ValueError unless every entry is an
+    integer (an int or a bool) equal to 0 or 1."""
+    try:
+        rows = [bytes(b) for b in blocks]
+    except (TypeError, ValueError):  # an entry that is no int, or outside 0..255
+        raise ValueError("block entries must be 0 or 1") from None
+    if any(r.translate(None, b"\x00\x01") for r in rows):
+        raise ValueError("block entries must be 0 or 1")
+    return rows
+
+
 def _epsilon(p: int, q: int | None) -> int:
     """1 for an element vertex (q None); (1-p)(p^0+...+p^(q-1)) = 1 - p^q for
     a tuple vertex of length q."""
@@ -357,17 +367,18 @@ def rebalance_blocks(
     cleared entirely.  Returns the rewritten blocks and the map from each
     surviving row to the block that kept its 1.  Raises IsVertex when the
     XOR is already zero (nothing survives a rewrite) and ValueError when there
-    are fewer than 2 blocks or they are all equal (the descent would not XOR
-    them).
+    are fewer than 2 blocks, an entry is not 0 or 1, or the blocks are all
+    equal (the descent would not XOR them).
     """
     if len(blocks) < 2:
         raise ValueError("rewrite needs at least 2 blocks")
     rows = len(blocks[0])
     if any(len(b) != rows for b in blocks):
         raise ValueError("blocks must have equal length")
-    if all(tuple(b) == tuple(blocks[0]) for b in blocks[1:]):
+    bits = _bit_rows(blocks)
+    if all(b == bits[0] for b in bits[1:]):
         raise ValueError("blocks are all equal; rewrite applies to the XOR branch")
-    parts = [sum(1 << t for t, bit in enumerate(b) if bit) for b in blocks]
+    parts = [sum(1 << t for t, bit in enumerate(b) if bit) for b in bits]
     x = 0
     for part in parts:
         x ^= part

@@ -64,7 +64,7 @@ class Modulus:
 
     def __post_init__(self) -> None:
         p, n = self.p, self.n
-        if not isinstance(p, int) or not isinstance(n, int) or n < 1:
+        if type(p) is not int or type(n) is not int or n < 1:
             raise NotPrime(f"need integer p >= 2 and n >= 1, got p={p!r} n={n!r}")
         too_large = PeriodTooLarge(f"p^n = {p}^{n} exceeds {PERIOD_CAP}")
         # no valid modulus has p above the cap, so such a p is never factored

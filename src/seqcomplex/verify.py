@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations, islice, product, repeat
+from itertools import islice, product, repeat
 from typing import Callable, Iterable, Iterator
 
-from .counting import _class_count, _class_members, count_sequences_with_lc
-from .hypercube import _descend, is_hypercube, standard_decompose
+from .counting import _class_count, _class_key, _class_members, _classes, count_sequences_with_lc
+from .hypercube import is_hypercube, standard_decompose
 from .kerror import (
     DEFAULT_CAP,
     _drops,
@@ -220,42 +220,20 @@ def _count_lc_checks(rep: SuiteReport, mod: Modulus, tally: dict[int, int] | Non
     rep.record(total == 1 << N, lambda: f"{mod}: complexity counts sum to {total} != 2^{N}")
 
 
-def _class_key(value: int, mod: Modulus) -> tuple | None:
-    """(edges, l) of a counted class holding value, from one plain descent.
-
-    l is None for an element vertex and the vertex weight for a length-0
-    tuple vertex; other sequences belong to no counted class.
-    """
-    desc = _descend(value, mod.p, mod.n, rewrite=False)
-    if not desc.ok:
-        return None
-    if desc.q is None:
-        return desc.edges, None
-    if desc.q == 0:
-        return desc.edges, desc.l
-    return None  # longer vertices have no closed-form count here
-
-
 def _count_class_checks(rep: SuiteReport, mod: Modulus, tally: dict[tuple, int] | None) -> None:
-    p, n = mod.p, mod.n
-    for r in range(n + 1):
-        for edges in combinations(range(n), r):
-            classes: list[int | None] = [None]
-            if all(i >= 1 for i in edges):
-                classes += range(2, p, 2)
-            for l in classes:
-                count = _class_count(mod, edges, l).value
-                if count > 10**5:
-                    continue
-                members = _class_members(mod, edges, l)
-                scanned = "n/a" if tally is None else tally.get((edges, l), 0)
-                good = len(members) == count and (tally is None or scanned == count)
-                good = good and all(_class_key(s.value, mod) == (edges, l) for s in members)
-                rep.record(
-                    good,
-                    lambda: f"{mod} edges={edges} l={l}: formula {count}, enumerated "
-                    f"{len(members)}, scanned {scanned}",
-                )
+    for edges, l in _classes(mod):
+        count = _class_count(mod, edges, l).value
+        if count > 10**5:
+            continue
+        members = _class_members(mod, edges, l)
+        scanned = "n/a" if tally is None else tally.get((edges, l), 0)
+        good = len(members) == count and (tally is None or scanned == count)
+        good = good and all(_class_key(s.value, mod) == (edges, l) for s in members)
+        rep.record(
+            good,
+            lambda: f"{mod} edges={edges} l={l}: formula {count}, enumerated "
+            f"{len(members)}, scanned {scanned}",
+        )
 
 
 def _suite_decomposition(modulus: Modulus | None, rng: random.Random, cap: int) -> SuiteReport:

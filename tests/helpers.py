@@ -167,6 +167,27 @@ def list_plain_trace(value: int, p: int, n: int) -> tuple:
     return steps, a == 1
 
 
+def product_grow(values: list[int], p: int, start: int, n: int, edges) -> list[int]:
+    """The members grown from vertices of length p^start, placing every 1 of a
+    non-edge level by one itertools.product over its positions: the reference
+    for the member order of ``counting._grow``."""
+    for e in range(start, n):
+        size = p**e
+        if e in edges:
+            values = [sum(v << (i * size) for i in range(p)) for v in values]
+            continue
+        grown: list[int] = []
+        for v in values:
+            positions = [u for u in range(size) if (v >> u) & 1]
+            for choice in product(range(p), repeat=len(positions)):
+                nv = 0
+                for u, i in zip(positions, choice):
+                    nv |= 1 << (i * size + u)
+                grown.append(nv)
+        values = grown
+    return values
+
+
 def seq(mod, text: str) -> PeriodicSequence:
     return PeriodicSequence.from_text(text, mod)
 

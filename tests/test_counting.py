@@ -1,6 +1,8 @@
 from collections import Counter
+from itertools import combinations
 
 import pytest
+from helpers import product_grow
 
 from seqcomplex import (
     Modulus,
@@ -10,6 +12,7 @@ from seqcomplex import (
     count_cubes,
     count_hypercubes,
     count_sequences_with_lc,
+    counting,
     cube_lc,
     enumerate_cubes,
     enumerate_hypercubes,
@@ -17,6 +20,7 @@ from seqcomplex import (
     is_hypercube,
     lc,
     lc_form_decompose,
+    verify,
 )
 from seqcomplex.errors import (
     BudgetExceeded,
@@ -205,3 +209,89 @@ def test_an_oversized_class_is_refused_by_its_expression():
         enumerate_hypercubes(Modulus(3, 9), range(6))
     with pytest.raises(BudgetExceeded, match=r"^class holds C\(3,2\) \* 3\^2916 hypercubes, "):
         enumerate_hypercubes(Modulus(3, 9), range(1, 7), l=2)
+
+
+@pytest.mark.parametrize(
+    "edges", [(0.5,), (1.0,), (True,), (False, 1), ("1",), (None,), 1, None], ids=repr
+)
+def test_edge_exponents_must_be_plain_ints(edges):
+    """An edge exponent that is not an int (a bool included), or edges that
+    are no iterable, are refused, not read as numbers or left to a TypeError:
+    (0.5,) used to count 3^2.0 and (True,) edge 1."""
+    want = r"^edge exponents must be ints; got "
+    with pytest.raises(InvalidEdges, match=want):
+        count_hypercubes(MOD9, edges)
+    with pytest.raises(InvalidEdges, match=want):
+        class_lc(MOD9, edges)
+    with pytest.raises(InvalidEdges, match=want):
+        enumerate_hypercubes(MOD9, edges)
+    with pytest.raises(InvalidEdges, match=want):
+        count_cubes(Modulus(2, 2), edges)
+    with pytest.raises(InvalidL, match=r"^length-0 vertex weight must be even in \(1, 3\); got 2.0$"):
+        count_hypercubes(MOD9, (1,), l=2.0)
+
+
+def test_edges_are_read_once():
+    """An iterator of edges is named by what it held, not by what is left."""
+    with pytest.raises(InvalidEdges, match=r"^duplicate edge exponents in \(1, 1\)$"):
+        count_hypercubes(MOD27, iter((1, 1)))
+    assert count_hypercubes(MOD27, iter((2, 1))) == count_hypercubes(MOD27, (1, 2))
+    assert class_lc(MOD27, iter((1,)), l=2) == class_lc(MOD27, (1,), l=2)
+
+
+def _nested_class_loop(mod):
+    """The class loop the counting suite ran before the class table existed."""
+    for r in range(mod.n + 1):
+        for edges in combinations(range(mod.n), r):
+            classes = [None]
+            if all(i >= 1 for i in edges):
+                classes += range(2, mod.p, 2)
+            for l in classes:
+                yield edges, l
+
+
+TABLE_MODULI = [Modulus(2, n) for n in range(1, 6)] + [
+    Modulus(p, n) for p in (3, 5, 11, 13) for n in range(1, 5)
+]
+
+
+@pytest.mark.parametrize("mod", TABLE_MODULI, ids=str)
+def test_class_table_lists_exactly_the_counted_classes(mod):
+    """``_classes`` yields the old nested loop's classes in its order, and
+    ``_class_count`` accepts exactly those among every edge set (out-of-range
+    exponents included) and every l in {None, 0, ..., p + 1}."""
+    table = list(counting._classes(mod))
+    assert table == list(_nested_class_loop(mod))
+    counted = set(table)
+    assert len(counted) == len(table)
+    exponents = range(-1, mod.n + 1)
+    for r in range(len(exponents) + 1):
+        for edges in combinations(exponents, r):
+            for l in (None, *range(mod.p + 2)):
+                if (edges, l) in counted:
+                    assert counting._class_count(mod, edges, l).value >= 1
+                else:
+                    with pytest.raises((InvalidEdges, InvalidL)):
+                        counting._class_count(mod, edges, l)
+    assert verify._class_key is counting._class_key
+
+
+GROW_MODULI = [Modulus(2, n) for n in range(1, 5)] + [Modulus(3, n) for n in range(1, 5)] + [
+    Modulus(5, 1), Modulus(5, 2), Modulus(11, 1),
+]
+
+
+@pytest.mark.parametrize("mod", GROW_MODULI, ids=str)
+def test_grower_matches_the_product_reference(mod):
+    """The set-bit grower builds every class of at most 2*10^5 members in the
+    itertools.product order, which the --enumerate goldens pin."""
+    p, n = mod.p, mod.n
+    for edges, l in counting._classes(mod):
+        if counting._class_count(mod, edges, l).value > 2 * 10**5:
+            continue
+        if l is None:
+            base, start = [1], 0
+        else:
+            base, start = [sum(1 << i for i in c) for c in combinations(range(p), l)], 1
+        got = counting._grow(base, p, start, n, edges)
+        assert got == product_grow(base, p, start, n, edges), (edges, l)

@@ -180,6 +180,25 @@ def test_vertex_descriptor_entries_are_bits():
     assert str(v) == "tuple(q=1, [110,011,101])"
 
 
+@pytest.mark.parametrize("bad", [2, -1, 256, "x", 1.0, None], ids=repr)
+def test_block_entries_are_checked_alike(bad):
+    """A vertex and a rewrite refuse the same entries with the same error; an
+    entry passes only as an int or bool equal to 0 or 1."""
+    with pytest.raises(ValueError, match=r"^block entries must be 0 or 1$"):
+        VertexDescriptor(VertexKind.TUPLE, 0, ((1,), (1,), (bad,)))
+    with pytest.raises(ValueError, match=r"^block entries must be 0 or 1$"):
+        rebalance_blocks([[1, 1], [0, bad]])
+    with pytest.raises(ValueError, match=r"^block entries must be 0 or 1$"):
+        rebalance_blocks([[1, 0], [bad, 0], [1, 0]])
+
+
+def test_bool_block_entries_are_bits():
+    v = VertexDescriptor(VertexKind.TUPLE, 0, ((True,), (True,), (False,)))
+    assert str(v) == "tuple(q=0, [1,1,0])" and v.l == 2
+    out, sources = rebalance_blocks([[True, True], [True, False], [True, False]])
+    assert out == ((1, 1), (0, 0), (0, 0)) and sources == {0: 0, 1: 0}
+
+
 def test_vertex_and_structures_are_built_once():
     desc = _descend(seq(MOD9, "110000000").value, 3, 2, rewrite=False)
     assert desc.vertex is desc.vertex and desc.structure is desc.structure

@@ -51,6 +51,14 @@ def test_modulus_rejects_non_primes_and_bad_exponents():
         Modulus(3, 0)
 
 
+def test_modulus_refuses_a_bool_p_or_n():
+    """True is an int to isinstance; a modulus takes it for neither p nor n
+    (Modulus(3, True) used to print as 3^True)."""
+    for p, n in [(3, True), (True, 2), (2, True), (3, 2.0)]:
+        with pytest.raises(NotPrime, match=r"^need integer p >= 2 and n >= 1, got "):
+            Modulus(p, n)
+
+
 def test_modulus_rejects_huge_periods():
     with pytest.raises(PeriodTooLarge):
         Modulus(2, 21)
