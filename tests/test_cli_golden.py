@@ -56,6 +56,10 @@ def _cases() -> list[list[str]]:
         mod = ["--p", "2", "--n", name[3]]
         cases += [["structure", *mod, "--file", f"{name}.txt"], ["lc", *mod, "--file", f"{name}.txt"]]
     cases.append(["structure", "--p", "2", "--n", "4", "--file", "p2n4.txt", *json])
+    mod16 = ["--p", "2", "--n", "4"]
+    for argv in (["decompose", *mod16, "--file", "p2n4.txt"],
+                 ["celcs", *mod16, "--mode", "formula", "--seq", "0000110000001100"]):
+        cases += [argv, [*argv, *json]]
 
     mod9 = ["--p", "3", "--n", "2"]
     mod8 = ["--p", "2", "--n", "3"]

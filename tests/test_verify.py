@@ -1,3 +1,14 @@
+"""Cross-check suites.
+
+golden/run_suites.txt pins the default ``run_suites()`` reports at seeds 0
+and 7: each suite's name, checks, failures and every kept detail.  After a
+deliberate change to them, regenerate it from the repository root with
+
+    PYTHONPATH=src python tests/test_verify.py > tests/golden/run_suites.txt
+"""
+
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -6,6 +17,22 @@ from seqcomplex import (
     SUITES, Modulus, PeriodicSequence, SuiteReport, counting, kerror, lc,
     parse_sequence, run_suites, verify,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "run_suites.txt"
+GOLDEN_SEEDS = (0, 7)
+
+
+def render_reports() -> str:
+    lines = []
+    for seed in GOLDEN_SEEDS:
+        for rep in run_suites(seed=seed):
+            lines.append(f"seed={seed} {rep.name} checks={rep.checks} failures={rep.failures}")
+            lines += (f"  {d}" for d in rep.details)
+    return "\n".join(lines) + "\n"
+
+
+def test_default_reports_match_golden():
+    assert render_reports() == GOLDEN.read_text()
 
 
 def test_suite_names_are_stable():
@@ -228,3 +255,7 @@ def test_lc_oracle_block_path_fails_the_p2_sequence_at_fault(monkeypatch):
     L = lc(bad)
     assert (rep.checks, rep.failures) == (1 << 16, 1)
     assert rep.details == [f"2^4 s={bad.to01()}: lc {L + 1} != bm {L}"]
+
+
+if __name__ == "__main__":
+    sys.stdout.write(render_reports())
