@@ -39,7 +39,6 @@ from .errors import (
     ENUM_CAP,
     BudgetExceeded,
     NoEligibleExponent,
-    NotACube,
     NotAHypercube,
     SeqComplexError,
 )
@@ -273,15 +272,9 @@ def _celcs_record(s: PeriodicSequence, mode: str, cap: int) -> dict:
 
 
 def _structure_record(s: PeriodicSequence) -> dict:
-    from .hypercube import cube_lc, extract_structure, lc_from_structure, next_lower_hypercube_lc
+    from .hypercube import extract_structure, lc_from_structure, next_lower_hypercube_lc
 
     require_nonzero(s)
-    if s.modulus.p == 2:
-        try:
-            m, edges, L = cube_lc(s)
-        except NotACube as e:
-            return {"is_hypercube": False, "reason": str(e)}
-        return {"is_hypercube": True, "m": m, "edges": list(edges), "vertex": "element", "L": L}
     try:
         st = extract_structure(s)
     except NotAHypercube as e:

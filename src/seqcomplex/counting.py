@@ -12,10 +12,11 @@ With edges i_1 < ... < i_m the *capacity*
 
 gives p^E hypercubes with an element vertex, and C(p, l) * p^((E-1)*l) with
 a length-0 tuple vertex of weight l (l even, edges all >= 1).  The 2^n cubes
-are the p = 2 case, whose only class is the element one: 2^E cubes.  So
-``_class_count`` and ``_class_members`` serve every p, and the public cube
-and hypercube functions add only their p guard.  The counted classes are
-defined here alone: ``_classes`` lists them and ``_class_key`` names one.
+are the p = 2 case, whose only class is the element one: 2^E cubes (an even l
+in (1, 2) does not exist).  So every function here but the per-complexity
+count serves every p; the cube functions are the named p = 2 entry points.
+The counted classes are defined here alone: ``_classes`` lists them and
+``_class_key`` names one.
 
 The enumerator builds every member of a class constructively, bottom-up from
 the vertex: an edge level repeats the current vector p times, any other level
@@ -95,8 +96,8 @@ def _class_edges(modulus: Modulus, edges, l: int | None) -> tuple[int, ...]:
 def count_sequences_with_lc(modulus: Modulus, L: int) -> CountResult:
     """Number of sequences of the given period with complexity exactly L.
 
-    Odd p only.  L must be attainable (canonically representable); the counts
-    over all attainable L sum to 2^(p^n).
+    Odd p only.  L must be an attainable int (canonically representable);
+    the counts over all attainable L sum to 2^(p^n).
     """
     if modulus.p == 2:
         raise EvenP("per-complexity counting is an odd-p result")
@@ -143,8 +144,6 @@ def count_hypercubes(modulus: Modulus, edges, l: int | None = None) -> CountResu
     l=None counts the element-vertex class; an even l in (1, p) counts the
     length-0 tuple class of vertex weight l (its edges must all be >= 1).
     """
-    if modulus.p == 2:
-        raise EvenP("use count_cubes for p = 2")
     return _class_count(modulus, edges, l)
 
 
@@ -157,8 +156,6 @@ def count_cubes(modulus: Modulus, edges) -> CountResult:
 
 def class_lc(modulus: Modulus, edges, l: int | None = None) -> int:
     """Linear complexity shared by every member of a counted class."""
-    if l is not None and modulus.p == 2:
-        raise EvenP("tuple-vertex classes exist only for odd p")
     es = _class_edges(modulus, edges, l)
     return _hypercube_lc(modulus.p, modulus.n, 1 if l is None else 0, es)
 
@@ -208,8 +205,6 @@ def enumerate_hypercubes(
     modulus: Modulus, edges, l: int | None = None, cap: int = ENUM_CAP
 ) -> tuple[PeriodicSequence, ...]:
     """Every hypercube of a counted class, built from the vertex up."""
-    if modulus.p == 2:
-        raise EvenP("use count_cubes for p = 2")
     return _class_members(modulus, edges, l, cap)
 
 

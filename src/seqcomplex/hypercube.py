@@ -15,7 +15,10 @@ vertex.  The linear complexity follows from the structure alone:
     L = eps - 1 + p^n - (p-1) * sum(p^i for i in edges)
 
 with eps = 1 for element vertices and (1-p)*(p^0+...+p^(q-1)) for tuple
-vertices of length q, which is 0 at q = 0 (the empty sum).
+vertices of length q, which is 0 at q = 0 (the empty sum).  At p = 2 two
+halves XOR to zero only when they are equal, and equal halves take the split
+branch, so no step sums to zero: every vertex is an element and the
+hypercubes are the 2^n cubes of ``cube_lc``.
 
 ``standard_decompose`` peels a maximal hypercube off an arbitrary nonzero
 sequence in one pass down and one pass up.  Down, an XOR step that would
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence as Seq
 
-from .errors import EvenP, IsVertex, NoEligibleExponent, NotACube, NotAHypercube, OddP
+from .errors import IsVertex, NoEligibleExponent, NotACube, NotAHypercube, OddP
 from .lincomp import _lc_value, _steps
 from .sequences import _TO_BIT, Modulus, PeriodicSequence, require_nonzero
 
@@ -305,22 +308,16 @@ def _expand_flip(desc: _Descent, flips: int) -> int:
     return flips
 
 
-def _require_odd_nonzero(s: PeriodicSequence) -> None:
-    if s.modulus.p == 2:
-        raise EvenP("hypercube structure is defined for odd p; use cube_lc for p = 2")
-    require_nonzero(s)
-
-
 def is_hypercube(s: PeriodicSequence) -> bool:
     """True iff no XOR step of the descent cancels ones, except the zero-sum
     step that terminates in a tuple vertex."""
-    _require_odd_nonzero(s)
+    require_nonzero(s)
     return _descend(s.value, s.modulus.p, s.modulus.n, rewrite=False).ok
 
 
 def extract_structure(s: PeriodicSequence) -> HypercubeStructure:
     """Structure (m, edges, vertex) of a hypercube; NotAHypercube otherwise."""
-    _require_odd_nonzero(s)
+    require_nonzero(s)
     desc = _descend(s.value, s.modulus.p, s.modulus.n, rewrite=False)
     if not desc.ok:
         raise NotAHypercube(
@@ -398,7 +395,7 @@ def standard_decompose(s: PeriodicSequence) -> Decomposition:
 
     parts[0] keeps the full complexity of s; XOR of all parts equals s.
     """
-    _require_odd_nonzero(s)
+    require_nonzero(s)
     p, n = s.modulus.p, s.modulus.n
     descents: list[_Descent] = []
     complexities: list[int] = []

@@ -19,6 +19,10 @@ m(s), and exhaustive sweeps confirm it is exact whenever s is a single
 hypercube.  For sums of two or more hypercubes it can overshoot: flips spread
 across parts may align the top-level sums of all parts at once, which is
 sometimes cheaper than any change confined to h_1 (first case at period 9).
+At p = 2 every vertex is an element and the value is exact for every s:
+L(s) = L(h_1) = 2^n - sum(2^i, i in the m edges of h_1), so its erase cost
+2^m is Kurosawa's 2^wt(2^n - L) (``kurosawa_m``).  L_after is still only a
+bound there, as the witness erases h_1.
 ``verify.run_suites`` compares the closed form with brute force over whole
 universes and reports every such counterexample.
 
@@ -242,6 +246,8 @@ def _drops(s: PeriodicSequence, cap: int, upto: int) -> Iterator[CelcsPoint]:
 def k_error_lc_bruteforce(s: PeriodicSequence, k: int, cap: int = DEFAULT_CAP) -> int:
     """L_k(s) by complete enumeration of error patterns of weight <= k.  As
     L_k = 0 for every k >= weight(s), only the classes below it are budgeted."""
+    if type(k) is not int:
+        raise KOutOfRange(f"k must be an int; got {k!r}")
     if k < 0:
         raise KOutOfRange(f"k={k} is negative")
     k = min(k, s.weight)
@@ -304,7 +310,7 @@ def _equalizing_flips(p: int, q: int, a: int) -> int:
 
 
 def _closed_form(s: PeriodicSequence) -> tuple[CriticalReport, bool]:
-    """The formula report for nonzero s with odd p, and whether s is a hypercube.
+    """The formula report for nonzero s, and whether s is a hypercube.
 
     The witness is the cheaper change to h_1 = desc.vecs[0]: erase it (l * p^m),
     or equalize its tuple vertex (j * p^m).  The two never cost the same: j - l
@@ -335,12 +341,11 @@ def first_critical_m(s: PeriodicSequence) -> CriticalReport:
     """Closed-form first critical point from the leading hypercube of s.
 
     Exact when s is a single hypercube; an upper bound on m(s) in general
-    (see the module docstring).  L_after is the complexity reached by the
+    (see the module docstring), except at p = 2, where m equals
+    ``kurosawa_m`` for every s.  L_after is the complexity reached by the
     witness.  The second critical point is filled only when s is itself a
     hypercube.
     """
-    if s.modulus.p == 2:
-        raise EvenP("use kurosawa_m for p = 2")
     require_nonzero(s)
     return _closed_form(s)[0]
 
@@ -348,7 +353,7 @@ def first_critical_m(s: PeriodicSequence) -> CriticalReport:
 def second_critical_m1(s: PeriodicSequence, cap: int = DEFAULT_CAP) -> int | None:
     """Second critical error count, or None when L_{m(s)} is already 0.
 
-    Closed form for hypercubes with odd p; brute force otherwise.  The closed
+    Closed form for hypercubes; brute force otherwise.  The closed
     form is the hypercube's erase cost, its weight, where L falls to 0: an
     upper bound, which a cheaper change can beat.  The 5^2 hypercube
     1010001100011111010000011 has closed-form m1 = 12 but brute-force m1 = 10
@@ -356,10 +361,9 @@ def second_critical_m1(s: PeriodicSequence, cap: int = DEFAULT_CAP) -> int | Non
     (L = 6).
     """
     require_nonzero(s)
-    if s.modulus.p != 2:
-        rep, single = _closed_form(s)
-        if single:
-            return rep.m1_s
+    rep, single = _closed_form(s)
+    if single:
+        return rep.m1_s
     return first_critical_bruteforce(s, cap=cap).m1_s
 
 
@@ -385,11 +389,9 @@ def celcs(
     p, n = s.modulus.p, s.modulus.n
     L0 = _lc_value(s.value, p, n)
     if mode == "formula":
-        if p == 2:
-            raise FormulaInapplicable("formula mode needs an odd-p hypercube")
         rep, single = _closed_form(s)
         if not single:
-            raise FormulaInapplicable("formula mode needs an odd-p hypercube")
+            raise FormulaInapplicable("formula mode needs a hypercube")
         points = [CelcsPoint(0, L0), CelcsPoint(rep.m_s, rep.L_after)]
         if rep.L_after != 0:
             assert rep.m1_s is not None
@@ -440,6 +442,8 @@ def construct_stable(modulus: Modulus, k: int) -> PeriodicSequence:
     L_e = L for all e <= p^l - 1 and the first drop is at p^l).  k = 0 yields
     the single-one sequence of full complexity p^n.
     """
+    if type(k) is not int:
+        raise KOutOfRange(f"k must be an int; got {k!r}")
     if not 0 <= k < modulus.period:
         raise KOutOfRange(f"k={k} outside [0, {modulus.period})")
     p = modulus.p

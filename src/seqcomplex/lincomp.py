@@ -69,10 +69,12 @@ class LCForm:
 def lc_form_decompose(L: int, modulus: Modulus) -> LCForm:
     """Decompose an attainable complexity value into its canonical form.
 
-    Greedy from the largest exponent down; raises NotRepresentable when no
-    (epsilon, V) reproduces L for this modulus.
+    Greedy from the largest exponent down; raises NotRepresentable when L is
+    not an int or no (epsilon, V) reproduces L for this modulus.
     """
     p, n = modulus.p, modulus.n
+    if type(L) is not int:
+        raise NotRepresentable(f"L must be an int; got {L!r}")
     if not 0 <= L <= modulus.period:
         raise NotRepresentable(f"L={L} outside [0, {modulus.period}]")
     rem = L

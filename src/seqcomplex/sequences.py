@@ -104,7 +104,9 @@ class PeriodicSequence:
     value: int
 
     def __init__(self, modulus: Modulus, value: int) -> None:
-        if value < 0 or value.bit_length() > modulus.period:
+        if type(value) is not int or value < 0 or value.bit_length() > modulus.period:
+            if type(value) is not int:
+                raise LengthMismatch(f"packed value must be an int; got {value!r}")
             raise LengthMismatch(
                 f"packed value needs {modulus.period} bits, got {value.bit_length()}"
             )

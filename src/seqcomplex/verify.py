@@ -155,7 +155,7 @@ def _suite_mcrit(modulus: Modulus | None, rng: random.Random, cap: int) -> Suite
     for mod in _moduli(modulus, defaults):
         for s in _universe(mod, rng):
             problems = []
-            if mod.p != 2 and is_hypercube(s):
+            if is_hypercube(s):
                 a = celcs(s, mode="formula")
                 b = celcs(s, mode="brute", cap=cap)
                 if a[1].k != b[1].k:
@@ -165,7 +165,7 @@ def _suite_mcrit(modulus: Modulus | None, rng: random.Random, cap: int) -> Suite
                 if a != b:
                     problems.append(f"celcs {a} != {b}")
             else:
-                got = kurosawa_m(s) if mod.p == 2 else first_critical_m(s).m_s
+                got = first_critical_m(s).m_s
                 want = next(_drops(s, cap, mod.period)).k
                 if got != want:
                     problems.append(f"m {got} != {want}")
@@ -237,16 +237,10 @@ def _count_class_checks(rep: SuiteReport, mod: Modulus, tally: dict[tuple, int] 
 
 
 def _suite_decomposition(modulus: Modulus | None, rng: random.Random, cap: int) -> SuiteReport:
-    """Decomposition invariants: hypercube parts, XOR reconstruction, descent.
-
-    The hypercube structure is defined for odd p only, so the suite sweeps
-    odd-p moduli; pinned to a p = 2 modulus it makes no checks.
-    """
+    """Decomposition invariants: hypercube parts, XOR reconstruction, descent."""
     rep = SuiteReport("decomposition")
     defaults = [Modulus(3, 2), Modulus(3, 3), Modulus(5, 2), Modulus(11, 1)]
     for mod in _moduli(modulus, defaults):
-        if mod.p == 2:
-            continue
         for s in _universe(mod, rng):
             dec = standard_decompose(s)
             problems = []

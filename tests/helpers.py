@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
-from seqcomplex import PeriodicSequence, VertexDescriptor, VertexKind
+from seqcomplex import Modulus, PeriodicSequence, VertexDescriptor, VertexKind
 from seqcomplex.lincomp import _lc_value
 
 
@@ -190,6 +190,24 @@ def product_grow(values: list[int], p: int, start: int, n: int, edges) -> list[i
 
 def seq(mod, text: str) -> PeriodicSequence:
     return PeriodicSequence.from_text(text, mod)
+
+
+def p2_universe(exhaustive_up_to: int = 4, sampled_up_to: int = 8, count: int = 300):
+    """Every nonzero 2^n-periodic sequence for n up to exhaustive_up_to, then
+    count seeded ones at each larger n up to sampled_up_to, alternately dense
+    and sparse (1, 2 or 4 ones, so often a cube)."""
+    for n in range(1, exhaustive_up_to + 1):
+        mod = Modulus(2, n)
+        yield from (PeriodicSequence(mod, v) for v in range(1, 1 << mod.period))
+    rng = random.Random(26)
+    for n in range(exhaustive_up_to + 1, sampled_up_to + 1):
+        mod = Modulus(2, n)
+        for i in range(count):
+            if i % 2:
+                v = rng.randrange(1, 1 << mod.period)
+            else:
+                v = sum({1 << rng.randrange(mod.period) for _ in range(rng.choice((1, 2, 4)))})
+            yield PeriodicSequence(mod, v)
 
 
 def random_tuple_vertex(rng: random.Random, p: int, q: int) -> VertexDescriptor:

@@ -215,19 +215,19 @@ def test_c6_stability_construction(capsys):
 
 def test_c7_even_base_specialization(capsys):
     mod8 = Modulus(2, 3)
-    m_agree = sum(
-        kurosawa_m(PeriodicSequence(mod8, v))
-        == first_critical_bruteforce(PeriodicSequence(mod8, v)).m_s
-        for v in range(1, 256)
-    )
+    universe = [PeriodicSequence(mod8, v) for v in range(1, 256)]
+    brute = [first_critical_bruteforce(s).m_s for s in universe]
+    m_agree = sum(kurosawa_m(s) == m for s, m in zip(universe, brute))
+    closed_agree = sum(first_critical_m(s).m_s == m for s, m in zip(universe, brute))
     lc_agree = sum(
         games_chan_lc(PeriodicSequence(mod8, v))
         == berlekamp_massey_lc(PeriodicSequence(mod8, v))
         for v in range(256)
     )
-    ok = m_agree == 255 and lc_agree == 256
+    ok = m_agree == 255 and closed_agree == 255 and lc_agree == 256
     _verdict(capsys, "C7 even-base specialization", ok,
-             f"first critical m {m_agree}/255, engines {lc_agree}/256")
+             f"first critical m {m_agree}/255, closed-form m {closed_agree}/255, "
+             f"engines {lc_agree}/256")
 
 
 def test_c8_property_suites(capsys):

@@ -309,13 +309,13 @@ def test_verify_mcrit_exits_two_with_census(capsys):
 
 
 def test_verify_pinned_p2_runs_every_suite(capsys):
-    """The decomposition suite sweeps odd p only, so a p = 2 pin reports it
-    empty and the other five suites run."""
+    """A p = 2 pin runs all six suites; decomposition checks every nonzero
+    sequence."""
     code, out, err = run(capsys, "verify", "--p", "2", "--n", "3")
     assert (code, err) == (0, "")
     lines = out.splitlines()
     assert len(lines) == 6
-    assert "decomposition: 0/0 agree" in lines
+    assert "decomposition: 255/255 agree" in lines
     assert all(line.endswith(" agree") for line in lines)
 
 

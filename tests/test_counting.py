@@ -68,6 +68,12 @@ def test_count_sequences_with_lc_guards():
         count_sequences_with_lc(Modulus(2, 3), 5)
 
 
+@pytest.mark.parametrize("L", [8.0, True, "8"])
+def test_count_sequences_with_lc_refuses_a_non_int_L(L):
+    with pytest.raises(NotRepresentable, match=r"^L must be an int; got "):
+        count_sequences_with_lc(MOD9, L)
+
+
 def test_count_hypercubes_pinned():
     assert count_hypercubes(MOD9, ()).value == 9
     r = count_hypercubes(MOD9, (0,))
@@ -91,8 +97,9 @@ def test_count_hypercubes_guards():
         count_hypercubes(MOD9, (), l=3)
     with pytest.raises(InvalidL):
         count_hypercubes(MOD27, (), l=5)
-    with pytest.raises(EvenP):
-        count_hypercubes(Modulus(2, 2), ())
+    assert str(count_hypercubes(Modulus(2, 2), ())) == "4 = 2^2"
+    with pytest.raises(InvalidL):
+        count_hypercubes(Modulus(2, 2), (1,), l=2)  # no even l in (1, 2)
 
 
 def test_class_lc_pinned():
@@ -182,8 +189,7 @@ def test_count_cubes_matches_enumeration_n8():
 def test_count_cubes_guards():
     with pytest.raises(OddP):
         count_cubes(MOD9, ())
-    with pytest.raises(EvenP):
-        count_hypercubes(Modulus(2, 3), ())
+    assert count_hypercubes(Modulus(2, 3), (1,)) == count_cubes(Modulus(2, 3), (1,))
     with pytest.raises(InvalidEdges):
         count_cubes(Modulus(2, 2), (3,))
 

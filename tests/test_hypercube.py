@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import list_rewrite_descent, seq
+from helpers import list_rewrite_descent, p2_universe, seq
 from seqcomplex import (
     HypercubeStructure,
     Modulus,
@@ -20,7 +20,6 @@ from seqcomplex import (
     standard_decompose,
 )
 from seqcomplex.errors import (
-    EvenP,
     IsVertex,
     NoEligibleExponent,
     NotACube,
@@ -71,8 +70,8 @@ def test_is_hypercube_detects_cancellation():
         extract_structure(seq(MOD9, "110100100"))
     with pytest.raises(ZeroSequence):
         is_hypercube(PeriodicSequence.zeros(MOD9))
-    with pytest.raises(EvenP):
-        is_hypercube(PeriodicSequence(Modulus(2, 2), 0b0011))
+    assert is_hypercube(PeriodicSequence.from_text("1100", Modulus(2, 2)))
+    assert not is_hypercube(PeriodicSequence.from_text("1101", Modulus(2, 2)))
 
 
 def test_hypercube_census_n9():
@@ -311,6 +310,30 @@ def test_cube_lc_pinned():
         cube_lc(PeriodicSequence.zeros(mod4))
     with pytest.raises(OddP):
         cube_lc(seq(MOD9, "110000000"))
+
+
+def test_p2_hypercubes_are_the_cubes_of_cube_lc():
+    """At p = 2, is_hypercube holds exactly where cube_lc answers, and
+    extract_structure gives its (m, edges, L)."""
+    cubes = 0
+    for s in p2_universe():
+        try:
+            cube = cube_lc(s)
+        except NotACube:
+            cube = None
+        assert is_hypercube(s) == (cube is not None), s.to01()
+        if cube is not None:
+            cubes += 1
+            st = extract_structure(s)
+            assert (st.m, st.edges, lc_from_structure(st, s.modulus)) == cube, s.to01()
+    assert cubes == 868 + 425  # every cube at periods 2-16, and those sampled
+
+
+def test_p2_decomposition_parts_are_cubes():
+    for s in p2_universe():
+        dec = standard_decompose(s)
+        for part, L in zip(dec.parts, dec.complexities):
+            assert cube_lc(part)[2] == L, s.to01()
 
 
 def test_cube_lc_agrees_with_games_chan_exhaustive_n8():

@@ -10,6 +10,7 @@ from helpers import (
     gcd_k_error_lc,
     random_tuple_vertex,
     scalar_class_min,
+    p2_universe,
     seq,
 )
 from seqcomplex import (
@@ -65,6 +66,12 @@ def test_k_error_lc_guards():
     with pytest.raises(BudgetExceeded, match=r"^256 error patterns exceed cap 10$"):
         k_error_lc_bruteforce(seq(MOD9, "111111111"), 4, cap=10)
     assert k_error_lc_bruteforce(s, 100) == 0  # k clamps to weight(s)
+
+
+@pytest.mark.parametrize("k", [True, 1.0, "1"])
+def test_k_error_lc_refuses_a_non_int_k(k):
+    with pytest.raises(KOutOfRange, match=r"^k must be an int; got "):
+        k_error_lc_bruteforce(seq(MOD9, "110000000"), k)
 
 
 def test_k_error_lc_budgets_only_classes_below_the_weight():
@@ -220,8 +227,8 @@ def test_first_critical_formula_pinned_reference_cases():
 
 
 def test_first_critical_formula_guards():
-    with pytest.raises(EvenP):
-        first_critical_m(PeriodicSequence(Modulus(2, 2), 0b0011))
+    rep = first_critical_m(PeriodicSequence.from_text("1100", Modulus(2, 2)))
+    assert (rep.m_s, rep.L_after, rep.m1_s, rep.vertex_j) == (2, 0, None, None)
     with pytest.raises(ZeroSequence):
         first_critical_m(PeriodicSequence.zeros(MOD9))
 
@@ -354,8 +361,10 @@ def test_celcs_brute_invariants_random_n9():
 
 def test_celcs_modes_and_guards():
     assert celcs(PeriodicSequence.zeros(MOD9)) == (CelcsPoint(0, 0),)
-    with pytest.raises(FormulaInapplicable):
+    with pytest.raises(FormulaInapplicable, match=r"^formula mode needs a hypercube$"):
         celcs(seq(MOD9, "110100100"), mode="formula")
+    with pytest.raises(FormulaInapplicable, match=r"^formula mode needs a hypercube$"):
+        celcs(seq(Modulus(2, 2), "1101"), mode="formula")
     with pytest.raises(ValueError):
         celcs(seq(MOD9, "110000000"), mode="nope")
     with pytest.raises(BudgetExceeded, match=r"^512 error patterns exceed cap 3$"):
@@ -423,6 +432,23 @@ def test_kurosawa_pinned():
         kurosawa_m(seq(MOD9, "110000000"))
 
 
+def test_p2_closed_form_m_is_kurosawa_m():
+    """At p = 2 the closed-form m, read from the leading cube, is exact for
+    every s, not only for cubes."""
+    for s in p2_universe():
+        assert first_critical_m(s).m_s == kurosawa_m(s), s.to01()
+
+
+def test_p2_formula_celcs_is_exact_on_every_cube():
+    cubes = 0
+    for s in p2_universe(sampled_up_to=4):
+        if is_hypercube(s):
+            cubes += 1
+            assert celcs(s, mode="formula") == celcs(s, mode="brute"), s.to01()
+            assert second_critical_m1(s) is None, s.to01()
+    assert cubes == 3 + 11 + 59 + 795
+
+
 def test_kurosawa_matches_brute_exhaustive_n4():
     mod4 = Modulus(2, 2)
     for v in range(1, 16):
@@ -458,6 +484,12 @@ def test_construct_stable_table():
         construct_stable(MOD9, 9)
     with pytest.raises(KOutOfRange):
         construct_stable(MOD9, -1)
+
+
+@pytest.mark.parametrize("k", [True, 1.0, "1"])
+def test_construct_stable_refuses_a_non_int_k(k):
+    with pytest.raises(KOutOfRange, match=r"^k must be an int; got "):
+        construct_stable(MOD9, k)
 
 
 def test_constructed_sequences_hold_their_complexity():

@@ -236,6 +236,12 @@ def test_canonical_form_roundtrip_n9():
         lc_form_decompose(-1, MOD9)
 
 
+@pytest.mark.parametrize("L", [8.0, True, "8"])
+def test_canonical_form_refuses_a_non_int_L(L):
+    with pytest.raises(NotRepresentable, match=r"^L must be an int; got "):
+        lc_form_decompose(L, MOD9)
+
+
 def test_canonical_form_matches_engine_exhaustive_n9():
     for v in range(1, 512):
         s = PeriodicSequence(MOD9, v)

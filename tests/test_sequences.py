@@ -84,6 +84,12 @@ def test_parse_sequence_roundtrip_and_whitespace():
     assert list(s) == [1, 1, 0, 0, 0, 0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("value", [1.5, "5", True])
+def test_packed_value_must_be_an_int(value):
+    with pytest.raises(LengthMismatch, match=r"^packed value must be an int; got "):
+        PeriodicSequence(MOD9, value)
+
+
 def test_parse_sequence_errors():
     with pytest.raises(LengthMismatch):
         parse_sequence("1100", MOD9)

@@ -89,10 +89,10 @@ def test_mcrit_pinned_to_period_32_agrees_on_its_sample():
     assert (rep.checks, rep.failures) == (1000, 0)
 
 
-def test_decomposition_skips_p2():
+def test_decomposition_checks_p2():
     (rep,) = run_suites(["decomposition"], Modulus(2, 3))
-    assert (rep.checks, rep.failures, rep.details) == (0, 0, [])
-    assert str(rep) == "decomposition: 0/0 agree"
+    assert (rep.checks, rep.failures, rep.details) == (255, 0, [])
+    assert str(rep) == "decomposition: 255/255 agree"
 
 
 def test_sampled_runs_are_seed_deterministic():
