@@ -326,7 +326,7 @@ def test_p2_hypercubes_are_the_cubes_of_cube_lc():
             cubes += 1
             st = extract_structure(s)
             assert (st.m, st.edges, lc_from_structure(st, s.modulus)) == cube, s.to01()
-    assert cubes == 868 + 425  # every cube at periods 2-16, and those sampled
+    assert cubes == 868 + 421  # every cube at periods 2-16, and those sampled
 
 
 def test_p2_decomposition_parts_are_cubes():

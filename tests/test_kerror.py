@@ -8,9 +8,9 @@ import pytest
 from helpers import (
     exhaustive_min_change,
     gcd_k_error_lc,
+    p2_universe,
     random_tuple_vertex,
     scalar_class_min,
-    p2_universe,
     seq,
 )
 from seqcomplex import (
