@@ -43,7 +43,7 @@ from .errors import (
     SeqComplexError,
 )
 from .lincomp import lc, lc_form_decompose
-from .sequences import Modulus, PeriodicSequence, parse_corpus, parse_sequence, require_nonzero
+from .sequences import Modulus, PeriodicSequence, parse_corpus, parse_sequence
 
 SCHEMA = "seqcomplex/1"
 
@@ -274,7 +274,6 @@ def _celcs_record(s: PeriodicSequence, mode: str, cap: int) -> dict:
 def _structure_record(s: PeriodicSequence) -> dict:
     from .hypercube import extract_structure, lc_from_structure, next_lower_hypercube_lc
 
-    require_nonzero(s)
     try:
         st = extract_structure(s)
     except NotAHypercube as e:

@@ -30,7 +30,16 @@ from itertools import combinations
 from math import comb
 from typing import Iterator
 
-from .errors import _EXACT_UP_TO, ENUM_CAP, BudgetExceeded, EvenP, InvalidEdges, InvalidL, OddP
+from .errors import (
+    _EXACT_UP_TO,
+    ENUM_CAP,
+    BudgetExceeded,
+    EvenP,
+    InvalidEdges,
+    InvalidL,
+    OddP,
+    _check_cap,
+)
 from .hypercube import _descend, _hypercube_lc, _spread
 from .lincomp import lc_form_decompose
 from .sequences import Modulus, PeriodicSequence
@@ -185,6 +194,7 @@ def _class_members(
 ) -> tuple[PeriodicSequence, ...]:
     """Every member of the class (edges, l), built from the vertex up.  A
     class over the cap is refused by its size, or past 10^18 its expression."""
+    _check_cap(cap)
     count = _class_count(modulus, edges, l)
     if count.value > cap:
         noun = "cubes" if modulus.p == 2 else "hypercubes"
@@ -213,5 +223,5 @@ def enumerate_cubes(
 ) -> tuple[PeriodicSequence, ...]:
     """Every cube with the given edge exponents (p = 2)."""
     if modulus.p != 2:
-        raise OddP("count_cubes requires p = 2")
+        raise OddP("enumerate_cubes requires p = 2")
     return _class_members(modulus, edges, None, cap)

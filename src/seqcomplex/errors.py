@@ -96,6 +96,12 @@ ENUM_CAP = 10**6
 _EXACT_UP_TO = 10**18
 
 
+def _check_cap(cap: int) -> None:
+    """Refuse a budget cap that is not an int of at least 1."""
+    if type(cap) is not int or cap < 1:
+        raise BudgetExceeded(f"cap must be an int >= 1; got {cap!r}")
+
+
 class FormulaInapplicable(SeqComplexError):
     """Formula mode was requested for an input it does not cover."""
 
@@ -109,7 +115,8 @@ class ZeroLengthVertex(SeqComplexError):
 
 
 class KOutOfRange(SeqComplexError):
-    """Stable-sequence parameter k outside [0, p^n)."""
+    """A k that is not an int or lies out of range: the stable-sequence k
+    outside [0, p^n), or a negative k of ``k_error_lc_bruteforce``."""
 
 
 # -- counting ---------------------------------------------------------------

@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import xor
 from typing import Sequence as Seq
 
 from .errors import IsVertex, NoEligibleExponent, NotACube, NotAHypercube, OddP
 from .lincomp import _lc_value, _steps
-from .sequences import _TO_BIT, Modulus, PeriodicSequence, require_nonzero
+from .sequences import _TO_DIGIT, Modulus, PeriodicSequence, _bits, _row_mask, require_nonzero
 
 __all__ = [
     "Decomposition",
@@ -87,15 +88,15 @@ class VertexDescriptor:
         size = p**self.q
         if any(len(b) != size for b in self.blocks):
             raise ValueError(f"blocks must all have length p^q = {size}")
-        # one byte per row: byte u of the XOR of the blocks is row u's parity
-        rows = _bit_rows(self.blocks)
-        if not any(1 in r for r in rows):
+        masks = [_row_mask(b) for b in self.blocks]
+        if None in masks:
+            raise ValueError("block entries must be 0 or 1")
+        if not any(masks):
             raise ValueError("tuple vertex must be nonzero")
-        odd = 0
-        for r in rows:
-            odd ^= int.from_bytes(r, "little")
+        # bit u of the XOR of the row masks is row u's parity
+        odd = reduce(xor, masks)
         if odd:
-            u = ((odd & -odd).bit_length() - 1) // 8
+            u = (odd & -odd).bit_length() - 1
             raise ValueError(f"row {u} has odd parity; blocks do not sum to zero")
 
     @property
@@ -239,25 +240,6 @@ def _kept(a: int, p: int, plen: int) -> int:
     return a & ~seen
 
 
-_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _bits(mask: int, length: int) -> tuple[int, ...]:
-    return tuple(format(mask, f"0{length}b")[::-1].encode().translate(_TO_BIT))
-
-
-def _bit_rows(blocks: Seq[Seq[int]]) -> list[bytes]:
-    """Each block as bytes, one per entry; ValueError unless every entry is an
-    integer (an int or a bool) equal to 0 or 1."""
-    try:
-        rows = [bytes(b) for b in blocks]
-    except (TypeError, ValueError):  # an entry that is no int, or outside 0..255
-        raise ValueError("block entries must be 0 or 1") from None
-    if any(r.translate(None, b"\x00\x01") for r in rows):
-        raise ValueError("block entries must be 0 or 1")
-    return rows
-
-
 def _epsilon(p: int, q: int | None) -> int:
     """1 for an element vertex (q None); (1-p)(p^0+...+p^(q-1)) = 1 - p^q for
     a tuple vertex of length q."""
@@ -372,19 +354,17 @@ def rebalance_blocks(
     rows = len(blocks[0])
     if any(len(b) != rows for b in blocks):
         raise ValueError("blocks must have equal length")
-    bits = _bit_rows(blocks)
-    if all(b == bits[0] for b in bits[1:]):
+    p = len(blocks)
+    packed = _row_mask([bit for b in blocks for bit in b])
+    if packed is None:
+        raise ValueError("block entries must be 0 or 1")
+    mask = (1 << rows) - 1
+    parts = [packed >> (i * rows) & mask for i in range(p)]
+    if all(v == parts[0] for v in parts[1:]):
         raise ValueError("blocks are all equal; rewrite applies to the XOR branch")
-    parts = [sum(1 << t for t, bit in enumerate(b) if bit) for b in bits]
-    x = 0
-    for part in parts:
-        x ^= part
-    p = len(parts)
-    packed = sum(v << (i * rows) for i, v in enumerate(parts))
-    kept = _kept(packed, p, rows) & _spread(x, p, rows)
+    kept = _kept(packed, p, rows) & _spread(reduce(xor, parts), p, rows)
     if kept == 0:
         raise IsVertex("blocks already sum to the zero vector")
-    mask = (1 << rows) - 1
     out = tuple(_bits(kept >> (i * rows) & mask, rows) for i in range(p))
     sources = {t: i for t in range(rows) for i, b in enumerate(out) if b[t]}
     return out, sources

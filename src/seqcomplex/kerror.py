@@ -60,18 +60,18 @@ from .errors import (
     NotTupleVertex,
     OddP,
     ZeroLengthVertex,
+    _check_cap,
 )
 from .hypercube import (
     VertexDescriptor,
     VertexKind,
-    _TO_DIGIT,
     _descend,
     _expand_flip,
     _spread,
 )
 from .bitslice import above, add, largest
 from .lincomp import _lc_value, _levels, lc_form_decompose
-from .sequences import Modulus, PeriodicSequence, require_nonzero
+from .sequences import Modulus, PeriodicSequence, _row_mask, require_nonzero
 
 __all__ = [
     "DEFAULT_CAP",
@@ -124,6 +124,7 @@ class CriticalReport:
 def _check_budget(N: int, k: int, cap: int) -> None:
     """Refuse more than cap error patterns of weight <= k.  The running sum
     stops once it passes max(cap, 10^18); the refusal then states that bound."""
+    _check_cap(cap)
     bound = max(cap, _EXACT_UP_TO)
     b = term = 1
     for i in range(1, k + 1):
@@ -287,7 +288,7 @@ def vertex_min_change(vertex: VertexDescriptor) -> int:
         raise NotTupleVertex("element vertices have no block tuple to equalize")
     if vertex.q == 0:
         raise ZeroLengthVertex("length-0 vertices are handled by the fill/erase rule")
-    a = int(b"".join(map(bytes, vertex.blocks))[::-1].translate(_TO_DIGIT), 2)
+    a = _row_mask([bit for b in vertex.blocks for bit in b])
     return _equalizing_flips(len(vertex.blocks), vertex.q, a).bit_count()
 
 

@@ -28,10 +28,29 @@ PERIOD_CAP = 1 << 20
 # a str.translate table that deletes "0" and "1"; translating never encodes,
 # so a lone surrogate from a non-UTF-8 argv byte is checked like any character
 _DELETE_01 = str.maketrans("", "", "01")
-# a bytes.translate table from the digits of format(x, "b") to bit bytes
+# bytes.translate tables between the digits of format(x, "b") and bit bytes
 _TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
+_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
 # frozen dataclasses set their fields past their own __setattr__
 _set_field = object.__setattr__
+
+
+def _row_mask(entries: Iterable[int]) -> int | None:
+    """The entries packed into an int, bit t being entry t (``_bits`` unpacks
+    it); None unless every entry is an integer (an int, a bool or another
+    ``__index__`` integer) equal to 0 or 1."""
+    try:
+        # bytes of an iterator reads each entry by __index__, never a buffer
+        row = bytes(iter(entries))
+    except (TypeError, ValueError):  # an entry that is no integer, or outside 0..255
+        return None
+    if row.translate(None, b"\x00\x01"):
+        return None
+    return int(row[::-1].translate(_TO_DIGIT) or b"0", 2)
+
+
+def _bits(mask: int, length: int) -> tuple[int, ...]:
+    return tuple(format(mask, f"0{length}b")[::-1].encode().translate(_TO_BIT))
 
 
 def _prime_factors(x: int) -> set[int]:
@@ -135,12 +154,13 @@ class PeriodicSequence:
     @classmethod
     def from_bits(cls, bits: Iterable[int], modulus: Modulus) -> "PeriodicSequence":
         bits = list(bits)
-        for idx, b in enumerate(bits):
-            if b not in (0, 1):
-                raise InvalidCharacter(f"bit at index {idx} is {b!r}, not 0/1")
+        value = _row_mask(bits)
+        if value is None:
+            idx, b = next((i, b) for i, b in enumerate(bits) if _row_mask((b,)) is None)
+            raise InvalidCharacter(f"bit at index {idx} is {b!r}, not 0/1")
         if len(bits) != modulus.period:
             raise LengthMismatch(f"expected {modulus.period} bits, got {len(bits)}")
-        return cls(modulus, int("".join("1" if b else "0" for b in reversed(bits)), 2))
+        return cls(modulus, value)
 
     @classmethod
     def zeros(cls, modulus: Modulus) -> "PeriodicSequence":
@@ -153,7 +173,7 @@ class PeriodicSequence:
 
     @property
     def bits(self) -> tuple[int, ...]:
-        return tuple(map(int, self.to01()))
+        return _bits(self.value, self.modulus.period)
 
     def to01(self) -> str:
         return format(self.value, f"0{self.modulus.period}b")[::-1]

@@ -301,3 +301,10 @@ def test_grower_matches_the_product_reference(mod):
             base, start = [sum(1 << i for i in c) for c in combinations(range(p), l)], 1
         got = counting._grow(base, p, start, n, edges)
         assert got == product_grow(base, p, start, n, edges), (edges, l)
+
+
+def test_enumerate_cubes_refuses_an_odd_p_under_its_own_name():
+    with pytest.raises(OddP, match=r"^enumerate_cubes requires p = 2$"):
+        enumerate_cubes(MOD9, ())
+    with pytest.raises(OddP, match=r"^count_cubes requires p = 2$"):
+        count_cubes(MOD9, ())

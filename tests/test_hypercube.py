@@ -1,4 +1,6 @@
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -405,3 +407,45 @@ def test_packed_rewrite_matches_list_rewrite_sampled():
             else:  # sparse: few cancellations, often a hypercube
                 v = sum({1 << rng.randrange(mod.period) for _ in range(4)})
             _check_against_list_rewrite(PeriodicSequence(mod, v))
+
+
+class _Index:
+    """An integer by __index__ alone, as a numpy integer is."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __index__(self):
+        return self.v
+
+    def __repr__(self):
+        return f"_Index({self.v})"
+
+
+def _accepts(make) -> bool:
+    try:
+        make()
+    except ValueError as e:
+        text = str(e)
+        assert text == "block entries must be 0 or 1" or text.startswith("bit at index 0 is ")
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [0, 1, False, True, _Index(1), 1.0, Fraction(1), Decimal(1), None, "1", 2, -1, 256,
+     _Index(2)],
+    ids=repr,
+)
+def test_from_bits_vertices_and_rewrites_share_one_entry_rule(entry):
+    """Each call below is valid for an entry of 0 or 1, so it refuses exactly
+    the entries the shared rule refuses."""
+    outcomes = {
+        _accepts(lambda: PeriodicSequence.from_bits([entry] + [1] * 8, MOD9)),
+        _accepts(lambda: VertexDescriptor(
+            VertexKind.TUPLE, 1, ((entry, 1, 0), (entry, 1, 0), (0, 0, 0)))),
+        _accepts(lambda: rebalance_blocks([[entry, 1], [entry, 0], [0, 0]])),
+    }
+    want = type(entry) in (int, bool, _Index) and entry.__index__() in (0, 1)
+    assert outcomes == {want}

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from itertools import combinations, islice
 from math import comb
@@ -21,6 +22,8 @@ from seqcomplex import (
     VertexKind,
     celcs,
     construct_stable,
+    enumerate_cubes,
+    enumerate_hypercubes,
     first_critical_bruteforce,
     first_critical_m,
     is_hypercube,
@@ -505,3 +508,22 @@ def test_stable_complexity_is_maximal_n9():
     # no 9-periodic sequence keeps a complexity above 7 through 2 errors
     best = max(k_error_lc_bruteforce(PeriodicSequence(MOD9, v), 2) for v in range(512))
     assert best == 7 == k_error_lc_bruteforce(construct_stable(MOD9, 2), 2)
+
+
+@pytest.mark.parametrize("cap", ["5", None, 2.5, True, 0, -3], ids=repr)
+def test_a_cap_must_be_an_int_of_at_least_one(cap):
+    """Every place that compares a cap refuses one that is no int >= 1, and
+    an int cap still meets its budget text."""
+    s = seq(MOD9, "110000000")
+    text = rf"^cap must be an int >= 1; got {re.escape(repr(cap))}$"
+    for call in (
+        lambda cap: k_error_lc_bruteforce(s, 1, cap=cap),
+        lambda cap: first_critical_bruteforce(s, cap=cap),
+        lambda cap: celcs(s, mode="brute", cap=cap),
+        lambda cap: enumerate_hypercubes(MOD9, (1,), cap=cap),
+        lambda cap: enumerate_cubes(Modulus(2, 3), (1,), cap=cap),
+    ):
+        with pytest.raises(BudgetExceeded, match=text):
+            call(cap)
+        with pytest.raises(BudgetExceeded, match=r"exceed cap 1$|, cap is 1$"):
+            call(1)

@@ -1,6 +1,9 @@
 import dataclasses
 import pickle
 import random
+import re
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -295,3 +298,27 @@ def test_from_text_reads_the_digits_between_any_whitespace(case):
     mod, digits, gaps = case
     text = gaps[0] + "".join(d + g for d, g in zip(digits, gaps[1:]))
     assert PeriodicSequence.from_text(text, mod).value == int(digits[::-1], 2)
+
+
+@pytest.mark.parametrize("bad", [1.0, Fraction(1), Decimal(1), None, "1", 2, -1, 256], ids=repr)
+def test_from_bits_refuses_a_non_integer_entry_at_its_index(bad):
+    """Entries follow the vertex block rule: an integer equal to 0 or 1.  The
+    first bad entry is named before the length (5, not 9) is checked."""
+    text = rf"^bit at index 3 is {re.escape(repr(bad))}, not 0/1$"
+    with pytest.raises(InvalidCharacter, match=text):
+        PeriodicSequence.from_bits([1, 0, True, bad, 0.5], MOD9)
+
+
+def test_from_bits_accepts_ints_and_bools():
+    s = PeriodicSequence.from_bits([1, True, 0, False, 1, 0, 0, 0, True], MOD9)
+    assert s.to01() == "110010001" and s.value == 0b100010011
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (2, 5), (5, 3), (2, 20)])
+def test_bits_are_the_digits_of_to01(p, n):
+    mod = Modulus(p, n)
+    full = (1 << mod.period) - 1
+    for value in (0, full, random.Random(p**n).getrandbits(mod.period)):
+        s = PeriodicSequence(mod, value)
+        assert s.bits == tuple(map(int, s.to01()))
+        assert PeriodicSequence.from_bits(s.bits, mod) == s
