@@ -69,6 +69,10 @@ class VertexDescriptor:
     Element vertices carry no payload.  Tuple vertices carry the p parts of
     the zero-sum step (each p^q entries of 0 or 1); every row across the
     parts has even parity and at least one row is nonzero.
+
+    ``_mask`` packs the vertex as the descent does: 1 for an element, and
+    bit i * p^q + u is row u of block i for a tuple.  It is no dataclass
+    field, so equality, hash and repr read only kind, q and blocks.
     """
 
     kind: VertexKind
@@ -79,40 +83,40 @@ class VertexDescriptor:
         if self.kind is VertexKind.ELEMENT:
             if self.q is not None or self.blocks is not None:
                 raise ValueError("element vertex carries no blocks")
+            object.__setattr__(self, "_mask", 1)
             return
+        if self.kind is not VertexKind.TUPLE:
+            raise ValueError(f"vertex kind must be a VertexKind; got {self.kind!r}")
         if self.q is None or self.blocks is None:
             raise ValueError("tuple vertex needs q and blocks")
+        if type(self.q) is not int or self.q < 0:
+            raise ValueError(f"tuple vertex q must be an int >= 0; got {self.q!r}")
         p = len(self.blocks)
         if p < 2:
             raise ValueError("tuple vertex needs at least 2 blocks")
         size = p**self.q
         if any(len(b) != size for b in self.blocks):
             raise ValueError(f"blocks must all have length p^q = {size}")
-        masks = [_row_mask(b) for b in self.blocks]
-        if None in masks:
+        mask = _row_mask([bit for b in self.blocks for bit in b])
+        if mask is None:
             raise ValueError("block entries must be 0 or 1")
-        if not any(masks):
+        if not mask:
             raise ValueError("tuple vertex must be nonzero")
-        # bit u of the XOR of the row masks is row u's parity
-        odd = reduce(xor, masks)
+        # bit u of the XOR of the p parts is row u's parity
+        odd = reduce(xor, (mask >> (i * size) for i in range(p))) & ((1 << size) - 1)
         if odd:
             u = (odd & -odd).bit_length() - 1
             raise ValueError(f"row {u} has odd parity; blocks do not sum to zero")
+        object.__setattr__(self, "_mask", mask)
 
     @property
     def l(self) -> int:
         """Nonzero count: 1 for element vertices, total ones for tuples."""
-        if self.kind is VertexKind.ELEMENT:
-            return 1
-        assert self.blocks is not None
-        return sum(sum(b) for b in self.blocks)
+        return self._mask.bit_count()
 
     @property
     def epsilon(self) -> int:
-        if self.kind is VertexKind.ELEMENT:
-            return 1
-        assert self.q is not None and self.blocks is not None
-        return _epsilon(len(self.blocks), self.q)
+        return _epsilon(len(self.blocks or ()), self.q)
 
     def __str__(self) -> str:
         if self.kind is VertexKind.ELEMENT:
@@ -318,23 +322,15 @@ def lc_from_structure(h: HypercubeStructure, modulus: Modulus) -> int:
     return _hypercube_lc(modulus.p, modulus.n, h.epsilon, h.edges)
 
 
-def _eligible_exponents(h: HypercubeStructure, n: int) -> list[int]:
-    v = h.vertex
-    if v.kind is VertexKind.ELEMENT:
-        lo = 0
-    else:
-        assert v.q is not None
-        lo = v.q + 1
-    return [i for i in range(lo, n) if i not in h.edges]
-
 def next_lower_hypercube_lc(h: HypercubeStructure, modulus: Modulus) -> int:
     """Largest LC below lc_from_structure(h) attainable by a hypercube with
     the same vertex and an edge set extending h's: add the smallest eligible
     exponent.  Hypercubes with unrelated edge sets can land in between."""
-    candidates = _eligible_exponents(h, modulus.n)
-    if not candidates:
+    lo = 0 if h.vertex.q is None else h.vertex.q + 1
+    free = next((i for i in range(lo, modulus.n) if i not in h.edges), None)
+    if free is None:
         raise NoEligibleExponent(f"no exponent available beyond edges {h.edges}")
-    return _hypercube_lc(modulus.p, modulus.n, h.epsilon, (candidates[0], *h.edges))
+    return _hypercube_lc(modulus.p, modulus.n, h.epsilon, (free, *h.edges))
 
 
 def rebalance_blocks(

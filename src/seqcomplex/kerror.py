@@ -71,7 +71,7 @@ from .hypercube import (
 )
 from .bitslice import above, add, largest
 from .lincomp import _lc_value, _levels, lc_form_decompose
-from .sequences import Modulus, PeriodicSequence, _row_mask, require_nonzero
+from .sequences import Modulus, PeriodicSequence, require_nonzero
 
 __all__ = [
     "DEFAULT_CAP",
@@ -288,8 +288,7 @@ def vertex_min_change(vertex: VertexDescriptor) -> int:
         raise NotTupleVertex("element vertices have no block tuple to equalize")
     if vertex.q == 0:
         raise ZeroLengthVertex("length-0 vertices are handled by the fill/erase rule")
-    a = _row_mask([bit for b in vertex.blocks for bit in b])
-    return _equalizing_flips(len(vertex.blocks), vertex.q, a).bit_count()
+    return _equalizing_flips(len(vertex.blocks), vertex.q, vertex._mask).bit_count()
 
 
 def _equalizing_flips(p: int, q: int, a: int) -> int:
