@@ -35,12 +35,11 @@ from .errors import (
     ENUM_CAP,
     BudgetExceeded,
     EvenP,
-    InvalidEdges,
     InvalidL,
     OddP,
     _check_cap,
 )
-from .hypercube import _descend, _hypercube_lc, _spread
+from .hypercube import _descend, _hypercube_lc, _spread, _valid_edges
 from .lincomp import lc_form_decompose
 from .sequences import Modulus, PeriodicSequence
 
@@ -87,19 +86,7 @@ def _class_edges(modulus: Modulus, edges, l: int | None) -> tuple[int, ...]:
     """The sorted edges of the class (edges, l), once l and edges are valid."""
     if l is not None and not (type(l) is int and 1 < l < modulus.p and l % 2 == 0):
         raise InvalidL(f"length-0 vertex weight must be even in (1, {modulus.p}); got {l}")
-    try:
-        given = tuple(edges)
-    except TypeError:  # not iterable
-        raise InvalidEdges(f"edge exponents must be ints; got {edges!r}") from None
-    if any(type(i) is not int for i in given):
-        raise InvalidEdges(f"edge exponents must be ints; got {given!r}")
-    out = tuple(sorted(given))
-    if any(a == b for a, b in zip(out, out[1:])):
-        raise InvalidEdges(f"duplicate edge exponents in {given}")
-    lo = 0 if l is None else 1
-    if out and not (lo <= out[0] and out[-1] < modulus.n):
-        raise InvalidEdges(f"edge exponents {out} outside [{lo}, {modulus.n - 1}]")
-    return out
+    return _valid_edges(edges, 0 if l is None else 1, modulus.n)
 
 
 def count_sequences_with_lc(modulus: Modulus, L: int) -> CountResult:

@@ -33,7 +33,8 @@ class InvalidCharacter(SeqComplexError):
 
 
 class ModulusMismatch(SeqComplexError):
-    """Two sequences with different moduli were combined."""
+    """Two sequences with different moduli were combined, or a hypercube
+    structure was priced at a modulus its vertex does not fit."""
 
 
 class EqualPositions(SeqComplexError):

@@ -38,7 +38,15 @@ from functools import cached_property, reduce
 from operator import xor
 from typing import Sequence as Seq
 
-from .errors import IsVertex, NoEligibleExponent, NotACube, NotAHypercube, OddP
+from .errors import (
+    InvalidEdges,
+    IsVertex,
+    ModulusMismatch,
+    NoEligibleExponent,
+    NotACube,
+    NotAHypercube,
+    OddP,
+)
 from .lincomp import _lc_value, _steps
 from .sequences import _TO_DIGIT, Modulus, PeriodicSequence, _bits, _row_mask, require_nonzero
 
@@ -135,6 +143,10 @@ class HypercubeStructure:
     vertex: VertexDescriptor
 
     def __post_init__(self) -> None:
+        if type(self.m) is not int:
+            raise ValueError(f"m must be an int; got {self.m!r}")
+        if any(type(i) is not int for i in self.edges):
+            raise InvalidEdges(f"edge exponents must be ints; got {self.edges!r}")
         if self.m != len(self.edges):
             raise ValueError(f"m={self.m} but {len(self.edges)} edges")
         if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
@@ -317,16 +329,53 @@ def _hypercube_lc(p: int, n: int, eps: int, edges: Seq[int]) -> int:
     return eps - 1 + p**n - (p - 1) * sum(p**i for i in edges)
 
 
+def _valid_edges(edges, lo: int, n: int) -> tuple[int, ...]:
+    """The edges, read once, as a sorted tuple of distinct ints in [lo, n);
+    InvalidEdges otherwise.  lo is the vertex's first free exponent."""
+    try:
+        given = tuple(edges)
+    except TypeError:  # not iterable
+        raise InvalidEdges(f"edge exponents must be ints; got {edges!r}") from None
+    if any(type(i) is not int for i in given):
+        raise InvalidEdges(f"edge exponents must be ints; got {given!r}")
+    out = tuple(sorted(given))
+    if any(a == b for a, b in zip(out, out[1:])):
+        raise InvalidEdges(f"duplicate edge exponents in {given}")
+    if out and not (lo <= out[0] and out[-1] < n):
+        raise InvalidEdges(f"edge exponents {out} outside [{lo}, {n - 1}]")
+    return out
+
+
+def _first_free(h: HypercubeStructure, modulus: Modulus) -> int:
+    """The first exponent h's vertex leaves free, 0 for an element and
+    q + 1 for a tuple, once h fits the modulus (see lc_from_structure)."""
+    v, lo = h.vertex, 0
+    if v.kind is VertexKind.TUPLE:
+        if len(v.blocks) != modulus.p or v.q >= modulus.n:
+            raise ModulusMismatch(
+                f"tuple vertex of {len(v.blocks)} blocks, q={v.q}, does not fit {modulus}"
+            )
+        lo = v.q + 1
+    _valid_edges(h.edges, lo, modulus.n)
+    return lo
+
+
 def lc_from_structure(h: HypercubeStructure, modulus: Modulus) -> int:
-    """Closed-form linear complexity of a hypercube with structure h."""
+    """Closed-form linear complexity of a hypercube with structure h.
+
+    h must fit the modulus: ModulusMismatch for a tuple vertex without p
+    blocks or with q >= n, InvalidEdges for an edge outside [lo, n), lo
+    being 0 for an element vertex and q + 1 for a tuple vertex."""
+    _first_free(h, modulus)
     return _hypercube_lc(modulus.p, modulus.n, h.epsilon, h.edges)
 
 
 def next_lower_hypercube_lc(h: HypercubeStructure, modulus: Modulus) -> int:
     """Largest LC below lc_from_structure(h) attainable by a hypercube with
     the same vertex and an edge set extending h's: add the smallest eligible
-    exponent.  Hypercubes with unrelated edge sets can land in between."""
-    lo = 0 if h.vertex.q is None else h.vertex.q + 1
+    exponent.  Hypercubes with unrelated edge sets can land in between.
+    h must fit the modulus, as for lc_from_structure."""
+    lo = _first_free(h, modulus)
     free = next((i for i in range(lo, modulus.n) if i not in h.edges), None)
     if free is None:
         raise NoEligibleExponent(f"no exponent available beyond edges {h.edges}")

@@ -169,6 +169,9 @@ class PeriodicSequence:
     # -- views ----------------------------------------------------------------
 
     def bit(self, i: int) -> int:
+        """Bit i of the sequence, i read modulo the period; i must be an int."""
+        if type(i) is not int:
+            raise LengthMismatch(f"index must be an int; got {i!r}")
         return (self.value >> (i % self.modulus.period)) & 1
 
     @property
@@ -227,6 +230,8 @@ def pn_distance(i: int, j: int, modulus: Modulus) -> int:
     Accepts the positions in either order; i == j raises EqualPositions.
     """
     N = modulus.period
+    if type(i) is not int or type(j) is not int:
+        raise LengthMismatch(f"positions must be ints; got {i!r}, {j!r}")
     if not (0 <= i < N and 0 <= j < N):
         raise LengthMismatch(f"positions must lie in [0, {N}), got {i}, {j}")
     if i == j:

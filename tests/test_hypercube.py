@@ -1,10 +1,18 @@
+import dataclasses
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from helpers import list_rewrite_descent, p2_universe, seq
+from helpers import (
+    exhaustive_min_change,
+    list_rewrite_descent,
+    p2_universe,
+    random_tuple_vertex,
+    seq,
+)
 from seqcomplex import (
     HypercubeStructure,
     Modulus,
@@ -20,9 +28,12 @@ from seqcomplex import (
     next_lower_hypercube_lc,
     rebalance_blocks,
     standard_decompose,
+    vertex_min_change,
 )
 from seqcomplex.errors import (
+    InvalidEdges,
     IsVertex,
+    ModulusMismatch,
     NoEligibleExponent,
     NotACube,
     NotAHypercube,
@@ -449,3 +460,114 @@ def test_from_bits_vertices_and_rewrites_share_one_entry_rule(entry):
     }
     want = type(entry) in (int, bool, _Index) and entry.__index__() in (0, 1)
     assert outcomes == {want}
+
+
+def test_a_vertex_of_index_integers_counts_its_ones():
+    """The blocks are packed once; l, the parity check and vertex_min_change
+    all read that mask, so __index__ entries count like ints.  The packed
+    mask is no field: fields, equality, hash and repr see kind, q, blocks."""
+    I = _Index
+    v = VertexDescriptor(
+        VertexKind.TUPLE, 1, ((I(1), I(1), I(0)), (I(1), I(0), I(0)), (0, 1, 0))
+    )
+    assert str(v) == "tuple(q=1, [110,100,010])"
+    assert v.l == 4 and vertex_min_change(v) == 2 and v.epsilon == -2
+    assert [f.name for f in dataclasses.fields(VertexDescriptor)] == ["kind", "q", "blocks"]
+    w = VertexDescriptor(VertexKind.TUPLE, 0, ((1,), (1,), (0,)))
+    assert dataclasses.asdict(w) == {
+        "kind": VertexKind.TUPLE, "q": 0, "blocks": ((1,), (1,), (0,))
+    }
+    assert repr(w) == (
+        "VertexDescriptor(kind=<VertexKind.TUPLE: 'tuple'>, q=0, blocks=((1,), (1,), (0,)))"
+    )
+    twin = dataclasses.replace(w)
+    assert twin == w and hash(twin) == hash(w) and twin.l == 2
+    assert VertexDescriptor(VertexKind.ELEMENT).l == 1
+
+
+@pytest.mark.parametrize("p, q", [(3, 1), (3, 2), (5, 1)])
+def test_packed_vertex_matches_the_descent_and_exhaustive_search(p, q):
+    """On seeded tuple vertices, rebuilt from __index__ entries: l is the
+    descent's l of the sequence made of the vertex alone, and
+    vertex_min_change is the exhaustive minimum."""
+    rng = random.Random(2800 + 10 * p + q)
+    mod = Modulus(p, q + 1)
+    for _ in range(60):
+        v = random_tuple_vertex(rng, p, q)
+        w = VertexDescriptor(
+            VertexKind.TUPLE, q, tuple(tuple(map(_Index, b)) for b in v.blocks)
+        )
+        s = PeriodicSequence.from_bits([bit for b in v.blocks for bit in b], mod)
+        desc = _descend(s.value, p, q + 1, rewrite=False)
+        assert desc.ok and desc.vertex == v
+        assert w.l == v.l == desc.l == s.weight
+        assert vertex_min_change(w) == vertex_min_change(v) == exhaustive_min_change(v)
+
+
+_BLOCKS1 = ((1, 0, 0), (1, 0, 0), (0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "kind, q, blocks, text",
+    [
+        ("tuple", 0, ((1,), (1,), (0,)), "vertex kind must be a VertexKind; got 'tuple'"),
+        ("element", None, None, "vertex kind must be a VertexKind; got 'element'"),
+        (VertexKind.TUPLE, 1.0, _BLOCKS1, "tuple vertex q must be an int >= 0; got 1.0"),
+        (VertexKind.TUPLE, True, _BLOCKS1, "tuple vertex q must be an int >= 0; got True"),
+        (VertexKind.TUPLE, -1, ((1,), (1,), (0,)), "tuple vertex q must be an int >= 0; got -1"),
+        (VertexKind.TUPLE, "1", _BLOCKS1, "tuple vertex q must be an int >= 0; got '1'"),
+    ],
+    ids=["kind-tuple-str", "kind-element-str", "q-float", "q-bool", "q-negative", "q-str"],
+)
+def test_vertex_refuses_a_bad_kind_or_q(kind, q, blocks, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        VertexDescriptor(kind, q, blocks)
+
+
+_EL = VertexDescriptor(VertexKind.ELEMENT)
+_T0 = VertexDescriptor(VertexKind.TUPLE, 0, ((1,), (1,), (0,)))
+_T0_OF_5 = VertexDescriptor(VertexKind.TUPLE, 0, ((1,), (1,), (0,), (0,), (0,)))
+_T2 = VertexDescriptor(VertexKind.TUPLE, 2, ((1,) + (0,) * 8,) * 2 + ((0,) * 9,))
+
+
+@pytest.mark.parametrize(
+    "h, error, text",
+    [
+        (HypercubeStructure(1, (7,), _EL), InvalidEdges, "edge exponents (7,) outside [0, 1]"),
+        (HypercubeStructure(1, (-1,), _EL), InvalidEdges, "edge exponents (-1,) outside [0, 1]"),
+        (HypercubeStructure(1, (0,), _T0), InvalidEdges, "edge exponents (0,) outside [1, 1]"),
+        (
+            HypercubeStructure(0, (), _T0_OF_5),
+            ModulusMismatch,
+            "tuple vertex of 5 blocks, q=0, does not fit 3^2",
+        ),
+        (
+            HypercubeStructure(0, (), _T2),
+            ModulusMismatch,
+            "tuple vertex of 3 blocks, q=2, does not fit 3^2",
+        ),
+    ],
+    ids=["edge-7", "edge-minus-1", "tuple-edge-0", "5-blocks", "q-equals-n"],
+)
+def test_structures_must_fit_their_modulus(h, error, text):
+    """lc_from_structure and next_lower_hypercube_lc price only shapes that
+    fit the modulus, by the edge rule the counted classes use."""
+    for price in (lc_from_structure, next_lower_hypercube_lc):
+        with pytest.raises(error, match=f"^{re.escape(text)}$"):
+            price(h, MOD9)
+
+
+@pytest.mark.parametrize(
+    "m, edges, text",
+    [
+        (1.0, (0,), "m must be an int; got 1.0"),
+        (True, (0,), "m must be an int; got True"),
+        (1, (0.5,), "edge exponents must be ints; got (0.5,)"),
+        (1, (True,), "edge exponents must be ints; got (True,)"),
+        (2, (0, "1"), "edge exponents must be ints; got (0, '1')"),
+    ],
+    ids=repr,
+)
+def test_hypercube_structure_refuses_a_non_int_m_or_edge(m, edges, text):
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        HypercubeStructure(m, edges, _EL)

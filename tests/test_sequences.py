@@ -322,3 +322,16 @@ def test_bits_are_the_digits_of_to01(p, n):
         s = PeriodicSequence(mod, value)
         assert s.bits == tuple(map(int, s.to01()))
         assert PeriodicSequence.from_bits(s.bits, mod) == s
+
+
+@pytest.mark.parametrize("bad", [0.5, True, "1", 2.0, None], ids=repr)
+def test_positions_must_be_ints(bad):
+    """pn_distance and PeriodicSequence.bit read positions as plain ints;
+    anything else, a bool included, is refused with LengthMismatch."""
+    text = re.escape(repr(bad))
+    with pytest.raises(LengthMismatch, match=rf"^positions must be ints; got {text}, 2$"):
+        pn_distance(bad, 2, MOD9)
+    with pytest.raises(LengthMismatch, match=rf"^positions must be ints; got 2, {text}$"):
+        pn_distance(2, bad, MOD9)
+    with pytest.raises(LengthMismatch, match=rf"^index must be an int; got {text}$"):
+        parse_sequence("110000000", MOD9).bit(bad)
