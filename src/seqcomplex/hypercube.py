@@ -99,6 +99,10 @@ class VertexDescriptor:
             raise ValueError("tuple vertex needs q and blocks")
         if type(self.q) is not int or self.q < 0:
             raise ValueError(f"tuple vertex q must be an int >= 0; got {self.q!r}")
+        if not isinstance(self.blocks, tuple) or not all(
+            isinstance(b, tuple) for b in self.blocks
+        ):
+            raise ValueError(f"blocks must be a tuple of tuples; got {self.blocks!r}")
         p = len(self.blocks)
         if p < 2:
             raise ValueError("tuple vertex needs at least 2 blocks")
@@ -145,12 +149,16 @@ class HypercubeStructure:
     def __post_init__(self) -> None:
         if type(self.m) is not int:
             raise ValueError(f"m must be an int; got {self.m!r}")
+        if not isinstance(self.edges, tuple):
+            raise InvalidEdges(f"edge exponents must be a tuple; got {self.edges!r}")
         if any(type(i) is not int for i in self.edges):
             raise InvalidEdges(f"edge exponents must be ints; got {self.edges!r}")
         if self.m != len(self.edges):
             raise ValueError(f"m={self.m} but {len(self.edges)} edges")
         if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
             raise ValueError(f"edges not strictly increasing: {self.edges}")
+        if not isinstance(self.vertex, VertexDescriptor):
+            raise ValueError(f"vertex must be a VertexDescriptor; got {self.vertex!r}")
 
     @property
     def epsilon(self) -> int:
@@ -198,8 +206,11 @@ class Decomposition:
 # the scalar 1 when q is None (an element vertex) and the p parts of p^q bits
 # of a tuple vertex of length q otherwise; l is its weight either way.  The
 # VertexDescriptor and HypercubeStructure are built on first read of .vertex
-# or .structure, at most once, so callers that read only ok, edges, q, l or
-# epsilon (is_hypercube, standard_decompose's complexities) never build them.
+# or .structure, at most once, so callers that read only ok, edges, q or l
+# (is_hypercube, standard_decompose's complexities) never build them.
+#
+# A failed plain descent stops at the sum that cancels ones, so the depth it
+# failed at is len(vecs).
 #
 # After a rewrite descent of s, vecs[0] is the leading hypercube h_1 of s and
 # the descent equals the plain descent of h_1 (vecs, records, edges, vertex);
@@ -210,19 +221,14 @@ class Decomposition:
 class _Descent:
     p: int
     vecs: list[int]
-    records: list[tuple[int, bool]] = field(default_factory=list)
-    ok: bool = True
+    records: list[tuple[int, bool]]
+    ok: bool
     edges: tuple[int, ...] = ()
     q: int | None = None
-    fail_depth: int | None = None
 
     @property
     def l(self) -> int:
         return self.vecs[-1].bit_count()
-
-    @property
-    def epsilon(self) -> int:
-        return _epsilon(self.p, self.q)
 
     @cached_property
     def vertex(self) -> VertexDescriptor:
@@ -264,21 +270,19 @@ def _epsilon(p: int, q: int | None) -> int:
 
 def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
     """Run the descent; with rewrite=True cancellations are repaired in place."""
-    desc = _Descent(p, [value])
-    vecs, records = desc.vecs, desc.records
-    edges: list[int] = []
+    vecs, records, edges = [value], [], []
+    q = None
     deepest = -1
     for depth, (plen, split, a) in enumerate(_steps(value, p, n), 1):
         if split:
             edges.insert(0, n - depth)
         elif a == 0:
             # terminating zero-sum: the parts of vecs[-1] are the vertex
-            desc.q = n - depth
+            q = n - depth
             break
         elif a.bit_count() != vecs[-1].bit_count():
             if not rewrite:
-                desc.ok, desc.fail_depth = False, depth
-                return desc
+                return _Descent(p, vecs, records, False)
             vecs[-1] = _kept(vecs[-1], p, plen)
             deepest = len(vecs) - 1
         records.append((plen, split))
@@ -288,8 +292,7 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
     # the pass up: each level keeps the sources of the ones below it
     for k in range(deepest, -1, -1):
         vecs[k] &= _spread(vecs[k + 1], p, records[k][0])
-    desc.edges = tuple(edges)
-    return desc
+    return _Descent(p, vecs, records, True, tuple(edges), q)
 
 
 def _expand_flip(desc: _Descent, flips: int) -> int:
@@ -318,9 +321,7 @@ def extract_structure(s: PeriodicSequence) -> HypercubeStructure:
     require_nonzero(s)
     desc = _descend(s.value, s.modulus.p, s.modulus.n, rewrite=False)
     if not desc.ok:
-        raise NotAHypercube(
-            f"cancellation at depth {desc.fail_depth} of the descent"
-        )
+        raise NotAHypercube(f"cancellation at depth {len(desc.vecs)} of the descent")
     return desc.structure
 
 
@@ -424,25 +425,25 @@ def standard_decompose(s: PeriodicSequence) -> Decomposition:
     p, n = s.modulus.p, s.modulus.n
     descents: list[_Descent] = []
     complexities: list[int] = []
-    residue = s.value
+    parts: list[PeriodicSequence] = []
+    residue, acc = s.value, 0
     for _ in range(s.modulus.period + 1):
         if residue == 0:
             break
         desc = _descend(residue, p, n, rewrite=True)
         assert desc.ok
+        h = desc.vecs[0]
         descents.append(desc)
-        complexities.append(_hypercube_lc(p, n, desc.epsilon, desc.edges))
-        residue ^= desc.vecs[0]
+        complexities.append(_hypercube_lc(p, n, _epsilon(p, desc.q), desc.edges))
+        parts.append(PeriodicSequence(s.modulus, h))
+        residue ^= h
+        acc ^= h
     else:  # pragma: no cover - descent always strictly reduces the residue
         raise AssertionError("decomposition failed to terminate")
     assert all(a > b for a, b in zip(complexities, complexities[1:]))
-    acc = 0
-    for desc in descents:
-        acc ^= desc.vecs[0]
     assert acc == s.value
     assert complexities[0] == _lc_value(s.value, p, n)
-    parts = tuple(PeriodicSequence(s.modulus, d.vecs[0]) for d in descents)
-    return Decomposition(parts, tuple(complexities), tuple(descents))
+    return Decomposition(tuple(parts), tuple(complexities), tuple(descents))
 
 
 # -- p = 2 cubes --------------------------------------------------------------
@@ -461,5 +462,5 @@ def cube_lc(s: PeriodicSequence) -> tuple[int, tuple[int, ...], int]:
     n = s.modulus.n
     desc = _descend(s.value, 2, n, rewrite=False)
     if not desc.ok:
-        raise NotACube(f"cancellation at halving depth {desc.fail_depth}")
+        raise NotACube(f"cancellation at halving depth {len(desc.vecs)}")
     return len(desc.edges), desc.edges, _hypercube_lc(2, n, 1, desc.edges)

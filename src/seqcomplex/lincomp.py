@@ -51,15 +51,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LCForm:
-    """Canonical complexity form: value = epsilon + (p-1) * sum p^(v-1), v in V."""
+    """Canonical complexity form: value = epsilon + (p-1) * sum p^(v-1), v in V.
+
+    The sum is taken once, when the form is built, and kept as ``_value``.
+    It is no dataclass field, so equality, hash and repr read only p,
+    epsilon and exponents.  (A ``cached_property`` would take a lock on its
+    first read under Python 3.11, which costs more than the sum it saves.)
+    """
 
     p: int
     epsilon: int
     exponents: frozenset[int]
 
+    def __post_init__(self) -> None:
+        value = self.epsilon + (self.p - 1) * sum(self.p ** (v - 1) for v in self.exponents)
+        object.__setattr__(self, "_value", value)
+
     @property
     def value(self) -> int:
-        return self.epsilon + (self.p - 1) * sum(self.p ** (v - 1) for v in self.exponents)
+        return self._value
 
     def __str__(self) -> str:
         vs = ",".join(str(v) for v in sorted(self.exponents))

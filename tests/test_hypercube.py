@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     exhaustive_min_change,
+    list_plain_trace,
     list_rewrite_descent,
     p2_universe,
     random_tuple_vertex,
@@ -571,3 +572,82 @@ def test_structures_must_fit_their_modulus(h, error, text):
 def test_hypercube_structure_refuses_a_non_int_m_or_edge(m, edges, text):
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
         HypercubeStructure(m, edges, _EL)
+
+
+def _first_cancelling_sum(value: int, p: int, n: int) -> int | None:
+    """The first depth whose sum changes the weight without reaching zero,
+    read from the list-based trace; None for a hypercube."""
+    steps, _ = list_plain_trace(value, p, n)
+    for depth, (branch, pre, post, _) in enumerate(steps, 1):
+        if branch == "sum" and post not in (pre, 0):
+            return depth
+    return None
+
+
+def test_every_non_cube_at_2_4_names_its_first_cancelling_depth():
+    """cube_lc and extract_structure name the depth a failed descent stopped
+    at, for every nonzero 2^4-periodic sequence, past depth 1 too."""
+    mod = Modulus(2, 4)
+    fails = {}
+    for v in range(1, 1 << mod.period):
+        s = PeriodicSequence(mod, v)
+        depth = _first_cancelling_sum(v, 2, 4)
+        if depth is None:
+            assert cube_lc(s)[1] == extract_structure(s).edges
+            continue
+        fails[depth] = fails.get(depth, 0) + 1
+        with pytest.raises(NotACube, match=f"^cancellation at halving depth {depth}$"):
+            cube_lc(s)
+        with pytest.raises(
+            NotAHypercube, match=f"^cancellation at depth {depth} of the descent$"
+        ):
+            extract_structure(s)
+    assert fails == {1: 58720, 2: 5472, 3: 548}
+
+
+@pytest.mark.parametrize("p, n", [(3, 3), (5, 2)])
+def test_non_hypercubes_name_their_first_cancelling_depth(p, n):
+    """On seeded sparse rows, extract_structure fails exactly where the
+    list-based trace first cancels ones, and is_hypercube agrees."""
+    rng = random.Random(2900 + 10 * p + n)
+    mod = Modulus(p, n)
+    depths = set()
+    for _ in range(400):
+        v = sum({1 << rng.randrange(mod.period) for _ in range(rng.choice((2, 3, 4, 6)))})
+        s = PeriodicSequence(mod, v)
+        depth = _first_cancelling_sum(v, p, n)
+        assert is_hypercube(s) == (depth is None)
+        if depth is None:
+            extract_structure(s)
+            continue
+        depths.add(depth)
+        with pytest.raises(
+            NotAHypercube, match=f"^cancellation at depth {depth} of the descent$"
+        ):
+            extract_structure(s)
+    assert max(depths) > 1
+
+
+@pytest.mark.parametrize("vertex", [None, "element", VertexKind.ELEMENT, 1], ids=repr)
+def test_hypercube_structure_refuses_a_vertex_that_is_no_descriptor(vertex):
+    text = f"vertex must be a VertexDescriptor; got {vertex!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        HypercubeStructure(0, (), vertex)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [[[1], [1], [0]], [(1,), (1,), (0,)], ([1], [1], [0]), ((1,), [1], (0,))],
+    ids=repr,
+)
+def test_vertex_blocks_must_be_a_tuple_of_tuples(blocks):
+    text = f"blocks must be a tuple of tuples; got {blocks!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        VertexDescriptor(VertexKind.TUPLE, 0, blocks)
+
+
+@pytest.mark.parametrize("edges", [[0], range(1), None], ids=repr)
+def test_hypercube_structure_edges_must_be_a_tuple(edges):
+    text = f"edge exponents must be a tuple; got {edges!r}"
+    with pytest.raises(InvalidEdges, match=f"^{re.escape(text)}$"):
+        HypercubeStructure(1, edges, _EL)

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
 from helpers import gcd_lc, list_plain_trace, seq, stepwise_bm
 from seqcomplex import (
+    LCForm,
     Modulus,
     PeriodicSequence,
     XwliStep,
@@ -297,3 +299,12 @@ def test_bit_sliced_bm_field_holds_the_full_period(N):
     rng = random.Random(N)
     values = [1, 0] + [rng.getrandbits(N) for _ in range(4 * N - 2)]
     assert _assert_lanes_match(values, N)[:2] == [N, 0]
+
+
+def test_lc_form_value_is_summed_once_and_is_no_field():
+    form, _ = xwli_lc(PeriodicSequence(Modulus(3, 6), 1))
+    first = form.value
+    assert first == 729 and type(first) is int and form.value is first
+    assert [f.name for f in dataclasses.fields(LCForm)] == ["p", "epsilon", "exponents"]
+    twin = LCForm(form.p, form.epsilon, form.exponents)
+    assert twin == form and hash(twin) == hash(form) and repr(twin) == repr(form)
