@@ -18,9 +18,12 @@ count serves every p; the cube functions are the named p = 2 entry points.
 The counted classes are defined here alone: ``_classes`` lists them and
 ``_class_key`` names one.
 
-The enumerator builds every member of a class constructively, bottom-up from
-the vertex: an edge level repeats the current vector p times, any other level
-splits each 1 into one of the p blocks.
+``enumerate_hypercubes`` is the one enumerator (``enumerate_cubes``, the
+command line and the counting suite all call it).  It builds every member of
+a class constructively, bottom-up from the vertex: an edge level repeats the
+current vector p times, any other level splits each 1 into one of the p
+blocks.  Every public function here refuses a modulus that is not a
+``Modulus``.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .errors import (
 )
 from .hypercube import _descend, _hypercube_lc, _spread, _valid_edges
 from .lincomp import lc_form_decompose
-from .sequences import Modulus, PeriodicSequence
+from .sequences import Modulus, PeriodicSequence, _require_modulus
 
 __all__ = [
     "CountResult",
@@ -83,7 +86,9 @@ def _classes(modulus: Modulus) -> Iterator[tuple[tuple[int, ...], int | None]]:
 
 
 def _class_edges(modulus: Modulus, edges, l: int | None) -> tuple[int, ...]:
-    """The sorted edges of the class (edges, l), once l and edges are valid."""
+    """The sorted edges of the class (edges, l), once the modulus, l and edges
+    are valid."""
+    _require_modulus(modulus)
     if l is not None and not (type(l) is int and 1 < l < modulus.p and l % 2 == 0):
         raise InvalidL(f"length-0 vertex weight must be even in (1, {modulus.p}); got {l}")
     return _valid_edges(edges, 0 if l is None else 1, modulus.n)
@@ -95,6 +100,7 @@ def count_sequences_with_lc(modulus: Modulus, L: int) -> CountResult:
     Odd p only.  L must be an attainable int (canonically representable);
     the counts over all attainable L sum to 2^(p^n).
     """
+    _require_modulus(modulus)
     if modulus.p == 2:
         raise EvenP("per-complexity counting is an odd-p result")
     form = lc_form_decompose(L, modulus)
@@ -110,8 +116,9 @@ def count_sequences_with_lc(modulus: Modulus, L: int) -> CountResult:
 
 def _class_count(modulus: Modulus, edges, l: int | None) -> CountResult:
     """Members of the class (edges, l), for any p; p = 2 has only l=None."""
+    edges = _class_edges(modulus, edges, l)
     p = modulus.p
-    E = _capacity(p, modulus.n, _class_edges(modulus, edges, l))
+    E = _capacity(p, modulus.n, edges)
     if l is None:
         return CountResult(p**E, f"{p}^{E}")
     assert E >= 1
@@ -145,9 +152,10 @@ def count_hypercubes(modulus: Modulus, edges, l: int | None = None) -> CountResu
 
 def count_cubes(modulus: Modulus, edges) -> CountResult:
     """Number of 2^n-periodic cubes with the given edge exponents."""
+    _require_modulus(modulus)
     if modulus.p != 2:
         raise OddP("count_cubes requires p = 2")
-    return _class_count(modulus, edges, None)
+    return count_hypercubes(modulus, edges)
 
 
 def class_lc(modulus: Modulus, edges, l: int | None = None) -> int:
@@ -176,12 +184,13 @@ def _grow(values: list[int], p: int, start: int, n: int, edges: tuple[int, ...])
     return values
 
 
-def _class_members(
-    modulus: Modulus, edges, l: int | None, cap: int = ENUM_CAP
+def enumerate_hypercubes(
+    modulus: Modulus, edges, l: int | None = None, cap: int = ENUM_CAP
 ) -> tuple[PeriodicSequence, ...]:
-    """Every member of the class (edges, l), built from the vertex up.  A
-    class over the cap is refused by its size, or past 10^18 its expression."""
+    """Every hypercube of a counted class, built from the vertex up.  A class
+    over the cap is refused by its size, or past 10^18 its expression."""
     _check_cap(cap)
+    edges = _class_edges(modulus, edges, l)  # read once: edges may be an iterator
     count = _class_count(modulus, edges, l)
     if count.value > cap:
         noun = "cubes" if modulus.p == 2 else "hypercubes"
@@ -193,22 +202,16 @@ def _class_members(
     else:
         base = [sum(1 << i for i in combo) for combo in combinations(range(p), l)]
         start = 1
-    values = _grow(base, p, start, modulus.n, _class_edges(modulus, edges, l))
+    values = _grow(base, p, start, modulus.n, edges)
     assert len(values) == count.value
     return tuple(PeriodicSequence(modulus, v) for v in values)
-
-
-def enumerate_hypercubes(
-    modulus: Modulus, edges, l: int | None = None, cap: int = ENUM_CAP
-) -> tuple[PeriodicSequence, ...]:
-    """Every hypercube of a counted class, built from the vertex up."""
-    return _class_members(modulus, edges, l, cap)
 
 
 def enumerate_cubes(
     modulus: Modulus, edges, cap: int = ENUM_CAP
 ) -> tuple[PeriodicSequence, ...]:
     """Every cube with the given edge exponents (p = 2)."""
+    _require_modulus(modulus)
     if modulus.p != 2:
         raise OddP("enumerate_cubes requires p = 2")
-    return _class_members(modulus, edges, None, cap)
+    return enumerate_hypercubes(modulus, edges, None, cap)

@@ -33,8 +33,9 @@ class InvalidCharacter(SeqComplexError):
 
 
 class ModulusMismatch(SeqComplexError):
-    """Two sequences with different moduli were combined, or a hypercube
-    structure was priced at a modulus its vertex does not fit."""
+    """Two sequences with different moduli were combined, a hypercube
+    structure was priced at a modulus its vertex does not fit, or a modulus
+    is not a Modulus."""
 
 
 class EqualPositions(SeqComplexError):

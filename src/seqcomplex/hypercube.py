@@ -48,7 +48,15 @@ from .errors import (
     OddP,
 )
 from .lincomp import _lc_value, _steps
-from .sequences import _TO_DIGIT, Modulus, PeriodicSequence, _bits, _row_mask, require_nonzero
+from .sequences import (
+    _TO_DIGIT,
+    Modulus,
+    PeriodicSequence,
+    _bits,
+    _require_modulus,
+    _row_mask,
+    require_nonzero,
+)
 
 __all__ = [
     "Decomposition",
@@ -205,9 +213,10 @@ class Decomposition:
 # The vertex stays an int mask too: the descent ends at vecs[-1], which is
 # the scalar 1 when q is None (an element vertex) and the p parts of p^q bits
 # of a tuple vertex of length q otherwise; l is its weight either way.  The
-# VertexDescriptor and HypercubeStructure are built on first read of .vertex
-# or .structure, at most once, so callers that read only ok, edges, q or l
-# (is_hypercube, standard_decompose's complexities) never build them.
+# VertexDescriptor and HypercubeStructure are built together, at most once,
+# on first read of .structure (.vertex reads it), so callers that read only
+# ok, edges, q or l (is_hypercube, standard_decompose's complexities) never
+# build them.
 #
 # A failed plain descent stops at the sum that cancels ones, so the depth it
 # failed at is len(vecs).
@@ -230,19 +239,21 @@ class _Descent:
     def l(self) -> int:
         return self.vecs[-1].bit_count()
 
-    @cached_property
+    @property
     def vertex(self) -> VertexDescriptor:
-        assert self.ok
-        if self.q is None:
-            return VertexDescriptor(VertexKind.ELEMENT)
-        size = self.p**self.q
-        a, mask = self.vecs[-1], (1 << size) - 1
-        blocks = tuple(_bits((a >> (i * size)) & mask, size) for i in range(self.p))
-        return VertexDescriptor(VertexKind.TUPLE, self.q, blocks)
+        return self.structure.vertex
 
     @cached_property
     def structure(self) -> HypercubeStructure:
-        return HypercubeStructure(len(self.edges), self.edges, self.vertex)
+        assert self.ok
+        if self.q is None:
+            vertex = VertexDescriptor(VertexKind.ELEMENT)
+        else:
+            size = self.p**self.q
+            a, mask = self.vecs[-1], (1 << size) - 1
+            blocks = tuple(_bits((a >> (i * size)) & mask, size) for i in range(self.p))
+            vertex = VertexDescriptor(VertexKind.TUPLE, self.q, blocks)
+        return HypercubeStructure(len(self.edges), self.edges, vertex)
 
 
 def _spread(rows: int, p: int, plen: int) -> int:
@@ -350,6 +361,7 @@ def _valid_edges(edges, lo: int, n: int) -> tuple[int, ...]:
 def _first_free(h: HypercubeStructure, modulus: Modulus) -> int:
     """The first exponent h's vertex leaves free, 0 for an element and
     q + 1 for a tuple, once h fits the modulus (see lc_from_structure)."""
+    _require_modulus(modulus)
     v, lo = h.vertex, 0
     if v.kind is VertexKind.TUPLE:
         if len(v.blocks) != modulus.p or v.q >= modulus.n:
@@ -364,9 +376,10 @@ def _first_free(h: HypercubeStructure, modulus: Modulus) -> int:
 def lc_from_structure(h: HypercubeStructure, modulus: Modulus) -> int:
     """Closed-form linear complexity of a hypercube with structure h.
 
-    h must fit the modulus: ModulusMismatch for a tuple vertex without p
-    blocks or with q >= n, InvalidEdges for an edge outside [lo, n), lo
-    being 0 for an element vertex and q + 1 for a tuple vertex."""
+    h must fit the modulus: ModulusMismatch for a modulus that is not a
+    Modulus or a tuple vertex without p blocks or with q >= n, InvalidEdges
+    for an edge outside [lo, n), lo being 0 for an element vertex and q + 1
+    for a tuple vertex."""
     _first_free(h, modulus)
     return _hypercube_lc(modulus.p, modulus.n, h.epsilon, h.edges)
 
@@ -391,14 +404,19 @@ def rebalance_blocks(
     Rows with odd parity keep their first 1 and lose the rest; even rows are
     cleared entirely.  Returns the rewritten blocks and the map from each
     surviving row to the block that kept its 1.  Raises IsVertex when the
-    XOR is already zero (nothing survives a rewrite) and ValueError when there
-    are fewer than 2 blocks, an entry is not 0 or 1, or the blocks are all
-    equal (the descent would not XOR them).
+    XOR is already zero (nothing survives a rewrite) and ValueError when the
+    blocks are not a sequence of sequences, there are fewer than 2 blocks, an
+    entry is not 0 or 1, or the blocks are all equal (the descent would not
+    XOR them).
     """
-    if len(blocks) < 2:
-        raise ValueError("rewrite needs at least 2 blocks")
-    rows = len(blocks[0])
-    if any(len(b) != rows for b in blocks):
+    try:
+        if len(blocks) < 2:
+            raise ValueError("rewrite needs at least 2 blocks")
+        rows = len(blocks[0])
+        uneven = any(len(b) != rows for b in blocks)
+    except TypeError:  # blocks, or a block, with no length or no indexing
+        raise ValueError(f"blocks must be a sequence of sequences; got {blocks!r}") from None
+    if uneven:
         raise ValueError("blocks must have equal length")
     p = len(blocks)
     packed = _row_mask([bit for b in blocks for bit in b])

@@ -71,7 +71,7 @@ from .hypercube import (
 )
 from .bitslice import above, add, largest
 from .lincomp import _lc_value, _levels, lc_form_decompose
-from .sequences import Modulus, PeriodicSequence, require_nonzero
+from .sequences import Modulus, PeriodicSequence, _require_modulus, require_nonzero
 
 __all__ = [
     "DEFAULT_CAP",
@@ -442,6 +442,7 @@ def construct_stable(modulus: Modulus, k: int) -> PeriodicSequence:
     L_e = L for all e <= p^l - 1 and the first drop is at p^l).  k = 0 yields
     the single-one sequence of full complexity p^n.
     """
+    _require_modulus(modulus)
     if type(k) is not int:
         raise KOutOfRange(f"k must be an int; got {k!r}")
     if not 0 <= k < modulus.period:

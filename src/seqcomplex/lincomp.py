@@ -35,7 +35,7 @@ from operator import and_, xor
 from typing import Iterator, NamedTuple
 
 from .errors import EvenP, NotRepresentable, OddP
-from .sequences import Modulus, PeriodicSequence
+from .sequences import Modulus, PeriodicSequence, _require_modulus
 
 __all__ = [
     "LCForm",
@@ -82,6 +82,7 @@ def lc_form_decompose(L: int, modulus: Modulus) -> LCForm:
     Greedy from the largest exponent down; raises NotRepresentable when L is
     not an int or no (epsilon, V) reproduces L for this modulus.
     """
+    _require_modulus(modulus)
     p, n = modulus.p, modulus.n
     if type(L) is not int:
         raise NotRepresentable(f"L must be an int; got {L!r}")

@@ -105,6 +105,13 @@ class Modulus:
         return f"{self.p}^{self.n}"
 
 
+def _require_modulus(modulus) -> None:
+    """Refuse a modulus that is not a Modulus, naming it (and, raised while
+    another error is handled, hiding that error)."""
+    if not isinstance(modulus, Modulus):
+        raise ModulusMismatch(f"modulus must be a Modulus; got {modulus!r}") from None
+
+
 def validate_modulus(p: int, n: int) -> Modulus:
     """Return a validated Modulus or raise NotPrime/NotPrimitiveRoot/PeriodTooLarge."""
     return Modulus(p, n)
@@ -123,12 +130,16 @@ class PeriodicSequence:
     value: int
 
     def __init__(self, modulus: Modulus, value: int) -> None:
-        if type(value) is not int or value < 0 or value.bit_length() > modulus.period:
-            if type(value) is not int:
-                raise LengthMismatch(f"packed value must be an int; got {value!r}")
-            raise LengthMismatch(
-                f"packed value needs {modulus.period} bits, got {value.bit_length()}"
-            )
+        try:
+            if type(value) is not int or value < 0 or value.bit_length() > modulus.period:
+                if type(value) is not int:
+                    raise LengthMismatch(f"packed value must be an int; got {value!r}")
+                raise LengthMismatch(
+                    f"packed value needs {modulus.period} bits, got {value.bit_length()}"
+                )
+        except AttributeError:  # a modulus with no period; a valid one pays no type test
+            _require_modulus(modulus)
+            raise
         _set_field(self, "modulus", modulus)
         _set_field(self, "value", value)
 
@@ -137,6 +148,7 @@ class PeriodicSequence:
     @classmethod
     def from_text(cls, text: str, modulus: Modulus) -> "PeriodicSequence":
         """Parse a 0/1 literal; whitespace is ignored."""
+        _require_modulus(modulus)
         digits = text
         # what is left once 0 and 1 are deleted must be whitespace: int(..., 2)
         # alone would also accept "_" separators and non-ASCII digits
@@ -153,6 +165,7 @@ class PeriodicSequence:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int], modulus: Modulus) -> "PeriodicSequence":
+        _require_modulus(modulus)
         bits = list(bits)
         value = _row_mask(bits)
         if value is None:
@@ -196,6 +209,8 @@ class PeriodicSequence:
         return iter(self.bits)
 
     def __xor__(self, other: "PeriodicSequence") -> "PeriodicSequence":
+        if not isinstance(other, PeriodicSequence):
+            return NotImplemented
         if self.modulus != other.modulus:
             raise ModulusMismatch(f"{self.modulus} vs {other.modulus}")
         return PeriodicSequence(self.modulus, self.value ^ other.value)
@@ -229,6 +244,7 @@ def pn_distance(i: int, j: int, modulus: Modulus) -> int:
 
     Accepts the positions in either order; i == j raises EqualPositions.
     """
+    _require_modulus(modulus)
     N = modulus.period
     if type(i) is not int or type(j) is not int:
         raise LengthMismatch(f"positions must be ints; got {i!r}, {j!r}")
@@ -251,6 +267,7 @@ def parse_corpus(lines: Iterable[str], modulus: Modulus) -> list[tuple[int, Peri
     Returns (line_number, sequence) pairs; parse errors are re-raised with the
     offending line number prefixed.
     """
+    _require_modulus(modulus)
     out: list[tuple[int, PeriodicSequence]] = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()

@@ -9,7 +9,10 @@ kept, and only those are formatted.
 
 The counting suite runs one class check at every p, the p = 2 cubes being
 the element class of the hypercube theory: it tallies classes (edges, l)
-from one plain descent per sequence and re-checks every enumerated member.
+from one plain descent per sequence and re-checks every enumerated member's
+class and complexity.  Like lc-oracle, which checks ``lc``, it checks the
+public functions behind its command, ``count hypercubes``:
+``count_hypercubes``, ``enumerate_hypercubes`` and ``class_lc``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,10 @@ from dataclasses import dataclass, field
 from itertools import islice, product, repeat
 from typing import Callable, Iterable, Iterator
 
-from .counting import _class_count, _class_key, _class_members, _classes, count_sequences_with_lc
+from .counting import (
+    _class_key, _classes, class_lc, count_hypercubes, count_sequences_with_lc,
+    enumerate_hypercubes,
+)
 from .hypercube import is_hypercube, standard_decompose
 from .kerror import (
     DEFAULT_CAP,
@@ -31,7 +37,7 @@ from .kerror import (
     meidl_upper_bound,
 )
 from .lincomp import _bm_values, berlekamp_massey_lc, lc, xwli_lc
-from .sequences import Modulus, PeriodicSequence
+from .sequences import Modulus, PeriodicSequence, _require_modulus
 
 __all__ = ["SuiteReport", "SUITES", "run_suites"]
 
@@ -222,17 +228,20 @@ def _count_lc_checks(rep: SuiteReport, mod: Modulus, tally: dict[int, int] | Non
 
 def _count_class_checks(rep: SuiteReport, mod: Modulus, tally: dict[tuple, int] | None) -> None:
     for edges, l in _classes(mod):
-        count = _class_count(mod, edges, l).value
+        count = count_hypercubes(mod, edges, l).value
         if count > 10**5:
             continue
-        members = _class_members(mod, edges, l)
+        members = enumerate_hypercubes(mod, edges, l)
         scanned = "n/a" if tally is None else tally.get((edges, l), 0)
         good = len(members) == count and (tally is None or scanned == count)
         good = good and all(_class_key(s.value, mod) == (edges, l) for s in members)
+        L = class_lc(mod, edges, l)
+        wrong = next((x for x in map(lc, members) if x != L), None)
         rep.record(
-            good,
+            good and wrong is None,
             lambda: f"{mod} edges={edges} l={l}: formula {count}, enumerated "
-            f"{len(members)}, scanned {scanned}",
+            f"{len(members)}, scanned {scanned}"
+            + ("" if wrong is None else f", L {wrong} != {L}"),
         )
 
 
@@ -328,6 +337,10 @@ def run_suites(
     With a modulus the sweeps cover that universe alone; otherwise each suite
     uses its default mix of exhaustive small periods and sampled larger ones.
     """
+    if modulus is not None:
+        _require_modulus(modulus)
+    if isinstance(names, str):
+        raise KeyError(f"suite names must be a list, not the str {names!r}")
     if names is None:
         names = list(SUITES)
     unknown = [x for x in names if x not in SUITES]

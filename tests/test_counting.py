@@ -308,3 +308,14 @@ def test_enumerate_cubes_refuses_an_odd_p_under_its_own_name():
         enumerate_cubes(MOD9, ())
     with pytest.raises(OddP, match=r"^count_cubes requires p = 2$"):
         count_cubes(MOD9, ())
+
+
+def test_enumerate_reads_edges_once():
+    """An iterator of edges enumerates the class it names, as a tuple does."""
+    want = enumerate_hypercubes(MOD27, (1, 2))
+    assert enumerate_hypercubes(MOD27, iter((2, 1))) == want
+    assert enumerate_hypercubes(MOD27, iter((1,)), l=2) == enumerate_hypercubes(MOD27, (1,), l=2)
+    mod = Modulus(2, 3)
+    assert enumerate_cubes(mod, iter((0, 2))) == enumerate_cubes(mod, (0, 2))
+    with pytest.raises(InvalidEdges, match=r"^duplicate edge exponents in \(1, 1\)$"):
+        enumerate_hypercubes(MOD27, iter((1, 1)))

@@ -651,3 +651,14 @@ def test_hypercube_structure_edges_must_be_a_tuple(edges):
     text = f"edge exponents must be a tuple; got {edges!r}"
     with pytest.raises(InvalidEdges, match=f"^{re.escape(text)}$"):
         HypercubeStructure(1, edges, _EL)
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [[1, 0, 1], 5, [[1, 0], 7, [1, 0]], [iter((1, 0)), [1, 0]], {1, 2}],
+    ids=["ints", "int", "int-block", "iterator-block", "set"],
+)
+def test_rebalance_blocks_refuses_blocks_that_are_no_sequences(blocks):
+    text = re.escape(f"blocks must be a sequence of sequences; got {blocks!r}")
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        rebalance_blocks(blocks)

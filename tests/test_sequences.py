@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import seqcomplex as sc
 from seqcomplex import (
     Modulus,
     PeriodicSequence,
@@ -335,3 +336,57 @@ def test_positions_must_be_ints(bad):
         pn_distance(2, bad, MOD9)
     with pytest.raises(LengthMismatch, match=rf"^index must be an int; got {text}$"):
         parse_sequence("110000000", MOD9).bit(bad)
+
+
+@pytest.mark.parametrize("other", [5, "101", None, 1.5], ids=repr)
+def test_xor_with_a_non_sequence_is_pythons_type_error(other):
+    """s ^ x returns NotImplemented for an x that is no PeriodicSequence, so
+    Python raises its own TypeError either way round."""
+    s = parse_sequence("110000000", MOD9)
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \^"):
+        s ^ other
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \^"):
+        other ^ s
+    with pytest.raises(TypeError):
+        xor_sequences(s, other)
+    with pytest.raises(ModulusMismatch, match=r"^3\^2 vs 5\^1$"):
+        s ^ PeriodicSequence.zeros(Modulus(5, 1))
+
+
+def _element_cube():
+    return sc.HypercubeStructure(0, (), sc.VertexDescriptor(sc.VertexKind.ELEMENT))
+
+
+_MODULUS_READERS = {
+    "PeriodicSequence": lambda m: PeriodicSequence(m, 1),
+    "PeriodicSequence-negative": lambda m: PeriodicSequence(m, -1),
+    "zeros": lambda m: PeriodicSequence.zeros(m),
+    "from_text": lambda m: PeriodicSequence.from_text("110", m),
+    "parse_sequence": lambda m: parse_sequence("110", m),
+    "from_bits": lambda m: PeriodicSequence.from_bits([1, 1, 0], m),
+    "parse_corpus": lambda m: parse_corpus(["110"], m),
+    "parse_corpus-empty": lambda m: parse_corpus([], m),
+    "lc_form_decompose": lambda m: sc.lc_form_decompose(3, m),
+    "count_sequences_with_lc": lambda m: sc.count_sequences_with_lc(m, 3),
+    "count_hypercubes": lambda m: sc.count_hypercubes(m, ()),
+    "count_cubes": lambda m: sc.count_cubes(m, ()),
+    "enumerate_hypercubes": lambda m: sc.enumerate_hypercubes(m, ()),
+    "enumerate_cubes": lambda m: sc.enumerate_cubes(m, ()),
+    "class_lc": lambda m: sc.class_lc(m, ()),
+    "construct_stable": lambda m: sc.construct_stable(m, 1),
+    "pn_distance": lambda m: pn_distance(0, 1, m),
+    "lc_from_structure": lambda m: sc.lc_from_structure(_element_cube(), m),
+    "next_lower_hypercube_lc": lambda m: sc.next_lower_hypercube_lc(_element_cube(), m),
+    "run_suites": lambda m: sc.run_suites(["counting"], m),
+}
+
+
+@pytest.mark.parametrize("call", _MODULUS_READERS.values(), ids=_MODULUS_READERS)
+@pytest.mark.parametrize("bad", [(3, 2), "3^2", 9, [3, 2]], ids=repr)
+def test_a_modulus_that_is_no_modulus_is_refused_by_name(call, bad):
+    """Every public function that takes a modulus refuses anything but a
+    Modulus with ModulusMismatch naming it, not a bare AttributeError."""
+    text = re.escape(f"modulus must be a Modulus; got {bad!r}")
+    with pytest.raises(ModulusMismatch, match=f"^{text}$") as info:
+        call(bad)
+    assert info.value.__suppress_context__ or info.value.__context__ is None

@@ -257,5 +257,58 @@ def test_lc_oracle_block_path_fails_the_p2_sequence_at_fault(monkeypatch):
     assert rep.details == [f"2^4 s={bad.to01()}: lc {L + 1} != bm {L}"]
 
 
+def test_counting_suite_counts_and_enumerates_through_the_public_pair(monkeypatch):
+    """Every class the counting suite checks goes through count_hypercubes
+    and enumerate_hypercubes, the functions behind `count hypercubes`."""
+    counted, enumerated = [], []
+
+    def recorder(fn, calls):
+        def recorded(mod, edges, l=None, *rest):
+            calls.append((mod, edges, l))
+            return fn(mod, edges, l, *rest)
+
+        return recorded
+
+    monkeypatch.setattr(verify, "count_hypercubes", recorder(counting.count_hypercubes, counted))
+    monkeypatch.setattr(
+        verify, "enumerate_hypercubes", recorder(counting.enumerate_hypercubes, enumerated)
+    )
+    mod = Modulus(3, 2)
+    (rep,) = run_suites(["counting"], mod)
+    classes = [(mod, edges, l) for edges, l in counting._classes(mod)]
+    assert len(classes) == 6
+    assert counted == enumerated == classes
+    lc_checks = 2 ** (mod.n + 1) + 1  # one per (eps, V), and their sum
+    assert (rep.checks, rep.failures) == (lc_checks + len(classes), 0)
+
+
+def test_counting_fails_a_class_whose_member_lc_is_not_the_class_lc(monkeypatch):
+    """A member whose lc differs from the class_lc `count hypercubes` prints
+    fails its class alone, naming both values after the usual detail."""
+    mod = Modulus(2, 3)
+    planted = parse_sequence("00101000", mod)  # third member of edges=(1,)
+    monkeypatch.setattr(verify, "lc", lambda s: lc(s) + (s == planted))
+    (rep,) = run_suites(["counting"], mod)
+    assert (rep.checks, rep.failures) == (8, 1)
+    assert rep.details == ["2^3 edges=(1,) l=None: formula 8, enumerated 8, scanned 8, L 7 != 6"]
+
+    monkeypatch.setattr(verify, "lc", lc)
+    class_lc = counting.class_lc
+
+    def off_on_one_class(m, edges, l=None):
+        return class_lc(m, edges, l) + (edges == (1,) and l == 2)
+
+    monkeypatch.setattr(verify, "class_lc", off_on_one_class)
+    (rep,) = run_suites(["counting"], Modulus(3, 2))
+    assert (rep.checks, rep.failures) == (15, 1)
+    assert rep.details == ["3^2 edges=(1,) l=2: formula 3, enumerated 3, scanned 3, L 2 != 3"]
+
+
+@pytest.mark.parametrize("names", ["lc-oracle", "counting", ""], ids=repr)
+def test_run_suites_refuses_a_string_for_its_list_of_names(names):
+    with pytest.raises(KeyError, match=f"suite names must be a list, not the str {names!r}"):
+        run_suites(names, Modulus(3, 1))
+
+
 if __name__ == "__main__":
     sys.stdout.write(render_reports())
