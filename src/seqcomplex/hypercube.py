@@ -33,7 +33,7 @@ strictly decreasing complexities.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import xor
 from typing import Sequence as Seq
@@ -181,16 +181,15 @@ class HypercubeStructure:
 class Decomposition:
     """Hypercube parts of a sequence: XOR of parts reconstructs the input.
 
-    ``structures`` is built from the parts' descents on first read.
+    ``structures`` is extracted from the parts on first read.
     """
 
     parts: tuple[PeriodicSequence, ...]
     complexities: tuple[int, ...]
-    _descents: tuple[_Descent, ...] = field(repr=False, compare=False)
 
     @cached_property
     def structures(self) -> tuple[HypercubeStructure, ...]:
-        return tuple(d.structure for d in self._descents)
+        return tuple(map(extract_structure, self.parts))
 
 
 # -- descent machinery -------------------------------------------------------
@@ -215,8 +214,9 @@ class Decomposition:
 # of a tuple vertex of length q otherwise; l is its weight either way.  The
 # VertexDescriptor and HypercubeStructure are built together, at most once,
 # on first read of .structure (.vertex reads it), so callers that read only
-# ok, edges, q or l (is_hypercube, standard_decompose's complexities) never
-# build them.
+# ok, edges, q or l (is_hypercube, standard_decompose) never build them;
+# a Decomposition keeps no descent, since a part's plain descent equals the
+# rewrite descent that peeled it.
 #
 # A failed plain descent stops at the sum that cancels ones, so the depth it
 # failed at is len(vecs).
@@ -441,7 +441,6 @@ def standard_decompose(s: PeriodicSequence) -> Decomposition:
     """
     require_nonzero(s)
     p, n = s.modulus.p, s.modulus.n
-    descents: list[_Descent] = []
     complexities: list[int] = []
     parts: list[PeriodicSequence] = []
     residue, acc = s.value, 0
@@ -451,7 +450,6 @@ def standard_decompose(s: PeriodicSequence) -> Decomposition:
         desc = _descend(residue, p, n, rewrite=True)
         assert desc.ok
         h = desc.vecs[0]
-        descents.append(desc)
         complexities.append(_hypercube_lc(p, n, _epsilon(p, desc.q), desc.edges))
         parts.append(PeriodicSequence(s.modulus, h))
         residue ^= h
@@ -461,7 +459,7 @@ def standard_decompose(s: PeriodicSequence) -> Decomposition:
     assert all(a > b for a, b in zip(complexities, complexities[1:]))
     assert acc == s.value
     assert complexities[0] == _lc_value(s.value, p, n)
-    return Decomposition(tuple(parts), tuple(complexities), tuple(descents))
+    return Decomposition(tuple(parts), tuple(complexities))
 
 
 # -- p = 2 cubes --------------------------------------------------------------

@@ -1,6 +1,8 @@
 import dataclasses
 import random
 import re
+import sys
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from helpers import (
     seq,
 )
 from seqcomplex import (
+    Decomposition,
     HypercubeStructure,
     Modulus,
     PeriodicSequence,
@@ -221,6 +224,28 @@ def test_vertex_and_structures_are_built_once():
         "m=1 edges=2 vertex=tuple(q=0, [1,1,0])",
         "m=1 edges=2 vertex=tuple(q=1, [000,100,100])",
     ]
+
+
+def test_a_decomposition_is_rebuilt_from_its_public_fields():
+    dec = standard_decompose(seq(MOD27, "110100100" * 3))
+    again = Decomposition(dec.parts, dec.complexities)
+    assert again == dec and again.structures == dec.structures
+    assert [f.name for f in dataclasses.fields(Decomposition)] == ["parts", "complexities"]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_decomposition_holds_its_parts_and_no_descents(seed):
+    """What standard_decompose leaves allocated is the parts' ints plus
+    small change: each part's descent, with all its level vectors, is gone."""
+    s = PeriodicSequence(Modulus(2, 12), random.Random(seed).getrandbits(4096))
+    tracemalloc.start()
+    try:
+        dec = standard_decompose(s)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(dec.parts) > 150
+    assert held <= 2 * sum(sys.getsizeof(part.value) for part in dec.parts)
 
 
 def test_structure_validation():

@@ -287,6 +287,18 @@ def test_formula_never_undershoots_exhaustive_n9():
     )
 
 
+def test_closed_form_m_is_the_exact_m_of_the_leading_hypercube():
+    """The paper's formula computes m(h_1), the first critical point of the
+    leading hypercube alone, on every input at 3^2, 5^1, 11^1 and 2^3;
+    brute force on h_1 is the oracle."""
+    for mod in (MOD9, Modulus(5, 1), Modulus(11, 1), Modulus(2, 3)):
+        for v in range(1, 1 << mod.period):
+            s = PeriodicSequence(mod, v)
+            h1 = standard_decompose(s).parts[0]
+            exact = next(kerror._drops(h1, kerror.DEFAULT_CAP, mod.period))
+            assert first_critical_m(s).m_s == exact.k, s.to01()
+
+
 def test_overshoot_witness_111100100():
     """Two flips rejoin this sum of two hypercubes into {100100100} at L=3,
     beating any change confined to its leading part."""
