@@ -114,17 +114,6 @@ def count_sequences_with_lc(modulus: Modulus, L: int) -> CountResult:
     return CountResult(value, " * ".join(factors) if factors else "1")
 
 
-def _class_count(modulus: Modulus, edges, l: int | None) -> CountResult:
-    """Members of the class (edges, l), for any p; p = 2 has only l=None."""
-    edges = _class_edges(modulus, edges, l)
-    p = modulus.p
-    E = _capacity(p, modulus.n, edges)
-    if l is None:
-        return CountResult(p**E, f"{p}^{E}")
-    assert E >= 1
-    return CountResult(comb(p, l) * p ** ((E - 1) * l), f"C({p},{l}) * {p}^{(E - 1) * l}")
-
-
 def _class_key(value: int, mod: Modulus) -> tuple | None:
     """(edges, l) of a counted class holding value, from one plain descent.
 
@@ -147,7 +136,13 @@ def count_hypercubes(modulus: Modulus, edges, l: int | None = None) -> CountResu
     l=None counts the element-vertex class; an even l in (1, p) counts the
     length-0 tuple class of vertex weight l (its edges must all be >= 1).
     """
-    return _class_count(modulus, edges, l)
+    edges = _class_edges(modulus, edges, l)
+    p = modulus.p
+    E = _capacity(p, modulus.n, edges)
+    if l is None:
+        return CountResult(p**E, f"{p}^{E}")
+    assert E >= 1
+    return CountResult(comb(p, l) * p ** ((E - 1) * l), f"C({p},{l}) * {p}^{(E - 1) * l}")
 
 
 def count_cubes(modulus: Modulus, edges) -> CountResult:
@@ -191,7 +186,7 @@ def enumerate_hypercubes(
     over the cap is refused by its size, or past 10^18 its expression."""
     _check_cap(cap)
     edges = _class_edges(modulus, edges, l)  # read once: edges may be an iterator
-    count = _class_count(modulus, edges, l)
+    count = count_hypercubes(modulus, edges, l)
     if count.value > cap:
         noun = "cubes" if modulus.p == 2 else "hypercubes"
         size = count.value if count.value <= _EXACT_UP_TO else count.expression

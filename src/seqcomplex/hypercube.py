@@ -47,7 +47,7 @@ from .errors import (
     NotAHypercube,
     OddP,
 )
-from .lincomp import _lc_value, _steps
+from .lincomp import _lc_value, _levels, _steps
 from .sequences import (
     _TO_DIGIT,
     Modulus,
@@ -194,12 +194,12 @@ class Decomposition:
 
 # -- descent machinery -------------------------------------------------------
 #
-# Level vectors are int bitmasks: vecs[k] holds p^(n-k) bits, and records[k]
-# = (plen, split) says how vecs[k+1] was derived from the p parts of plen
-# bits of vecs[k]; the levels come from lincomp._steps.  A split kept part 0
-# of p equal parts, so each row of vecs[k+1] comes from all p copies.  A sum
-# XORed p parts that share no row, so each 1 of vecs[k+1] comes from the one
-# part holding it in vecs[k].
+# Level vectors are int bitmasks: vecs[k] holds p^(n-k) bits, and vecs[k+1]
+# came from the p parts of plen = lincomp._levels(p, n)[k][0] bits of vecs[k],
+# by the split branch iff its exponent n - 1 - k is an edge; the levels come
+# from lincomp._steps.  A split kept part 0 of p equal parts, so each row of
+# vecs[k+1] comes from all p copies.  A sum XORed p parts that share no row,
+# so each 1 of vecs[k+1] comes from the one part holding it in vecs[k].
 #
 # A rewrite descent makes every sum's parts share no row in two passes.
 # Down: a sum that would cancel ones keeps the first 1 of each row (``_kept``:
@@ -222,15 +222,14 @@ class Decomposition:
 # failed at is len(vecs).
 #
 # After a rewrite descent of s, vecs[0] is the leading hypercube h_1 of s and
-# the descent equals the plain descent of h_1 (vecs, records, edges, vertex);
-# s is a hypercube iff vecs[0] == s.  kerror's closed forms rely on this.
+# the descent equals the plain descent of h_1 (vecs, edges, vertex); s is a
+# hypercube iff vecs[0] == s.  kerror's closed forms rely on this.
 
 
 @dataclass
 class _Descent:
     p: int
     vecs: list[int]
-    records: list[tuple[int, bool]]
     ok: bool
     edges: tuple[int, ...] = ()
     q: int | None = None
@@ -281,7 +280,7 @@ def _epsilon(p: int, q: int | None) -> int:
 
 def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
     """Run the descent; with rewrite=True cancellations are repaired in place."""
-    vecs, records, edges = [value], [], []
+    vecs, edges = [value], []
     q = None
     deepest = -1
     for depth, (plen, split, a) in enumerate(_steps(value, p, n), 1):
@@ -293,29 +292,30 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
             break
         elif a.bit_count() != vecs[-1].bit_count():
             if not rewrite:
-                return _Descent(p, vecs, records, False)
+                return _Descent(p, vecs, False)
             vecs[-1] = _kept(vecs[-1], p, plen)
             deepest = len(vecs) - 1
-        records.append((plen, split))
         vecs.append(a)
     else:
         assert vecs[-1] == 1
     # the pass up: each level keeps the sources of the ones below it
+    levels = _levels(p, n)
     for k in range(deepest, -1, -1):
-        vecs[k] &= _spread(vecs[k + 1], p, records[k][0])
-    return _Descent(p, vecs, records, True, tuple(edges), q)
+        vecs[k] &= _spread(vecs[k + 1], p, levels[k][0])
+    return _Descent(p, vecs, True, tuple(edges), q)
 
 
-def _expand_flip(desc: _Descent, flips: int) -> int:
-    """Period positions that must toggle so the terminal-level bits in flips do.
+def _expand_flip(desc: _Descent, n: int, flips: int) -> int:
+    """Positions of the p^n period that must toggle so the terminal-level bits
+    in flips do.
 
-    A split record repeats each bit in all p parts; at a sum record a 1 traces
+    A split level repeats each bit in all p parts; at a sum level a 1 traces
     back to its unique source and a zero row is routed through part 0.
     """
-    vecs = desc.vecs
+    vecs, levels = desc.vecs, _levels(desc.p, n)
     for k in range(len(vecs) - 2, -1, -1):
-        plen, split = desc.records[k]
-        spread = _spread(flips, desc.p, plen)
+        spread = _spread(flips, desc.p, levels[k][0])
+        split = n - 1 - k in desc.edges
         flips = spread if split else (spread & vecs[k]) | (flips & ~vecs[k + 1])
     return flips
 
@@ -443,21 +443,18 @@ def standard_decompose(s: PeriodicSequence) -> Decomposition:
     p, n = s.modulus.p, s.modulus.n
     complexities: list[int] = []
     parts: list[PeriodicSequence] = []
-    residue, acc = s.value, 0
+    residue = s.value
     for _ in range(s.modulus.period + 1):
         if residue == 0:
             break
         desc = _descend(residue, p, n, rewrite=True)
-        assert desc.ok
         h = desc.vecs[0]
         complexities.append(_hypercube_lc(p, n, _epsilon(p, desc.q), desc.edges))
         parts.append(PeriodicSequence(s.modulus, h))
         residue ^= h
-        acc ^= h
     else:  # pragma: no cover - descent always strictly reduces the residue
         raise AssertionError("decomposition failed to terminate")
     assert all(a > b for a, b in zip(complexities, complexities[1:]))
-    assert acc == s.value
     assert complexities[0] == _lc_value(s.value, p, n)
     return Decomposition(tuple(parts), tuple(complexities))
 

@@ -27,7 +27,7 @@ bound there, as the witness erases h_1.
 universes and reports every such counterexample.
 
 Every closed-form answer is read from one rewrite descent of s: its first
-level is h_1 and its levels, records and vertex are h_1's own, and s is a
+level is h_1 and its levels, edges and vertex are h_1's own, and s is a
 hypercube exactly when h_1 = s.  The rest of the decomposition is never
 computed.  Brute force has one exact scan, ``_drops``, which yields the critical
 points lazily, one weight class at a time, and one budget rule: class k is
@@ -328,7 +328,7 @@ def _closed_form(s: PeriodicSequence) -> tuple[CriticalReport, bool]:
         j = flips.bit_count()
         assert j != l
         if j < l:
-            m_s, mask = j * pm, _expand_flip(desc, flips)
+            m_s, mask = j * pm, _expand_flip(desc, n, flips)
             assert mask.bit_count() == m_s
     single = desc.vecs[0] == s.value
     m1 = erase if single and m_s < erase else None

@@ -64,6 +64,17 @@ def test_corpus_errors_carry_line_numbers(capsys, tmp_path):
     assert "line 2:" in err
 
 
+
+def test_an_undecodable_corpus_is_a_file_error_naming_its_path(capsys, tmp_path):
+    corpus = tmp_path / "latin1.txt"
+    corpus.write_bytes(b"\xff10\n")
+    code, out, err = run(capsys, "lc", "--p", "3", "--n", "1", "--file", str(corpus))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"Error: Could not open file {str(corpus)!r}: 'utf-8' codec can't decode byte "
+        "0xff in position 0: invalid start byte\n"
+    )
+
 def test_json_output_is_byte_deterministic(capsys, tmp_path):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("110000000\n010110110\n111111111\n")
@@ -225,6 +236,12 @@ def test_count_hypercubes_with_enumeration(capsys):
     assert len(lines) == 1 + 27
     assert len(set(lines[1:])) == 27
 
+
+
+def test_count_hypercubes_refuses_edges_that_are_not_integers(capsys):
+    code, out, err = run(capsys, "count", "hypercubes", *MOD9_ARGS, "--edges", "0,x")
+    assert (code, out) == (1, "")
+    assert err.endswith("\nError: --edges must be comma-separated integers, got '0,x'\n")
 
 def test_count_cubes_text(capsys):
     code, out, _ = run(capsys, "count", "cubes", "--p", "2", "--n", "2")

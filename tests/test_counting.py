@@ -264,7 +264,7 @@ TABLE_MODULI = [Modulus(2, n) for n in range(1, 6)] + [
 @pytest.mark.parametrize("mod", TABLE_MODULI, ids=str)
 def test_class_table_lists_exactly_the_counted_classes(mod):
     """``_classes`` yields the old nested loop's classes in its order, and
-    ``_class_count`` accepts exactly those among every edge set (out-of-range
+    ``count_hypercubes`` accepts exactly those among every edge set (out-of-range
     exponents included) and every l in {None, 0, ..., p + 1}."""
     table = list(counting._classes(mod))
     assert table == list(_nested_class_loop(mod))
@@ -275,10 +275,10 @@ def test_class_table_lists_exactly_the_counted_classes(mod):
         for edges in combinations(exponents, r):
             for l in (None, *range(mod.p + 2)):
                 if (edges, l) in counted:
-                    assert counting._class_count(mod, edges, l).value >= 1
+                    assert count_hypercubes(mod, edges, l).value >= 1
                 else:
                     with pytest.raises((InvalidEdges, InvalidL)):
-                        counting._class_count(mod, edges, l)
+                        count_hypercubes(mod, edges, l)
     assert verify._class_key is counting._class_key
 
 
@@ -293,7 +293,7 @@ def test_grower_matches_the_product_reference(mod):
     itertools.product order, which the --enumerate goldens pin."""
     p, n = mod.p, mod.n
     for edges, l in counting._classes(mod):
-        if counting._class_count(mod, edges, l).value > 2 * 10**5:
+        if count_hypercubes(mod, edges, l).value > 2 * 10**5:
             continue
         if l is None:
             base, start = [1], 0

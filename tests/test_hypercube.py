@@ -311,7 +311,7 @@ def _check_rewrite_descent_leads_with_h1(s):
     desc = _descend(s.value, p, n, rewrite=True)
     plain = _descend(desc.vecs[0], p, n, rewrite=False)
     assert plain.ok
-    assert desc.vecs == plain.vecs and desc.records == plain.records
+    assert desc.vecs == plain.vecs
     assert desc.vertex == plain.vertex and desc.edges == plain.edges
     assert (desc.vecs[0] == s.value) == is_hypercube(s)
 
@@ -392,11 +392,24 @@ def test_cube_lc_agrees_with_games_chan_exhaustive_n8():
 
 
 def _check_decomposition_matches_extraction(s):
+    """Each part's structure is the one the list-based reference descent of
+    that part ends in: m, edges, q and the vertex blocks."""
     dec = standard_decompose(s)
     mod = s.modulus
+    p, n = mod.p, mod.n
     assert len(dec.structures) == len(dec.parts) == len(dec.complexities)
     for part, st, L in zip(dec.parts, dec.structures, dec.complexities):
-        assert st == extract_structure(part)
+        vecs, _, edges, q, ok = list_rewrite_descent(part.value, p, n)
+        assert ok and vecs[0] == part.value
+        assert (st.m, st.edges, st.vertex.q) == (len(edges), edges, q)
+        if q is None:
+            assert st.vertex.kind is VertexKind.ELEMENT and vecs[-1] == 1
+        else:
+            size = p**q
+            blocks = tuple(
+                tuple(vecs[-1] >> (i * size + u) & 1 for u in range(size)) for i in range(p)
+            )
+            assert st.vertex.blocks == blocks
         assert L == lc_from_structure(st, mod)
 
 
@@ -421,8 +434,8 @@ def test_decompose_structures_match_extraction_sampled():
 def _check_against_list_rewrite(s):
     p, n = s.modulus.p, s.modulus.n
     desc = _descend(s.value, p, n, rewrite=True)
-    got = (desc.vecs, desc.records, desc.edges, desc.q, desc.ok)
-    assert got == list_rewrite_descent(s.value, p, n), s.to01()
+    vecs, _, edges, q, ok = list_rewrite_descent(s.value, p, n)
+    assert (desc.vecs, desc.edges, desc.q, desc.ok) == (vecs, edges, q, ok), s.to01()
 
 
 def test_packed_rewrite_matches_list_rewrite_exhaustive():

@@ -8,14 +8,15 @@ deliberate change to them, regenerate it from the repository root with
 """
 
 import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from seqcomplex import (
-    SUITES, Modulus, PeriodicSequence, SuiteReport, counting, kerror, lc,
-    parse_sequence, run_suites, verify,
+    SUITES, CelcsPoint, Decomposition, Modulus, PeriodicSequence, SuiteReport, counting,
+    kerror, lc, parse_sequence, run_suites, verify,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "run_suites.txt"
@@ -303,6 +304,107 @@ def test_counting_fails_a_class_whose_member_lc_is_not_the_class_lc(monkeypatch)
     assert (rep.checks, rep.failures) == (15, 1)
     assert rep.details == ["3^2 edges=(1,) l=2: formula 3, enumerated 3, scanned 3, L 2 != 3"]
 
+
+
+def test_mcrit_fails_each_hypercube_whose_formula_spectrum_differs(monkeypatch):
+    """On hypercubes the formula's m, L_after and whole celcs list are each
+    checked against brute force, and each mismatch is named."""
+    P = CelcsPoint
+    planted = {
+        "100": (P(0, 3), P(2, 0)),
+        "010": (P(0, 3), P(1, 1)),
+        "110": (P(0, 2), P(1, 1), P(3, 0)),
+    }
+    celcs = verify.celcs
+
+    def faulty(s, mode="brute", cap=kerror.DEFAULT_CAP):
+        if mode == "formula" and s.to01() in planted:
+            return planted[s.to01()]
+        return celcs(s, mode=mode, cap=cap)
+
+    monkeypatch.setattr(verify, "celcs", faulty)
+    (rep,) = run_suites(["mcrit-exhaustive"], Modulus(3, 1))
+    assert (rep.checks, rep.failures) == (7, 3)
+    assert rep.details == [
+        "3^1 s=100: m 2 != 1; celcs (CelcsPoint(k=0, L=3), CelcsPoint(k=2, L=0)) "
+        "!= (CelcsPoint(k=0, L=3), CelcsPoint(k=1, L=0))",
+        "3^1 s=010: L_after 1 != 0; celcs (CelcsPoint(k=0, L=3), CelcsPoint(k=1, L=1)) "
+        "!= (CelcsPoint(k=0, L=3), CelcsPoint(k=1, L=0))",
+        "3^1 s=110: celcs (CelcsPoint(k=0, L=2), CelcsPoint(k=1, L=1), CelcsPoint(k=3, L=0)) "
+        "!= (CelcsPoint(k=0, L=2), CelcsPoint(k=1, L=1), CelcsPoint(k=2, L=0))",
+    ]
+
+
+def test_decomposition_fails_each_broken_invariant(monkeypatch):
+    """Hand-built decompositions, each breaking one invariant, fail their
+    row alone with that invariant's text: a part that is no hypercube, parts
+    that do not XOR back, complexities that do not decrease, and a leading
+    complexity that is not L(s)."""
+    mod = Modulus(3, 2)
+    decompose = verify.standard_decompose
+
+    def dec(lit, fake):
+        real = decompose(parse_sequence(lit, mod))
+        return fake(real.parts, real.complexities)
+
+    planted = {
+        "110100000": Decomposition((parse_sequence("110100000", mod),), (9,)),
+        "101100000": dec("101100000", lambda parts, cs: Decomposition(parts[:1], cs[:1])),
+        "111100000": dec("111100000", lambda parts, cs: Decomposition(parts, (8, 8))),
+        "110010000": dec("110010000", lambda parts, cs: Decomposition(parts, (10, *cs[1:]))),
+    }
+    monkeypatch.setattr(
+        verify, "standard_decompose", lambda s: planted.get(s.to01()) or decompose(s)
+    )
+    (rep,) = run_suites(["decomposition"], mod)
+    assert (rep.checks, rep.failures) == (511, 4)
+    assert rep.details == [
+        "3^2 s=110100000: part 110100000 is not a hypercube",
+        "3^2 s=101100000: parts do not XOR back to s",
+        "3^2 s=111100000: complexities not strictly decreasing: (8, 8)",
+        "3^2 s=110010000: leading part L 10 != L(s) 9",
+    ]
+
+
+def test_decomposition_suite_holds_one_row_at_a_time(monkeypatch):
+    """Each row's decomposition is released before the next row's is built,
+    so the suite holds one decomposition at a time (one dense 2^20 row's
+    parts take about 1.45 GB)."""
+    decompose = verify.standard_decompose
+    rows, alive = [], []
+
+    def tracked(s):
+        alive.append(sum(row() is not None for row in rows))
+        dec = decompose(s)
+        rows.append(weakref.ref(dec))
+        return dec
+
+    monkeypatch.setattr(verify, "standard_decompose", tracked)
+    (rep,) = run_suites(["decomposition"], Modulus(3, 2))
+    assert (rep.checks, rep.failures) == (511, 0)
+    assert alive == [0] * 511
+
+
+def test_stability_fails_each_broken_construction(monkeypatch):
+    """Planted constructions fail the complexity, the k-error hold and the
+    first-drop checks, alone and all three at once."""
+    mod = Modulus(3, 2)
+    planted = {0: "110000000", 1: "100000000", 2: "100100100", 3: "100100000"}
+    construct_stable = verify.construct_stable
+
+    def faulty(m, k):
+        return parse_sequence(planted[k], m) if k in planted else construct_stable(m, k)
+
+    monkeypatch.setattr(verify, "construct_stable", faulty)
+    (rep,) = run_suites(["stability"], mod)
+    assert (rep.checks, rep.failures) == (8, 4)
+    assert rep.details == [
+        "3^2 k=0: first drop at 1 errors, not 2",
+        "3^2 k=1: complexity moves within 1 errors",
+        "3^2 k=2: constructed complexity 3",
+        "3^2 k=3: constructed complexity 6; complexity moves within 3 errors; "
+        "first drop at 1 errors, not 2",
+    ]
 
 @pytest.mark.parametrize("names", ["lc-oracle", "counting", ""], ids=repr)
 def test_run_suites_refuses_a_string_for_its_list_of_names(names):
