@@ -18,7 +18,9 @@ block of sequences, whatever its width (``_bm_values``): each sequence is
 one bit lane of a few Python ints, so one big-int operation does a step's
 work for the whole block, and the complexities are ``bitslice`` numbers.
 The block's sequence planes are cut from one binary string, formatted once
-from every value packed as a field of whole bytes.
+from every value packed as a field of 1, 2, 4 or 8 bytes by one
+``struct.pack`` (fields of whole bytes joined by ``int.to_bytes`` above 64
+bits).
 
 Every attainable complexity has a unique canonical form
 ``L = eps + (p-1) * sum(p^(v-1) for v in V)`` with ``eps`` in {0, 1} and
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import repeat
 from operator import and_, xor
+from struct import pack
 from typing import Iterator, NamedTuple
 
 from .errors import EvenP, NotRepresentable, OddP
@@ -49,7 +52,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LCForm:
     """Canonical complexity form: value = epsilon + (p-1) * sum p^(v-1), v in V.
 
@@ -57,15 +60,22 @@ class LCForm:
     It is no dataclass field, so equality, hash and repr read only p,
     epsilon and exponents.  (A ``cached_property`` would take a lock on its
     first read under Python 3.11, which costs more than the sum it saves.)
+    ``xwli_lc`` builds one per sequence, so ``__init__`` writes the fields
+    and ``_value`` into the instance dict itself, without the generated
+    ``__init__``'s ``__setattr__`` calls and ``__post_init__`` frame.
+    Assignment still raises FrozenInstanceError.
     """
 
     p: int
     epsilon: int
     exponents: frozenset[int]
 
-    def __post_init__(self) -> None:
-        value = self.epsilon + (self.p - 1) * sum(self.p ** (v - 1) for v in self.exponents)
-        object.__setattr__(self, "_value", value)
+    def __init__(self, p: int, epsilon: int, exponents: frozenset[int]) -> None:
+        fields = self.__dict__
+        fields["p"] = p
+        fields["epsilon"] = epsilon
+        fields["exponents"] = exponents
+        fields["_value"] = epsilon + (p - 1) * sum(p ** (v - 1) for v in exponents)
 
     @property
     def value(self) -> int:
@@ -201,13 +211,13 @@ def xwli_lc(s: PeriodicSequence) -> tuple[LCForm, XwliTrace]:
         raise EvenP("xwli_lc requires odd p; use games_chan_lc for p = 2")
     steps: list[XwliStep] = []
     exps = set()
-    a = s.value
-    for plen, split, b in _steps(a, p, n):
+    weight = s.value.bit_count()
+    for plen, split, a in _steps(s.value, p, n):
         if not split:
             exps.add(n - len(steps))
         increment = 0 if split else (p - 1) * plen
-        steps.append(XwliStep("split" if split else "sum", a.bit_count(), b.bit_count(), increment))
-        a = b
+        pre, weight = weight, a.bit_count()
+        steps.append(XwliStep("split" if split else "sum", pre, weight, increment))
     trace = XwliTrace(tuple(steps), a == 1)
     form = LCForm(p, int(trace.final_one), frozenset(exps))
     assert trace.total == form.value
@@ -257,22 +267,30 @@ def _bm_values(values: list[int], N: int) -> list[int]:
     The S planes come from one conversion at every N: each value becomes a
     field of whole bytes, the fields join into one int, that int is
     formatted in binary once, and plane t is one strided slice of the text.
+    Up to N = 64 one ``struct.pack`` writes every field, widened to the 1,
+    2, 4 or 8 bytes of its code; above that, where struct has no code, the
+    fields are N's whole bytes joined from ``int.to_bytes``.
     """
     from .bitslice import above, read, subtract
 
     W = len(values)
     full = (1 << W) - 1
-    # fields MSB first and values[0] last, so that lane j is values[j]; 512
-    # values are packed at a time, as one join over all W would hold a bytes
-    # object per value at once and raise the sweep's peak RSS; S repeats the
-    # period so S[i - j] is direct
-    size = N + 7 >> 3
-    F = 8 * size
+    # fields MSB first and values[0] last, so that lane j is values[j]; the
+    # join packs 512 values at a time, as one join over all W would hold a
+    # bytes object per value at once and raise the sweep's peak RSS; S
+    # repeats the period so S[i - j] is direct
     lanes = values[::-1]
-    packed = b"".join(
-        b"".join(map(int.to_bytes, lanes[k : k + 512], repeat(size), repeat("big")))
-        for k in range(0, W, 512)
-    )
+    for F, code in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")):
+        if N <= F:
+            packed = pack(f">{W}{code}", *lanes)
+            break
+    else:
+        size = N + 7 >> 3
+        F = 8 * size
+        packed = b"".join(
+            b"".join(map(int.to_bytes, lanes[k : k + 512], repeat(size), repeat("big")))
+            for k in range(0, W, 512)
+        )
     rows = format(int.from_bytes(packed, "big"), f"0{W * F}b")
     S = [int(rows[F - 1 - t :: F], 2) for t in range(N)] * 2
     C = [full] + [0] * N

@@ -10,7 +10,6 @@ GF(2) in the shape the structure theory relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -31,7 +30,8 @@ _DELETE_01 = str.maketrans("", "", "01")
 # bytes.translate tables between the digits of format(x, "b") and bit bytes
 _TO_BIT = bytes.maketrans(b"01", b"\x00\x01")
 _TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
-# frozen dataclasses set their fields past their own __setattr__
+# a frozen dataclass's own __setattr__ raises, so Modulus.__post_init__
+# stores its period, which is no field, past it
 _set_field = object.__setattr__
 
 
@@ -76,7 +76,11 @@ def _two_is_primitive_root_mod_p2(p: int) -> bool:
 
 @dataclass(frozen=True)
 class Modulus:
-    """Validated (p, n) pair; the period is p^n."""
+    """Validated (p, n) pair; the period is p^n.
+
+    ``period`` is stored when the pair is validated.  It is no dataclass
+    field, so equality, hash and repr read only p and n.
+    """
 
     p: int
     n: int
@@ -96,10 +100,7 @@ class Modulus:
         # every p >= 2 passes the cap at n >= 21, so a huge n's power is never built
         if n >= PERIOD_CAP.bit_length() or p**n > PERIOD_CAP:
             raise too_large
-
-    @cached_property
-    def period(self) -> int:
-        return self.p**self.n
+        _set_field(self, "period", p**n)
 
     def __str__(self) -> str:
         return f"{self.p}^{self.n}"
@@ -122,26 +123,27 @@ class PeriodicSequence:
     """One period of a binary sequence, packed LSB-first into ``value``.
 
     The sweeps build one per checked value, so ``__init__`` validates and
-    sets both fields itself, without the generated ``__init__``'s
-    ``__post_init__`` frame.  Assignment still raises FrozenInstanceError.
+    writes both fields into the instance dict itself, without the generated
+    ``__init__``'s ``__post_init__`` frame or a ``__setattr__`` call.  A
+    Modulus costs one exact type test; anything else goes on to
+    ``_require_modulus``.  Assignment still raises FrozenInstanceError.
     """
 
     modulus: Modulus
     value: int
 
     def __init__(self, modulus: Modulus, value: int) -> None:
-        try:
-            if type(value) is not int or value < 0 or value.bit_length() > modulus.period:
-                if type(value) is not int:
-                    raise LengthMismatch(f"packed value must be an int; got {value!r}")
-                raise LengthMismatch(
-                    f"packed value needs {modulus.period} bits, got {value.bit_length()}"
-                )
-        except AttributeError:  # a modulus with no period; a valid one pays no type test
+        if type(modulus) is not Modulus:
             _require_modulus(modulus)
-            raise
-        _set_field(self, "modulus", modulus)
-        _set_field(self, "value", value)
+        if type(value) is not int or value < 0 or value.bit_length() > modulus.period:
+            if type(value) is not int:
+                raise LengthMismatch(f"packed value must be an int; got {value!r}")
+            raise LengthMismatch(
+                f"packed value needs {modulus.period} bits, got {value.bit_length()}"
+            )
+        fields = self.__dict__
+        fields["modulus"] = modulus
+        fields["value"] = value
 
     # -- constructors --------------------------------------------------------
 

@@ -283,7 +283,7 @@ def test_bit_sliced_bm_matches_scalar_on_every_value(N):
     _assert_lanes_match(values * -(-max(256, 4 * N) >> N), N)
 
 
-@pytest.mark.parametrize("N", [7, 15, 16, 17, 25, 27, 31, 32, 33, 63, 64, 65, 81, 243])
+@pytest.mark.parametrize("N", [7, 15, 16, 17, 25, 27, 31, 32, 33, 48, 56, 63, 64, 65, 81, 243])
 def test_bit_sliced_bm_matches_scalar_on_random_blocks(N):
     """Seeded blocks of 1 to 4096 lanes; lane 0 holds a single one, whose
     complexity is the full period N."""
@@ -308,3 +308,6 @@ def test_lc_form_value_is_summed_once_and_is_no_field():
     assert [f.name for f in dataclasses.fields(LCForm)] == ["p", "epsilon", "exponents"]
     twin = LCForm(form.p, form.epsilon, form.exponents)
     assert twin == form and hash(twin) == hash(form) and repr(twin) == repr(form)
+    form = LCForm(p=3, epsilon=1, exponents=frozenset({2}))
+    assert form.value == 7
+    assert dataclasses.replace(form, epsilon=0).value == form.value - 1

@@ -4,6 +4,7 @@ import random
 import re
 from decimal import Decimal
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -38,6 +39,8 @@ def test_modulus_accepts_supported_primes():
         assert validate_modulus(p, 1).period == p
     assert Modulus(2, 20).period == 1 << 20
     assert str(Modulus(5, 2)) == "5^2"
+    assert [f.name for f in dataclasses.fields(Modulus)] == ["p", "n"]
+    assert dataclasses.replace(Modulus(3, 2), n=3).period == 27
 
 
 def test_modulus_rejects_primes_without_the_order_property():
@@ -162,8 +165,8 @@ def test_packed_value_must_fit_the_period():
 
 
 def test_modulus_with_cached_period_pickles_equal():
-    """The --jobs pool pickles rows; a Modulus whose period was read must
-    still round-trip equal, with an equal hash."""
+    """The --jobs pool pickles rows; a Modulus, which stores its period
+    beside its fields, must still round-trip equal, with an equal hash."""
     mod = Modulus(3, 5)
     assert mod.period == 243
     back = pickle.loads(pickle.dumps(mod))
@@ -382,7 +385,9 @@ _MODULUS_READERS = {
 
 
 @pytest.mark.parametrize("call", _MODULUS_READERS.values(), ids=_MODULUS_READERS)
-@pytest.mark.parametrize("bad", [(3, 2), "3^2", 9, [3, 2]], ids=repr)
+@pytest.mark.parametrize(
+    "bad", [(3, 2), "3^2", 9, [3, 2], SimpleNamespace(p=3, n=2, period=9)], ids=repr
+)
 def test_a_modulus_that_is_no_modulus_is_refused_by_name(call, bad):
     """Every public function that takes a modulus refuses anything but a
     Modulus with ModulusMismatch naming it, not a bare AttributeError."""
