@@ -61,9 +61,8 @@ class LCForm:
     epsilon and exponents.  (A ``cached_property`` would take a lock on its
     first read under Python 3.11, which costs more than the sum it saves.)
     ``xwli_lc`` builds one per sequence, so ``__init__`` writes the fields
-    and ``_value`` into the instance dict itself, without the generated
-    ``__init__``'s ``__setattr__`` calls and ``__post_init__`` frame.
-    Assignment still raises FrozenInstanceError.
+    and ``_value`` straight into the instance dict, past the frozen
+    ``__setattr__``.  Assignment still raises FrozenInstanceError.
     """
 
     p: int

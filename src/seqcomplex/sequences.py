@@ -123,10 +123,10 @@ class PeriodicSequence:
     """One period of a binary sequence, packed LSB-first into ``value``.
 
     The sweeps build one per checked value, so ``__init__`` validates and
-    writes both fields into the instance dict itself, without the generated
-    ``__init__``'s ``__post_init__`` frame or a ``__setattr__`` call.  A
-    Modulus costs one exact type test; anything else goes on to
-    ``_require_modulus``.  Assignment still raises FrozenInstanceError.
+    writes both fields straight into the instance dict, past the frozen
+    ``__setattr__``.  A Modulus costs one exact type test; anything else,
+    an object with a ``period`` included, goes on to ``_require_modulus``.
+    Assignment still raises FrozenInstanceError.
     """
 
     modulus: Modulus
