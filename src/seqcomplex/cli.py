@@ -314,23 +314,19 @@ def _mcrit_record(s: PeriodicSequence, mode: str, cap: int) -> dict:
     rec: dict = {"mode": mode}
     if mode in ("formula", "both"):
         if s.modulus.p == 2:
-            rec.update(m=kurosawa_m(s), L_after=None, m1=None, vertex_j=None, bound=None)
+            rec.update(m=kurosawa_m(s), L_after=None, m1=None, vertex_j=None)
         else:
             rep = first_critical_m(s)
-            rec.update(
-                m=rep.m_s, L_after=rep.L_after, m1=rep.m1_s,
-                vertex_j=rep.vertex_j, bound=meidl_upper_bound(s),
-            )
+            rec.update(m=rep.m_s, L_after=rep.L_after, m1=rep.m1_s, vertex_j=rep.vertex_j)
     if mode in ("brute", "both"):
         rep = first_critical_bruteforce(s, cap=cap)
         brute = {"m": rep.m_s, "L_after": rep.L_after, "m1": rep.m1_s}
         if mode == "brute":
-            rec.update(brute)
-            rec["vertex_j"] = None
-            rec["bound"] = meidl_upper_bound(s) if s.modulus.p != 2 else None
-        else:
-            rec["brute"] = brute
-            rec["agree"] = rec["m"] == brute["m"]
+            rec.update(brute, vertex_j=None)
+    rec["bound"] = meidl_upper_bound(s) if s.modulus.p != 2 else None
+    if mode == "both":
+        rec["brute"] = brute
+        rec["agree"] = rec["m"] == brute["m"]
     return rec
 
 

@@ -156,7 +156,7 @@ def count_cubes(modulus: Modulus, edges) -> CountResult:
 def class_lc(modulus: Modulus, edges, l: int | None = None) -> int:
     """Linear complexity shared by every member of a counted class."""
     es = _class_edges(modulus, edges, l)
-    return _hypercube_lc(modulus.p, modulus.n, 1 if l is None else 0, es)
+    return _hypercube_lc(modulus.p, modulus.n, None if l is None else 0, es)
 
 
 def _grow(values: list[int], p: int, start: int, n: int, edges: tuple[int, ...]) -> list[int]:

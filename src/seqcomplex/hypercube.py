@@ -14,11 +14,15 @@ vertex.  The linear complexity follows from the structure alone:
 
     L = eps - 1 + p^n - (p-1) * sum(p^i for i in edges)
 
-with eps = 1 for element vertices and (1-p)*(p^0+...+p^(q-1)) for tuple
-vertices of length q, which is 0 at q = 0 (the empty sum).  At p = 2 two
-halves XOR to zero only when they are equal, and equal halves take the split
-branch, so no step sums to zero: every vertex is an element and the
-hypercubes are the 2^n cubes of ``cube_lc``.
+with eps = 1 for element vertices and (1-p)*(p^0+...+p^(q-1)) = 1 - p^q for
+tuple vertices of length q, which is 0 at q = 0.  Keyed by q alone:
+
+    L = p^n - p^q - (p-1) * sum(p^i for i in edges)
+
+for a tuple vertex of length q, with no p^q term for an element vertex.  At
+p = 2 two halves XOR to zero only when they are equal, and equal halves take
+the split branch, so no step sums to zero: every vertex is an element and
+the hypercubes are the 2^n cubes of ``cube_lc``.
 
 ``standard_decompose`` peels a maximal hypercube off an arbitrary nonzero
 sequence in one pass down and one pass up.  Down, an XOR step that would
@@ -99,7 +103,7 @@ class VertexDescriptor:
         if self.kind is VertexKind.ELEMENT:
             if self.q is not None or self.blocks is not None:
                 raise ValueError("element vertex carries no blocks")
-            object.__setattr__(self, "_mask", 1)
+            self.__dict__["_mask"] = 1
             return
         if self.kind is not VertexKind.TUPLE:
             raise ValueError(f"vertex kind must be a VertexKind; got {self.kind!r}")
@@ -127,7 +131,7 @@ class VertexDescriptor:
         if odd:
             u = (odd & -odd).bit_length() - 1
             raise ValueError(f"row {u} has odd parity; blocks do not sum to zero")
-        object.__setattr__(self, "_mask", mask)
+        self.__dict__["_mask"] = mask
 
     @property
     def l(self) -> int:
@@ -136,7 +140,8 @@ class VertexDescriptor:
 
     @property
     def epsilon(self) -> int:
-        return _epsilon(len(self.blocks or ()), self.q)
+        """1 for an element vertex, 1 - p^q for a tuple vertex of length q."""
+        return 1 if self.q is None else 1 - len(self.blocks) ** self.q
 
     def __str__(self) -> str:
         if self.kind is VertexKind.ELEMENT:
@@ -211,12 +216,11 @@ class Decomposition:
 #
 # The vertex stays an int mask too: the descent ends at vecs[-1], which is
 # the scalar 1 when q is None (an element vertex) and the p parts of p^q bits
-# of a tuple vertex of length q otherwise; l is its weight either way.  The
-# VertexDescriptor and HypercubeStructure are built together, at most once,
-# on first read of .structure (.vertex reads it), so callers that read only
-# ok, edges, q or l (is_hypercube, standard_decompose) never build them;
-# a Decomposition keeps no descent, since a part's plain descent equals the
-# rewrite descent that peeled it.
+# of a tuple vertex of length q otherwise; l is its weight either way.  Only
+# extract_structure builds a VertexDescriptor and HypercubeStructure from a
+# descent; every other caller reads ok, edges, q or l, and _hypercube_lc
+# prices a hypercube from q and edges.  A Decomposition keeps no descent,
+# since a part's plain descent equals the rewrite descent that peeled it.
 #
 # A failed plain descent stops at the sum that cancels ones, so the depth it
 # failed at is len(vecs).
@@ -228,7 +232,6 @@ class Decomposition:
 
 @dataclass
 class _Descent:
-    p: int
     vecs: list[int]
     ok: bool
     edges: tuple[int, ...] = ()
@@ -237,22 +240,6 @@ class _Descent:
     @property
     def l(self) -> int:
         return self.vecs[-1].bit_count()
-
-    @property
-    def vertex(self) -> VertexDescriptor:
-        return self.structure.vertex
-
-    @cached_property
-    def structure(self) -> HypercubeStructure:
-        assert self.ok
-        if self.q is None:
-            vertex = VertexDescriptor(VertexKind.ELEMENT)
-        else:
-            size = self.p**self.q
-            a, mask = self.vecs[-1], (1 << size) - 1
-            blocks = tuple(_bits((a >> (i * size)) & mask, size) for i in range(self.p))
-            vertex = VertexDescriptor(VertexKind.TUPLE, self.q, blocks)
-        return HypercubeStructure(len(self.edges), self.edges, vertex)
 
 
 def _spread(rows: int, p: int, plen: int) -> int:
@@ -272,12 +259,6 @@ def _kept(a: int, p: int, plen: int) -> int:
     return a & ~seen
 
 
-def _epsilon(p: int, q: int | None) -> int:
-    """1 for an element vertex (q None); (1-p)(p^0+...+p^(q-1)) = 1 - p^q for
-    a tuple vertex of length q."""
-    return 1 if q is None else 1 - p**q
-
-
 def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
     """Run the descent; with rewrite=True cancellations are repaired in place."""
     vecs, edges = [value], []
@@ -292,7 +273,7 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
             break
         elif a.bit_count() != vecs[-1].bit_count():
             if not rewrite:
-                return _Descent(p, vecs, False)
+                return _Descent(vecs, False)
             vecs[-1] = _kept(vecs[-1], p, plen)
             deepest = len(vecs) - 1
         vecs.append(a)
@@ -302,19 +283,19 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
     levels = _levels(p, n)
     for k in range(deepest, -1, -1):
         vecs[k] &= _spread(vecs[k + 1], p, levels[k][0])
-    return _Descent(p, vecs, True, tuple(edges), q)
+    return _Descent(vecs, True, tuple(edges), q)
 
 
-def _expand_flip(desc: _Descent, n: int, flips: int) -> int:
+def _expand_flip(desc: _Descent, p: int, n: int, flips: int) -> int:
     """Positions of the p^n period that must toggle so the terminal-level bits
     in flips do.
 
     A split level repeats each bit in all p parts; at a sum level a 1 traces
     back to its unique source and a zero row is routed through part 0.
     """
-    vecs, levels = desc.vecs, _levels(desc.p, n)
+    vecs, levels = desc.vecs, _levels(p, n)
     for k in range(len(vecs) - 2, -1, -1):
-        spread = _spread(flips, desc.p, levels[k][0])
+        spread = _spread(flips, p, levels[k][0])
         split = n - 1 - k in desc.edges
         flips = spread if split else (spread & vecs[k]) | (flips & ~vecs[k + 1])
     return flips
@@ -330,15 +311,24 @@ def is_hypercube(s: PeriodicSequence) -> bool:
 def extract_structure(s: PeriodicSequence) -> HypercubeStructure:
     """Structure (m, edges, vertex) of a hypercube; NotAHypercube otherwise."""
     require_nonzero(s)
-    desc = _descend(s.value, s.modulus.p, s.modulus.n, rewrite=False)
+    p = s.modulus.p
+    desc = _descend(s.value, p, s.modulus.n, rewrite=False)
     if not desc.ok:
         raise NotAHypercube(f"cancellation at depth {len(desc.vecs)} of the descent")
-    return desc.structure
+    if desc.q is None:
+        vertex = VertexDescriptor(VertexKind.ELEMENT)
+    else:
+        size = p**desc.q
+        a, mask = desc.vecs[-1], (1 << size) - 1
+        blocks = tuple(_bits((a >> (i * size)) & mask, size) for i in range(p))
+        vertex = VertexDescriptor(VertexKind.TUPLE, desc.q, blocks)
+    return HypercubeStructure(len(desc.edges), desc.edges, vertex)
 
 
-def _hypercube_lc(p: int, n: int, eps: int, edges: Seq[int]) -> int:
-    """L = eps - 1 + p^n - (p-1) * sum(p^i for i in edges)."""
-    return eps - 1 + p**n - (p - 1) * sum(p**i for i in edges)
+def _hypercube_lc(p: int, n: int, q: int | None, edges: Seq[int]) -> int:
+    """L = p^n - p^q - (p-1) * sum(p^i for i in edges) for a tuple vertex of
+    length q; an element vertex (q None) has no p^q term."""
+    return p**n - (0 if q is None else p**q) - (p - 1) * sum(p**i for i in edges)
 
 
 def _valid_edges(edges, lo: int, n: int) -> tuple[int, ...]:
@@ -381,7 +371,7 @@ def lc_from_structure(h: HypercubeStructure, modulus: Modulus) -> int:
     for an edge outside [lo, n), lo being 0 for an element vertex and q + 1
     for a tuple vertex."""
     _first_free(h, modulus)
-    return _hypercube_lc(modulus.p, modulus.n, h.epsilon, h.edges)
+    return _hypercube_lc(modulus.p, modulus.n, h.vertex.q, h.edges)
 
 
 def next_lower_hypercube_lc(h: HypercubeStructure, modulus: Modulus) -> int:
@@ -393,7 +383,7 @@ def next_lower_hypercube_lc(h: HypercubeStructure, modulus: Modulus) -> int:
     free = next((i for i in range(lo, modulus.n) if i not in h.edges), None)
     if free is None:
         raise NoEligibleExponent(f"no exponent available beyond edges {h.edges}")
-    return _hypercube_lc(modulus.p, modulus.n, h.epsilon, (free, *h.edges))
+    return _hypercube_lc(modulus.p, modulus.n, h.vertex.q, (free, *h.edges))
 
 
 def rebalance_blocks(
@@ -449,7 +439,7 @@ def standard_decompose(s: PeriodicSequence) -> Decomposition:
             break
         desc = _descend(residue, p, n, rewrite=True)
         h = desc.vecs[0]
-        complexities.append(_hypercube_lc(p, n, _epsilon(p, desc.q), desc.edges))
+        complexities.append(_hypercube_lc(p, n, desc.q, desc.edges))
         parts.append(PeriodicSequence(s.modulus, h))
         residue ^= h
     else:  # pragma: no cover - descent always strictly reduces the residue
@@ -476,4 +466,4 @@ def cube_lc(s: PeriodicSequence) -> tuple[int, tuple[int, ...], int]:
     desc = _descend(s.value, 2, n, rewrite=False)
     if not desc.ok:
         raise NotACube(f"cancellation at halving depth {len(desc.vecs)}")
-    return len(desc.edges), desc.edges, _hypercube_lc(2, n, 1, desc.edges)
+    return len(desc.edges), desc.edges, _hypercube_lc(2, n, None, desc.edges)

@@ -328,7 +328,7 @@ def _closed_form(s: PeriodicSequence) -> tuple[CriticalReport, bool]:
         j = flips.bit_count()
         assert j != l
         if j < l:
-            m_s, mask = j * pm, _expand_flip(desc, n, flips)
+            m_s, mask = j * pm, _expand_flip(desc, p, n, flips)
             assert mask.bit_count() == m_s
     single = desc.vecs[0] == s.value
     m1 = erase if single and m_s < erase else None

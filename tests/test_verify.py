@@ -206,7 +206,9 @@ def test_m_only_checks_run_no_second_critical_scan(monkeypatch):
 
 
 def test_decomposition_suite_and_is_hypercube_build_no_vertex(monkeypatch):
-    """Checks that read only .ok or the complexities never build a vertex."""
+    """Checks that read only .ok, q, edges or the complexities never build a
+    vertex: the decomposition, counting and mcrit-exhaustive suites,
+    is_hypercube and first_critical_m.  extract_structure is the one builder."""
     from seqcomplex import hypercube
 
     built = []
@@ -217,12 +219,16 @@ def test_decomposition_suite_and_is_hypercube_build_no_vertex(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(hypercube.VertexDescriptor, "__post_init__", counted)
-    (rep,) = run_suites(["decomposition"], Modulus(3, 2))
-    assert rep.checks == 511 and rep.failures == 0
     mod = Modulus(3, 2)
-    hypercubes = sum(hypercube.is_hypercube(PeriodicSequence(mod, v)) for v in range(1, 512))
-    assert hypercubes > 0
+    reports = run_suites(["decomposition", "counting", "mcrit-exhaustive"], mod)
+    # the 36 are the leading-part counterexamples that C4 counts (475/511)
+    assert [(rep.checks, rep.failures) for rep in reports] == [(511, 0), (15, 0), (511, 36)]
+    seqs = [PeriodicSequence(mod, v) for v in range(1, 512)]
+    assert sum(map(hypercube.is_hypercube, seqs)) > 0
+    assert all(kerror.first_critical_m(s).m_s >= 1 for s in seqs)
     assert built == []
+    hypercube.extract_structure(PeriodicSequence(mod, 0b11))
+    assert built == [hypercube.VertexKind.TUPLE]
 
 
 def test_lc_oracle_block_path_fails_the_odd_p_sequence_at_fault(monkeypatch):
