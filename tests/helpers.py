@@ -75,6 +75,21 @@ def stepwise_bm(stream: int, length: int) -> int:
     return deg
 
 
+def halving_lc(a: int, n: int) -> int:
+    """Games-Chan complexity of the 2^n-bit vector a, halving down to one
+    bit: the reference for the package's table-finished p = 2 descent."""
+    L = 0
+    for j in range(n - 1, -1, -1):
+        plen = 1 << j
+        hi, lo = a >> plen, a & ((1 << plen) - 1)
+        if hi != lo:
+            a = hi ^ lo
+            L += plen
+        else:
+            a = lo
+    return L + a
+
+
 def scalar_class_min(value: int, p: int, n: int, k: int, below: int = 1) -> int:
     """Least complexity over the error patterns of weight exactly k, one
     pattern at a time, or the first found below ``below``: the reference for

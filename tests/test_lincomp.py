@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from helpers import gcd_lc, list_plain_trace, seq, stepwise_bm
+from helpers import gcd_lc, halving_lc, list_plain_trace, seq, stepwise_bm
 from seqcomplex import (
     LCForm,
     Modulus,
@@ -17,7 +17,7 @@ from seqcomplex import (
     xwli_lc,
 )
 from seqcomplex.errors import EvenP, NotRepresentable, OddP
-from seqcomplex.lincomp import _bm_value, _bm_values
+from seqcomplex.lincomp import _bm_value, _bm_values, _lc_value
 
 MOD9 = Modulus(3, 2)
 MOD27 = Modulus(3, 3)
@@ -121,6 +121,54 @@ def test_p2_engines_match_bm_at_both_weight_parities():
             L = berlekamp_massey_lc(s)
             assert lc(s) == games_chan_lc(s) == L, (n, v)
             assert (L == N) == (v.bit_count() % 2 == 1), (n, v)
+
+
+def _p2_agree(v: int, n: int, oracle: bool = True) -> None:
+    N = 1 << n
+    L = _lc_value(v, 2, n)
+    assert L == halving_lc(v, n), (n, v)
+    if oracle:
+        assert L == _bm_value(v | v << N, 2 * N), (n, v)
+
+
+def test_p2_lc_value_matches_halving_and_bm_on_every_value():
+    for n in (1, 2, 3, 4):
+        for v in range(1 << (1 << n)):
+            _p2_agree(v, n)
+
+
+def _p2_samples(rng: random.Random, n: int, pairs: int) -> list[int]:
+    """Seeded 2^n-bit values: sparse ones of weights 1 to 4, then ``pairs``
+    pairs of a dense value and a block repeated 2^j times, the k-th pair of
+    weight parity k % 2 (a flipped bit fixes it; a repeated block's weight
+    is even)."""
+    N = 1 << n
+    values = [sum(1 << i for i in rng.sample(range(N), w)) for w in (1, 2, 3, 4)]
+    for k in range(pairs):
+        j = 1 + (k + 3) % (n - 1)
+        pair = [rng.getrandbits(N), int(f"{rng.getrandbits(N >> j):0{N >> j}b}" * (1 << j), 2)]
+        values += [v ^ 1 << rng.randrange(N) if v.bit_count() % 2 != k % 2 else v for v in pair]
+    return values
+
+
+def test_p2_lc_value_matches_halving_and_bm_on_seeded_values():
+    # Berlekamp-Massey takes about a second on a dense 2^16-bit value, so
+    # the largest periods get fewer dense and repeated values
+    rng = random.Random(35)
+    for n in range(5, 17):
+        for v in _p2_samples(rng, n, 6 if n < 13 else 3 if n < 15 else 1):
+            _p2_agree(v, n)
+
+
+def test_p2_lc_value_matches_halving_at_the_period_cap():
+    # the oracle runs only where it is quick at 2^20: weights 1 and 2, and a
+    # 256-bit block repeated 2^12 times
+    rng = random.Random(20)
+    for v in _p2_samples(rng, 20, 2):
+        _p2_agree(v, 20, oracle=False)
+    block = rng.getrandbits(256)
+    for v in (1 << 12345, 1 << 5 | 1 << 777777, int(f"{block:0256b}" * 4096, 2)):
+        _p2_agree(v, 20)
 
 
 def test_three_way_agreement_sampled_odd():
