@@ -8,8 +8,9 @@ A nonzero final scalar adds 1.  That step is written once, in ``_steps``,
 and every odd-p complexity walks it: ``_lc_value`` (behind ``lc``),
 ``xwli_lc`` and ``hypercube._descend``.  At p = 2 ``_lc_value`` halves
 instead, the value-only special case of the step: it keeps the low half or
-the two halves' XOR, with no p-way fold, and up to period 2^12 returns 2^n
-at once for an odd-weight vector, as x + 1 then does not divide s(x).
+the two halves' XOR down to 8 bits and reads the rest from a table, and up
+to period 2^12 returns 2^n at once for an odd-weight vector, as x + 1 then
+does not divide s(x).
 ``berlekamp_massey_lc`` - classic LFSR synthesis over GF(2), fed two periods
 - is the independent oracle they are checked against; it skips each run of
 zero-discrepancy steps in one shift, as those steps change nothing but the
@@ -38,7 +39,7 @@ from struct import pack
 from typing import Iterator, NamedTuple
 
 from .errors import EvenP, NotRepresentable, OddP
-from .sequences import Modulus, PeriodicSequence, _require_modulus
+from .sequences import PERIOD_CAP, Modulus, PeriodicSequence, _require_modulus
 
 __all__ = [
     "LCForm",
@@ -147,8 +148,21 @@ def _levels(p: int, n: int) -> tuple[tuple[int, int, int, int], ...]:
 # at 2^16 about as much as the descent, and at 2^20 59 against 41 us
 # (timeit, 64 random values, 2-vCPU VM).  Up to this n an even weight pays
 # at most ~14 % more and an odd one skips its whole descent; at 2^20 the
-# parity alone costs more than the descent it would skip.
+# parity alone costs more than the descent it would skip.  n <= 3 keeps the
+# exit too: a 3 < n bound made a 2^4 call ~6 % slower.
 _PARITY_UP_TO_N = 12
+
+
+# _TAILS[k]: the complexity of every 2^k-bit vector, k = 0..3, by the
+# halving rule as a recurrence from the 1-bit table.  _P2[n]: the (plen,
+# mask) of each halving _lc_value makes at period 2^n, down to 2^min(n, 3)
+# bits, and the table that finishes it (every n >= 3 shares 256 entries).
+_TAILS = [[0, 1]]
+for _h in (1, 2, 4):
+    _t, _r = _TAILS[-1], range(1 << _h)
+    _TAILS.append([_h + _t[hi ^ lo] if hi != lo else _t[lo] for hi in _r for lo in _r])
+_P2 = [(tuple((1 << j, (1 << (1 << j)) - 1) for j in range(n - 1, 2, -1)), _TAILS[min(n, 3)])
+       for n in range(PERIOD_CAP.bit_length())]
 
 
 def _lc_value(a: int, p: int, n: int) -> int:
@@ -156,16 +170,17 @@ def _lc_value(a: int, p: int, n: int) -> int:
 
     At odd p it adds (p-1) * plen for each sum level of ``_steps``, then the
     final scalar.  At p = 2 the parts are the two halves, and each level
-    keeps the low half or their XOR directly.  There x^(2^n) - 1 is
-    (x + 1)^(2^n), so L = 2^n exactly when x + 1 does not divide s(x), that
-    is when the weight of s is odd; up to n = _PARITY_UP_TO_N such an s
-    returns before halving.
+    keeps the low half or their XOR, down to the 2^min(n, 3) bits that
+    ``_P2`` finishes in one read.  There x^(2^n) - 1 is (x + 1)^(2^n), so
+    L = 2^n exactly when x + 1 does not divide s(x), that is when the weight
+    of s is odd; up to n = _PARITY_UP_TO_N such an s returns before halving.
     """
     L = 0
     if p == 2:
         if n <= _PARITY_UP_TO_N and a.bit_count() & 1:
             return 1 << n
-        for plen, mask, _, _ in _levels(2, n):
+        levels, tail = _P2[n]
+        for plen, mask in levels:
             hi = a >> plen
             lo = a & mask
             if hi != lo:
@@ -173,7 +188,7 @@ def _lc_value(a: int, p: int, n: int) -> int:
                 L += plen
             else:
                 a = lo
-        return L + a
+        return L + tail[a]
     for plen, split, a in _steps(a, p, n):
         if not split:
             L += (p - 1) * plen
@@ -324,4 +339,5 @@ def berlekamp_massey_lc(s: PeriodicSequence) -> int:
 
 def lc(s: PeriodicSequence) -> int:
     """Linear complexity via the divide-and-sum descent."""
-    return _lc_value(s.value, s.modulus.p, s.modulus.n)
+    modulus = s.modulus
+    return _lc_value(s.value, modulus.p, modulus.n)

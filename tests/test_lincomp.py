@@ -17,7 +17,7 @@ from seqcomplex import (
     xwli_lc,
 )
 from seqcomplex.errors import EvenP, NotRepresentable, OddP
-from seqcomplex.lincomp import _bm_value, _bm_values, _lc_value
+from seqcomplex.lincomp import _P2, _TAILS, _bm_value, _bm_values, _lc_value
 
 MOD9 = Modulus(3, 2)
 MOD27 = Modulus(3, 3)
@@ -129,6 +129,14 @@ def _p2_agree(v: int, n: int, oracle: bool = True) -> None:
     assert L == halving_lc(v, n), (n, v)
     if oracle:
         assert L == _bm_value(v | v << N, 2 * N), (n, v)
+
+
+def test_p2_tables_hold_the_halving_complexity_of_every_short_vector():
+    assert [len(t) for t in _TAILS] == [2, 4, 16, 256]
+    for k, table in enumerate(_TAILS):
+        assert table == [halving_lc(a, k) for a in range(1 << (1 << k))], k
+    # every period finishes from the table of 2^min(n, 3) bits
+    assert all(_P2[n][1] is _TAILS[min(n, 3)] for n in range(1, 21))
 
 
 def test_p2_lc_value_matches_halving_and_bm_on_every_value():
