@@ -736,12 +736,23 @@ def _worker_records():
     [{"d": {}}],
     [{"d": {"a": 1}}],
     [{"d": {"L": 1}, "m": 2}, {"L": 1}],
-    _worker_records(),
-    [{"line": no, **rec} for no, rec in enumerate(_worker_records(), start=3)],
-    [{"L": 8}, *_worker_records(), {"L": 9, "weight": 1}],
 ], ids=lambda r: f"{len(r)}-records")
 @pytest.mark.parametrize("modulus", [MOD9, None])
 def test_envelope_is_indent_2_json(results, modulus):
+    assert cli_module._envelope("lc", modulus, results) == _indent_2("lc", modulus, results)
+
+
+@pytest.mark.parametrize("shape", ["alone", "numbered", "between"])
+@pytest.mark.parametrize("modulus", [MOD9, None])
+def test_envelope_is_indent_2_json_on_worker_records(shape, modulus):
+    # built in the test, not at collection, so that a library fault fails
+    # these cases and leaves the rest of the file to run
+    recs = _worker_records()
+    results = {
+        "alone": recs,
+        "numbered": [{"line": no, **rec} for no, rec in enumerate(recs, start=3)],
+        "between": [{"L": 8}, *recs, {"L": 9, "weight": 1}],
+    }[shape]
     assert cli_module._envelope("lc", modulus, results) == _indent_2("lc", modulus, results)
 
 
