@@ -156,13 +156,15 @@ _PARITY_UP_TO_N = 12
 # _TAILS[k]: the complexity of every 2^k-bit vector, k = 0..3, by the
 # halving rule as a recurrence from the 1-bit table.  _P2[n]: the (plen,
 # mask) of each halving _lc_value makes at period 2^n, down to 2^min(n, 3)
-# bits, and the table that finishes it (every n >= 3 shares 256 entries).
+# bits (a tail of one tuple, so each mask is built once), and the table that
+# finishes it (every n >= 3 shares 256 entries).
 _TAILS = [[0, 1]]
 for _h in (1, 2, 4):
     _t, _r = _TAILS[-1], range(1 << _h)
     _TAILS.append([_h + _t[hi ^ lo] if hi != lo else _t[lo] for hi in _r for lo in _r])
-_P2 = [(tuple((1 << j, (1 << (1 << j)) - 1) for j in range(n - 1, 2, -1)), _TAILS[min(n, 3)])
-       for n in range(PERIOD_CAP.bit_length())]
+_CAP_N = PERIOD_CAP.bit_length() - 1
+_HALVINGS = tuple((1 << j, (1 << (1 << j)) - 1) for j in range(_CAP_N - 1, 2, -1))
+_P2 = [(_HALVINGS[_CAP_N - n :], _TAILS[min(n, 3)]) for n in range(_CAP_N + 1)]
 
 
 def _lc_value(a: int, p: int, n: int) -> int:
