@@ -149,7 +149,7 @@ def _levels(p: int, n: int) -> tuple[tuple[int, int, int, int], ...]:
 # (timeit, 64 random values, 2-vCPU VM).  Up to this n an even weight pays
 # at most ~14 % more and an odd one skips its whole descent; at 2^20 the
 # parity alone costs more than the descent it would skip.  n <= 3 keeps the
-# exit too: a 3 < n bound made a 2^4 call ~6 % slower.
+# exit too: a 3 < n bound made a 2^4 call ~6 % slower on the same VM.
 _PARITY_UP_TO_N = 12
 
 

@@ -155,8 +155,8 @@ def _p2_samples(rng: random.Random, n: int, pairs: int) -> list[int]:
 
 
 def test_p2_lc_value_matches_halving_and_bm_on_seeded_values():
-    # Berlekamp-Massey takes about a second on a dense 2^16-bit value, so
-    # the largest periods get fewer dense and repeated values
+    # Berlekamp-Massey's cost grows as the square of the period, so the
+    # largest periods get fewer dense and repeated values
     rng = random.Random(35)
     for n in range(5, 17):
         for v in _p2_samples(rng, n, 6 if n < 13 else 3 if n < 15 else 1):
