@@ -442,6 +442,49 @@ def test_packed_rewrite_matches_list_rewrite_exhaustive():
             _check_against_list_rewrite(PeriodicSequence(mod, v))
 
 
+def _check_plain_against_list_trace(value: int, p: int, n: int) -> None:
+    """The plain descent's level weights, edges, vertex length and verdict
+    against the list-based trace, and its levels against the list rewrite
+    when nothing cancels."""
+    steps, final_one = list_plain_trace(value, p, n)
+    weights, edges, q, ok = [value.bit_count()], [], None, True
+    for depth, (branch, pre, post, _) in enumerate(steps, 1):
+        if branch == "split":
+            edges.append(n - depth)
+        elif post == 0:
+            q = n - depth
+            break
+        elif post != pre:
+            ok = False
+            break
+        weights.append(post)
+    else:
+        assert final_one
+    desc = _descend(value, p, n, rewrite=False)
+    got = ([v.bit_count() for v in desc.vecs], desc.edges, desc.q, desc.ok)
+    assert got == (weights, tuple(sorted(edges)) if ok else (), q if ok else None, ok), value
+    if ok:
+        assert desc.vecs == list_rewrite_descent(value, p, n)[0], value
+
+
+def test_plain_and_rewrite_descents_match_list_references_at_p13():
+    """Every value at 13^1, and seeded dense and sparse values at 13^2: at
+    p = 13 a sum over one-bit parts folds 13 bits, the most of any small p."""
+    mod = Modulus(13, 1)
+    for v in range(1, 1 << mod.period):
+        _check_plain_against_list_trace(v, 13, 1)
+        _check_against_list_rewrite(PeriodicSequence(mod, v))
+    rng = random.Random(1302)
+    mod = Modulus(13, 2)
+    for i in range(300):
+        if i % 2:
+            v = rng.randrange(1, 1 << mod.period)
+        else:  # sparse: few cancellations, often a hypercube
+            v = sum({1 << rng.randrange(mod.period) for _ in range(rng.choice((1, 2, 4)))})
+        _check_plain_against_list_trace(v, 13, 2)
+        _check_against_list_rewrite(PeriodicSequence(mod, v))
+
+
 def test_packed_rewrite_matches_list_rewrite_sampled():
     rng = random.Random(41)
     samples = (

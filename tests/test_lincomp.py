@@ -73,6 +73,13 @@ def test_single_one_has_full_complexity():
             assert lc(PeriodicSequence(mod, 1 << i)) == mod.period
 
 
+def test_odd_p_lc_value_matches_bm_on_every_value_at_13_1():
+    """At n = 1 the only level is a sum over 13 one-bit parts, or a split
+    of 13 equal ones."""
+    for v in range(1 << 13):
+        assert _lc_value(v, 13, 1) == _bm_value(v | v << 13, 26), v
+
+
 def test_engine_parity_guards():
     with pytest.raises(EvenP):
         xwli_lc(PeriodicSequence(Modulus(2, 2), 0b0011))
