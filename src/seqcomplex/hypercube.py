@@ -222,8 +222,13 @@ class Decomposition:
 # prices a hypercube from q and edges.  A Decomposition keeps no descent,
 # since a part's plain descent equals the rewrite descent that peeled it.
 #
-# A failed plain descent stops at the sum that cancels ones, so the depth it
-# failed at is len(vecs).
+# A sum cancels ones exactly when it leaves fewer ones than the level it
+# folds.  The descent carries that level's weight instead of counting it
+# again: a split divides it by p (p equal parts), and a sum, rewritten or
+# not, leaves the weight of its XOR, so each sum takes one popcount.  A
+# failed plain descent stops at the sum that cancels ones, so the depth it
+# failed at is len(vecs).  Only a descent that rewrote some level makes the
+# pass up.
 #
 # After a rewrite descent of s, vecs[0] is the leading hypercube h_1 of s and
 # the descent equals the plain descent of h_1 (vecs, edges, vertex); s is a
@@ -264,25 +269,30 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
     vecs, edges = [value], []
     q = None
     deepest = -1
+    weight = value.bit_count()  # of vecs[-1] as the descent reached it
     for depth, (plen, split, a) in enumerate(_steps(value, p, n), 1):
         if split:
-            edges.insert(0, n - depth)
+            edges.append(n - depth)
+            weight //= p
         elif a == 0:
             # terminating zero-sum: the parts of vecs[-1] are the vertex
             q = n - depth
             break
-        elif a.bit_count() != vecs[-1].bit_count():
+        elif (w := a.bit_count()) != weight:
             if not rewrite:
                 return _Descent(vecs, False)
             vecs[-1] = _kept(vecs[-1], p, plen)
             deepest = len(vecs) - 1
+            weight = w
         vecs.append(a)
     else:
         assert vecs[-1] == 1
-    # the pass up: each level keeps the sources of the ones below it
-    levels = _levels(p, n)
-    for k in range(deepest, -1, -1):
-        vecs[k] &= _spread(vecs[k + 1], p, levels[k][0])
+    edges.reverse()
+    if deepest >= 0:
+        # the pass up: each level keeps the sources of the ones below it
+        levels = _levels(p, n)
+        for k in range(deepest, -1, -1):
+            vecs[k] &= _spread(vecs[k + 1], p, levels[k][0])
     return _Descent(vecs, True, tuple(edges), q)
 
 
@@ -328,7 +338,7 @@ def extract_structure(s: PeriodicSequence) -> HypercubeStructure:
 def _hypercube_lc(p: int, n: int, q: int | None, edges: Seq[int]) -> int:
     """L = p^n - p^q - (p-1) * sum(p^i for i in edges) for a tuple vertex of
     length q; an element vertex (q None) has no p^q term."""
-    return p**n - (0 if q is None else p**q) - (p - 1) * sum(p**i for i in edges)
+    return p**n - (0 if q is None else p**q) - (p - 1) * sum(map(p.__pow__, edges))
 
 
 def _valid_edges(edges, lo: int, n: int) -> tuple[int, ...]:
@@ -430,17 +440,18 @@ def standard_decompose(s: PeriodicSequence) -> Decomposition:
     parts[0] keeps the full complexity of s; XOR of all parts equals s.
     """
     require_nonzero(s)
-    p, n = s.modulus.p, s.modulus.n
+    modulus = s.modulus
+    p, n = modulus.p, modulus.n
     complexities: list[int] = []
     parts: list[PeriodicSequence] = []
     residue = s.value
-    for _ in range(s.modulus.period + 1):
+    for _ in range(modulus.period + 1):
         if residue == 0:
             break
         desc = _descend(residue, p, n, rewrite=True)
         h = desc.vecs[0]
         complexities.append(_hypercube_lc(p, n, desc.q, desc.edges))
-        parts.append(PeriodicSequence(s.modulus, h))
+        parts.append(PeriodicSequence(modulus, h))
         residue ^= h
     else:  # pragma: no cover - descent always strictly reduces the residue
         raise AssertionError("decomposition failed to terminate")

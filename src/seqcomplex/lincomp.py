@@ -4,9 +4,10 @@ One descent computes it for every supported p: the p-way divide-and-sum of
 Xiao, Wei, Lam and Imamura, which at p = 2 is the Games-Chan halving.  At
 each depth the current vector splits into p equal-length parts; equal parts
 are kept once, otherwise their XOR is kept and (p-1) * p^(n-depth) is added.
-A nonzero final scalar adds 1.  That step is written once, in ``_steps``,
-and every odd-p complexity walks it: ``_lc_value`` (behind ``lc``),
-``xwli_lc`` and ``hypercube._descend``.  At p = 2 ``_lc_value`` halves
+A nonzero final scalar adds 1.  At the last depth the parts are single bits,
+so their XOR is the parity of the vector's weight.  That step is written
+once, in ``_steps``, and every odd-p complexity walks it: ``_lc_value``
+(behind ``lc``), ``xwli_lc`` and ``hypercube._descend``.  At p = 2 ``_lc_value`` halves
 instead, the value-only special case of the step: it keeps the low half or
 the two halves' XOR down to 8 bits and reads the rest from a table, and up
 to period 2^12 returns 2^n at once for an odd-weight vector, as x + 1 then
@@ -34,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import repeat
-from operator import and_, xor
+from operator import and_, attrgetter, xor
 from struct import pack
 from typing import Iterator, NamedTuple
 
@@ -75,7 +76,8 @@ class LCForm:
         fields["p"] = p
         fields["epsilon"] = epsilon
         fields["exponents"] = exponents
-        fields["_value"] = epsilon + (p - 1) * sum(p ** (v - 1) for v in exponents)
+        # every exponent is at least 1, so the sum of p^v is p times that of p^(v-1)
+        fields["_value"] = epsilon + (p - 1) * (sum(map(p.__pow__, exponents)) // p)
 
     @property
     def value(self) -> int:
@@ -119,13 +121,16 @@ class XwliStep(NamedTuple):
     increment: int
 
 
+_INCREMENT = attrgetter("increment")
+
+
 class XwliTrace(NamedTuple):
     steps: tuple[XwliStep, ...]
     final_one: bool
 
     @property
     def total(self) -> int:
-        return sum(st.increment for st in self.steps) + int(self.final_one)
+        return sum(map(_INCREMENT, self.steps)) + int(self.final_one)
 
 
 @cache
@@ -201,18 +206,24 @@ def _steps(a: int, p: int, n: int) -> Iterator[tuple[int, bool, int]]:
     """The descent of a: (plen, split, a) at each depth 1..n, a being the
     vector the depth leaves (part 0 at a split, the parts' XOR at a sum),
     past a zero sum too.  The parts are all equal exactly when the vector
-    shifted down by one part equals its low p-1 parts.  This is the one
-    split test and XOR fold of the descent; at p = 2 ``_lc_value`` halves in
-    its own loop, as one on this generator took about 2.4x as long per call
-    at 2^4 and 2^5."""
+    shifted down by one part equals its low p-1 parts.  A sum over one-bit
+    parts, the last depth and at n = 1 the only one, folds the p bits by
+    the parity of their weight, one popcount in place of p - 1 shifts and
+    XORs.  This is the one split test and XOR fold of the descent; at p = 2
+    ``_lc_value`` halves in its own loop, as one on this generator took
+    about 2.4x as long per call at 2^4 and 2^5."""
     for plen, mask, low_mask, _ in _levels(p, n):
         hi = a >> plen
         split = hi == a & low_mask
-        if not split:
+        if split:
+            a &= mask
+        elif plen == 1:
+            a = a.bit_count() & 1
+        else:
             while hi:
                 a ^= hi
                 hi >>= plen
-        a &= mask
+            a &= mask
         yield plen, split, a
 
 
@@ -225,6 +236,9 @@ def xwli_lc(s: PeriodicSequence) -> tuple[LCForm, XwliTrace]:
     p, n = s.modulus.p, s.modulus.n
     if p == 2:
         raise EvenP("xwli_lc requires odd p; use games_chan_lc for p = 2")
+    # the records skip the namedtuples' own __new__, Python code that only
+    # hands its fields on to tuple.__new__
+    new = tuple.__new__
     steps: list[XwliStep] = []
     exps = set()
     weight = s.value.bit_count()
@@ -233,8 +247,8 @@ def xwli_lc(s: PeriodicSequence) -> tuple[LCForm, XwliTrace]:
             exps.add(n - len(steps))
         increment = 0 if split else (p - 1) * plen
         pre, weight = weight, a.bit_count()
-        steps.append(XwliStep("split" if split else "sum", pre, weight, increment))
-    trace = XwliTrace(tuple(steps), a == 1)
+        steps.append(new(XwliStep, ("split" if split else "sum", pre, weight, increment)))
+    trace = new(XwliTrace, (tuple(steps), a == 1))
     form = LCForm(p, int(trace.final_one), frozenset(exps))
     assert trace.total == form.value
     return form, trace
