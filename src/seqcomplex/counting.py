@@ -136,7 +136,12 @@ def count_hypercubes(modulus: Modulus, edges, l: int | None = None) -> CountResu
     l=None counts the element-vertex class; an even l in (1, p) counts the
     length-0 tuple class of vertex weight l (its edges must all be >= 1).
     """
-    edges = _class_edges(modulus, edges, l)
+    return _class_count(modulus, _class_edges(modulus, edges, l), l)
+
+
+def _class_count(modulus: Modulus, edges: tuple[int, ...], l: int | None) -> CountResult:
+    """count_hypercubes of a class whose modulus, l and sorted edges are
+    valid (see _class_edges)."""
     p = modulus.p
     E = _capacity(p, modulus.n, edges)
     if l is None:
@@ -186,7 +191,7 @@ def enumerate_hypercubes(
     over the cap is refused by its size, or past 10^18 its expression."""
     _check_cap(cap)
     edges = _class_edges(modulus, edges, l)  # read once: edges may be an iterator
-    count = count_hypercubes(modulus, edges, l)
+    count = _class_count(modulus, edges, l)
     if count.value > cap:
         noun = "cubes" if modulus.p == 2 else "hypercubes"
         size = count.value if count.value <= _EXACT_UP_TO else count.expression
