@@ -254,6 +254,32 @@ def test_trace_records_keep_their_fields_repr_and_immutability():
     assert step.increment == 6 and trace.total == form.value == 8
 
 
+def test_traces_from_xwli_lc_equal_keyword_built_ones():
+    """xwli_lc builds its records past the namedtuples' own __new__; each
+    trace still equals one built field by field, and behaves as one."""
+    rng = random.Random(36)
+    for mod in (MOD9, MOD27, Modulus(5, 2), Modulus(13, 1)):
+        for v in [0, 1, (1 << mod.period) - 1] + [rng.getrandbits(mod.period) for _ in range(10)]:
+            form, trace = xwli_lc(PeriodicSequence(mod, v))
+            built = XwliTrace(
+                steps=tuple(
+                    XwliStep(branch=st[0], pre_weight=st[1], post_weight=st[2], increment=st[3])
+                    for st in list_plain_trace(v, mod.p, mod.n)[0]
+                ),
+                final_one=trace.final_one,
+            )
+            assert type(trace) is XwliTrace and trace == built, (mod, v)
+            assert all(type(st) is XwliStep for st in trace.steps)
+            assert hash(trace) == hash(built) and repr(trace) == repr(built)
+            assert trace._asdict() == built._asdict()
+            assert [st._asdict() for st in trace.steps] == [st._asdict() for st in built.steps]
+            flipped = trace._replace(final_one=not trace.final_one)
+            assert flipped == built._replace(final_one=not built.final_one)
+            assert type(flipped) is XwliTrace and flipped.steps is trace.steps
+            assert trace.steps[0]._replace(increment=7) == built.steps[0]._replace(increment=7)
+            assert trace.total == built.total == form.value, (mod, v)
+
+
 def test_xwli_lc_repeats_its_result_on_one_sequence():
     rng = random.Random(21)
     for mod in (MOD9, MOD27, Modulus(5, 2)):
@@ -369,3 +395,18 @@ def test_lc_form_value_is_summed_once_and_is_no_field():
     form = LCForm(p=3, epsilon=1, exponents=frozenset({2}))
     assert form.value == 7
     assert dataclasses.replace(form, epsilon=0).value == form.value - 1
+
+
+def test_lc_form_value_is_the_sum_over_every_exponent_set():
+    """Each form's value is eps + (p-1) * sum of p^(v-1) over its exponents,
+    for every exponent set of {1..n} and both eps, built directly and by
+    lc_form_decompose."""
+    for p, n in ((3, 1), (3, 4), (5, 3), (11, 2), (13, 2), (3, 7)):
+        mod = Modulus(p, n)
+        for bits in range(1 << n):
+            exps = frozenset(v for v in range(1, n + 1) if bits >> (v - 1) & 1)
+            for eps in (0, 1):
+                value = eps + (p - 1) * sum(p ** (v - 1) for v in exps)
+                form = LCForm(p, eps, exps)
+                assert form.value == value and type(form.value) is int, (p, n, exps)
+                assert lc_form_decompose(value, mod) == form
