@@ -182,15 +182,23 @@ class HypercubeStructure:
         return f"m={self.m} edges={edges} vertex={self.vertex}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Decomposition:
     """Hypercube parts of a sequence: XOR of parts reconstructs the input.
 
-    ``structures`` is extracted from the parts on first read.
+    ``structures`` is extracted from the parts on first read.  Every
+    ``standard_decompose`` call builds one, so ``__init__`` writes the
+    fields straight into the instance dict, past the frozen ``__setattr__``.
+    Assignment still raises FrozenInstanceError.
     """
 
     parts: tuple[PeriodicSequence, ...]
     complexities: tuple[int, ...]
+
+    def __init__(self, parts: tuple[PeriodicSequence, ...], complexities: tuple[int, ...]) -> None:
+        fields = self.__dict__
+        fields["parts"] = parts
+        fields["complexities"] = complexities
 
     @cached_property
     def structures(self) -> tuple[HypercubeStructure, ...]:
@@ -235,7 +243,7 @@ class Decomposition:
 # hypercube iff vecs[0] == s.  kerror's closed forms rely on this.
 
 
-@dataclass
+@dataclass(slots=True)
 class _Descent:
     vecs: list[int]
     ok: bool
@@ -315,7 +323,8 @@ def is_hypercube(s: PeriodicSequence) -> bool:
     """True iff no XOR step of the descent cancels ones, except the zero-sum
     step that terminates in a tuple vertex."""
     require_nonzero(s)
-    return _descend(s.value, s.modulus.p, s.modulus.n, rewrite=False).ok
+    modulus = s.modulus
+    return _descend(s.value, modulus.p, modulus.n, rewrite=False).ok
 
 
 def extract_structure(s: PeriodicSequence) -> HypercubeStructure:
@@ -455,7 +464,8 @@ def standard_decompose(s: PeriodicSequence) -> Decomposition:
         residue ^= h
     else:  # pragma: no cover - descent always strictly reduces the residue
         raise AssertionError("decomposition failed to terminate")
-    assert all(a > b for a, b in zip(complexities, complexities[1:]))
+    # strictly decreasing: no repeat, and already in descending order
+    assert complexities == sorted(set(complexities), reverse=True)
     assert complexities[0] == _lc_value(s.value, p, n)
     return Decomposition(tuple(parts), tuple(complexities))
 

@@ -229,6 +229,12 @@ def test_a_decomposition_is_rebuilt_from_its_public_fields():
     again = Decomposition(dec.parts, dec.complexities)
     assert again == dec and again.structures == dec.structures
     assert [f.name for f in dataclasses.fields(Decomposition)] == ["parts", "complexities"]
+    keyword = Decomposition(complexities=dec.complexities, parts=dec.parts)
+    assert keyword == dec and hash(keyword) == hash(dec) and repr(keyword) == repr(dec)
+    assert dataclasses.replace(dec, complexities=(1, 0)).parts is dec.parts
+    for name in ("parts", "complexities"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(dec, name, getattr(dec, name))
 
 
 @pytest.mark.parametrize("seed", range(5))
