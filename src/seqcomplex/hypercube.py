@@ -278,13 +278,15 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
     q = None
     deepest = -1
     weight = value.bit_count()  # of vecs[-1] as the descent reached it
-    for depth, (plen, split, a) in enumerate(_steps(value, p, n), 1):
+    e = n  # after the decrement, the level's part length is p^e
+    for plen, split, a in _steps(value, p, n):
+        e -= 1
         if split:
-            edges.append(n - depth)
+            edges.append(e)
             weight //= p
         elif a == 0:
             # terminating zero-sum: the parts of vecs[-1] are the vertex
-            q = n - depth
+            q = e
             break
         elif (w := a.bit_count()) != weight:
             if not rewrite:
