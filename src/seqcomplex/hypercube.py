@@ -235,8 +235,7 @@ class Decomposition:
 # again: a split divides it by p (p equal parts), and a sum, rewritten or
 # not, leaves the weight of its XOR, so each sum takes one popcount.  A
 # failed plain descent stops at the sum that cancels ones, so the depth it
-# failed at is len(vecs).  Only a descent that rewrote some level makes the
-# pass up.
+# failed at is len(vecs).
 #
 # After a rewrite descent of s, vecs[0] is the leading hypercube h_1 of s and
 # the descent equals the plain descent of h_1 (vecs, edges, vertex); s is a

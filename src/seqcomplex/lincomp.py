@@ -7,11 +7,11 @@ are kept once, otherwise their XOR is kept and (p-1) * p^(n-depth) is added.
 A nonzero final scalar adds 1.  At the last depth the parts are single bits,
 so their XOR is the parity of the vector's weight.  That step is written
 once, in ``_steps``, and every odd-p complexity walks it: ``_lc_value``
-(behind ``lc``), ``xwli_lc`` and ``hypercube._descend``.  At p = 2 ``_lc_value`` halves
-instead, the value-only special case of the step: it keeps the low half or
-the two halves' XOR down to 8 bits and reads the rest from a table, and up
-to period 2^12 returns 2^n at once for an odd-weight vector, as x + 1 then
-does not divide s(x).
+(behind ``lc``), ``xwli_lc`` and ``hypercube._descend``.  At p = 2
+``_lc_value`` halves instead, the value-only special case of the step: it
+keeps the low half or the two halves' XOR down to 8 bits and reads the rest
+from a table, and up to period 2^12 returns 2^n at once for an odd-weight
+vector, as x + 1 then does not divide s(x).
 ``berlekamp_massey_lc`` - classic LFSR synthesis over GF(2), fed two periods
 - is the independent oracle they are checked against; it skips each run of
 zero-discrepancy steps in one shift, as those steps change nothing but the

@@ -252,11 +252,8 @@ def test_trace_records_keep_their_fields_repr_and_immutability():
         with pytest.raises(AttributeError):
             setattr(obj, name, getattr(obj, name))
     assert step.increment == 6 and trace.total == form.value == 8
-
-
-def test_traces_from_xwli_lc_equal_keyword_built_ones():
-    """xwli_lc builds its records past the namedtuples' own __new__; each
-    trace still equals one built field by field, and behaves as one."""
+    # xwli_lc builds its records past the namedtuples' own __new__; each
+    # trace still equals one built field by field, and behaves as one
     rng = random.Random(36)
     for mod in (MOD9, MOD27, Modulus(5, 2), Modulus(13, 1)):
         for v in [0, 1, (1 << mod.period) - 1] + [rng.getrandbits(mod.period) for _ in range(10)]:
