@@ -1,6 +1,6 @@
 """Hypercube structure of p^n-periodic binary sequences.
 
-Run the p-way divide-and-sum descent on a sequence.  At each depth the
+Run the p-way divide-and-sum descent on a sequence.  At each level the
 current vector ``a`` splits into p parts ``A_0..A_{p-1}``; either all parts
 are equal (keep ``A_0``) or they are XORed.  A sequence is a *hypercube* when
 no XOR step cancels ones, except a single terminating step whose XOR is the
@@ -8,9 +8,9 @@ zero vector.  The descent then ends in a *vertex*: either the scalar 1 (an
 element vertex) or the p-tuple of parts at the zero-sum step (a tuple vertex
 of length q, where the parts have length p^q).
 
-Each depth whose split branch was taken contributes an *edge* of p-adic
-length p^(n-l); an m-hypercube has m edges and p^m translated copies of its
-vertex.  The linear complexity follows from the structure alone:
+A level of p^e-bit parts that took the split branch gives an *edge* e, of
+p-adic length p^e; an m-hypercube has m edges and p^m translated copies of
+its vertex.  The linear complexity follows from the structure alone:
 
     L = eps - 1 + p^n - (p-1) * sum(p^i for i in edges)
 
@@ -207,12 +207,13 @@ class Decomposition:
 
 # -- descent machinery -------------------------------------------------------
 #
-# Level vectors are int bitmasks: vecs[k] holds p^(n-k) bits, and vecs[k+1]
-# came from the p parts of plen = lincomp._levels(p, n)[k][0] bits of vecs[k],
-# by the split branch iff its exponent n - 1 - k is an edge; the levels come
-# from lincomp._steps.  A split kept part 0 of p equal parts, so each row of
-# vecs[k+1] comes from all p copies.  A sum XORed p parts that share no row,
-# so each 1 of vecs[k+1] comes from the one part holding it in vecs[k].
+# Level vectors are int bitmasks.  vecs[k+1] came from the p parts of
+# plen = p^e bits of vecs[k], (e, plen, ...) being row k of
+# lincomp._levels(p, n), by the split branch iff e is an edge; _steps yields
+# each level's e, with an increment of 0 exactly at a split.  A split kept
+# part 0 of p equal parts, so each row of vecs[k+1] comes from all p copies.
+# A sum XORed p parts that share no row, so each 1 of vecs[k+1] comes from
+# the one part holding it in vecs[k].
 #
 # A rewrite descent makes every sum's parts share no row in two passes.
 # Down: a sum that would cancel ones keeps the first 1 of each row (``_kept``:
@@ -277,10 +278,8 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
     q = None
     deepest = -1
     weight = value.bit_count()  # of vecs[-1] as the descent reached it
-    e = n  # after the decrement, the level's part length is p^e
-    for plen, split, a in _steps(value, p, n):
-        e -= 1
-        if split:
+    for e, increment, a in _steps(value, p, n):
+        if not increment:
             edges.append(e)
             weight //= p
         elif a == 0:
@@ -290,7 +289,7 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
         elif (w := a.bit_count()) != weight:
             if not rewrite:
                 return _Descent(vecs, False)
-            vecs[-1] = _kept(vecs[-1], p, plen)
+            vecs[-1] = _kept(vecs[-1], p, p**e)
             deepest = len(vecs) - 1
             weight = w
         vecs.append(a)
@@ -301,7 +300,7 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
         # the pass up: each level keeps the sources of the ones below it
         levels = _levels(p, n)
         for k in range(deepest, -1, -1):
-            vecs[k] &= _spread(vecs[k + 1], p, levels[k][0])
+            vecs[k] &= _spread(vecs[k + 1], p, levels[k][1])
     return _Descent(vecs, True, tuple(edges), q)
 
 
@@ -314,9 +313,9 @@ def _expand_flip(desc: _Descent, p: int, n: int, flips: int) -> int:
     """
     vecs, levels = desc.vecs, _levels(p, n)
     for k in range(len(vecs) - 2, -1, -1):
-        spread = _spread(flips, p, levels[k][0])
-        split = n - 1 - k in desc.edges
-        flips = spread if split else (spread & vecs[k]) | (flips & ~vecs[k + 1])
+        e, plen = levels[k][:2]
+        spread = _spread(flips, p, plen)
+        flips = spread if e in desc.edges else (spread & vecs[k]) | (flips & ~vecs[k + 1])
     return flips
 
 

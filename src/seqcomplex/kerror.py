@@ -177,7 +177,7 @@ def _lanes_min(planes: list[int], levels: tuple, lanes: int) -> int:
     keep their parts (when any do) hold the minimum.
     """
     L = 0
-    for plen, _, _, increment in levels:
+    for _, plen, _, _, increment in levels:
         head, rest = planes[:plen], planes[plen : 2 * plen]
         diff = reduce(or_, map(xor, head, rest))
         for i in range(2 * plen, len(planes), plen):

@@ -2,11 +2,12 @@
 
 One descent computes it for every supported p: the p-way divide-and-sum of
 Xiao, Wei, Lam and Imamura, which at p = 2 is the Games-Chan halving.  At
-each depth the current vector splits into p equal-length parts; equal parts
-are kept once, otherwise their XOR is kept and (p-1) * p^(n-depth) is added.
-A nonzero final scalar adds 1.  At the last depth the parts are single bits,
-so their XOR is the parity of the vector's weight.  That step is written
-once, in ``_steps``, and every odd-p complexity walks it: ``_lc_value``
+level e = n-1, ..., 0 the vector splits into p parts of p^e bits; equal
+parts are kept once, otherwise their XOR is kept and (p-1) * p^e is added.
+A nonzero final scalar adds 1.  At the last level the parts are single
+bits, so their XOR is the parity of the vector's weight.  ``_levels`` holds
+each level's geometry and ``_steps`` the step, yielding each level's e and
+increment (0 at a split); every odd-p complexity walks it: ``_lc_value``
 (behind ``lc``), ``xwli_lc`` and ``hypercube._descend``.  At p = 2
 ``_lc_value`` halves instead, the value-only special case of the step: it
 keeps the low half or the two halves' XOR down to 8 bits and reads the rest
@@ -134,16 +135,15 @@ class XwliTrace(NamedTuple):
 
 
 @cache
-def _levels(p: int, n: int) -> tuple[tuple[int, int, int, int], ...]:
-    """(plen, mask, low_mask, increment) for each depth 1..n of the descent.
-
-    At depth l the vector has p parts of plen = p^(n-l) bits; mask selects
-    part 0, low_mask parts 0..p-2, and a sum step adds increment.
-    """
+def _levels(p: int, n: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """(e, plen, mask, low_mask, increment) for each level e = n-1, ..., 0
+    of the descent: p parts of plen = p^e bits, mask selecting part 0 and
+    low_mask parts 0..p-2; a sum there adds increment = (p-1) * plen, the
+    term of v = e + 1 in the canonical form."""
     out = []
-    for l in range(1, n + 1):
-        plen = p ** (n - l)
-        out.append((plen, (1 << plen) - 1, (1 << (p - 1) * plen) - 1, (p - 1) * plen))
+    for e in range(n - 1, -1, -1):
+        plen = p**e
+        out.append((e, plen, (1 << plen) - 1, (1 << (p - 1) * plen) - 1, (p - 1) * plen))
     return tuple(out)
 
 
@@ -175,10 +175,10 @@ _P2 = [(_HALVINGS[_CAP_N - n :], _TAILS[min(n, 3)]) for n in range(_CAP_N + 1)]
 def _lc_value(a: int, p: int, n: int) -> int:
     """The complexity alone; the hot path for sweeps and brute force.
 
-    At odd p it adds (p-1) * plen for each sum level of ``_steps``, then the
-    final scalar.  At p = 2 the parts are the two halves, and each level
-    keeps the low half or their XOR, down to the 2^min(n, 3) bits that
-    ``_P2`` finishes in one read.  There x^(2^n) - 1 is (x + 1)^(2^n), so
+    At odd p it adds the increment of each level of ``_steps`` (0 at a
+    split), then the final scalar.  At p = 2 the parts are the two halves,
+    and each level keeps the low half or their XOR, down to the 2^min(n, 3)
+    bits that ``_P2`` finishes in one read.  There x^(2^n) - 1 is (x + 1)^(2^n), so
     L = 2^n exactly when x + 1 does not divide s(x), that is when the weight
     of s is odd; up to n = _PARITY_UP_TO_N such an s returns before halving.
     """
@@ -196,27 +196,27 @@ def _lc_value(a: int, p: int, n: int) -> int:
             else:
                 a = lo
         return L + tail[a]
-    for plen, split, a in _steps(a, p, n):
-        if not split:
-            L += (p - 1) * plen
+    for _, increment, a in _steps(a, p, n):
+        L += increment
     return L + a
 
 
-def _steps(a: int, p: int, n: int) -> Iterator[tuple[int, bool, int]]:
-    """The descent of a: (plen, split, a) at each depth 1..n, a being the
-    vector the depth leaves (part 0 at a split, the parts' XOR at a sum),
-    past a zero sum too.  The parts are all equal exactly when the vector
-    shifted down by one part equals its low p-1 parts.  A sum over one-bit
-    parts, the last depth and at n = 1 the only one, folds the p bits by
-    the parity of their weight, one popcount in place of p - 1 shifts and
-    XORs.  This is the one split test and XOR fold of the descent; at p = 2
-    ``_lc_value`` halves in its own loop, as one on this generator took
-    about 2.4x as long per call at 2^4 and 2^5."""
-    for plen, mask, low_mask, _ in _levels(p, n):
+def _steps(a: int, p: int, n: int) -> Iterator[tuple[int, int, int]]:
+    """The descent of a: (e, increment, a) at each level of ``_levels``, a
+    being the vector the level leaves (part 0 at a split, the parts' XOR at
+    a sum), past a zero sum too; increment is 0 at a split.  The parts are
+    all equal exactly when the vector shifted down by one part equals its
+    low p-1 parts.  A sum over one-bit parts, the last level and at n = 1
+    the only one, folds the p bits by the parity of their weight, one
+    popcount in place of p - 1 shifts and XORs.  This is the one split test
+    and XOR fold of the descent; at p = 2 ``_lc_value`` halves in its own
+    loop, as one on this generator took about 2.4x as long per call at 2^4
+    and 2^5."""
+    for e, plen, mask, low_mask, increment in _levels(p, n):
         hi = a >> plen
-        split = hi == a & low_mask
-        if split:
+        if hi == a & low_mask:
             a &= mask
+            increment = 0
         elif plen == 1:
             a = a.bit_count() & 1
         else:
@@ -224,14 +224,15 @@ def _steps(a: int, p: int, n: int) -> Iterator[tuple[int, bool, int]]:
                 a ^= hi
                 hi >>= plen
             a &= mask
-        yield plen, split, a
+        yield e, increment, a
 
 
 def xwli_lc(s: PeriodicSequence) -> tuple[LCForm, XwliTrace]:
     """Divide-and-sum linear complexity for odd p, with a full step trace.
 
-    Each 'sum' step at depth l contributes (p-1) * p^(n-l); a nonzero final
-    scalar contributes 1.  The trace increments always sum to the result.
+    Each 'sum' step over parts of p^e bits contributes (p-1) * p^e, the
+    term of exponent e + 1 in the form; a nonzero final scalar contributes
+    1.  The trace increments always sum to the result.
     """
     p, n = s.modulus.p, s.modulus.n
     if p == 2:
@@ -242,12 +243,11 @@ def xwli_lc(s: PeriodicSequence) -> tuple[LCForm, XwliTrace]:
     steps: list[XwliStep] = []
     exps = set()
     weight = s.value.bit_count()
-    for plen, split, a in _steps(s.value, p, n):
-        if not split:
-            exps.add(n - len(steps))
-        increment = 0 if split else (p - 1) * plen
+    for e, increment, a in _steps(s.value, p, n):
+        if increment:
+            exps.add(e + 1)
         pre, weight = weight, a.bit_count()
-        steps.append(new(XwliStep, ("split" if split else "sum", pre, weight, increment)))
+        steps.append(new(XwliStep, ("sum" if increment else "split", pre, weight, increment)))
     trace = new(XwliTrace, (tuple(steps), a == 1))
     form = LCForm(p, int(trace.final_one), frozenset(exps))
     assert trace.total == form.value

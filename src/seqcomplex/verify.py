@@ -36,7 +36,7 @@ from .kerror import (
     kurosawa_m,
     meidl_upper_bound,
 )
-from .lincomp import _bm_values, berlekamp_massey_lc, lc, xwli_lc
+from .lincomp import LCForm, _bm_values, berlekamp_massey_lc, lc, xwli_lc
 from .sequences import Modulus, PeriodicSequence, _require_modulus
 
 __all__ = ["SuiteReport", "SUITES", "run_suites"]
@@ -214,8 +214,7 @@ def _count_lc_checks(rep: SuiteReport, mod: Modulus, tally: dict[int, int] | Non
     p, n, N = mod.p, mod.n, mod.period
     total = 0
     for eps, bits in product((0, 1), product((0, 1), repeat=n)):
-        V = [v for v in range(1, n + 1) if bits[v - 1]]
-        L = eps + (p - 1) * sum(p ** (v - 1) for v in V)
+        L = LCForm(p, eps, frozenset(v for v, bit in enumerate(bits, 1) if bit)).value
         c = count_sequences_with_lc(mod, L).value
         total += c
         if tally is not None:

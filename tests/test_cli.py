@@ -537,6 +537,18 @@ def test_internal_errors_exit_four(monkeypatch, capsys):
     assert err == "internal error: RuntimeError('boom')\n"
 
 
+def test_an_interrupted_command_is_aborted_with_exit_130(monkeypatch, capsys):
+    """Ctrl-C inside a command reaches main as click.Abort: click writes a
+    newline, main adds "aborted" on stderr and exits 130."""
+    def interrupted(s):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_module, "_lc_record", interrupted)
+    code, out, err = run(capsys, "lc", *MOD9_ARGS, "--seq", "110000000", "--jobs", "1")
+    assert (code, out) == (130, "")
+    assert err == "\naborted\n"
+
+
 def test_unwritable_out_is_an_input_error(capsys, tmp_path):
     target = tmp_path / "missing" / "report.txt"
     code, out, err = run(capsys, "lc", *MOD9_ARGS, "--seq", "110000000", "--out", str(target))

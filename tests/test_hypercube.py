@@ -272,6 +272,8 @@ def test_rebalance_blocks():
     for blocks in ([], [[1, 0]]):
         with pytest.raises(ValueError, match=r"^rewrite needs at least 2 blocks$"):
             rebalance_blocks(blocks)
+    with pytest.raises(ValueError, match=r"^blocks must have equal length$"):
+        rebalance_blocks([[1, 0], [1]])
 
 
 def test_decompose_reference_case():
@@ -602,8 +604,12 @@ _BLOCKS1 = ((1, 0, 0), (1, 0, 0), (0, 0, 0))
         (VertexKind.TUPLE, True, _BLOCKS1, "tuple vertex q must be an int >= 0; got True"),
         (VertexKind.TUPLE, -1, ((1,), (1,), (0,)), "tuple vertex q must be an int >= 0; got -1"),
         (VertexKind.TUPLE, "1", _BLOCKS1, "tuple vertex q must be an int >= 0; got '1'"),
+        (VertexKind.TUPLE, 0, ((1,),), "tuple vertex needs at least 2 blocks"),
     ],
-    ids=["kind-tuple-str", "kind-element-str", "q-float", "q-bool", "q-negative", "q-str"],
+    ids=[
+        "kind-tuple-str", "kind-element-str", "q-float", "q-bool", "q-negative", "q-str",
+        "one-block",
+    ],
 )
 def test_vertex_refuses_a_bad_kind_or_q(kind, q, blocks, text):
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):

@@ -86,6 +86,15 @@ def test_k_error_lc_budgets_only_classes_below_the_weight():
     assert k_error_lc_bruteforce(PeriodicSequence.zeros(MOD9), 3, cap=1) == 0
 
 
+def test_drops_stop_at_zero_before_budgeting_the_next_class():
+    """Once a class reaches L = 0 no later class is counted against the cap:
+    class 3 of 110000000 alone would be refused at cap 46."""
+    s = seq(MOD9, "110000000")
+    assert list(kerror._drops(s, 46, 9)) == [CelcsPoint(1, 7), CelcsPoint(2, 0)]
+    with pytest.raises(BudgetExceeded, match=r"^130 error patterns exceed cap 46$"):
+        kerror._check_budget(9, 3, 46)
+
+
 def test_budget_count_stops_past_its_bound():
     """The pattern count stops once it passes max(cap, 10^18), so a dense
     period-2^14 row is refused after a few terms, with that bound as its text;

@@ -17,7 +17,7 @@ from seqcomplex import (
     xwli_lc,
 )
 from seqcomplex.errors import EvenP, NotRepresentable, OddP
-from seqcomplex.lincomp import _P2, _TAILS, _bm_value, _bm_values, _lc_value
+from seqcomplex.lincomp import _P2, _TAILS, _bm_value, _bm_values, _lc_value, _levels
 
 MOD9 = Modulus(3, 2)
 MOD27 = Modulus(3, 3)
@@ -407,3 +407,15 @@ def test_lc_form_value_is_the_sum_over_every_exponent_set():
                 form = LCForm(p, eps, exps)
                 assert form.value == value and type(form.value) is int, (p, n, exps)
                 assert lc_form_decompose(value, mod) == form
+
+
+def test_levels_record_each_levels_exponent_geometry_and_increment():
+    """Row k of _levels(p, n) is the level e = n - 1 - k: its part length
+    p^e, the masks of part 0 and of parts 0..p-2, and a sum's increment."""
+    moduli = [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 6)]
+    for p, n in moduli + [(5, 2), (11, 1), (13, 1)]:
+        rows = [
+            (e, p**e, 2 ** (p**e) - 1, 2 ** ((p - 1) * p**e) - 1, (p - 1) * p**e)
+            for e in range(n - 1, -1, -1)
+        ]
+        assert list(_levels(p, n)) == rows, (p, n)

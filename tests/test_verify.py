@@ -289,6 +289,27 @@ def test_counting_suite_counts_and_enumerates_through_the_public_pair(monkeypatc
     assert (rep.checks, rep.failures) == (lc_checks + len(classes), 0)
 
 
+def test_counting_skips_every_class_of_more_than_10_5_members(monkeypatch):
+    """At 5^3 five of the 16 classes count more than 10^5 members: the suite
+    enumerates only the other 11, and with no tally at period 125 adds one
+    check, that the complexity counts sum to 2^125."""
+    enumerated = []
+    enumerate_hypercubes = counting.enumerate_hypercubes
+
+    def recorded(mod, edges, l=None):
+        enumerated.append((edges, l))
+        return enumerate_hypercubes(mod, edges, l)
+
+    monkeypatch.setattr(verify, "enumerate_hypercubes", recorded)
+    mod = Modulus(5, 3)
+    (rep,) = run_suites(["counting"], mod)
+    classes = list(counting._classes(mod))
+    small = [c for c in classes if counting.count_hypercubes(mod, *c).value <= 10**5]
+    assert (len(classes), len(small)) == (16, 11)
+    assert enumerated == small
+    assert (rep.checks, rep.failures) == (12, 0)
+
+
 def test_counting_fails_a_class_whose_member_lc_is_not_the_class_lc(monkeypatch):
     """A member whose lc differs from the class_lc `count hypercubes` prints
     fails its class alone, naming both values after the usual detail."""
