@@ -178,9 +178,10 @@ def _lc_value(a: int, p: int, n: int) -> int:
     At odd p it adds the increment of each level of ``_steps`` (0 at a
     split), then the final scalar.  At p = 2 the parts are the two halves,
     and each level keeps the low half or their XOR, down to the 2^min(n, 3)
-    bits that ``_P2`` finishes in one read.  There x^(2^n) - 1 is (x + 1)^(2^n), so
-    L = 2^n exactly when x + 1 does not divide s(x), that is when the weight
-    of s is odd; up to n = _PARITY_UP_TO_N such an s returns before halving.
+    bits that ``_P2`` finishes in one read.  There x^(2^n) - 1 is
+    (x + 1)^(2^n), so L = 2^n exactly when x + 1 does not divide s(x), that
+    is when the weight of s is odd; up to n = _PARITY_UP_TO_N such an s
+    returns before halving.
     """
     L = 0
     if p == 2:
