@@ -216,20 +216,25 @@ class Decomposition:
 # the one part holding it in vecs[k].
 #
 # A rewrite descent makes every sum's parts share no row in two passes.
-# Down: a sum that would cancel ones keeps the first 1 of each row (``_kept``:
-# p - 1 shifts of a into its later parts), in its own level only.  Up, from the
-# deepest such level: vecs[k] &= vecs[k+1] spread over p parts.  Ones are only
-# ever removed and each 1 below a sum has one source, so a level keeps exactly
-# the sources of the ones that survive below it; even rows drop out because
-# the XOR below a rewritten level holds only odd rows.
+# Down: it notes each sum that would cancel ones; its XOR goes on down as is.
+# Up, from the deepest such level, with plen read from the level's row: a
+# noted level keeps the first 1 of each row (``_kept``), in its own level
+# only, and every level vecs[k] &= vecs[k+1] spread over p parts (``_spread``;
+# both shift by copies that double, about log2 p shifts a call).  Keeping
+# first 1s and masking by whole rows commute, so the order is free.  Ones
+# are only ever removed and each 1 below a sum has one source, so a level
+# keeps exactly the sources of the ones that survive below it; even rows
+# drop out because the XOR below a rewritten level holds only odd rows.
 #
 # The vertex stays an int mask too: the descent ends at vecs[-1], which is
 # the scalar 1 when q is None (an element vertex) and the p parts of p^q bits
 # of a tuple vertex of length q otherwise; l is its weight either way.  Only
 # extract_structure builds a VertexDescriptor and HypercubeStructure from a
-# descent; every other caller reads ok, edges, q or l, and _hypercube_lc
-# prices a hypercube from q and edges.  A Decomposition keeps no descent,
-# since a part's plain descent equals the rewrite descent that peeled it.
+# descent; every other caller reads ok, edges, q, l or L.  L sums the
+# increments, plus 1 at an element vertex: the complexity of vecs[0], which
+# prices each part of a decomposition; _hypercube_lc prices a hypercube from
+# q and edges alone.  A Decomposition keeps no descent, since a part's plain
+# descent equals the rewrite descent that peeled it.
 #
 # A sum cancels ones exactly when it leaves fewer ones than the level it
 # folds.  The descent carries that level's weight instead of counting it
@@ -249,6 +254,7 @@ class _Descent:
     ok: bool
     edges: tuple[int, ...] = ()
     q: int | None = None
+    L: int = 0  # the increments, plus 1 at an element vertex: L(vecs[0])
 
     @property
     def l(self) -> int:
@@ -256,29 +262,37 @@ class _Descent:
 
 
 def _spread(rows: int, p: int, plen: int) -> int:
-    """The plen-bit mask rows repeated in each of p parts."""
-    out = rows
-    for i in range(plen, p * plen, plen):
-        out |= rows << i
-    return out
+    """The plen-bit mask rows repeated in each of p parts.  Each shift
+    doubles the copies but the last, which overlaps them to make p, so
+    ceil(log2 p) shifts make exactly p copies."""
+    have = 1
+    while 2 * have < p:
+        rows |= rows << have * plen
+        have *= 2
+    return rows | rows << (p - have) * plen
 
 
 def _kept(a: int, p: int, plen: int) -> int:
     """The first 1 of each row of a's p parts of plen bits, packed as in a:
-    the one in the lowest part holding the row."""
-    seen = 0
-    for i in range(plen, p * plen, plen):
-        seen |= a << i  # each part's ones, shifted into every later part
+    the one in the lowest part holding the row.  seen shifts a up one part,
+    then doubles its copies until each part sees every part below it; a
+    copy past part p - 1 meets no bit of a."""
+    seen = a << plen
+    have = 1
+    while have < p - 1:
+        seen |= seen << have * plen
+        have *= 2
     return a & ~seen
 
 
 def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
     """Run the descent; with rewrite=True cancellations are repaired in place."""
-    vecs, edges = [value], []
+    vecs, edges, rewritten = [value], [], []
     q = None
-    deepest = -1
+    L = 0
     weight = value.bit_count()  # of vecs[-1] as the descent reached it
     for e, increment, a in _steps(value, p, n):
+        L += increment
         if not increment:
             edges.append(e)
             weight //= p
@@ -289,19 +303,22 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
         elif (w := a.bit_count()) != weight:
             if not rewrite:
                 return _Descent(vecs, False)
-            vecs[-1] = _kept(vecs[-1], p, p**e)
-            deepest = len(vecs) - 1
+            rewritten.append(len(vecs) - 1)
             weight = w
         vecs.append(a)
     else:
         assert vecs[-1] == 1
+        L += 1
     edges.reverse()
-    if deepest >= 0:
-        # the pass up: each level keeps the sources of the ones below it
+    if rewritten:
+        # the pass up: a level that cancelled ones keeps the first 1 of each
+        # row, and each level the sources of the ones below it
         levels = _levels(p, n)
-        for k in range(deepest, -1, -1):
-            vecs[k] &= _spread(vecs[k + 1], p, levels[k][1])
-    return _Descent(vecs, True, tuple(edges), q)
+        for k in range(rewritten[-1], -1, -1):
+            plen = levels[k][1]
+            a = _kept(vecs[k], p, plen) if k in rewritten else vecs[k]
+            vecs[k] = a & _spread(vecs[k + 1], p, plen)
+    return _Descent(vecs, True, tuple(edges), q, L)
 
 
 def _expand_flip(desc: _Descent, p: int, n: int, flips: int) -> int:
@@ -459,7 +476,7 @@ def standard_decompose(s: PeriodicSequence) -> Decomposition:
             break
         desc = _descend(residue, p, n, rewrite=True)
         h = desc.vecs[0]
-        complexities.append(_hypercube_lc(p, n, desc.q, desc.edges))
+        complexities.append(desc.L)
         parts.append(PeriodicSequence(modulus, h))
         residue ^= h
     else:  # pragma: no cover - descent always strictly reduces the residue

@@ -36,15 +36,20 @@ taken only until it passes max(cap, 10^18)).  A class runs
 bit-sliced (``_class_min``): each error pattern is one bit lane of a few
 Python ints, plane t holding bit t of every pattern in a block of up to 4096,
 so one big-int operation does a descent step's work for the whole block, and
-the least complexity is read from the per-level sum masks.  Periods above
-256 run one pattern at a time.  The closed form's vertex row counts
-(``_equalizing_flips``) are ``bitslice`` numbers, one row per lane.
+the least complexity is read from the per-level sum masks.  Up to period 12
+the whole Hamming ball of s is one block: a scan builds its planes once,
+lane j holding s XOR pattern j (one table of universe planes per period,
+XORed with s), descends them once, and reads each class's least from the
+sum masks through that period's lane mask of the class.  Above 12 a class
+comes in Pascal blocks of its own patterns, and periods above 256 run one
+pattern at a time.  The closed form's vertex row
+counts (``_equalizing_flips``) are ``bitslice`` numbers, one row per lane.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import combinations
 from math import comb
 from operator import or_, xor
@@ -142,6 +147,8 @@ _LANES = 4096
 # block's planes recurses once per position, and they would pass 128 KB.
 _SLICED_UP_TO = 256
 _BIT = (1).__lshift__
+# Largest period whose whole Hamming ball, 2^N patterns, fits one block.
+_BALL_UP_TO = _LANES.bit_length() - 1
 
 
 @lru_cache(maxsize=2048)
@@ -166,17 +173,15 @@ def _blocks(m: int, j: int, fixed: int = 0) -> Iterator[tuple[int, int, int]]:
         yield from _blocks(m - 1, j - 1, fixed | 1 << (m - 1))
 
 
-def _lanes_min(planes: list[int], levels: tuple, lanes: int) -> int:
-    """Least complexity over the lanes of a bit-sliced vector.
+def _sliced_descent(planes: list[int], levels: tuple) -> tuple[list[tuple[int, int]], int]:
+    """The divide-and-sum descent of every lane of a bit-sliced vector at
+    once: each level's sum lanes with its increment, and the final plane.
 
-    Plane t holds bit t of every lane's vector.  Each level runs the
-    divide-and-sum step on every lane at once: the sum lanes are those where
-    some part differs from part 0, and only they take the XOR of the parts.
-    The least lane is followed MSB first: a level's increment is at least
-    what all lower levels and the final scalar can add, so the lanes that
-    keep their parts (when any do) hold the minimum.
+    Plane t holds bit t of every lane's vector.  The sum lanes of a level
+    are those where some part differs from part 0, and only they take the
+    XOR of the parts.
     """
-    L = 0
+    sums = []
     for _, plen, _, _, increment in levels:
         head, rest = planes[:plen], planes[plen : 2 * plen]
         diff = reduce(or_, map(xor, head, rest))
@@ -185,11 +190,25 @@ def _lanes_min(planes: list[int], levels: tuple, lanes: int) -> int:
             diff = reduce(or_, map(xor, head, part), diff)
             rest = list(map(xor, rest, part))
         planes = [h ^ (diff & r) for h, r in zip(head, rest)]
+        sums.append((diff, increment))
+    return sums, planes[0]
+
+
+def _lanes_min(descent: tuple[list[tuple[int, int]], int], lanes: int) -> int:
+    """Least complexity over the given lanes of a ``_sliced_descent``.
+
+    The least lane is followed MSB first: a level's increment is at least
+    what all lower levels and the final scalar can add, so the lanes that
+    keep their parts (when any do) hold the minimum.
+    """
+    sums, last = descent
+    L = 0
+    for diff, increment in sums:
         if lanes & ~diff:
             lanes &= ~diff
         else:
             L += increment
-    return L + (not lanes & ~planes[0])
+    return L + (not lanes & ~last)
 
 
 def _block_mins(value: int, p: int, n: int, k: int) -> Iterator[int]:
@@ -202,18 +221,55 @@ def _block_mins(value: int, p: int, n: int, k: int) -> Iterator[int]:
         a = value ^ fixed
         planes = [q ^ full if a >> t & 1 else q for t, q in enumerate(_planes(m, j))]
         planes += [full if a >> t & 1 else 0 for t in range(m, N)]
-        yield _lanes_min(planes, levels, full)
+        yield _lanes_min(_sliced_descent(planes, levels), full)
 
 
-def _class_min(value: int, p: int, n: int, k: int, below: int = 1) -> int:
+@cache
+def _universe(N: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Every N-bit error pattern as one lane, lane j holding pattern j: the
+    mask of all 2^N lanes, plane t holding bit t of every lane, and the
+    lanes of each weight k (by adding one bit at a time: a lane of weight k
+    and one of weight k - 1 with the new bit set)."""
+    full = (1 << (1 << N)) - 1
+    # plane t: runs of w = 2^t lanes, clear then set, as the repunit of
+    # period 2w times one set run
+    planes = tuple(
+        full // ((1 << 2 * w) - 1) * (((1 << w) - 1) << w) for w in map(_BIT, range(N))
+    )
+    classes = (1,)
+    for w in map(_BIT, range(N)):
+        classes = tuple(lo | hi << w for lo, hi in zip(classes + (0,), (0,) + classes))
+    return full, planes, classes
+
+
+def _ball(value: int, p: int, n: int) -> tuple[list[tuple[int, int]], int] | None:
+    """The sliced descent of value XOR every error pattern of period N =
+    p^n, lane j taking pattern j, from the universe planes complemented
+    where value has a 1.  None above period _BALL_UP_TO."""
+    N = p**n
+    if N > _BALL_UP_TO:
+        return None
+    full, planes, _ = _universe(N)
+    planes = [u ^ full if value >> t & 1 else u for t, u in enumerate(planes)]
+    return _sliced_descent(planes, _levels(p, n))
+
+
+def _class_min(
+    value: int, p: int, n: int, k: int, below: int = 1, ball: tuple | None = None
+) -> int:
     """Least complexity over the error patterns of weight exactly k, or the
     first block's (or pattern's) least found below ``below`` (by default only
     0 ends the scan early).
 
-    Up to period _SLICED_UP_TO the class runs bit-sliced, _LANES patterns a
-    block; above it, one pattern at a time.
+    Up to period _BALL_UP_TO one block holds the whole Hamming ball, and the
+    class is read from ``ball``, value's ``_ball``, through its lane mask; a
+    scan descends the ball once for all its classes and passes it in.  Up to
+    period _SLICED_UP_TO the class runs bit-sliced, _LANES patterns a block;
+    above it, one pattern at a time.
     """
     N = p**n
+    if N <= _BALL_UP_TO:
+        return _lanes_min(ball or _ball(value, p, n), _universe(N)[2][k])
     if N <= _SLICED_UP_TO:
         values = _block_mins(value, p, n, k)
     else:
@@ -234,11 +290,12 @@ def _drops(s: PeriodicSequence, cap: int, upto: int) -> Iterator[CelcsPoint]:
     Class k is counted against the cap, then scanned; the scan ends at L = 0."""
     p, n, N = s.modulus.p, s.modulus.n, s.modulus.period
     prev = _lc_value(s.value, p, n)
+    ball = _ball(s.value, p, n)
     for k in range(1, upto + 1):
         if prev == 0:
             return
         _check_budget(N, k, cap)
-        L = _class_min(s.value, p, n, k)
+        L = _class_min(s.value, p, n, k, ball=ball)
         if L < prev:
             prev = L
             yield CelcsPoint(k, L)
@@ -268,9 +325,10 @@ def first_critical_bruteforce(s: PeriodicSequence, cap: int = DEFAULT_CAP) -> Cr
     m_s, L_after = astuple(next(_drops(s, cap, N)))
     if L_after == 0:
         return CriticalReport(m_s, 0, None, "brute")
+    ball = _ball(s.value, p, n)
     for k in range(m_s + 1, N + 1):
         _check_budget(N, k, cap)
-        if _class_min(s.value, p, n, k, below=L_after) < L_after:
+        if _class_min(s.value, p, n, k, below=L_after, ball=ball) < L_after:
             return CriticalReport(m_s, L_after, k, "brute")
     raise AssertionError("k = weight(s) always reaches L = 0")
 

@@ -8,7 +8,10 @@ A nonzero final scalar adds 1.  At the last level the parts are single
 bits, so their XOR is the parity of the vector's weight.  ``_levels`` holds
 each level's geometry and ``_steps`` the step, yielding each level's e and
 increment (0 at a split); every odd-p complexity walks it: ``_lc_value``
-(behind ``lc``), ``xwli_lc`` and ``hypercube._descend``.  At p = 2
+(behind ``lc``), ``xwli_lc`` and ``hypercube._descend``.  At odd p up to 11
+the deepest levels, whose vectors have at most 11 bits (two at p = 3, one
+at p = 5 and 11), are read from a table of their records that ``_steps``
+itself builds once per p and depth, on first use (``_PLANS``).  At p = 2
 ``_lc_value`` halves instead, the value-only special case of the step: it
 keeps the low half or the two halves' XOR down to 8 bits and reads the rest
 from a table, and up to period 2^12 returns 2^n at once for an odd-weight
@@ -207,13 +210,23 @@ def _steps(a: int, p: int, n: int) -> Iterator[tuple[int, int, int]]:
     being the vector the level leaves (part 0 at a split, the parts' XOR at
     a sum), past a zero sum too; increment is 0 at a split.  The parts are
     all equal exactly when the vector shifted down by one part equals its
-    low p-1 parts.  A sum over one-bit parts, the last level and at n = 1
-    the only one, folds the p bits by the parity of their weight, one
-    popcount in place of p - 1 shifts and XORs.  This is the one split test
-    and XOR fold of the descent; at p = 2 ``_lc_value`` halves in its own
-    loop, as one on this generator took about 2.4x as long per call at 2^4
-    and 2^5."""
-    for e, plen, mask, low_mask, increment in _levels(p, n):
+    low p-1 parts.  A sum over one-bit parts folds the p bits by the parity
+    of their weight, one popcount in place of p - 1 shifts and XORs.  This
+    is the one split test and XOR fold of the descent.
+
+    It walks the levels of its plan, ``_PLANS[p, n]``, and then yields the
+    records of the levels below them from the plan's table, read at the
+    vector the walk left; ``_tail`` builds each table with this loop.  The
+    table is read here, not in a generator this one delegates to, as a
+    ``yield from`` per level gave back most of its gain.  At p = 2
+    ``_lc_value`` halves in its own loop, as one on this generator took
+    about 2.4x as long per call at 2^4 and 2^5.
+    """
+    try:
+        levels, tail = _PLANS[p, n]
+    except KeyError:
+        levels, tail = _plan(p, n)
+    for e, plen, mask, low_mask, increment in levels:
         hi = a >> plen
         if hi == a & low_mask:
             a &= mask
@@ -226,6 +239,44 @@ def _steps(a: int, p: int, n: int) -> Iterator[tuple[int, int, int]]:
                 hi >>= plen
             a &= mask
         yield e, increment, a
+    if tail:
+        for record in tail[a]:
+            yield record
+
+
+# A table finishes an odd-p descent: the deepest t levels whose vectors have
+# at most this many bits (t = 2 at p = 3 and 1 at p = 5 and 11; none from
+# p = 13 on, whose table would hold 8192 rows).
+_TAIL_BITS = 11
+
+# _PLANS[p, n] = (levels, tail): the _levels rows that _steps walks, and the
+# table of the records of the t levels below them, one row per vector of p^t
+# bits (None without one).
+_PLANS: dict[tuple[int, int], tuple[tuple, tuple | None]] = {}
+
+
+def _plan(p: int, n: int) -> tuple[tuple, tuple | None]:
+    """Build and keep ``_PLANS[p, n]``."""
+    levels, t = _levels(p, n), 0
+    while p != 2 and t < n and p ** (t + 1) <= _TAIL_BITS:
+        t += 1
+    plan = _PLANS[p, n] = (levels[: n - t], _tail(p, t)) if t else (levels, None)
+    return plan
+
+
+@cache
+def _tail(p: int, t: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The records of the last t levels of every vector of p^t bits, by
+    ``_steps`` walking all t levels: the plan of (p, t) is staged without a
+    table while it builds, then dropped, so that ``_plan`` makes the one
+    with the table.  Equal rows are one object: 16 distinct of 512 at p = 3
+    and t = 2, 4 of 2048 at p = 11."""
+    _PLANS[p, t] = (_levels(p, t), None)
+    shared: dict = {}
+    rows = map(tuple, map(_steps, range(1 << p**t), repeat(p), repeat(t)))
+    table = tuple(shared.setdefault(row, row) for row in rows)
+    del _PLANS[p, t]
+    return table
 
 
 def xwli_lc(s: PeriodicSequence) -> tuple[LCForm, XwliTrace]:

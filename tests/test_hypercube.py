@@ -44,7 +44,7 @@ from seqcomplex.errors import (
     OddP,
     ZeroSequence,
 )
-from seqcomplex.hypercube import _descend
+from seqcomplex.hypercube import _descend, _kept, _spread
 
 MOD9 = Modulus(3, 2)
 MOD27 = Modulus(3, 3)
@@ -753,3 +753,23 @@ def test_rebalance_blocks_refuses_blocks_that_are_no_sequences(blocks):
     text = re.escape(f"blocks must be a sequence of sequences; got {blocks!r}")
     with pytest.raises(ValueError, match=f"^{text}$"):
         rebalance_blocks(blocks)
+
+
+def test_spread_and_kept_by_doubling_match_part_by_part_loops():
+    """_spread makes exactly p copies and _kept keeps the first 1 of each
+    row, at p = 2 (one shift) and at odd and even p whose copies do not
+    double up to p."""
+    rng = random.Random(3804)
+    for p in (2, 3, 4, 5, 6, 7, 11, 13, 19):
+        for plen in (1, 2, 3, 9, 27, 100):
+            mask = (1 << plen) - 1
+            for _ in range(5):
+                rows, a = rng.getrandbits(plen), rng.getrandbits(p * plen)
+                assert _spread(rows, p, plen) == sum(rows << i * plen for i in range(p))
+                kept = seen = 0
+                for i in range(p):
+                    part = a >> i * plen & mask
+                    kept |= (part & ~seen) << i * plen
+                    seen |= part
+                assert _kept(a, p, plen) == kept, (p, plen, a)
+

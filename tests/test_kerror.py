@@ -168,6 +168,62 @@ def test_class_min_matches_scalar_scan_on_sampled_sequences(p, n, ks, count):
             _agrees_with_scalar_scan(value, p, n, k)
 
 
+def test_ball_scan_reads_every_class_of_one_plane_set(monkeypatch):
+    """Up to period 12 the whole Hamming ball is one block: lane j holds
+    pattern j, and each class is read through its lane mask from the one
+    sliced descent a scan makes.  Every (s, k) at 3^1, 3^2, 5^1, 2^2 and 2^3, and
+    seeded s at 11^1, against the scalar scan; no Pascal block is built."""
+    for N in range(1, 13):
+        full, planes, classes = kerror._universe(N)
+        assert full == (1 << (1 << N)) - 1 and len(planes) == N
+        assert [c.bit_count() for c in classes] == [comb(N, k) for k in range(N + 1)]
+        if N <= 4:
+            for j in range(1 << N):
+                assert [plane >> j & 1 for plane in planes] == [j >> t & 1 for t in range(N)]
+                assert classes[j.bit_count()] >> j & 1
+
+    def no_blocks(*args):
+        raise AssertionError("a Pascal block at a period whose ball fits one block")
+
+    monkeypatch.setattr(kerror, "_blocks", no_blocks)
+    rng = random.Random(3803)
+    for p, n, values in [(3, 1, range(8)), (3, 2, range(512)), (5, 1, range(32)),
+                         (2, 2, range(16)), (2, 3, range(256)),
+                         (11, 1, [rng.getrandbits(11) for _ in range(12)])]:
+        N = p**n
+        for value in values:
+            ball = kerror._ball(value, p, n)
+            for k in range(N + 1):
+                want = scalar_class_min(value, p, n, k)
+                assert kerror._class_min(value, p, n, k, ball=ball) == want, (p, n, value, k)
+    _agrees_with_scalar_scan(0b10110100101, 11, 1, 4)
+
+
+def test_a_scan_builds_its_ball_once(monkeypatch):
+    """_drops and the m1 search of first_critical_bruteforce each build and
+    descend the ball once for all the classes they scan, and only up to
+    period 12."""
+    ball = kerror._ball
+    built = []
+
+    def counted(value, p, n):
+        descent = ball(value, p, n)
+        if descent is not None:
+            built.append(p**n)
+        return descent
+
+    monkeypatch.setattr(kerror, "_ball", counted)
+    s = seq(MOD9, "111111000")  # drops at k = 3, then L = 0 only at k = 6
+    assert list(kerror._drops(s, kerror.DEFAULT_CAP, 9)) == [CelcsPoint(3, 1), CelcsPoint(6, 0)]
+    assert built == [9]
+    built.clear()
+    rep = first_critical_bruteforce(s)
+    assert (rep.m_s, rep.L_after, rep.m1_s) == (3, 1, 6) and built == [9, 9]
+    built.clear()
+    assert next(kerror._drops(PeriodicSequence(Modulus(2, 4), 0b1011), kerror.DEFAULT_CAP, 16))
+    assert built == []
+
+
 def test_class_min_splits_large_classes_and_reads_every_block(monkeypatch):
     """C(16, 8) runs as several blocks of at most _LANES patterns; the least
     complexity is read from all of them, and a bound ends the scan after the

@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from helpers import gcd_lc, halving_lc, list_plain_trace, seq, stepwise_bm
+from functools import cache
+
+from helpers import gcd_lc, halving_lc, list_plain_trace, list_rewrite_descent, seq, stepwise_bm
 from seqcomplex import (
     LCForm,
     Modulus,
@@ -17,7 +19,9 @@ from seqcomplex import (
     xwli_lc,
 )
 from seqcomplex.errors import EvenP, NotRepresentable, OddP
-from seqcomplex.lincomp import _P2, _TAILS, _bm_value, _bm_values, _lc_value, _levels
+from seqcomplex import lincomp
+from seqcomplex.hypercube import _descend
+from seqcomplex.lincomp import _P2, _TAILS, _bm_value, _bm_values, _lc_value, _levels, _steps
 
 MOD9 = Modulus(3, 2)
 MOD27 = Modulus(3, 3)
@@ -419,3 +423,65 @@ def test_levels_record_each_levels_exponent_geometry_and_increment():
             for e in range(n - 1, -1, -1)
         ]
         assert list(_levels(p, n)) == rows, (p, n)
+
+
+def test_table_finished_records_match_list_references():
+    """At odd p up to 11 the deepest levels' records come from a table.
+    Each record's exponent, branch, increment and weight, and the final
+    scalar, against the descent on a list of parts; the rewrite descent
+    that reads them against the list rewrite."""
+
+    def check(p, n, v):
+        steps, final_one = list_plain_trace(v, p, n)
+        got = [(e, "sum" if inc else "split", inc, a.bit_count()) for e, inc, a in _steps(v, p, n)]
+        want = [(n - d, branch, inc, post) for d, (branch, _, post, inc) in enumerate(steps, 1)]
+        assert got == want and (got[-1][3] == 1) == final_one, (p, n, v)
+        if v:
+            desc = _descend(v, p, n, rewrite=True)
+            vecs, _, edges, q, ok = list_rewrite_descent(v, p, n)
+            assert (desc.vecs, desc.edges, desc.q, desc.ok) == (vecs, edges, q, ok), (p, n, v)
+
+    for p, n in ((3, 2), (5, 1), (11, 1)):
+        for v in range(1 << p**n):
+            check(p, n, v)
+    rng = random.Random(3801)
+    for p, n in ((3, 3), (5, 2), (3, 5)):
+        N = p**n
+        for _ in range(150):
+            check(p, n, rng.getrandbits(N))
+            check(p, n, sum(1 << i for i in rng.sample(range(N), rng.randint(1, 4))))
+            w = p ** rng.randrange(n)
+            check(p, n, rng.getrandbits(w) * ((1 << N) - 1) // ((1 << w) - 1))
+
+
+def test_tail_tables_are_built_once_per_depth_and_hold_at_most_2048_rows(monkeypatch):
+    """A table covers the deepest t levels whose vectors have at most 11
+    bits: t = 2 at p = 3 (t = 1 at 3^1), t = 1 at p = 5 and 11, none at
+    p = 2 or 13.  Every plan of one (p, t) shares the table built first."""
+    built = []
+    build = lincomp._tail.__wrapped__
+
+    def counted(p, t):
+        built.append((p, t))
+        return build(p, t)
+
+    monkeypatch.setattr(lincomp, "_PLANS", {})
+    monkeypatch.setattr(lincomp, "_tail", cache(counted))
+    rng = random.Random(3802)
+    # deepest first: a table built for a longer period must leave the plan
+    # of its own depth to be made when that period is first used
+    moduli = [(3, n) for n in range(7, 0, -1)] + [(5, 3), (5, 2), (5, 1), (11, 2), (11, 1)]
+    for p, n in moduli + [(13, 1), (13, 2), (2, 4)]:
+        for v in [0, 1] + [rng.getrandbits(p**n) for _ in range(20)]:
+            s = PeriodicSequence(Modulus(p, n), v)
+            assert lc(s) == berlekamp_massey_lc(s), (p, n, v)
+    assert sorted(built) == [(3, 1), (3, 2), (5, 1), (11, 1)]
+    for p, n in moduli:
+        t = 1 if p > 3 or n == 1 else 2
+        levels, tail = lincomp._PLANS[p, n]
+        assert levels == _levels(p, n)[: n - t], (p, n)
+        assert tail is lincomp._tail(p, t) and len(tail) == 2 ** p**t <= 2**11, (p, n)
+    for p, n in ((13, 1), (13, 2), (2, 4)):
+        list(_steps(1, p, n))  # at p = 2 only a descent walks _steps
+        assert lincomp._PLANS[p, n] == (_levels(p, n), None)
+

@@ -195,9 +195,9 @@ def test_m_only_checks_run_no_second_critical_scan(monkeypatch):
     class_min = kerror._class_min
     belows = []
 
-    def recording(*args, below=1):
+    def recording(*args, below=1, **kwargs):
         belows.append(below)
-        return class_min(*args, below=below)
+        return class_min(*args, below=below, **kwargs)
 
     monkeypatch.setattr(kerror, "_class_min", recording)
     reports = run_suites(["bounds", "stability", "mcrit-exhaustive"], Modulus(3, 2))
