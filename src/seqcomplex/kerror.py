@@ -42,8 +42,8 @@ lane j holding s XOR pattern j (one table of universe planes per period,
 XORed with s), descends them once, and reads each class's least from the
 sum masks through that period's lane mask of the class.  Above 12 a class
 comes in Pascal blocks of its own patterns, and periods above 256 run one
-pattern at a time.  The closed form's vertex row
-counts (``_equalizing_flips``) are ``bitslice`` numbers, one row per lane.
+pattern at a time.  The closed form's vertex row counts
+(``_equalizing_flips``) are ``bitslice`` numbers, one row per lane.
 """
 
 from __future__ import annotations
