@@ -96,6 +96,8 @@ def _cases() -> list[list[str]]:
          "--format", "csv"],
         ["celcs", "--p", "2", "--n", "5", "--mode", "brute", "--file", "p2n5.txt"],
         ["mcrit", "--p", "5", "--n", "2", "--mode", "brute", "--file", "p5n2-mixed.txt"],
+        ["verify", "--p", "11", "--n", "1", "--suite", "bounds", "--suite", "mcrit-exhaustive"],
+        ["verify", *mod8, "--suite", "bounds", "--suite", "stability"],
     ]
     return cases
 

@@ -253,7 +253,9 @@ def test_first_critical_bruteforce_matches_scalar_scans():
     scan that stops early, at the first class reaching below L_m."""
     rng = random.Random(1316)
     for p, n, values in [(2, 3, range(1, 256)), (3, 2, range(1, 512)),
-                         (2, 4, [rng.randrange(1, 1 << 16) for _ in range(12)])]:
+                         (2, 4, [rng.randrange(1, 1 << 16) for _ in range(12)]),
+                         (5, 1, range(1, 32)),
+                         (11, 1, [rng.randrange(1, 1 << 11) for _ in range(12)])]:
         N = p**n
         for value in values:
             L0 = scalar_class_min(value, p, n, 0)
