@@ -5,9 +5,9 @@ lane j is bit j of each plane.  One big-int operation on a plane thus does
 one bit's work for every lane at once.  A mask of lanes selects the lanes an
 operation reads or changes; arithmetic is modulo 2^len(planes).
 
-``lincomp._bm_values`` keeps each Berlekamp-Massey complexity here, and
-``kerror._equalizing_flips`` its row counts.  The module is internal: the
-package exports none of its names.
+``lincomp._bm_values`` keeps each Berlekamp-Massey complexity here,
+``kerror._equalizing_flips`` its row counts and ``kerror._table`` its class
+minimums.  The module is internal: the package exports none of its names.
 """
 
 from __future__ import annotations

@@ -32,18 +32,20 @@ hypercube exactly when h_1 = s.  The rest of the decomposition is never
 computed.  Brute force has one exact scan, ``_drops``, which yields the critical
 points lazily, one weight class at a time, and one budget rule: class k is
 scanned only once the sum_{i<=k} C(N, i) patterns fit the cap (that sum is
-taken only until it passes max(cap, 10^18)).  A class runs
-bit-sliced (``_class_min``): each error pattern is one bit lane of a few
-Python ints, plane t holding bit t of every pattern in a block of up to 4096,
-so one big-int operation does a descent step's work for the whole block, and
-the least complexity is read from the per-level sum masks.  Up to period 12
-the whole Hamming ball of s is one block: a scan builds its planes once,
-lane j holding s XOR pattern j (one table of universe planes per period,
-XORed with s), descends them once, and reads each class's least from the
-sum masks through that period's lane mask of the class.  Above 12 a class
-comes in Pascal blocks of its own patterns, and periods above 256 run one
-pattern at a time.  The closed form's vertex row counts
-(``_equalizing_flips``) are ``bitslice`` numbers, one row per lane.
+taken only until it passes max(cap, 10^18)).  How a class is scanned
+(``_class_min``) depends on the period.  Up to period 12 every class of
+every sequence is read from one table per modulus, built on first use from
+one bit-sliced descent of all 2^N sequences, lane v holding sequence v:
+for each complexity c the lanes within c are grown one flipped position at
+a time into the sequences within c of exactly k flips, and byte v of the
+table's entry k is the least such c.  Up to period 256 a class runs
+bit-sliced in Pascal blocks of up to 4096 of its own patterns: each pattern
+is one bit lane of a few Python ints, plane t holding bit t of every
+pattern, so one big-int operation does a descent step's work for the whole
+block, and the least complexity is read from the per-level sum masks.
+Above 256 a class runs one pattern at a time.  The closed form's vertex
+row counts (``_equalizing_flips``) are ``bitslice`` numbers, one row per
+lane.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from .hypercube import (
     _expand_flip,
     _spread,
 )
-from .bitslice import above, add, largest
+from .bitslice import above, add, largest, read
 from .lincomp import _lc_value, _levels, lc_form_decompose
 from .sequences import Modulus, PeriodicSequence, _require_modulus, require_nonzero
 
@@ -147,8 +149,9 @@ _LANES = 4096
 # block's planes recurses once per position, and they would pass 128 KB.
 _SLICED_UP_TO = 256
 _BIT = (1).__lshift__
-# Largest period whose whole Hamming ball, 2^N patterns, fits one block.
-_BALL_UP_TO = _LANES.bit_length() - 1
+# Largest period with a per-modulus class table: its 2^N sequences, one per
+# lane, fit one block.
+_TABLE_UP_TO = _LANES.bit_length() - 1
 
 
 @lru_cache(maxsize=2048)
@@ -225,51 +228,64 @@ def _block_mins(value: int, p: int, n: int, k: int) -> Iterator[int]:
 
 
 @cache
-def _universe(N: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Every N-bit error pattern as one lane, lane j holding pattern j: the
-    mask of all 2^N lanes, plane t holding bit t of every lane, and the
-    lanes of each weight k (by adding one bit at a time: a lane of weight k
-    and one of weight k - 1 with the new bit set)."""
-    full = (1 << (1 << N)) - 1
+def _table(p: int, n: int) -> tuple[bytes, ...]:
+    """The least complexity of every weight class of every sequence of
+    period N = p^n <= _TABLE_UP_TO: byte v of entry k is the least over the
+    patterns of weight k added to sequence v.
+
+    One ``_sliced_descent`` of the universe, lane v holding sequence v,
+    groups the lanes by complexity.  For each complexity c, ascending, the
+    lanes of complexity <= c grow one position t at a time: a lane reaches
+    weight k when flipping t takes it to one that reached weight k - 1
+    without t.  The least of class k is the first c whose weight-k lanes
+    hold v, kept as a ``bitslice`` number, one sequence per lane.
+    """
+    N = p**n
+    width = 1 << N
+    full = (1 << width) - 1
     # plane t: runs of w = 2^t lanes, clear then set, as the repunit of
     # period 2w times one set run
-    planes = tuple(
-        full // ((1 << 2 * w) - 1) * (((1 << w) - 1) << w) for w in map(_BIT, range(N))
-    )
-    classes = (1,)
-    for w in map(_BIT, range(N)):
-        classes = tuple(lo | hi << w for lo, hi in zip(classes + (0,), (0,) + classes))
-    return full, planes, classes
+    planes = [full // ((1 << 2 * w) - 1) * (((1 << w) - 1) << w) for w in map(_BIT, range(N))]
+    sums, last = _sliced_descent(planes, _levels(p, n))
+    # a lane's complexity sums the increments of the levels it sums at and
+    # 1 if its final bit is set
+    groups = [(0, full)]
+    for diff, increment in (*sums, (last, 1)):
+        groups = [(c, part) for L, lanes in groups
+                  for c, part in ((L, lanes & ~diff), (L + increment, lanes & diff)) if part]
+    mins = [[0] * N.bit_length() for _ in range(N + 1)]
+    unset = [full] * (N + 1)
+    reach = 0
+    for c, lanes in sorted(groups):
+        reach |= lanes
+        grown = [reach] + [0] * N
+        for t, plane in enumerate(planes):
+            w = 1 << t
+            for k in range(t + 1, 0, -1):
+                a = grown[k - 1]
+                grown[k] |= (a & plane) >> w | (a & ~plane) << w
+        for k, fresh in enumerate(grown):
+            fresh &= unset[k]
+            unset[k] ^= fresh
+            for b in range(c.bit_length()):
+                if c >> b & 1:
+                    mins[k][b] |= fresh
+    return tuple(bytes(read(m, width)) for m in mins)
 
 
-def _ball(value: int, p: int, n: int) -> tuple[list[tuple[int, int]], int] | None:
-    """The sliced descent of value XOR every error pattern of period N =
-    p^n, lane j taking pattern j, from the universe planes complemented
-    where value has a 1.  None above period _BALL_UP_TO."""
-    N = p**n
-    if N > _BALL_UP_TO:
-        return None
-    full, planes, _ = _universe(N)
-    planes = [u ^ full if value >> t & 1 else u for t, u in enumerate(planes)]
-    return _sliced_descent(planes, _levels(p, n))
-
-
-def _class_min(
-    value: int, p: int, n: int, k: int, below: int = 1, ball: tuple | None = None
-) -> int:
+def _class_min(value: int, p: int, n: int, k: int, below: int = 1) -> int:
     """Least complexity over the error patterns of weight exactly k, or the
     first block's (or pattern's) least found below ``below`` (by default only
     0 ends the scan early).
 
-    Up to period _BALL_UP_TO one block holds the whole Hamming ball, and the
-    class is read from ``ball``, value's ``_ball``, through its lane mask; a
-    scan descends the ball once for all its classes and passes it in.  Up to
-    period _SLICED_UP_TO the class runs bit-sliced, _LANES patterns a block;
-    above it, one pattern at a time.
+    Up to period _TABLE_UP_TO the least is read from the modulus's
+    ``_table``, exact whatever ``below``.  Up to period _SLICED_UP_TO the
+    class runs bit-sliced, _LANES patterns a block; above it, one pattern at
+    a time.
     """
     N = p**n
-    if N <= _BALL_UP_TO:
-        return _lanes_min(ball or _ball(value, p, n), _universe(N)[2][k])
+    if N <= _TABLE_UP_TO:
+        return _table(p, n)[k][value]
     if N <= _SLICED_UP_TO:
         values = _block_mins(value, p, n, k)
     else:
@@ -290,12 +306,11 @@ def _drops(s: PeriodicSequence, cap: int, upto: int) -> Iterator[CelcsPoint]:
     Class k is counted against the cap, then scanned; the scan ends at L = 0."""
     p, n, N = s.modulus.p, s.modulus.n, s.modulus.period
     prev = _lc_value(s.value, p, n)
-    ball = _ball(s.value, p, n)
     for k in range(1, upto + 1):
         if prev == 0:
             return
         _check_budget(N, k, cap)
-        L = _class_min(s.value, p, n, k, ball=ball)
+        L = _class_min(s.value, p, n, k)
         if L < prev:
             prev = L
             yield CelcsPoint(k, L)
@@ -325,10 +340,9 @@ def first_critical_bruteforce(s: PeriodicSequence, cap: int = DEFAULT_CAP) -> Cr
     m_s, L_after = astuple(next(_drops(s, cap, N)))
     if L_after == 0:
         return CriticalReport(m_s, 0, None, "brute")
-    ball = _ball(s.value, p, n)
     for k in range(m_s + 1, N + 1):
         _check_budget(N, k, cap)
-        if _class_min(s.value, p, n, k, below=L_after, ball=ball) < L_after:
+        if _class_min(s.value, p, n, k, below=L_after) < L_after:
             return CriticalReport(m_s, L_after, k, "brute")
     raise AssertionError("k = weight(s) always reaches L = 0")
 

@@ -168,22 +168,14 @@ def test_class_min_matches_scalar_scan_on_sampled_sequences(p, n, ks, count):
             _agrees_with_scalar_scan(value, p, n, k)
 
 
-def test_ball_scan_reads_every_class_of_one_plane_set(monkeypatch):
-    """Up to period 12 the whole Hamming ball is one block: lane j holds
-    pattern j, and each class is read through its lane mask from the one
-    sliced descent a scan makes.  Every (s, k) at 3^1, 3^2, 5^1, 2^2 and 2^3, and
-    seeded s at 11^1, against the scalar scan; no Pascal block is built."""
-    for N in range(1, 13):
-        full, planes, classes = kerror._universe(N)
-        assert full == (1 << (1 << N)) - 1 and len(planes) == N
-        assert [c.bit_count() for c in classes] == [comb(N, k) for k in range(N + 1)]
-        if N <= 4:
-            for j in range(1 << N):
-                assert [plane >> j & 1 for plane in planes] == [j >> t & 1 for t in range(N)]
-                assert classes[j.bit_count()] >> j & 1
+def test_table_reads_every_class_of_every_sequence(monkeypatch):
+    """Up to period 12 each class minimum is read from the modulus's table,
+    one entry per weight and one byte per sequence.  Every (s, k) at 2^2,
+    2^3, 3^1, 3^2 and 5^1, and seeded s at 11^1, against the scalar scan;
+    no Pascal block is built."""
 
     def no_blocks(*args):
-        raise AssertionError("a Pascal block at a period whose ball fits one block")
+        raise AssertionError("a Pascal block at a period with a class table")
 
     monkeypatch.setattr(kerror, "_blocks", no_blocks)
     rng = random.Random(3803)
@@ -191,37 +183,30 @@ def test_ball_scan_reads_every_class_of_one_plane_set(monkeypatch):
                          (2, 2, range(16)), (2, 3, range(256)),
                          (11, 1, [rng.getrandbits(11) for _ in range(12)])]:
         N = p**n
+        table = kerror._table(p, n)
+        assert len(table) == N + 1 and {len(entry) for entry in table} == {1 << N}
         for value in values:
-            ball = kerror._ball(value, p, n)
             for k in range(N + 1):
                 want = scalar_class_min(value, p, n, k)
-                assert kerror._class_min(value, p, n, k, ball=ball) == want, (p, n, value, k)
+                assert kerror._class_min(value, p, n, k) == want, (p, n, value, k)
     _agrees_with_scalar_scan(0b10110100101, 11, 1, 4)
 
 
-def test_a_scan_builds_its_ball_once(monkeypatch):
-    """_drops and the m1 search of first_critical_bruteforce each build and
-    descend the ball once for all the classes they scan, and only up to
-    period 12."""
-    ball = kerror._ball
-    built = []
-
-    def counted(value, p, n):
-        descent = ball(value, p, n)
-        if descent is not None:
-            built.append(p**n)
-        return descent
-
-    monkeypatch.setattr(kerror, "_ball", counted)
+def test_a_modulus_builds_its_table_once():
+    """_drops, celcs(mode="brute") and first_critical_bruteforce, m1 search
+    included, all read one table per modulus, built on first use, and none
+    above period 12."""
+    kerror._table.cache_clear()
     s = seq(MOD9, "111111000")  # drops at k = 3, then L = 0 only at k = 6
     assert list(kerror._drops(s, kerror.DEFAULT_CAP, 9)) == [CelcsPoint(3, 1), CelcsPoint(6, 0)]
-    assert built == [9]
-    built.clear()
+    assert celcs(s) == (CelcsPoint(0, 6), CelcsPoint(3, 1), CelcsPoint(6, 0))
     rep = first_critical_bruteforce(s)
-    assert (rep.m_s, rep.L_after, rep.m1_s) == (3, 1, 6) and built == [9, 9]
-    built.clear()
+    assert (rep.m_s, rep.L_after, rep.m1_s) == (3, 1, 6)
+    info = kerror._table.cache_info()
+    assert info.misses == 1 and info.hits > 1
     assert next(kerror._drops(PeriodicSequence(Modulus(2, 4), 0b1011), kerror.DEFAULT_CAP, 16))
-    assert built == []
+    assert first_critical_bruteforce(PeriodicSequence(Modulus(2, 4), 0b1011)).method == "brute"
+    assert kerror._table.cache_info() == info
 
 
 def test_class_min_splits_large_classes_and_reads_every_block(monkeypatch):
