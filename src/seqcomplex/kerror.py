@@ -29,11 +29,14 @@ universes and reports every such counterexample.
 Every closed-form answer is read from one rewrite descent of s: its first
 level is h_1 and its levels, edges and vertex are h_1's own, and s is a
 hypercube exactly when h_1 = s.  The rest of the decomposition is never
-computed.  Brute force has one exact scan, ``_drops``, which yields the critical
-points lazily, one weight class at a time, and one budget rule: class k is
+computed.  Brute force has one exact scan, ``_spectrum``, which yields the
+critical-error spectrum from its start point (0, L(s)) lazily, one weight
+class at a time; every brute-force answer reads a prefix of it, and m(s) is
+its second point (``_first_drop``).  It has one budget rule: class k >= 1 is
 scanned only once the sum_{i<=k} C(N, i) patterns fit the cap (that sum is
-taken only until it passes max(cap, 10^18)).  How a class is scanned
-(``_class_min``) depends on the period.  Up to period 12 every class of
+taken only until it passes max(cap, 10^18), and never when cap >= 2^N, as
+all 2^N patterns then fit).  How a class is scanned (``_class_min``, class 0
+included) depends on the period.  Up to period 12 every class of
 every sequence is read from one table per modulus, built on first use from
 one bit-sliced descent of all 2^N sequences, lane v holding sequence v:
 for each complexity c the lanes within c are grown one flipped position at
@@ -43,9 +46,9 @@ bit-sliced in Pascal blocks of up to 4096 of its own patterns: each pattern
 is one bit lane of a few Python ints, plane t holding bit t of every
 pattern, so one big-int operation does a descent step's work for the whole
 block, and the least complexity is read from the per-level sum masks.
-Above 256 a class runs one pattern at a time.  The closed form's vertex
-row counts (``_equalizing_flips``) are ``bitslice`` numbers, one row per
-lane.
+Above 256 a class runs one pattern at a time.  Above period 12 class 0 is
+one descent of s.  The closed form's vertex row counts
+(``_equalizing_flips``) are ``bitslice`` numbers, one row per lane.
 """
 
 from __future__ import annotations
@@ -132,6 +135,8 @@ def _check_budget(N: int, k: int, cap: int) -> None:
     """Refuse more than cap error patterns of weight <= k.  The running sum
     stops once it passes max(cap, 10^18); the refusal then states that bound."""
     _check_cap(cap)
+    if cap >> N:
+        return  # all 2^N patterns fit
     bound = max(cap, _EXACT_UP_TO)
     b = term = 1
     for i in range(1, k + 1):
@@ -278,14 +283,17 @@ def _class_min(value: int, p: int, n: int, k: int, below: int = 1) -> int:
     first block's (or pattern's) least found below ``below`` (by default only
     0 ends the scan early).
 
-    Up to period _TABLE_UP_TO the least is read from the modulus's
-    ``_table``, exact whatever ``below``.  Up to period _SLICED_UP_TO the
-    class runs bit-sliced, _LANES patterns a block; above it, one pattern at
-    a time.
+    Class 0 is the complexity of the sequence itself.  Up to period
+    _TABLE_UP_TO the least is read from the modulus's ``_table``, exact
+    whatever ``below``, class 0 included.  Above it class 0 is one descent;
+    up to period _SLICED_UP_TO any other class runs bit-sliced, _LANES
+    patterns a block, and above that, one pattern at a time.
     """
     N = p**n
     if N <= _TABLE_UP_TO:
         return _table(p, n)[k][value]
+    if not k:
+        return _lc_value(value, p, n)
     if N <= _SLICED_UP_TO:
         values = _block_mins(value, p, n, k)
     else:
@@ -301,11 +309,13 @@ def _class_min(value: int, p: int, n: int, k: int, below: int = 1) -> int:
     return best
 
 
-def _drops(s: PeriodicSequence, cap: int, upto: int) -> Iterator[CelcsPoint]:
-    """The critical points (k, L_k) with 1 <= k <= upto, in order and lazily.
-    Class k is counted against the cap, then scanned; the scan ends at L = 0."""
+def _spectrum(s: PeriodicSequence, cap: int, upto: int) -> Iterator[CelcsPoint]:
+    """The critical-error spectrum of s up to k = upto, lazily: (0, L(s)),
+    then each (k, L_k) with L_k below every earlier L.  Class k >= 1 is
+    counted against the cap, then scanned; the scan ends at L = 0."""
     p, n, N = s.modulus.p, s.modulus.n, s.modulus.period
-    prev = _lc_value(s.value, p, n)
+    prev = _class_min(s.value, p, n, 0)
+    yield CelcsPoint(0, prev)
     for k in range(1, upto + 1):
         if prev == 0:
             return
@@ -314,6 +324,13 @@ def _drops(s: PeriodicSequence, cap: int, upto: int) -> Iterator[CelcsPoint]:
         if L < prev:
             prev = L
             yield CelcsPoint(k, L)
+
+
+def _first_drop(s: PeriodicSequence, cap: int) -> CelcsPoint:
+    """(m(s), L_{m(s)}) of nonzero s: the spectrum's point after (0, L(s))."""
+    points = _spectrum(s, cap, s.weight)
+    next(points)
+    return next(points)
 
 
 def k_error_lc_bruteforce(s: PeriodicSequence, k: int, cap: int = DEFAULT_CAP) -> int:
@@ -325,8 +342,7 @@ def k_error_lc_bruteforce(s: PeriodicSequence, k: int, cap: int = DEFAULT_CAP) -
         raise KOutOfRange(f"k={k} is negative")
     k = min(k, s.weight)
     _check_budget(s.modulus.period, k, cap)
-    L = _lc_value(s.value, s.modulus.p, s.modulus.n)
-    return min((pt.L for pt in _drops(s, cap, k)), default=L)
+    return min(pt.L for pt in _spectrum(s, cap, k))
 
 
 def first_critical_bruteforce(s: PeriodicSequence, cap: int = DEFAULT_CAP) -> CriticalReport:
@@ -337,7 +353,7 @@ def first_critical_bruteforce(s: PeriodicSequence, cap: int = DEFAULT_CAP) -> Cr
     """
     require_nonzero(s)
     p, n, N = s.modulus.p, s.modulus.n, s.modulus.period
-    m_s, L_after = astuple(next(_drops(s, cap, N)))
+    m_s, L_after = astuple(_first_drop(s, cap))
     if L_after == 0:
         return CriticalReport(m_s, 0, None, "brute")
     for k in range(m_s + 1, N + 1):
@@ -458,20 +474,17 @@ def celcs(
         raise ValueError(f"unknown mode {mode!r}")
     if s.is_zero:
         return (CelcsPoint(0, 0),)
-    p, n = s.modulus.p, s.modulus.n
-    L0 = _lc_value(s.value, p, n)
-    if mode == "formula":
-        rep, single = _closed_form(s)
-        if not single:
-            raise FormulaInapplicable("formula mode needs a hypercube")
-        points = [CelcsPoint(0, L0), CelcsPoint(rep.m_s, rep.L_after)]
-        if rep.L_after != 0:
-            assert rep.m1_s is not None
-            points.append(CelcsPoint(rep.m1_s, 0))
-    else:
+    if mode == "brute":
         _check_budget(s.modulus.period, s.weight, cap)
-        points = [CelcsPoint(0, L0), *_drops(s, cap, s.weight)]
-    assert points[0] == CelcsPoint(0, L0)
+        return tuple(_spectrum(s, cap, s.weight))
+    rep, single = _closed_form(s)
+    if not single:
+        raise FormulaInapplicable("formula mode needs a hypercube")
+    points = [CelcsPoint(0, _lc_value(s.value, s.modulus.p, s.modulus.n)),
+              CelcsPoint(rep.m_s, rep.L_after)]
+    if rep.L_after != 0:
+        assert rep.m1_s is not None
+        points.append(CelcsPoint(rep.m1_s, 0))
     assert all(a.k < b.k and a.L > b.L for a, b in zip(points, points[1:]))
     assert points[-1] == CelcsPoint(s.weight, 0)
     return tuple(points)

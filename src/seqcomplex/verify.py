@@ -29,7 +29,7 @@ from .counting import (
 from .hypercube import is_hypercube, standard_decompose
 from .kerror import (
     DEFAULT_CAP,
-    _drops,
+    _first_drop,
     celcs,
     construct_stable,
     first_critical_m,
@@ -172,7 +172,7 @@ def _suite_mcrit(modulus: Modulus | None, rng: random.Random, cap: int) -> Suite
                     problems.append(f"celcs {a} != {b}")
             else:
                 got = first_critical_m(s).m_s
-                want = next(_drops(s, cap, mod.period)).k
+                want = _first_drop(s, cap).k
                 if got != want:
                     problems.append(f"m {got} != {want}")
             rep.record(not problems, lambda: f"{mod} s={s.to01()}: {'; '.join(problems)}")
@@ -280,7 +280,7 @@ def _suite_bounds(modulus: Modulus | None, rng: random.Random, cap: int) -> Suit
         if mod.p == 2 and mod.period > 8:
             universe = islice(universe, 60)  # worst cases sweep 2^N patterns
         for s in universe:
-            m = next(_drops(s, cap, mod.period)).k
+            m = _first_drop(s, cap).k
             if mod.p == 2:
                 got = kurosawa_m(s)
                 rep.record(got == m, lambda: f"{mod} s={s.to01()}: formula {got} brute {m}")
@@ -307,7 +307,7 @@ def _suite_stability(modulus: Modulus | None, rng: random.Random, cap: int) -> S
             problems = []
             if L != mod.period - (first_drop - 1):
                 problems.append(f"constructed complexity {L}")
-            m = next(_drops(s, cap, mod.period)).k
+            m = _first_drop(s, cap).k
             if m <= k:
                 problems.append(f"complexity moves within {k} errors")
             if m != first_drop:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, product
+from math import comb
 
 from seqcomplex import Modulus, PeriodicSequence, VertexDescriptor, VertexKind
 from seqcomplex.lincomp import _lc_value
@@ -103,6 +104,19 @@ def scalar_class_min(value: int, p: int, n: int, k: int, below: int = 1) -> int:
             if L < below:
                 break
     return best
+
+
+def budget_refusal(N: int, k: int, cap: int) -> str | None:
+    """The refusal of more than cap error patterns of weight <= k, or None
+    when they fit: the C(N, i) are summed term by term, and the sum stops
+    once it passes max(cap, 10^18), the refusal then stating that bound."""
+    bound = max(cap, 10**18)
+    total = 1
+    for i in range(1, k + 1):
+        if total > bound:
+            return f"more than {bound} error patterns exceed cap {cap}"
+        total += comb(N, i)
+    return f"{total} error patterns exceed cap {cap}" if total > cap else None
 
 
 def _list_kept(parts: list[int]) -> list[int]:

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from helpers import (
+    budget_refusal,
     exhaustive_min_change,
     gcd_k_error_lc,
     p2_universe,
@@ -36,6 +37,7 @@ from seqcomplex import (
     standard_decompose,
     vertex_min_change,
 )
+from seqcomplex.lincomp import _lc_value
 from seqcomplex.errors import (
     BudgetExceeded,
     EvenP,
@@ -86,11 +88,11 @@ def test_k_error_lc_budgets_only_classes_below_the_weight():
     assert k_error_lc_bruteforce(PeriodicSequence.zeros(MOD9), 3, cap=1) == 0
 
 
-def test_drops_stop_at_zero_before_budgeting_the_next_class():
+def test_spectrum_stops_at_zero_before_budgeting_the_next_class():
     """Once a class reaches L = 0 no later class is counted against the cap:
     class 3 of 110000000 alone would be refused at cap 46."""
     s = seq(MOD9, "110000000")
-    assert list(kerror._drops(s, 46, 9)) == [CelcsPoint(1, 7), CelcsPoint(2, 0)]
+    assert list(kerror._spectrum(s, 46, 9)) == [CelcsPoint(0, 8), CelcsPoint(1, 7), CelcsPoint(2, 0)]
     with pytest.raises(BudgetExceeded, match=r"^130 error patterns exceed cap 46$"):
         kerror._check_budget(9, 3, 46)
 
@@ -111,6 +113,21 @@ def test_budget_count_stops_past_its_bound():
     for refused in (lambda: celcs(dense), lambda: k_error_lc_bruteforce(dense, 5000)):
         with pytest.raises(BudgetExceeded, match=rf"^{big}$"):
             refused()
+
+
+def test_budget_refusals_match_the_term_by_term_sum():
+    """A cap of at least 2^N is never summed against, as all 2^N patterns
+    fit; every refusal and its text stay those of the term-by-term sum."""
+    for N in range(1, 41):
+        for k in {0, 1, 2, N // 2, N}:
+            for cap in {1, 45, 46, 2**N - 1, 2**N, 2**N + 1, 10**8, 2**64}:
+                want = budget_refusal(N, k, cap)
+                if want is None:
+                    kerror._check_budget(N, k, cap)
+                    continue
+                with pytest.raises(BudgetExceeded) as refused:
+                    kerror._check_budget(N, k, cap)
+                assert str(refused.value) == want, (N, k, cap)
 
 
 def test_k_error_lc_against_definitional_minimum():
@@ -192,19 +209,68 @@ def test_table_reads_every_class_of_every_sequence(monkeypatch):
     _agrees_with_scalar_scan(0b10110100101, 11, 1, 4)
 
 
+def test_class_zero_is_the_complexity_on_every_path(monkeypatch):
+    """Class 0 is L(s): a table byte up to period 12, every sequence at 2^3,
+    3^2, 5^1 and 11^1; above it one descent, never a Pascal block or the
+    pattern scan.  The formula spectrum builds no table."""
+    for p, n in [(2, 3), (3, 2), (5, 1), (11, 1)]:
+        for value in range(1 << p**n):
+            assert kerror._class_min(value, p, n, 0) == _lc_value(value, p, n), (p, n, value)
+
+    def no_scan(*args):
+        raise AssertionError("class 0 scanned as error patterns")
+
+    monkeypatch.setattr(kerror, "_blocks", no_scan)
+    monkeypatch.setattr(kerror, "combinations", no_scan)
+    rng = random.Random(4002)
+    for p, n in [(2, 4), (13, 1), (5, 2), (2, 9)]:
+        for _ in range(30):
+            value = rng.getrandbits(p**n)
+            assert kerror._class_min(value, p, n, 0) == _lc_value(value, p, n), (p, n, value)
+    kerror._table.cache_clear()
+    assert celcs(seq(MOD9, "110000000"), mode="formula") == (
+        CelcsPoint(0, 8), CelcsPoint(1, 7), CelcsPoint(2, 0))
+    assert kerror._table.cache_info().misses == 0
+
+
+def test_every_brute_force_answer_reads_the_spectrum():
+    """celcs(mode="brute") is the whole spectrum, L_k its least L up to k,
+    and m(s) with L_{m(s)} its second point, on every nonzero s at 2^3, 3^2
+    and 5^1 and on seeded s at 2^4, 3^3 (at most 5 ones) and 11^1."""
+    cap = kerror.DEFAULT_CAP
+    rng = random.Random(4003)
+    few_ones = [sum(1 << t for t in rng.sample(range(27), rng.randint(1, 5))) for _ in range(8)]
+    for p, n, values in [(2, 3, range(1, 256)), (3, 2, range(1, 512)), (5, 1, range(1, 32)),
+                         (2, 4, [rng.randrange(1, 1 << 16) for _ in range(8)]),
+                         (3, 3, few_ones),
+                         (11, 1, [rng.randrange(1, 1 << 11) for _ in range(12)])]:
+        for value in values:
+            s = PeriodicSequence(Modulus(p, n), value)
+            spectrum = tuple(kerror._spectrum(s, cap, s.weight))
+            assert celcs(s) == spectrum, s.to01()
+            for k in range(s.weight + 1):
+                want = min(pt.L for pt in spectrum if pt.k <= k)
+                assert k_error_lc_bruteforce(s, k) == want, (s.to01(), k)
+            first = kerror._first_drop(s, cap)
+            assert first == spectrum[1], s.to01()
+            rep = first_critical_bruteforce(s)
+            assert (rep.m_s, rep.L_after) == (first.k, first.L), s.to01()
+
+
 def test_a_modulus_builds_its_table_once():
-    """_drops, celcs(mode="brute") and first_critical_bruteforce, m1 search
+    """_spectrum, celcs(mode="brute") and first_critical_bruteforce, m1 search
     included, all read one table per modulus, built on first use, and none
     above period 12."""
     kerror._table.cache_clear()
     s = seq(MOD9, "111111000")  # drops at k = 3, then L = 0 only at k = 6
-    assert list(kerror._drops(s, kerror.DEFAULT_CAP, 9)) == [CelcsPoint(3, 1), CelcsPoint(6, 0)]
+    assert list(kerror._spectrum(s, kerror.DEFAULT_CAP, 9)) == [
+        CelcsPoint(0, 6), CelcsPoint(3, 1), CelcsPoint(6, 0)]
     assert celcs(s) == (CelcsPoint(0, 6), CelcsPoint(3, 1), CelcsPoint(6, 0))
     rep = first_critical_bruteforce(s)
     assert (rep.m_s, rep.L_after, rep.m1_s) == (3, 1, 6)
     info = kerror._table.cache_info()
     assert info.misses == 1 and info.hits > 1
-    assert next(kerror._drops(PeriodicSequence(Modulus(2, 4), 0b1011), kerror.DEFAULT_CAP, 16))
+    assert kerror._first_drop(PeriodicSequence(Modulus(2, 4), 0b1011), kerror.DEFAULT_CAP)
     assert first_critical_bruteforce(PeriodicSequence(Modulus(2, 4), 0b1011)).method == "brute"
     assert kerror._table.cache_info() == info
 
@@ -347,7 +413,7 @@ def test_closed_form_m_is_the_exact_m_of_the_leading_hypercube():
         for v in range(1, 1 << mod.period):
             s = PeriodicSequence(mod, v)
             h1 = standard_decompose(s).parts[0]
-            exact = next(kerror._drops(h1, kerror.DEFAULT_CAP, mod.period))
+            exact = kerror._first_drop(h1, kerror.DEFAULT_CAP)
             assert first_critical_m(s).m_s == exact.k, s.to01()
 
 
