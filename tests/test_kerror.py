@@ -37,7 +37,6 @@ from seqcomplex import (
     standard_decompose,
     vertex_min_change,
 )
-from seqcomplex.lincomp import _lc_value
 from seqcomplex.errors import (
     BudgetExceeded,
     EvenP,
@@ -48,6 +47,7 @@ from seqcomplex.errors import (
     ZeroLengthVertex,
     ZeroSequence,
 )
+from seqcomplex.lincomp import _lc_value
 
 MOD9 = Modulus(3, 2)
 MOD27 = Modulus(3, 3)
