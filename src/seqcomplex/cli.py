@@ -264,11 +264,9 @@ def _celcs_record(s: PeriodicSequence, mode: str, cap: int) -> dict:
     from .kerror import celcs
 
     if mode == "both":
-        f = [[pt.k, pt.L] for pt in celcs(s, mode="formula", cap=cap)]
-        b = [[pt.k, pt.L] for pt in celcs(s, mode="brute", cap=cap)]
+        f, b = celcs(s, mode="formula", cap=cap), celcs(s, mode="brute", cap=cap)
         return {"mode": mode, "points": b, "formula_points": f, "agree": f == b}
-    pts = celcs(s, mode=mode, cap=cap)
-    return {"mode": mode, "points": [[pt.k, pt.L] for pt in pts]}
+    return {"mode": mode, "points": celcs(s, mode=mode, cap=cap)}
 
 
 def _structure_record(s: PeriodicSequence) -> dict:
@@ -527,7 +525,7 @@ def count_cubes_cmd(**opts):
     click.option("--k", type=int, required=True, help="error budget the complexity must survive"),
 )
 def construct_stable_cmd(p, n, k, fmt, out):
-    """Build the maximal-complexity sequence whose L_k equals its L."""
+    """Build a sequence whose L_k equals its L: p^l ones, p^(l-1) <= k < p^l."""
     from .kerror import construct_stable
 
     modulus = Modulus(p, n)

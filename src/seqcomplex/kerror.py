@@ -53,12 +53,12 @@ one descent of s.  The closed form's vertex row counts
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
 from itertools import combinations
 from math import comb
 from operator import or_, xor
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     _EXACT_UP_TO,
@@ -99,8 +99,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CelcsPoint:
+class CelcsPoint(NamedTuple):
     k: int
     L: int
 
@@ -353,7 +352,7 @@ def first_critical_bruteforce(s: PeriodicSequence, cap: int = DEFAULT_CAP) -> Cr
     """
     require_nonzero(s)
     p, n, N = s.modulus.p, s.modulus.n, s.modulus.period
-    m_s, L_after = astuple(_first_drop(s, cap))
+    m_s, L_after = _first_drop(s, cap)
     if L_after == 0:
         return CriticalReport(m_s, 0, None, "brute")
     for k in range(m_s + 1, N + 1):
@@ -472,11 +471,11 @@ def celcs(
     """
     if mode not in ("formula", "brute"):
         raise ValueError(f"unknown mode {mode!r}")
-    if s.is_zero:
-        return (CelcsPoint(0, 0),)
     if mode == "brute":
         _check_budget(s.modulus.period, s.weight, cap)
         return tuple(_spectrum(s, cap, s.weight))
+    if s.is_zero:
+        return (CelcsPoint(0, 0),)
     rep, single = _closed_form(s)
     if not single:
         raise FormulaInapplicable("formula mode needs a hypercube")
@@ -521,11 +520,13 @@ def meidl_upper_bound(s: PeriodicSequence) -> int:
 # -- stable sequences ---------------------------------------------------------------
 
 def construct_stable(modulus: Modulus, k: int) -> PeriodicSequence:
-    """Sequence maximizing L_k: p^l ones then zeros, with p^(l-1) <= k < p^l.
+    """A k-stable sequence: p^l ones then zeros, with p^(l-1) <= k < p^l.
 
-    Its complexity p^n - (p^l - 1) survives any k flips (it is k-stable:
-    L_e = L for all e <= p^l - 1 and the first drop is at p^l).  k = 0 yields
-    the single-one sequence of full complexity p^n.
+    Its complexity p^n - p^l + 1 first drops at p^l errors, so L_e = L for
+    all e <= k.  k = 0 yields the single-one sequence of full complexity p^n.
+    At odd p it need not be the k-stable sequence of largest complexity:
+    at 5^1, 11000 keeps L = 4 through one error, where the construction
+    gives 11111, of L = 1.
     """
     _require_modulus(modulus)
     if type(k) is not int:

@@ -501,7 +501,8 @@ def test_forced_fan_out_matches_one_job(monkeypatch, capsys, tmp_path):
                                  "111000000"] * 2) + "\n")
     commands = (
         ("lc", *MOD9_ARGS), brute, ("klc", *MOD9_ARGS, "--k", "2"), ("celcs", *MOD9_ARGS),
-        ("celcs", *MOD9_ARGS, "--format", "csv"), ("structure", *MOD9_ARGS),
+        ("celcs", *MOD9_ARGS, "--format", "csv"), ("celcs", *MOD9_ARGS, "--format", "json"),
+        ("structure", *MOD9_ARGS),
         ("decompose", *MOD9_ARGS), ("decompose", *MOD9_ARGS, "--format", "json"),
         ("mcrit", *MOD9_ARGS, "--mode", "both"),
     )

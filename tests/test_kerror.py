@@ -255,6 +255,10 @@ def test_every_brute_force_answer_reads_the_spectrum():
             assert first == spectrum[1], s.to01()
             rep = first_critical_bruteforce(s)
             assert (rep.m_s, rep.L_after) == (first.k, first.L), s.to01()
+            assert all(tuple(pt) == (pt.k, pt.L) for pt in spectrum), s.to01()
+    assert CelcsPoint._fields == ("k", "L")
+    with pytest.raises(AttributeError):
+        first.L = 0
 
 
 def test_a_modulus_builds_its_table_once():
@@ -511,6 +515,17 @@ def test_celcs_checks_its_mode_before_the_zero_shortcut():
         celcs(zero, mode="bogus")
 
 
+@pytest.mark.parametrize("cap", ["x", 0], ids=repr)
+def test_the_zero_sequence_checks_its_cap(cap):
+    """A brute-force spectrum of s = 0 refuses a bad cap, as at any other s."""
+    zero = PeriodicSequence.zeros(MOD9)
+    text = rf"^cap must be an int >= 1; got {re.escape(repr(cap))}$"
+    for call in (lambda: celcs(zero, cap=cap), lambda: k_error_lc_bruteforce(zero, 1, cap=cap)):
+        with pytest.raises(BudgetExceeded, match=text):
+            call()
+    assert celcs(zero, cap=1) == ((0, 0),)
+
+
 def test_second_critical_formula_cases():
     assert second_critical_m1(seq(MOD27, "110000000" * 3)) == 6
     assert second_critical_m1(seq(MOD9, "010000000")) is None  # erased to zero
@@ -617,6 +632,32 @@ def test_construct_stable_table():
         construct_stable(MOD9, 9)
     with pytest.raises(KOutOfRange):
         construct_stable(MOD9, -1)
+
+
+def test_constructed_sequences_first_drop_at_their_weight():
+    """At every accepted modulus up to period 12 and every k, the construction
+    is p^l ones with p^(l-1) <= k < p^l, of complexity N - p^l + 1, which holds
+    until p^l errors and then falls to 0."""
+    moduli = [Modulus(2, 1), Modulus(2, 2), Modulus(2, 3), Modulus(3, 1), MOD9,
+              Modulus(5, 1), Modulus(11, 1)]
+    for mod in moduli:
+        p, N = mod.p, mod.period
+        for k in range(N):
+            s = construct_stable(mod, k)
+            ones = next(p**l for l in range(mod.n + 1) if k < p**l)
+            assert s.value == (1 << ones) - 1, (mod, k)
+            assert celcs(s) == (CelcsPoint(0, N - ones + 1), CelcsPoint(ones, 0)), (mod, k)
+
+
+def test_some_stable_sequences_beat_the_construction():
+    """At odd p the construction need not have the largest L_k."""
+    for text, mod, k, L_k in [("11000", Modulus(5, 1), 1, 4),
+                              ("11000000000", Modulus(11, 1), 1, 10)]:
+        s = seq(mod, text)
+        assert k_error_lc_bruteforce(s, k) == lc(s) == L_k
+        assert k_error_lc_bruteforce(construct_stable(mod, k), k) == 1
+    assert k_error_lc_bruteforce(seq(MOD9, "111100000"), 3) == 3
+    assert k_error_lc_bruteforce(construct_stable(MOD9, 3), 3) == 1
 
 
 @pytest.mark.parametrize("k", [True, 1.0, "1"])
