@@ -217,27 +217,34 @@ class Decomposition:
 #
 # A rewrite descent makes every sum's parts share no row in two passes.
 # Down: it notes each sum that would cancel ones; its XOR goes on down as is.
-# Up, from the deepest such level, with plen read from the level's row: a
-# noted level keeps the first 1 of each row (``_kept``), in its own level
-# only, and every level vecs[k] &= vecs[k+1] spread over p parts (``_spread``;
-# both shift by copies that double, about log2 p shifts a call).  Keeping
-# first 1s and masking by whole rows commute, so the order is free.  Ones
-# are only ever removed and each 1 below a sum has one source, so a level
-# keeps exactly the sources of the ones that survive below it; even rows
-# drop out because the XOR below a rewritten level holds only odd rows.
+# Up (``_pass_up``), from the deepest such level, with plen read from the
+# level's row: a noted level keeps the first 1 of each row (``_kept``), in
+# its own level only, and every level vecs[k] &= vecs[k+1] spread over p
+# parts (``_spread``; both shift by copies that double, about log2 p shifts
+# a call), except level n - 1, whose vector below is the final scalar 1.
+# Keeping first 1s and masking by whole rows commute, so the order is free.
+# Ones are only ever removed and each 1 below a sum has one source, so a
+# level keeps exactly the sources of the ones that survive below it; even
+# rows drop out because the XOR below a rewritten level holds only odd rows.
 #
 # The vertex stays an int mask too: the descent ends at vecs[-1], which is
 # the scalar 1 when q is None (an element vertex) and the p parts of p^q bits
 # of a tuple vertex of length q otherwise; l is its weight either way.  Only
 # extract_structure builds a VertexDescriptor and HypercubeStructure from a
-# descent; every other caller reads ok, edges, q, l or L.  L sums the
-# increments, plus 1 at an element vertex: the complexity of vecs[0], which
-# prices each part of a decomposition; _hypercube_lc prices a hypercube from
-# q and edges alone.  A Decomposition keeps no descent, since a part's plain
+# descent; every other caller reads ok, edges, q or l, and _hypercube_lc
+# prices a hypercube from q and edges alone.
+#
+# Three walks of _steps share this step: _descend builds the _Descent record
+# that extract_structure, cube_lc, counting._class_key and kerror's closed
+# forms read.  _peel makes the rewrite descent's walk and pass up but keeps
+# no edges, vertex or record: it returns h_1 = vecs[0] and its complexity,
+# the increments plus 1 at an element vertex, and standard_decompose loops
+# it.  is_hypercube keeps only the level's weight and stops at the first sum
+# that cancels ones.  A Decomposition keeps no descent, since a part's plain
 # descent equals the rewrite descent that peeled it.
 #
 # A sum cancels ones exactly when it leaves fewer ones than the level it
-# folds.  The descent carries that level's weight instead of counting it
+# folds.  Each walk carries that level's weight instead of counting it
 # again: a split divides it by p (p equal parts), and a sum, rewritten or
 # not, leaves the weight of its XOR, so each sum takes one popcount.  A
 # failed plain descent stops at the sum that cancels ones, so the depth it
@@ -254,7 +261,6 @@ class _Descent:
     ok: bool
     edges: tuple[int, ...] = ()
     q: int | None = None
-    L: int = 0  # the increments, plus 1 at an element vertex: L(vecs[0])
 
     @property
     def l(self) -> int:
@@ -289,10 +295,8 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
     """Run the descent; with rewrite=True cancellations are repaired in place."""
     vecs, edges, rewritten = [value], [], []
     q = None
-    L = 0
     weight = value.bit_count()  # of vecs[-1] as the descent reached it
     for e, increment, a in _steps(value, p, n):
-        L += increment
         if not increment:
             edges.append(e)
             weight //= p
@@ -308,17 +312,48 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
         vecs.append(a)
     else:
         assert vecs[-1] == 1
-        L += 1
     edges.reverse()
     if rewritten:
-        # the pass up: a level that cancelled ones keeps the first 1 of each
-        # row, and each level the sources of the ones below it
-        levels = _levels(p, n)
-        for k in range(rewritten[-1], -1, -1):
-            plen = levels[k][1]
-            a = _kept(vecs[k], p, plen) if k in rewritten else vecs[k]
-            vecs[k] = a & _spread(vecs[k + 1], p, plen)
-    return _Descent(vecs, True, tuple(edges), q, L)
+        _pass_up(vecs, rewritten, p, n)
+    return _Descent(vecs, True, tuple(edges), q)
+
+
+def _peel(value: int, p: int, n: int) -> tuple[int, int]:
+    """(h_1, L): the leading hypercube of nonzero value, vecs[0] of its
+    rewrite descent, and its complexity L(value), the increments plus 1 at
+    an element vertex.  The same walk and pass up as ``_descend``, keeping
+    no edges, vertex length or record."""
+    vecs, rewritten = [value], []
+    L = 0
+    weight = value.bit_count()
+    for _, increment, a in _steps(value, p, n):
+        L += increment
+        if not increment:
+            weight //= p
+        elif a == 0:
+            break
+        elif (w := a.bit_count()) != weight:
+            rewritten.append(len(vecs) - 1)
+            weight = w
+        vecs.append(a)
+    else:
+        L += 1
+    if rewritten:
+        _pass_up(vecs, rewritten, p, n)
+    return vecs[0], L
+
+
+def _pass_up(vecs: list[int], rewritten: list[int], p: int, n: int) -> None:
+    """The pass up of a rewrite descent, in place: from the deepest level
+    that cancelled ones, such a level keeps the first 1 of each row, and
+    each level the sources of the ones below it.  Below level n - 1 lies
+    the final scalar 1, which spread over p one-bit parts is all ones, so
+    that level keeps its first 1s alone."""
+    levels = _levels(p, n)
+    for k in range(rewritten[-1], -1, -1):
+        plen = levels[k][1]
+        a = _kept(vecs[k], p, plen) if k in rewritten else vecs[k]
+        vecs[k] = a if k == n - 1 else a & _spread(vecs[k + 1], p, plen)
 
 
 def _expand_flip(desc: _Descent, p: int, n: int, flips: int) -> int:
@@ -338,10 +373,20 @@ def _expand_flip(desc: _Descent, p: int, n: int, flips: int) -> int:
 
 def is_hypercube(s: PeriodicSequence) -> bool:
     """True iff no XOR step of the descent cancels ones, except the zero-sum
-    step that terminates in a tuple vertex."""
+    step that terminates in a tuple vertex.  The walk tracks the level's
+    weight alone and stops at the first sum that cancels ones."""
     require_nonzero(s)
     modulus = s.modulus
-    return _descend(s.value, modulus.p, modulus.n, rewrite=False).ok
+    p = modulus.p
+    weight = s.value.bit_count()
+    for _, increment, a in _steps(s.value, p, modulus.n):
+        if not increment:
+            weight //= p
+        elif a == 0:
+            return True  # the zero sum that ends in a tuple vertex
+        elif a.bit_count() != weight:
+            return False
+    return True
 
 
 def extract_structure(s: PeriodicSequence) -> HypercubeStructure:
@@ -464,6 +509,8 @@ def standard_decompose(s: PeriodicSequence) -> Decomposition:
     """Peel hypercubes with strictly decreasing linear complexities.
 
     parts[0] keeps the full complexity of s; XOR of all parts equals s.
+    Each part and its complexity come from one ``_peel`` of the residue,
+    which builds no descent record.
     """
     require_nonzero(s)
     modulus = s.modulus
@@ -474,9 +521,8 @@ def standard_decompose(s: PeriodicSequence) -> Decomposition:
     for _ in range(modulus.period + 1):
         if residue == 0:
             break
-        desc = _descend(residue, p, n, rewrite=True)
-        h = desc.vecs[0]
-        complexities.append(desc.L)
+        h, L = _peel(residue, p, n)
+        complexities.append(L)
         parts.append(PeriodicSequence(modulus, h))
         residue ^= h
     else:  # pragma: no cover - descent always strictly reduces the residue

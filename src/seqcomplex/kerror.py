@@ -448,6 +448,7 @@ def second_critical_m1(s: PeriodicSequence, cap: int = DEFAULT_CAP) -> int | Non
     (L = 6).
     """
     require_nonzero(s)
+    _check_cap(cap)
     rep, single = _closed_form(s)
     if single:
         return rep.m1_s
@@ -474,6 +475,7 @@ def celcs(
     if mode == "brute":
         _check_budget(s.modulus.period, s.weight, cap)
         return tuple(_spectrum(s, cap, s.weight))
+    _check_cap(cap)
     if s.is_zero:
         return (CelcsPoint(0, 0),)
     rep, single = _closed_form(s)

@@ -8,10 +8,11 @@ A nonzero final scalar adds 1.  At the last level the parts are single
 bits, so their XOR is the parity of the vector's weight.  ``_levels`` holds
 each level's geometry and ``_steps`` the step, yielding each level's e and
 increment (0 at a split); every odd-p complexity walks it: ``_lc_value``
-(behind ``lc``), ``xwli_lc`` and ``hypercube._descend``.  At odd p up to 11
-the deepest levels, whose vectors have at most 11 bits (two at p = 3, one
-at p = 5 and 11), are read from a table of their records that ``_steps``
-itself builds once per p and depth, on first use (``_PLANS``).  At p = 2
+(behind ``lc``), ``xwli_lc``, and ``hypercube``'s ``_descend``, ``_peel``
+and ``is_hypercube``.  At odd p up to 11 the deepest levels, whose vectors
+have at most 11 bits (two at p = 3, one at p = 5 and 11), are read from a
+table of their records that ``_steps`` itself builds once per p and depth,
+on first use (``_PLANS``).  At p = 2
 ``_lc_value`` halves instead, the value-only special case of the step: it
 keeps the low half or the two halves' XOR down to 8 bits and reads the rest
 from a table, and up to period 2^12 returns 2^n at once for an odd-weight

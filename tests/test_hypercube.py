@@ -44,7 +44,7 @@ from seqcomplex.errors import (
     OddP,
     ZeroSequence,
 )
-from seqcomplex.hypercube import _descend, _kept, _spread
+from seqcomplex.hypercube import _Descent, _descend, _kept, _peel, _spread
 
 MOD9 = Modulus(3, 2)
 MOD27 = Modulus(3, 3)
@@ -342,6 +342,50 @@ def test_rewrite_descent_is_the_plain_descent_of_h1_sampled():
             for part in standard_decompose(s).parts:  # planted hypercubes
                 assert is_hypercube(part)
                 _check_rewrite_descent_leads_with_h1(part)
+
+
+def _check_peel_and_test_against_the_descent(v, p, n):
+    s = PeriodicSequence(Modulus(p, n), v)
+    assert is_hypercube(s) == _descend(v, p, n, False).ok, (p, n, v)
+    assert _peel(v, p, n) == (_descend(v, p, n, True).vecs[0], lc(s)), (p, n, v)
+
+
+def test_peel_and_hypercube_test_match_the_descent():
+    """_peel gives the rewrite descent's h_1 and L(s), and is_hypercube the
+    plain descent's verdict: every value at 2^1-2^4, 3^1, 3^2, 5^1, 11^1 and
+    13^1, and 300 seeded values each at 3^3, 5^2, 3^5 and 2^8, half of
+    them sparse."""
+    for p, n in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (11, 1), (13, 1)):
+        for v in range(1, 1 << p**n):
+            _check_peel_and_test_against_the_descent(v, p, n)
+    rng = random.Random(4201)
+    for p, n in ((3, 3), (5, 2), (3, 5), (2, 8)):
+        N = p**n
+        for i in range(300):
+            if i % 2:
+                v = rng.randrange(1, 1 << N)
+            else:
+                v = sum({1 << rng.randrange(N) for _ in range(4)})
+            _check_peel_and_test_against_the_descent(v, p, n)
+
+
+def test_peel_and_hypercube_test_build_no_descent_record(monkeypatch):
+    import seqcomplex.hypercube as hypercube
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("a descent record was built")
+
+    monkeypatch.setattr(hypercube, "_Descent", no_record)
+    for v in range(1, 512):
+        s = PeriodicSequence(MOD9, v)
+        dec = standard_decompose(s)
+        assert all(map(is_hypercube, dec.parts))
+        assert is_hypercube(s) == (len(dec.parts) == 1), v
+
+
+def test_a_descent_record_holds_vecs_ok_edges_and_q():
+    assert [f.name for f in dataclasses.fields(_Descent)] == ["vecs", "ok", "edges", "q"]
+
 
 def test_cube_lc_pinned():
     mod4 = Modulus(2, 2)

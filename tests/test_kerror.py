@@ -526,6 +526,22 @@ def test_the_zero_sequence_checks_its_cap(cap):
     assert celcs(zero, cap=1) == ((0, 0),)
 
 
+@pytest.mark.parametrize("cap", ["x", 0], ids=repr)
+def test_closed_forms_check_their_cap(cap):
+    """Formula celcs and second_critical_m1 refuse a bad cap before the closed
+    form, on a hypercube and on s = 0 as on a sum of two hypercubes."""
+    text = rf"^cap must be an int >= 1; got {re.escape(repr(cap))}$"
+    cube, pair = seq(MOD9, "110110110"), seq(MOD9, "110100100")
+    zero = PeriodicSequence.zeros(MOD9)
+    calls = [lambda s=s: celcs(s, mode="formula", cap=cap) for s in (cube, zero)]
+    calls += [lambda s=s: second_critical_m1(s, cap=cap) for s in (cube, pair)]
+    for call in calls:
+        with pytest.raises(BudgetExceeded, match=text):
+            call()
+    assert celcs(cube, mode="formula", cap=1) == ((0, 2), (3, 1), (6, 0))
+    assert second_critical_m1(cube, cap=1) == 6
+
+
 def test_second_critical_formula_cases():
     assert second_critical_m1(seq(MOD27, "110000000" * 3)) == 6
     assert second_critical_m1(seq(MOD9, "010000000")) is None  # erased to zero
