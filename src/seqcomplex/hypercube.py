@@ -234,7 +234,7 @@ class Decomposition:
 # descent; every other caller reads ok, edges, q or l, and _hypercube_lc
 # prices a hypercube from q and edges alone.
 #
-# Three walks of _steps share this step: _descend builds the _Descent record
+# Three functions here walk _steps.  _descend builds the _Descent record
 # that extract_structure, cube_lc, counting._class_key and kerror's closed
 # forms read.  _peel makes the rewrite descent's walk and pass up but keeps
 # no edges, vertex or record: it returns h_1 = vecs[0] and its complexity,
