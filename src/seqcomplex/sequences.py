@@ -117,15 +117,17 @@ def validate_modulus(p: int, n: int) -> Modulus:
     return Modulus(p, n)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, slots=True)
 class PeriodicSequence:
     """One period of a binary sequence, packed LSB-first into ``value``.
 
-    The sweeps build one per checked value, so ``__init__`` validates and
-    writes both fields straight into the instance dict, past the frozen
+    The sweeps build one per checked value and read its fields on every
+    check, so both fields live in slots, and ``__init__`` validates and
+    writes them through the slot descriptors' setters, past the frozen
     ``__setattr__``.  A Modulus costs one exact type test; anything else,
     an object with a ``period`` included, goes on to ``_require_modulus``.
-    Assignment still raises FrozenInstanceError.
+    Assignment and deletion still raise FrozenInstanceError; a sequence
+    has no instance dict, so no ``vars()`` and no weak references.
     """
 
     modulus: Modulus
@@ -140,9 +142,8 @@ class PeriodicSequence:
             raise LengthMismatch(
                 f"packed value needs {modulus.period} bits, got {value.bit_length()}"
             )
-        fields = self.__dict__
-        fields["modulus"] = modulus
-        fields["value"] = value
+        _set_modulus(self, modulus)
+        _set_value(self, value)
 
     # -- constructors --------------------------------------------------------
 
@@ -222,6 +223,11 @@ class PeriodicSequence:
             text = text[:29] + "..."
         return f"PeriodicSequence({self.modulus}, {text})"
 
+
+# slots=True makes the decorator return a new class, so the slot setters
+# are taken from the class it returned
+_set_modulus = PeriodicSequence.__dict__["modulus"].__set__
+_set_value = PeriodicSequence.__dict__["value"].__set__
 
 # -- module-level operations -------------------------------------------------
 

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 import random
@@ -193,6 +194,33 @@ def test_sequence_is_a_frozen_value_with_a_fixed_repr():
     assert repr(s) == "PeriodicSequence(3^2, 110000000)"
     assert repr(PeriodicSequence(Modulus(3, 4), 1)) == f"PeriodicSequence(3^4, 1{'0' * 28}...)"
     assert dataclasses.replace(s, value=1) == PeriodicSequence(MOD9, 1)
+
+
+def test_every_build_path_gives_a_slotted_sequence():
+    """The sweeps build a sequence per checked value and read its fields on
+    every check, which is cheapest with both fields in slots and no
+    instance dict; every way of making a sequence keeps that layout and
+    gives back an equal sequence with an equal hash."""
+    s = PeriodicSequence(MOD9, 0b11)
+    built = {
+        "constructor": PeriodicSequence(MOD9, 0b11),
+        "from_text": PeriodicSequence.from_text("110000000", MOD9),
+        "from_bits": PeriodicSequence.from_bits([1, 1, 0, 0, 0, 0, 0, 0, 0], MOD9),
+        "xor": PeriodicSequence(MOD9, 0b110) ^ PeriodicSequence(MOD9, 0b101),
+        "replace": dataclasses.replace(PeriodicSequence(MOD9, 1), value=0b11),
+        "copy": copy.copy(s),
+        "deepcopy": copy.deepcopy(s),
+    }
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        built[f"pickle {protocol}"] = pickle.loads(pickle.dumps(s, protocol))
+    built["zeros"] = PeriodicSequence.zeros(MOD9)
+    assert PeriodicSequence.__slots__ == ("modulus", "value")
+    for how, t in built.items():
+        assert type(t) is PeriodicSequence, how
+        assert not hasattr(t, "__dict__"), how
+        assert (t.modulus, t.value) == (MOD9, 0 if how == "zeros" else 0b11), how
+        if how != "zeros":
+            assert t == s and hash(t) == hash(s), how
 
 
 def test_from_bits():
