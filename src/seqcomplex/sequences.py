@@ -229,6 +229,7 @@ class PeriodicSequence:
 _set_modulus = PeriodicSequence.__dict__["modulus"].__set__
 _set_value = PeriodicSequence.__dict__["value"].__set__
 
+
 # -- module-level operations -------------------------------------------------
 
 def parse_sequence(text: str, modulus: Modulus) -> PeriodicSequence:
