@@ -5,9 +5,12 @@ lane j is bit j of each plane.  One big-int operation on a plane thus does
 one bit's work for every lane at once.  A mask of lanes selects the lanes an
 operation reads or changes; arithmetic is modulo 2^len(planes).
 
-``lincomp._bm_values`` keeps each Berlekamp-Massey complexity here,
+``lincomp._bm_planes`` keeps each Berlekamp-Massey complexity here,
 ``kerror._equalizing_flips`` its row counts and ``kerror._table`` its class
-minimums.  The module is internal: the package exports none of its names.
+minimums.  ``identity`` numbers a whole universe, lane v holding v: the
+planes of every sequence of a period, which ``kerror._table`` descends and
+``verify``'s lc-oracle runs through Berlekamp-Massey.  The module is
+internal: the package exports none of its names.
 """
 
 from __future__ import annotations
@@ -15,6 +18,15 @@ from __future__ import annotations
 import struct
 
 from .sequences import _TO_BIT
+
+
+def identity(bits: int) -> list[int]:
+    """The number of 2^bits lanes in which lane v holds v: plane t is runs
+    of w = 2^t lanes, clear then set, the repunit of period 2w times one set
+    run."""
+    full = (1 << (1 << bits)) - 1
+    runs = (1 << t for t in range(bits))
+    return [full // ((1 << 2 * w) - 1) * (((1 << w) - 1) << w) for w in runs]
 
 
 def above(planes: list[int], c: int, lanes: int) -> int:

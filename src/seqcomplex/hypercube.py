@@ -209,7 +209,7 @@ class Decomposition:
 #
 # Level vectors are int bitmasks.  vecs[k+1] came from the p parts of
 # plen = p^e bits of vecs[k], (e, plen, ...) being row k of
-# lincomp._levels(p, n), by the split branch iff e is an edge; _steps yields
+# lincomp._levels(p, n), by the split branch iff e is an edge; _steps gives
 # each level's e, with an increment of 0 exactly at a split.  A split kept
 # part 0 of p equal parts, so each row of vecs[k+1] comes from all p copies.
 # A sum XORed p parts that share no row, so each 1 of vecs[k+1] comes from
@@ -234,7 +234,8 @@ class Decomposition:
 # descent; every other caller reads ok, edges, q or l, and _hypercube_lc
 # prices a hypercube from q and edges alone.
 #
-# Three functions here walk _steps.  _descend builds the _Descent record
+# Three functions here walk _steps: a table's row where the whole descent is
+# one (3^1, 3^2, 5^1, 11^1), else a lazy walk.  _descend builds the _Descent record
 # that extract_structure, cube_lc, counting._class_key and kerror's closed
 # forms read.  _peel makes the rewrite descent's walk and pass up but keeps
 # no edges, vertex or record: it returns h_1 = vecs[0] and its complexity,

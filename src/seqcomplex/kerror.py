@@ -79,7 +79,7 @@ from .hypercube import (
     _expand_flip,
     _spread,
 )
-from .bitslice import above, add, largest, read
+from .bitslice import above, add, identity, largest, read
 from .lincomp import _lc_value, _levels, lc_form_decompose
 from .sequences import Modulus, PeriodicSequence, _require_modulus, require_nonzero
 
@@ -247,9 +247,8 @@ def _table(p: int, n: int) -> tuple[bytes, ...]:
     N = p**n
     width = 1 << N
     full = (1 << width) - 1
-    # plane t: runs of w = 2^t lanes, clear then set, as the repunit of
-    # period 2w times one set run
-    planes = [full // ((1 << 2 * w) - 1) * (((1 << w) - 1) << w) for w in map(_BIT, range(N))]
+    # plane t holds bit t of every sequence, lane v holding v
+    planes = identity(N)
     sums, last = _sliced_descent(planes, _levels(p, n))
     # a lane's complexity sums the increments of the levels it sums at and
     # 1 if its final bit is set

@@ -6,13 +6,15 @@ level e = n-1, ..., 0 the vector splits into p parts of p^e bits; equal
 parts are kept once, otherwise their XOR is kept and (p-1) * p^e is added.
 A nonzero final scalar adds 1.  At the last level the parts are single
 bits, so their XOR is the parity of the vector's weight.  ``_levels`` holds
-each level's geometry and ``_steps`` the step, yielding each level's e and
+each level's geometry and ``_steps`` the step, giving each level's e and
 increment (0 at a split); every odd-p complexity walks it: ``_lc_value``
 (behind ``lc``), ``xwli_lc``, and ``hypercube``'s ``_descend``, ``_peel``
 and ``is_hypercube``.  At odd p up to 11 the deepest levels, whose vectors
 have at most 11 bits (two at p = 3, one at p = 5 and 11), are read from a
-table of their records that ``_steps`` itself builds once per p and depth,
-on first use (``_PLANS``).  At p = 2
+table of their records built once per p and depth, on first use
+(``_PLANS``).  At 3^1, 3^2, 5^1 and 11^1 that table holds the whole
+descent, and ``_steps`` returns its row with no generator; elsewhere it
+returns a lazy walk (``_walk``).  At p = 2
 ``_lc_value`` halves instead, the value-only special case of the step: it
 keeps the low half or the two halves' XOR down to 8 bits and reads the rest
 from a table, and up to period 2^12 returns 2^n at once for an odd-weight
@@ -20,14 +22,15 @@ vector, as x + 1 then does not divide s(x).
 ``berlekamp_massey_lc`` - classic LFSR synthesis over GF(2), fed two periods
 - is the independent oracle they are checked against; it skips each run of
 zero-discrepancy steps in one shift, as those steps change nothing but the
-index.  The verify sweep runs the same Massey steps bit-sliced across every
-block of sequences, whatever its width (``_bm_values``): each sequence is
-one bit lane of a few Python ints, so one big-int operation does a step's
-work for the whole block, and the complexities are ``bitslice`` numbers.
-The block's sequence planes are cut from one binary string, formatted once
-from every value packed as a field of 1, 2, 4 or 8 bytes by one
-``struct.pack`` (fields of whole bytes joined by ``int.to_bytes`` above 64
-bits).
+index.  The verify sweep runs the same Massey steps bit-sliced across many
+sequences at once (``_bm_planes``): each sequence is one bit lane of a few
+Python ints, so one big-int operation does a step's work for every lane,
+and the complexities are ``bitslice`` numbers.  The steps take the
+sequences' planes from one of two sources.  A whole universe is
+``bitslice.identity``, lane v holding sequence v.  A block of given values
+(``_bm_values``) is cut from one binary string, formatted once from every
+value packed as a field of 1, 2, 4 or 8 bytes by one ``struct.pack``
+(fields of whole bytes joined by ``int.to_bytes`` above 64 bits).
 
 Every attainable complexity has a unique canonical form
 ``L = eps + (p-1) * sum(p^(v-1) for v in V)`` with ``eps`` in {0, 1} and
@@ -42,7 +45,7 @@ from functools import cache, reduce
 from itertools import repeat
 from operator import and_, attrgetter, xor
 from struct import pack
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import EvenP, NotRepresentable, OddP
 from .sequences import PERIOD_CAP, Modulus, PeriodicSequence, _require_modulus
@@ -206,27 +209,39 @@ def _lc_value(a: int, p: int, n: int) -> int:
     return L + a
 
 
-def _steps(a: int, p: int, n: int) -> Iterator[tuple[int, int, int]]:
+def _steps(a: int, p: int, n: int) -> Iterable[tuple[int, int, int]]:
     """The descent of a: (e, increment, a) at each level of ``_levels``, a
     being the vector the level leaves (part 0 at a split, the parts' XOR at
-    a sum), past a zero sum too; increment is 0 at a split.  The parts are
-    all equal exactly when the vector shifted down by one part equals its
-    low p-1 parts.  A sum over one-bit parts folds the p bits by the parity
-    of their weight, one popcount in place of p - 1 shifts and XORs.  This
-    is the one split test and XOR fold of the descent.
+    a sum), past a zero sum too; increment is 0 at a split.
 
-    It walks the levels of its plan, ``_PLANS[p, n]``, and then yields the
-    records of the levels below them from the plan's table, read at the
-    vector the walk left; ``_tail`` builds each table with this loop.  The
-    table is read here, not in a generator this one delegates to, as a
-    ``yield from`` per level gave back most of its gain.  At p = 2
-    ``_lc_value`` halves in its own loop, as one on this generator took
-    about 2.4x as long per call at 2^4 and 2^5.
+    Its plan, ``_PLANS[p, n]``, names the levels to walk and a table of the
+    records of the levels below them.  When the plan walks no level (3^1,
+    3^2, 5^1 and 11^1) the whole descent is one row of the table, and
+    ``_steps`` returns that row, the table's own tuple, with no generator.
+    Otherwise it returns the lazy walk of ``_walk``, so a caller that stops
+    early (``is_hypercube``) walks no further.  At p = 2 ``_lc_value``
+    halves in its own loop, as one on this walk took about 2.4x as long per
+    call at 2^4 and 2^5.
     """
     try:
         levels, tail = _PLANS[p, n]
     except KeyError:
         levels, tail = _plan(p, n)
+    if levels:
+        return _walk(a, levels, tail)
+    return tail[a]
+
+
+def _walk(a: int, levels: tuple, tail: tuple | None) -> Iterator[tuple[int, int, int]]:
+    """Yield the records of ``_steps`` over the given levels, then those of
+    the levels below them from the table, read at the vector the walk left;
+    ``_tail`` builds each table with this loop.  The parts are all equal
+    exactly when the vector shifted down by one part equals its low p-1
+    parts.  A sum over one-bit parts folds the p bits by the parity of
+    their weight, one popcount in place of p - 1 shifts and XORs.  This is
+    the one split test and XOR fold of the descent.  The table is read
+    here, not in a generator this one delegates to, as a ``yield from`` per
+    level gave back most of its gain."""
     for e, plen, mask, low_mask, increment in levels:
         hi = a >> plen
         if hi == a & low_mask:
@@ -250,9 +265,9 @@ def _steps(a: int, p: int, n: int) -> Iterator[tuple[int, int, int]]:
 # p = 13 on, whose table would hold 8192 rows).
 _TAIL_BITS = 11
 
-# _PLANS[p, n] = (levels, tail): the _levels rows that _steps walks, and the
-# table of the records of the t levels below them, one row per vector of p^t
-# bits (None without one).
+# _PLANS[p, n] = (levels, tail): the _levels rows that _steps walks (none
+# when the table holds the whole descent), and the table of the records of
+# the t levels below them, one row per vector of p^t bits (None without one).
 _PLANS: dict[tuple[int, int], tuple[tuple, tuple | None]] = {}
 
 
@@ -268,16 +283,11 @@ def _plan(p: int, n: int) -> tuple[tuple, tuple | None]:
 @cache
 def _tail(p: int, t: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """The records of the last t levels of every vector of p^t bits, by
-    ``_steps`` walking all t levels: the plan of (p, t) is staged without a
-    table while it builds, then dropped, so that ``_plan`` makes the one
-    with the table.  Equal rows are one object: 16 distinct of 512 at p = 3
-    and t = 2, 4 of 2048 at p = 11."""
-    _PLANS[p, t] = (_levels(p, t), None)
+    ``_walk`` over all t levels.  Equal rows are one object: 16 distinct of
+    512 at p = 3 and t = 2, 4 of 2048 at p = 11."""
     shared: dict = {}
-    rows = map(tuple, map(_steps, range(1 << p**t), repeat(p), repeat(t)))
-    table = tuple(shared.setdefault(row, row) for row in rows)
-    del _PLANS[p, t]
-    return table
+    rows = map(tuple, map(_walk, range(1 << p**t), repeat(_levels(p, t)), repeat(None)))
+    return tuple(shared.setdefault(row, row) for row in rows)
 
 
 def xwli_lc(s: PeriodicSequence) -> tuple[LCForm, XwliTrace]:
@@ -337,15 +347,8 @@ def _bm_value(stream: int, length: int) -> int:
 
 
 def _bm_values(values: list[int], N: int) -> list[int]:
-    """``_bm_value`` on two periods of each N-bit value, bit-sliced.
-
-    Lane j of every plane belongs to values[j]: plane S[t] holds its bit
-    t mod N, C[k] bit k of its connection polynomial, B[k] bit k of x^m * B
-    (B pre-shifted by the steps m since it was set), and L, a ``bitslice``
-    number, its complexity, so one big-int operation does a step's work for
-    every lane.  dc and db bound the degrees of C and x^m * B over all lanes;
-    no lane's C or x^m * B has degree above N where it is read, so N + 1
-    planes hold them.
+    """``_bm_value`` on two periods of each N-bit value, bit-sliced: lane j
+    of every plane belongs to values[j], and ``_bm_planes`` runs the steps.
 
     The S planes come from one conversion at every N: each value becomes a
     field of whole bytes, the fields join into one int, that int is
@@ -354,14 +357,12 @@ def _bm_values(values: list[int], N: int) -> list[int]:
     2, 4 or 8 bytes of its code; above that, where struct has no code, the
     fields are N's whole bytes joined from ``int.to_bytes``.
     """
-    from .bitslice import above, read, subtract
+    from .bitslice import read
 
     W = len(values)
-    full = (1 << W) - 1
     # fields MSB first and values[0] last, so that lane j is values[j]; the
     # join packs 512 values at a time, as one join over all W would hold a
-    # bytes object per value at once and raise the sweep's peak RSS; S
-    # repeats the period so S[i - j] is direct
+    # bytes object per value at once and raise the sweep's peak RSS
     lanes = values[::-1]
     for F, code in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")):
         if N <= F:
@@ -375,7 +376,25 @@ def _bm_values(values: list[int], N: int) -> list[int]:
             for k in range(0, W, 512)
         )
     rows = format(int.from_bytes(packed, "big"), f"0{W * F}b")
-    S = [int(rows[F - 1 - t :: F], 2) for t in range(N)] * 2
+    return read(_bm_planes([int(rows[F - 1 - t :: F], 2) for t in range(N)], N, W), W)
+
+
+def _bm_planes(S: list[int], N: int, W: int) -> list[int]:
+    """The Massey steps on two periods of W bit-sliced N-bit sequences:
+    plane S[t] holds bit t of every lane's sequence.  Returns the lanes'
+    complexities, a ``bitslice`` number.
+
+    C[k] holds bit k of each lane's connection polynomial, B[k] bit k of
+    x^m * B (B pre-shifted by the steps m since it was set), and L its
+    complexity, so one big-int operation does a step's work for every lane.
+    dc and db bound the degrees of C and x^m * B over all lanes; no lane's C
+    or x^m * B has degree above N where it is read, so N + 1 planes hold
+    them.
+    """
+    from .bitslice import above, subtract
+
+    full = (1 << W) - 1
+    S = S * 2  # the period repeated, so that S[i - j] is direct
     C = [full] + [0] * N
     B = [0, full] + [0] * (N - 1)
     L = [0] * N.bit_length()
@@ -397,7 +416,7 @@ def _bm_values(values: list[int], N: int) -> list[int]:
         else:
             B = [0, *B[:N]]
             db = min(db + 1, N)
-    return read(L, W)
+    return L
 
 
 def berlekamp_massey_lc(s: PeriodicSequence) -> int:

@@ -20,8 +20,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import islice, product, repeat
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
+from .bitslice import identity, read
 from .counting import (
     _class_key, _classes, class_lc, count_hypercubes, count_sequences_with_lc,
     enumerate_hypercubes,
@@ -36,7 +37,7 @@ from .kerror import (
     kurosawa_m,
     meidl_upper_bound,
 )
-from .lincomp import LCForm, _bm_values, berlekamp_massey_lc, lc, xwli_lc
+from .lincomp import LCForm, _bm_planes, _bm_values, berlekamp_massey_lc, lc, xwli_lc
 from .sequences import Modulus, PeriodicSequence, _require_modulus
 
 __all__ = ["SuiteReport", "SUITES", "run_suites"]
@@ -44,10 +45,14 @@ __all__ = ["SuiteReport", "SUITES", "run_suites"]
 MAX_DETAILS = 20
 EXHAUSTIVE_LIMIT = 1 << 13
 SAMPLE_SIZE = 1000
-# Most sequences the lc oracle runs through one bit-sliced Berlekamp-Massey
-# call: enough lanes to repay the planes' per-step cost, few enough that the
-# block's values and planes stay a few hundred KB.
+# Most sequences the lc oracle checks as one block: a sampled block is one
+# bit-sliced Berlekamp-Massey call, enough lanes to repay the planes'
+# per-step cost, and an exhaustive universe's answers are read a block at a
+# time, so a block's values, answers and lists stay a few hundred KB.
 _BM_BLOCK = 4096
+# Largest universe the lc oracle sweeps whole: every sequence up to 2^16,
+# all of 2^4, in one bit-sliced Berlekamp-Massey call on the identity planes.
+_BM_EXHAUSTIVE = 1 << 16
 
 
 @dataclass
@@ -107,11 +112,11 @@ def _suite_lc_oracle(modulus: Modulus | None, rng: random.Random, cap: int) -> S
     """``lc`` at every p, and ``xwli_lc``'s value and trace total at odd p,
     against Berlekamp-Massey (at p = 2, ``lc`` is the Games-Chan halving).
 
-    The oracle runs bit-sliced on each block of the universe, and the block's
-    engine answers are compared with it as one list: at odd p a sequence's
-    answer is its ``lc`` when all three engine values agree, else None.  An
-    agreeing block adds its checks at once; only a disagreeing block is
-    walked, recording one check per sequence in universe order."""
+    The oracle runs bit-sliced (``_oracle_blocks``), and each block's engine
+    answers are compared with its complexities as one list: at odd p a
+    sequence's answer is its ``lc`` when all three engine values agree, else
+    None.  An agreeing block adds its checks at once; only a disagreeing
+    block is walked, recording one check per sequence in universe order."""
     rep = SuiteReport("lc-oracle")
     defaults = [
         Modulus(3, 1), Modulus(3, 2), Modulus(5, 1), Modulus(3, 3), Modulus(5, 2),
@@ -120,14 +125,12 @@ def _suite_lc_oracle(modulus: Modulus | None, rng: random.Random, cap: int) -> S
     for mod in _moduli(modulus, defaults):
         zero = PeriodicSequence.zeros(mod)
         rep.record(berlekamp_massey_lc(zero) == 0, lambda: f"{mod} zero sequence: bm != 0")
-        values = _values(mod, rng, limit=1 << 16)
-        while block := list(islice(values, _BM_BLOCK)):
+        for block, bms in _oracle_blocks(mod, rng):
             if mod.p == 2:
                 got = answers = list(map(lc, map(PeriodicSequence, repeat(mod), block)))
             else:
                 answers = list(map(_odd_p_answers, repeat(mod), block))
                 got = [a if a == value == total else None for a, value, total in answers]
-            bms = _bm_values(block, mod.period)
             if got == bms:
                 rep.checks += len(block)
                 continue
@@ -143,6 +146,29 @@ def _suite_lc_oracle(modulus: Modulus | None, rng: random.Random, cap: int) -> S
                         f"trace {total} != bm {b}",
                     )
     return rep
+
+
+def _oracle_blocks(mod: Modulus, rng: random.Random) -> Iterator[tuple[Sequence[int], list[int]]]:
+    """The nonzero values of lc-oracle's universe of mod, _BM_BLOCK at a time,
+    each block with its Berlekamp-Massey complexities.
+
+    An exhaustive universe runs through one ``_bm_planes`` call on the
+    identity planes, lane v holding sequence v, computed afresh on each call;
+    each block range(lo, hi) then reads its lanes of the complexities,
+    shifted down by lo.  A sampled universe runs ``_bm_values`` on each block
+    of its seeded values."""
+    N = mod.period
+    top = 1 << N
+    if top > _BM_EXHAUSTIVE:
+        values = _values(mod, rng, limit=_BM_EXHAUSTIVE)
+        while block := list(islice(values, _BM_BLOCK)):
+            yield block, _bm_values(block, N)
+        return
+    planes = _bm_planes(identity(N), N, top)
+    for lo in range(1, top, _BM_BLOCK):
+        hi = min(lo + _BM_BLOCK, top)
+        window = (1 << hi - lo) - 1
+        yield range(lo, hi), read([plane >> lo & window for plane in planes], hi - lo)
 
 
 def _suite_mcrit(modulus: Modulus | None, rng: random.Random, cap: int) -> SuiteReport:

@@ -5,7 +5,7 @@ import random
 import pytest
 from helpers import lane_values, to_planes
 
-from seqcomplex.bitslice import above, add, largest, read, subtract
+from seqcomplex.bitslice import above, add, identity, largest, read, subtract
 
 WIDTHS = (1, 2, 63, 64, 65, 1000, 4096)
 
@@ -88,3 +88,14 @@ def test_read_at_each_field_width(K):
     for width in (1, 3, 4096):
         values = [top, 0, 1 << (K - 1)][:width] + [rng.randint(0, top) for _ in range(width - 3)]
         assert read(to_planes(values, K), width) == values
+
+
+@pytest.mark.parametrize("bits", range(13))
+def test_identity_lane_v_holds_v(bits):
+    """Plane t is runs of 2^t lanes, clear then set, so lane v reads v."""
+    planes = identity(bits)
+    assert len(planes) == bits
+    for t, plane in enumerate(planes):
+        w = 1 << t
+        assert all((plane >> v & 1) == (v // w & 1) for v in range(1 << bits)), (bits, t)
+    assert read(planes, 1 << bits) == list(range(1 << bits))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import tracemalloc
@@ -259,6 +260,27 @@ def test_every_brute_force_answer_reads_the_spectrum():
     assert CelcsPoint._fields == ("k", "L")
     with pytest.raises(AttributeError):
         first.L = 0
+
+
+def test_class_tables_descend_the_shared_identity_planes(monkeypatch):
+    """_table builds its universe from bitslice.identity, and its bytes at
+    2^3, 3^2 and 11^1 are those of the tables built before the planes moved
+    there (sha256 of the entries joined)."""
+    identity = kerror.identity
+    sizes = []
+    monkeypatch.setattr(kerror, "identity", lambda bits: sizes.append(bits) or identity(bits))
+    digests = {
+        (2, 3): "26dd24b507c8cad10e10e724a4d3bf3a5fc691788bed5eb8a758e655bcd34617",
+        (3, 2): "12836e10b8ececd81e7b783c915b2733630e199713430b64715ff3782022e10a",
+        (11, 1): "bbafe8012ee49e11050308d7be1f885b433f912c9b230d5681942791aa6c1fe5",
+    }
+    kerror._table.cache_clear()
+    try:
+        for (p, n), digest in digests.items():
+            assert hashlib.sha256(b"".join(kerror._table(p, n))).hexdigest() == digest, (p, n)
+    finally:
+        kerror._table.cache_clear()
+    assert sizes == [8, 9, 11]
 
 
 def test_a_modulus_builds_its_table_once():

@@ -454,6 +454,22 @@ def test_table_finished_records_match_list_references():
             check(p, n, rng.getrandbits(w) * ((1 << N) - 1) // ((1 << w) - 1))
 
 
+def test_whole_table_descents_return_the_tables_row_and_walks_stay_lazy():
+    """Where the plan walks no level (3^1, 3^2, 5^1 and 11^1), _steps
+    returns the table's own row for every value; at a walked modulus it
+    returns a lazy iterator that has walked nothing yet."""
+    for p, n in ((3, 1), (3, 2), (5, 1), (11, 1)):
+        for v in range(1 << p**n):
+            row = _steps(v, p, n)
+            assert row is lincomp._PLANS[p, n][1][v], (p, n, v)
+    rng = random.Random(4401)
+    for p, n in ((3, 3), (3, 5), (13, 1), (2, 4)):
+        v = rng.getrandbits(p**n)
+        walk = _steps(v, p, n)
+        assert not isinstance(walk, tuple) and iter(walk) is walk, (p, n)
+        assert next(walk)[0] == n - 1 and len(list(walk)) == n - 1, (p, n)
+
+
 def test_tail_tables_are_built_once_per_depth_and_hold_at_most_2048_rows(monkeypatch):
     """A table covers the deepest t levels whose vectors have at most 11
     bits: t = 2 at p = 3 (t = 1 at 3^1), t = 1 at p = 5 and 11, none at

@@ -7,6 +7,7 @@ deliberate change to them, regenerate it from the repository root with
     PYTHONPATH=src python tests/test_verify.py > tests/golden/run_suites.txt
 """
 
+import random
 import sys
 import weakref
 from pathlib import Path
@@ -18,6 +19,8 @@ from seqcomplex import (
     SUITES, CelcsPoint, Decomposition, Modulus, PeriodicSequence, SuiteReport, counting,
     kerror, lc, parse_sequence, run_suites, verify,
 )
+from seqcomplex.bitslice import add
+from seqcomplex.lincomp import _bm_value
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "run_suites.txt"
 GOLDEN_SEEDS = (0, 7)
@@ -149,25 +152,79 @@ def test_lc_oracle_checks_lc_at_odd_p(monkeypatch):
 
 
 def test_lc_oracle_fails_exactly_a_faulty_lane(monkeypatch):
-    """A bit-sliced oracle off by one on one lane of the second block fails
-    that sequence alone: lanes line up with the universe across blocks."""
-    bm_values = verify._bm_values
+    """A universe oracle off by one on one lane of the second window fails
+    that sequence alone: the 2^16 lanes of 2^4 run through one Massey call
+    and line up with the universe across windows."""
+    bm_planes = verify._bm_planes
     calls = []
 
-    def faulty(values, N):
-        out = bm_values(values, N)
-        calls.append(len(values))
-        if len(calls) == 2:
-            out[7] += 1
-        return out
+    def faulty(S, N, W):
+        L = bm_planes(S, N, W)
+        calls.append(W)
+        add(L, 1 << verify._BM_BLOCK + 8)  # lane 4104, in range(4097, 8193)
+        return L
 
-    monkeypatch.setattr(verify, "_bm_values", faulty)
+    def sampled(values, N):
+        raise AssertionError("an exhaustive universe sent through _bm_values")
+
+    monkeypatch.setattr(verify, "_bm_planes", faulty)
+    monkeypatch.setattr(verify, "_bm_values", sampled)
     mod = Modulus(2, 4)
     (rep,) = run_suites(["lc-oracle"], mod)
-    assert calls == [verify._BM_BLOCK] * 15 + [verify._BM_BLOCK - 1]
+    assert calls == [1 << 16]
     s = PeriodicSequence(mod, verify._BM_BLOCK + 8)
     assert (rep.checks, rep.failures) == (1 << 16, 1)
     assert rep.details == [f"2^4 s={s.to01()}: lc {lc(s)} != bm {lc(s) + 1}"]
+
+
+def test_lc_oracle_fails_exactly_a_faulty_lane_of_a_sampled_block(monkeypatch):
+    """At 2^5 the seeded sample runs through _bm_values, and an oracle off
+    by one on one lane fails that sequence alone."""
+    bm_values = verify._bm_values
+    blocks = []
+
+    def faulty(values, N):
+        out = bm_values(values, N)
+        blocks.append(values)
+        out[7] += 1
+        return out
+
+    def universe(S, N, W):
+        raise AssertionError("a sampled universe sent through the identity planes")
+
+    monkeypatch.setattr(verify, "_bm_values", faulty)
+    monkeypatch.setattr(verify, "_bm_planes", universe)
+    mod = Modulus(2, 5)
+    (rep,) = run_suites(["lc-oracle"], mod)
+    assert [len(block) for block in blocks] == [verify.SAMPLE_SIZE]
+    s = PeriodicSequence(mod, blocks[0][7])
+    assert (rep.checks, rep.failures) == (1 + verify.SAMPLE_SIZE, 1)
+    assert rep.details == [f"2^5 s={s.to01()}: lc {lc(s)} != bm {lc(s) + 1}"]
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)])
+def test_universe_oracle_is_berlekamp_massey_on_every_value(p, n, monkeypatch):
+    """The exhaustive oracle's windows cover 1..2^N - 1 in order, _BM_BLOCK
+    values each, read no seed, and hold for every value the scalar
+    Berlekamp-Massey complexity of two periods and the _bm_values lane."""
+    bm_values = verify._bm_values
+
+    def sampled(values, N):
+        raise AssertionError("an exhaustive universe sent through _bm_values")
+
+    monkeypatch.setattr(verify, "_bm_values", sampled)
+    N = p**n
+    rng = random.Random(4402)
+    state = rng.getstate()
+    blocks = list(verify._oracle_blocks(Modulus(p, n), rng))
+    assert rng.getstate() == state
+    values = [v for block, _ in blocks for v in block]
+    bms = [b for _, block_bms in blocks for b in block_bms]
+    assert values == list(range(1, 1 << N))
+    assert all(len(block) == len(b) for block, b in blocks)
+    assert [len(block) for block, _ in blocks[:-1]] == [verify._BM_BLOCK] * (len(blocks) - 1)
+    assert bms == bm_values(values, N)
+    assert bms == [_bm_value(v | v << N, 2 * N) for v in values]
 
 
 def test_failure_details_are_exact_capped_and_lazy(monkeypatch):
