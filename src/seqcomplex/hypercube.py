@@ -235,13 +235,13 @@ class Decomposition:
 # prices a hypercube from q and edges alone.
 #
 # Three functions here walk _steps: a table's row where the whole descent is
-# one (3^1, 3^2, 5^1, 11^1), else a lazy walk.  _descend builds the _Descent record
-# that extract_structure, cube_lc, counting._class_key and kerror's closed
-# forms read.  _peel makes the rewrite descent's walk and pass up but keeps
-# no edges, vertex or record: it returns h_1 = vecs[0] and its complexity,
-# the increments plus 1 at an element vertex, and standard_decompose loops
-# it.  is_hypercube keeps only the level's weight and stops at the first sum
-# that cancels ones.  A Decomposition keeps no descent, since a part's plain
+# one (3^1, 3^2, 5^1, 11^1), else a lazy walk.  _descend builds the _Descent
+# record that extract_structure, cube_lc, counting._class_key and kerror's
+# closed forms read.  _peel makes the rewrite descent's walk and pass up but
+# keeps no edges, vertex or record: it returns h_1 = vecs[0] and its
+# complexity, the increments plus 1 at an element vertex, and
+# standard_decompose loops it.  is_hypercube keeps only the level's weight
+# and stops at the first sum that cancels ones.  A Decomposition keeps no descent, since a part's plain
 # descent equals the rewrite descent that peeled it.
 #
 # A sum cancels ones exactly when it leaves fewer ones than the level it
