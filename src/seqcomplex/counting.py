@@ -120,7 +120,7 @@ def _class_key(value: int, mod: Modulus) -> tuple | None:
     l is None for an element vertex and the vertex weight for a length-0
     tuple vertex; other sequences belong to no counted class.
     """
-    desc = _descend(value, mod.p, mod.n, rewrite=False)
+    desc = _descend(value, mod.p, mod.n)
     if not desc.ok:
         return None
     if desc.q is None:

@@ -215,17 +215,18 @@ class Decomposition:
 # A sum XORed p parts that share no row, so each 1 of vecs[k+1] comes from
 # the one part holding it in vecs[k].
 #
-# A rewrite descent makes every sum's parts share no row in two passes.
-# Down: it notes each sum that would cancel ones; its XOR goes on down as is.
-# Up (``_pass_up``), from the deepest such level, with plen read from the
-# level's row: a noted level keeps the first 1 of each row (``_kept``), in
-# its own level only, and every level vecs[k] &= vecs[k+1] spread over p
-# parts (``_spread``; both shift by copies that double, about log2 p shifts
-# a call), except level n - 1, whose vector below is the final scalar 1.
-# Keeping first 1s and masking by whole rows commute, so the order is free.
-# Ones are only ever removed and each 1 below a sum has one source, so a
-# level keeps exactly the sources of the ones that survive below it; even
-# rows drop out because the XOR below a rewritten level holds only odd rows.
+# A rewrite descent makes every sum's parts share no row in two passes, and
+# _peel is the one walk that makes it.  Down: it notes each sum that would
+# cancel ones; its XOR goes on down as is.  Up, from the deepest such level,
+# with plen read from the level's row: a noted level keeps the first 1 of
+# each row (``_kept``), in its own level only, and every level vecs[k] &=
+# vecs[k+1] spread over p parts (``_spread``; both shift by copies that
+# double, about log2 p shifts a call), except level n - 1, whose vector below
+# is the final scalar 1.  Keeping first 1s and masking by whole rows commute,
+# so the order is free.  Ones are only ever removed and each 1 below a sum
+# has one source, so a level keeps exactly the sources of the ones that
+# survive below it; even rows drop out because the XOR below a rewritten
+# level holds only odd rows.
 #
 # The vertex stays an int mask too: the descent ends at vecs[-1], which is
 # the scalar 1 when q is None (an element vertex) and the p parts of p^q bits
@@ -235,14 +236,15 @@ class Decomposition:
 # prices a hypercube from q and edges alone.
 #
 # Three functions here walk _steps: a table's row where the whole descent is
-# one (3^1, 3^2, 5^1, 11^1), else a lazy walk.  _descend builds the _Descent
-# record that extract_structure, cube_lc, counting._class_key and kerror's
-# closed forms read.  _peel makes the rewrite descent's walk and pass up but
-# keeps no edges, vertex or record: it returns h_1 = vecs[0] and its
-# complexity, the increments plus 1 at an element vertex, and
-# standard_decompose loops it.  is_hypercube keeps only the level's weight
-# and stops at the first sum that cancels ones.  A Decomposition keeps no descent, since a part's plain
-# descent equals the rewrite descent that peeled it.
+# one (3^1, 3^2, 5^1, 11^1), else a lazy walk.  _descend makes the plain
+# descent and builds the _Descent record that extract_structure, cube_lc,
+# counting._class_key and kerror's closed forms read.  _peel makes the
+# rewrite descent's walk and pass up but keeps no edges, vertex or record:
+# it returns h_1 = vecs[0] and its complexity, the increments plus 1 at an
+# element vertex, and standard_decompose loops it.  is_hypercube keeps only
+# the level's weight and stops at the first sum that cancels ones.  A
+# Decomposition keeps no descent, since a part's plain descent equals the
+# rewrite descent that peeled it.
 #
 # A sum cancels ones exactly when it leaves fewer ones than the level it
 # folds.  Each walk carries that level's weight instead of counting it
@@ -253,7 +255,8 @@ class Decomposition:
 #
 # After a rewrite descent of s, vecs[0] is the leading hypercube h_1 of s and
 # the descent equals the plain descent of h_1 (vecs, edges, vertex); s is a
-# hypercube iff vecs[0] == s.  kerror's closed forms rely on this.
+# hypercube iff vecs[0] == s.  kerror's closed forms rely on this: they read
+# h_1 from _peel and the rest from _descend of h_1.
 
 
 @dataclass(slots=True)
@@ -292,9 +295,10 @@ def _kept(a: int, p: int, plen: int) -> int:
     return a & ~seen
 
 
-def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
-    """Run the descent; with rewrite=True cancellations are repaired in place."""
-    vecs, edges, rewritten = [value], [], []
+def _descend(value: int, p: int, n: int) -> _Descent:
+    """The plain descent of value.  It stops at the first sum that cancels
+    ones, with ok False, so the depth it failed at is len(vecs)."""
+    vecs, edges = [value], []
     q = None
     weight = value.bit_count()  # of vecs[-1] as the descent reached it
     for e, increment, a in _steps(value, p, n):
@@ -305,25 +309,25 @@ def _descend(value: int, p: int, n: int, rewrite: bool) -> _Descent:
             # terminating zero-sum: the parts of vecs[-1] are the vertex
             q = e
             break
-        elif (w := a.bit_count()) != weight:
-            if not rewrite:
-                return _Descent(vecs, False)
-            rewritten.append(len(vecs) - 1)
-            weight = w
+        elif a.bit_count() != weight:
+            return _Descent(vecs, False)
         vecs.append(a)
     else:
         assert vecs[-1] == 1
     edges.reverse()
-    if rewritten:
-        _pass_up(vecs, rewritten, p, n)
     return _Descent(vecs, True, tuple(edges), q)
 
 
 def _peel(value: int, p: int, n: int) -> tuple[int, int]:
     """(h_1, L): the leading hypercube of nonzero value, vecs[0] of its
     rewrite descent, and its complexity L(value), the increments plus 1 at
-    an element vertex.  The same walk and pass up as ``_descend``, keeping
-    no edges, vertex length or record."""
+    an element vertex.  It keeps no edges, vertex length or record.
+
+    The pass up runs from the deepest level that cancelled ones: such a
+    level keeps the first 1 of each row, and each level the sources of the
+    ones below it.  Below level n - 1 lies the final scalar 1, which spread
+    over p one-bit parts is all ones, so that level keeps its first 1s
+    alone."""
     vecs, rewritten = [value], []
     L = 0
     weight = value.bit_count()
@@ -340,21 +344,12 @@ def _peel(value: int, p: int, n: int) -> tuple[int, int]:
     else:
         L += 1
     if rewritten:
-        _pass_up(vecs, rewritten, p, n)
+        levels = _levels(p, n)
+        for k in range(rewritten[-1], -1, -1):
+            plen = levels[k][1]
+            a = _kept(vecs[k], p, plen) if k in rewritten else vecs[k]
+            vecs[k] = a if k == n - 1 else a & _spread(vecs[k + 1], p, plen)
     return vecs[0], L
-
-
-def _pass_up(vecs: list[int], rewritten: list[int], p: int, n: int) -> None:
-    """The pass up of a rewrite descent, in place: from the deepest level
-    that cancelled ones, such a level keeps the first 1 of each row, and
-    each level the sources of the ones below it.  Below level n - 1 lies
-    the final scalar 1, which spread over p one-bit parts is all ones, so
-    that level keeps its first 1s alone."""
-    levels = _levels(p, n)
-    for k in range(rewritten[-1], -1, -1):
-        plen = levels[k][1]
-        a = _kept(vecs[k], p, plen) if k in rewritten else vecs[k]
-        vecs[k] = a if k == n - 1 else a & _spread(vecs[k + 1], p, plen)
 
 
 def _expand_flip(desc: _Descent, p: int, n: int, flips: int) -> int:
@@ -394,7 +389,7 @@ def extract_structure(s: PeriodicSequence) -> HypercubeStructure:
     """Structure (m, edges, vertex) of a hypercube; NotAHypercube otherwise."""
     require_nonzero(s)
     p = s.modulus.p
-    desc = _descend(s.value, p, s.modulus.n, rewrite=False)
+    desc = _descend(s.value, p, s.modulus.n)
     if not desc.ok:
         raise NotAHypercube(f"cancellation at depth {len(desc.vecs)} of the descent")
     if desc.q is None:
@@ -548,7 +543,7 @@ def cube_lc(s: PeriodicSequence) -> tuple[int, tuple[int, ...], int]:
     if s.value == 0:
         raise NotACube("zero sequence has no cube support")
     n = s.modulus.n
-    desc = _descend(s.value, 2, n, rewrite=False)
+    desc = _descend(s.value, 2, n)
     if not desc.ok:
         raise NotACube(f"cancellation at halving depth {len(desc.vecs)}")
     return len(desc.edges), desc.edges, _hypercube_lc(2, n, None, desc.edges)

@@ -26,10 +26,10 @@ bound there, as the witness erases h_1.
 ``verify.run_suites`` compares the closed form with brute force over whole
 universes and reports every such counterexample.
 
-Every closed-form answer is read from one rewrite descent of s: its first
-level is h_1 and its levels, edges and vertex are h_1's own, and s is a
-hypercube exactly when h_1 = s.  The rest of the decomposition is never
-computed.  Brute force has one exact scan, ``_spectrum``, which yields the
+Every closed-form answer is read from h_1, the leading hypercube that one
+peel of s leaves, and from the plain descent of h_1, which is the rewrite
+descent of s; s is a hypercube exactly when h_1 = s.  The rest of the
+decomposition is never computed.  Brute force has one exact scan, ``_spectrum``, which yields the
 critical-error spectrum from its start point (0, L(s)) lazily, one weight
 class at a time; every brute-force answer reads a prefix of it, and m(s) is
 its second point (``_first_drop``).  It has one budget rule: class k >= 1 is
@@ -77,6 +77,7 @@ from .hypercube import (
     VertexKind,
     _descend,
     _expand_flip,
+    _peel,
     _spread,
 )
 from .bitslice import above, add, identity, largest, read
@@ -398,17 +399,21 @@ def _equalizing_flips(p: int, q: int, a: int) -> int:
 def _closed_form(s: PeriodicSequence) -> tuple[CriticalReport, bool]:
     """The formula report for nonzero s, and whether s is a hypercube.
 
-    The witness is the cheaper change to h_1 = desc.vecs[0]: erase it (l * p^m),
-    or equalize its tuple vertex (j * p^m).  The two never cost the same: j - l
+    h_1 is the leading hypercube that ``_peel`` leaves, and desc its plain
+    descent, which is the rewrite descent of s; s is a hypercube iff h_1 = s.
+    The witness is the cheaper change to h_1: erase it (l * p^m), or
+    equalize its tuple vertex (j * p^m).  The two never cost the same: j - l
     sums p - 2c over the rows set to all-ones, terms that are odd and share one
     sign (all positive when the fullest row has c < p/2, else all negative).
     """
     p, n = s.modulus.p, s.modulus.n
-    desc = _descend(s.value, p, n, rewrite=True)
+    h1 = _peel(s.value, p, n)[0]
+    desc = _descend(h1, p, n)
+    assert desc.ok
     pm = p ** len(desc.edges)
     l = desc.l
     erase = l * pm
-    m_s, mask, j = erase, desc.vecs[0], None
+    m_s, mask, j = erase, h1, None
     if desc.q is not None:
         flips = _equalizing_flips(p, desc.q, desc.vecs[-1])
         j = flips.bit_count()
@@ -416,7 +421,7 @@ def _closed_form(s: PeriodicSequence) -> tuple[CriticalReport, bool]:
         if j < l:
             m_s, mask = j * pm, _expand_flip(desc, p, n, flips)
             assert mask.bit_count() == m_s
-    single = desc.vecs[0] == s.value
+    single = h1 == s.value
     m1 = erase if single and m_s < erase else None
     vertex_j = j if desc.q else None
     L_after = _lc_value(s.value ^ mask, p, n)

@@ -18,6 +18,7 @@ public functions behind its command, ``count hypercubes``:
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice, product, repeat
 from typing import Callable, Iterable, Iterator, Sequence
@@ -84,10 +85,10 @@ class SuiteReport:
         return f"{self.name}: {self.agreements}/{self.checks} agree"
 
 
-def _values(modulus: Modulus, rng: random.Random, limit: int = EXHAUSTIVE_LIMIT) -> Iterator[int]:
+def _values(modulus: Modulus, rng: random.Random) -> Iterator[int]:
     """All nonzero sequence values when that fits, a seeded sample otherwise."""
     top = 1 << modulus.period
-    if top <= limit:
+    if top <= EXHAUSTIVE_LIMIT:
         return iter(range(1, top))
     return (rng.randrange(1, top) for _ in range(SAMPLE_SIZE))
 
@@ -160,7 +161,7 @@ def _oracle_blocks(mod: Modulus, rng: random.Random) -> Iterator[tuple[Sequence[
     N = mod.period
     top = 1 << N
     if top > _BM_EXHAUSTIVE:
-        values = _values(mod, rng, limit=_BM_EXHAUSTIVE)
+        values = _values(mod, rng)
         while block := list(islice(values, _BM_BLOCK)):
             yield block, _bm_values(block, N)
         return
@@ -209,7 +210,7 @@ def _suite_counting(modulus: Modulus | None, rng: random.Random, cap: int) -> Su
     """Counting formulas against exhaustive tallies and constructive enumeration.
 
     The per-complexity counts are checked for odd p only.  Each exhaustive
-    universe is swept once, for both tallies.
+    universe is read by ``_tallies``, one pass over it per tally.
     """
     rep = SuiteReport("counting")
     defaults = [Modulus(3, 1), Modulus(3, 2), Modulus(5, 1), Modulus(2, 2), Modulus(2, 3)]
@@ -222,17 +223,14 @@ def _suite_counting(modulus: Modulus | None, rng: random.Random, cap: int) -> Su
 
 
 def _tallies(mod: Modulus) -> tuple[dict[int, int] | None, dict[tuple, int]]:
-    """One sweep of a universe: how many sequences have each complexity (odd
-    p only, else None) and how many nonzero ones lie in each counted class."""
-    lcs: dict[int, int] | None = {0: 1} if mod.p != 2 else None
-    classes: dict[tuple, int] = {}
-    for v in range(1, 1 << mod.period):
-        if lcs is not None:
-            L = lc(PeriodicSequence(mod, v))
-            lcs[L] = lcs.get(L, 0) + 1
-        key = _class_key(v, mod)
-        if key is not None:
-            classes[key] = classes.get(key, 0) + 1
+    """How many sequences of a universe have each complexity (odd p only,
+    else None) and how many nonzero ones lie in each counted class."""
+    values = range(1, 1 << mod.period)
+    lcs = None
+    if mod.p != 2:
+        lcs = Counter(map(lc, map(PeriodicSequence, repeat(mod), values)))
+        lcs[0] += 1
+    classes = Counter(filter(None, map(_class_key, values, repeat(mod))))
     return lcs, classes
 
 

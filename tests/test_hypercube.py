@@ -313,13 +313,11 @@ def test_decompose_invariants_random_n27():
 
 
 def _check_rewrite_descent_leads_with_h1(s):
-    p, n = s.modulus.p, s.modulus.n
-    desc = _descend(s.value, p, n, rewrite=True)
-    plain = _descend(desc.vecs[0], p, n, rewrite=False)
-    assert plain.ok
-    assert desc.vecs == plain.vecs
-    assert (desc.q, desc.edges) == (plain.q, plain.edges)
-    assert (desc.vecs[0] == s.value) == is_hypercube(s)
+    """The plain descent of h_1 = _peel(s)[0] is the list reference's rewrite
+    descent of s, and s is a hypercube iff h_1 = s."""
+    _check_against_list_rewrite(s)
+    h1 = _peel(s.value, s.modulus.p, s.modulus.n)[0]
+    assert (h1 == s.value) == is_hypercube(s)
 
 
 def test_rewrite_descent_is_the_plain_descent_of_h1_exhaustive():
@@ -346,12 +344,12 @@ def test_rewrite_descent_is_the_plain_descent_of_h1_sampled():
 
 def _check_peel_and_test_against_the_descent(v, p, n):
     s = PeriodicSequence(Modulus(p, n), v)
-    assert is_hypercube(s) == _descend(v, p, n, False).ok, (p, n, v)
-    assert _peel(v, p, n) == (_descend(v, p, n, True).vecs[0], lc(s)), (p, n, v)
+    assert is_hypercube(s) == _descend(v, p, n).ok, (p, n, v)
+    assert _peel(v, p, n) == (list_rewrite_descent(v, p, n)[0][0], lc(s)), (p, n, v)
 
 
 def test_peel_and_hypercube_test_match_the_descent():
-    """_peel gives the rewrite descent's h_1 and L(s), and is_hypercube the
+    """_peel gives the list rewrite's h_1 and L(s), and is_hypercube the
     plain descent's verdict: every value at 2^1-2^4, 3^1, 3^2, 5^1, 11^1 and
     13^1, and 300 seeded values each at 3^3, 5^2, 3^5 and 2^8, half of
     them sparse."""
@@ -482,8 +480,10 @@ def test_decompose_structures_match_extraction_sampled():
 
 
 def _check_against_list_rewrite(s):
+    """The plain descent of _peel's h_1, which kerror's closed forms read as
+    the rewrite descent of s, against the list rewrite of s."""
     p, n = s.modulus.p, s.modulus.n
-    desc = _descend(s.value, p, n, rewrite=True)
+    desc = _descend(_peel(s.value, p, n)[0], p, n)
     vecs, _, edges, q, ok = list_rewrite_descent(s.value, p, n)
     assert (desc.vecs, desc.edges, desc.q, desc.ok) == (vecs, edges, q, ok), s.to01()
 
@@ -512,7 +512,7 @@ def _check_plain_against_list_trace(value: int, p: int, n: int) -> None:
         weights.append(post)
     else:
         assert final_one
-    desc = _descend(value, p, n, rewrite=False)
+    desc = _descend(value, p, n)
     got = ([v.bit_count() for v in desc.vecs], desc.edges, desc.q, desc.ok)
     assert got == (weights, tuple(sorted(edges)) if ok else (), q if ok else None, ok), value
     if ok:
@@ -630,7 +630,7 @@ def test_packed_vertex_matches_the_descent_and_exhaustive_search(p, q):
             VertexKind.TUPLE, q, tuple(tuple(map(_Index, b)) for b in v.blocks)
         )
         s = PeriodicSequence.from_bits([bit for b in v.blocks for bit in b], mod)
-        desc = _descend(s.value, p, q + 1, rewrite=False)
+        desc = _descend(s.value, p, q + 1)
         assert desc.ok and extract_structure(s).vertex == v
         assert w.l == v.l == desc.l == s.weight
         assert vertex_min_change(w) == vertex_min_change(v) == exhaustive_min_change(v)

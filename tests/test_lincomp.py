@@ -20,7 +20,7 @@ from seqcomplex import (
 )
 from seqcomplex.errors import EvenP, NotRepresentable, OddP
 from seqcomplex import lincomp
-from seqcomplex.hypercube import _descend
+from seqcomplex.hypercube import _descend, _peel
 from seqcomplex.lincomp import _P2, _TAILS, _bm_value, _bm_values, _lc_value, _levels, _steps
 
 MOD9 = Modulus(3, 2)
@@ -428,8 +428,8 @@ def test_levels_record_each_levels_exponent_geometry_and_increment():
 def test_table_finished_records_match_list_references():
     """At odd p up to 11 the deepest levels' records come from a table.
     Each record's exponent, branch, increment and weight, and the final
-    scalar, against the descent on a list of parts; the rewrite descent
-    that reads them against the list rewrite."""
+    scalar, against the descent on a list of parts; the plain descent of
+    _peel's h_1, which reads them, against the list rewrite."""
 
     def check(p, n, v):
         steps, final_one = list_plain_trace(v, p, n)
@@ -437,7 +437,7 @@ def test_table_finished_records_match_list_references():
         want = [(n - d, branch, inc, post) for d, (branch, _, post, inc) in enumerate(steps, 1)]
         assert got == want and (got[-1][3] == 1) == final_one, (p, n, v)
         if v:
-            desc = _descend(v, p, n, rewrite=True)
+            desc = _descend(_peel(v, p, n)[0], p, n)
             vecs, _, edges, q, ok = list_rewrite_descent(v, p, n)
             assert (desc.vecs, desc.edges, desc.q, desc.ok) == (vecs, edges, q, ok), (p, n, v)
 
