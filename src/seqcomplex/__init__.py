@@ -17,14 +17,14 @@ __version__ = "0.1.0"
 # public name -> submodule that defines it
 _SOURCES = {
     **dict.fromkeys((
-        "CountResult", "class_lc", "count_cubes", "count_hypercubes",
-        "count_sequences_with_lc", "enumerate_cubes", "enumerate_hypercubes",
+        "CountResult", "class_lc", "count_hypercubes", "count_sequences_with_lc",
+        "enumerate_hypercubes",
     ), "counting"),
     "SeqComplexError": "errors",
     **dict.fromkeys((
         "Decomposition", "HypercubeStructure", "VertexDescriptor", "VertexKind", "cube_lc",
         "extract_structure", "is_hypercube", "lc_from_structure", "next_lower_hypercube_lc",
-        "rebalance_blocks", "standard_decompose",
+        "standard_decompose",
     ), "hypercube"),
     **dict.fromkeys((
         "CelcsPoint", "CriticalReport", "celcs", "construct_stable",
@@ -32,12 +32,11 @@ _SOURCES = {
         "kurosawa_m", "meidl_upper_bound", "second_critical_m1", "vertex_min_change",
     ), "kerror"),
     **dict.fromkeys((
-        "LCForm", "XwliStep", "XwliTrace", "berlekamp_massey_lc", "games_chan_lc", "lc",
+        "LCForm", "XwliStep", "XwliTrace", "berlekamp_massey_lc", "lc",
         "lc_form_decompose", "xwli_lc",
     ), "lincomp"),
     **dict.fromkeys((
-        "Modulus", "PeriodicSequence", "hamming_weight", "parse_corpus", "parse_sequence",
-        "pn_distance", "validate_modulus", "xor_sequences",
+        "Modulus", "PeriodicSequence", "parse_corpus", "parse_sequence", "pn_distance",
     ), "sequences"),
     **dict.fromkeys(("SUITES", "SuiteReport", "run_suites"), "verify"),
 }

@@ -40,6 +40,7 @@ from .errors import (
     BudgetExceeded,
     NoEligibleExponent,
     NotAHypercube,
+    OddP,
     SeqComplexError,
 )
 from .lincomp import lc, lc_form_decompose
@@ -515,9 +516,16 @@ def count_hypercubes_cmd(**opts):
 )
 def count_cubes_cmd(**opts):
     """How many p=2 cubes share the given edge exponents."""
-    from .counting import count_cubes, enumerate_cubes
+    from .counting import count_hypercubes, enumerate_hypercubes
 
-    _count_class("count cubes", count_cubes, enumerate_cubes, **opts)
+    def count(modulus, edges):
+        # refused here, once the modulus is built and --edges parsed, and
+        # before the edges are checked against it
+        if modulus.p != 2:
+            raise OddP("count_cubes requires p = 2")
+        return count_hypercubes(modulus, edges)
+
+    _count_class("count cubes", count, enumerate_hypercubes, **opts)
 
 
 @_command(

@@ -14,16 +14,15 @@ gives p^E hypercubes with an element vertex, and C(p, l) * p^((E-1)*l) with
 a length-0 tuple vertex of weight l (l even, edges all >= 1).  The 2^n cubes
 are the p = 2 case, whose only class is the element one: 2^E cubes (an even l
 in (1, 2) does not exist).  So every function here but the per-complexity
-count serves every p; the cube functions are the named p = 2 entry points.
-The counted classes are defined here alone: ``_classes`` lists them and
-``_class_key`` names one.
+count serves every p, the 2^n cubes included.  The counted classes are
+defined here alone: ``_classes`` lists them and ``_class_key`` names one.
 
-``enumerate_hypercubes`` is the one enumerator (``enumerate_cubes``, the
-command line and the counting suite all call it).  It builds every member of
-a class constructively, bottom-up from the vertex: an edge level repeats the
-current vector p times, any other level splits each 1 into one of the p
-blocks.  Every public function here refuses a modulus that is not a
-``Modulus``.
+``enumerate_hypercubes`` is the one enumerator (the command line's ``count
+hypercubes`` and ``count cubes`` and the counting suite all call it).  It
+builds every member of a class constructively, bottom-up from the vertex: an
+edge level repeats the current vector p times, any other level splits each 1
+into one of the p blocks.  Every public function here refuses a modulus that
+is not a ``Modulus``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .errors import (
     BudgetExceeded,
     EvenP,
     InvalidL,
-    OddP,
     _check_cap,
 )
 from .hypercube import _descend, _hypercube_lc, _spread, _valid_edges
@@ -49,10 +47,8 @@ from .sequences import Modulus, PeriodicSequence, _require_modulus
 __all__ = [
     "CountResult",
     "class_lc",
-    "count_cubes",
     "count_hypercubes",
     "count_sequences_with_lc",
-    "enumerate_cubes",
     "enumerate_hypercubes",
 ]
 
@@ -150,14 +146,6 @@ def _class_count(modulus: Modulus, edges: tuple[int, ...], l: int | None) -> Cou
     return CountResult(comb(p, l) * p ** ((E - 1) * l), f"C({p},{l}) * {p}^{(E - 1) * l}")
 
 
-def count_cubes(modulus: Modulus, edges) -> CountResult:
-    """Number of 2^n-periodic cubes with the given edge exponents."""
-    _require_modulus(modulus)
-    if modulus.p != 2:
-        raise OddP("count_cubes requires p = 2")
-    return count_hypercubes(modulus, edges)
-
-
 def class_lc(modulus: Modulus, edges, l: int | None = None) -> int:
     """Linear complexity shared by every member of a counted class."""
     es = _class_edges(modulus, edges, l)
@@ -205,13 +193,3 @@ def enumerate_hypercubes(
     values = _grow(base, p, start, modulus.n, edges)
     assert len(values) == count.value
     return tuple(PeriodicSequence(modulus, v) for v in values)
-
-
-def enumerate_cubes(
-    modulus: Modulus, edges, cap: int = ENUM_CAP
-) -> tuple[PeriodicSequence, ...]:
-    """Every cube with the given edge exponents (p = 2)."""
-    _require_modulus(modulus)
-    if modulus.p != 2:
-        raise OddP("enumerate_cubes requires p = 2")
-    return enumerate_hypercubes(modulus, edges, None, cap)

@@ -49,7 +49,7 @@ class ZeroSequence(SeqComplexError):
 # -- engine selection -------------------------------------------------------
 
 class EvenP(SeqComplexError):
-    """Operation requires an odd p (use the p=2 engine instead)."""
+    """Operation requires an odd p (use ``lc`` at p = 2)."""
 
 
 class OddP(SeqComplexError):
@@ -74,10 +74,6 @@ class NotACube(SeqComplexError):
 
 class NoEligibleExponent(SeqComplexError):
     """No edge exponent is available for a next-lower hypercube."""
-
-
-class IsVertex(SeqComplexError):
-    """Blocks already sum to zero; no rebalancing rewrite is defined."""
 
 
 # -- k-error operations -----------------------------------------------------

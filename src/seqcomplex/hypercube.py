@@ -28,10 +28,9 @@ the hypercubes are the 2^n cubes of ``cube_lc``.
 sequence in one pass down and one pass up.  Down, an XOR step that would
 cancel ones keeps the first 1 of each row; up, each level from the deepest
 such step to the period keeps the sources of the ones that survive below it,
-so every surviving one has a unique source (``rebalance_blocks`` does the
-same to p blocks).  The peeled part keeps the full linear complexity of the
-input; the residue is strictly simpler, so recursion yields parts with
-strictly decreasing complexities.
+so every surviving one has a unique source.  The peeled part keeps the full
+linear complexity of the input; the residue is strictly simpler, so recursion
+yields parts with strictly decreasing complexities.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from typing import Sequence as Seq
 
 from .errors import (
     InvalidEdges,
-    IsVertex,
     ModulusMismatch,
     NoEligibleExponent,
     NotACube,
@@ -72,7 +70,6 @@ __all__ = [
     "is_hypercube",
     "lc_from_structure",
     "next_lower_hypercube_lc",
-    "rebalance_blocks",
     "standard_decompose",
 ]
 
@@ -461,44 +458,6 @@ def next_lower_hypercube_lc(h: HypercubeStructure, modulus: Modulus) -> int:
     if free is None:
         raise NoEligibleExponent(f"no exponent available beyond edges {h.edges}")
     return _hypercube_lc(modulus.p, modulus.n, h.vertex.q, (free, *h.edges))
-
-
-def rebalance_blocks(
-    blocks: Seq[Seq[int]],
-) -> tuple[tuple[tuple[int, ...], ...], dict[int, int]]:
-    """Rewrite p blocks so their supports are disjoint, preserving the XOR.
-
-    Rows with odd parity keep their first 1 and lose the rest; even rows are
-    cleared entirely.  Returns the rewritten blocks and the map from each
-    surviving row to the block that kept its 1.  Raises IsVertex when the
-    XOR is already zero (nothing survives a rewrite) and ValueError when the
-    blocks are not a sequence of sequences, there are fewer than 2 blocks, an
-    entry is not 0 or 1, or the blocks are all equal (the descent would not
-    XOR them).
-    """
-    try:
-        if len(blocks) < 2:
-            raise ValueError("rewrite needs at least 2 blocks")
-        rows = len(blocks[0])
-        uneven = any(len(b) != rows for b in blocks)
-    except TypeError:  # blocks, or a block, with no length or no indexing
-        raise ValueError(f"blocks must be a sequence of sequences; got {blocks!r}") from None
-    if uneven:
-        raise ValueError("blocks must have equal length")
-    p = len(blocks)
-    packed = _row_mask([bit for b in blocks for bit in b])
-    if packed is None:
-        raise ValueError("block entries must be 0 or 1")
-    mask = (1 << rows) - 1
-    parts = [packed >> (i * rows) & mask for i in range(p)]
-    if all(v == parts[0] for v in parts[1:]):
-        raise ValueError("blocks are all equal; rewrite applies to the XOR branch")
-    kept = _kept(packed, p, rows) & _spread(reduce(xor, parts), p, rows)
-    if kept == 0:
-        raise IsVertex("blocks already sum to the zero vector")
-    out = tuple(_bits(kept >> (i * rows) & mask, rows) for i in range(p))
-    sources = {t: i for t in range(rows) for i, b in enumerate(out) if b[t]}
-    return out, sources
 
 
 def standard_decompose(s: PeriodicSequence) -> Decomposition:

@@ -47,7 +47,7 @@ from operator import and_, attrgetter, xor
 from struct import pack
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import EvenP, NotRepresentable, OddP
+from .errors import EvenP, NotRepresentable
 from .sequences import PERIOD_CAP, Modulus, PeriodicSequence, _require_modulus
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "XwliStep",
     "XwliTrace",
     "berlekamp_massey_lc",
-    "games_chan_lc",
     "lc",
     "lc_form_decompose",
     "xwli_lc",
@@ -299,7 +298,7 @@ def xwli_lc(s: PeriodicSequence) -> tuple[LCForm, XwliTrace]:
     """
     p, n = s.modulus.p, s.modulus.n
     if p == 2:
-        raise EvenP("xwli_lc requires odd p; use games_chan_lc for p = 2")
+        raise EvenP("xwli_lc requires odd p; use lc for p = 2")
     # the records skip the namedtuples' own __new__, Python code that only
     # hands its fields on to tuple.__new__
     new = tuple.__new__
@@ -315,13 +314,6 @@ def xwli_lc(s: PeriodicSequence) -> tuple[LCForm, XwliTrace]:
     form = LCForm(p, int(trace.final_one), frozenset(exps))
     assert trace.total == form.value
     return form, trace
-
-
-def games_chan_lc(s: PeriodicSequence) -> int:
-    """Games-Chan linear complexity for 2^n-periodic sequences."""
-    if s.modulus.p != 2:
-        raise OddP("games_chan_lc requires p = 2")
-    return _lc_value(s.value, 2, s.modulus.n)
 
 
 def _bm_value(stream: int, length: int) -> int:

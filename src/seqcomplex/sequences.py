@@ -112,11 +112,6 @@ def _require_modulus(modulus) -> None:
         raise ModulusMismatch(f"modulus must be a Modulus; got {modulus!r}") from None
 
 
-def validate_modulus(p: int, n: int) -> Modulus:
-    """Return a validated Modulus or raise NotPrime/NotPrimitiveRoot/PeriodTooLarge."""
-    return Modulus(p, n)
-
-
 @dataclass(frozen=True, init=False, slots=True)
 class PeriodicSequence:
     """One period of a binary sequence, packed LSB-first into ``value``.
@@ -235,16 +230,6 @@ _set_value = PeriodicSequence.__dict__["value"].__set__
 def parse_sequence(text: str, modulus: Modulus) -> PeriodicSequence:
     """Parse a one-period 0/1 literal (whitespace ignored)."""
     return PeriodicSequence.from_text(text, modulus)
-
-
-def hamming_weight(s: PeriodicSequence) -> int:
-    """Number of ones in one period."""
-    return s.weight
-
-
-def xor_sequences(a: PeriodicSequence, b: PeriodicSequence) -> PeriodicSequence:
-    """Bitwise GF(2) sum of two sequences over the same modulus."""
-    return a ^ b
 
 
 def pn_distance(i: int, j: int, modulus: Modulus) -> int:

@@ -16,15 +16,12 @@ from seqcomplex import (
     PeriodicSequence,
     berlekamp_massey_lc,
     construct_stable,
-    count_cubes,
     count_hypercubes,
     count_sequences_with_lc,
-    enumerate_cubes,
     enumerate_hypercubes,
     extract_structure,
     first_critical_bruteforce,
     first_critical_m,
-    games_chan_lc,
     is_hypercube,
     k_error_lc_bruteforce,
     kurosawa_m,
@@ -182,7 +179,7 @@ def test_c5_counting_identities(capsys):
     for mod in [Modulus(2, 2), Modulus(2, 3)]:
         for r in range(mod.n + 1):
             for es in combinations(range(mod.n), r):
-                if count_cubes(mod, es).value != len(enumerate_cubes(mod, es)):
+                if count_hypercubes(mod, es).value != len(enumerate_hypercubes(mod, es)):
                     bad.append(f"cube class {mod} edges={es}")
     # per-complexity counts cover the whole space
     nonzero = 0
@@ -220,7 +217,7 @@ def test_c7_even_base_specialization(capsys):
     m_agree = sum(kurosawa_m(s) == m for s, m in zip(universe, brute))
     closed_agree = sum(first_critical_m(s).m_s == m for s, m in zip(universe, brute))
     lc_agree = sum(
-        games_chan_lc(PeriodicSequence(mod8, v))
+        lc(PeriodicSequence(mod8, v))
         == berlekamp_massey_lc(PeriodicSequence(mod8, v))
         for v in range(256)
     )

@@ -1,6 +1,8 @@
 import concurrent.futures
+import importlib
 import json
 import os
+import pkgutil
 import random
 import re
 import subprocess
@@ -283,6 +285,36 @@ def test_count_cubes_enumerate_json(capsys):
     rec = {"edges": [0], "count": 4, "expression": "2^2", "L": 3,
            "members": ["1100", "1001", "0110", "0011"]}
     assert out == _count_doc("count cubes", 2, 2, rec)
+
+
+def test_count_cubes_is_count_hypercubes_at_p2(capsys):
+    """count cubes prints what count hypercubes prints for every edge set at
+    2^1-2^4, but for the command name and the JSON record's "l": null."""
+    for n in range(1, 5):
+        for mask in range(1 << n):
+            edges = ",".join(str(i) for i in range(n) if mask >> i & 1)
+            for extra in ((), ("--enumerate",)):
+                for fmt in ("text", "json"):
+                    args = ("--p", "2", "--n", str(n), "--edges", edges, *extra, "--format", fmt)
+                    want = run(capsys, "count", "hypercubes", *args)
+                    if fmt == "json":
+                        out = want[1]
+                        assert out.count('\n      "l": null,') == 1
+                        out = out.replace('\n      "l": null,', "").replace(
+                            '"command": "count hypercubes"', '"command": "count cubes"')
+                        want = (want[0], out, want[2])
+                    assert want[0] == 0
+                    assert run(capsys, "count", "cubes", *args) == want, args
+    # an odd p is refused once the modulus is built and --edges is parsed,
+    # before the edges are checked against the modulus
+    for edges in ("", "0", "5"):
+        code, out, err = run(capsys, "count", "cubes", *MOD9_ARGS, "--edges", edges)
+        assert (code, out, err) == (1, "", "error: count_cubes requires p = 2\n")
+    code, out, err = run(capsys, "count", "cubes", *MOD9_ARGS, "--edges", "0,x")
+    assert (code, out) == (1, "")
+    assert err.endswith("\nError: --edges must be comma-separated integers, got '0,x'\n")
+    code, out, err = run(capsys, "count", "cubes", "--p", "4", "--n", "2", "--edges", "5")
+    assert (code, out) == (1, "") and "count_cubes" not in err
 
 
 def test_count_prints_exact_counts_of_any_size(capsys):
@@ -612,6 +644,24 @@ def test_importing_the_cli_loads_no_process_pool():
         "module 'seqcomplex' has no attribute 'no_such_name'",
         "seqcomplex.verify",
     ]
+
+
+def test_module_all_lists_agree_with_the_package_sources():
+    """Every name a submodule's __all__ lists exists in that module, and
+    every package name that _SOURCES maps to such a module is in its
+    __all__ (the package's own surface check reads only its __all__)."""
+    lists = {}
+    for info in pkgutil.iter_modules(seqcomplex.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"seqcomplex.{info.name}")
+        if hasattr(module, "__all__"):
+            lists[info.name] = set(module.__all__)
+            assert [n for n in module.__all__ if not hasattr(module, n)] == [], info.name
+    assert {"counting", "hypercube", "kerror", "lincomp", "verify"} <= lists.keys()
+    unlisted = [(name, module) for name, module in seqcomplex._SOURCES.items()
+                if module in lists and name not in lists[module]]
+    assert unlisted == []
 
 
 def test_lc_loads_no_bit_sliced_numbers():

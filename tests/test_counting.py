@@ -9,12 +9,10 @@ from seqcomplex import (
     PeriodicSequence,
     VertexKind,
     class_lc,
-    count_cubes,
     count_hypercubes,
     count_sequences_with_lc,
     counting,
     cube_lc,
-    enumerate_cubes,
     enumerate_hypercubes,
     extract_structure,
     is_hypercube,
@@ -29,7 +27,6 @@ from seqcomplex.errors import (
     InvalidL,
     NotACube,
     NotRepresentable,
-    OddP,
 )
 
 MOD9 = Modulus(3, 2)
@@ -156,10 +153,10 @@ def test_enumerate_budget():
 
 def test_count_cubes_pinned_n4():
     mod4 = Modulus(2, 2)
-    assert count_cubes(mod4, ()).value == 4
-    assert count_cubes(mod4, (0,)).value == 4
-    assert count_cubes(mod4, (1,)).value == 2
-    assert count_cubes(mod4, (0, 1)).value == 1
+    assert count_hypercubes(mod4, ()).value == 4
+    assert count_hypercubes(mod4, (0,)).value == 4
+    assert count_hypercubes(mod4, (1,)).value == 2
+    assert count_hypercubes(mod4, (0, 1)).value == 1
     scan = 0
     for v in range(1, 16):
         try:
@@ -175,8 +172,8 @@ def test_count_cubes_matches_enumeration_n8():
     edge_sets = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
     total = 0
     for edges in edge_sets:
-        n = count_cubes(mod8, edges).value
-        members = enumerate_cubes(mod8, edges)
+        n = count_hypercubes(mod8, edges).value
+        members = enumerate_hypercubes(mod8, edges)
         assert len(members) == n, edges
         for s in members:
             m, got_edges, L = cube_lc(s)
@@ -187,11 +184,8 @@ def test_count_cubes_matches_enumeration_n8():
 
 
 def test_count_cubes_guards():
-    with pytest.raises(OddP):
-        count_cubes(MOD9, ())
-    assert count_hypercubes(Modulus(2, 3), (1,)) == count_cubes(Modulus(2, 3), (1,))
     with pytest.raises(InvalidEdges):
-        count_cubes(Modulus(2, 2), (3,))
+        count_hypercubes(Modulus(2, 2), (3,))
 
 
 def test_attainable_complexities_have_canonical_forms():
@@ -201,7 +195,7 @@ def test_attainable_complexities_have_canonical_forms():
 
 def test_budget_texts_name_cubes_or_hypercubes():
     with pytest.raises(BudgetExceeded, match=r"^class holds 8 cubes, cap is 5$"):
-        enumerate_cubes(Modulus(2, 3), (), cap=5)
+        enumerate_hypercubes(Modulus(2, 3), (), cap=5)
     with pytest.raises(BudgetExceeded, match=r"^class holds 27 hypercubes, cap is 5$"):
         enumerate_hypercubes(MOD9, (0,), cap=5)
 
@@ -210,7 +204,7 @@ def test_an_oversized_class_is_refused_by_its_expression():
     """Past 10^18 members a refusal names the class size by its factored
     expression, not its digits (2^32768 has 9865)."""
     with pytest.raises(BudgetExceeded, match=r"^class holds 2\^32768 cubes, cap is 1000000$"):
-        enumerate_cubes(Modulus(2, 20), range(12))
+        enumerate_hypercubes(Modulus(2, 20), range(12))
     with pytest.raises(BudgetExceeded, match=r"^class holds 3\^2187 hypercubes, cap is 1000000$"):
         enumerate_hypercubes(Modulus(3, 9), range(6))
     with pytest.raises(BudgetExceeded, match=r"^class holds C\(3,2\) \* 3\^2916 hypercubes, "):
@@ -232,7 +226,7 @@ def test_edge_exponents_must_be_plain_ints(edges):
     with pytest.raises(InvalidEdges, match=want):
         enumerate_hypercubes(MOD9, edges)
     with pytest.raises(InvalidEdges, match=want):
-        count_cubes(Modulus(2, 2), edges)
+        count_hypercubes(Modulus(2, 2), edges)
     with pytest.raises(InvalidL, match=r"^length-0 vertex weight must be even in \(1, 3\); got 2.0$"):
         count_hypercubes(MOD9, (1,), l=2.0)
 
@@ -303,19 +297,12 @@ def test_grower_matches_the_product_reference(mod):
         assert got == product_grow(base, p, start, n, edges), (edges, l)
 
 
-def test_enumerate_cubes_refuses_an_odd_p_under_its_own_name():
-    with pytest.raises(OddP, match=r"^enumerate_cubes requires p = 2$"):
-        enumerate_cubes(MOD9, ())
-    with pytest.raises(OddP, match=r"^count_cubes requires p = 2$"):
-        count_cubes(MOD9, ())
-
-
 def test_enumerate_reads_edges_once():
     """An iterator of edges enumerates the class it names, as a tuple does."""
     want = enumerate_hypercubes(MOD27, (1, 2))
     assert enumerate_hypercubes(MOD27, iter((2, 1))) == want
     assert enumerate_hypercubes(MOD27, iter((1,)), l=2) == enumerate_hypercubes(MOD27, (1,), l=2)
     mod = Modulus(2, 3)
-    assert enumerate_cubes(mod, iter((0, 2))) == enumerate_cubes(mod, (0, 2))
+    assert enumerate_hypercubes(mod, iter((0, 2))) == enumerate_hypercubes(mod, (0, 2))
     with pytest.raises(InvalidEdges, match=r"^duplicate edge exponents in \(1, 1\)$"):
         enumerate_hypercubes(MOD27, iter((1, 1)))

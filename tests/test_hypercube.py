@@ -23,20 +23,18 @@ from seqcomplex import (
     PeriodicSequence,
     VertexDescriptor,
     VertexKind,
+    berlekamp_massey_lc,
     cube_lc,
     extract_structure,
-    games_chan_lc,
     is_hypercube,
     lc,
     lc_from_structure,
     next_lower_hypercube_lc,
-    rebalance_blocks,
     standard_decompose,
     vertex_min_change,
 )
 from seqcomplex.errors import (
     InvalidEdges,
-    IsVertex,
     ModulusMismatch,
     NoEligibleExponent,
     NotACube,
@@ -198,21 +196,15 @@ def test_vertex_descriptor_entries_are_bits():
 
 @pytest.mark.parametrize("bad", [2, -1, 256, "x", 1.0, None], ids=repr)
 def test_block_entries_are_checked_alike(bad):
-    """A vertex and a rewrite refuse the same entries with the same error; an
-    entry passes only as an int or bool equal to 0 or 1."""
+    """A vertex refuses an entry with the one error; an entry passes only as
+    an int or bool equal to 0 or 1."""
     with pytest.raises(ValueError, match=r"^block entries must be 0 or 1$"):
         VertexDescriptor(VertexKind.TUPLE, 0, ((1,), (1,), (bad,)))
-    with pytest.raises(ValueError, match=r"^block entries must be 0 or 1$"):
-        rebalance_blocks([[1, 1], [0, bad]])
-    with pytest.raises(ValueError, match=r"^block entries must be 0 or 1$"):
-        rebalance_blocks([[1, 0], [bad, 0], [1, 0]])
 
 
 def test_bool_block_entries_are_bits():
     v = VertexDescriptor(VertexKind.TUPLE, 0, ((True,), (True,), (False,)))
     assert str(v) == "tuple(q=0, [1,1,0])" and v.l == 2
-    out, sources = rebalance_blocks([[True, True], [True, False], [True, False]])
-    assert out == ((1, 1), (0, 0), (0, 0)) and sources == {0: 0, 1: 0}
 
 
 def test_decomposition_structures_are_built_once():
@@ -259,21 +251,6 @@ def test_structure_validation():
     with pytest.raises(ValueError):
         HypercubeStructure(2, (1, 0), el)
     assert str(HypercubeStructure(0, (), el)) == "m=0 edges=- vertex=element"
-
-
-def test_rebalance_blocks():
-    out, sources = rebalance_blocks([[1, 1], [1, 0], [1, 0]])
-    assert out == ((1, 1), (0, 0), (0, 0))
-    assert sources == {0: 0, 1: 0}
-    with pytest.raises(IsVertex):
-        rebalance_blocks([[1, 0], [1, 0], [0, 0]])
-    with pytest.raises(ValueError):
-        rebalance_blocks([[1, 0], [1, 0], [1, 0]])
-    for blocks in ([], [[1, 0]]):
-        with pytest.raises(ValueError, match=r"^rewrite needs at least 2 blocks$"):
-            rebalance_blocks(blocks)
-    with pytest.raises(ValueError, match=r"^blocks must have equal length$"):
-        rebalance_blocks([[1, 0], [1]])
 
 
 def test_decompose_reference_case():
@@ -423,7 +400,7 @@ def test_p2_decomposition_parts_are_cubes():
             assert cube_lc(part)[2] == L, s.to01()
 
 
-def test_cube_lc_agrees_with_games_chan_exhaustive_n8():
+def test_cube_lc_agrees_with_berlekamp_massey_exhaustive_n8():
     mod8 = Modulus(2, 3)
     cubes = 0
     for v in range(1, 256):
@@ -433,7 +410,7 @@ def test_cube_lc_agrees_with_games_chan_exhaustive_n8():
         except NotACube:
             continue
         cubes += 1
-        assert L == games_chan_lc(s)
+        assert L == berlekamp_massey_lc(s)
         assert s.weight == 1 << m
         assert L == 8 - sum(1 << i for i in edges)
     assert cubes == 8 + (16 + 8 + 4) + (16 + 4 + 2) + 1  # by (m, edges) class
@@ -588,7 +565,6 @@ def test_from_bits_vertices_and_rewrites_share_one_entry_rule(entry):
         _accepts(lambda: PeriodicSequence.from_bits([entry] + [1] * 8, MOD9)),
         _accepts(lambda: VertexDescriptor(
             VertexKind.TUPLE, 1, ((entry, 1, 0), (entry, 1, 0), (0, 0, 0)))),
-        _accepts(lambda: rebalance_blocks([[entry, 1], [entry, 0], [0, 0]])),
     }
     want = type(entry) in (int, bool, _Index) and entry.__index__() in (0, 1)
     assert outcomes == {want}
@@ -786,17 +762,6 @@ def test_hypercube_structure_edges_must_be_a_tuple(edges):
     text = f"edge exponents must be a tuple; got {edges!r}"
     with pytest.raises(InvalidEdges, match=f"^{re.escape(text)}$"):
         HypercubeStructure(1, edges, _EL)
-
-
-@pytest.mark.parametrize(
-    "blocks",
-    [[1, 0, 1], 5, [[1, 0], 7, [1, 0]], [iter((1, 0)), [1, 0]], {1, 2}],
-    ids=["ints", "int", "int-block", "iterator-block", "set"],
-)
-def test_rebalance_blocks_refuses_blocks_that_are_no_sequences(blocks):
-    text = re.escape(f"blocks must be a sequence of sequences; got {blocks!r}")
-    with pytest.raises(ValueError, match=f"^{text}$"):
-        rebalance_blocks(blocks)
 
 
 def test_spread_and_kept_by_doubling_match_part_by_part_loops():

@@ -24,7 +24,6 @@ from seqcomplex import (
     VertexKind,
     celcs,
     construct_stable,
-    enumerate_cubes,
     enumerate_hypercubes,
     first_critical_bruteforce,
     first_critical_m,
@@ -730,7 +729,7 @@ def test_a_cap_must_be_an_int_of_at_least_one(cap):
         lambda cap: first_critical_bruteforce(s, cap=cap),
         lambda cap: celcs(s, mode="brute", cap=cap),
         lambda cap: enumerate_hypercubes(MOD9, (1,), cap=cap),
-        lambda cap: enumerate_cubes(Modulus(2, 3), (1,), cap=cap),
+        lambda cap: enumerate_hypercubes(Modulus(2, 3), (1,), cap=cap),
     ):
         with pytest.raises(BudgetExceeded, match=text):
             call(cap)

@@ -13,12 +13,11 @@ from seqcomplex import (
     XwliStep,
     XwliTrace,
     berlekamp_massey_lc,
-    games_chan_lc,
     lc,
     lc_form_decompose,
     xwli_lc,
 )
-from seqcomplex.errors import EvenP, NotRepresentable, OddP
+from seqcomplex.errors import EvenP, NotRepresentable
 from seqcomplex import lincomp
 from seqcomplex.hypercube import _descend, _peel
 from seqcomplex.lincomp import _P2, _TAILS, _bm_value, _bm_values, _lc_value, _levels, _steps
@@ -85,10 +84,8 @@ def test_odd_p_lc_value_matches_bm_on_every_value_at_13_1():
 
 
 def test_engine_parity_guards():
-    with pytest.raises(EvenP):
+    with pytest.raises(EvenP, match=r"^xwli_lc requires odd p; use lc for p = 2$"):
         xwli_lc(PeriodicSequence(Modulus(2, 2), 0b0011))
-    with pytest.raises(OddP):
-        games_chan_lc(seq(MOD9, "110000000"))
 
 
 def test_three_way_agreement_exhaustive_n9():
@@ -103,7 +100,7 @@ def test_three_way_agreement_p2_exhaustive():
         for v in range(1 << mod.period):
             s = PeriodicSequence(mod, v)
             L = halving_lc(v, n)
-            assert lc(s) == games_chan_lc(s) == berlekamp_massey_lc(s) == gcd_lc(s) == L, (n, v)
+            assert lc(s) == berlekamp_massey_lc(s) == gcd_lc(s) == L, (n, v)
 
 
 def test_three_way_agreement_p2_sampled_n32():
@@ -111,7 +108,7 @@ def test_three_way_agreement_p2_sampled_n32():
     rng = random.Random(7)
     for _ in range(200):
         s = PeriodicSequence(mod, rng.randrange(1, 1 << 32))
-        assert games_chan_lc(s) == berlekamp_massey_lc(s) == gcd_lc(s)
+        assert lc(s) == berlekamp_massey_lc(s) == gcd_lc(s)
 
 
 def test_p2_engines_match_bm_at_both_weight_parities():
@@ -131,7 +128,7 @@ def test_p2_engines_match_bm_at_both_weight_parities():
                 v ^= 1 << rng.randrange(N)
             s = PeriodicSequence(Modulus(2, n), v)
             L = berlekamp_massey_lc(s)
-            assert lc(s) == games_chan_lc(s) == L, (n, v)
+            assert lc(s) == L, (n, v)
             assert (L == N) == (v.bit_count() % 2 == 1), (n, v)
 
 

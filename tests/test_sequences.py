@@ -14,12 +14,9 @@ import seqcomplex as sc
 from seqcomplex import (
     Modulus,
     PeriodicSequence,
-    hamming_weight,
     parse_corpus,
     parse_sequence,
     pn_distance,
-    validate_modulus,
-    xor_sequences,
 )
 from seqcomplex.errors import (
     EqualPositions,
@@ -37,7 +34,7 @@ MOD9 = Modulus(3, 2)
 
 def test_modulus_accepts_supported_primes():
     for p in (3, 5, 11, 13, 19, 29, 37, 53, 59, 61):
-        assert validate_modulus(p, 1).period == p
+        assert Modulus(p, 1).period == p
     assert Modulus(2, 20).period == 1 << 20
     assert str(Modulus(5, 2)) == "5^2"
     assert [f.name for f in dataclasses.fields(Modulus)] == ["p", "n"]
@@ -88,7 +85,7 @@ def test_parse_sequence_roundtrip_and_whitespace():
     s = parse_sequence("110 000 000", MOD9)
     assert s.to01() == "110000000"
     assert s.value == 0b011
-    assert s.weight == 2 == hamming_weight(s)
+    assert s.weight == 2
     assert list(s) == [1, 1, 0, 0, 0, 0, 0, 0, 0]
 
 
@@ -238,7 +235,7 @@ def test_bit_indexing_wraps_periodically():
 def test_xor_requires_matching_modulus():
     a = parse_sequence("110000000", MOD9)
     b = parse_sequence("100100100", MOD9)
-    assert xor_sequences(a, b).to01() == "010100100"
+    assert (a ^ b).to01() == "010100100"
     with pytest.raises(ModulusMismatch):
         a ^ PeriodicSequence.zeros(Modulus(5, 1))
 
@@ -375,8 +372,6 @@ def test_xor_with_a_non_sequence_is_pythons_type_error(other):
         s ^ other
     with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \^"):
         other ^ s
-    with pytest.raises(TypeError):
-        xor_sequences(s, other)
     with pytest.raises(ModulusMismatch, match=r"^3\^2 vs 5\^1$"):
         s ^ PeriodicSequence.zeros(Modulus(5, 1))
 
@@ -397,9 +392,7 @@ _MODULUS_READERS = {
     "lc_form_decompose": lambda m: sc.lc_form_decompose(3, m),
     "count_sequences_with_lc": lambda m: sc.count_sequences_with_lc(m, 3),
     "count_hypercubes": lambda m: sc.count_hypercubes(m, ()),
-    "count_cubes": lambda m: sc.count_cubes(m, ()),
     "enumerate_hypercubes": lambda m: sc.enumerate_hypercubes(m, ()),
-    "enumerate_cubes": lambda m: sc.enumerate_cubes(m, ()),
     "class_lc": lambda m: sc.class_lc(m, ()),
     "construct_stable": lambda m: sc.construct_stable(m, 1),
     "pn_distance": lambda m: pn_distance(0, 1, m),
