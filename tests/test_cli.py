@@ -287,29 +287,37 @@ def test_count_cubes_enumerate_json(capsys):
     assert out == _count_doc("count cubes", 2, 2, rec)
 
 
-def test_count_cubes_is_count_hypercubes_at_p2(capsys):
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("extra", [(), ("--enumerate",)], ids=["count", "enumerate"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_count_cubes_is_count_hypercubes_at_p2(capsys, n, extra, fmt):
     """count cubes prints what count hypercubes prints for every edge set at
-    2^1-2^4, but for the command name and the JSON record's "l": null."""
-    for n in range(1, 5):
-        for mask in range(1 << n):
-            edges = ",".join(str(i) for i in range(n) if mask >> i & 1)
-            for extra in ((), ("--enumerate",)):
-                for fmt in ("text", "json"):
-                    args = ("--p", "2", "--n", str(n), "--edges", edges, *extra, "--format", fmt)
-                    want = run(capsys, "count", "hypercubes", *args)
-                    if fmt == "json":
-                        out = want[1]
-                        assert out.count('\n      "l": null,') == 1
-                        out = out.replace('\n      "l": null,', "").replace(
-                            '"command": "count hypercubes"', '"command": "count cubes"')
-                        want = (want[0], out, want[2])
-                    assert want[0] == 0
-                    assert run(capsys, "count", "cubes", *args) == want, args
-    # an odd p is refused once the modulus is built and --edges is parsed,
-    # before the edges are checked against the modulus
-    for edges in ("", "0", "5"):
-        code, out, err = run(capsys, "count", "cubes", *MOD9_ARGS, "--edges", edges)
-        assert (code, out, err) == (1, "", "error: count_cubes requires p = 2\n")
+    2^n, but for the command name and the JSON record's "l": null."""
+    for mask in range(1 << n):
+        edges = ",".join(str(i) for i in range(n) if mask >> i & 1)
+        args = ("--p", "2", "--n", str(n), "--edges", edges, *extra, "--format", fmt)
+        want = run(capsys, "count", "hypercubes", *args)
+        if fmt == "json":
+            out = want[1]
+            assert out.count('\n      "l": null,') == 1
+            out = out.replace('\n      "l": null,', "").replace(
+                '"command": "count hypercubes"', '"command": "count cubes"')
+            want = (want[0], out, want[2])
+        assert want[0] == 0
+        assert run(capsys, "count", "cubes", *args) == want, args
+
+
+@pytest.mark.parametrize("extra", [(), ("--enumerate",)], ids=["count", "enumerate"])
+@pytest.mark.parametrize("edges", ["", "0", "5"], ids=["none", "in-range", "out-of-range"])
+def test_count_cubes_refuses_an_odd_p_under_its_own_name(capsys, edges, extra):
+    """An odd p is refused once the modulus is built and --edges is parsed,
+    before the edges are checked against the modulus, with or without
+    --enumerate."""
+    code, out, err = run(capsys, "count", "cubes", *MOD9_ARGS, "--edges", edges, *extra)
+    assert (code, out, err) == (1, "", "error: count_cubes requires p = 2\n")
+
+
+def test_count_cubes_reads_modulus_and_edges_before_the_p_check(capsys):
     code, out, err = run(capsys, "count", "cubes", *MOD9_ARGS, "--edges", "0,x")
     assert (code, out) == (1, "")
     assert err.endswith("\nError: --edges must be comma-separated integers, got '0,x'\n")
