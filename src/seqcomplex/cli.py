@@ -1,7 +1,9 @@
 """Command line interface.
 
 One subcommand per analysis: lc, klc, celcs, decompose, structure, mcrit,
-count, construct-stable, verify.  One decorator, _command, gives each command
+count, construct-stable, verify.  count has two: count lc (sequences of one
+complexity, odd p) and count hypercubes (one hypercube class, at every p; at
+p = 2 its classes are the 2^n cubes).  One decorator, _command, gives each command
 its options in one order: --p/--n, --seq/--file on the sequence commands, the
 command's own options, --format/--out, and --jobs on the sequence commands.
 
@@ -40,7 +42,6 @@ from .errors import (
     BudgetExceeded,
     NoEligibleExponent,
     NotAHypercube,
-    OddP,
     SeqComplexError,
 )
 from .lincomp import lc, lc_form_decompose
@@ -471,61 +472,26 @@ def _class_text(res, rec: dict) -> str:
     return "\n".join([f"{res} (L = {rec['L']})", *rec.get("members", ())])
 
 
-def _count_class(command, count, members, p, n, edges, do_enum, cap, fmt, out, **vertex):
-    """One counted class: its count and L and, with do_enum, its members.
-
-    vertex is {"l": l} for a hypercube class; a cube class passes none, and
-    its record has no l.
-    """
-    from .counting import class_lc
-
-    modulus = Modulus(p, n)
-    es = _parse_edges(edges)
-    res = count(modulus, es, **vertex)
-    rec = {"edges": list(es), **vertex, "count": res.value, "expression": res.expression,
-           "L": class_lc(modulus, es, **vertex)}
-    if do_enum:
-        rec["members"] = [s.to01() for s in members(modulus, es, cap=cap, **vertex)]
-    _render(command, modulus, [(None, res, rec)], fmt, out, _class_text)
-
-
-_ENUMERATE = (
-    click.option("--enumerate", "do_enum", is_flag=True, help="list every member"),
-    click.option("--cap", type=click.IntRange(min=1), default=ENUM_CAP, show_default=True),
-)
-
-
 @_command(
     count_group, "hypercubes",
     click.option("--edges", default="", help="comma-separated edge exponents, e.g. 0,1"),
     click.option("--l", "l", type=int, default=None,
                  help="vertex weight for the length-0 tuple class; omit for element vertices"),
-    *_ENUMERATE,
+    click.option("--enumerate", "do_enum", is_flag=True, help="list every member"),
+    click.option("--cap", type=click.IntRange(min=1), default=ENUM_CAP, show_default=True),
 )
-def count_hypercubes_cmd(**opts):
+def count_hypercubes_cmd(p, n, edges, l, do_enum, cap, fmt, out):
     """How many hypercubes share the given edge exponents and vertex class."""
-    from .counting import count_hypercubes, enumerate_hypercubes
+    from .counting import class_lc, count_hypercubes, enumerate_hypercubes
 
-    _count_class("count hypercubes", count_hypercubes, enumerate_hypercubes, **opts)
-
-
-@_command(
-    count_group, "cubes",
-    click.option("--edges", default="", help="comma-separated edge exponents"),
-    *_ENUMERATE,
-)
-def count_cubes_cmd(**opts):
-    """How many p=2 cubes share the given edge exponents."""
-    from .counting import count_hypercubes, enumerate_hypercubes
-
-    def count(modulus, edges):
-        # refused here, once the modulus is built and --edges parsed, and
-        # before the edges are checked against it
-        if modulus.p != 2:
-            raise OddP("count_cubes requires p = 2")
-        return count_hypercubes(modulus, edges)
-
-    _count_class("count cubes", count, enumerate_hypercubes, **opts)
+    modulus = Modulus(p, n)
+    es = _parse_edges(edges)
+    res = count_hypercubes(modulus, es, l=l)
+    rec = {"edges": list(es), "l": l, "count": res.value, "expression": res.expression,
+           "L": class_lc(modulus, es, l=l)}
+    if do_enum:
+        rec["members"] = [s.to01() for s in enumerate_hypercubes(modulus, es, l=l, cap=cap)]
+    _render("count hypercubes", modulus, [(None, res, rec)], fmt, out, _class_text)
 
 
 @_command(

@@ -18,7 +18,7 @@ count serves every p, the 2^n cubes included.  The counted classes are
 defined here alone: ``_classes`` lists them and ``_class_key`` names one.
 
 ``enumerate_hypercubes`` is the one enumerator (the command line's ``count
-hypercubes`` and ``count cubes`` and the counting suite all call it).  It
+hypercubes``, at every p, and the counting suite call it).  It
 builds every member of a class constructively, bottom-up from the vertex: an
 edge level repeats the current vector p times, any other level splits each 1
 into one of the p blocks.  Every public function here refuses a modulus that

@@ -29,8 +29,8 @@ and the complexities are ``bitslice`` numbers.  The steps take the
 sequences' planes from one of two sources.  A whole universe is
 ``bitslice.identity``, lane v holding sequence v.  A block of given values
 (``_bm_values``) is cut from one binary string, formatted once from every
-value packed as a field of 1, 2, 4 or 8 bytes by one ``struct.pack``
-(fields of whole bytes joined by ``int.to_bytes`` above 64 bits).
+value packed as a field of 4 or 8 bytes by one ``struct.pack`` (fields of
+whole bytes joined by ``int.to_bytes`` above 64 bits).
 
 Every attainable complexity has a unique canonical form
 ``L = eps + (p-1) * sum(p^(v-1) for v in V)`` with ``eps`` in {0, 1} and
@@ -345,9 +345,11 @@ def _bm_values(values: list[int], N: int) -> list[int]:
     The S planes come from one conversion at every N: each value becomes a
     field of whole bytes, the fields join into one int, that int is
     formatted in binary once, and plane t is one strided slice of the text.
-    Up to N = 64 one ``struct.pack`` writes every field, widened to the 1,
-    2, 4 or 8 bytes of its code; above that, where struct has no code, the
-    fields are N's whole bytes joined from ``int.to_bytes``.
+    Up to N = 64 one ``struct.pack`` writes every field, widened to the 4 or
+    8 bytes of its code; above that, where struct has no code, the fields
+    are N's whole bytes joined from ``int.to_bytes``.  The verify sweep, the
+    only caller, samples only periods above 16 (smaller universes are swept
+    whole on the identity planes), so no narrower code is kept.
     """
     from .bitslice import read
 
@@ -356,7 +358,7 @@ def _bm_values(values: list[int], N: int) -> list[int]:
     # join packs 512 values at a time, as one join over all W would hold a
     # bytes object per value at once and raise the sweep's peak RSS
     lanes = values[::-1]
-    for F, code in ((8, "B"), (16, "H"), (32, "I"), (64, "Q")):
+    for F, code in ((32, "I"), (64, "Q")):
         if N <= F:
             packed = pack(f">{W}{code}", *lanes)
             break

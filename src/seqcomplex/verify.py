@@ -11,8 +11,9 @@ The counting suite runs one class check at every p, the p = 2 cubes being
 the element class of the hypercube theory: it tallies classes (edges, l)
 from one plain descent per sequence and re-checks every enumerated member's
 class and complexity.  Like lc-oracle, which checks ``lc``, it checks the
-public functions behind its command, ``count hypercubes``:
-``count_hypercubes``, ``enumerate_hypercubes`` and ``class_lc``.
+public functions behind its command, ``count hypercubes`` (the one
+class-count command, at every p): ``count_hypercubes``,
+``enumerate_hypercubes`` and ``class_lc``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,10 @@ from hypothesis import given, strategies as st
 
 import seqcomplex
 import seqcomplex.cli as cli_module
-from seqcomplex import Modulus, count_sequences_with_lc, parse_sequence
+from seqcomplex import (
+    Modulus, class_lc, count_hypercubes, count_sequences_with_lc, enumerate_hypercubes,
+    parse_sequence,
+)
 from seqcomplex.cli import main
 
 MOD9_ARGS = ["--p", "3", "--n", "2"]
@@ -245,8 +248,8 @@ def test_count_hypercubes_refuses_edges_that_are_not_integers(capsys):
     assert (code, out) == (1, "")
     assert err.endswith("\nError: --edges must be comma-separated integers, got '0,x'\n")
 
-def test_count_cubes_text(capsys):
-    code, out, _ = run(capsys, "count", "cubes", "--p", "2", "--n", "2")
+def test_count_hypercubes_text_at_p2(capsys):
+    code, out, _ = run(capsys, "count", "hypercubes", "--p", "2", "--n", "2")
     assert code == 0
     assert out == "4 = 2^2 (L = 4)\n"
 
@@ -276,53 +279,58 @@ def test_count_hypercubes_enumerate_json(capsys):
     assert out == _count_doc("count hypercubes", 3, 2, rec)
 
 
-def test_count_cubes_enumerate_json(capsys):
+def test_count_hypercubes_enumerate_json_at_p2(capsys):
     code, out, _ = run(
-        capsys, "count", "cubes", "--p", "2", "--n", "2", "--edges", "0",
+        capsys, "count", "hypercubes", "--p", "2", "--n", "2", "--edges", "0",
         "--enumerate", "--format", "json",
     )
     assert code == 0
-    rec = {"edges": [0], "count": 4, "expression": "2^2", "L": 3,
+    rec = {"edges": [0], "l": None, "count": 4, "expression": "2^2", "L": 3,
            "members": ["1100", "1001", "0110", "0011"]}
-    assert out == _count_doc("count cubes", 2, 2, rec)
+    assert out == _count_doc("count hypercubes", 2, 2, rec)
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("extra", [(), ("--enumerate",)], ids=["count", "enumerate"])
+@pytest.mark.parametrize("enum", [False, True], ids=["count", "enumerate"])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_count_cubes_is_count_hypercubes_at_p2(capsys, n, extra, fmt):
-    """count cubes prints what count hypercubes prints for every edge set at
-    2^n, but for the command name and the JSON record's "l": null."""
+def test_count_hypercubes_at_p2_prints_the_library_record(capsys, n, enum, fmt):
+    """For every edge set at 2^n, count hypercubes --p 2 prints the record
+    built from count_hypercubes, class_lc and enumerate_hypercubes."""
+    mod = Modulus(2, n)
     for mask in range(1 << n):
-        edges = ",".join(str(i) for i in range(n) if mask >> i & 1)
-        args = ("--p", "2", "--n", str(n), "--edges", edges, *extra, "--format", fmt)
-        want = run(capsys, "count", "hypercubes", *args)
+        es = tuple(i for i in range(n) if mask >> i & 1)
+        res = count_hypercubes(mod, es)
+        rec = {"edges": list(es), "l": None, "count": res.value,
+               "expression": res.expression, "L": class_lc(mod, es)}
+        if enum:
+            rec["members"] = [s.to01() for s in enumerate_hypercubes(mod, es)]
         if fmt == "json":
-            out = want[1]
-            assert out.count('\n      "l": null,') == 1
-            out = out.replace('\n      "l": null,', "").replace(
-                '"command": "count hypercubes"', '"command": "count cubes"')
-            want = (want[0], out, want[2])
-        assert want[0] == 0
-        assert run(capsys, "count", "cubes", *args) == want, args
+            want = _count_doc("count hypercubes", 2, n, rec)
+        else:
+            lines = [f"{rec['count']} = {rec['expression']} (L = {rec['L']})",
+                     *rec.get("members", ())]
+            want = "\n".join(lines) + "\n"
+        args = ("--p", "2", "--n", str(n), "--edges", ",".join(map(str, es)),
+                *(("--enumerate",) if enum else ()), "--format", fmt)
+        assert run(capsys, "count", "hypercubes", *args) == (0, want, ""), args
 
 
-@pytest.mark.parametrize("extra", [(), ("--enumerate",)], ids=["count", "enumerate"])
-@pytest.mark.parametrize("edges", ["", "0", "5"], ids=["none", "in-range", "out-of-range"])
-def test_count_cubes_refuses_an_odd_p_under_its_own_name(capsys, edges, extra):
-    """An odd p is refused once the modulus is built and --edges is parsed,
-    before the edges are checked against the modulus, with or without
-    --enumerate."""
-    code, out, err = run(capsys, "count", "cubes", *MOD9_ARGS, "--edges", edges, *extra)
-    assert (code, out, err) == (1, "", "error: count_cubes requires p = 2\n")
+# the invocations of the retired count cubes command that its tests pinned
+_COUNT_CUBES = [
+    *(("count", "cubes", *MOD9_ARGS, "--edges", edges, *extra)
+      for extra in ((), ("--enumerate",)) for edges in ("", "0", "5")),
+    ("count", "cubes", *MOD9_ARGS, "--edges", "0,x"),
+    ("count", "cubes", "--p", "4", "--n", "2", "--edges", "5"),
+]
 
 
-def test_count_cubes_reads_modulus_and_edges_before_the_p_check(capsys):
-    code, out, err = run(capsys, "count", "cubes", *MOD9_ARGS, "--edges", "0,x")
+@pytest.mark.parametrize("argv", _COUNT_CUBES,
+                         ids=lambda argv: " ".join(a or "''" for a in argv[2:]))
+def test_count_cubes_is_an_unknown_command(capsys, argv):
+    """count cubes is gone: count hypercubes counts the p = 2 cubes."""
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err.endswith("\nError: --edges must be comma-separated integers, got '0,x'\n")
-    code, out, err = run(capsys, "count", "cubes", "--p", "4", "--n", "2", "--edges", "5")
-    assert (code, out) == (1, "") and "count_cubes" not in err
+    assert "\nError: No such command 'cubes'." in err
 
 
 def test_count_prints_exact_counts_of_any_size(capsys):
@@ -433,7 +441,7 @@ def test_cap_below_one_is_a_usage_error(capsys):
         ("celcs", *MOD9_ARGS, *seq),
         ("mcrit", *MOD9_ARGS, *seq, "--mode", "brute"),
         ("count", "hypercubes", *MOD9_ARGS, "--edges", "0", "--enumerate"),
-        ("count", "cubes", "--p", "2", "--n", "3", "--enumerate"),
+        ("count", "hypercubes", "--p", "2", "--n", "3", "--enumerate"),
         ("verify", *MOD9_ARGS, "--suite", "counting"),
     ]
     for command in commands:

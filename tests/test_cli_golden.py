@@ -69,11 +69,10 @@ def _cases() -> list[list[str]]:
         ["count", "hypercubes", *mod9, "--edges", "0"],
         ["count", "hypercubes", *mod9, "--edges", "1", "--l", "2", "--enumerate"],
         ["count", "hypercubes", *mod9, "--edges", "0", "--enumerate", "--cap", "5"],
-        ["count", "cubes", *mod8, "--edges", "1"],
-        ["count", "cubes", *mod8, "--edges", "0,2", "--enumerate"],
-        ["count", "cubes", *mod8, "--enumerate", "--cap", "5"],
+        ["count", "hypercubes", *mod8, "--edges", "1"],
+        ["count", "hypercubes", *mod8, "--edges", "0,2", "--enumerate"],
+        ["count", "hypercubes", *mod8, "--enumerate", "--cap", "5"],
         ["count", "hypercubes", *mod8],
-        ["count", "cubes", *mod9, "--enumerate"],
         ["construct-stable", *mod9, "--k", "2"],
         ["construct-stable", *mod8, "--k", "3"],
         ["verify", *mod9, "--suite", "mcrit-exhaustive"],
@@ -115,8 +114,8 @@ def render() -> str:
 
 
 HELP_CASES = ([], ["lc"], ["klc"], ["celcs"], ["structure"], ["decompose"], ["mcrit"],
-              ["count"], ["count", "lc"], ["count", "hypercubes"], ["count", "cubes"],
-              ["construct-stable"], ["verify"])
+              ["count"], ["count", "lc"], ["count", "hypercubes"], ["construct-stable"],
+              ["verify"])
 
 
 def render_help() -> str:

@@ -151,7 +151,7 @@ def test_enumerate_budget():
         enumerate_hypercubes(MOD9, (0,), cap=5)
 
 
-def test_count_cubes_pinned_n4():
+def test_count_hypercubes_at_p2_pinned_period4():
     mod4 = Modulus(2, 2)
     assert count_hypercubes(mod4, ()).value == 4
     assert count_hypercubes(mod4, (0,)).value == 4
@@ -167,7 +167,7 @@ def test_count_cubes_pinned_n4():
     assert scan == 4 + 4 + 2 + 1 == 11
 
 
-def test_count_cubes_matches_enumeration_n8():
+def test_count_hypercubes_at_p2_matches_enumeration_period8():
     mod8 = Modulus(2, 3)
     edge_sets = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
     total = 0
@@ -183,7 +183,7 @@ def test_count_cubes_matches_enumeration_n8():
     assert total == 59
 
 
-def test_count_cubes_guards():
+def test_count_hypercubes_at_p2_guards_its_edges():
     with pytest.raises(InvalidEdges):
         count_hypercubes(Modulus(2, 2), (3,))
 

@@ -195,7 +195,7 @@ def test_vertex_descriptor_entries_are_bits():
 
 
 @pytest.mark.parametrize("bad", [2, -1, 256, "x", 1.0, None], ids=repr)
-def test_block_entries_are_checked_alike(bad):
+def test_a_vertex_refuses_block_entries_other_than_0_or_1(bad):
     """A vertex refuses an entry with the one error; an entry passes only as
     an int or bool equal to 0 or 1."""
     with pytest.raises(ValueError, match=r"^block entries must be 0 or 1$"):
@@ -558,7 +558,7 @@ def _accepts(make) -> bool:
      _Index(2)],
     ids=repr,
 )
-def test_from_bits_vertices_and_rewrites_share_one_entry_rule(entry):
+def test_from_bits_and_vertices_share_one_entry_rule(entry):
     """Each call below is valid for an entry of 0 or 1, so it refuses exactly
     the entries the shared rule refuses."""
     outcomes = {
