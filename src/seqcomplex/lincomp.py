@@ -349,7 +349,7 @@ def _bm_values(values: list[int], N: int) -> list[int]:
     8 bytes of its code; above that, where struct has no code, the fields
     are N's whole bytes joined from ``int.to_bytes``.  The verify sweep, the
     only caller, samples only periods above 16 (smaller universes are swept
-    whole on the identity planes), so no narrower code is kept.
+    whole on the identity planes), so 4 bytes is the narrowest field.
     """
     from .bitslice import read
 

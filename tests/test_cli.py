@@ -248,6 +248,7 @@ def test_count_hypercubes_refuses_edges_that_are_not_integers(capsys):
     assert (code, out) == (1, "")
     assert err.endswith("\nError: --edges must be comma-separated integers, got '0,x'\n")
 
+
 def test_count_hypercubes_text_at_p2(capsys):
     code, out, _ = run(capsys, "count", "hypercubes", "--p", "2", "--n", "2")
     assert code == 0
