@@ -7,18 +7,18 @@ parts are kept once, otherwise their XOR is kept and (p-1) * p^e is added.
 A nonzero final scalar adds 1.  At the last level the parts are single
 bits, so their XOR is the parity of the vector's weight.  ``_levels`` holds
 each level's geometry and ``_steps`` the step, giving each level's e and
-increment (0 at a split); every odd-p complexity walks it: ``_lc_value``
-(behind ``lc``), ``xwli_lc``, and ``hypercube``'s ``_descend``, ``_peel``
-and ``is_hypercube``.  At odd p up to 11 the deepest levels, whose vectors
-have at most 11 bits (two at p = 3, one at p = 5 and 11), are read from a
-table of their records built once per p and depth, on first use
-(``_PLANS``).  At 3^1, 3^2, 5^1 and 11^1 that table holds the whole
-descent, and ``_steps`` returns its row with no generator; elsewhere it
-returns a lazy walk (``_walk``).  At p = 2
+increment (0 at a split); every odd-p complexity walks it (``_lc_value``,
+behind ``lc``, and ``xwli_lc``), as do ``hypercube``'s ``_descend``,
+``_peel`` and ``is_hypercube`` at every p.  Up to p = 11 the deepest
+levels, whose vectors have at most 11 bits (three at p = 2, two at p = 3,
+one at p = 5 and 11), are read from a table of their records built once per
+p and depth, on first use (``_PLANS``).  At 2^1-2^3, 3^1, 3^2, 5^1 and 11^1
+that table holds the whole descent, and ``_steps`` returns its row with no
+generator; elsewhere it returns a lazy walk (``_walk``).  At p = 2
 ``_lc_value`` halves instead, the value-only special case of the step: it
 keeps the low half or the two halves' XOR down to 8 bits and reads the rest
-from a table, and up to period 2^12 returns 2^n at once for an odd-weight
-vector, as x + 1 then does not divide s(x).
+from that table's row complexities; up to period 2^12 it returns 2^n at
+once for an odd-weight vector, as x + 1 then does not divide s(x).
 ``berlekamp_massey_lc`` - classic LFSR synthesis over GF(2), fed two periods
 - is the independent oracle they are checked against; it skips each run of
 zero-discrepancy steps in one shift, as those steps change nothing but the
@@ -164,20 +164,6 @@ def _levels(p: int, n: int) -> tuple[tuple[int, int, int, int, int], ...]:
 _PARITY_UP_TO_N = 12
 
 
-# _TAILS[k]: the complexity of every 2^k-bit vector, k = 0..3, by the
-# halving rule as a recurrence from the 1-bit table.  _P2[n]: the (plen,
-# mask) of each halving _lc_value makes at period 2^n, down to 2^min(n, 3)
-# bits (a tail of one tuple, so each mask is built once), and the table that
-# finishes it (every n >= 3 shares 256 entries).
-_TAILS = [[0, 1]]
-for _h in (1, 2, 4):
-    _t, _r = _TAILS[-1], range(1 << _h)
-    _TAILS.append([_h + _t[hi ^ lo] if hi != lo else _t[lo] for hi in _r for lo in _r])
-_CAP_N = PERIOD_CAP.bit_length() - 1
-_HALVINGS = tuple((1 << j, (1 << (1 << j)) - 1) for j in range(_CAP_N - 1, 2, -1))
-_P2 = [(_HALVINGS[_CAP_N - n :], _TAILS[min(n, 3)]) for n in range(_CAP_N + 1)]
-
-
 def _lc_value(a: int, p: int, n: int) -> int:
     """The complexity alone; the hot path for sweeps and brute force.
 
@@ -214,8 +200,8 @@ def _steps(a: int, p: int, n: int) -> Iterable[tuple[int, int, int]]:
     a sum), past a zero sum too; increment is 0 at a split.
 
     Its plan, ``_PLANS[p, n]``, names the levels to walk and a table of the
-    records of the levels below them.  When the plan walks no level (3^1,
-    3^2, 5^1 and 11^1) the whole descent is one row of the table, and
+    records of the levels below them.  When the plan walks no level (2^1-2^3,
+    3^1, 3^2, 5^1 and 11^1) the whole descent is one row of the table, and
     ``_steps`` returns that row, the table's own tuple, with no generator.
     Otherwise it returns the lazy walk of ``_walk``, so a caller that stops
     early (``is_hypercube``) walks no further.  At p = 2 ``_lc_value``
@@ -233,14 +219,14 @@ def _steps(a: int, p: int, n: int) -> Iterable[tuple[int, int, int]]:
 
 def _walk(a: int, levels: tuple, tail: tuple | None) -> Iterator[tuple[int, int, int]]:
     """Yield the records of ``_steps`` over the given levels, then those of
-    the levels below them from the table, read at the vector the walk left;
-    ``_tail`` builds each table with this loop.  The parts are all equal
-    exactly when the vector shifted down by one part equals its low p-1
-    parts.  A sum over one-bit parts folds the p bits by the parity of
-    their weight, one popcount in place of p - 1 shifts and XORs.  This is
-    the one split test and XOR fold of the descent.  The table is read
-    here, not in a generator this one delegates to, as a ``yield from`` per
-    level gave back most of its gain."""
+    the levels below them from the table (at p = 2 the last three), read at
+    the vector the walk left; ``_tail`` builds each table with this loop.
+    The parts are all equal exactly when the vector shifted down by one part
+    equals its low p-1 parts.  A sum over one-bit parts folds the p bits by
+    the parity of their weight, one popcount in place of p - 1 shifts and
+    XORs.  This is the one split test and XOR fold of the descent.  The
+    table is read here, not in a generator this one delegates to, as a
+    ``yield from`` per level gave back most of its gain."""
     for e, plen, mask, low_mask, increment in levels:
         hi = a >> plen
         if hi == a & low_mask:
@@ -259,9 +245,9 @@ def _walk(a: int, levels: tuple, tail: tuple | None) -> Iterator[tuple[int, int,
             yield record
 
 
-# A table finishes an odd-p descent: the deepest t levels whose vectors have
-# at most this many bits (t = 2 at p = 3 and 1 at p = 5 and 11; none from
-# p = 13 on, whose table would hold 8192 rows).
+# A table finishes a descent: the deepest t levels whose vectors have at most
+# this many bits (t = 3 at p = 2, 2 at p = 3 and 1 at p = 5 and 11; none
+# from p = 13 on, whose table would hold 8192 rows).
 _TAIL_BITS = 11
 
 # _PLANS[p, n] = (levels, tail): the _levels rows that _steps walks (none
@@ -273,7 +259,7 @@ _PLANS: dict[tuple[int, int], tuple[tuple, tuple | None]] = {}
 def _plan(p: int, n: int) -> tuple[tuple, tuple | None]:
     """Build and keep ``_PLANS[p, n]``."""
     levels, t = _levels(p, n), 0
-    while p != 2 and t < n and p ** (t + 1) <= _TAIL_BITS:
+    while t < n and p ** (t + 1) <= _TAIL_BITS:
         t += 1
     plan = _PLANS[p, n] = (levels[: n - t], _tail(p, t)) if t else (levels, None)
     return plan
@@ -287,6 +273,19 @@ def _tail(p: int, t: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     shared: dict = {}
     rows = map(tuple, map(_walk, range(1 << p**t), repeat(_levels(p, t)), repeat(None)))
     return tuple(shared.setdefault(row, row) for row in rows)
+
+
+# _TAILS[t]: the complexity of every 2^t-bit vector, t = 0..3, each _tail(2, t)
+# row's increments plus its final scalar.  _P2[n]: the (plen, mask) of each
+# halving _lc_value makes at 2^n, the _levels rows above the last min(n, 3)
+# (slices of one tuple, sharing its masks), and the table that finishes it.
+_TAILS = [[0, 1]] + [
+    [sum(increment for _, increment, _ in row) + row[-1][2] for row in _tail(2, t)]
+    for t in (1, 2, 3)
+]
+_CAP_N = PERIOD_CAP.bit_length() - 1
+_HALVINGS = tuple(row[1:3] for row in _levels(2, _CAP_N)[:-3])
+_P2 = [(_HALVINGS[_CAP_N - n :], _TAILS[min(n, 3)]) for n in range(_CAP_N + 1)]
 
 
 def xwli_lc(s: PeriodicSequence) -> tuple[LCForm, XwliTrace]:

@@ -146,6 +146,10 @@ def test_p2_tables_hold_the_halving_complexity_of_every_short_vector():
         assert table == [halving_lc(a, k) for a in range(1 << (1 << k))], k
     # every period finishes from the table of 2^min(n, 3) bits
     assert all(_P2[n][1] is _TAILS[min(n, 3)] for n in range(1, 21))
+    # and halves at the levels above it, with their _levels geometry
+    for n in range(1, 21):
+        halvings = [(plen, mask) for _, plen, mask, _, _ in _levels(2, n)[: n - min(n, 3)]]
+        assert list(_P2[n][0]) == halvings, n
 
 
 def _p2_samples(rng: random.Random, n: int, pairs: int) -> list[int]:
@@ -423,8 +427,8 @@ def test_levels_record_each_levels_exponent_geometry_and_increment():
 
 
 def test_table_finished_records_match_list_references():
-    """At odd p up to 11 the deepest levels' records come from a table.
-    Each record's exponent, branch, increment and weight, and the final
+    """Up to p = 11, p = 2 included, the deepest levels' records come from
+    a table.  Each record's exponent, branch, increment and weight, and the final
     scalar, against the descent on a list of parts; the plain descent of
     _peel's h_1, which reads them, against the list rewrite."""
 
@@ -438,11 +442,11 @@ def test_table_finished_records_match_list_references():
             vecs, _, edges, q, ok = list_rewrite_descent(v, p, n)
             assert (desc.vecs, desc.edges, desc.q, desc.ok) == (vecs, edges, q, ok), (p, n, v)
 
-    for p, n in ((3, 2), (5, 1), (11, 1)):
+    for p, n in ((2, 1), (2, 2), (2, 3), (3, 2), (5, 1), (11, 1)):
         for v in range(1 << p**n):
             check(p, n, v)
     rng = random.Random(3801)
-    for p, n in ((3, 3), (5, 2), (3, 5)):
+    for p, n in ((3, 3), (5, 2), (3, 5), (2, 4), (2, 5), (2, 6)):
         N = p**n
         for _ in range(150):
             check(p, n, rng.getrandbits(N))
@@ -452,10 +456,10 @@ def test_table_finished_records_match_list_references():
 
 
 def test_whole_table_descents_return_the_tables_row_and_walks_stay_lazy():
-    """Where the plan walks no level (3^1, 3^2, 5^1 and 11^1), _steps
-    returns the table's own row for every value; at a walked modulus it
-    returns a lazy iterator that has walked nothing yet."""
-    for p, n in ((3, 1), (3, 2), (5, 1), (11, 1)):
+    """Where the plan walks no level (2^1-2^3, 3^1, 3^2, 5^1 and 11^1),
+    _steps returns the table's own row for every value; at a walked modulus
+    it returns a lazy iterator that has walked nothing yet."""
+    for p, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (11, 1)):
         for v in range(1 << p**n):
             row = _steps(v, p, n)
             assert row is lincomp._PLANS[p, n][1][v], (p, n, v)
@@ -469,8 +473,9 @@ def test_whole_table_descents_return_the_tables_row_and_walks_stay_lazy():
 
 def test_tail_tables_are_built_once_per_depth_and_hold_at_most_2048_rows(monkeypatch):
     """A table covers the deepest t levels whose vectors have at most 11
-    bits: t = 2 at p = 3 (t = 1 at 3^1), t = 1 at p = 5 and 11, none at
-    p = 2 or 13.  Every plan of one (p, t) shares the table built first."""
+    bits: t = 3 at p = 2 from 2^3 on, t = 2 at p = 3 (t = 1 at 3^1), t = 1
+    at p = 5 and 11, none at p = 13.  Every plan of one (p, t) shares the
+    table built first; each descent's records sum to its complexity."""
     built = []
     build = lincomp._tail.__wrapped__
 
@@ -483,18 +488,20 @@ def test_tail_tables_are_built_once_per_depth_and_hold_at_most_2048_rows(monkeyp
     rng = random.Random(3802)
     # deepest first: a table built for a longer period must leave the plan
     # of its own depth to be made when that period is first used
-    moduli = [(3, n) for n in range(7, 0, -1)] + [(5, 3), (5, 2), (5, 1), (11, 2), (11, 1)]
-    for p, n in moduli + [(13, 1), (13, 2), (2, 4)]:
+    moduli = [(3, n) for n in range(7, 0, -1)] + [(5, 3), (5, 2), (5, 1), (11, 2), (11, 1), (2, 4)]
+    for p, n in moduli + [(13, 1), (13, 2)]:
         for v in [0, 1] + [rng.getrandbits(p**n) for _ in range(20)]:
             s = PeriodicSequence(Modulus(p, n), v)
-            assert lc(s) == berlekamp_massey_lc(s), (p, n, v)
-    assert sorted(built) == [(3, 1), (3, 2), (5, 1), (11, 1)]
+            L = berlekamp_massey_lc(s)
+            assert lc(s) == L, (p, n, v)
+            records = list(_steps(v, p, n))
+            assert sum(increment for _, increment, _ in records) + records[-1][2] == L, (p, n, v)
+    assert sorted(built) == [(2, 3), (3, 1), (3, 2), (5, 1), (11, 1)]
     for p, n in moduli:
-        t = 1 if p > 3 or n == 1 else 2
+        t = min(n, 3 if p == 2 else 2 if p == 3 else 1)
         levels, tail = lincomp._PLANS[p, n]
         assert levels == _levels(p, n)[: n - t], (p, n)
         assert tail is lincomp._tail(p, t) and len(tail) == 2 ** p**t <= 2**11, (p, n)
-    for p, n in ((13, 1), (13, 2), (2, 4)):
-        list(_steps(1, p, n))  # at p = 2 only a descent walks _steps
+    for p, n in ((13, 1), (13, 2)):
         assert lincomp._PLANS[p, n] == (_levels(p, n), None)
 
