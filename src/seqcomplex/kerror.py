@@ -31,11 +31,13 @@ peel of s leaves, and from the plain descent of h_1, which is the rewrite
 descent of s; s is a hypercube exactly when h_1 = s.  The rest of the
 decomposition is never computed.  Brute force has one exact scan, ``_spectrum``, which yields the
 critical-error spectrum from its start point (0, L(s)) lazily, one weight
-class at a time; every brute-force answer reads a prefix of it, and m(s) is
-its second point (``_first_drop``).  It has one budget rule: class k >= 1 is
-scanned only once the sum_{i<=k} C(N, i) patterns fit the cap (that sum is
-taken only until it passes max(cap, 10^18), and never when cap >= 2^N, as
-all 2^N patterns then fit).  How a class is scanned (``_class_min``, class 0
+class at a time; every brute-force answer but m1 reads a prefix of it, and
+m(s) is its second point (``_first_drop``).  ``first_critical_bruteforce``
+finds m1 by a second class loop that stops a class at its first pattern
+below L_{m(s)}.  Both loops have one budget rule: class k >= 1 is scanned
+only once the sum_{i<=k} C(N, i) patterns fit the cap (that sum is taken
+only until it passes max(cap, 10^18), and never when cap >= 2^N, as all 2^N
+patterns then fit).  How a class is scanned (``_class_min``, class 0
 included) depends on the period.  Up to period 12 every class of
 every sequence is read from one table per modulus, built on first use from
 one bit-sliced descent of all 2^N sequences, lane v holding sequence v:

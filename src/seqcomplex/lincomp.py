@@ -9,15 +9,14 @@ bits, so their XOR is the parity of the vector's weight.  ``_levels`` holds
 each level's geometry and ``_steps`` the step, giving each level's e and
 increment (0 at a split); every odd-p complexity walks it (``_lc_value``,
 behind ``lc``, and ``xwli_lc``), as do ``hypercube``'s ``_descend``,
-``_peel`` and ``is_hypercube`` at every p.  Up to p = 11 the deepest
-levels, whose vectors have at most 11 bits (three at p = 2, two at p = 3,
-one at p = 5 and 11), are read from a table of their records built once per
-p and depth, on first use (``_PLANS``).  At 2^1-2^3, 3^1, 3^2, 5^1 and 11^1
-that table holds the whole descent, and ``_steps`` returns its row with no
-generator; elsewhere it returns a lazy walk (``_walk``).  At p = 2
-``_lc_value`` halves instead, the value-only special case of the step: it
-keeps the low half or the two halves' XOR down to 8 bits and reads the rest
-from that table's row complexities; up to period 2^12 it returns 2^n at
+``_peel`` and ``is_hypercube`` at every p.  Up to p = 11 the deepest levels,
+whose vectors have at most 11 bits, are read from a table of their records
+built once per p and depth, on first use (``_PLANS``).  At 2^1-2^3, 3^1,
+3^2, 5^1 and 11^1 that table holds the whole descent, and ``_steps`` returns
+its row with no generator; elsewhere it returns a lazy walk (``_walk``).  At
+p = 2 ``_lc_value`` halves instead, the value-only special case of the step:
+it keeps the low half or the two halves' XOR down to 8 bits and reads the
+rest from that table's row complexities; up to period 2^12 it returns 2^n at
 once for an odd-weight vector, as x + 1 then does not divide s(x).
 ``berlekamp_massey_lc`` - classic LFSR synthesis over GF(2), fed two periods
 - is the independent oracle they are checked against; it skips each run of
@@ -280,8 +279,7 @@ def _tail(p: int, t: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
 # halving _lc_value makes at 2^n, the _levels rows above the last min(n, 3)
 # (slices of one tuple, sharing its masks), and the table that finishes it.
 _TAILS = [[0, 1]] + [
-    [sum(increment for _, increment, _ in row) + row[-1][2] for row in _tail(2, t)]
-    for t in (1, 2, 3)
+    [sum(record[1] for record in row) + row[-1][2] for row in _tail(2, t)] for t in (1, 2, 3)
 ]
 _CAP_N = PERIOD_CAP.bit_length() - 1
 _HALVINGS = tuple(row[1:3] for row in _levels(2, _CAP_N)[:-3])

@@ -428,9 +428,9 @@ def test_levels_record_each_levels_exponent_geometry_and_increment():
 
 def test_table_finished_records_match_list_references():
     """Up to p = 11, p = 2 included, the deepest levels' records come from
-    a table.  Each record's exponent, branch, increment and weight, and the final
-    scalar, against the descent on a list of parts; the plain descent of
-    _peel's h_1, which reads them, against the list rewrite."""
+    a table.  Each record's exponent, branch, increment and weight, and the
+    final scalar, against the descent on a list of parts; the plain descent
+    of _peel's h_1, which reads them, against the list rewrite."""
 
     def check(p, n, v):
         steps, final_one = list_plain_trace(v, p, n)
