@@ -29,14 +29,14 @@ _SOURCES = {
     **dict.fromkeys((
         "CelcsPoint", "CriticalReport", "celcs", "construct_stable",
         "first_critical_bruteforce", "first_critical_m", "k_error_lc_bruteforce",
-        "kurosawa_m", "meidl_upper_bound", "second_critical_m1", "vertex_min_change",
+        "kurosawa_m", "meidl_upper_bound", "second_critical_m1",
     ), "kerror"),
     **dict.fromkeys((
         "LCForm", "XwliStep", "XwliTrace", "berlekamp_massey_lc", "lc",
         "lc_form_decompose", "xwli_lc",
     ), "lincomp"),
     **dict.fromkeys((
-        "Modulus", "PeriodicSequence", "parse_corpus", "parse_sequence", "pn_distance",
+        "Modulus", "PeriodicSequence", "parse_corpus", "parse_sequence",
     ), "sequences"),
     **dict.fromkeys(("SUITES", "SuiteReport", "run_suites"), "verify"),
 }

@@ -38,10 +38,6 @@ class ModulusMismatch(SeqComplexError):
     is not a Modulus."""
 
 
-class EqualPositions(SeqComplexError):
-    """p-adic distance of a position with itself is undefined."""
-
-
 class ZeroSequence(SeqComplexError):
     """Operation requires a nonzero sequence."""
 
@@ -102,14 +98,6 @@ def _check_cap(cap: int) -> None:
 
 class FormulaInapplicable(SeqComplexError):
     """Formula mode was requested for an input it does not cover."""
-
-
-class NotTupleVertex(SeqComplexError):
-    """Operation requires a tuple vertex, not an element vertex."""
-
-
-class ZeroLengthVertex(SeqComplexError):
-    """Operation requires a tuple vertex of positive length."""
 
 
 class KOutOfRange(SeqComplexError):

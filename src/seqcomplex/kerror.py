@@ -10,9 +10,10 @@ and takes the cheaper of two changes to it, with m the dimension of h_1:
 
 * element vertex:              p^m                  (erase the hypercube)
 * tuple vertex of length q:    min(l, j) * p^m      (erase it, or equalize
-                               its vertex blocks), j = vertex_min_change for
-                               q > 0 and j = p - l for q = 0, where the one
-                               row of the vertex is filled to all-ones
+                               its vertex blocks), j = the equalizing flips
+                               (``_equalizing_flips``): the fullest row goes
+                               to all-ones and every other row to its
+                               majority side, so j = p - l for q = 0
 
 Each rule has a concrete witness, so the value is always an upper bound on
 m(s), and exhaustive sweeps confirm it is exact whenever s is a single
@@ -69,19 +70,10 @@ from .errors import (
     EvenP,
     FormulaInapplicable,
     KOutOfRange,
-    NotTupleVertex,
     OddP,
-    ZeroLengthVertex,
     _check_cap,
 )
-from .hypercube import (
-    VertexDescriptor,
-    VertexKind,
-    _descend,
-    _expand_flip,
-    _peel,
-    _spread,
-)
+from .hypercube import _descend, _expand_flip, _peel, _spread
 from .bitslice import above, add, identity, largest, read
 from .lincomp import _lc_value, _levels, lc_form_decompose
 from .sequences import Modulus, PeriodicSequence, _require_modulus, require_nonzero
@@ -98,7 +90,6 @@ __all__ = [
     "kurosawa_m",
     "meidl_upper_bound",
     "second_critical_m1",
-    "vertex_min_change",
 ]
 
 
@@ -365,20 +356,6 @@ def first_critical_bruteforce(s: PeriodicSequence, cap: int = DEFAULT_CAP) -> Cr
 
 
 # -- closed forms ---------------------------------------------------------------
-
-def vertex_min_change(vertex: VertexDescriptor) -> int:
-    """Minimal flips turning a tuple vertex (q > 0) into p equal nonzero blocks.
-
-    The row with the most ones is forced to all-ones; every other row goes to
-    its majority side.  Length-0 vertices are refused here: the closed form
-    equalizes them by the same rule, its one row going to all-ones at p - l.
-    """
-    if vertex.kind is not VertexKind.TUPLE:
-        raise NotTupleVertex("element vertices have no block tuple to equalize")
-    if vertex.q == 0:
-        raise ZeroLengthVertex("length-0 vertices are handled by the fill/erase rule")
-    return _equalizing_flips(len(vertex.blocks), vertex.q, vertex._mask).bit_count()
-
 
 def _equalizing_flips(p: int, q: int, a: int) -> int:
     """Terminal-level flips equalizing the tuple vertex a of any length q >= 0.

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import (
-    EqualPositions,
     InvalidCharacter,
     LengthMismatch,
     ModulusMismatch,
@@ -230,28 +229,6 @@ _set_value = PeriodicSequence.__dict__["value"].__set__
 def parse_sequence(text: str, modulus: Modulus) -> PeriodicSequence:
     """Parse a one-period 0/1 literal (whitespace ignored)."""
     return PeriodicSequence.from_text(text, modulus)
-
-
-def pn_distance(i: int, j: int, modulus: Modulus) -> int:
-    """p-adic distance between positions: p^(v_p(|j - i|)).
-
-    Accepts the positions in either order; i == j raises EqualPositions.
-    """
-    _require_modulus(modulus)
-    N = modulus.period
-    if type(i) is not int or type(j) is not int:
-        raise LengthMismatch(f"positions must be ints; got {i!r}, {j!r}")
-    if not (0 <= i < N and 0 <= j < N):
-        raise LengthMismatch(f"positions must lie in [0, {N}), got {i}, {j}")
-    if i == j:
-        raise EqualPositions(f"positions are both {i}")
-    d = abs(j - i)
-    p = modulus.p
-    power = 1
-    while d % p == 0:
-        d //= p
-        power *= p
-    return power
 
 
 def parse_corpus(lines: Iterable[str], modulus: Modulus) -> list[tuple[int, PeriodicSequence]]:

@@ -253,6 +253,25 @@ def random_tuple_vertex(rng: random.Random, p: int, q: int) -> VertexDescriptor:
     return VertexDescriptor(VertexKind.TUPLE, q, tuple(tuple(b) for b in blocks))
 
 
+def vertex_sequence(v: VertexDescriptor) -> PeriodicSequence:
+    """The p^(q+1)-periodic sequence that is the tuple vertex v alone: its
+    blocks one after another, so the sequence is a hypercube of dimension 0
+    whose vertex is v."""
+    bits = [b for block in v.blocks for b in block]
+    return PeriodicSequence.from_bits(bits, Modulus(len(v.blocks), v.q + 1))
+
+
+def pn_distance(i: int, j: int, p: int) -> int:
+    """The p-adic distance of two distinct positions: p^(v_p(|j - i|))."""
+    assert i != j
+    d = abs(j - i)
+    power = 1
+    while d % p == 0:
+        d //= p
+        power *= p
+    return power
+
+
 def exhaustive_min_change(v: VertexDescriptor) -> int:
     """Fewest bit flips turning every block into one shared nonzero target."""
     rows = len(v.blocks[0])

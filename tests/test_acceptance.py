@@ -10,7 +10,7 @@ import random
 import time
 from itertools import combinations
 
-from helpers import exhaustive_min_change, random_tuple_vertex, seq
+from helpers import exhaustive_min_change, pn_distance, random_tuple_vertex, seq, vertex_sequence
 from seqcomplex import (
     Modulus,
     PeriodicSequence,
@@ -29,10 +29,8 @@ from seqcomplex import (
     lc_from_structure,
     meidl_upper_bound,
     next_lower_hypercube_lc,
-    pn_distance,
     second_critical_m1,
     standard_decompose,
-    vertex_min_change,
     xwli_lc,
 )
 from seqcomplex.errors import NoEligibleExponent, NotRepresentable
@@ -152,9 +150,9 @@ def test_c5_counting_identities(capsys):
     family = {
         PeriodicSequence(MOD9, (1 << i) | (1 << j) | (1 << k))
         for i, j, k in combinations(range(9), 3)
-        if pn_distance(i, j, MOD9)
-        == pn_distance(i, k, MOD9)
-        == pn_distance(j, k, MOD9)
+        if pn_distance(i, j, 3)
+        == pn_distance(i, k, 3)
+        == pn_distance(j, k, 3)
         == 1
     }
     if not (count_hypercubes(MOD9, (0,)).value == 27 == len(members)
@@ -164,7 +162,7 @@ def test_c5_counting_identities(capsys):
     pairs = {
         PeriodicSequence(MOD9, (1 << i) | (1 << j))
         for i, j in combinations(range(9), 2)
-        if pn_distance(i, j, MOD9) == 1
+        if pn_distance(i, j, 3) == 1
     }
     if set(enumerate_hypercubes(MOD9, (), l=2)) != pairs:
         bad.append("distance-1 pair family does not match the vertex class")
@@ -308,7 +306,7 @@ def test_c8_property_suites(capsys):
     # closed-form vertex change cost vs exhaustive search
     for _ in range(1200):
         v = random_tuple_vertex(rng, 3, rng.choice((1, 2)))
-        if vertex_min_change(v) != exhaustive_min_change(v):
+        if first_critical_m(vertex_sequence(v)).vertex_j != exhaustive_min_change(v):
             violations.append(f"vertex change cost for {v}")
 
     detail = (f"{randomized} randomized period-27 instances, "

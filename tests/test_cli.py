@@ -679,6 +679,13 @@ def test_module_all_lists_agree_with_the_package_sources():
     unlisted = [(name, module) for name, module in seqcomplex._SOURCES.items()
                 if module in lists and name not in lists[module]]
     assert unlisted == []
+    # retired names: CriticalReport.vertex_j and tests/helpers.py cover them
+    errors = importlib.import_module("seqcomplex.errors")
+    retired = ["EqualPositions", "NotTupleVertex", "ZeroLengthVertex", "pn_distance",
+               "vertex_min_change"]
+    assert [name for name in retired
+            if name in seqcomplex.__all__ or name in seqcomplex._SOURCES
+            or hasattr(errors, name)] == []
 
 
 def test_lc_loads_no_bit_sliced_numbers():

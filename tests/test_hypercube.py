@@ -15,6 +15,7 @@ from helpers import (
     p2_universe,
     random_tuple_vertex,
     seq,
+    vertex_sequence,
 )
 from seqcomplex import (
     Decomposition,
@@ -26,12 +27,12 @@ from seqcomplex import (
     berlekamp_massey_lc,
     cube_lc,
     extract_structure,
+    first_critical_m,
     is_hypercube,
     lc,
     lc_from_structure,
     next_lower_hypercube_lc,
     standard_decompose,
-    vertex_min_change,
 )
 from seqcomplex.errors import (
     InvalidEdges,
@@ -571,15 +572,16 @@ def test_from_bits_and_vertices_share_one_entry_rule(entry):
 
 
 def test_a_vertex_of_index_integers_counts_its_ones():
-    """The blocks are packed once; l, the parity check and vertex_min_change
-    all read that mask, so __index__ entries count like ints.  The packed
-    mask is no field: fields, equality, hash and repr see kind, q, blocks."""
+    """The blocks are packed once; l, the parity check and the closed form's
+    equalizing count (vertex_j) all read that mask, so __index__ entries
+    count like ints.  The packed mask is no field: fields, equality, hash
+    and repr see kind, q, blocks."""
     I = _Index
     v = VertexDescriptor(
         VertexKind.TUPLE, 1, ((I(1), I(1), I(0)), (I(1), I(0), I(0)), (0, 1, 0))
     )
     assert str(v) == "tuple(q=1, [110,100,010])"
-    assert v.l == 4 and vertex_min_change(v) == 2 and v.epsilon == -2
+    assert v.l == 4 and first_critical_m(vertex_sequence(v)).vertex_j == 2 and v.epsilon == -2
     assert [f.name for f in dataclasses.fields(VertexDescriptor)] == ["kind", "q", "blocks"]
     w = VertexDescriptor(VertexKind.TUPLE, 0, ((1,), (1,), (0,)))
     assert dataclasses.asdict(w) == {
@@ -596,20 +598,21 @@ def test_a_vertex_of_index_integers_counts_its_ones():
 @pytest.mark.parametrize("p, q", [(3, 1), (3, 2), (5, 1)])
 def test_packed_vertex_matches_the_descent_and_exhaustive_search(p, q):
     """On seeded tuple vertices, rebuilt from __index__ entries: l is the
-    descent's l of the sequence made of the vertex alone, and
-    vertex_min_change is the exhaustive minimum."""
+    descent's l of the sequence made of the vertex alone, and that
+    sequence's vertex_j is the exhaustive minimum."""
     rng = random.Random(2800 + 10 * p + q)
-    mod = Modulus(p, q + 1)
     for _ in range(60):
         v = random_tuple_vertex(rng, p, q)
         w = VertexDescriptor(
             VertexKind.TUPLE, q, tuple(tuple(map(_Index, b)) for b in v.blocks)
         )
-        s = PeriodicSequence.from_bits([bit for b in v.blocks for bit in b], mod)
+        s = vertex_sequence(v)
         desc = _descend(s.value, p, q + 1)
         assert desc.ok and extract_structure(s).vertex == v
         assert w.l == v.l == desc.l == s.weight
-        assert vertex_min_change(w) == vertex_min_change(v) == exhaustive_min_change(v)
+        assert w._mask == v._mask
+        assert (first_critical_m(vertex_sequence(w)).vertex_j
+                == first_critical_m(s).vertex_j == exhaustive_min_change(v))
 
 
 _BLOCKS1 = ((1, 0, 0), (1, 0, 0), (0, 0, 0))

@@ -15,6 +15,7 @@ from helpers import (
     random_tuple_vertex,
     scalar_class_min,
     seq,
+    vertex_sequence,
 )
 from seqcomplex import (
     CelcsPoint,
@@ -35,16 +36,13 @@ from seqcomplex import (
     meidl_upper_bound,
     second_critical_m1,
     standard_decompose,
-    vertex_min_change,
 )
 from seqcomplex.errors import (
     BudgetExceeded,
     EvenP,
     FormulaInapplicable,
     KOutOfRange,
-    NotTupleVertex,
     OddP,
-    ZeroLengthVertex,
     ZeroSequence,
 )
 from seqcomplex.lincomp import _lc_value
@@ -359,10 +357,10 @@ def test_class_scan_above_the_sliced_periods_builds_each_pattern_alone():
 def test_first_critical_formula_pinned_reference_cases():
     # weight-2 vertex, repeated: fill the third row
     rep = first_critical_m(seq(MOD27, "110000000" * 3))
-    assert rep.m_s == 3 and rep.method == "formula"
+    assert rep.m_s == 3 and rep.method == "formula" and rep.vertex_j is None
     # weight-4 vertex at p=5: fill the single zero row
     rep = first_critical_m(seq(MOD25, "11110" * 5))
-    assert rep.m_s == 5
+    assert rep.m_s == 5 and rep.vertex_j is None
     # length-1 vertex: equalizing one row beats erasing
     rep = first_critical_m(seq(MOD27, "000100100" * 3))
     assert rep.m_s == 3 and rep.vertex_j == 1 and rep.L_after == 3
@@ -476,23 +474,19 @@ def test_closed_form_m1_overshoots_on_single_hypercubes(mod, text, m, L_m, m1, L
     assert formula == tuple(pt for pt in brute if pt != CelcsPoint(m1, L_m1))
 
 
-def test_vertex_min_change_pinned():
+def test_vertex_j_pinned():
     v = VertexDescriptor(VertexKind.TUPLE, 1, ((0, 0, 0), (1, 0, 0), (1, 0, 0)))
-    assert vertex_min_change(v) == 1
-    with pytest.raises(NotTupleVertex):
-        vertex_min_change(VertexDescriptor(VertexKind.ELEMENT))
-    with pytest.raises(ZeroLengthVertex):
-        vertex_min_change(VertexDescriptor(VertexKind.TUPLE, 0, ((1,), (1,), (0,))))
+    assert first_critical_m(vertex_sequence(v)).vertex_j == 1
 
 
-def test_vertex_min_change_matches_exhaustive_search():
+def test_vertex_j_matches_exhaustive_search():
     rng = random.Random(17)
     for _ in range(300):
         v = random_tuple_vertex(rng, 3, rng.choice([1, 2]))
-        assert vertex_min_change(v) == exhaustive_min_change(v)
+        assert first_critical_m(vertex_sequence(v)).vertex_j == exhaustive_min_change(v)
     for _ in range(100):
         v = random_tuple_vertex(rng, 5, 1)
-        assert vertex_min_change(v) == exhaustive_min_change(v)
+        assert first_critical_m(vertex_sequence(v)).vertex_j == exhaustive_min_change(v)
 
 
 def test_celcs_pinned_spectrum():

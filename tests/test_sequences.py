@@ -10,16 +10,16 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import pn_distance
+
 import seqcomplex as sc
 from seqcomplex import (
     Modulus,
     PeriodicSequence,
     parse_corpus,
     parse_sequence,
-    pn_distance,
 )
 from seqcomplex.errors import (
-    EqualPositions,
     InvalidCharacter,
     LengthMismatch,
     ModulusMismatch,
@@ -241,18 +241,13 @@ def test_xor_requires_matching_modulus():
 
 
 def test_pn_distance():
-    assert pn_distance(0, 1, MOD9) == 1
-    assert pn_distance(0, 2, MOD9) == 1
-    assert pn_distance(0, 3, MOD9) == 3
-    assert pn_distance(6, 0, MOD9) == 3
-    assert pn_distance(8, 2, MOD9) == 3
-    mod27 = Modulus(3, 3)
-    assert pn_distance(0, 9, mod27) == 9
-    assert pn_distance(0, 18, mod27) == 9
-    with pytest.raises(EqualPositions):
-        pn_distance(4, 4, MOD9)
-    with pytest.raises(LengthMismatch):
-        pn_distance(0, 9, MOD9)
+    assert pn_distance(0, 1, 3) == 1
+    assert pn_distance(0, 2, 3) == 1
+    assert pn_distance(0, 3, 3) == 3
+    assert pn_distance(6, 0, 3) == 3
+    assert pn_distance(8, 2, 3) == 3
+    assert pn_distance(0, 9, 3) == 9
+    assert pn_distance(0, 18, 3) == 9
 
 
 def test_parse_corpus_skips_comments_and_keeps_line_numbers():
@@ -352,13 +347,9 @@ def test_bits_are_the_digits_of_to01(p, n):
 
 @pytest.mark.parametrize("bad", [0.5, True, "1", 2.0, None], ids=repr)
 def test_positions_must_be_ints(bad):
-    """pn_distance and PeriodicSequence.bit read positions as plain ints;
-    anything else, a bool included, is refused with LengthMismatch."""
+    """PeriodicSequence.bit reads a position as a plain int; anything else,
+    a bool included, is refused with LengthMismatch."""
     text = re.escape(repr(bad))
-    with pytest.raises(LengthMismatch, match=rf"^positions must be ints; got {text}, 2$"):
-        pn_distance(bad, 2, MOD9)
-    with pytest.raises(LengthMismatch, match=rf"^positions must be ints; got 2, {text}$"):
-        pn_distance(2, bad, MOD9)
     with pytest.raises(LengthMismatch, match=rf"^index must be an int; got {text}$"):
         parse_sequence("110000000", MOD9).bit(bad)
 
@@ -395,7 +386,6 @@ _MODULUS_READERS = {
     "enumerate_hypercubes": lambda m: sc.enumerate_hypercubes(m, ()),
     "class_lc": lambda m: sc.class_lc(m, ()),
     "construct_stable": lambda m: sc.construct_stable(m, 1),
-    "pn_distance": lambda m: pn_distance(0, 1, m),
     "lc_from_structure": lambda m: sc.lc_from_structure(_element_cube(), m),
     "next_lower_hypercube_lc": lambda m: sc.next_lower_hypercube_lc(_element_cube(), m),
     "run_suites": lambda m: sc.run_suites(["counting"], m),
