@@ -2,7 +2,7 @@ import hashlib
 import random
 import re
 import tracemalloc
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 from math import comb
 
 import pytest
@@ -487,6 +487,44 @@ def test_vertex_j_matches_exhaustive_search():
     for _ in range(100):
         v = random_tuple_vertex(rng, 5, 1)
         assert first_critical_m(vertex_sequence(v)).vertex_j == exhaustive_min_change(v)
+
+
+def _every_length1_vertex_at_p3():
+    """All 63 tuple vertices of length 1 at p = 3: each of the 3 rows is one
+    of the 4 even-parity columns, and some row is set."""
+    columns = [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+    for rows in product(columns, repeat=3):
+        if any(map(any, rows)):
+            blocks = tuple(tuple(row[i] for row in rows) for i in range(3))
+            yield VertexDescriptor(VertexKind.TUPLE, 1, blocks)
+
+
+@pytest.mark.parametrize(
+    "p, q, count",
+    [(3, 1, None), (3, 2, 60), (5, 1, 60), (11, 1, 12), (13, 1, 4)],
+    ids=["3^2", "3^3", "5^2", "11^2", "13^2"],
+)
+def test_vertex_j_is_the_fewest_equalizing_flips(p, q, count):
+    """On the sequence that is a tuple vertex alone, vertex_j is the fewest
+    flips to p equal nonzero blocks, never the vertex's weight, and m is the
+    cheaper of erasing and equalizing; at periods up to 25 the first ten
+    vertices also meet brute force on m and L_after (m1 may overshoot, see
+    test_closed_form_m1_overshoots_on_single_hypercubes)."""
+    if count is None:
+        vertices = list(_every_length1_vertex_at_p3())
+        assert len(vertices) == 63
+    else:
+        rng = random.Random(p**q)
+        vertices = [random_tuple_vertex(rng, p, q) for _ in range(count)]
+    for i, v in enumerate(vertices):
+        s = vertex_sequence(v)
+        rep = first_critical_m(s)
+        j = exhaustive_min_change(v)
+        assert rep.vertex_j == j != s.weight, v
+        assert rep.m_s == min(j, s.weight), v
+        if i < 10 and s.modulus.period <= 25:
+            brute = first_critical_bruteforce(s)
+            assert (rep.m_s, rep.L_after) == (brute.m_s, brute.L_after), v
 
 
 def test_celcs_pinned_spectrum():
