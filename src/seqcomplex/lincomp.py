@@ -6,18 +6,22 @@ level e = n-1, ..., 0 the vector splits into p parts of p^e bits; equal
 parts are kept once, otherwise their XOR is kept and (p-1) * p^e is added.
 A nonzero final scalar adds 1.  At the last level the parts are single
 bits, so their XOR is the parity of the vector's weight.  ``_levels`` holds
-each level's geometry and ``_steps`` the step, giving each level's e and
-increment (0 at a split); every odd-p complexity walks it (``_lc_value``,
-behind ``lc``, and ``xwli_lc``), as do ``hypercube``'s ``_descend``,
-``_peel`` and ``is_hypercube`` at every p.  Up to p = 11 the deepest levels,
+each level's geometry and ``_walk`` the step; ``_steps`` gives each level's
+e and increment (0 at a split), and ``hypercube``'s ``_descend``, ``_peel``
+and ``is_hypercube`` read it at every p.  Up to p = 11 the deepest levels,
 whose vectors have at most 11 bits, are read from a table of their records
 built once per p and depth, on first use (``_PLANS``).  At 2^1-2^3, 3^1,
 3^2, 5^1 and 11^1 that table holds the whole descent, and ``_steps`` returns
-its row with no generator; elsewhere it returns a lazy walk (``_walk``).  At
-p = 2 ``_lc_value`` halves instead, the value-only special case of the step:
-it keeps the low half or the two halves' XOR down to 8 bits and reads the
-rest from that table's row complexities; up to period 2^12 it returns 2^n at
-once for an odd-weight vector, as x + 1 then does not divide s(x).
+its row with no generator; elsewhere it returns a lazy walk.  The two odd-p
+answers walk only the levels above the table and finish with one read of a
+table built once per p and depth from its rows: ``_lc_value`` (behind
+``lc``) from each row's complexity (``_tail_lc``), ``xwli_lc`` from each
+row's trace and form key (``_tail_traces``).  At 3^1, 3^2, 5^1 and 11^1
+each answer is that one read.  At p = 2 ``_lc_value`` halves instead, the
+value-only special case of the step: it keeps the low half or the two
+halves' XOR down to 8 bits and reads the rest from ``_tail_lc``; up to
+period 2^12 it returns 2^n at once for an odd-weight vector, as x + 1 then
+does not divide s(x).
 ``berlekamp_massey_lc`` - classic LFSR synthesis over GF(2), fed two periods
 - is the independent oracle they are checked against; it skips each run of
 zero-discrepancy steps in one shift, as those steps change nothing but the
@@ -42,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import repeat
-from operator import and_, attrgetter, xor
+from operator import and_, xor
 from struct import pack
 from typing import Iterable, Iterator, NamedTuple
 
@@ -68,9 +72,11 @@ class LCForm:
     It is no dataclass field, so equality, hash and repr read only p,
     epsilon and exponents.  (A ``cached_property`` would take a lock on its
     first read under Python 3.11, which costs more than the sum it saves.)
-    ``xwli_lc`` builds one per sequence, so ``__init__`` writes the fields
-    and ``_value`` straight into the instance dict, past the frozen
-    ``__setattr__``.  Assignment still raises FrozenInstanceError.
+    ``__init__`` writes the fields and ``_value`` straight into the instance
+    dict, past the frozen ``__setattr__`` that a generated ``__init__``
+    would call once per field; assignment still raises FrozenInstanceError.
+    As a form is frozen, ``xwli_lc`` shares one per p and (epsilon, V)
+    across all its traces.
     """
 
     p: int
@@ -127,16 +133,19 @@ class XwliStep(NamedTuple):
     increment: int
 
 
-_INCREMENT = attrgetter("increment")
-
-
 class XwliTrace(NamedTuple):
     steps: tuple[XwliStep, ...]
     final_one: bool
 
     @property
     def total(self) -> int:
-        return sum(map(_INCREMENT, self.steps)) + int(self.final_one)
+        # a loop reading each increment by index took about half the time
+        # of a sum over the steps' increment attribute (timeit at two steps,
+        # 2-vCPU x86 VM, Python 3.11)
+        total = 1 if self.final_one else 0
+        for step in self.steps:
+            total += step[3]
+        return total
 
 
 @cache
@@ -166,13 +175,14 @@ _PARITY_UP_TO_N = 12
 def _lc_value(a: int, p: int, n: int) -> int:
     """The complexity alone; the hot path for sweeps and brute force.
 
-    At odd p it adds the increment of each level of ``_steps`` (0 at a
-    split), then the final scalar.  At p = 2 the parts are the two halves,
-    and each level keeps the low half or their XOR, down to the 2^min(n, 3)
-    bits that ``_P2`` finishes in one read.  There x^(2^n) - 1 is
-    (x + 1)^(2^n), so L = 2^n exactly when x + 1 does not divide s(x), that
-    is when the weight of s is odd; up to n = _PARITY_UP_TO_N such an s
-    returns before halving.
+    At odd p it walks only the levels its plan walks (``_walk``), adding each
+    one's increment (0 at a split), and adds the complexity of the vector
+    the walk left from ``_tail_lc``: at 3^1, 3^2, 5^1 and 11^1 one read.  At
+    p = 2 the parts are the two halves, and each level keeps the low half or
+    their XOR, down to the 2^min(n, 3) bits that ``_P2`` finishes in one
+    read.  There x^(2^n) - 1 is (x + 1)^(2^n), so L = 2^n exactly when x + 1
+    does not divide s(x), that is when the weight of s is odd; up to n =
+    _PARITY_UP_TO_N such an s returns before halving.
     """
     L = 0
     if p == 2:
@@ -188,9 +198,14 @@ def _lc_value(a: int, p: int, n: int) -> int:
             else:
                 a = lo
         return L + tail[a]
-    for _, increment, a in _steps(a, p, n):
-        L += increment
-    return L + a
+    try:
+        levels, finish = _LC_PLANS[p, n]
+    except KeyError:
+        levels, finish = _lc_plan(p, n)
+    if levels:
+        for _, increment, a in _walk(a, levels, None):
+            L += increment
+    return L + finish[a]
 
 
 def _steps(a: int, p: int, n: int) -> Iterable[tuple[int, int, int]]:
@@ -274,16 +289,77 @@ def _tail(p: int, t: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     return tuple(shared.setdefault(row, row) for row in rows)
 
 
-# _TAILS[t]: the complexity of every 2^t-bit vector, t = 0..3, each _tail(2, t)
-# row's increments plus its final scalar.  _P2[n]: the (plen, mask) of each
-# halving _lc_value makes at 2^n, the _levels rows above the last min(n, 3)
-# (slices of one tuple, sharing its masks), and the table that finishes it.
-_TAILS = [[0, 1]] + [
-    [sum(record[1] for record in row) + row[-1][2] for row in _tail(2, t)] for t in (1, 2, 3)
-]
+@cache
+def _tail_lc(p: int, t: int) -> list[int]:
+    """The complexity of every vector of p^t bits: its ``_tail`` row's
+    increments plus its final scalar.  With no level (t = 0) the vector is
+    its own final scalar."""
+    if not t:
+        return [0, 1]
+    return [sum(record[1] for record in row) + row[-1][2] for row in _tail(p, t)]
+
+
+# _LC_PLANS[p, n] = (levels, finish): the levels of _PLANS[p, n] and the
+# _tail_lc table of the vectors they leave, the final scalar's own [0, 1]
+# where no table finishes the descent (p >= 13).
+_LC_PLANS: dict[tuple[int, int], tuple[tuple, list[int]]] = {}
+
+
+def _lc_plan(p: int, n: int) -> tuple[tuple, list[int]]:
+    """Build and keep ``_LC_PLANS[p, n]``."""
+    levels, _ = _PLANS.get((p, n)) or _plan(p, n)
+    plan = _LC_PLANS[p, n] = (levels, _tail_lc(p, n - len(levels)))
+    return plan
+
+
+# _TAILS[t]: the complexity of every 2^t-bit vector, t = 0..3.  _P2[n]: the
+# (plen, mask) of each halving _lc_value makes at 2^n, the _levels rows above
+# the last min(n, 3) (slices of one tuple, sharing its masks), and the table
+# that finishes it.
+_TAILS = [_tail_lc(2, t) for t in range(4)]
 _CAP_N = PERIOD_CAP.bit_length() - 1
 _HALVINGS = tuple(row[1:3] for row in _levels(2, _CAP_N)[:-3])
 _P2 = [(_HALVINGS[_CAP_N - n :], _TAILS[min(n, 3)]) for n in range(_CAP_N + 1)]
+
+
+# A form key holds an LCForm's exponents and epsilon in one int: bit v for
+# each exponent v >= 1, bit 0 for epsilon.  _FORMS[p] maps each key met so
+# far to its one LCForm, shared by every trace, as a form is frozen.
+_FORMS: dict[int, dict[int, LCForm]] = {}
+
+
+@cache
+def _tail_traces(p: int, t: int) -> list[tuple[XwliTrace, int]]:
+    """(trace, key) for every vector of p^t bits, from its ``_tail`` row:
+    the trace of the last t levels alone, and the form key of their sums
+    and of the final scalar.  Equal rows are one object, as in ``_tail``."""
+    if not t:
+        return [(XwliTrace((), False), 0), (XwliTrace((), True), 1)]
+    shared: dict = {}
+    rows = []
+    for vector, records in enumerate(_tail(p, t)):
+        steps, key, weight = [], 0, vector.bit_count()
+        for e, increment, a in records:
+            pre, weight = weight, a.bit_count()
+            steps.append(XwliStep("sum" if increment else "split", pre, weight, increment))
+            if increment:
+                key |= 2 << e
+        row = (XwliTrace(tuple(steps), a == 1), key | a)
+        rows.append(shared.setdefault(row, row))
+    return rows
+
+
+# _TRACE_PLANS[p, n] = (levels, finish, forms): the levels of _PLANS[p, n],
+# the _tail_traces rows of the vectors they leave, and _FORMS[p].
+_TRACE_PLANS: dict[tuple[int, int], tuple[tuple, list[tuple[XwliTrace, int]], dict]] = {}
+
+
+def _trace_plan(p: int, n: int) -> tuple[tuple, list[tuple[XwliTrace, int]], dict]:
+    """Build and keep ``_TRACE_PLANS[p, n]``."""
+    levels, _ = _PLANS.get((p, n)) or _plan(p, n)
+    finish = _tail_traces(p, n - len(levels))
+    plan = _TRACE_PLANS[p, n] = (levels, finish, _FORMS.setdefault(p, {}))
+    return plan
 
 
 def xwli_lc(s: PeriodicSequence) -> tuple[LCForm, XwliTrace]:
@@ -292,23 +368,42 @@ def xwli_lc(s: PeriodicSequence) -> tuple[LCForm, XwliTrace]:
     Each 'sum' step over parts of p^e bits contributes (p-1) * p^e, the
     term of exponent e + 1 in the form; a nonzero final scalar contributes
     1.  The trace increments always sum to the result.
+
+    Only the walked levels' steps are built per call: those of the tabled
+    levels, and their part of the form, are one read of ``_tail_traces``
+    (the whole trace at 3^1, 3^2, 5^1 and 11^1).  Equal forms are one
+    object (``_FORMS``).
     """
     p, n = s.modulus.p, s.modulus.n
     if p == 2:
         raise EvenP("xwli_lc requires odd p; use lc for p = 2")
-    # the records skip the namedtuples' own __new__, Python code that only
-    # hands its fields on to tuple.__new__
-    new = tuple.__new__
-    steps: list[XwliStep] = []
-    exps = set()
-    weight = s.value.bit_count()
-    for e, increment, a in _steps(s.value, p, n):
-        if increment:
-            exps.add(e + 1)
-        pre, weight = weight, a.bit_count()
-        steps.append(new(XwliStep, ("sum" if increment else "split", pre, weight, increment)))
-    trace = new(XwliTrace, (tuple(steps), a == 1))
-    form = LCForm(p, int(trace.final_one), frozenset(exps))
+    try:
+        levels, finish, forms = _TRACE_PLANS[p, n]
+    except KeyError:
+        levels, finish, forms = _trace_plan(p, n)
+    a = s.value
+    if levels:
+        # the records skip the namedtuples' own __new__, Python code that
+        # only hands its fields on to tuple.__new__
+        new = tuple.__new__
+        walked: list[XwliStep] = []
+        key = 0
+        weight = a.bit_count()
+        for e, increment, a in _walk(a, levels, None):
+            pre, weight = weight, a.bit_count()
+            if increment:
+                key |= 2 << e
+            walked.append(new(XwliStep, ("sum" if increment else "split", pre, weight, increment)))
+        (steps, final_one), tail_key = finish[a]
+        trace = new(XwliTrace, ((*walked, *steps), final_one))
+        key |= tail_key
+    else:
+        trace, key = finish[a]
+    try:
+        form = forms[key]
+    except KeyError:
+        exponents = frozenset(v for v in range(1, n + 1) if key >> v & 1)
+        form = forms[key] = LCForm(p, key & 1, exponents)
     assert trace.total == form.value
     return form, trace
 

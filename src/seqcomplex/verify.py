@@ -22,6 +22,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice, product, repeat
+from operator import le
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bitslice import identity, read
@@ -284,8 +285,9 @@ def _suite_decomposition(modulus: Modulus | None, rng: random.Random, cap: int) 
                 acc ^= part.value
             if acc != s.value:
                 problems.append("parts do not XOR back to s")
-            if any(a <= b for a, b in zip(dec.complexities, dec.complexities[1:])):
-                problems.append(f"complexities not strictly decreasing: {dec.complexities}")
+            c = dec.complexities
+            if any(map(le, c, c[1:])):
+                problems.append(f"complexities not strictly decreasing: {c}")
             if dec.complexities[0] != lc(s):
                 problems.append(f"leading part L {dec.complexities[0]} != L(s) {lc(s)}")
             del dec  # one row's parts at a time: at 2^20 they take about 1.45 GB

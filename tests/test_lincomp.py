@@ -152,6 +152,39 @@ def test_p2_tables_hold_the_halving_complexity_of_every_short_vector():
         assert list(_P2[n][0]) == halvings, n
 
 
+def test_tail_lc_holds_each_tail_rows_complexity():
+    """Row a of _tail_lc(p, t) is the increments of _tail(p, t)'s row a plus
+    its final scalar, and the complexity of the p^t-bit vector a; with no
+    level (t = 0) it is the scalar itself.  _lc_value, which finishes from
+    it, equals the sum of _steps' records on every value where the table
+    holds the whole descent, and on seeded values where levels are walked
+    or no table exists (13^1)."""
+    for p, t in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (11, 1)):
+        rows, table = lincomp._tail(p, t), lincomp._tail_lc(p, t)
+        assert type(table) is list and len(table) == len(rows) == 1 << p**t, (p, t)
+        for a, (row, L) in enumerate(zip(rows, table)):
+            assert L == sum(increment for _, increment, _ in row) + row[-1][2], (p, t, a)
+            assert L == berlekamp_massey_lc(PeriodicSequence(Modulus(p, t), a)), (p, t, a)
+    assert lincomp._tail_lc(13, 0) == [0, 1]
+
+    def records_sum(v, p, n):
+        records = list(_steps(v, p, n))
+        return sum(increment for _, increment, _ in records) + records[-1][2]
+
+    for p, n in ((3, 1), (3, 2), (5, 1), (11, 1)):
+        for v in range(1 << p**n):
+            assert _lc_value(v, p, n) == records_sum(v, p, n), (p, n, v)
+    rng = random.Random(5202)
+    for p, n in ((3, 3), (3, 5), (5, 2), (11, 2), (13, 1)):
+        N = p**n
+        for v in [0, 1, (1 << N) - 1] + [rng.getrandbits(N) for _ in range(200)]:
+            assert _lc_value(v, p, n) == records_sum(v, p, n), (p, n, v)
+    # p = 2 reads the same tables through _TAILS, a list of lists
+    assert type(_TAILS) is list and all(type(table) is list for table in _TAILS)
+    assert all(_TAILS[t] is lincomp._tail_lc(2, t) for t in range(4))
+    assert all(_P2[n][1] is _TAILS[min(n, 3)] for n in range(1, 21))
+
+
 def _p2_samples(rng: random.Random, n: int, pairs: int) -> list[int]:
     """Seeded 2^n-bit values: sparse ones of weights 1 to 4, then ``pairs``
     pairs of a dense value and a block repeated 2^j times, the k-th pair of
@@ -216,11 +249,11 @@ def test_trace_matches_list_descent():
         steps = [(st.branch, st.pre_weight, st.post_weight, st.increment) for st in trace.steps]
         assert (steps, trace.final_one) == list_plain_trace(v, mod.p, mod.n), (mod, v)
 
-    for mod in (MOD9, Modulus(5, 1), Modulus(11, 1)):
+    for mod in (MOD9, Modulus(5, 1), Modulus(11, 1), Modulus(13, 1)):
         for v in range(1 << mod.period):
             check(mod, v)
     rng = random.Random(17)
-    for mod in (MOD27, Modulus(5, 2), Modulus(3, 5), Modulus(3, 7)):
+    for mod in (MOD27, Modulus(5, 2), Modulus(3, 5), Modulus(3, 7), Modulus(13, 2)):
         N = mod.period
         for _ in range(100):
             check(mod, rng.randrange(1 << N))
@@ -330,11 +363,25 @@ def test_canonical_form_refuses_a_non_int_L(L):
         lc_form_decompose(L, MOD9)
 
 
-def test_canonical_form_matches_engine_exhaustive_n9():
-    for v in range(1, 512):
-        s = PeriodicSequence(MOD9, v)
-        form, _ = xwli_lc(s)
-        assert lc_form_decompose(lc(s), MOD9) == form
+def test_canonical_form_matches_engine_and_is_one_object_per_form():
+    """xwli_lc's form is lc_form_decompose's form of lc, with its str and
+    hash, on every value at the whole-table moduli and on seeded values at
+    walked ones; every trace of one p with one complexity shares one form,
+    at every n."""
+    rng = random.Random(5201)
+    shared: dict = {}
+    for p, n in ((3, 1), (3, 2), (5, 1), (11, 1), (3, 3), (5, 2), (3, 5), (13, 1)):
+        mod = Modulus(p, n)
+        N = mod.period
+        values = range(1 << N) if N <= 11 else [0, 1, (1 << N) - 1] + [
+            rng.getrandbits(N) for _ in range(300)
+        ]
+        for v in values:
+            s = PeriodicSequence(mod, v)
+            form = xwli_lc(s)[0]
+            want = lc_form_decompose(lc(s), mod)
+            assert form == want and str(form) == str(want) and hash(form) == hash(want), (mod, v)
+            assert shared.setdefault((p, form.value), form) is form, (mod, v)
 
 
 def test_run_skipping_bm_matches_the_stepwise_loop():
