@@ -466,8 +466,10 @@ def standard_decompose(s: PeriodicSequence) -> Decomposition:
     parts[0] keeps the full complexity of s; XOR of all parts equals s.
     Each part and its complexity come from one ``_peel`` of the residue,
     which builds no descent record.  At p = 2 the leading complexity is
-    checked against ``lc``'s halving, an engine ``_peel`` does not share; at
-    odd p ``lc`` reads the rows the peels just read, so no second walk.
+    checked against ``lc``'s halving, an engine ``_peel`` does not share.
+    At odd p ``lc`` would walk the same levels and tables as the first peel,
+    so s is not walked a second time; the decomposition suite compares the
+    leading complexity with ``lc(s)``.
     """
     require_nonzero(s)
     modulus = s.modulus

@@ -521,8 +521,9 @@ def test_whole_table_descents_return_the_tables_row_and_walks_stay_lazy():
 def test_tail_tables_are_built_once_per_depth_and_hold_at_most_2048_rows(monkeypatch):
     """A table covers the deepest t levels whose vectors have at most 11
     bits: t = 3 at p = 2 from 2^3 on, t = 2 at p = 3 (t = 1 at 3^1), t = 1
-    at p = 5 and 11, none at p = 13.  Every plan of one (p, t) shares the
-    table built first; each descent's records sum to its complexity."""
+    at p = 5 and 11, none at p = 13.  Every plan of one (p, t), lc's and
+    xwli_lc's included, shares the table built first; each descent's
+    records sum to its complexity."""
     built = []
     build = lincomp._tail.__wrapped__
 
@@ -530,7 +531,8 @@ def test_tail_tables_are_built_once_per_depth_and_hold_at_most_2048_rows(monkeyp
         built.append((p, t))
         return build(p, t)
 
-    monkeypatch.setattr(lincomp, "_PLANS", {})
+    for plans in ("_PLANS", "_LC_PLANS", "_TRACE_PLANS"):
+        monkeypatch.setattr(lincomp, plans, {})
     monkeypatch.setattr(lincomp, "_tail", cache(counted))
     rng = random.Random(3802)
     # deepest first: a table built for a longer period must leave the plan
@@ -541,6 +543,8 @@ def test_tail_tables_are_built_once_per_depth_and_hold_at_most_2048_rows(monkeyp
             s = PeriodicSequence(Modulus(p, n), v)
             L = berlekamp_massey_lc(s)
             assert lc(s) == L, (p, n, v)
+            if p != 2:
+                assert xwli_lc(s)[0].value == L, (p, n, v)
             records = list(_steps(v, p, n))
             assert sum(increment for _, increment, _ in records) + records[-1][2] == L, (p, n, v)
     assert sorted(built) == [(2, 3), (3, 1), (3, 2), (5, 1), (11, 1)]

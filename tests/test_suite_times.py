@@ -15,9 +15,9 @@ def test_suite_times_runs_one_suite_with_one_seed():
         capture_output=True, text=True, timeout=120, check=True,
     ).stdout.splitlines()
     assert len(out) == 3, out
-    for line, name in zip(out, ("stability", "pass")):
-        label, ms, unit = line.split()
-        assert (label, unit) == (name, "ms") and float(ms) > 0, line
     times = json.loads(out[2])
     assert list(times) == ["stability"] and len(times["stability"]) == 1
-    assert f"{times['stability'][0]:.3f}" == out[0].split()[1]
+    ms = f"{times['stability'][0]:.3f}"
+    for line, name in zip(out, ("stability", "pass")):
+        # with one seed and one suite, the median, the least and the pass agree
+        assert line.split() == [name, ms, "ms", "min", ms, "ms"], line

@@ -8,8 +8,10 @@ processes between their ``src`` directories.  Each named suite (every suite
 of ``verify.SUITES`` when none is named) runs once untimed, so that the
 tables it builds on first use are built, then once per seed 0..K-1 (7 by
 default) as ``run_suites([name], seed=i)``.  One line per suite gives the
-median of its times in ms; the ``pass`` line gives the median over seeds of
-the suites' summed times, and then every per-seed time follows as JSON.
+median and the least of its times in ms; the ``pass`` line gives those of
+the suites' summed time per seed, and then every per-seed time follows as
+JSON.  On a shared host a suite's times can spread twofold within one
+process, so compare trees over many alternating processes.
 """
 
 from __future__ import annotations
@@ -45,11 +47,10 @@ def main(argv: list[str] | None = None) -> int:
             t0 = perf_counter()
             run_suites([name], seed=seed)
             per_seed.append(1e3 * (perf_counter() - t0))
-    width = max(map(len, names))
-    for name, per_seed in times.items():
-        print(f"{name:<{width}}  {statistics.median(per_seed):9.3f} ms")
-    passes = [sum(per_seed) for per_seed in zip(*times.values())]
-    print(f"{'pass':<{width}}  {statistics.median(passes):9.3f} ms")
+    width = max(map(len, [*names, "pass"]))
+    rows = {**times, "pass": [sum(per_seed) for per_seed in zip(*times.values())]}
+    for name, per_seed in rows.items():
+        print(f"{name:<{width}}  {statistics.median(per_seed):9.3f} ms  min {min(per_seed):9.3f} ms")
     print(json.dumps(times))
     return 0
 
