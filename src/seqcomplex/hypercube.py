@@ -37,9 +37,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from operator import xor
-from typing import Sequence as Seq
+from typing import Iterable, Sequence as Seq
 
 from .errors import (
     InvalidEdges,
@@ -49,7 +49,7 @@ from .errors import (
     NotAHypercube,
     OddP,
 )
-from .lincomp import _lc_value, _levels, _steps
+from .lincomp import _PLANS, _lc_value, _levels, _plan, _steps, _tail, _walk
 from .sequences import (
     _TO_DIGIT,
     Modulus,
@@ -218,12 +218,12 @@ class Decomposition:
 # with plen read from the level's row: a noted level keeps the first 1 of
 # each row (``_kept``), in its own level only, and every level vecs[k] &=
 # vecs[k+1] spread over p parts (``_spread``; both shift by copies that
-# double, about log2 p shifts a call), except level n - 1, whose vector below
-# is the final scalar 1.  Keeping first 1s and masking by whole rows commute,
-# so the order is free.  Ones are only ever removed and each 1 below a sum
-# has one source, so a level keeps exactly the sources of the ones that
-# survive below it; even rows drop out because the XOR below a rewritten
-# level holds only odd rows.
+# double, about log2 p shifts a call); below level n - 1 lies the final
+# scalar 1, all ones when spread over p one-bit parts.  Keeping first 1s and
+# masking by whole rows commute, so the order is free.  Ones are only ever
+# removed and each 1 below a sum has one source, so a level keeps exactly
+# the sources of the ones that survive below it; even rows drop out because
+# the XOR below a rewritten level holds only odd rows.
 #
 # The vertex stays an int mask too: the descent ends at vecs[-1], which is
 # the scalar 1 when q is None (an element vertex) and the p parts of p^q bits
@@ -232,16 +232,22 @@ class Decomposition:
 # descent; every other caller reads ok, edges, q or l, and _hypercube_lc
 # prices a hypercube from q and edges alone.
 #
-# Three functions here walk _steps: a table's row where the whole descent is
-# one (2^1-2^3, 3^1, 3^2, 5^1, 11^1), else a lazy walk.  _descend makes the
-# plain descent and builds the _Descent record that extract_structure,
-# cube_lc, counting._class_key and kerror's closed forms read.  _peel makes the
-# rewrite descent's walk and pass up but keeps no edges, vertex or record:
-# it returns h_1 = vecs[0] and its complexity, the increments plus 1 at an
-# element vertex, and standard_decompose loops it.  is_hypercube keeps only
-# the level's weight and stops at the first sum that cancels ones.  A
-# Decomposition keeps no descent, since a part's plain descent equals the
-# rewrite descent that peeled it.
+# Three functions here walk the step layer, and none takes a mode.
+# _descend walks _steps (a table's row where the whole descent is one:
+# 2^1-2^3, 3^1, 3^2, 5^1, 11^1; else a lazy walk) and builds the _Descent
+# record that extract_structure, cube_lc, counting._class_key and kerror's
+# closed forms read.  _peel makes the rewrite descent's walk and pass up but
+# keeps no edges, vertex or record: it returns h_1 = vecs[0] and its
+# complexity, the increments plus 1 at an element vertex, and
+# standard_decompose loops it.  is_hypercube keeps only the level's weight
+# and stops at the first sum that cancels ones.  Those two walk only the
+# levels above their plan's table (_walk) and finish with one read, as
+# lincomp's answers do: _peel from the (h, L) of each vector, the peel itself
+# over the table's levels, and is_hypercube from each vector's verdict, by
+# its own rule over the _tail rows, so the test of a peeled part does not
+# rest on the peel.  Where the table holds the whole descent each is that
+# one read.  A Decomposition keeps no descent, since a part's plain descent
+# equals the rewrite descent that peeled it.
 #
 # A sum cancels ones exactly when it leaves fewer ones than the level it
 # folds.  Each walk carries that level's weight instead of counting it
@@ -320,33 +326,117 @@ def _peel(value: int, p: int, n: int) -> tuple[int, int]:
     rewrite descent, and its complexity L(value), the increments plus 1 at
     an element vertex.  It keeps no edges, vertex length or record.
 
-    The pass up runs from the deepest level that cancelled ones: such a
-    level keeps the first 1 of each row, and each level the sources of the
-    ones below it.  Below level n - 1 lies the final scalar 1, which spread
-    over p one-bit parts is all ones, so that level keeps its first 1s
-    alone."""
-    vecs, rewritten = [value], []
+    It walks only the levels of its plan, ``_PEEL_PLANS[p, n]``, and reads
+    the (h, L) of the vector they leave from the plan's ``_peel_table``; at
+    2^1-2^3, 3^1, 3^2, 5^1 and 11^1 the peel is that one read."""
+    try:
+        levels, peels = _PEEL_PLANS[p, n]
+    except KeyError:
+        levels, peels = _peel_plan(p, n)
+    return _peeled(value, p, levels, peels) if levels else peels[value]
+
+
+def _peeled(value: int, p: int, levels: tuple, peels: Seq[tuple[int, int]]) -> tuple[int, int]:
+    """The peel of value over the given nonempty levels of ``_levels``, with
+    peels the (h, L) of every vector those levels can leave.
+
+    The walk notes each sum that cancels ones.  A zero sum ends it;
+    otherwise the table's h replaces the vector it left, and L adds the
+    table's.  The pass up runs from the walked level just above the table
+    when the table's h differs from its vector (a sum inside the table
+    cancelled ones), else from the deepest walked level that cancelled
+    ones: such a level keeps the first 1 of each row, and each level the
+    sources of the ones below it."""
+    vecs = [value]
+    rewritten = 0  # bit k for each walked level k that cancelled ones
+    deepest = -1  # the level the pass up starts at
     L = 0
     weight = value.bit_count()
-    for _, increment, a in _steps(value, p, n):
+    for _, increment, a in _walk(value, levels, None):
         L += increment
         if not increment:
             weight //= p
         elif a == 0:
             break
         elif (w := a.bit_count()) != weight:
-            rewritten.append(len(vecs) - 1)
+            deepest = len(vecs) - 1
+            rewritten |= 1 << deepest
             weight = w
         vecs.append(a)
     else:
-        L += 1
-    if rewritten:
-        levels = _levels(p, n)
-        for k in range(rewritten[-1], -1, -1):
-            plen = levels[k][1]
-            a = _kept(vecs[k], p, plen) if k in rewritten else vecs[k]
-            vecs[k] = a if k == n - 1 else a & _spread(vecs[k + 1], p, plen)
+        h, tail_L = peels[a]
+        L += tail_L
+        if h != a:
+            vecs[-1] = h
+            deepest = len(levels) - 1
+    for k in range(deepest, -1, -1):
+        plen = levels[k][1]
+        a = _kept(vecs[k], p, plen) if rewritten >> k & 1 else vecs[k]
+        vecs[k] = a & _spread(vecs[k + 1], p, plen)
     return vecs[0], L
+
+
+def _verdict(records: Iterable[tuple], weight: int, p: int, verdicts: bytes) -> bool:
+    """``is_hypercube``'s rule over a descent's records, weight being that
+    of the vector they start from: True at a zero sum, False at a sum that
+    cancels ones, else the verdict of the vector the records leave."""
+    for _, increment, a in records:
+        if not increment:
+            weight //= p
+        elif a == 0:
+            return True  # the zero sum that ends in a tuple vertex
+        elif a.bit_count() != weight:
+            return False
+    return verdicts[a] == 1
+
+
+# _peel and is_hypercube finish as lincomp's answers do: each walks only the
+# levels of _PLANS[p, n] and reads the vector they leave from a table built
+# once per (p, t), t being the levels below them.  _PEEL_PLANS[p, n] =
+# (levels, peels) and _TEST_PLANS[p, n] = (levels, verdicts).  With no level
+# (t = 0) the vector is the final scalar: its own peel, complexity and
+# verdict.
+_SCALAR_PEELS = [(0, 0), (1, 1)]
+_SCALAR_VERDICTS = b"\x01\x01"
+_PEEL_PLANS: dict[tuple[int, int], tuple[tuple, Seq[tuple[int, int]]]] = {}
+_TEST_PLANS: dict[tuple[int, int], tuple[tuple, bytes]] = {}
+
+
+@cache
+def _peel_table(p: int, t: int) -> list[tuple[int, int]]:
+    """The (h, L) of every vector of p^t bits: the peel itself over
+    ``_levels(p, t)``, finishing at the final scalar.  Equal rows are one
+    object."""
+    if not t:
+        return _SCALAR_PEELS
+    levels, shared = _levels(p, t), {}
+    rows = (_peeled(v, p, levels, _SCALAR_PEELS) for v in range(1 << p**t))
+    return [shared.setdefault(row, row) for row in rows]
+
+
+@cache
+def _verdict_table(p: int, t: int) -> bytes:
+    """``is_hypercube`` of every vector of p^t bits, 1 or 0, by the weight
+    rule over its ``_tail`` row.  It reads no peel, so that a test of a
+    peeled part does not rest on the peel that made it."""
+    if not t:
+        return _SCALAR_VERDICTS
+    rows = enumerate(_tail(p, t))
+    return bytes(_verdict(row, v.bit_count(), p, _SCALAR_VERDICTS) for v, row in rows)
+
+
+def _peel_plan(p: int, n: int) -> tuple[tuple, Seq[tuple[int, int]]]:
+    """Build and keep ``_PEEL_PLANS[p, n]``."""
+    levels, _ = _PLANS.get((p, n)) or _plan(p, n)
+    plan = _PEEL_PLANS[p, n] = (levels, _peel_table(p, n - len(levels)))
+    return plan
+
+
+def _test_plan(p: int, n: int) -> tuple[tuple, bytes]:
+    """Build and keep ``_TEST_PLANS[p, n]``."""
+    levels, _ = _PLANS.get((p, n)) or _plan(p, n)
+    plan = _TEST_PLANS[p, n] = (levels, _verdict_table(p, n - len(levels)))
+    return plan
 
 
 def _expand_flip(desc: _Descent, p: int, n: int, flips: int) -> int:
@@ -367,19 +457,20 @@ def _expand_flip(desc: _Descent, p: int, n: int, flips: int) -> int:
 def is_hypercube(s: PeriodicSequence) -> bool:
     """True iff no XOR step of the descent cancels ones, except the zero-sum
     step that terminates in a tuple vertex.  The walk tracks the level's
-    weight alone and stops at the first sum that cancels ones."""
+    weight alone and stops at the first sum that cancels ones.  It walks
+    only the levels of its plan, ``_TEST_PLANS[p, n]``, and reads the
+    verdict of the vector they leave from the plan's ``_verdict_table``; at
+    2^1-2^3, 3^1, 3^2, 5^1 and 11^1 the test is that one read."""
     require_nonzero(s)
-    modulus = s.modulus
+    modulus, value = s.modulus, s.value
     p = modulus.p
-    weight = s.value.bit_count()
-    for _, increment, a in _steps(s.value, p, modulus.n):
-        if not increment:
-            weight //= p
-        elif a == 0:
-            return True  # the zero sum that ends in a tuple vertex
-        elif a.bit_count() != weight:
-            return False
-    return True
+    try:
+        levels, verdicts = _TEST_PLANS[p, modulus.n]
+    except KeyError:
+        levels, verdicts = _test_plan(p, modulus.n)
+    if levels:
+        return _verdict(_walk(value, levels, None), value.bit_count(), p, verdicts)
+    return verdicts[value] == 1
 
 
 def extract_structure(s: PeriodicSequence) -> HypercubeStructure:
@@ -464,23 +555,29 @@ def standard_decompose(s: PeriodicSequence) -> Decomposition:
     """Peel hypercubes with strictly decreasing linear complexities.
 
     parts[0] keeps the full complexity of s; XOR of all parts equals s.
-    Each part and its complexity come from one ``_peel`` of the residue,
-    which builds no descent record.  At p = 2 the leading complexity is
-    checked against ``lc``'s halving, an engine ``_peel`` does not share.
-    At odd p ``lc`` would walk the same levels and tables as the first peel,
-    so s is not walked a second time; the decomposition suite compares the
-    leading complexity with ``lc(s)``.
+    Each part and its complexity come from one peel of the residue, which
+    builds no descent record.  The peel plan is looked up once per call:
+    where it walks no level (2^1-2^3, 3^1, 3^2, 5^1 and 11^1) each peel is
+    one read of its table, elsewhere ``_peeled`` walks the plan's levels.
+    At p = 2 the leading complexity is checked against ``lc``'s halving, an
+    engine the peel does not share.  At odd p ``lc`` would walk the same
+    levels as the first peel, so s is not walked a second time; the
+    decomposition suite compares the leading complexity with ``lc(s)``.
     """
     require_nonzero(s)
     modulus = s.modulus
     p, n = modulus.p, modulus.n
+    try:
+        levels, peels = _PEEL_PLANS[p, n]
+    except KeyError:
+        levels, peels = _peel_plan(p, n)
     complexities: list[int] = []
     parts: list[PeriodicSequence] = []
     residue = s.value
     for _ in range(modulus.period + 1):
         if residue == 0:
             break
-        h, L = _peel(residue, p, n)
+        h, L = _peeled(residue, p, levels, peels) if levels else peels[residue]
         assert not complexities or L < complexities[-1]  # strictly decreasing
         complexities.append(L)
         parts.append(PeriodicSequence(modulus, h))

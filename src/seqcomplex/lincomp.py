@@ -7,21 +7,24 @@ parts are kept once, otherwise their XOR is kept and (p-1) * p^e is added.
 A nonzero final scalar adds 1.  At the last level the parts are single
 bits, so their XOR is the parity of the vector's weight.  ``_levels`` holds
 each level's geometry and ``_walk`` the step; ``_steps`` gives each level's
-e and increment (0 at a split), and ``hypercube``'s ``_descend``, ``_peel``
-and ``is_hypercube`` read it at every p.  Up to p = 11 the deepest levels,
-whose vectors have at most 11 bits, are read from a table of their records
-built once per p and depth, on first use (``_PLANS``).  At 2^1-2^3, 3^1,
-3^2, 5^1 and 11^1 that table holds the whole descent, and ``_steps`` returns
-its row with no generator; elsewhere it returns a lazy walk.  The two odd-p
-answers walk only the levels above the table and finish with one read of a
-table built once per p and depth from its rows: ``_lc_value`` (behind
-``lc``) from each row's complexity (``_tail_lc``), ``xwli_lc`` from each
-row's trace and form key (``_tail_traces``).  At 3^1, 3^2, 5^1 and 11^1
-each answer is that one read.  At p = 2 ``_lc_value`` halves instead, the
-value-only special case of the step: it keeps the low half or the two
-halves' XOR down to 8 bits and reads the rest from ``_tail_lc``; up to
-period 2^12 it returns 2^n at once for an odd-weight vector, as x + 1 then
-does not divide s(x).
+e and increment (0 at a split), and ``hypercube``'s ``_descend`` reads it
+at every p.  Up to p = 11 the deepest levels, whose vectors have at most
+11 bits, are read from a table of their records built once per p and
+depth, on first use (``_PLANS``).  At 2^1-2^3, 3^1, 3^2, 5^1 and 11^1
+that table holds the whole descent, and ``_steps`` returns its row with no
+generator; elsewhere it returns a lazy walk.  Four walks
+read only the levels above the table (``_walk``) and finish with one read
+of a table built once per p and depth: the two odd-p answers, from its
+rows, ``_lc_value`` (behind ``lc``) from each row's complexity
+(``_tail_lc``) and ``xwli_lc`` from each row's trace and form key
+(``_tail_traces``); and, at every p, ``hypercube``'s ``_peel`` and
+``is_hypercube`` from tables of their own (the peel of each vector, and
+each row's verdict).  At 3^1, 3^2, 5^1 and 11^1 each answer is that one
+read, as are the peel and the test at 2^1-2^3.  At p = 2 ``_lc_value``
+halves instead, the value-only special case of the step: it keeps the low
+half or the two halves' XOR down to 8 bits and reads the rest from
+``_tail_lc``; up to period 2^12 it returns 2^n at once for an odd-weight
+vector, as x + 1 then does not divide s(x).
 ``berlekamp_massey_lc`` - classic LFSR synthesis over GF(2), fed two periods
 - is the independent oracle they are checked against; it skips each run of
 zero-discrepancy steps in one shift, as those steps change nothing but the
@@ -218,9 +221,9 @@ def _steps(a: int, p: int, n: int) -> Iterable[tuple[int, int, int]]:
     3^1, 3^2, 5^1 and 11^1) the whole descent is one row of the table, and
     ``_steps`` returns that row, the table's own tuple, with no generator.
     Otherwise it returns the lazy walk of ``_walk``, so a caller that stops
-    early (``is_hypercube``) walks no further.  At p = 2 ``_lc_value``
-    halves in its own loop, as one on this walk took about 2.4x as long per
-    call at 2^4 and 2^5.
+    early (``_descend`` at a sum that cancels ones) walks no further.  At
+    p = 2 ``_lc_value`` halves in its own loop, as one on this walk took
+    about 2.4x as long per call at 2^4 and 2^5.
     """
     try:
         levels, tail = _PLANS[p, n]

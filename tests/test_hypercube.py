@@ -43,7 +43,15 @@ from seqcomplex.errors import (
     OddP,
     ZeroSequence,
 )
-from seqcomplex.hypercube import _Descent, _descend, _kept, _peel, _spread
+from seqcomplex.hypercube import (
+    _Descent,
+    _descend,
+    _kept,
+    _peel,
+    _peel_table,
+    _spread,
+    _verdict_table,
+)
 
 MOD9 = Modulus(3, 2)
 MOD27 = Modulus(3, 3)
@@ -326,12 +334,58 @@ def _check_peel_and_test_against_the_descent(v, p, n):
     assert _peel(v, p, n) == (list_rewrite_descent(v, p, n)[0][0], lc(s)), (p, n, v)
 
 
+# the moduli whose tables hold the whole descent, as (p, t)
+WHOLE_TABLE = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (11, 1))
+
+
+def test_peel_and_verdict_tables_hold_each_vectors_peel_and_verdict():
+    """Row v of _peel_table(p, t) is the list rewrite's h_1 and the lc of the
+    p^t-bit vector v, and row v of _verdict_table(p, t) the plain descent's
+    verdict, on every row at each whole-table modulus, where _peel and
+    is_hypercube are those rows.  With no level (t = 0) each table is the
+    final scalar's."""
+    for p, t in WHOLE_TABLE:
+        peels, verdicts = _peel_table(p, t), _verdict_table(p, t)
+        assert type(verdicts) is bytes and len(peels) == len(verdicts) == 1 << p**t, (p, t)
+        assert peels[0] == (0, 0) and verdicts[0] == 1, (p, t)
+        mod = Modulus(p, t)
+        for v in range(1, 1 << p**t):
+            s = PeriodicSequence(mod, v)
+            assert peels[v] == (list_rewrite_descent(v, p, t)[0][0], lc(s)), (p, t, v)
+            assert verdicts[v] == _descend(v, p, t).ok, (p, t, v)
+            assert _peel(v, p, t) is peels[v], (p, t, v)
+            assert is_hypercube(s) is (verdicts[v] == 1), (p, t, v)
+    assert _peel_table(13, 0) == [(0, 0), (1, 1)] and _verdict_table(13, 0) == b"\x01\x01"
+
+
+def _planted(rng, p, n, d):
+    """A p^n-bit value whose only cancelling sum lies in its last d levels:
+    a hypercube of p^d bits with one of its p^d positions flipped, so that
+    its own descent cancels ones, grown to p^n bits by levels that cancel
+    nothing (each repeats the vector p times or puts each 1 in one of the p
+    parts)."""
+    while True:
+        u = list_rewrite_descent(rng.getrandbits(p**d) or 1, p, d)[0][0]
+        u ^= 1 << rng.randrange(p**d)
+        if u and list_rewrite_descent(u, p, d)[0][0] != u:
+            break
+    for e in range(d, n):
+        size = p**e
+        if rng.randrange(2):
+            u = sum(u << i * size for i in range(p))
+        else:
+            u = sum(1 << rng.randrange(p) * size + i for i in range(size) if u >> i & 1)
+    return u
+
+
 def test_peel_and_hypercube_test_match_the_descent():
     """_peel gives the list rewrite's h_1 and L(s), and is_hypercube the
-    plain descent's verdict: every value at 2^1-2^4, 3^1, 3^2, 5^1, 11^1 and
-    13^1, and 300 seeded values each at 3^3, 5^2, 3^5 and 2^8, half of
-    them sparse."""
-    for p, n in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (11, 1), (13, 1)):
+    plain descent's verdict: every value at 2^4 and 13^1 (the whole-table
+    moduli are checked row by row above), and seeded values where levels
+    are walked or no table exists: dense, sparse (often a hypercube) and
+    planted, whose only cancelling sum lies inside the table (in the last
+    level where there is none)."""
+    for p, n in ((2, 4), (13, 1)):
         for v in range(1, 1 << p**n):
             _check_peel_and_test_against_the_descent(v, p, n)
     rng = random.Random(4201)
@@ -342,6 +396,19 @@ def test_peel_and_hypercube_test_match_the_descent():
                 v = rng.randrange(1, 1 << N)
             else:
                 v = sum({1 << rng.randrange(N) for _ in range(4)})
+            _check_peel_and_test_against_the_descent(v, p, n)
+    rng = random.Random(5301)
+    for p, n in ((3, 7), (11, 2), (13, 2), (2, 5), (2, 6)):
+        N = p**n
+        for i in range(150):
+            _check_peel_and_test_against_the_descent(rng.randrange(1, 1 << N), p, n)
+            v = sum({1 << rng.randrange(N) for _ in range(4)})
+            _check_peel_and_test_against_the_descent(v, p, n)
+    depth = {2: 3, 3: 2, 5: 1, 11: 1, 13: 1}
+    for p, n in ((3, 3), (5, 2), (3, 5), (2, 8), (3, 7), (11, 2), (13, 2), (2, 5), (2, 6)):
+        for _ in range(100):
+            v = _planted(rng, p, n, depth[p])
+            assert _peel(v, p, n)[0] != v, (p, n, v)
             _check_peel_and_test_against_the_descent(v, p, n)
 
 

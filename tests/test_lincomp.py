@@ -13,12 +13,13 @@ from seqcomplex import (
     XwliStep,
     XwliTrace,
     berlekamp_massey_lc,
+    is_hypercube,
     lc,
     lc_form_decompose,
     xwli_lc,
 )
 from seqcomplex.errors import EvenP, NotRepresentable
-from seqcomplex import lincomp
+from seqcomplex import hypercube, lincomp
 from seqcomplex.hypercube import _descend, _peel
 from seqcomplex.lincomp import _P2, _TAILS, _bm_value, _bm_values, _lc_value, _levels, _steps
 
@@ -521,9 +522,9 @@ def test_whole_table_descents_return_the_tables_row_and_walks_stay_lazy():
 def test_tail_tables_are_built_once_per_depth_and_hold_at_most_2048_rows(monkeypatch):
     """A table covers the deepest t levels whose vectors have at most 11
     bits: t = 3 at p = 2 from 2^3 on, t = 2 at p = 3 (t = 1 at 3^1), t = 1
-    at p = 5 and 11, none at p = 13.  Every plan of one (p, t), lc's and
-    xwli_lc's included, shares the table built first; each descent's
-    records sum to its complexity."""
+    at p = 5 and 11, none at p = 13.  Every plan of one (p, t), lc's,
+    xwli_lc's, _peel's and is_hypercube's included, shares the table built
+    first; each descent's records sum to its complexity."""
     built = []
     build = lincomp._tail.__wrapped__
 
@@ -533,6 +534,8 @@ def test_tail_tables_are_built_once_per_depth_and_hold_at_most_2048_rows(monkeyp
 
     for plans in ("_PLANS", "_LC_PLANS", "_TRACE_PLANS"):
         monkeypatch.setattr(lincomp, plans, {})
+    for plans in ("_PEEL_PLANS", "_TEST_PLANS"):
+        monkeypatch.setattr(hypercube, plans, {})
     monkeypatch.setattr(lincomp, "_tail", cache(counted))
     rng = random.Random(3802)
     # deepest first: a table built for a longer period must leave the plan
@@ -547,12 +550,20 @@ def test_tail_tables_are_built_once_per_depth_and_hold_at_most_2048_rows(monkeyp
                 assert xwli_lc(s)[0].value == L, (p, n, v)
             records = list(_steps(v, p, n))
             assert sum(increment for _, increment, _ in records) + records[-1][2] == L, (p, n, v)
+            if v:
+                assert _peel(v, p, n)[1] == L, (p, n, v)
+                assert is_hypercube(s) == _descend(v, p, n).ok, (p, n, v)
     assert sorted(built) == [(2, 3), (3, 1), (3, 2), (5, 1), (11, 1)]
     for p, n in moduli:
         t = min(n, 3 if p == 2 else 2 if p == 3 else 1)
         levels, tail = lincomp._PLANS[p, n]
         assert levels == _levels(p, n)[: n - t], (p, n)
         assert tail is lincomp._tail(p, t) and len(tail) == 2 ** p**t <= 2**11, (p, n)
+        assert hypercube._PEEL_PLANS[p, n] == (levels, hypercube._peel_table(p, t)), (p, n)
+        assert hypercube._PEEL_PLANS[p, n][1] is hypercube._peel_table(p, t), (p, n)
+        assert hypercube._TEST_PLANS[p, n][1] is hypercube._verdict_table(p, t), (p, n)
     for p, n in ((13, 1), (13, 2)):
         assert lincomp._PLANS[p, n] == (_levels(p, n), None)
+        assert hypercube._PEEL_PLANS[p, n] == (_levels(p, n), [(0, 0), (1, 1)])
+        assert hypercube._TEST_PLANS[p, n] == (_levels(p, n), b"\x01\x01")
 

@@ -7,17 +7,29 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_suite_times_runs_one_suite_with_one_seed():
-    """tools/suite_times.py times a named suite of a given src tree: one line
-    for the suite, one for the pass, then the per-seed times as JSON."""
+    """tools/suite_times.py times a named suite of two src trees, here the
+    same tree twice, in alternating rounds: one line for the suite and one
+    for the pass, each with both trees' median, least and rounds won, then
+    every round's times as JSON."""
+    rounds = 3
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "suite_times.py"), str(ROOT / "src"),
-         "stability", "--seeds", "1"],
+         str(ROOT / "src"), "stability", "--seeds", "1", "--rounds", str(rounds)],
         capture_output=True, text=True, timeout=120, check=True,
     ).stdout.splitlines()
     assert len(out) == 3, out
     times = json.loads(out[2])
-    assert list(times) == ["stability"] and len(times["stability"]) == 1
-    ms = f"{times['stability'][0]:.3f}"
+    assert list(times) == ["a", "b"]
+    for side in times.values():
+        assert list(side) == ["stability", "pass"]
+        # with one seed and one suite, the pass is the suite
+        assert side["stability"] == side["pass"] and len(side["pass"]) == rounds
     for line, name in zip(out, ("stability", "pass")):
-        # with one seed and one suite, the median, the least and the pass agree
-        assert line.split() == [name, ms, "ms", "min", ms, "ms"], line
+        words = line.split()
+        assert (words[0], words[1], words[7], words[13]) == (name, "a", "b", "lower"), line
+        for i, side in ((2, "a"), (8, "b")):
+            ms = sorted(times[side][name])
+            assert words[i : i + 5] == [f"{ms[1]:.3f}", "ms", "min", f"{ms[0]:.3f}", "ms"], line
+        a_won, b_won = (int(word.split("/")[0]) for word in (words[15], words[17]))
+        assert words[14:] == ["a", f"{a_won}/{rounds}", "b", f"{b_won}/{rounds}"], line
+        assert a_won + b_won <= rounds
