@@ -49,7 +49,7 @@ from .errors import (
     NotAHypercube,
     OddP,
 )
-from .lincomp import _PLANS, _lc_value, _levels, _plan, _steps, _tail, _walk
+from .lincomp import _finish_plan, _lc_value, _levels, _steps, _tail, _walk
 from .sequences import (
     _TO_DIGIT,
     Modulus,
@@ -332,7 +332,7 @@ def _peel(value: int, p: int, n: int) -> tuple[int, int]:
     try:
         levels, peels = _PEEL_PLANS[p, n]
     except KeyError:
-        levels, peels = _peel_plan(p, n)
+        levels, peels = _PEEL_PLANS[p, n] = _finish_plan(p, n, _peel_table)
     return _peeled(value, p, levels, peels) if levels else peels[value]
 
 
@@ -391,11 +391,11 @@ def _verdict(records: Iterable[tuple], weight: int, p: int, verdicts: bytes) -> 
 
 
 # _peel and is_hypercube finish as lincomp's answers do: each walks only the
-# levels of _PLANS[p, n] and reads the vector they leave from a table built
-# once per (p, t), t being the levels below them.  _PEEL_PLANS[p, n] =
-# (levels, peels) and _TEST_PLANS[p, n] = (levels, verdicts).  With no level
-# (t = 0) the vector is the final scalar: its own peel, complexity and
-# verdict.
+# levels of its plan and reads the vector they leave from a table built once
+# per (p, t), t being the levels below them.  _PEEL_PLANS[p, n] =
+# (levels, peels) and _TEST_PLANS[p, n] = (levels, verdicts), each built by
+# lincomp's _finish_plan.  With no level (t = 0) the vector is the final
+# scalar: its own peel, complexity and verdict.
 _SCALAR_PEELS = [(0, 0), (1, 1)]
 _SCALAR_VERDICTS = b"\x01\x01"
 _PEEL_PLANS: dict[tuple[int, int], tuple[tuple, Seq[tuple[int, int]]]] = {}
@@ -406,10 +406,22 @@ _TEST_PLANS: dict[tuple[int, int], tuple[tuple, bytes]] = {}
 def _peel_table(p: int, t: int) -> list[tuple[int, int]]:
     """The (h, L) of every vector of p^t bits: the peel itself over
     ``_levels(p, t)``, finishing at the final scalar.  Equal rows are one
-    object."""
+    object.
+
+    At t = 1 the parts are single bits and the peel has a closed form, so
+    the 2048 rows at 11^1 are built without a walk each.  The zero
+    vector and the all-ones one split and are their own peels (L 0 and 1).
+    Any other vector sums to its weight's parity: an even one ends there and
+    is its own peel (L p - 1); an odd one keeps its lowest 1 (L p)."""
     if not t:
         return _SCALAR_PEELS
-    levels, shared = _levels(p, t), {}
+    shared: dict = {}
+    if t == 1:
+        rows = ((v & -v, p) if v.bit_count() & 1 else (v, p - 1) for v in range(1 << p))
+        table = [shared.setdefault(row, row) for row in rows]
+        table[0], table[-1] = _SCALAR_PEELS[0], (len(table) - 1, 1)
+        return table
+    levels = _levels(p, t)
     rows = (_peeled(v, p, levels, _SCALAR_PEELS) for v in range(1 << p**t))
     return [shared.setdefault(row, row) for row in rows]
 
@@ -423,20 +435,6 @@ def _verdict_table(p: int, t: int) -> bytes:
         return _SCALAR_VERDICTS
     rows = enumerate(_tail(p, t))
     return bytes(_verdict(row, v.bit_count(), p, _SCALAR_VERDICTS) for v, row in rows)
-
-
-def _peel_plan(p: int, n: int) -> tuple[tuple, Seq[tuple[int, int]]]:
-    """Build and keep ``_PEEL_PLANS[p, n]``."""
-    levels, _ = _PLANS.get((p, n)) or _plan(p, n)
-    plan = _PEEL_PLANS[p, n] = (levels, _peel_table(p, n - len(levels)))
-    return plan
-
-
-def _test_plan(p: int, n: int) -> tuple[tuple, bytes]:
-    """Build and keep ``_TEST_PLANS[p, n]``."""
-    levels, _ = _PLANS.get((p, n)) or _plan(p, n)
-    plan = _TEST_PLANS[p, n] = (levels, _verdict_table(p, n - len(levels)))
-    return plan
 
 
 def _expand_flip(desc: _Descent, p: int, n: int, flips: int) -> int:
@@ -463,11 +461,11 @@ def is_hypercube(s: PeriodicSequence) -> bool:
     2^1-2^3, 3^1, 3^2, 5^1 and 11^1 the test is that one read."""
     require_nonzero(s)
     modulus, value = s.modulus, s.value
-    p = modulus.p
+    p, n = modulus.p, modulus.n
     try:
-        levels, verdicts = _TEST_PLANS[p, modulus.n]
+        levels, verdicts = _TEST_PLANS[p, n]
     except KeyError:
-        levels, verdicts = _test_plan(p, modulus.n)
+        levels, verdicts = _TEST_PLANS[p, n] = _finish_plan(p, n, _verdict_table)
     if levels:
         return _verdict(_walk(value, levels, None), value.bit_count(), p, verdicts)
     return verdicts[value] == 1
@@ -570,7 +568,7 @@ def standard_decompose(s: PeriodicSequence) -> Decomposition:
     try:
         levels, peels = _PEEL_PLANS[p, n]
     except KeyError:
-        levels, peels = _peel_plan(p, n)
+        levels, peels = _PEEL_PLANS[p, n] = _finish_plan(p, n, _peel_table)
     complexities: list[int] = []
     parts: list[PeriodicSequence] = []
     residue = s.value

@@ -51,7 +51,7 @@ from functools import cache, reduce
 from itertools import repeat
 from operator import and_, xor
 from struct import pack
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import EvenP, NotRepresentable
 from .sequences import PERIOD_CAP, Modulus, PeriodicSequence, _require_modulus
@@ -204,7 +204,7 @@ def _lc_value(a: int, p: int, n: int) -> int:
     try:
         levels, finish = _LC_PLANS[p, n]
     except KeyError:
-        levels, finish = _lc_plan(p, n)
+        levels, finish = _LC_PLANS[p, n] = _finish_plan(p, n, _tail_lc)
     if levels:
         for _, increment, a in _walk(a, levels, None):
             L += increment
@@ -282,6 +282,15 @@ def _plan(p: int, n: int) -> tuple[tuple, tuple | None]:
     return plan
 
 
+def _finish_plan(p: int, n: int, table: Callable[[int, int], Sequence]) -> tuple[tuple, Sequence]:
+    """The levels of ``_PLANS[p, n]`` and ``table(p, t)``, t being the levels
+    below them: the plan of a walk over those levels that finishes with one
+    read of the table.  Every finish plan, ``hypercube``'s too, is built
+    here, so the depth a table covers is read from ``_PLANS`` alone."""
+    levels, _ = _PLANS.get((p, n)) or _plan(p, n)
+    return levels, table(p, n - len(levels))
+
+
 @cache
 def _tail(p: int, t: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """The records of the last t levels of every vector of p^t bits, by
@@ -306,13 +315,6 @@ def _tail_lc(p: int, t: int) -> list[int]:
 # _tail_lc table of the vectors they leave, the final scalar's own [0, 1]
 # where no table finishes the descent (p >= 13).
 _LC_PLANS: dict[tuple[int, int], tuple[tuple, list[int]]] = {}
-
-
-def _lc_plan(p: int, n: int) -> tuple[tuple, list[int]]:
-    """Build and keep ``_LC_PLANS[p, n]``."""
-    levels, _ = _PLANS.get((p, n)) or _plan(p, n)
-    plan = _LC_PLANS[p, n] = (levels, _tail_lc(p, n - len(levels)))
-    return plan
 
 
 # _TAILS[t]: the complexity of every 2^t-bit vector, t = 0..3.  _P2[n]: the
@@ -359,9 +361,7 @@ _TRACE_PLANS: dict[tuple[int, int], tuple[tuple, list[tuple[XwliTrace, int]], di
 
 def _trace_plan(p: int, n: int) -> tuple[tuple, list[tuple[XwliTrace, int]], dict]:
     """Build and keep ``_TRACE_PLANS[p, n]``."""
-    levels, _ = _PLANS.get((p, n)) or _plan(p, n)
-    finish = _tail_traces(p, n - len(levels))
-    plan = _TRACE_PLANS[p, n] = (levels, finish, _FORMS.setdefault(p, {}))
+    plan = _TRACE_PLANS[p, n] = (*_finish_plan(p, n, _tail_traces), _FORMS.setdefault(p, {}))
     return plan
 
 

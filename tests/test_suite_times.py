@@ -1,4 +1,5 @@
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +12,10 @@ def test_suite_times_runs_one_suite_with_one_seed():
     same tree twice, in alternating rounds: one line for the suite and one
     for the pass, each with both trees' median, least and rounds won, then
     every round's times as JSON."""
-    rounds = 3
+    rounds = 20  # the tool's ROUNDS
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "suite_times.py"), str(ROOT / "src"),
-         str(ROOT / "src"), "stability", "--seeds", "1", "--rounds", str(rounds)],
+         str(ROOT / "src"), "stability", "--seeds", "1"],
         capture_output=True, text=True, timeout=120, check=True,
     ).stdout.splitlines()
     assert len(out) == 3, out
@@ -28,8 +29,9 @@ def test_suite_times_runs_one_suite_with_one_seed():
         words = line.split()
         assert (words[0], words[1], words[7], words[13]) == (name, "a", "b", "lower"), line
         for i, side in ((2, "a"), (8, "b")):
-            ms = sorted(times[side][name])
-            assert words[i : i + 5] == [f"{ms[1]:.3f}", "ms", "min", f"{ms[0]:.3f}", "ms"], line
+            ms = times[side][name]
+            median, least = f"{statistics.median(ms):.3f}", f"{min(ms):.3f}"
+            assert words[i : i + 5] == [median, "ms", "min", least, "ms"], line
         a_won, b_won = (int(word.split("/")[0]) for word in (words[15], words[17]))
         assert words[14:] == ["a", f"{a_won}/{rounds}", "b", f"{b_won}/{rounds}"], line
         assert a_won + b_won <= rounds

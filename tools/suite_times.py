@@ -1,6 +1,6 @@
 """Time each default verify suite of two trees in one process.
 
-    python tools/suite_times.py A_SRC B_SRC [SUITE ...] [--seeds K] [--rounds R]
+    python tools/suite_times.py A_SRC B_SRC [SUITE ...] [--seeds K]
 
 A_SRC and B_SRC are the ``src`` directories of two checkouts, a and b (the
 same directory twice is allowed).  Each tree's ``seqcomplex`` is copied into
@@ -9,7 +9,7 @@ a temporary directory under its own package name, ``seqcomplex_a`` or
 is relative, so the two copies share no module and no table.  Each named
 suite (every suite of ``verify.SUITES`` when none is named) runs once
 untimed on each tree, so that the tables it builds on first use are built.
-Then each of R rounds (20 by default) times both trees, a first in even
+Then each of the ``ROUNDS`` (20) rounds times both trees, a first in even
 rounds and b first in odd ones.  A suite's time in a round is the median,
 over seeds 0..K-1 (7 by default), of one ``run_suites([name], seed=i)``; the
 ``pass`` row is the median over seeds of the suites' summed times.
@@ -33,6 +33,8 @@ import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter
+
+ROUNDS = 20
 
 
 def load(src: Path, package: str, into: Path):
@@ -62,10 +64,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("b", type=Path, help="the src directory of tree b")
     parser.add_argument("suites", nargs="*", help="suite names (default: every suite)")
     parser.add_argument("--seeds", type=int, default=7, help="seeds 0..K-1 (default 7)")
-    parser.add_argument("--rounds", type=int, default=20, help="alternating rounds (default 20)")
     args = parser.parse_args(argv)
-    if args.seeds < 1 or args.rounds < 1:
-        parser.error("--seeds and --rounds must be at least 1")
+    if args.seeds < 1:
+        parser.error("--seeds must be at least 1")
     # the copies stay on disk while they run: modules import others lazily
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
@@ -80,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
             for name in names:
                 verify.run_suites([name], seed=0)
         rounds: dict[str, list[dict[str, float]]] = {"a": [], "b": []}
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             for side in "ab" if r % 2 == 0 else "ba":
                 rounds[side].append(one_round(trees[side], names, args.seeds))
     rows = [*names, "pass"]
@@ -93,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{row:<{width}}  a {statistics.median(a):9.3f} ms  min {min(a):9.3f} ms"
             f"  b {statistics.median(b):9.3f} ms  min {min(b):9.3f} ms"
-            f"  lower a {a_won}/{args.rounds}  b {b_won}/{args.rounds}"
+            f"  lower a {a_won}/{ROUNDS}  b {b_won}/{ROUNDS}"
         )
     print(json.dumps(times))
     return 0
