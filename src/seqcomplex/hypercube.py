@@ -394,8 +394,9 @@ def _verdict(records: Iterable[tuple], weight: int, p: int, verdicts: bytes) -> 
 # levels of its plan and reads the vector they leave from a table built once
 # per (p, t), t being the levels below them.  _PEEL_PLANS[p, n] =
 # (levels, peels) and _TEST_PLANS[p, n] = (levels, verdicts), each built by
-# lincomp's _finish_plan.  With no level (t = 0) the vector is the final
-# scalar: its own peel, complexity and verdict.
+# lincomp's _finish_plan, the one rule that decides t for every table, so
+# these plans walk the levels lincomp's do.  With no level (t = 0) the
+# vector is the final scalar: its own peel, complexity and verdict.
 _SCALAR_PEELS = [(0, 0), (1, 1)]
 _SCALAR_VERDICTS = b"\x01\x01"
 _PEEL_PLANS: dict[tuple[int, int], tuple[tuple, Seq[tuple[int, int]]]] = {}

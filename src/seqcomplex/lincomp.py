@@ -10,21 +10,20 @@ each level's geometry and ``_walk`` the step; ``_steps`` gives each level's
 e and increment (0 at a split), and ``hypercube``'s ``_descend`` reads it
 at every p.  Up to p = 11 the deepest levels, whose vectors have at most
 11 bits, are read from a table of their records built once per p and
-depth, on first use (``_PLANS``).  At 2^1-2^3, 3^1, 3^2, 5^1 and 11^1
-that table holds the whole descent, and ``_steps`` returns its row with no
-generator; elsewhere it returns a lazy walk.  Four walks
-read only the levels above the table (``_walk``) and finish with one read
-of a table built once per p and depth: the two odd-p answers, from its
-rows, ``_lc_value`` (behind ``lc``) from each row's complexity
-(``_tail_lc``) and ``xwli_lc`` from each row's trace and form key
-(``_tail_traces``); and, at every p, ``hypercube``'s ``_peel`` and
-``is_hypercube`` from tables of their own (the peel of each vector, and
-each row's verdict).  At 3^1, 3^2, 5^1 and 11^1 each answer is that one
-read, as are the peel and the test at 2^1-2^3.  At p = 2 ``_lc_value``
-halves instead, the value-only special case of the step: it keeps the low
-half or the two halves' XOR down to 8 bits and reads the rest from
-``_tail_lc``; up to period 2^12 it returns 2^n at once for an odd-weight
-vector, as x + 1 then does not divide s(x).
+depth on first use, none at import; ``_finish_plan`` alone decides that
+depth, for every table.  At 2^1-2^3, 3^1, 3^2, 5^1 and 11^1 that table
+holds the whole descent, and ``_steps`` returns its row with no generator;
+elsewhere it returns a lazy walk.  Four walks read only the levels above
+the table (``_walk``) and finish with one read of a table built from its
+rows: ``_lc_value`` (behind ``lc``) at odd p from each row's complexity
+(``_tail_lc``), ``xwli_lc`` from each row's trace and form key
+(``_tail_traces``), and ``hypercube``'s ``_peel`` and ``is_hypercube``
+from tables of their own (the peel of each vector, and each row's
+verdict).  At 2^1-2^3, 3^1, 3^2, 5^1 and 11^1 each of them is that one
+read.  At p = 2 ``_lc_value`` halves instead, the value-only special case
+of the step: it keeps the low half or the two halves' XOR down to 8 bits
+and reads the rest from ``_tail_lc``; up to period 2^12 it returns 2^n at
+once for an odd-weight vector, as x + 1 then does not divide s(x).
 ``berlekamp_massey_lc`` - classic LFSR synthesis over GF(2), fed two periods
 - is the independent oracle they are checked against; it skips each run of
 zero-discrepancy steps in one shift, as those steps change nothing but the
@@ -41,7 +40,8 @@ whole bytes joined by ``int.to_bytes`` above 64 bits).
 Every attainable complexity has a unique canonical form
 ``L = eps + (p-1) * sum(p^(v-1) for v in V)`` with ``eps`` in {0, 1} and
 ``V`` a subset of {1..n}; ``LCForm`` captures it.  (For p = 2 the form is not
-unique; the greedy largest-exponent-first choice is used.)
+unique: ``lc_form_decompose`` picks the greedy largest-exponent-first one,
+and ``xwli_lc`` the descent's own, its sums' exponents and final scalar.)
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from operator import and_, xor
 from struct import pack
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import EvenP, NotRepresentable
+from .errors import NotRepresentable
 from .sequences import PERIOD_CAP, Modulus, PeriodicSequence, _require_modulus
 
 __all__ = [
@@ -79,7 +79,8 @@ class LCForm:
     dict, past the frozen ``__setattr__`` that a generated ``__init__``
     would call once per field; assignment still raises FrozenInstanceError.
     As a form is frozen, ``xwli_lc`` shares one per p and (epsilon, V)
-    across all its traces.
+    across all its traces.  At p = 2, where a value can have several
+    forms, ``xwli_lc``'s is the descent's, not always the greedy one.
     """
 
     p: int
@@ -182,17 +183,23 @@ def _lc_value(a: int, p: int, n: int) -> int:
     one's increment (0 at a split), and adds the complexity of the vector
     the walk left from ``_tail_lc``: at 3^1, 3^2, 5^1 and 11^1 one read.  At
     p = 2 the parts are the two halves, and each level keeps the low half or
-    their XOR, down to the 2^min(n, 3) bits that ``_P2`` finishes in one
-    read.  There x^(2^n) - 1 is (x + 1)^(2^n), so L = 2^n exactly when x + 1
-    does not divide s(x), that is when the weight of s is odd; up to n =
+    their XOR, at the (plen, mask) of the levels of ``_finish_plan(2, n,
+    _tail_lc)``, down to the bits its table finishes in one read (``_P2``).
+    There x^(2^n) - 1 is (x + 1)^(2^n), so L = 2^n exactly when x + 1 does
+    not divide s(x), that is when the weight of s is odd; up to n =
     _PARITY_UP_TO_N such an s returns before halving.
     """
     L = 0
     if p == 2:
         if n <= _PARITY_UP_TO_N and a.bit_count() & 1:
             return 1 << n
-        levels, tail = _P2[n]
-        for plen, mask in levels:
+        try:
+            halvings, tail = _P2[n]
+        except TypeError:
+            levels, tail = _finish_plan(2, n, _tail_lc)
+            halvings = tuple(row[1:3] for row in levels)
+            _P2[n] = halvings, tail
+        for plen, mask in halvings:
             hi = a >> plen
             lo = a & mask
             if hi != lo:
@@ -216,8 +223,9 @@ def _steps(a: int, p: int, n: int) -> Iterable[tuple[int, int, int]]:
     being the vector the level leaves (part 0 at a split, the parts' XOR at
     a sum), past a zero sum too; increment is 0 at a split.
 
-    Its plan, ``_PLANS[p, n]``, names the levels to walk and a table of the
-    records of the levels below them.  When the plan walks no level (2^1-2^3,
+    Its plan, ``_PLANS[p, n]``, is ``_finish_plan(p, n, _tail)``: the levels
+    to walk and a table of the records of the levels below them (the final
+    scalar's empty rows from p = 13 on).  When it walks no level (2^1-2^3,
     3^1, 3^2, 5^1 and 11^1) the whole descent is one row of the table, and
     ``_steps`` returns that row, the table's own tuple, with no generator.
     Otherwise it returns the lazy walk of ``_walk``, so a caller that stops
@@ -228,7 +236,7 @@ def _steps(a: int, p: int, n: int) -> Iterable[tuple[int, int, int]]:
     try:
         levels, tail = _PLANS[p, n]
     except KeyError:
-        levels, tail = _plan(p, n)
+        levels, tail = _PLANS[p, n] = _finish_plan(p, n, _tail)
     if levels:
         return _walk(a, levels, tail)
     return tail[a]
@@ -269,26 +277,20 @@ _TAIL_BITS = 11
 
 # _PLANS[p, n] = (levels, tail): the _levels rows that _steps walks (none
 # when the table holds the whole descent), and the table of the records of
-# the t levels below them, one row per vector of p^t bits (None without one).
-_PLANS: dict[tuple[int, int], tuple[tuple, tuple | None]] = {}
-
-
-def _plan(p: int, n: int) -> tuple[tuple, tuple | None]:
-    """Build and keep ``_PLANS[p, n]``."""
-    levels, t = _levels(p, n), 0
-    while t < n and p ** (t + 1) <= _TAIL_BITS:
-        t += 1
-    plan = _PLANS[p, n] = (levels[: n - t], _tail(p, t)) if t else (levels, None)
-    return plan
+# the t levels below them, one row per vector of p^t bits.
+_PLANS: dict[tuple[int, int], tuple[tuple, tuple]] = {}
 
 
 def _finish_plan(p: int, n: int, table: Callable[[int, int], Sequence]) -> tuple[tuple, Sequence]:
-    """The levels of ``_PLANS[p, n]`` and ``table(p, t)``, t being the levels
-    below them: the plan of a walk over those levels that finishes with one
-    read of the table.  Every finish plan, ``hypercube``'s too, is built
-    here, so the depth a table covers is read from ``_PLANS`` alone."""
-    levels, _ = _PLANS.get((p, n)) or _plan(p, n)
-    return levels, table(p, n - len(levels))
+    """The levels of ``_levels(p, n)`` above its deepest t whose vectors
+    have at most ``_TAIL_BITS`` bits, and ``table(p, t)``: the plan of a
+    walk over those levels that finishes with one read of the table.  Every
+    plan is built here, ``_PLANS``, ``_P2`` and ``hypercube``'s included, so
+    no other code decides a table's depth; from p = 13 on, t is 0."""
+    t = 0
+    while t < n and p ** (t + 1) <= _TAIL_BITS:
+        t += 1
+    return _levels(p, n)[: n - t], table(p, t)
 
 
 @cache
@@ -311,20 +313,15 @@ def _tail_lc(p: int, t: int) -> list[int]:
     return [sum(record[1] for record in row) + row[-1][2] for row in _tail(p, t)]
 
 
-# _LC_PLANS[p, n] = (levels, finish): the levels of _PLANS[p, n] and the
-# _tail_lc table of the vectors they leave, the final scalar's own [0, 1]
-# where no table finishes the descent (p >= 13).
+# _LC_PLANS[p, n] = (levels, finish): the plan _finish_plan(p, n, _tail_lc),
+# the final scalar's own [0, 1] finishing it where no level is tabled
+# (p >= 13).
 _LC_PLANS: dict[tuple[int, int], tuple[tuple, list[int]]] = {}
 
-
-# _TAILS[t]: the complexity of every 2^t-bit vector, t = 0..3.  _P2[n]: the
-# (plen, mask) of each halving _lc_value makes at 2^n, the _levels rows above
-# the last min(n, 3) (slices of one tuple, sharing its masks), and the table
-# that finishes it.
-_TAILS = [_tail_lc(2, t) for t in range(4)]
-_CAP_N = PERIOD_CAP.bit_length() - 1
-_HALVINGS = tuple(row[1:3] for row in _levels(2, _CAP_N)[:-3])
-_P2 = [(_HALVINGS[_CAP_N - n :], _TAILS[min(n, 3)]) for n in range(_CAP_N + 1)]
+# _P2[n]: the (plen, mask) of each halving _lc_value makes at 2^n, those of
+# the levels of _finish_plan(2, n, _tail_lc), and that plan's table; None
+# until 2^n is first used.  A list, read by index once per call.
+_P2: list[tuple | None] = [None] * PERIOD_CAP.bit_length()
 
 
 # A form key holds an LCForm's exponents and epsilon in one int: bit v for
@@ -354,8 +351,8 @@ def _tail_traces(p: int, t: int) -> list[tuple[XwliTrace, int]]:
     return rows
 
 
-# _TRACE_PLANS[p, n] = (levels, finish, forms): the levels of _PLANS[p, n],
-# the _tail_traces rows of the vectors they leave, and _FORMS[p].
+# _TRACE_PLANS[p, n] = (levels, finish, forms): the plan
+# _finish_plan(p, n, _tail_traces) and _FORMS[p].
 _TRACE_PLANS: dict[tuple[int, int], tuple[tuple, list[tuple[XwliTrace, int]], dict]] = {}
 
 
@@ -366,20 +363,20 @@ def _trace_plan(p: int, n: int) -> tuple[tuple, list[tuple[XwliTrace, int]], dic
 
 
 def xwli_lc(s: PeriodicSequence) -> tuple[LCForm, XwliTrace]:
-    """Divide-and-sum linear complexity for odd p, with a full step trace.
+    """Divide-and-sum linear complexity at every p, with a full step trace.
 
     Each 'sum' step over parts of p^e bits contributes (p-1) * p^e, the
     term of exponent e + 1 in the form; a nonzero final scalar contributes
-    1.  The trace increments always sum to the result.
+    1.  At p = 2 this is the Games-Chan halving, and the form is the
+    descent's, not always ``lc_form_decompose``'s greedy one.
 
     Only the walked levels' steps are built per call: those of the tabled
     levels, and their part of the form, are one read of ``_tail_traces``
-    (the whole trace at 3^1, 3^2, 5^1 and 11^1).  Equal forms are one
-    object (``_FORMS``).
+    (the whole trace at 2^1-2^3, 3^1, 3^2, 5^1 and 11^1).  Equal forms are
+    one object (``_FORMS``).  lc-oracle checks that the trace increments
+    sum to the form's value.
     """
     p, n = s.modulus.p, s.modulus.n
-    if p == 2:
-        raise EvenP("xwli_lc requires odd p; use lc for p = 2")
     try:
         levels, finish, forms = _TRACE_PLANS[p, n]
     except KeyError:
@@ -407,7 +404,6 @@ def xwli_lc(s: PeriodicSequence) -> tuple[LCForm, XwliTrace]:
     except KeyError:
         exponents = frozenset(v for v in range(1, n + 1) if key >> v & 1)
         form = forms[key] = LCForm(p, key & 1, exponents)
-    assert trace.total == form.value
     return form, trace
 
 

@@ -625,6 +625,12 @@ def test_importing_the_cli_loads_no_process_pool():
     unused = {f"seqcomplex.{m}" for m in ("counting", "hypercube", "kerror", "verify")}
     _, loaded = _fresh("import seqcomplex.cli")
     assert not loaded & {pool, *unused}
+    # nor does it build any descent table: each is built on first use
+    printed, _ = _fresh("import seqcomplex.cli\n"
+                        "from seqcomplex import lincomp as m\n"
+                        "tables = (m._levels, m._tail, m._tail_lc, m._tail_traces)\n"
+                        "print(*(f.cache_info().currsize for f in tables), set(m._P2))")
+    assert printed == ["0 0 0 0 {None}"]
     # a command loads only the modules it runs
     run_cli = ("from seqcomplex.cli import main\n"
                "main([{!r}, '--p', '3', '--n', '2', '--seq', {!r}])")

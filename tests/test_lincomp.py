@@ -5,7 +5,15 @@ import pytest
 
 from functools import cache
 
-from helpers import gcd_lc, halving_lc, list_plain_trace, list_rewrite_descent, seq, stepwise_bm
+from helpers import (
+    gcd_lc,
+    halving_lc,
+    list_plain_trace,
+    list_rewrite_descent,
+    p2_universe,
+    seq,
+    stepwise_bm,
+)
 from seqcomplex import (
     LCForm,
     Modulus,
@@ -18,10 +26,10 @@ from seqcomplex import (
     lc_form_decompose,
     xwli_lc,
 )
-from seqcomplex.errors import EvenP, NotRepresentable
+from seqcomplex.errors import NotRepresentable
 from seqcomplex import hypercube, lincomp
 from seqcomplex.hypercube import _descend, _peel
-from seqcomplex.lincomp import _P2, _TAILS, _bm_value, _bm_values, _lc_value, _levels, _steps
+from seqcomplex.lincomp import _bm_value, _bm_values, _lc_value, _levels, _steps
 
 MOD9 = Modulus(3, 2)
 MOD27 = Modulus(3, 3)
@@ -84,11 +92,6 @@ def test_odd_p_lc_value_matches_bm_on_every_value_at_13_1():
         assert _lc_value(v, 13, 1) == _bm_value(v | v << 13, 26), v
 
 
-def test_engine_parity_guards():
-    with pytest.raises(EvenP, match=r"^xwli_lc requires odd p; use lc for p = 2$"):
-        xwli_lc(PeriodicSequence(Modulus(2, 2), 0b0011))
-
-
 def test_three_way_agreement_exhaustive_n9():
     for v in range(512):
         s = PeriodicSequence(MOD9, v)
@@ -142,15 +145,18 @@ def _p2_agree(v: int, n: int, oracle: bool = True) -> None:
 
 
 def test_p2_tables_hold_the_halving_complexity_of_every_short_vector():
-    assert [len(t) for t in _TAILS] == [2, 4, 16, 256]
-    for k, table in enumerate(_TAILS):
+    tables = [lincomp._tail_lc(2, t) for t in range(4)]
+    assert [len(t) for t in tables] == [2, 4, 16, 256]
+    for k, table in enumerate(tables):
         assert table == [halving_lc(a, k) for a in range(1 << (1 << k))], k
-    # every period finishes from the table of 2^min(n, 3) bits
-    assert all(_P2[n][1] is _TAILS[min(n, 3)] for n in range(1, 21))
-    # and halves at the levels above it, with their _levels geometry
     for n in range(1, 21):
+        # _P2[n] is filled on the first halving at 2^n (an even weight)
+        assert _lc_value(0b11, 2, n) == halving_lc(0b11, n), n
+        # every period finishes from the table of 2^min(n, 3) bits
+        assert lincomp._P2[n][1] is tables[min(n, 3)], n
+        # and halves at the levels above it, with their _levels geometry
         halvings = [(plen, mask) for _, plen, mask, _, _ in _levels(2, n)[: n - min(n, 3)]]
-        assert list(_P2[n][0]) == halvings, n
+        assert list(lincomp._P2[n][0]) == halvings, n
 
 
 def test_tail_lc_holds_each_tail_rows_complexity():
@@ -167,6 +173,8 @@ def test_tail_lc_holds_each_tail_rows_complexity():
             assert L == sum(increment for _, increment, _ in row) + row[-1][2], (p, t, a)
             assert L == berlekamp_massey_lc(PeriodicSequence(Modulus(p, t), a)), (p, t, a)
     assert lincomp._tail_lc(13, 0) == [0, 1]
+    # with no level the final scalar is the whole vector, and its rows are empty
+    assert lincomp._tail(13, 0) == ((), ())
 
     def records_sum(v, p, n):
         records = list(_steps(v, p, n))
@@ -180,10 +188,8 @@ def test_tail_lc_holds_each_tail_rows_complexity():
         N = p**n
         for v in [0, 1, (1 << N) - 1] + [rng.getrandbits(N) for _ in range(200)]:
             assert _lc_value(v, p, n) == records_sum(v, p, n), (p, n, v)
-    # p = 2 reads the same tables through _TAILS, a list of lists
-    assert type(_TAILS) is list and all(type(table) is list for table in _TAILS)
-    assert all(_TAILS[t] is lincomp._tail_lc(2, t) for t in range(4))
-    assert all(_P2[n][1] is _TAILS[min(n, 3)] for n in range(1, 21))
+    # p = 2's halving reads the same tables, lists, through _P2
+    assert all(type(lincomp._tail_lc(2, t)) is list for t in range(4))
 
 
 def _p2_samples(rng: random.Random, n: int, pairs: int) -> list[int]:
@@ -259,6 +265,27 @@ def test_trace_matches_list_descent():
         for _ in range(100):
             check(mod, rng.randrange(1 << N))
             check(mod, sum(1 << i for i in rng.sample(range(N), 3)))
+
+
+def test_p2_trace_is_the_halving_descent():
+    """At p = 2 xwli_lc's trace is the Games-Chan halving: its steps and
+    final scalar against the list descent, its form's exponents the levels
+    that summed (v = e + 1) and its epsilon the final scalar, and its value
+    the halving's and Berlekamp-Massey's, on every sequence up to 2^4 and
+    seeded ones up to 2^8."""
+    for s in p2_universe():
+        n, v = s.modulus.n, s.value
+        form, trace = xwli_lc(s)
+        steps, final_one = list_plain_trace(v, 2, n)
+        assert ([tuple(st) for st in trace.steps], trace.final_one) == (steps, final_one), (n, v)
+        sums = {n + 1 - depth for depth, (branch, *_) in enumerate(steps, 1) if branch == "sum"}
+        assert (form.p, form.epsilon, form.exponents) == (2, final_one, sums), (n, v)
+        L = halving_lc(v, n)
+        assert form.value == trace.total == L == berlekamp_massey_lc(s), (n, v)
+    # a value has more than one form at p = 2; the trace's is the descent's
+    s = seq(Modulus(2, 2), "1010")
+    assert xwli_lc(s)[0] == LCForm(2, 1, frozenset({1}))
+    assert lc_form_decompose(lc(s), s.modulus) == LCForm(2, 0, frozenset({2}))
 
 
 def test_trace_structure_sum_sum():
@@ -524,7 +551,9 @@ def test_tail_tables_are_built_once_per_depth_and_hold_at_most_2048_rows(monkeyp
     bits: t = 3 at p = 2 from 2^3 on, t = 2 at p = 3 (t = 1 at 3^1), t = 1
     at p = 5 and 11, none at p = 13.  Every plan of one (p, t), lc's,
     xwli_lc's, _peel's and is_hypercube's included, shares the table built
-    first; each descent's records sum to its complexity."""
+    first, and at p = 13 the final scalar's empty rows are the t = 0 table;
+    each descent's records sum to its complexity.  p = 2's halvings are
+    those of the same plan, filled in _P2 on first use."""
     built = []
     build = lincomp._tail.__wrapped__
 
@@ -536,6 +565,9 @@ def test_tail_tables_are_built_once_per_depth_and_hold_at_most_2048_rows(monkeyp
         monkeypatch.setattr(lincomp, plans, {})
     for plans in ("_PEEL_PLANS", "_TEST_PLANS"):
         monkeypatch.setattr(hypercube, plans, {})
+    monkeypatch.setattr(lincomp, "_P2", [None] * 21)
+    for table in ("_tail_lc", "_tail_traces"):
+        monkeypatch.setattr(lincomp, table, cache(getattr(lincomp, table).__wrapped__))
     monkeypatch.setattr(lincomp, "_tail", cache(counted))
     rng = random.Random(3802)
     # deepest first: a table built for a longer period must leave the plan
@@ -546,14 +578,17 @@ def test_tail_tables_are_built_once_per_depth_and_hold_at_most_2048_rows(monkeyp
             s = PeriodicSequence(Modulus(p, n), v)
             L = berlekamp_massey_lc(s)
             assert lc(s) == L, (p, n, v)
-            if p != 2:
-                assert xwli_lc(s)[0].value == L, (p, n, v)
+            assert xwli_lc(s)[0].value == L, (p, n, v)
             records = list(_steps(v, p, n))
             assert sum(increment for _, increment, _ in records) + records[-1][2] == L, (p, n, v)
             if v:
                 assert _peel(v, p, n)[1] == L, (p, n, v)
                 assert is_hypercube(s) == _descend(v, p, n).ok, (p, n, v)
-    assert sorted(built) == [(2, 3), (3, 1), (3, 2), (5, 1), (11, 1)]
+    assert sorted(built) == [(2, 3), (3, 1), (3, 2), (5, 1), (11, 1), (13, 0)]
+    assert [n for n, plan in enumerate(lincomp._P2) if plan] == [4]
+    halvings = tuple(row[1:3] for row in _levels(2, 4)[:1])
+    assert lincomp._P2[4] == (halvings, lincomp._tail_lc(2, 3))
+    assert lincomp._P2[4][1] is lincomp._tail_lc(2, 3)
     for p, n in moduli:
         t = min(n, 3 if p == 2 else 2 if p == 3 else 1)
         levels, tail = lincomp._PLANS[p, n]
@@ -563,7 +598,8 @@ def test_tail_tables_are_built_once_per_depth_and_hold_at_most_2048_rows(monkeyp
         assert hypercube._PEEL_PLANS[p, n][1] is hypercube._peel_table(p, t), (p, n)
         assert hypercube._TEST_PLANS[p, n][1] is hypercube._verdict_table(p, t), (p, n)
     for p, n in ((13, 1), (13, 2)):
-        assert lincomp._PLANS[p, n] == (_levels(p, n), None)
+        assert lincomp._PLANS[p, n] == (_levels(p, n), ((), ()))
+        assert lincomp._PLANS[p, n][1] is lincomp._tail(p, 0)
         assert hypercube._PEEL_PLANS[p, n] == (_levels(p, n), [(0, 0), (1, 1)])
         assert hypercube._TEST_PLANS[p, n] == (_levels(p, n), b"\x01\x01")
 

@@ -20,6 +20,7 @@ from seqcomplex import (
     kerror, lc, parse_sequence, run_suites, verify,
 )
 from seqcomplex.bitslice import add
+from seqcomplex import lincomp
 from seqcomplex.lincomp import _bm_value
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "run_suites.txt"
@@ -307,6 +308,23 @@ def test_lc_oracle_block_path_fails_the_odd_p_sequence_at_fault(monkeypatch):
     L = lc(bad)
     assert (rep.checks, rep.failures) == (512, 1)
     assert rep.details == [f"3^2 s={bad.to01()}: lc {L}, xwli_lc {L + 1}, trace {L} != bm {L}"]
+
+
+def test_lc_oracle_records_a_trace_whose_total_misses_its_form(monkeypatch):
+    """A trace whose steps disagree with its form inside xwli_lc is a failed
+    check that names the trace total, not an error out of the suite."""
+    mod = Modulus(3, 2)
+    bad = PeriodicSequence(mod, 300)
+    levels, finish, forms = lincomp._trace_plan(3, 2)
+    rows = list(finish)
+    trace, key = rows[bad.value]
+    rows[bad.value] = trace._replace(final_one=not trace.final_one), key
+    monkeypatch.setitem(lincomp._TRACE_PLANS, (3, 2), (levels, rows, forms))
+    (rep,) = run_suites(["lc-oracle"], mod)
+    L = lc(bad)
+    total = L - 1 if trace.final_one else L + 1
+    assert (rep.checks, rep.failures) == (512, 1)
+    assert rep.details == [f"3^2 s={bad.to01()}: lc {L}, xwli_lc {L}, trace {total} != bm {L}"]
 
 
 def test_lc_oracle_block_path_fails_the_p2_sequence_at_fault(monkeypatch):
