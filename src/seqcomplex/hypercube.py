@@ -49,7 +49,7 @@ from .errors import (
     NotAHypercube,
     OddP,
 )
-from .lincomp import _finish_plan, _lc_value, _levels, _steps, _tail, _walk
+from .lincomp import _finish_plan, _lc_value, _levels, _tail, _walk
 from .sequences import (
     _TO_DIGIT,
     Modulus,
@@ -206,8 +206,8 @@ class Decomposition:
 #
 # Level vectors are int bitmasks.  vecs[k+1] came from the p parts of
 # plen = p^e bits of vecs[k], (e, plen, ...) being row k of
-# lincomp._levels(p, n), by the split branch iff e is an edge; _steps gives
-# each level's e, with an increment of 0 exactly at a split.  A split kept
+# lincomp._levels(p, n), by the split branch iff e is an edge; lincomp._walk
+# gives each level's e, with an increment of 0 exactly at a split.  A split kept
 # part 0 of p equal parts, so each row of vecs[k+1] comes from all p copies.
 # A sum XORed p parts that share no row, so each 1 of vecs[k+1] comes from
 # the one part holding it in vecs[k].
@@ -232,22 +232,22 @@ class Decomposition:
 # descent; every other caller reads ok, edges, q or l, and _hypercube_lc
 # prices a hypercube from q and edges alone.
 #
-# Three functions here walk the step layer, and none takes a mode.
-# _descend walks _steps (a table's row where the whole descent is one:
-# 2^1-2^3, 3^1, 3^2, 5^1, 11^1; else a lazy walk) and builds the _Descent
-# record that extract_structure, cube_lc, counting._class_key and kerror's
-# closed forms read.  _peel makes the rewrite descent's walk and pass up but
-# keeps no edges, vertex or record: it returns h_1 = vecs[0] and its
-# complexity, the increments plus 1 at an element vertex, and
-# standard_decompose loops it.  is_hypercube keeps only the level's weight
-# and stops at the first sum that cancels ones.  Those two walk only the
-# levels above their plan's table (_walk) and finish with one read, as
-# lincomp's answers do: _peel from the (h, L) of each vector, the peel itself
-# over the table's levels, and is_hypercube from each vector's verdict, by
-# its own rule over the _tail rows, so the test of a peeled part does not
-# rest on the peel.  Where the table holds the whole descent each is that
-# one read.  A Decomposition keeps no descent, since a part's plain descent
-# equals the rewrite descent that peeled it.
+# Three functions here walk the step layer, and none takes a mode.  Each
+# keeps its own plan, built by lincomp._finish_plan, walks only the levels
+# above the plan's table (_walk) and finishes with one read of it, as
+# lincomp's answers do; where the table holds the whole descent (2^1-2^3,
+# 3^1, 3^2, 5^1, 11^1) each is that one read.  _descend finishes from the
+# _tail records themselves and builds the _Descent record that
+# extract_structure, cube_lc, counting._class_key and kerror's closed forms
+# read.  _peel makes the rewrite descent's walk and pass up but keeps no
+# edges, vertex or record: it returns h_1 = vecs[0] and its complexity, the
+# increments plus 1 at an element vertex, and standard_decompose loops it;
+# it finishes from the (h, L) of each vector, the peel itself over the
+# table's levels.  is_hypercube keeps only the level's weight and stops at
+# the first sum that cancels ones; it finishes from each vector's verdict,
+# by its own rule over the _tail rows, so the test of a peeled part does not
+# rest on the peel.  A Decomposition keeps no descent, since a part's plain
+# descent equals the rewrite descent that peeled it.
 #
 # A sum cancels ones exactly when it leaves fewer ones than the level it
 # folds.  Each walk carries that level's weight instead of counting it
@@ -300,11 +300,22 @@ def _kept(a: int, p: int, plen: int) -> int:
 
 def _descend(value: int, p: int, n: int) -> _Descent:
     """The plain descent of value.  It stops at the first sum that cancels
-    ones, with ok False, so the depth it failed at is len(vecs)."""
+    ones, with ok False, so the depth it failed at is len(vecs).
+
+    Its plan, ``_DESCENT_PLANS[p, n]``, is ``_finish_plan(p, n, _tail)``:
+    the levels to walk and the records of the levels below them (the final
+    scalar's empty rows from p = 13 on).  Where it walks no level (2^1-2^3,
+    3^1, 3^2, 5^1 and 11^1) the records are the table's own row, read with
+    no generator; elsewhere they come from the lazy walk of ``_walk``, so a
+    descent that stops at a sum that cancels ones walks no further."""
+    try:
+        levels, tail = _DESCENT_PLANS[p, n]
+    except KeyError:
+        levels, tail = _DESCENT_PLANS[p, n] = _finish_plan(p, n, _tail)
     vecs, edges = [value], []
     q = None
     weight = value.bit_count()  # of vecs[-1] as the descent reached it
-    for e, increment, a in _steps(value, p, n):
+    for e, increment, a in _walk(value, levels, tail) if levels else tail[value]:
         if not increment:
             edges.append(e)
             weight //= p
@@ -319,6 +330,9 @@ def _descend(value: int, p: int, n: int) -> _Descent:
         assert vecs[-1] == 1
     edges.reverse()
     return _Descent(vecs, True, tuple(edges), q)
+
+
+_DESCENT_PLANS: dict[tuple[int, int], tuple[tuple, tuple]] = {}
 
 
 def _peel(value: int, p: int, n: int) -> tuple[int, int]:
@@ -336,23 +350,23 @@ def _peel(value: int, p: int, n: int) -> tuple[int, int]:
     return _peeled(value, p, levels, peels) if levels else peels[value]
 
 
-def _peeled(value: int, p: int, levels: tuple, peels: Seq[tuple[int, int]]) -> tuple[int, int]:
-    """The peel of value over the given nonempty levels of ``_levels``, with
-    peels the (h, L) of every vector those levels can leave.
+def _peeled(a: int, p: int, levels: tuple, peels: Seq[tuple[int, int]]) -> tuple[int, int]:
+    """The peel of a over the given levels of ``_levels``, with peels the
+    (h, L) of every vector those levels can leave.
 
     The walk notes each sum that cancels ones.  A zero sum ends it;
-    otherwise the table's h replaces the vector it left, and L adds the
-    table's.  The pass up runs from the walked level just above the table
-    when the table's h differs from its vector (a sum inside the table
-    cancelled ones), else from the deepest walked level that cancelled
-    ones: such a level keeps the first 1 of each row, and each level the
-    sources of the ones below it."""
-    vecs = [value]
+    otherwise the table's h replaces the vector it left (a itself over no
+    level), and L adds the table's.  The pass up runs from the walked level
+    just above the table when the table's h differs from its vector (a sum
+    inside the table cancelled ones), else from the deepest walked level
+    that cancelled ones: such a level keeps the first 1 of each row, and
+    each level the sources of the ones below it."""
+    vecs = [a]
     rewritten = 0  # bit k for each walked level k that cancelled ones
     deepest = -1  # the level the pass up starts at
     L = 0
-    weight = value.bit_count()
-    for _, increment, a in _walk(value, levels, None):
+    weight = a.bit_count()
+    for _, increment, a in _walk(a, levels, None):
         L += increment
         if not increment:
             weight //= p
@@ -376,10 +390,11 @@ def _peeled(value: int, p: int, levels: tuple, peels: Seq[tuple[int, int]]) -> t
     return vecs[0], L
 
 
-def _verdict(records: Iterable[tuple], weight: int, p: int, verdicts: bytes) -> bool:
-    """``is_hypercube``'s rule over a descent's records, weight being that
-    of the vector they start from: True at a zero sum, False at a sum that
-    cancels ones, else the verdict of the vector the records leave."""
+def _verdict(records: Iterable[tuple], a: int, p: int, verdicts: bytes) -> bool:
+    """``is_hypercube``'s rule over a descent's records from the vector a:
+    True at a zero sum, False at a sum that cancels ones, else the verdict
+    of the vector the records leave (a itself when there are none)."""
+    weight = a.bit_count()
     for _, increment, a in records:
         if not increment:
             weight //= p
@@ -395,8 +410,9 @@ def _verdict(records: Iterable[tuple], weight: int, p: int, verdicts: bytes) -> 
 # per (p, t), t being the levels below them.  _PEEL_PLANS[p, n] =
 # (levels, peels) and _TEST_PLANS[p, n] = (levels, verdicts), each built by
 # lincomp's _finish_plan, the one rule that decides t for every table, so
-# these plans walk the levels lincomp's do.  With no level (t = 0) the
-# vector is the final scalar: its own peel, complexity and verdict.
+# these plans walk the levels lincomp's do.  The final scalar is its own
+# peel, complexity and verdict: these base rows finish every table's
+# walks, and over zero levels they are the t = 0 tables.
 _SCALAR_PEELS = [(0, 0), (1, 1)]
 _SCALAR_VERDICTS = b"\x01\x01"
 _PEEL_PLANS: dict[tuple[int, int], tuple[tuple, Seq[tuple[int, int]]]] = {}
@@ -414,8 +430,6 @@ def _peel_table(p: int, t: int) -> list[tuple[int, int]]:
     vector and the all-ones one split and are their own peels (L 0 and 1).
     Any other vector sums to its weight's parity: an even one ends there and
     is its own peel (L p - 1); an odd one keeps its lowest 1 (L p)."""
-    if not t:
-        return _SCALAR_PEELS
     shared: dict = {}
     if t == 1:
         rows = ((v & -v, p) if v.bit_count() & 1 else (v, p - 1) for v in range(1 << p))
@@ -432,10 +446,8 @@ def _verdict_table(p: int, t: int) -> bytes:
     """``is_hypercube`` of every vector of p^t bits, 1 or 0, by the weight
     rule over its ``_tail`` row.  It reads no peel, so that a test of a
     peeled part does not rest on the peel that made it."""
-    if not t:
-        return _SCALAR_VERDICTS
     rows = enumerate(_tail(p, t))
-    return bytes(_verdict(row, v.bit_count(), p, _SCALAR_VERDICTS) for v, row in rows)
+    return bytes(_verdict(row, v, p, _SCALAR_VERDICTS) for v, row in rows)
 
 
 def _expand_flip(desc: _Descent, p: int, n: int, flips: int) -> int:
@@ -468,7 +480,7 @@ def is_hypercube(s: PeriodicSequence) -> bool:
     except KeyError:
         levels, verdicts = _TEST_PLANS[p, n] = _finish_plan(p, n, _verdict_table)
     if levels:
-        return _verdict(_walk(value, levels, None), value.bit_count(), p, verdicts)
+        return _verdict(_walk(value, levels, None), value, p, verdicts)
     return verdicts[value] == 1
 
 

@@ -6,24 +6,24 @@ level e = n-1, ..., 0 the vector splits into p parts of p^e bits; equal
 parts are kept once, otherwise their XOR is kept and (p-1) * p^e is added.
 A nonzero final scalar adds 1.  At the last level the parts are single
 bits, so their XOR is the parity of the vector's weight.  ``_levels`` holds
-each level's geometry and ``_walk`` the step; ``_steps`` gives each level's
-e and increment (0 at a split), and ``hypercube``'s ``_descend`` reads it
-at every p.  Up to p = 11 the deepest levels, whose vectors have at most
-11 bits, are read from a table of their records built once per p and
-depth on first use, none at import; ``_finish_plan`` alone decides that
-depth, for every table.  At 2^1-2^3, 3^1, 3^2, 5^1 and 11^1 that table
-holds the whole descent, and ``_steps`` returns its row with no generator;
-elsewhere it returns a lazy walk.  Four walks read only the levels above
-the table (``_walk``) and finish with one read of a table built from its
-rows: ``_lc_value`` (behind ``lc``) at odd p from each row's complexity
-(``_tail_lc``), ``xwli_lc`` from each row's trace and form key
-(``_tail_traces``), and ``hypercube``'s ``_peel`` and ``is_hypercube``
-from tables of their own (the peel of each vector, and each row's
-verdict).  At 2^1-2^3, 3^1, 3^2, 5^1 and 11^1 each of them is that one
-read.  At p = 2 ``_lc_value`` halves instead, the value-only special case
-of the step: it keeps the low half or the two halves' XOR down to 8 bits
-and reads the rest from ``_tail_lc``; up to period 2^12 it returns 2^n at
-once for an odd-weight vector, as x + 1 then does not divide s(x).
+each level's geometry and ``_walk`` the step, which gives each level's e,
+increment (0 at a split) and the vector it leaves.  Up to p = 11 the
+deepest levels, whose vectors have at most 11 bits, are read from a table
+built once per p and depth on first use, none at import: ``_tail`` holds
+each vector's records, and every other table is built from its rows.
+``_finish_plan`` alone decides that depth, for every table; from p = 13 on
+it is 0, and each table is the final scalar's two rows.  Five walkers keep
+a plan each, walk only the levels above its table (``_walk``) and finish
+with one read of it: ``_lc_value`` (behind ``lc``) at odd p from each
+row's complexity (``_tail_lc``), ``xwli_lc`` from each row's trace and
+form key (``_tail_traces``), and ``hypercube``'s ``_descend`` from the
+records themselves (``_tail``), ``_peel`` from each vector's peel and
+``is_hypercube`` from each row's verdict.  At 2^1-2^3, 3^1, 3^2, 5^1 and
+11^1 each of them is that one read.  At p = 2 ``_lc_value`` halves
+instead, the value-only special case of the step: it keeps the low half
+or the two halves' XOR down to 8 bits and reads the rest from
+``_tail_lc``; up to period 2^12 it returns 2^n at once for an odd-weight
+vector, as x + 1 then does not divide s(x).
 ``berlekamp_massey_lc`` - classic LFSR synthesis over GF(2), fed two periods
 - is the independent oracle they are checked against; it skips each run of
 zero-discrepancy steps in one shift, as those steps change nothing but the
@@ -51,7 +51,7 @@ from functools import cache, reduce
 from itertools import repeat
 from operator import and_, xor
 from struct import pack
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import NotRepresentable
 from .sequences import PERIOD_CAP, Modulus, PeriodicSequence, _require_modulus
@@ -218,34 +218,12 @@ def _lc_value(a: int, p: int, n: int) -> int:
     return L + finish[a]
 
 
-def _steps(a: int, p: int, n: int) -> Iterable[tuple[int, int, int]]:
-    """The descent of a: (e, increment, a) at each level of ``_levels``, a
-    being the vector the level leaves (part 0 at a split, the parts' XOR at
-    a sum), past a zero sum too; increment is 0 at a split.
-
-    Its plan, ``_PLANS[p, n]``, is ``_finish_plan(p, n, _tail)``: the levels
-    to walk and a table of the records of the levels below them (the final
-    scalar's empty rows from p = 13 on).  When it walks no level (2^1-2^3,
-    3^1, 3^2, 5^1 and 11^1) the whole descent is one row of the table, and
-    ``_steps`` returns that row, the table's own tuple, with no generator.
-    Otherwise it returns the lazy walk of ``_walk``, so a caller that stops
-    early (``_descend`` at a sum that cancels ones) walks no further.  At
-    p = 2 ``_lc_value`` halves in its own loop, as one on this walk took
-    about 2.4x as long per call at 2^4 and 2^5.
-    """
-    try:
-        levels, tail = _PLANS[p, n]
-    except KeyError:
-        levels, tail = _PLANS[p, n] = _finish_plan(p, n, _tail)
-    if levels:
-        return _walk(a, levels, tail)
-    return tail[a]
-
-
 def _walk(a: int, levels: tuple, tail: tuple | None) -> Iterator[tuple[int, int, int]]:
-    """Yield the records of ``_steps`` over the given levels, then those of
-    the levels below them from the table (at p = 2 the last three), read at
-    the vector the walk left; ``_tail`` builds each table with this loop.
+    """Yield the record (e, increment, a) of each of the given levels, a
+    being the vector the level leaves (part 0 at a split, the parts' XOR at
+    a sum, past a zero sum too) and increment 0 at a split; then, with a
+    table, the records of the levels below them, read at the vector the
+    walk left.  ``_tail`` builds each table with this loop.
     The parts are all equal exactly when the vector shifted down by one part
     equals its low p-1 parts.  A sum over one-bit parts folds the p bits by
     the parity of their weight, one popcount in place of p - 1 shifts and
@@ -275,18 +253,15 @@ def _walk(a: int, levels: tuple, tail: tuple | None) -> Iterator[tuple[int, int,
 # from p = 13 on, whose table would hold 8192 rows).
 _TAIL_BITS = 11
 
-# _PLANS[p, n] = (levels, tail): the _levels rows that _steps walks (none
-# when the table holds the whole descent), and the table of the records of
-# the t levels below them, one row per vector of p^t bits.
-_PLANS: dict[tuple[int, int], tuple[tuple, tuple]] = {}
-
 
 def _finish_plan(p: int, n: int, table: Callable[[int, int], Sequence]) -> tuple[tuple, Sequence]:
     """The levels of ``_levels(p, n)`` above its deepest t whose vectors
     have at most ``_TAIL_BITS`` bits, and ``table(p, t)``: the plan of a
     walk over those levels that finishes with one read of the table.  Every
-    plan is built here, ``_PLANS``, ``_P2`` and ``hypercube``'s included, so
-    no other code decides a table's depth; from p = 13 on, t is 0."""
+    plan is built here, ``_LC_PLANS``, ``_P2``, ``_TRACE_PLANS`` and
+    ``hypercube``'s included, so no other code decides a table's depth.
+    From p = 13 on, t is 0: the table's rows are those of the final scalar,
+    which the zero levels of ``_levels(p, 0)`` leave as it is."""
     t = 0
     while t < n and p ** (t + 1) <= _TAIL_BITS:
         t += 1
@@ -306,11 +281,10 @@ def _tail(p: int, t: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
 @cache
 def _tail_lc(p: int, t: int) -> list[int]:
     """The complexity of every vector of p^t bits: its ``_tail`` row's
-    increments plus its final scalar.  With no level (t = 0) the vector is
-    its own final scalar."""
-    if not t:
-        return [0, 1]
-    return [sum(record[1] for record in row) + row[-1][2] for row in _tail(p, t)]
+    increments plus its final scalar, the vector the row leaves (the vector
+    itself at t = 0, whose rows are empty)."""
+    rows = enumerate(_tail(p, t))
+    return [sum(record[1] for record in row) + (row[-1][2] if row else a) for a, row in rows]
 
 
 # _LC_PLANS[p, n] = (levels, finish): the plan _finish_plan(p, n, _tail_lc),
@@ -334,13 +308,12 @@ _FORMS: dict[int, dict[int, LCForm]] = {}
 def _tail_traces(p: int, t: int) -> list[tuple[XwliTrace, int]]:
     """(trace, key) for every vector of p^t bits, from its ``_tail`` row:
     the trace of the last t levels alone, and the form key of their sums
-    and of the final scalar.  Equal rows are one object, as in ``_tail``."""
-    if not t:
-        return [(XwliTrace((), False), 0), (XwliTrace((), True), 1)]
+    and of the final scalar, the vector the row leaves (the vector itself at
+    t = 0).  Equal rows are one object, as in ``_tail``."""
     shared: dict = {}
     rows = []
-    for vector, records in enumerate(_tail(p, t)):
-        steps, key, weight = [], 0, vector.bit_count()
+    for a, records in enumerate(_tail(p, t)):
+        steps, key, weight = [], 0, a.bit_count()
         for e, increment, a in records:
             pre, weight = weight, a.bit_count()
             steps.append(XwliStep("sum" if increment else "split", pre, weight, increment))
@@ -354,12 +327,6 @@ def _tail_traces(p: int, t: int) -> list[tuple[XwliTrace, int]]:
 # _TRACE_PLANS[p, n] = (levels, finish, forms): the plan
 # _finish_plan(p, n, _tail_traces) and _FORMS[p].
 _TRACE_PLANS: dict[tuple[int, int], tuple[tuple, list[tuple[XwliTrace, int]], dict]] = {}
-
-
-def _trace_plan(p: int, n: int) -> tuple[tuple, list[tuple[XwliTrace, int]], dict]:
-    """Build and keep ``_TRACE_PLANS[p, n]``."""
-    plan = _TRACE_PLANS[p, n] = (*_finish_plan(p, n, _tail_traces), _FORMS.setdefault(p, {}))
-    return plan
 
 
 def xwli_lc(s: PeriodicSequence) -> tuple[LCForm, XwliTrace]:
@@ -380,7 +347,8 @@ def xwli_lc(s: PeriodicSequence) -> tuple[LCForm, XwliTrace]:
     try:
         levels, finish, forms = _TRACE_PLANS[p, n]
     except KeyError:
-        levels, finish, forms = _trace_plan(p, n)
+        plan = (*_finish_plan(p, n, _tail_traces), _FORMS.setdefault(p, {}))
+        levels, finish, forms = _TRACE_PLANS[p, n] = plan
     a = s.value
     if levels:
         # the records skip the namedtuples' own __new__, Python code that

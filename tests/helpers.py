@@ -196,6 +196,27 @@ def list_plain_trace(value: int, p: int, n: int) -> tuple:
     return steps, a == 1
 
 
+def list_plain_descent(value: int, p: int, n: int) -> tuple:
+    """The plain descent read off ``list_plain_trace``: (weights, edges, q,
+    ok), the weight of each level vector it keeps, down to the first sum
+    that cancels ones (ok False, with no edges or q) or the zero sum that
+    ends in a tuple vertex of length q."""
+    steps, final_one = list_plain_trace(value, p, n)
+    weights, edges, q = [value.bit_count()], [], None
+    for depth, (branch, pre, post, _) in enumerate(steps, 1):
+        if branch == "split":
+            edges.append(n - depth)
+        elif post == 0:
+            q = n - depth
+            break
+        elif post != pre:
+            return weights, (), None, False
+        weights.append(post)
+    else:
+        assert final_one
+    return weights, tuple(sorted(edges)), q, True
+
+
 def product_grow(values: list[int], p: int, start: int, n: int, edges) -> list[int]:
     """The members grown from vertices of length p^start, placing every 1 of a
     non-edge level by one itertools.product over its positions: the reference

@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     exhaustive_min_change,
+    list_plain_descent,
     list_plain_trace,
     list_rewrite_descent,
     p2_universe,
@@ -537,24 +538,10 @@ def _check_plain_against_list_trace(value: int, p: int, n: int) -> None:
     """The plain descent's level weights, edges, vertex length and verdict
     against the list-based trace, and its levels against the list rewrite
     when nothing cancels."""
-    steps, final_one = list_plain_trace(value, p, n)
-    weights, edges, q, ok = [value.bit_count()], [], None, True
-    for depth, (branch, pre, post, _) in enumerate(steps, 1):
-        if branch == "split":
-            edges.append(n - depth)
-        elif post == 0:
-            q = n - depth
-            break
-        elif post != pre:
-            ok = False
-            break
-        weights.append(post)
-    else:
-        assert final_one
     desc = _descend(value, p, n)
     got = ([v.bit_count() for v in desc.vecs], desc.edges, desc.q, desc.ok)
-    assert got == (weights, tuple(sorted(edges)) if ok else (), q if ok else None, ok), value
-    if ok:
+    assert got == list_plain_descent(value, p, n), value
+    if desc.ok:
         assert desc.vecs == list_rewrite_descent(value, p, n)[0], value
 
 

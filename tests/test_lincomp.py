@@ -8,6 +8,7 @@ from functools import cache
 from helpers import (
     gcd_lc,
     halving_lc,
+    list_plain_descent,
     list_plain_trace,
     list_rewrite_descent,
     p2_universe,
@@ -29,7 +30,7 @@ from seqcomplex import (
 from seqcomplex.errors import NotRepresentable
 from seqcomplex import hypercube, lincomp
 from seqcomplex.hypercube import _descend, _peel
-from seqcomplex.lincomp import _bm_value, _bm_values, _lc_value, _levels, _steps
+from seqcomplex.lincomp import _bm_value, _bm_values, _lc_value, _levels, _walk
 
 MOD9 = Modulus(3, 2)
 MOD27 = Modulus(3, 3)
@@ -163,9 +164,9 @@ def test_tail_lc_holds_each_tail_rows_complexity():
     """Row a of _tail_lc(p, t) is the increments of _tail(p, t)'s row a plus
     its final scalar, and the complexity of the p^t-bit vector a; with no
     level (t = 0) it is the scalar itself.  _lc_value, which finishes from
-    it, equals the sum of _steps' records on every value where the table
-    holds the whole descent, and on seeded values where levels are walked
-    or no table exists (13^1)."""
+    it, equals the sum of the full walk's records on every value where the
+    table holds the whole descent, and on seeded values where levels are
+    walked or no table exists (13^1)."""
     for p, t in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (11, 1)):
         rows, table = lincomp._tail(p, t), lincomp._tail_lc(p, t)
         assert type(table) is list and len(table) == len(rows) == 1 << p**t, (p, t)
@@ -177,7 +178,7 @@ def test_tail_lc_holds_each_tail_rows_complexity():
     assert lincomp._tail(13, 0) == ((), ())
 
     def records_sum(v, p, n):
-        records = list(_steps(v, p, n))
+        records = list(_walk(v, _levels(p, n), None))
         return sum(increment for _, increment, _ in records) + records[-1][2]
 
     for p, n in ((3, 1), (3, 2), (5, 1), (11, 1)):
@@ -509,7 +510,8 @@ def test_table_finished_records_match_list_references():
 
     def check(p, n, v):
         steps, final_one = list_plain_trace(v, p, n)
-        got = [(e, "sum" if inc else "split", inc, a.bit_count()) for e, inc, a in _steps(v, p, n)]
+        records = _walk(v, _levels(p, n), None)
+        got = [(e, "sum" if inc else "split", inc, a.bit_count()) for e, inc, a in records]
         want = [(n - d, branch, inc, post) for d, (branch, _, post, inc) in enumerate(steps, 1)]
         assert got == want and (got[-1][3] == 1) == final_one, (p, n, v)
         if v:
@@ -530,30 +532,49 @@ def test_table_finished_records_match_list_references():
             check(p, n, rng.getrandbits(w) * ((1 << N) - 1) // ((1 << w) - 1))
 
 
-def test_whole_table_descents_return_the_tables_row_and_walks_stay_lazy():
+def test_whole_table_descents_return_the_tables_row_and_walks_stay_lazy(monkeypatch):
     """Where the plan walks no level (2^1-2^3, 3^1, 3^2, 5^1 and 11^1),
-    _steps returns the table's own row for every value; at a walked modulus
-    it returns a lazy iterator that has walked nothing yet."""
+    _descend reads the table's row and walks nothing: with _walk raising,
+    every value's descent still matches the list reference.  At a walked
+    modulus the walk is lazy: a value whose top sum cancels ones consumes
+    exactly one record."""
+
+    def no_walk(*args):
+        raise AssertionError("a whole-table descent walked")
+
+    monkeypatch.setattr(hypercube, "_walk", no_walk)
     for p, n in ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (11, 1)):
-        for v in range(1 << p**n):
-            row = _steps(v, p, n)
-            assert row is lincomp._PLANS[p, n][1][v], (p, n, v)
-    rng = random.Random(4401)
+        for v in range(1, 1 << p**n):
+            desc = _descend(v, p, n)
+            got = ([a.bit_count() for a in desc.vecs], desc.edges, desc.q, desc.ok)
+            assert got == list_plain_descent(v, p, n), (p, n, v)
+            if desc.ok:
+                assert desc.vecs == list_rewrite_descent(v, p, n)[0], (p, n, v)
+    consumed = []
+
+    def spy(*args):
+        for record in _walk(*args):
+            consumed.append(record)
+            yield record
+
+    monkeypatch.setattr(hypercube, "_walk", spy)
     for p, n in ((3, 3), (3, 5), (13, 1), (2, 4)):
-        v = rng.getrandbits(p**n)
-        walk = _steps(v, p, n)
-        assert not isinstance(walk, tuple) and iter(walk) is walk, (p, n)
-        assert next(walk)[0] == n - 1 and len(list(walk)) == n - 1, (p, n)
+        # the top sum keeps one of five ones (of three at 13^1, one bit a part)
+        v = 0b111 | 0b11 << p ** (n - 1)
+        consumed.clear()
+        desc = _descend(v, p, n)
+        assert not desc.ok and desc.vecs == [v] and len(consumed) == 1, (p, n)
 
 
 def test_tail_tables_are_built_once_per_depth_and_hold_at_most_2048_rows(monkeypatch):
     """A table covers the deepest t levels whose vectors have at most 11
     bits: t = 3 at p = 2 from 2^3 on, t = 2 at p = 3 (t = 1 at 3^1), t = 1
     at p = 5 and 11, none at p = 13.  Every plan of one (p, t), lc's,
-    xwli_lc's, _peel's and is_hypercube's included, shares the table built
-    first, and at p = 13 the final scalar's empty rows are the t = 0 table;
-    each descent's records sum to its complexity.  p = 2's halvings are
-    those of the same plan, filled in _P2 on first use."""
+    xwli_lc's, _descend's, _peel's and is_hypercube's included, shares the
+    table built first, and at p = 13 each t = 0 table, built from zero
+    levels, is the final scalar's base rows; the records _descend reads sum
+    to the complexity.  p = 2's halvings are those of the same plan, filled
+    in _P2 on first use."""
     built = []
     build = lincomp._tail.__wrapped__
 
@@ -561,14 +582,16 @@ def test_tail_tables_are_built_once_per_depth_and_hold_at_most_2048_rows(monkeyp
         built.append((p, t))
         return build(p, t)
 
-    for plans in ("_PLANS", "_LC_PLANS", "_TRACE_PLANS"):
+    for plans in ("_LC_PLANS", "_TRACE_PLANS"):
         monkeypatch.setattr(lincomp, plans, {})
-    for plans in ("_PEEL_PLANS", "_TEST_PLANS"):
+    for plans in ("_DESCENT_PLANS", "_PEEL_PLANS", "_TEST_PLANS"):
         monkeypatch.setattr(hypercube, plans, {})
     monkeypatch.setattr(lincomp, "_P2", [None] * 21)
     for table in ("_tail_lc", "_tail_traces"):
         monkeypatch.setattr(lincomp, table, cache(getattr(lincomp, table).__wrapped__))
-    monkeypatch.setattr(lincomp, "_tail", cache(counted))
+    counted_tail = cache(counted)
+    monkeypatch.setattr(lincomp, "_tail", counted_tail)
+    monkeypatch.setattr(hypercube, "_tail", counted_tail)
     rng = random.Random(3802)
     # deepest first: a table built for a longer period must leave the plan
     # of its own depth to be made when that period is first used
@@ -579,11 +602,12 @@ def test_tail_tables_are_built_once_per_depth_and_hold_at_most_2048_rows(monkeyp
             L = berlekamp_massey_lc(s)
             assert lc(s) == L, (p, n, v)
             assert xwli_lc(s)[0].value == L, (p, n, v)
-            records = list(_steps(v, p, n))
-            assert sum(increment for _, increment, _ in records) + records[-1][2] == L, (p, n, v)
             if v:
                 assert _peel(v, p, n)[1] == L, (p, n, v)
                 assert is_hypercube(s) == _descend(v, p, n).ok, (p, n, v)
+                levels, tail = hypercube._DESCENT_PLANS[p, n]
+                records = list(_walk(v, levels, tail) if levels else tail[v])
+                assert sum(record[1] for record in records) + records[-1][2] == L, (p, n, v)
     assert sorted(built) == [(2, 3), (3, 1), (3, 2), (5, 1), (11, 1), (13, 0)]
     assert [n for n, plan in enumerate(lincomp._P2) if plan] == [4]
     halvings = tuple(row[1:3] for row in _levels(2, 4)[:1])
@@ -591,15 +615,18 @@ def test_tail_tables_are_built_once_per_depth_and_hold_at_most_2048_rows(monkeyp
     assert lincomp._P2[4][1] is lincomp._tail_lc(2, 3)
     for p, n in moduli:
         t = min(n, 3 if p == 2 else 2 if p == 3 else 1)
-        levels, tail = lincomp._PLANS[p, n]
+        levels, tail = hypercube._DESCENT_PLANS[p, n]
         assert levels == _levels(p, n)[: n - t], (p, n)
         assert tail is lincomp._tail(p, t) and len(tail) == 2 ** p**t <= 2**11, (p, n)
         assert hypercube._PEEL_PLANS[p, n] == (levels, hypercube._peel_table(p, t)), (p, n)
         assert hypercube._PEEL_PLANS[p, n][1] is hypercube._peel_table(p, t), (p, n)
         assert hypercube._TEST_PLANS[p, n][1] is hypercube._verdict_table(p, t), (p, n)
     for p, n in ((13, 1), (13, 2)):
-        assert lincomp._PLANS[p, n] == (_levels(p, n), ((), ()))
-        assert lincomp._PLANS[p, n][1] is lincomp._tail(p, 0)
+        assert hypercube._DESCENT_PLANS[p, n] == (_levels(p, n), ((), ()))
+        assert hypercube._DESCENT_PLANS[p, n][1] is lincomp._tail(p, 0)
+        assert lincomp._LC_PLANS[p, n] == (_levels(p, n), [0, 1])
+        scalar_traces = [(XwliTrace((), False), 0), (XwliTrace((), True), 1)]
+        assert lincomp._TRACE_PLANS[p, n][:2] == (_levels(p, n), scalar_traces)
         assert hypercube._PEEL_PLANS[p, n] == (_levels(p, n), [(0, 0), (1, 1)])
         assert hypercube._TEST_PLANS[p, n] == (_levels(p, n), b"\x01\x01")
 

@@ -315,7 +315,8 @@ def test_lc_oracle_records_a_trace_whose_total_misses_its_form(monkeypatch):
     check that names the trace total, not an error out of the suite."""
     mod = Modulus(3, 2)
     bad = PeriodicSequence(mod, 300)
-    levels, finish, forms = lincomp._trace_plan(3, 2)
+    lincomp.xwli_lc(bad)
+    levels, finish, forms = lincomp._TRACE_PLANS[3, 2]
     rows = list(finish)
     trace, key = rows[bad.value]
     rows[bad.value] = trace._replace(final_one=not trace.final_one), key

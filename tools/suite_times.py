@@ -1,4 +1,4 @@
-"""Time each default verify suite of two trees in one process.
+"""Time each verify suite and five public calls of two trees in one process.
 
     python tools/suite_times.py A_SRC B_SRC [SUITE ...] [--seeds K]
 
@@ -14,9 +14,17 @@ rounds and b first in odd ones.  A suite's time in a round is the median,
 over seeds 0..K-1 (7 by default), of one ``run_suites([name], seed=i)``; the
 ``pass`` row is the median over seeds of the suites' summed times.
 
-One line per row gives each tree's median and least time over the rounds in
-ms, and the rounds each tree read lower in (a tie counts for neither); then
-every round's times follow as JSON, ``{"a": {row: [ms, ...]}, "b": ...}``.
+The call rows follow, one per public function of ``CALLS`` (``lc()`` and so
+on), whatever suites are named: a round times one call on each of
+``CALL_VALUES`` (200) seeded nonzero values of each modulus of
+``CALL_MODULI``, the same values in both trees, and gives the mean time per
+call in us.  They read only public names, so any two trees compare, and run
+once untimed before the rounds, as the suites do.
+
+One line per row gives each tree's median and least time over the rounds,
+in ms for a suite and us for a call, and the rounds each tree read lower in
+(a tie counts for neither); then every round's times follow as JSON,
+``{"a": {row: [time, ...]}, "b": ...}``.
 On a shared host a suite's times can spread twofold from one process to the
 next, so two trees compared in separate processes can differ by more than
 the change between them; alternating them in one process removes that swing.
@@ -27,6 +35,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import random
 import shutil
 import statistics
 import sys
@@ -35,23 +44,50 @@ from pathlib import Path
 from time import perf_counter
 
 ROUNDS = 20
+CALLS = ("lc", "xwli_lc", "is_hypercube", "standard_decompose", "first_critical_m")
+CALL_MODULI = ((3, 2), (11, 1), (3, 3), (5, 2), (2, 4))
+CALL_VALUES = 200
+CALL_SEED = 55
 
 
 def load(src: Path, package: str, into: Path):
-    """The ``verify`` module of src's ``seqcomplex``, copied into ``into``
-    under the given package name."""
+    """src's ``seqcomplex``, copied into ``into`` under the given package
+    name; its public names include ``SUITES`` and ``run_suites``."""
     shutil.copytree(src / "seqcomplex", into / package)
-    return importlib.import_module(f"{package}.verify")
+    return importlib.import_module(package)
 
 
-def one_round(verify, names: list[str], seeds: int) -> dict[str, float]:
+def call_inputs(package) -> list:
+    """The call rows' sequences, built from the tree's own classes."""
+    rng = random.Random(CALL_SEED)
+    inputs = []
+    for p, n in CALL_MODULI:
+        modulus = package.Modulus(p, n)
+        values = [rng.randrange(1, 1 << p**n) for _ in range(CALL_VALUES)]
+        inputs += [package.PeriodicSequence(modulus, v) for v in values]
+    return inputs
+
+
+def time_calls(package, inputs: list) -> dict[str, float]:
+    """Each call's mean time over the inputs in us."""
+    row = {}
+    for name in CALLS:
+        call = getattr(package, name)
+        t0 = perf_counter()
+        for s in inputs:
+            call(s)
+        row[f"{name}()"] = 1e6 * (perf_counter() - t0) / len(inputs)
+    return row
+
+
+def one_round(package, names: list[str], seeds: int) -> dict[str, float]:
     """Each suite's median time over the seeds in ms, and the pass's."""
     per_seed: dict[str, list[float]] = {}
     for name in names:
         times = per_seed[name] = []
         for seed in range(seeds):
             t0 = perf_counter()
-            verify.run_suites([name], seed=seed)
+            package.run_suites([name], seed=seed)
             times.append(1e3 * (perf_counter() - t0))
     row = {name: statistics.median(times) for name, times in per_seed.items()}
     row["pass"] = statistics.median(map(sum, zip(*per_seed.values())))
@@ -77,23 +113,28 @@ def main(argv: list[str] | None = None) -> int:
         unknown = [name for name in names if name not in suites or name not in trees["b"].SUITES]
         if unknown:
             parser.error(f"unknown suite(s) {', '.join(unknown)}; choose from {', '.join(suites)}")
-        for verify in trees.values():
+        inputs = {side: call_inputs(package) for side, package in trees.items()}
+        for side, package in trees.items():
             for name in names:
-                verify.run_suites([name], seed=0)
+                package.run_suites([name], seed=0)
+            time_calls(package, inputs[side])
         rounds: dict[str, list[dict[str, float]]] = {"a": [], "b": []}
         for r in range(ROUNDS):
             for side in "ab" if r % 2 == 0 else "ba":
-                rounds[side].append(one_round(trees[side], names, args.seeds))
-    rows = [*names, "pass"]
+                row = one_round(trees[side], names, args.seeds)
+                rounds[side].append(row | time_calls(trees[side], inputs[side]))
+    calls = [f"{name}()" for name in CALLS]
+    rows = [*names, "pass", *calls]
     times = {side: {row: [t[row] for t in rounds[side]] for row in rows} for side in "ab"}
     width = max(map(len, rows))
     for row in rows:
         a, b = times["a"][row], times["b"][row]
         a_won = sum(map(float.__lt__, a, b))
         b_won = sum(map(float.__lt__, b, a))
+        unit = "us" if row in calls else "ms"
         print(
-            f"{row:<{width}}  a {statistics.median(a):9.3f} ms  min {min(a):9.3f} ms"
-            f"  b {statistics.median(b):9.3f} ms  min {min(b):9.3f} ms"
+            f"{row:<{width}}  a {statistics.median(a):9.3f} {unit}  min {min(a):9.3f} {unit}"
+            f"  b {statistics.median(b):9.3f} {unit}  min {min(b):9.3f} {unit}"
             f"  lower a {a_won}/{ROUNDS}  b {b_won}/{ROUNDS}"
         )
     print(json.dumps(times))
