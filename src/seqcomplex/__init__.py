@@ -29,7 +29,7 @@ _SOURCES = {
     **dict.fromkeys((
         "CelcsPoint", "CriticalReport", "celcs", "construct_stable",
         "first_critical_bruteforce", "first_critical_m", "k_error_lc_bruteforce",
-        "kurosawa_m", "meidl_upper_bound", "second_critical_m1",
+        "kurosawa_m", "meidl_upper_bound",
     ), "kerror"),
     **dict.fromkeys((
         "LCForm", "XwliStep", "XwliTrace", "berlekamp_massey_lc", "lc",

@@ -89,7 +89,6 @@ __all__ = [
     "k_error_lc_bruteforce",
     "kurosawa_m",
     "meidl_upper_bound",
-    "second_critical_m1",
 ]
 
 
@@ -107,8 +106,8 @@ class CriticalReport:
     and resulting complexity of its witness, exact when s is a hypercube and
     an upper bound otherwise.  m1_s, filled only when s is a hypercube, is
     its erase cost, an upper bound on the second critical point (see
-    ``second_critical_m1``).  vertex_j is the minimal equalizing change of
-    the vertex (tuple vertices of length > 0).
+    ``celcs``); the exact m1 is ``first_critical_bruteforce``'s.  vertex_j is
+    the minimal equalizing change of the vertex (tuple vertices of length > 0).
     """
 
     m_s: int
@@ -420,24 +419,6 @@ def first_critical_m(s: PeriodicSequence) -> CriticalReport:
     return _closed_form(s)[0]
 
 
-def second_critical_m1(s: PeriodicSequence, cap: int = DEFAULT_CAP) -> int | None:
-    """Second critical error count, or None when L_{m(s)} is already 0.
-
-    Closed form for hypercubes; brute force otherwise.  The closed
-    form is the hypercube's erase cost, its weight, where L falls to 0: an
-    upper bound, which a cheaper change can beat.  The 5^2 hypercube
-    1010001100011111010000011 has closed-form m1 = 12 but brute-force m1 = 10
-    (L = 4); the 3^3 hypercube 110101001110101001000000000 has 10 against 6
-    (L = 6).
-    """
-    require_nonzero(s)
-    _check_cap(cap)
-    rep, single = _closed_form(s)
-    if single:
-        return rep.m1_s
-    return first_critical_bruteforce(s, cap=cap).m1_s
-
-
 # -- critical-point spectrum -----------------------------------------------------
 
 def celcs(
@@ -451,7 +432,7 @@ def celcs(
     closed-form m1 as (weight(s), 0).  That m1 is the erase cost, an upper
     bound, so the list can skip a critical point in between: (10, 4) at the
     5^2 hypercube 1010001100011111010000011 and (6, 6) at the 3^3 hypercube
-    110101001110101001000000000 (see ``second_critical_m1``).
+    110101001110101001000000000.  The exact m1 is ``first_critical_bruteforce``'s.
     """
     if mode not in ("formula", "brute"):
         raise ValueError(f"unknown mode {mode!r}")

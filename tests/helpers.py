@@ -260,6 +260,27 @@ def p2_universe(exhaustive_up_to: int = 4, sampled_up_to: int = 8, count: int = 
             yield PeriodicSequence(mod, v)
 
 
+# Admitted odd p above 13, which the other sampled inputs never reach.
+LARGE_P_MODULI = tuple(Modulus(p, n) for p, n in (
+    (19, 1), (29, 1), (37, 1), (53, 1), (59, 1), (61, 1), (19, 2), (29, 2),
+))
+
+
+def large_p_values(seed: int):
+    """Seeded (modulus, value) pairs at every modulus of LARGE_P_MODULI: 16
+    dense values, 8 sparse ones of each weight 1, 2, 3, 4, p and 2p that the
+    period holds, all ones and a single one."""
+    rng = random.Random(seed)
+    for mod in LARGE_P_MODULI:
+        N, p = mod.period, mod.p
+        values = [rng.randrange(1, 1 << N) for _ in range(16)]
+        for w in (1, 2, 3, 4, p, 2 * p):
+            if w <= N:
+                values += [sum(1 << i for i in rng.sample(range(N), w)) for _ in range(8)]
+        values += [(1 << N) - 1, 1]
+        yield from ((mod, v) for v in values)
+
+
 def random_tuple_vertex(rng: random.Random, p: int, q: int) -> VertexDescriptor:
     """A random valid tuple vertex: every row has even parity, some row is set."""
     rows = p**q

@@ -29,7 +29,6 @@ from seqcomplex import (
     lc_from_structure,
     meidl_upper_bound,
     next_lower_hypercube_lc,
-    second_critical_m1,
     standard_decompose,
     xwli_lc,
 )
@@ -105,7 +104,7 @@ def test_c3_critical_points(capsys):
         ("m of the two-part sum",
          first_critical_m(seq(MOD27, "110000000" + "111000000" * 2)).m_s, 1),
         ("m1 of the two-part sum",
-         second_critical_m1(seq(MOD27, "110000000" + "111000000" * 2)), 8),
+         first_critical_bruteforce(seq(MOD27, "110000000" + "111000000" * 2)).m1_s, 8),
         ("general bound at p=5", meidl_upper_bound(seq(MOD25, "11110" * 5)), 10),
         ("general bound at p=3", meidl_upper_bound(seq(MOD27, "000100100" * 3)), 9),
     ]

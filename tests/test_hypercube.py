@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     exhaustive_min_change,
+    large_p_values,
     list_plain_descent,
     list_plain_trace,
     list_rewrite_descent,
@@ -321,6 +322,8 @@ def test_rewrite_descent_is_the_plain_descent_of_h1_sampled():
             for part in standard_decompose(s).parts:  # planted hypercubes
                 assert is_hypercube(part)
                 _check_rewrite_descent_leads_with_h1(part)
+    for mod, v in large_p_values(seed=23):
+        _check_rewrite_descent_leads_with_h1(PeriodicSequence(mod, v))
 
 
 def _check_peel_and_test_against_the_descent(v, p, n):
@@ -517,6 +520,8 @@ def test_decompose_structures_match_extraction_sampled():
             else:  # sparse: few parts, often with long tuple vertices
                 v = sum({1 << rng.randrange(mod.period) for _ in range(4)})
             _check_decomposition_matches_extraction(PeriodicSequence(mod, v))
+    for mod, v in large_p_values(seed=29):
+        _check_decomposition_matches_extraction(PeriodicSequence(mod, v))
 
 
 def _check_against_list_rewrite(s):
@@ -576,6 +581,8 @@ def test_packed_rewrite_matches_list_rewrite_sampled():
             else:  # sparse: few cancellations, often a hypercube
                 v = sum({1 << rng.randrange(mod.period) for _ in range(4)})
             _check_against_list_rewrite(PeriodicSequence(mod, v))
+    for mod, v in large_p_values(seed=41):
+        _check_against_list_rewrite(PeriodicSequence(mod, v))
 
 
 class _Index:

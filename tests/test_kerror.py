@@ -34,7 +34,6 @@ from seqcomplex import (
     kurosawa_m,
     lc,
     meidl_upper_bound,
-    second_critical_m1,
     standard_decompose,
 )
 from seqcomplex.errors import (
@@ -367,7 +366,7 @@ def test_first_critical_formula_pinned_reference_cases():
     # sum of two hypercubes: one flip rejoins the repeats
     rep = first_critical_m(seq(MOD27, "110000000" + "111000000" * 2))
     assert rep.m_s == 1 and rep.L_after == 7 and rep.m1_s is None
-    assert second_critical_m1(seq(MOD27, "110000000" + "111000000" * 2)) == 8
+    assert first_critical_bruteforce(seq(MOD27, "110000000" + "111000000" * 2)).m1_s == 8
 
 
 def test_first_critical_formula_guards():
@@ -466,7 +465,7 @@ def test_closed_form_m1_overshoots_on_single_hypercubes(mod, text, m, L_m, m1, L
     s = seq(mod, text)
     assert is_hypercube(s)
     assert (first_critical_m(s).m_s, first_critical_m(s).L_after) == (m, L_m)
-    assert second_critical_m1(s) == first_critical_m(s).m1_s == s.weight
+    assert first_critical_m(s).m1_s == s.weight
     assert first_critical_bruteforce(s).m1_s == m1 < s.weight
     formula, brute = celcs(s, mode="formula"), celcs(s, mode="brute")
     assert CelcsPoint(m1, L_m1) in brute
@@ -581,31 +580,35 @@ def test_the_zero_sequence_checks_its_cap(cap):
 
 @pytest.mark.parametrize("cap", ["x", 0], ids=repr)
 def test_closed_forms_check_their_cap(cap):
-    """Formula celcs and second_critical_m1 refuse a bad cap before the closed
-    form, on a hypercube and on s = 0 as on a sum of two hypercubes."""
+    """Formula celcs refuses a bad cap before the closed form, on a hypercube
+    and on s = 0, as the brute-force m1 of a sum of two hypercubes does."""
     text = rf"^cap must be an int >= 1; got {re.escape(repr(cap))}$"
     cube, pair = seq(MOD9, "110110110"), seq(MOD9, "110100100")
     zero = PeriodicSequence.zeros(MOD9)
     calls = [lambda s=s: celcs(s, mode="formula", cap=cap) for s in (cube, zero)]
-    calls += [lambda s=s: second_critical_m1(s, cap=cap) for s in (cube, pair)]
+    calls.append(lambda: first_critical_bruteforce(pair, cap=cap))
     for call in calls:
         with pytest.raises(BudgetExceeded, match=text):
             call()
     assert celcs(cube, mode="formula", cap=1) == ((0, 2), (3, 1), (6, 0))
-    assert second_critical_m1(cube, cap=1) == 6
 
 
 def test_second_critical_formula_cases():
-    assert second_critical_m1(seq(MOD27, "110000000" * 3)) == 6
-    assert second_critical_m1(seq(MOD9, "010000000")) is None  # erased to zero
-    assert second_critical_m1(seq(MOD9, "110000000")) == 2
-    assert second_critical_m1(seq(MOD25, "11110" * 5)) == 20
+    assert first_critical_m(seq(MOD27, "110000000" * 3)).m1_s == 6
+    assert first_critical_m(seq(MOD9, "010000000")).m1_s is None  # erased to zero
+    assert first_critical_m(seq(MOD9, "110000000")).m1_s == 2
+    assert first_critical_m(seq(MOD25, "11110" * 5)).m1_s == 20
 
 
 def test_second_critical_matches_brute_exhaustive_n9():
+    """The closed-form m1 is exact on every hypercube at 3^2."""
+    cubes = 0
     for v in range(1, 512):
         s = PeriodicSequence(MOD9, v)
-        assert second_critical_m1(s) == first_critical_bruteforce(s).m1_s, v
+        if is_hypercube(s):
+            cubes += 1
+            assert first_critical_m(s).m1_s == first_critical_bruteforce(s).m1_s, v
+    assert cubes == 133
 
 
 
@@ -620,8 +623,8 @@ def celcs_formula(s):
         (first_critical_m, "110000000"),
         (celcs_formula, "110000000"),
         (celcs_formula, "000100100"),
-        (second_critical_m1, "110000000"),
-        (second_critical_m1, "000100100"),
+        (first_critical_m, "000100100"),
+        (celcs_formula, "110110110"),
     ],
 )
 def test_closed_forms_descend_once(monkeypatch, closed_form, text):
@@ -639,6 +642,36 @@ def test_closed_forms_descend_once(monkeypatch, closed_form, text):
     monkeypatch.setattr(kerror, "_descend", counted)
     closed_form(seq(MOD9, text))
     assert len(calls) == 1
+
+
+def test_closed_forms_scan_no_error_patterns(monkeypatch):
+    """No closed-form name falls back on a brute-force class scan: with both
+    scans raising, every closed form still answers, on every nonzero s at
+    3^2, 5^1 and 2^3 and on seeded s at 3^3."""
+
+    def brute(*args, **kwargs):
+        raise AssertionError("brute-force scan reached")
+
+    monkeypatch.setattr(kerror, "_class_min", brute)
+    monkeypatch.setattr(kerror, "_spectrum", brute)
+    rng = random.Random(56)
+    for mod in (MOD9, Modulus(5, 1), Modulus(2, 3), MOD27):
+        N = mod.period
+        values = range(1, 1 << N) if N < 27 else [rng.randrange(1, 1 << N) for _ in range(200)]
+        for v in values:
+            s = PeriodicSequence(mod, v)
+            first_critical_m(s)
+            if is_hypercube(s):
+                assert celcs(s, mode="formula")[-1] == (s.weight, 0)
+            if mod.p == 2:
+                kurosawa_m(s)
+            else:
+                meidl_upper_bound(s)
+        for k in range(N):
+            construct_stable(mod, k)
+    with pytest.raises(AssertionError, match="brute-force scan reached"):
+        first_critical_bruteforce(seq(MOD9, "110000000"))
+
 
 def test_kurosawa_pinned():
     mod4 = Modulus(2, 2)
@@ -662,7 +695,7 @@ def test_p2_formula_celcs_is_exact_on_every_cube():
         if is_hypercube(s):
             cubes += 1
             assert celcs(s, mode="formula") == celcs(s, mode="brute"), s.to01()
-            assert second_critical_m1(s) is None, s.to01()
+            assert first_critical_m(s).m1_s is None, s.to01()
     assert cubes == 3 + 11 + 59 + 795
 
 

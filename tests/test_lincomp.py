@@ -8,6 +8,7 @@ from functools import cache
 from helpers import (
     gcd_lc,
     halving_lc,
+    large_p_values,
     list_plain_descent,
     list_plain_trace,
     list_rewrite_descent,
@@ -246,6 +247,9 @@ def test_three_way_agreement_sampled_odd():
             ):
                 s = PeriodicSequence(mod, v)
                 assert lc(s) == xwli_lc(s)[0].value == berlekamp_massey_lc(s), (mod, v)
+    for mod, v in large_p_values(seed=13):
+        s = PeriodicSequence(mod, v)
+        assert lc(s) == xwli_lc(s)[0].value == berlekamp_massey_lc(s), (mod, v)
 
 
 def test_trace_matches_list_descent():
@@ -266,6 +270,8 @@ def test_trace_matches_list_descent():
         for _ in range(100):
             check(mod, rng.randrange(1 << N))
             check(mod, sum(1 << i for i in rng.sample(range(N), 3)))
+    for mod, v in large_p_values(seed=19):
+        check(mod, v)
 
 
 def test_p2_trace_is_the_halving_descent():
