@@ -22,7 +22,7 @@ _SOURCES = {
     ), "counting"),
     "SeqComplexError": "errors",
     **dict.fromkeys((
-        "Decomposition", "HypercubeStructure", "VertexDescriptor", "VertexKind", "cube_lc",
+        "Decomposition", "HypercubeStructure", "VertexDescriptor", "cube_lc",
         "extract_structure", "is_hypercube", "lc_from_structure", "next_lower_hypercube_lc",
         "standard_decompose",
     ), "hypercube"),

@@ -35,7 +35,6 @@ yields parts with strictly decreasing complexities.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from operator import xor
@@ -64,7 +63,6 @@ __all__ = [
     "Decomposition",
     "HypercubeStructure",
     "VertexDescriptor",
-    "VertexKind",
     "cube_lc",
     "extract_structure",
     "is_hypercube",
@@ -74,37 +72,29 @@ __all__ = [
 ]
 
 
-class VertexKind(enum.Enum):
-    ELEMENT = "element"
-    TUPLE = "tuple"
-
-
 @dataclass(frozen=True)
 class VertexDescriptor:
-    """Terminal state of the descent.
+    """Terminal state of the descent: its length q says which vertex it is.
 
-    Element vertices carry no payload.  Tuple vertices carry the p parts of
-    the zero-sum step (each p^q entries of 0 or 1); every row across the
-    parts has even parity and at least one row is nonzero.
+    An element vertex (q None) carries nothing.  A tuple vertex of length q
+    carries the p parts of the zero-sum step (each p^q entries of 0 or 1);
+    every row across the parts has even parity and at least one is nonzero.
 
     ``_mask`` packs the vertex as the descent does: 1 for an element, and
     bit i * p^q + u is row u of block i for a tuple.  It is no dataclass
-    field, so equality, hash and repr read only kind, q and blocks.
+    field, so equality, hash and repr read only q and blocks.
     """
 
-    kind: VertexKind
     q: int | None = None
     blocks: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind is VertexKind.ELEMENT:
-            if self.q is not None or self.blocks is not None:
+        if self.q is None:
+            if self.blocks is not None:
                 raise ValueError("element vertex carries no blocks")
             self.__dict__["_mask"] = 1
             return
-        if self.kind is not VertexKind.TUPLE:
-            raise ValueError(f"vertex kind must be a VertexKind; got {self.kind!r}")
-        if self.q is None or self.blocks is None:
+        if self.blocks is None:
             raise ValueError("tuple vertex needs q and blocks")
         if type(self.q) is not int or self.q < 0:
             raise ValueError(f"tuple vertex q must be an int >= 0; got {self.q!r}")
@@ -141,34 +131,32 @@ class VertexDescriptor:
         return 1 if self.q is None else 1 - len(self.blocks) ** self.q
 
     def __str__(self) -> str:
-        if self.kind is VertexKind.ELEMENT:
+        if self.q is None:
             return "element"
-        assert self.blocks is not None
         parts = b",".join(map(bytes, self.blocks)).translate(_TO_DIGIT).decode()
         return f"tuple(q={self.q}, [{parts}])"
 
 
 @dataclass(frozen=True)
 class HypercubeStructure:
-    """Dimension, edge exponents, and vertex of a hypercube."""
+    """Edge exponents and vertex of a hypercube, of dimension m = len(edges)."""
 
-    m: int
     edges: tuple[int, ...]
     vertex: VertexDescriptor
 
     def __post_init__(self) -> None:
-        if type(self.m) is not int:
-            raise ValueError(f"m must be an int; got {self.m!r}")
         if not isinstance(self.edges, tuple):
             raise InvalidEdges(f"edge exponents must be a tuple; got {self.edges!r}")
         if any(type(i) is not int for i in self.edges):
             raise InvalidEdges(f"edge exponents must be ints; got {self.edges!r}")
-        if self.m != len(self.edges):
-            raise ValueError(f"m={self.m} but {len(self.edges)} edges")
         if any(a >= b for a, b in zip(self.edges, self.edges[1:])):
             raise ValueError(f"edges not strictly increasing: {self.edges}")
         if not isinstance(self.vertex, VertexDescriptor):
             raise ValueError(f"vertex must be a VertexDescriptor; got {self.vertex!r}")
+
+    @property
+    def m(self) -> int:
+        return len(self.edges)
 
     @property
     def epsilon(self) -> int:
@@ -485,20 +473,20 @@ def is_hypercube(s: PeriodicSequence) -> bool:
 
 
 def extract_structure(s: PeriodicSequence) -> HypercubeStructure:
-    """Structure (m, edges, vertex) of a hypercube; NotAHypercube otherwise."""
+    """Structure (edges, vertex) of a hypercube; NotAHypercube otherwise."""
     require_nonzero(s)
     p = s.modulus.p
     desc = _descend(s.value, p, s.modulus.n)
     if not desc.ok:
         raise NotAHypercube(f"cancellation at depth {len(desc.vecs)} of the descent")
     if desc.q is None:
-        vertex = VertexDescriptor(VertexKind.ELEMENT)
+        vertex = VertexDescriptor()
     else:
         size = p**desc.q
         a, mask = desc.vecs[-1], (1 << size) - 1
         blocks = tuple(_bits((a >> (i * size)) & mask, size) for i in range(p))
-        vertex = VertexDescriptor(VertexKind.TUPLE, desc.q, blocks)
-    return HypercubeStructure(len(desc.edges), desc.edges, vertex)
+        vertex = VertexDescriptor(desc.q, blocks)
+    return HypercubeStructure(desc.edges, vertex)
 
 
 def _hypercube_lc(p: int, n: int, q: int | None, edges: Seq[int]) -> int:
@@ -529,7 +517,7 @@ def _first_free(h: HypercubeStructure, modulus: Modulus) -> int:
     q + 1 for a tuple, once h fits the modulus (see lc_from_structure)."""
     _require_modulus(modulus)
     v, lo = h.vertex, 0
-    if v.kind is VertexKind.TUPLE:
+    if v.q is not None:
         if len(v.blocks) != modulus.p or v.q >= modulus.n:
             raise ModulusMismatch(
                 f"tuple vertex of {len(v.blocks)} blocks, q={v.q}, does not fit {modulus}"

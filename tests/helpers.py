@@ -15,7 +15,7 @@ import random
 from itertools import combinations, product
 from math import comb
 
-from seqcomplex import Modulus, PeriodicSequence, VertexDescriptor, VertexKind
+from seqcomplex import Modulus, PeriodicSequence, VertexDescriptor
 from seqcomplex.lincomp import _lc_value
 
 
@@ -260,9 +260,11 @@ def p2_universe(exhaustive_up_to: int = 4, sampled_up_to: int = 8, count: int = 
             yield PeriodicSequence(mod, v)
 
 
-# Admitted odd p above 13, which the other sampled inputs never reach.
+# Every admitted odd p above 13 (19 to 197), which the other sampled inputs never reach.
 LARGE_P_MODULI = tuple(Modulus(p, n) for p, n in (
-    (19, 1), (29, 1), (37, 1), (53, 1), (59, 1), (61, 1), (19, 2), (29, 2),
+    (19, 1), (29, 1), (37, 1), (53, 1), (59, 1), (61, 1), (67, 1), (83, 1), (101, 1),
+    (107, 1), (131, 1), (139, 1), (149, 1), (163, 1), (173, 1), (179, 1), (181, 1),
+    (197, 1), (19, 2), (29, 2), (19, 3),
 ))
 
 
@@ -292,7 +294,7 @@ def random_tuple_vertex(rng: random.Random, p: int, q: int) -> VertexDescriptor:
     for u, c in enumerate(counts):
         for i in rng.sample(range(p), c):
             blocks[i][u] = 1
-    return VertexDescriptor(VertexKind.TUPLE, q, tuple(tuple(b) for b in blocks))
+    return VertexDescriptor(q, tuple(tuple(b) for b in blocks))
 
 
 def vertex_sequence(v: VertexDescriptor) -> PeriodicSequence:

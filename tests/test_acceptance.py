@@ -282,7 +282,7 @@ def test_c8_property_suites(capsys):
     ]
     classes: dict = {}
     for st in structs:
-        key = (st.vertex.kind, st.vertex.q, st.vertex.l)
+        key = (st.vertex.q, st.vertex.l)
         classes.setdefault(key, []).append(st)
     eligible = 0
     for st in structs:
@@ -291,7 +291,7 @@ def test_c8_property_suites(capsys):
         except NoEligibleExponent:
             continue
         eligible += 1
-        fam = classes[(st.vertex.kind, st.vertex.q, st.vertex.l)]
+        fam = classes[(st.vertex.q, st.vertex.l)]
         refinements = [
             lc_from_structure(g, MOD9)
             for g in fam

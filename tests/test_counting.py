@@ -7,7 +7,6 @@ from helpers import product_grow
 from seqcomplex import (
     Modulus,
     PeriodicSequence,
-    VertexKind,
     class_lc,
     count_hypercubes,
     count_sequences_with_lc,
@@ -117,18 +116,18 @@ def test_scan_census_matches_formulas_n9():
         if not is_hypercube(s):
             continue
         st = extract_structure(s)
-        tally[(st.vertex.kind, st.vertex.q, st.edges)] += 1
+        tally[(st.vertex.q, st.edges)] += 1
     assert sum(tally.values()) == 133
     covered = 0
     for edges in ELEMENT_CLASSES_9:
         n = count_hypercubes(MOD9, edges).value
-        assert tally[(VertexKind.ELEMENT, None, edges)] == n
+        assert tally[(None, edges)] == n
         covered += n
     for edges in TUPLE_CLASSES_9:
         n = count_hypercubes(MOD9, edges, l=2).value
-        assert tally[(VertexKind.TUPLE, 0, edges)] == n
+        assert tally[(0, edges)] == n
         covered += n
-    rest = sum(c for (kind, q, _), c in tally.items() if kind is VertexKind.TUPLE and q)
+    rest = sum(c for (q, _), c in tally.items() if q)
     assert covered + rest == 133
 
 

@@ -25,7 +25,6 @@ from seqcomplex import (
     Modulus,
     PeriodicSequence,
     VertexDescriptor,
-    VertexKind,
     berlekamp_massey_lc,
     cube_lc,
     extract_structure,
@@ -62,7 +61,7 @@ MOD27 = Modulus(3, 3)
 def test_repeated_pair_is_a_2_hypercube():
     st = extract_structure(seq(MOD27, "110" * 9))
     assert st.m == 2 and st.edges == (1, 2)
-    assert st.vertex.kind is VertexKind.TUPLE and st.vertex.q == 0
+    assert st.vertex.q == 0
     assert st.vertex.blocks == ((1,), (1,), (0,))
     assert st.vertex.l == 2 and st.epsilon == 0
     assert lc_from_structure(st, MOD27) == 2 == lc(seq(MOD27, "110" * 9))
@@ -78,7 +77,7 @@ def test_repeated_block_pair_has_a_length_1_vertex():
 
 def test_single_one_is_a_0_hypercube_element():
     st = extract_structure(seq(MOD9, "010000000"))
-    assert st.m == 0 and st.edges == () and st.vertex.kind is VertexKind.ELEMENT
+    assert st.m == 0 and st.edges == () and st.vertex.q is None
     assert st.vertex.l == 1 and st.epsilon == 1
     assert lc_from_structure(st, MOD9) == 9
 
@@ -157,7 +156,7 @@ def test_next_lower_is_maximal_over_edge_refinements_n9():
         if not is_hypercube(s):
             continue
         st = extract_structure(s)
-        key = (st.vertex.kind, st.vertex.q, st.vertex.l)
+        key = (st.vertex.q, st.vertex.l)
         families.setdefault(key, {})[st.edges] = lc_from_structure(st, MOD9)
         handles[key + (st.edges,)] = st
     all_lcs = {L for fam in families.values() for L in fam.values()}
@@ -179,29 +178,29 @@ def test_next_lower_is_maximal_over_edge_refinements_n9():
 
 def test_vertex_descriptor_validation():
     with pytest.raises(ValueError):
-        VertexDescriptor(VertexKind.ELEMENT, q=0)
+        VertexDescriptor(blocks=((1,), (1,), (0,)))  # element with blocks
     with pytest.raises(ValueError):
-        VertexDescriptor(VertexKind.TUPLE, q=0)  # blocks missing
+        VertexDescriptor(q=0)  # blocks missing
     with pytest.raises(ValueError):
-        VertexDescriptor(VertexKind.TUPLE, 0, ((1,), (1,), (1,)))  # odd row
+        VertexDescriptor(0, ((1,), (1,), (1,)))  # odd row
     with pytest.raises(ValueError):
-        VertexDescriptor(VertexKind.TUPLE, 0, ((0,), (0,), (0,)))  # zero
-    v = VertexDescriptor(VertexKind.TUPLE, 1, ((0, 0, 0), (1, 0, 0), (1, 0, 0)))
+        VertexDescriptor(0, ((0,), (0,), (0,)))  # zero
+    v = VertexDescriptor(1, ((0, 0, 0), (1, 0, 0), (1, 0, 0)))
     assert v.l == 2 and v.epsilon == -2
     assert str(v) == "tuple(q=1, [000,100,100])"
 
 
 def test_vertex_descriptor_names_the_first_odd_row():
     with pytest.raises(ValueError, match=r"^row 2 has odd parity; blocks do not sum to zero$"):
-        VertexDescriptor(VertexKind.TUPLE, 1, ((1, 0, 0), (0, 1, 0), (1, 1, 1)))
+        VertexDescriptor(1, ((1, 0, 0), (0, 1, 0), (1, 1, 1)))
     with pytest.raises(ValueError, match="blocks must all have length"):
-        VertexDescriptor(VertexKind.TUPLE, 1, ((1, 0, 0), (1, 0), (0, 0, 0)))
+        VertexDescriptor(1, ((1, 0, 0), (1, 0), (0, 0, 0)))
 
 
 def test_vertex_descriptor_entries_are_bits():
     with pytest.raises(ValueError, match=r"^block entries must be 0 or 1$"):
-        VertexDescriptor(VertexKind.TUPLE, 0, ((2,), (0,), (0,)))
-    v = VertexDescriptor(VertexKind.TUPLE, 1, ((1, 1, 0), (0, 1, 1), (1, 0, 1)))
+        VertexDescriptor(0, ((2,), (0,), (0,)))
+    v = VertexDescriptor(1, ((1, 1, 0), (0, 1, 1), (1, 0, 1)))
     assert str(v) == "tuple(q=1, [110,011,101])"
 
 
@@ -210,11 +209,11 @@ def test_a_vertex_refuses_block_entries_other_than_0_or_1(bad):
     """A vertex refuses an entry with the one error; an entry passes only as
     an int or bool equal to 0 or 1."""
     with pytest.raises(ValueError, match=r"^block entries must be 0 or 1$"):
-        VertexDescriptor(VertexKind.TUPLE, 0, ((1,), (1,), (bad,)))
+        VertexDescriptor(0, ((1,), (1,), (bad,)))
 
 
 def test_bool_block_entries_are_bits():
-    v = VertexDescriptor(VertexKind.TUPLE, 0, ((True,), (True,), (False,)))
+    v = VertexDescriptor(0, ((True,), (True,), (False,)))
     assert str(v) == "tuple(q=0, [1,1,0])" and v.l == 2
 
 
@@ -256,12 +255,15 @@ def test_a_decomposition_holds_its_parts_and_no_descents(seed):
 
 
 def test_structure_validation():
-    el = VertexDescriptor(VertexKind.ELEMENT)
+    el = VertexDescriptor()
     with pytest.raises(ValueError):
-        HypercubeStructure(2, (0,), el)
-    with pytest.raises(ValueError):
-        HypercubeStructure(2, (1, 0), el)
-    assert str(HypercubeStructure(0, (), el)) == "m=0 edges=- vertex=element"
+        HypercubeStructure((1, 0), el)
+    assert str(HypercubeStructure((), el)) == "m=0 edges=- vertex=element"
+    assert [f.name for f in dataclasses.fields(HypercubeStructure)] == ["edges", "vertex"]
+    h = HypercubeStructure((0, 2), el)
+    assert h.m == 2 and repr(h) == (
+        "HypercubeStructure(edges=(0, 2), vertex=VertexDescriptor(q=None, blocks=None))"
+    )
 
 
 def test_decompose_reference_case():
@@ -494,7 +496,7 @@ def _check_decomposition_matches_extraction(s):
         assert ok and vecs[0] == part.value
         assert (st.m, st.edges, st.vertex.q) == (len(edges), edges, q)
         if q is None:
-            assert st.vertex.kind is VertexKind.ELEMENT and vecs[-1] == 1
+            assert vecs[-1] == 1
         else:
             size = p**q
             blocks = tuple(
@@ -619,8 +621,7 @@ def test_from_bits_and_vertices_share_one_entry_rule(entry):
     the entries the shared rule refuses."""
     outcomes = {
         _accepts(lambda: PeriodicSequence.from_bits([entry] + [1] * 8, MOD9)),
-        _accepts(lambda: VertexDescriptor(
-            VertexKind.TUPLE, 1, ((entry, 1, 0), (entry, 1, 0), (0, 0, 0)))),
+        _accepts(lambda: VertexDescriptor(1, ((entry, 1, 0), (entry, 1, 0), (0, 0, 0)))),
     }
     want = type(entry) in (int, bool, _Index) and entry.__index__() in (0, 1)
     assert outcomes == {want}
@@ -630,24 +631,19 @@ def test_a_vertex_of_index_integers_counts_its_ones():
     """The blocks are packed once; l, the parity check and the closed form's
     equalizing count (vertex_j) all read that mask, so __index__ entries
     count like ints.  The packed mask is no field: fields, equality, hash
-    and repr see kind, q, blocks."""
+    and repr see q and blocks."""
     I = _Index
-    v = VertexDescriptor(
-        VertexKind.TUPLE, 1, ((I(1), I(1), I(0)), (I(1), I(0), I(0)), (0, 1, 0))
-    )
+    v = VertexDescriptor(1, ((I(1), I(1), I(0)), (I(1), I(0), I(0)), (0, 1, 0)))
     assert str(v) == "tuple(q=1, [110,100,010])"
     assert v.l == 4 and first_critical_m(vertex_sequence(v)).vertex_j == 2 and v.epsilon == -2
-    assert [f.name for f in dataclasses.fields(VertexDescriptor)] == ["kind", "q", "blocks"]
-    w = VertexDescriptor(VertexKind.TUPLE, 0, ((1,), (1,), (0,)))
-    assert dataclasses.asdict(w) == {
-        "kind": VertexKind.TUPLE, "q": 0, "blocks": ((1,), (1,), (0,))
-    }
-    assert repr(w) == (
-        "VertexDescriptor(kind=<VertexKind.TUPLE: 'tuple'>, q=0, blocks=((1,), (1,), (0,)))"
-    )
+    assert [f.name for f in dataclasses.fields(VertexDescriptor)] == ["q", "blocks"]
+    w = VertexDescriptor(0, ((1,), (1,), (0,)))
+    assert dataclasses.asdict(w) == {"q": 0, "blocks": ((1,), (1,), (0,))}
+    assert repr(w) == "VertexDescriptor(q=0, blocks=((1,), (1,), (0,)))"
     twin = dataclasses.replace(w)
     assert twin == w and hash(twin) == hash(w) and twin.l == 2
-    assert VertexDescriptor(VertexKind.ELEMENT).l == 1
+    el = VertexDescriptor()
+    assert el.l == 1 and repr(el) == "VertexDescriptor(q=None, blocks=None)"
 
 
 @pytest.mark.parametrize("p, q", [(3, 1), (3, 2), (5, 1)])
@@ -658,9 +654,7 @@ def test_packed_vertex_matches_the_descent_and_exhaustive_search(p, q):
     rng = random.Random(2800 + 10 * p + q)
     for _ in range(60):
         v = random_tuple_vertex(rng, p, q)
-        w = VertexDescriptor(
-            VertexKind.TUPLE, q, tuple(tuple(map(_Index, b)) for b in v.blocks)
-        )
+        w = VertexDescriptor(q, tuple(tuple(map(_Index, b)) for b in v.blocks))
         s = vertex_sequence(v)
         desc = _descend(s.value, p, q + 1)
         assert desc.ok and extract_structure(s).vertex == v
@@ -674,45 +668,45 @@ _BLOCKS1 = ((1, 0, 0), (1, 0, 0), (0, 0, 0))
 
 
 @pytest.mark.parametrize(
-    "kind, q, blocks, text",
+    "q, blocks, text",
     [
-        ("tuple", 0, ((1,), (1,), (0,)), "vertex kind must be a VertexKind; got 'tuple'"),
-        ("element", None, None, "vertex kind must be a VertexKind; got 'element'"),
-        (VertexKind.TUPLE, 1.0, _BLOCKS1, "tuple vertex q must be an int >= 0; got 1.0"),
-        (VertexKind.TUPLE, True, _BLOCKS1, "tuple vertex q must be an int >= 0; got True"),
-        (VertexKind.TUPLE, -1, ((1,), (1,), (0,)), "tuple vertex q must be an int >= 0; got -1"),
-        (VertexKind.TUPLE, "1", _BLOCKS1, "tuple vertex q must be an int >= 0; got '1'"),
-        (VertexKind.TUPLE, 0, ((1,),), "tuple vertex needs at least 2 blocks"),
+        (None, ((1,), (1,), (0,)), "element vertex carries no blocks"),
+        (0, None, "tuple vertex needs q and blocks"),
+        (1.0, _BLOCKS1, "tuple vertex q must be an int >= 0; got 1.0"),
+        (True, _BLOCKS1, "tuple vertex q must be an int >= 0; got True"),
+        (-1, ((1,), (1,), (0,)), "tuple vertex q must be an int >= 0; got -1"),
+        ("1", _BLOCKS1, "tuple vertex q must be an int >= 0; got '1'"),
+        (0, ((1,),), "tuple vertex needs at least 2 blocks"),
     ],
     ids=[
-        "kind-tuple-str", "kind-element-str", "q-float", "q-bool", "q-negative", "q-str",
-        "one-block",
+        "element-with-blocks", "tuple-without-blocks", "q-float", "q-bool", "q-negative",
+        "q-str", "one-block",
     ],
 )
-def test_vertex_refuses_a_bad_kind_or_q(kind, q, blocks, text):
+def test_vertex_refuses_a_bad_q_or_blocks(q, blocks, text):
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
-        VertexDescriptor(kind, q, blocks)
+        VertexDescriptor(q, blocks)
 
 
-_EL = VertexDescriptor(VertexKind.ELEMENT)
-_T0 = VertexDescriptor(VertexKind.TUPLE, 0, ((1,), (1,), (0,)))
-_T0_OF_5 = VertexDescriptor(VertexKind.TUPLE, 0, ((1,), (1,), (0,), (0,), (0,)))
-_T2 = VertexDescriptor(VertexKind.TUPLE, 2, ((1,) + (0,) * 8,) * 2 + ((0,) * 9,))
+_EL = VertexDescriptor()
+_T0 = VertexDescriptor(0, ((1,), (1,), (0,)))
+_T0_OF_5 = VertexDescriptor(0, ((1,), (1,), (0,), (0,), (0,)))
+_T2 = VertexDescriptor(2, ((1,) + (0,) * 8,) * 2 + ((0,) * 9,))
 
 
 @pytest.mark.parametrize(
     "h, error, text",
     [
-        (HypercubeStructure(1, (7,), _EL), InvalidEdges, "edge exponents (7,) outside [0, 1]"),
-        (HypercubeStructure(1, (-1,), _EL), InvalidEdges, "edge exponents (-1,) outside [0, 1]"),
-        (HypercubeStructure(1, (0,), _T0), InvalidEdges, "edge exponents (0,) outside [1, 1]"),
+        (HypercubeStructure((7,), _EL), InvalidEdges, "edge exponents (7,) outside [0, 1]"),
+        (HypercubeStructure((-1,), _EL), InvalidEdges, "edge exponents (-1,) outside [0, 1]"),
+        (HypercubeStructure((0,), _T0), InvalidEdges, "edge exponents (0,) outside [1, 1]"),
         (
-            HypercubeStructure(0, (), _T0_OF_5),
+            HypercubeStructure((), _T0_OF_5),
             ModulusMismatch,
             "tuple vertex of 5 blocks, q=0, does not fit 3^2",
         ),
         (
-            HypercubeStructure(0, (), _T2),
+            HypercubeStructure((), _T2),
             ModulusMismatch,
             "tuple vertex of 3 blocks, q=2, does not fit 3^2",
         ),
@@ -728,19 +722,19 @@ def test_structures_must_fit_their_modulus(h, error, text):
 
 
 @pytest.mark.parametrize(
-    "m, edges, text",
+    "edges, text",
     [
-        (1.0, (0,), "m must be an int; got 1.0"),
-        (True, (0,), "m must be an int; got True"),
-        (1, (0.5,), "edge exponents must be ints; got (0.5,)"),
-        (1, (True,), "edge exponents must be ints; got (True,)"),
-        (2, (0, "1"), "edge exponents must be ints; got (0, '1')"),
+        ((1, 0), "edges not strictly increasing: (1, 0)"),
+        ((0, 0), "edges not strictly increasing: (0, 0)"),
+        ((0.5,), "edge exponents must be ints; got (0.5,)"),
+        ((True,), "edge exponents must be ints; got (True,)"),
+        ((0, "1"), "edge exponents must be ints; got (0, '1')"),
     ],
     ids=repr,
 )
-def test_hypercube_structure_refuses_a_non_int_m_or_edge(m, edges, text):
+def test_hypercube_structure_refuses_a_bad_edge(edges, text):
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
-        HypercubeStructure(m, edges, _EL)
+        HypercubeStructure(edges, _EL)
 
 
 def _first_cancelling_sum(value: int, p: int, n: int) -> int | None:
@@ -797,11 +791,11 @@ def test_non_hypercubes_name_their_first_cancelling_depth(p, n):
     assert max(depths) > 1
 
 
-@pytest.mark.parametrize("vertex", [None, "element", VertexKind.ELEMENT, 1], ids=repr)
+@pytest.mark.parametrize("vertex", [None, "element", ((1,), (1,), (0,)), 1], ids=repr)
 def test_hypercube_structure_refuses_a_vertex_that_is_no_descriptor(vertex):
     text = f"vertex must be a VertexDescriptor; got {vertex!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
-        HypercubeStructure(0, (), vertex)
+        HypercubeStructure((), vertex)
 
 
 @pytest.mark.parametrize(
@@ -812,14 +806,14 @@ def test_hypercube_structure_refuses_a_vertex_that_is_no_descriptor(vertex):
 def test_vertex_blocks_must_be_a_tuple_of_tuples(blocks):
     text = f"blocks must be a tuple of tuples; got {blocks!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
-        VertexDescriptor(VertexKind.TUPLE, 0, blocks)
+        VertexDescriptor(0, blocks)
 
 
 @pytest.mark.parametrize("edges", [[0], range(1), None], ids=repr)
 def test_hypercube_structure_edges_must_be_a_tuple(edges):
     text = f"edge exponents must be a tuple; got {edges!r}"
     with pytest.raises(InvalidEdges, match=f"^{re.escape(text)}$"):
-        HypercubeStructure(1, edges, _EL)
+        HypercubeStructure(edges, _EL)
 
 
 def test_spread_and_kept_by_doubling_match_part_by_part_loops():

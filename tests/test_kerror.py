@@ -22,7 +22,6 @@ from seqcomplex import (
     Modulus,
     PeriodicSequence,
     VertexDescriptor,
-    VertexKind,
     celcs,
     construct_stable,
     enumerate_hypercubes,
@@ -474,7 +473,7 @@ def test_closed_form_m1_overshoots_on_single_hypercubes(mod, text, m, L_m, m1, L
 
 
 def test_vertex_j_pinned():
-    v = VertexDescriptor(VertexKind.TUPLE, 1, ((0, 0, 0), (1, 0, 0), (1, 0, 0)))
+    v = VertexDescriptor(1, ((0, 0, 0), (1, 0, 0), (1, 0, 0)))
     assert first_critical_m(vertex_sequence(v)).vertex_j == 1
 
 
@@ -495,7 +494,7 @@ def _every_length1_vertex_at_p3():
     for rows in product(columns, repeat=3):
         if any(map(any, rows)):
             blocks = tuple(tuple(row[i] for row in rows) for i in range(3))
-            yield VertexDescriptor(VertexKind.TUPLE, 1, blocks)
+            yield VertexDescriptor(1, blocks)
 
 
 @pytest.mark.parametrize(

@@ -368,7 +368,7 @@ def test_xor_with_a_non_sequence_is_pythons_type_error(other):
 
 
 def _element_cube():
-    return sc.HypercubeStructure(0, (), sc.VertexDescriptor(sc.VertexKind.ELEMENT))
+    return sc.HypercubeStructure((), sc.VertexDescriptor())
 
 
 _MODULUS_READERS = {

@@ -273,7 +273,7 @@ def test_decomposition_suite_and_is_hypercube_build_no_vertex(monkeypatch):
     post_init = hypercube.VertexDescriptor.__post_init__
 
     def counted(self):
-        built.append(self.kind)
+        built.append(self.q)
         post_init(self)
 
     monkeypatch.setattr(hypercube.VertexDescriptor, "__post_init__", counted)
@@ -286,7 +286,7 @@ def test_decomposition_suite_and_is_hypercube_build_no_vertex(monkeypatch):
     assert all(kerror.first_critical_m(s).m_s >= 1 for s in seqs)
     assert built == []
     hypercube.extract_structure(PeriodicSequence(mod, 0b11))
-    assert built == [hypercube.VertexKind.TUPLE]
+    assert built == [0]
 
 
 def test_lc_oracle_block_path_fails_the_odd_p_sequence_at_fault(monkeypatch):
