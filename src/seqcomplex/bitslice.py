@@ -7,15 +7,19 @@ operation reads or changes; arithmetic is modulo 2^len(planes).
 
 ``lincomp._bm_planes`` keeps each Berlekamp-Massey complexity here,
 ``kerror._equalizing_flips`` its row counts and ``kerror._table`` its class
-minimums.  ``identity`` numbers a whole universe, lane v holding v: the
-planes of every sequence of a period, which ``kerror._table`` descends and
-``verify``'s lc-oracle runs through Berlekamp-Massey.  The module is
-internal: the package exports none of its names.
+minimums.  Two functions build a number and one reads it back.
+``identity`` numbers a whole universe, lane v holding v: the planes of
+every sequence of a period, which ``kerror._table`` descends and
+``verify``'s lc-oracle runs through Berlekamp-Massey.  ``number`` puts
+given values in lanes 0, 1, ..., the planes of a sampled lc-oracle
+universe, and ``read`` gives a number's lanes back as a list.  The module
+is internal: the package exports none of its names.
 """
 
 from __future__ import annotations
 
 import struct
+from itertools import repeat
 
 from .sequences import _TO_BIT
 
@@ -36,6 +40,36 @@ def identity(bits: int) -> list[int]:
             span *= 2
         planes.append(plane)
     return planes
+
+
+def number(values: list[int], bits: int) -> list[int]:
+    """The number of len(values) lanes in which lane j holds values[j] <
+    2^bits: the inverse of ``read``.
+
+    Each value becomes a field of whole bytes, the fields join into one
+    int, that int is formatted in binary once, and plane t is one strided
+    slice of the text.  Up to 64 bits one ``struct.pack`` writes every
+    field, widened to the 4 or 8 bytes of its code; above that, where
+    struct has no code, ``int.to_bytes`` gives each value's whole bytes.
+    """
+    width = len(values)
+    # fields MSB first and values[0] last, so that lane j is values[j]; the
+    # join packs 512 values at a time, as one join over every value would
+    # hold a bytes object per value at once and raise the sweep's peak RSS
+    lanes = values[::-1]
+    for F, code in ((32, "I"), (64, "Q")):
+        if bits <= F:
+            packed = struct.pack(f">{width}{code}", *lanes)
+            break
+    else:
+        size = bits + 7 >> 3
+        F = 8 * size
+        packed = b"".join(
+            b"".join(map(int.to_bytes, lanes[k : k + 512], repeat(size), repeat("big")))
+            for k in range(0, width, 512)
+        )
+    rows = format(int.from_bytes(packed, "big"), f"0{width * F}b")
+    return [int(rows[F - 1 - t :: F], 2) for t in range(bits)]
 
 
 def above(planes: list[int], c: int, lanes: int) -> int:

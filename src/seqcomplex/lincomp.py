@@ -29,13 +29,10 @@ vector, as x + 1 then does not divide s(x).
 zero-discrepancy steps in one shift, as those steps change nothing but the
 index.  The verify sweep runs the same Massey steps bit-sliced across many
 sequences at once (``_bm_planes``): each sequence is one bit lane of a few
-Python ints, so one big-int operation does a step's work for every lane,
-and the complexities are ``bitslice`` numbers.  The steps take the
-sequences' planes from one of two sources.  A whole universe is
-``bitslice.identity``, lane v holding sequence v.  A block of given values
-(``_bm_values``) is cut from one binary string, formatted once from every
-value packed as a field of 4 or 8 bytes by one ``struct.pack`` (fields of
-whole bytes joined by ``int.to_bytes`` above 64 bits).
+Python ints, so one big-int operation does a step's work for every lane.
+Its sequences and their complexities are both ``bitslice`` numbers:
+``identity`` gives a whole universe, lane v holding sequence v, and
+``number`` any given values.
 
 Every attainable complexity has a unique canonical form
 ``L = eps + (p-1) * sum(p^(v-1) for v in V)`` with ``eps`` in {0, 1} and
@@ -50,7 +47,6 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import repeat
 from operator import and_, xor
-from struct import pack
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import NotRepresentable
@@ -397,45 +393,11 @@ def _bm_value(stream: int, length: int) -> int:
     return deg
 
 
-def _bm_values(values: list[int], N: int) -> list[int]:
-    """``_bm_value`` on two periods of each N-bit value, bit-sliced: lane j
-    of every plane belongs to values[j], and ``_bm_planes`` runs the steps.
-
-    The S planes come from one conversion at every N: each value becomes a
-    field of whole bytes, the fields join into one int, that int is
-    formatted in binary once, and plane t is one strided slice of the text.
-    Up to N = 64 one ``struct.pack`` writes every field, widened to the 4 or
-    8 bytes of its code; above that, where struct has no code, the fields
-    are N's whole bytes joined from ``int.to_bytes``.  The verify sweep, the
-    only caller, samples only periods above 16 (smaller universes are swept
-    whole on the identity planes), so 4 bytes is the narrowest field.
-    """
-    from .bitslice import read
-
-    W = len(values)
-    # fields MSB first and values[0] last, so that lane j is values[j]; the
-    # join packs 512 values at a time, as one join over all W would hold a
-    # bytes object per value at once and raise the sweep's peak RSS
-    lanes = values[::-1]
-    for F, code in ((32, "I"), (64, "Q")):
-        if N <= F:
-            packed = pack(f">{W}{code}", *lanes)
-            break
-    else:
-        size = N + 7 >> 3
-        F = 8 * size
-        packed = b"".join(
-            b"".join(map(int.to_bytes, lanes[k : k + 512], repeat(size), repeat("big")))
-            for k in range(0, W, 512)
-        )
-    rows = format(int.from_bytes(packed, "big"), f"0{W * F}b")
-    return read(_bm_planes([int(rows[F - 1 - t :: F], 2) for t in range(N)], N, W), W)
-
-
 def _bm_planes(S: list[int], N: int, W: int) -> list[int]:
     """The Massey steps on two periods of W bit-sliced N-bit sequences:
-    plane S[t] holds bit t of every lane's sequence.  Returns the lanes'
-    complexities, a ``bitslice`` number.
+    plane S[t] holds bit t of every lane's sequence, a ``bitslice`` number
+    (``identity`` or ``number``), and so the steps are ``_bm_value``'s on
+    every lane.  Returns the lanes' complexities, a ``bitslice`` number.
 
     C[k] holds bit k of each lane's connection polynomial, B[k] bit k of
     x^m * B (B pre-shifted by the steps m since it was set), and L its

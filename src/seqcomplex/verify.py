@@ -25,7 +25,7 @@ from itertools import islice, product, repeat
 from operator import le
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .bitslice import identity, read
+from .bitslice import identity, number, read
 from .counting import (
     _class_key, _classes, class_lc, count_hypercubes, count_sequences_with_lc,
     enumerate_hypercubes,
@@ -40,7 +40,7 @@ from .kerror import (
     kurosawa_m,
     meidl_upper_bound,
 )
-from .lincomp import LCForm, _bm_planes, _bm_values, berlekamp_massey_lc, lc, xwli_lc
+from .lincomp import LCForm, _bm_planes, lc, xwli_lc
 from .sequences import Modulus, PeriodicSequence, _require_modulus
 
 __all__ = ["SuiteReport", "SUITES", "run_suites"]
@@ -48,13 +48,12 @@ __all__ = ["SuiteReport", "SUITES", "run_suites"]
 MAX_DETAILS = 20
 EXHAUSTIVE_LIMIT = 1 << 13
 SAMPLE_SIZE = 1000
-# Most sequences the lc oracle checks as one block: a sampled block is one
-# bit-sliced Berlekamp-Massey call, enough lanes to repay the planes'
-# per-step cost, and an exhaustive universe's answers are read a block at a
-# time, so a block's values, answers and lists stay a few hundred KB.
+# Most sequences the lc oracle checks as one block: a universe's
+# complexities are read one window of this many lanes at a time, so that a
+# block's values, answers and lists stay a few hundred KB.
 _BM_BLOCK = 4096
 # Largest universe the lc oracle sweeps whole: every sequence up to 2^16,
-# all of 2^4, in one bit-sliced Berlekamp-Massey call on the identity planes.
+# all of 2^4, on the identity planes; above it the oracle samples.
 _BM_EXHAUSTIVE = 1 << 16
 
 
@@ -115,19 +114,19 @@ def _suite_lc_oracle(modulus: Modulus | None, rng: random.Random, cap: int) -> S
     """``lc`` at every p, and ``xwli_lc``'s value and trace total at odd p,
     against Berlekamp-Massey (at p = 2, ``lc`` is the Games-Chan halving).
 
-    The oracle runs bit-sliced (``_oracle_blocks``), and each block's engine
-    answers are compared with its complexities as one list: at odd p a
-    sequence's answer is its ``lc`` when all three engine values agree, else
-    None.  An agreeing block adds its checks at once; only a disagreeing
-    block is walked, recording one check per sequence in universe order."""
+    The oracle runs bit-sliced, one call per universe (``_oracle_blocks``),
+    and each block's engine answers are compared with its complexities as
+    one list: at odd p a sequence's answer is its ``lc`` when all three
+    engine values agree, else None.  The zero sequence is lane 0 of every
+    universe, checked like any other.  An agreeing block adds its checks at
+    once; only a disagreeing block is walked, recording one check per
+    sequence in universe order."""
     rep = SuiteReport("lc-oracle")
     defaults = [
         Modulus(3, 1), Modulus(3, 2), Modulus(5, 1), Modulus(3, 3), Modulus(5, 2),
         Modulus(2, 1), Modulus(2, 2), Modulus(2, 3), Modulus(2, 4), Modulus(2, 5),
     ]
     for mod in _moduli(modulus, defaults):
-        zero = PeriodicSequence.zeros(mod)
-        rep.record(berlekamp_massey_lc(zero) == 0, lambda: f"{mod} zero sequence: bm != 0")
         for block, bms in _oracle_blocks(mod, rng):
             if mod.p == 2:
                 got = answers = list(map(lc, map(PeriodicSequence, repeat(mod), block)))
@@ -152,26 +151,27 @@ def _suite_lc_oracle(modulus: Modulus | None, rng: random.Random, cap: int) -> S
 
 
 def _oracle_blocks(mod: Modulus, rng: random.Random) -> Iterator[tuple[Sequence[int], list[int]]]:
-    """The nonzero values of lc-oracle's universe of mod, _BM_BLOCK at a time,
-    each block with its Berlekamp-Massey complexities.
+    """The values of lc-oracle's universe of mod, zero first, _BM_BLOCK at
+    a time, each block with its Berlekamp-Massey complexities.
 
-    An exhaustive universe runs through one ``_bm_planes`` call on the
-    identity planes, lane v holding sequence v, computed afresh on each call;
-    each block range(lo, hi) then reads its lanes of the complexities,
-    shifted down by lo.  A sampled universe runs ``_bm_values`` on each block
-    of its seeded values."""
+    The universe runs through one ``_bm_planes`` call, computed afresh on
+    each call: on the identity planes, lane v holding sequence v, when it
+    is exhaustive, and otherwise on the number of zero and its seeded
+    sample, in that order.  Each block then reads its window of lanes of
+    the complexities, shifted down to lane 0."""
     N = mod.period
-    top = 1 << N
-    if top > _BM_EXHAUSTIVE:
-        values = _values(mod, rng)
-        while block := list(islice(values, _BM_BLOCK)):
-            yield block, _bm_values(block, N)
-        return
-    planes = _bm_planes(identity(N), N, top)
-    for lo in range(1, top, _BM_BLOCK):
-        hi = min(lo + _BM_BLOCK, top)
+    if 1 << N > _BM_EXHAUSTIVE:
+        values = [0, *_values(mod, rng)]
+        planes = number(values, N)
+    else:
+        values = range(1 << N)
+        planes = identity(N)
+    W = len(values)
+    bms = _bm_planes(planes, N, W)
+    for lo in range(0, W, _BM_BLOCK):
+        hi = min(lo + _BM_BLOCK, W)
         window = (1 << hi - lo) - 1
-        yield range(lo, hi), read([plane >> lo & window for plane in planes], hi - lo)
+        yield values[lo:hi], read([plane >> lo & window for plane in bms], hi - lo)
 
 
 def _suite_mcrit(modulus: Modulus | None, rng: random.Random, cap: int) -> SuiteReport:

@@ -5,7 +5,7 @@ import random
 import pytest
 from helpers import lane_values, to_planes
 
-from seqcomplex.bitslice import above, add, identity, largest, read, subtract
+from seqcomplex.bitslice import above, add, identity, largest, number, read, subtract
 
 WIDTHS = (1, 2, 63, 64, 65, 1000, 4096)
 
@@ -99,3 +99,34 @@ def test_identity_lane_v_holds_v(bits):
         w = 1 << t
         assert all((plane >> v & 1) == (v // w & 1) for v in range(1 << bits)), (bits, t)
     assert read(planes, 1 << bits) == list(range(1 << bits))
+
+
+def _numbered_values(bits):
+    """Seeded values below 2^bits on 1-4096 lanes, holding 0 and 2^bits - 1."""
+    rng = random.Random(bits)
+    top = (1 << bits) - 1
+    for width in (1, 2, 513, 4096):
+        yield [0, top, *(rng.getrandbits(bits) for _ in range(width - 2))][:width]
+
+
+@pytest.mark.parametrize("bits", range(1, 33))
+def test_number_reads_back_every_value(bits):
+    """number is read's inverse, through read's 1-, 2-, 3- and 4-byte fields."""
+    for values in _numbered_values(bits):
+        planes = number(values, bits)
+        assert len(planes) == bits
+        assert read(planes, len(values)) == values, len(values)
+
+
+@pytest.mark.parametrize("bits", [33, 64, 65, 243])
+def test_number_above_32_bits_holds_each_lane(bits):
+    """Past struct's 4-byte code, past its 8-byte one, and at many bytes."""
+    for values in _numbered_values(bits):
+        planes = number(values, bits)
+        assert len(planes) == bits
+        assert lane_values(planes, len(values)) == values, len(values)
+
+
+@pytest.mark.parametrize("bits", range(13))
+def test_number_of_every_value_is_identity(bits):
+    assert number(list(range(1 << bits)), bits) == identity(bits)

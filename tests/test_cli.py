@@ -700,12 +700,13 @@ def test_lc_loads_no_bit_sliced_numbers():
                              "main(['lc', '--p', '3', '--n', '2', '--seq', '110000000'])")
     assert printed == ["8"]
     assert bitslice not in loaded
-    # lincomp loads it only once the bit-sliced oracle runs
-    printed, loaded = _fresh("from seqcomplex.lincomp import _bm_values\n"
+    # lincomp loads it only once the bit-sliced oracle runs: the period-3
+    # sequences 1 and 3 in lanes 0 and 1 have complexities 3 and 2
+    printed, loaded = _fresh("from seqcomplex.lincomp import _bm_planes\n"
                              "import sys\n"
                              "print('seqcomplex.bitslice' in sys.modules)\n"
-                             "print(_bm_values([1, 3], 3))")
-    assert printed == ["False", "[3, 2]"]
+                             "print(_bm_planes([0b11, 0b10, 0b00], 3, 2))")
+    assert printed == ["False", "[1, 3]"]
     assert bitslice in loaded
     printed, loaded = _fresh("from seqcomplex.cli import main\n"
                              "print(main(['verify', '--suite', 'lc-oracle', *{!r}]))".format(MOD9_ARGS))

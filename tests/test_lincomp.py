@@ -31,7 +31,8 @@ from seqcomplex import (
 from seqcomplex.errors import NotRepresentable
 from seqcomplex import hypercube, lincomp
 from seqcomplex.hypercube import _descend, _peel
-from seqcomplex.lincomp import _bm_value, _bm_values, _lc_value, _levels, _walk
+from seqcomplex.bitslice import number, read
+from seqcomplex.lincomp import _bm_planes, _bm_value, _lc_value, _levels, _walk
 
 MOD9 = Modulus(3, 2)
 MOD27 = Modulus(3, 3)
@@ -434,7 +435,8 @@ def test_run_skipping_bm_matches_the_stepwise_loop():
 
 
 def _assert_lanes_match(values, N):
-    got = _bm_values(values, N)
+    W = len(values)
+    got = read(_bm_planes(number(values, N), N, W), W)
     assert len(got) == len(values)
     for v, L in zip(values, got):
         stream = v | (v << N)

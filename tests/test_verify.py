@@ -19,7 +19,7 @@ from seqcomplex import (
     SUITES, CelcsPoint, Decomposition, Modulus, PeriodicSequence, SuiteReport, counting,
     kerror, lc, parse_sequence, run_suites, verify,
 )
-from seqcomplex.bitslice import add
+from seqcomplex.bitslice import add, read
 from seqcomplex import lincomp
 from seqcomplex.lincomp import _bm_value
 
@@ -148,8 +148,25 @@ def test_lc_oracle_checks_lc_at_odd_p(monkeypatch):
     too, beside xwli_lc."""
     monkeypatch.setattr(verify, "lc", lambda s: lc(s) + 1)
     (rep,) = run_suites(["lc-oracle"], Modulus(3, 1))
-    assert (rep.checks, rep.failures) == (8, 7)
-    assert rep.details[0] == "3^1 s=100: lc 4, xwli_lc 3, trace 3 != bm 3"
+    assert (rep.checks, rep.failures) == (8, 8)
+    assert rep.details[:2] == [
+        "3^1 s=000: lc 1, xwli_lc 0, trace 0 != bm 0",
+        "3^1 s=100: lc 4, xwli_lc 3, trace 3 != bm 3",
+    ]
+
+
+def test_lc_oracle_checks_the_engines_on_the_zero_sequence(monkeypatch):
+    """Lane 0 of every universe, exhaustive (2^4, 3^2) or sampled (2^5,
+    3^3), is the zero sequence, and the engines' answers on it are checked
+    against the oracle's like every other lane's."""
+    monkeypatch.setattr(verify, "lc", lambda s: lc(s) + (s.value == 0))
+    for p, n in ((2, 4), (3, 2), (2, 5), (3, 3)):
+        mod = Modulus(p, n)
+        (rep,) = run_suites(["lc-oracle"], mod)
+        zero = "0" * mod.period
+        tail = "lc 1 != bm 0" if p == 2 else "lc 1, xwli_lc 0, trace 0 != bm 0"
+        assert rep.failures == 1, mod
+        assert rep.details == [f"{mod} s={zero}: {tail}"]
 
 
 def test_lc_oracle_fails_exactly_a_faulty_lane(monkeypatch):
@@ -162,14 +179,14 @@ def test_lc_oracle_fails_exactly_a_faulty_lane(monkeypatch):
     def faulty(S, N, W):
         L = bm_planes(S, N, W)
         calls.append(W)
-        add(L, 1 << verify._BM_BLOCK + 8)  # lane 4104, in range(4097, 8193)
+        add(L, 1 << verify._BM_BLOCK + 8)  # lane 4104, in range(4096, 8192)
         return L
 
-    def sampled(values, N):
-        raise AssertionError("an exhaustive universe sent through _bm_values")
+    def sampled(values, bits):
+        raise AssertionError("an exhaustive universe sent through number")
 
     monkeypatch.setattr(verify, "_bm_planes", faulty)
-    monkeypatch.setattr(verify, "_bm_values", sampled)
+    monkeypatch.setattr(verify, "number", sampled)
     mod = Modulus(2, 4)
     (rep,) = run_suites(["lc-oracle"], mod)
     assert calls == [1 << 16]
@@ -179,41 +196,50 @@ def test_lc_oracle_fails_exactly_a_faulty_lane(monkeypatch):
 
 
 def test_lc_oracle_fails_exactly_a_faulty_lane_of_a_sampled_block(monkeypatch):
-    """At 2^5 the seeded sample runs through _bm_values, and an oracle off
-    by one on one lane fails that sequence alone."""
-    bm_values = verify._bm_values
-    blocks = []
+    """At 2^5 zero and the seeded sample are numbered in one Massey call,
+    and an oracle off by one on one lane fails that sequence alone."""
+    bm_planes = verify._bm_planes
+    number = verify.number
+    calls, numbered = [], []
 
-    def faulty(values, N):
-        out = bm_values(values, N)
-        blocks.append(values)
-        out[7] += 1
-        return out
+    def faulty(S, N, W):
+        L = bm_planes(S, N, W)
+        calls.append(W)
+        add(L, 1 << 8)
+        return L
 
-    def universe(S, N, W):
+    def recorded(values, bits):
+        numbered.append(values)
+        return number(values, bits)
+
+    def universe(bits):
         raise AssertionError("a sampled universe sent through the identity planes")
 
-    monkeypatch.setattr(verify, "_bm_values", faulty)
-    monkeypatch.setattr(verify, "_bm_planes", universe)
+    monkeypatch.setattr(verify, "_bm_planes", faulty)
+    monkeypatch.setattr(verify, "number", recorded)
+    monkeypatch.setattr(verify, "identity", universe)
     mod = Modulus(2, 5)
     (rep,) = run_suites(["lc-oracle"], mod)
-    assert [len(block) for block in blocks] == [verify.SAMPLE_SIZE]
-    s = PeriodicSequence(mod, blocks[0][7])
+    assert calls == [verify.SAMPLE_SIZE + 1]
+    assert [len(values) for values in numbered] == [verify.SAMPLE_SIZE + 1]
+    assert numbered[0][0] == 0
+    s = PeriodicSequence(mod, numbered[0][8])
     assert (rep.checks, rep.failures) == (1 + verify.SAMPLE_SIZE, 1)
     assert rep.details == [f"2^5 s={s.to01()}: lc {lc(s)} != bm {lc(s) + 1}"]
 
 
 @pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1)])
 def test_universe_oracle_is_berlekamp_massey_on_every_value(p, n, monkeypatch):
-    """The exhaustive oracle's windows cover 1..2^N - 1 in order, _BM_BLOCK
+    """The exhaustive oracle's windows cover 0..2^N - 1 in order, _BM_BLOCK
     values each, read no seed, and hold for every value the scalar
-    Berlekamp-Massey complexity of two periods and the _bm_values lane."""
-    bm_values = verify._bm_values
+    Berlekamp-Massey complexity of two periods and the lane of the same
+    values given to number."""
+    number = verify.number
 
-    def sampled(values, N):
-        raise AssertionError("an exhaustive universe sent through _bm_values")
+    def sampled(values, bits):
+        raise AssertionError("an exhaustive universe sent through number")
 
-    monkeypatch.setattr(verify, "_bm_values", sampled)
+    monkeypatch.setattr(verify, "number", sampled)
     N = p**n
     rng = random.Random(4402)
     state = rng.getstate()
@@ -221,10 +247,11 @@ def test_universe_oracle_is_berlekamp_massey_on_every_value(p, n, monkeypatch):
     assert rng.getstate() == state
     values = [v for block, _ in blocks for v in block]
     bms = [b for _, block_bms in blocks for b in block_bms]
-    assert values == list(range(1, 1 << N))
+    assert values == list(range(1 << N))
     assert all(len(block) == len(b) for block, b in blocks)
     assert [len(block) for block, _ in blocks[:-1]] == [verify._BM_BLOCK] * (len(blocks) - 1)
-    assert bms == bm_values(values, N)
+    W = len(values)
+    assert bms == read(verify._bm_planes(number(values, N), N, W), W)
     assert bms == [_bm_value(v | v << N, 2 * N) for v in values]
 
 
@@ -241,8 +268,8 @@ def test_failure_details_are_exact_capped_and_lazy(monkeypatch):
 
     monkeypatch.setattr(PeriodicSequence, "to01", counted)
     (rep,) = run_suites(["lc-oracle"], Modulus(2, 4))
-    assert (rep.checks, rep.failures) == (1 << 16, (1 << 16) - 1)
-    assert rep.details[0] == "2^4 s=1000000000000000: lc 17 != bm 16"
+    assert (rep.checks, rep.failures) == (1 << 16, 1 << 16)
+    assert rep.details[0] == "2^4 s=0000000000000000: lc 1 != bm 0"
     assert len(rep.details) == verify.MAX_DETAILS == 20
     assert len(calls) <= 20
 

@@ -18,8 +18,10 @@ The call rows follow, one per public function of ``CALLS`` (``lc()`` and so
 on), whatever suites are named: a round times one call on each of
 ``CALL_VALUES`` (200) seeded nonzero values of each modulus of
 ``CALL_MODULI``, the same values in both trees, and gives the mean time per
-call in us.  They read only public names, so any two trees compare, and run
-once untimed before the rounds, as the suites do.
+call in us.  After both trees' suites, each call's pass runs for one tree
+and then the other, in the round's order, so that the two passes of a
+call are back to back.  They read only public names, so any two trees
+compare, and run once untimed before the rounds, as the suites do.
 
 One line per row gives each tree's median and least time over the rounds,
 in ms for a suite and us for a call, and the rounds each tree read lower in
@@ -68,16 +70,12 @@ def call_inputs(package) -> list:
     return inputs
 
 
-def time_calls(package, inputs: list) -> dict[str, float]:
-    """Each call's mean time over the inputs in us."""
-    row = {}
-    for name in CALLS:
-        call = getattr(package, name)
-        t0 = perf_counter()
-        for s in inputs:
-            call(s)
-        row[f"{name}()"] = 1e6 * (perf_counter() - t0) / len(inputs)
-    return row
+def time_call(call, inputs: list) -> float:
+    """The call's mean time over the inputs in us."""
+    t0 = perf_counter()
+    for s in inputs:
+        call(s)
+    return 1e6 * (perf_counter() - t0) / len(inputs)
 
 
 def one_round(package, names: list[str], seeds: int) -> dict[str, float]:
@@ -117,12 +115,20 @@ def main(argv: list[str] | None = None) -> int:
         for side, package in trees.items():
             for name in names:
                 package.run_suites([name], seed=0)
-            time_calls(package, inputs[side])
+            for name in CALLS:
+                time_call(getattr(package, name), inputs[side])
         rounds: dict[str, list[dict[str, float]]] = {"a": [], "b": []}
         for r in range(ROUNDS):
-            for side in "ab" if r % 2 == 0 else "ba":
-                row = one_round(trees[side], names, args.seeds)
-                rounds[side].append(row | time_calls(trees[side], inputs[side]))
+            order = "ab" if r % 2 == 0 else "ba"
+            this_round = {side: one_round(trees[side], names, args.seeds) for side in order}
+            # each call's pass for one tree and then the other, so that a
+            # swing of the host lands on both trees' times of that call
+            for name in CALLS:
+                for side in order:
+                    this_round[side][f"{name}()"] = time_call(getattr(trees[side], name),
+                                                              inputs[side])
+            for side in "ab":
+                rounds[side].append(this_round[side])
     calls = [f"{name}()" for name in CALLS]
     rows = [*names, "pass", *calls]
     times = {side: {row: [t[row] for t in rounds[side]] for row in rows} for side in "ab"}
